@@ -18,7 +18,6 @@ from .systems import (
     AffineMap,
     MetricFiber,
     MWSystem,
-    check_k_dense,
     check_k_surjective,
     check_proper_dense,
     extend_map,

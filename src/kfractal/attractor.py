@@ -22,13 +22,18 @@ from .systems import EUCLIDEAN, MWSystem, degree_maps, extend_map, grid_points, 
 # distances
 
 
-def directed_distance(a, b, metric=EUCLIDEAN, method="auto"):
+# Above this many point pairs a KD-tree on ``b`` beats measuring every pair;
+# below it the brute-force kernel is faster and spares the scipy.spatial import.
+INDEX_MIN_PAIRS = 2_000_000
+
+
+def directed_distance(a, b, metric=EUCLIDEAN):
     """One-sided (sup-min) distance from cloud a to cloud b.
 
-    ``method``: "direct" runs the O(|a|*|b|) kernel (compiled when built,
-    numpy otherwise), "indexed" queries a KD-tree, "auto" picks the index for
-    large products.  The index is a pure optimization: all methods compute
-    the same exact value.
+    Products of at most ``INDEX_MIN_PAIRS`` pairs run the brute-force numpy
+    kernel; larger ones query a KD-tree built on ``b``.  Both measure the
+    same distance up to floating-point rounding; the choice only changes
+    speed.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -36,28 +41,21 @@ def directed_distance(a, b, metric=EUCLIDEAN, method="auto"):
         return 0.0
     if len(b) == 0:
         raise ValueError("empty target cloud")
-    if method == "auto":
-        method = "indexed" if len(a) * len(b) > 2_000_000 else "direct"
-    if method == "direct":
+    if len(a) * len(b) <= INDEX_MIN_PAIRS:
         return _kernels.directed_max_min(a, b, metric)
-    if method == "indexed":
-        from scipy.spatial import cKDTree
+    from scipy.spatial import cKDTree
 
-        dist, _ = cKDTree(b).query(a, k=1, p=2 if metric == EUCLIDEAN else np.inf)
-        return float(np.max(dist))
-    raise ValueError(f"unknown method {method!r}")
+    dist, _ = cKDTree(b).query(a, k=1, p=2 if metric == EUCLIDEAN else np.inf)
+    return float(np.max(dist))
 
 
-def hausdorff_distance(a, b, metric=EUCLIDEAN, method="auto"):
+def hausdorff_distance(a, b, metric=EUCLIDEAN):
     """Symmetric Hausdorff distance between two nonempty point clouds."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty cloud")
-    return max(
-        directed_distance(a, b, metric, method),
-        directed_distance(b, a, metric, method),
-    )
+    return max(directed_distance(a, b, metric), directed_distance(b, a, metric))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +167,7 @@ class SetTuple:
         return f"SetTuple(pitch={self.pitch:g}, sizes={sizes})"
 
 
-def tuple_distance(a: SetTuple, b: SetTuple, metric=EUCLIDEAN, method="auto") -> float:
+def tuple_distance(a: SetTuple, b: SetTuple, metric=EUCLIDEAN) -> float:
     """sup over vertices of the per-vertex Hausdorff distance.
 
     Equal lattice clouds short-circuit to 0 (canonical form makes the array
@@ -182,7 +180,7 @@ def tuple_distance(a: SetTuple, b: SetTuple, metric=EUCLIDEAN, method="auto") ->
     for v in a.clouds:
         if np.array_equal(a.clouds[v], b.clouds[v]):
             continue
-        worst = max(worst, hausdorff_distance(a.points(v), b.points(v), metric, method))
+        worst = max(worst, hausdorff_distance(a.points(v), b.points(v), metric))
     return worst
 
 

@@ -14,7 +14,6 @@ import os
 import sys
 from pathlib import Path as FsPath
 
-from . import _kernels
 from .attractor import SetTuple, compute_attractor
 from .boxcount import dimension_estimate
 from .coding import (
@@ -304,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Validate rank-k contraction systems, compute certified "
                     "attractors, and run the structural checks.",
         epilog="Environment overrides: KFRACTAL_PITCH, KFRACTAL_TOL, "
-               "KFRACTAL_MAX_ITER, KFRACTAL_SEED, KFRACTAL_OUT. "
-               f"Distance kernel backend: {_kernels.BACKEND}.",
+               "KFRACTAL_MAX_ITER, KFRACTAL_SEED, KFRACTAL_OUT.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -534,12 +534,6 @@ def check_k_surjective(sys: MWSystem, n, sets, tol: float) -> CoverageReport:
     return CoverageReport(tuple(n), tol, distances, empty)
 
 
-def check_k_dense(sys: MWSystem, n, sets, tol: float) -> CoverageReport:
-    """Identical computation to ``check_k_surjective``: at a fixed grid
-    resolution, image density and image equality cannot be told apart."""
-    return check_k_surjective(sys, n, sets, tol)
-
-
 @dataclass
 class ProperDenseReport:
     proper: bool

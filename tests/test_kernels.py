@@ -1,10 +1,17 @@
-"""Backend agreement for the distance kernels."""
+"""Set distances: the KD-tree path against the brute-force kernel."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kfractal import _kernels
-from kfractal.attractor import directed_distance, hausdorff_distance
+from kfractal.attractor import INDEX_MIN_PAIRS, directed_distance, hausdorff_distance
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def clouds(seed, na=800, nb=900, d=2):
@@ -12,28 +19,27 @@ def clouds(seed, na=800, nb=900, d=2):
     return rng.random((na, d)), rng.random((nb, d))
 
 
+@pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("metric", ["euclidean", "max"])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_fallback_matches_selected_backend_bitwise(metric, seed):
-    a, b = clouds(seed)
-    direct = _kernels.directed_max_min(a, b, metric)
-    fallback = _kernels.directed_max_min(a, b, metric, force_fallback=True)
-    assert direct == fallback  # identical arithmetic, identical value
+def test_indexed_matches_brute_force(metric, d):
+    a, b = clouds(7, 1500, 1500, d)
+    assert len(a) * len(b) > INDEX_MIN_PAIRS  # directed_distance uses the KD-tree
+    reference = _kernels.directed_max_min(a, b, metric)
+    assert directed_distance(a, b, metric) == pytest.approx(reference, abs=1e-12)
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "max"])
-def test_indexed_matches_direct(metric):
-    a, b = clouds(7, 1200, 1500)
-    d_direct = directed_distance(a, b, metric, method="direct")
-    d_indexed = directed_distance(a, b, metric, method="indexed")
-    assert d_direct == pytest.approx(d_indexed, abs=1e-12)
-
-
-def test_directed_3d():
-    a, b = clouds(9, 300, 400, d=3)
-    assert _kernels.directed_max_min(a, b, "euclidean") == _kernels.directed_max_min(
-        a, b, "euclidean", force_fallback=True
+def test_small_products_skip_scipy_spatial():
+    # the brute-force path exists so that small commands never pay for this import
+    code = (
+        "import sys\n"
+        "import kfractal.cli\n"
+        "from kfractal.attractor import directed_distance\n"
+        "assert directed_distance([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0]]) > 0\n"
+        "assert 'scipy.spatial' not in sys.modules\n"
     )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_hausdorff_identical_clouds_zero():
@@ -55,9 +61,3 @@ def test_directed_asymmetry():
 def test_empty_target_rejected():
     with pytest.raises(ValueError):
         directed_distance(np.zeros((1, 2)), np.zeros((0, 2)))
-
-
-def test_compiled_backend_present():
-    # the shipped build compiles the kernel; if this starts failing the
-    # package still works, just on the numpy path
-    assert _kernels.BACKEND in ("compiled", "fallback")
