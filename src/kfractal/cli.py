@@ -46,9 +46,36 @@ from .systems import RELAXED, validate_system
 
 PASS, FAIL, PARSE_ERROR, NO_CONVERGENCE = 0, 1, 2, 3
 
+# the duality sweep tabulates all |T|^|T| self-maps of each fiber size up to
+# this one: 46,656 maps at 6, 823,543 at 7
+MAX_FIBER_SIZE = 6
+
 
 def _env(name, default):
     return os.environ.get(f"KFRACTAL_{name.upper()}", default)
+
+
+def _int_between(lo, hi=None):
+    """argparse converter for an integer in [lo, hi] (no upper end if hi is None)."""
+    span = f"from {lo} to {hi}" if hi is not None else f">= {lo}"
+
+    def convert(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"expected an integer {span}, got {text!r}")
+        return value
+
+    return convert
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag in one line, with the input-error exit code."""
+
+    def error(self, message):
+        self.exit(PARSE_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _parse_degree(text, k):
@@ -249,9 +276,7 @@ def cmd_duality(args) -> int:
     out = _outdir(args)
     lines = []
     failed = False
-    res = density_fidelity_sweep(
-        max_fiber_size=int(args.max_fiber_size), seed=int(args.seed)
-    )
+    res = density_fidelity_sweep(max_fiber_size=args.max_fiber_size, seed=args.seed)
     lines.append(
         f"sweep over the 2+2-loop template, fiber sizes <= {args.max_fiber_size}: "
         f"{res.instances} assignments, {res.consistent} consistent"
@@ -298,7 +323,7 @@ def cmd_duality(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="kfractal",
         description="Validate rank-k contraction systems, compute certified "
                     "attractors, and run the structural checks.",
@@ -331,8 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("diagonal", help="compare against the rank-1 collapse"))
     p_dual = sub.add_parser("duality", help="exact density/fidelity sweep")
     p_dual.add_argument("--instance", default=None)
-    p_dual.add_argument("--max-fiber-size", default=_env("max_fiber_size", 2))
-    p_dual.add_argument("--seed", default=_env("seed", 0))
+    p_dual.add_argument("--max-fiber-size", default=_env("max_fiber_size", 2),
+                        type=_int_between(1, MAX_FIBER_SIZE),
+                        help=f"largest fiber size swept, 1..{MAX_FIBER_SIZE} (default 2)")
+    p_dual.add_argument("--seed", default=_env("seed", 0), type=_int_between(0),
+                        help="seed of the sampled sizes (default 0)")
     p_dual.add_argument("--out", default=_env("out", "out"))
     return ap
 

@@ -7,7 +7,7 @@ import pytest
 
 from kfractal import fixtures
 from kfractal.attractor import SetTuple
-from kfractal.cli import main
+from kfractal.cli import MAX_FIBER_SIZE, build_parser, main
 from kfractal.io import (
     InstanceFormatError,
     discrete_to_dict,
@@ -202,6 +202,48 @@ def test_cli_duality_sweep_and_instance(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "100% agreement" in out
     assert "257 assignments" in out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--max-fiber-size", "abc"],
+        ["--max-fiber-size", "0"],
+        ["--max-fiber-size", "-1"],
+        ["--max-fiber-size", "1.5"],
+        # above the cap: refused by the converter, before any map is built
+        ["--max-fiber-size", str(MAX_FIBER_SIZE + 1)],
+        ["--max-fiber-size", "100000000"],
+        ["--seed", "x"],
+        ["--seed", "-5"],
+    ],
+)
+def test_cli_duality_bad_flag_exits_2_in_one_line(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["duality", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("kfractal duality: error: argument --")
+    assert not out.exists()
+
+
+def test_cli_duality_bad_seed_from_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KFRACTAL_SEED", "-1")
+    with pytest.raises(SystemExit) as exc:
+        main(["duality", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+
+
+def test_cli_duality_flag_bounds_accepted():
+    args = build_parser().parse_args(
+        ["duality", "--max-fiber-size", str(MAX_FIBER_SIZE), "--seed", "0"]
+    )
+    assert (args.max_fiber_size, args.seed) == (MAX_FIBER_SIZE, 0)
+    args = build_parser().parse_args(["duality", "--max-fiber-size", "1"])
+    assert (args.max_fiber_size, args.seed) == (1, 0)
 
 
 def test_cli_outputs_deterministic(tmp_path):
