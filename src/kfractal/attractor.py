@@ -65,29 +65,28 @@ def hausdorff_distance(a, b, metric=EUCLIDEAN):
 def _canonical(idx: np.ndarray) -> np.ndarray:
     """Sorted duplicate-free rows, lexicographically.
 
-    Low-dimensional lattices are packed into one integer per row first,
-    which sorts in the same order as np.unique(axis=0) but far faster; wide
-    coordinate ranges fall back to the row-wise path.
+    Rows are packed into one integer each first (row-major over the
+    coordinate spans), which sorts in the same order as np.unique(axis=0)
+    but far faster; spans whose product does not fit below 2**62 fall back
+    to the row-wise path.
     """
     d = idx.shape[1]
-    if d == 1:
-        return np.unique(idx[:, 0])[:, None]
-    if d <= 3:
-        lo = idx.min(axis=0)
-        span = (idx.max(axis=0) - lo + 1).astype(np.int64)
-        if float(np.prod(span.astype(float))) < 2**62:
-            shifted = idx - lo
-            packed = shifted[:, 0]
-            for t in range(1, d):
-                packed = packed * span[t] + shifted[:, t]
-            packed = np.unique(packed)
-            out = np.empty((len(packed), d), dtype=np.int64)
-            for t in range(d - 1, 0, -1):
-                out[:, t] = packed % span[t] + lo[t]
-                packed //= span[t]
-            out[:, 0] = packed + lo[0]
-            return out
-    return np.unique(idx, axis=0)
+    lo = idx.min(axis=0)
+    hi = idx.max(axis=0)
+    if float(np.prod(hi.astype(float) - lo.astype(float) + 1.0)) >= 2**62:
+        return np.unique(idx, axis=0)
+    span = (hi - lo + 1).astype(np.int64)
+    shifted = idx - lo
+    packed = shifted[:, 0]
+    for t in range(1, d):
+        packed = packed * span[t] + shifted[:, t]
+    packed = np.unique(packed)
+    out = np.empty((len(packed), d), dtype=np.int64)
+    for t in range(d - 1, 0, -1):
+        out[:, t] = packed % span[t] + lo[t]
+        packed //= span[t]
+    out[:, 0] = packed + lo[0]
+    return out
 
 
 class SetTuple:
@@ -155,6 +154,29 @@ class SetTuple:
             and bool(np.all(self.origin == other.origin))
         )
 
+    def coarsen(self, factor: int) -> "SetTuple":
+        """The occupied cells of the grid with pitch * factor (same origin)."""
+        return SetTuple(
+            self.origin, self.pitch * factor, {v: c // factor for v, c in self.clouds.items()}
+        )
+
+    def vertex_distances(self, other: "SetTuple", metric=EUCLIDEAN) -> dict[str, float]:
+        """Per-vertex Hausdorff distance to another tuple on the same grid.
+
+        Equal lattice clouds short-circuit to 0 (canonical form makes the
+        array comparison conclusive)."""
+        if not self.same_grid(other):
+            raise ValueError("grid mismatch")
+        if set(self.clouds) != set(other.clouds):
+            raise ValueError("vertex sets differ")
+        out = {}
+        for v, c in self.clouds.items():
+            if np.array_equal(c, other.clouds[v]):
+                out[v] = 0.0
+            else:
+                out[v] = hausdorff_distance(self.points(v), other.points(v), metric)
+        return out
+
     def __eq__(self, other):
         if not isinstance(other, SetTuple) or not self.same_grid(other):
             return False
@@ -168,20 +190,9 @@ class SetTuple:
 
 
 def tuple_distance(a: SetTuple, b: SetTuple, metric=EUCLIDEAN) -> float:
-    """sup over vertices of the per-vertex Hausdorff distance.
-
-    Equal lattice clouds short-circuit to 0 (canonical form makes the array
-    comparison conclusive), which keeps fixed-point detection cheap."""
-    if not a.same_grid(b):
-        raise ValueError("grid mismatch")
-    if set(a.clouds) != set(b.clouds):
-        raise ValueError("vertex sets differ")
-    worst = 0.0
-    for v in a.clouds:
-        if np.array_equal(a.clouds[v], b.clouds[v]):
-            continue
-        worst = max(worst, hausdorff_distance(a.points(v), b.points(v), metric))
-    return worst
+    """sup over vertices of the per-vertex Hausdorff distance; equal clouds
+    cost nothing, which keeps fixed-point detection cheap."""
+    return max(a.vertex_distances(b, metric).values(), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +216,8 @@ def hutchinson_step(sys: MWSystem, n, C: SetTuple, _maps=None) -> SetTuple:
         pieces = [p for p in pieces if len(p)]
         if not pieces:
             raise ValueError(f"no images at vertex {v!r} (empty input clouds)")
-        pts = np.concatenate(pieces)
-        out[v] = np.rint((pts - C.origin) / C.pitch).astype(np.int64)
-    return SetTuple(C.origin, C.pitch, out)
+        out[v] = np.concatenate(pieces)
+    return SetTuple.from_points(C.origin, C.pitch, out)
 
 
 def contraction_factor(sys: MWSystem, n) -> float:

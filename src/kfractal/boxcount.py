@@ -11,24 +11,21 @@ import math
 
 import numpy as np
 
-from .attractor import SetTuple
+from .attractor import SetTuple, _canonical
 
 
 def occupied_cells(lattice: np.ndarray, factor: int = 1) -> int:
     """Occupied cell count after coarsening integer lattice coords by factor."""
     if len(lattice) == 0:
         return 0
-    if factor == 1:
-        return len(np.unique(lattice, axis=0))
-    return len(np.unique(np.floor_divide(lattice, factor), axis=0))
+    return len(_canonical(np.asarray(lattice, dtype=np.int64) // factor))
 
 
 def dimension_estimate(sets: SetTuple, vertex: str, coarse: int = 2) -> float:
     """log(N_fine / N_coarse) / log(coarse) between the native grid and a
     coarsened one."""
-    cloud = sets.clouds[vertex]
-    n_fine = occupied_cells(cloud, 1)
-    n_coarse = occupied_cells(cloud, coarse)
+    n_fine = len(sets.clouds[vertex])
+    n_coarse = len(sets.coarsen(coarse).clouds[vertex])
     if n_fine == 0 or n_coarse == 0:
         return 0.0
     return math.log(n_fine / n_coarse) / math.log(coarse)

@@ -10,6 +10,7 @@ across runs with the same configuration and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path as FsPath
@@ -71,6 +72,17 @@ def _int_between(lo, hi=None):
     return convert
 
 
+def _positive_float(text):
+    """argparse converter for a positive, finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a bad flag in one line, with the input-error exit code."""
 
@@ -81,7 +93,14 @@ class _Parser(argparse.ArgumentParser):
 def _parse_degree(text, k):
     if text is None:
         return None
-    parts = [int(x) for x in str(text).split(",")]
+    try:
+        parts = [int(x) for x in str(text).split(",")]
+    except ValueError:
+        parts = None
+    if parts is None or min(parts) < 0 or max(parts) == 0:
+        raise InstanceFormatError(
+            f"degree {text!r} must be non-negative integers, not all zero"
+        )
     if len(parts) == 1 and k > 1:
         parts = parts * k
     if len(parts) != k:
@@ -147,8 +166,14 @@ def cmd_validate(args) -> int:
     return PASS if ok else FAIL
 
 
-def _default_pitch(sys) -> float:
-    return max(f.diameter() for f in sys.fibers.values()) / 512.0
+def _pitch_and_tol(args, sys_) -> tuple[float, float]:
+    """The grid pitch h (default: max fiber diameter / 512) and the
+    tolerance (default 4h) of a metric command."""
+    h = args.pitch
+    if h is None:
+        h = max(f.diameter() for f in sys_.fibers.values()) / 512.0
+    tol = args.tol if args.tol is not None else 4.0 * h
+    return h, tol
 
 
 def _prepare_mw(args):
@@ -169,11 +194,10 @@ def cmd_attractor(args) -> int:
     if sys_ is None:
         return FAIL
     out = _outdir(args)
-    h = float(args.pitch) if args.pitch else _default_pitch(sys_)
-    tol = float(args.tol) if args.tol else 4.0 * h
+    h, tol = _pitch_and_tol(args, sys_)
     degree = _parse_degree(args.degree, sys_.graph.k) or sys_.diagonal_degree
     C0 = SetTuple.from_fibers(sys_, h)
-    K, cert = compute_attractor(sys_, degree, C0, tol=tol, max_iter=int(args.max_iter))
+    K, cert = compute_attractor(sys_, degree, C0, tol=tol, max_iter=args.max_iter)
 
     write_clouds_csv(K, out / "attractor.csv")
     lines = [f"instance: {sys_.name or args.instance}",
@@ -193,8 +217,7 @@ def cmd_coding(args) -> int:
     if sys_ is None:
         return FAIL
     out = _outdir(args)
-    h = float(args.pitch) if args.pitch else _default_pitch(sys_)
-    tol = float(args.tol) if args.tol else 4.0 * h
+    h, tol = _pitch_and_tol(args, sys_)
     k = sys_.graph.k
     if args.degree:
         depth = _parse_degree(args.degree, k)
@@ -207,13 +230,12 @@ def cmd_coding(args) -> int:
             depth = (base,) * k
     C0 = SetTuple.from_fibers(sys_, h)
     K, cert = compute_attractor(sys_, sys_.diagonal_degree, C0, tol=tol,
-                                max_iter=int(args.max_iter))
+                                max_iter=args.max_iter)
     if not cert.converged:
         write_certificate(cert.summary(), out / "certificate.txt")
         print(cert.summary())
         return NO_CONVERGENCE
-    T2, err = coded_cloud(sys_, depth, pitch=h, seed=int(args.seed),
-                          count=int(args.count) if args.count else None)
+    T2, err = coded_cloud(sys_, depth, pitch=h, seed=args.seed, count=args.count)
     agree_tol = tol + 2.0 * h + 2.0 * err
     agree = compare_attractor_coding(sys_, K, T2, agree_tol)
     sub = check_subsystem(sys_, T2, tol=2.0 * h + 2.0 * err)
@@ -235,7 +257,7 @@ def cmd_coding(args) -> int:
             deep = tuple(max(c, depth[0]) for c in depth)
             prefixes = sample_prefixes(
                 sys_.graph, e.source_vertex, deep, count=20,
-                seed=int(args.seed), replace=True,
+                seed=args.seed, replace=True,
             )
             rep = check_intertwining(sys_, lam, prefixes, tol=max(tol, 8 * err))
             verdict = "pass" if rep.passed else "FAIL"
@@ -256,9 +278,8 @@ def cmd_diagonal(args) -> int:
     if sys_ is None:
         return FAIL
     out = _outdir(args)
-    h = float(args.pitch) if args.pitch else _default_pitch(sys_)
-    tol = float(args.tol) if args.tol else 4.0 * h
-    rep = check_diagonal_agreement(sys_, tol=tol, pitch=h, max_iter=int(args.max_iter))
+    h, tol = _pitch_and_tol(args, sys_)
+    rep = check_diagonal_agreement(sys_, tol=tol, pitch=h, max_iter=args.max_iter)
     if not (rep.source_certificate.converged and rep.collapse_certificate.converged):
         write_certificate(rep.summary(), out / "diagonal.txt")
         print(rep.summary())
@@ -286,6 +307,12 @@ def cmd_duality(args) -> int:
         f"density == fidelity on {res.degrees}: "
         f"{'100% agreement' if res.all_agree else f'{len(res.disagreements)} DISAGREEMENTS'}"
     )
+    unchecked = [size for size, n in res.consistent_by_size.items() if n == 0]
+    if unchecked:
+        lines.append(
+            "unchecked fiber sizes (no consistent assignment drawn): "
+            + ", ".join(map(str, unchecked))
+        )
     failed |= not res.all_agree
 
     if args.instance:
@@ -336,12 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_instance:
             p.add_argument("--instance", required=True,
                            help="instance file, or a builtin name (s1, p2, p2c, t0, f3, d1..d3)")
-        p.add_argument("--pitch", default=_env("pitch", None),
-                       help="grid pitch h (default: max fiber diameter / 512)")
-        p.add_argument("--tol", default=_env("tol", None),
-                       help="tolerance (default 4h)")
-        p.add_argument("--max-iter", default=_env("max_iter", 64))
-        p.add_argument("--seed", default=_env("seed", 0))
+        p.add_argument("--pitch", default=_env("pitch", None), type=_positive_float,
+                       help="grid pitch h > 0 (default: max fiber diameter / 512)")
+        p.add_argument("--tol", default=_env("tol", None), type=_positive_float,
+                       help="tolerance > 0 (default 4h)")
+        p.add_argument("--max-iter", default=_env("max_iter", 64), type=_int_between(1))
+        p.add_argument("--seed", default=_env("seed", 0), type=_int_between(0))
         p.add_argument("--out", default=_env("out", "out"), help="output directory")
         p.add_argument("--degree", default=None,
                        help="comma-separated degree vector (default: diagonal)")
@@ -352,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("attractor", help="iterate to the fixed point, export clouds"))
     p_cod = sub.add_parser("coding", help="compare prefix coding with the attractor")
     common(p_cod)
-    p_cod.add_argument("--count", default=None, help="sample size (default exhaustive)")
+    p_cod.add_argument("--count", default=None, type=_int_between(1),
+                       help="sample size >= 1 (default exhaustive)")
     common(sub.add_parser("diagonal", help="compare against the rank-1 collapse"))
     p_dual = sub.add_parser("duality", help="exact density/fidelity sweep")
     p_dual.add_argument("--instance", default=None)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attractor import SetTuple, directed_distance, hausdorff_distance
+from .attractor import SetTuple, contraction_factor, directed_distance
 from .kgraph import (
     KGraph,
     KGraphError,
@@ -231,8 +231,6 @@ def coded_cloud(
     applying one edge color at a time, which touches each composite exactly
     once.  Sampling is seeded and uniform.
     """
-    from .attractor import contraction_factor
-
     depth = tuple(depth)
     _require_codable(sys, depth)
     g = sys.graph
@@ -276,15 +274,8 @@ def compare_attractor_coding(
     sys: MWSystem, attractor_sets: SetTuple, coded_sets: SetTuple, tol: float
 ) -> bool:
     """Whether the two constructions agree within tol at every vertex."""
-    if not attractor_sets.same_grid(coded_sets):
-        raise ValueError("grid mismatch between the two clouds")
-    return all(
-        hausdorff_distance(
-            attractor_sets.points(v), coded_sets.points(v), sys.metric
-        )
-        <= tol
-        for v in sys.graph.vertices
-    )
+    distances = attractor_sets.vertex_distances(coded_sets, sys.metric)
+    return all(d <= tol for d in distances.values())
 
 
 @dataclass

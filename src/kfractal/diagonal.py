@@ -14,13 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attractor import (
-    ConvergenceCertificate,
-    SetTuple,
-    compute_attractor,
-    hausdorff_distance,
-)
-from .coding import PathPrefix, code_point
+from .attractor import ConvergenceCertificate, SetTuple, compute_attractor
+from .coding import PathPrefix, _metric_dist, code_point
 from .kgraph import DiagonalGraph, diagonal_graph, path_from_word, word_to_path
 from .systems import STRICT, MWSystem, extend_map, lipschitz_bound
 
@@ -112,21 +107,14 @@ def check_intertwining_transfer(
             via_source = code_point(src, PathPrefix.of(expanded), basepoint)
 
             allowed = tol + lhs.error_radius + lipschitz_bound(gen, metric) * base.error_radius
-            d1 = _dist(lhs.point, mid, metric)
-            d2 = _dist(lhs.point, via_source.point, metric)
+            d1 = _metric_dist(lhs.point, mid, metric)
+            d2 = _metric_dist(lhs.point, via_source.point, metric)
             allowed2 = tol + lhs.error_radius + via_source.error_radius
             rep.samples += 1
             rep.max_distance = max(rep.max_distance, d1, d2)
             if d1 > allowed or d2 > allowed2:
                 rep.failures.append((ew, d1, d2))
     return rep
-
-
-def _dist(a, b, metric):
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    if metric == "max":
-        return float(np.abs(diff).max())
-    return float(np.linalg.norm(diff))
 
 
 def sample_diagonal_words(dsys: DiagonalSystem, length: int, count: int, seed: int = 0):
@@ -201,12 +189,5 @@ def check_diagonal_agreement(
     K_col, cert_col = compute_attractor(
         dsys.system, (1,), C0, tol=inner_tol, max_iter=max_iter
     )
-    distances = {}
-    for v in sys.graph.vertices:
-        if np.array_equal(K_src.clouds[v], K_col.clouds[v]):
-            distances[v] = 0.0
-        else:
-            distances[v] = hausdorff_distance(
-                K_src.points(v), K_col.points(v), sys.metric
-            )
+    distances = K_src.vertex_distances(K_col, sys.metric)
     return DiagonalAgreement(tol, distances, cert_src, cert_col, K_src, K_col)

@@ -114,24 +114,28 @@ def validate_discrete_system(dsys: DiscreteSystem, composition_bound: int = 3) -
     if rep.findings:
         return rep
 
-    pool = [
-        p
-        for v in g.vertices
-        for tot in range(composition_bound + 1)
-        for n in degrees_of_total(g.k, tot)
-        for p in enumerate_paths(g, v, n)
-    ]
-    for p, q in itertools.product(pool, pool):
-        if p.source_vertex != q.range_vertex:
-            continue
-        if sum(p.degree) + sum(q.degree) > composition_bound:
-            continue
+    for p, q in _composable_pairs(g, composition_bound):
         composed = map_along(dsys, compose(p, q))
         chained = {t: map_along(dsys, p)[u] for t, u in map_along(dsys, q).items()}
         if composed != chained:
             rep.add(AXIOM, "composition-law", f"{p!r}*{q!r}",
                     "path table differs from the chained tables")
     return rep
+
+
+def _composable_pairs(g: KGraph, bound: int):
+    """Pairs (p, q) of paths with s(p) == r(q) and total degree at most
+    bound, p outer and q inner over one pool of all paths up to bound."""
+    pool = [
+        p
+        for v in g.vertices
+        for tot in range(bound + 1)
+        for n in degrees_of_total(g.k, tot)
+        for p in enumerate_paths(g, v, n)
+    ]
+    for p, q in itertools.product(pool, pool):
+        if p.source_vertex == q.range_vertex and sum(p.degree) + sum(q.degree) <= bound:
+            yield p, q
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +168,7 @@ def pullback_system(dsys: DiscreteSystem, verify_bound: int = 3) -> tuple[Pullba
     psys = PullbackSystem(dsys.graph, dict(dsys.fibers), matrices, dsys.name)
 
     rep = ValidationReport()
-    g = dsys.graph
-    pool = [
-        p
-        for v in g.vertices
-        for tot in range(verify_bound + 1)
-        for n in degrees_of_total(g.k, tot)
-        for p in enumerate_paths(g, v, n)
-    ]
-    for p, q in itertools.product(pool, pool):
-        if p.source_vertex != q.range_vertex:
-            continue
-        if sum(p.degree) + sum(q.degree) > verify_bound:
-            continue
+    for p, q in _composable_pairs(dsys.graph, verify_bound):
         lhs = matrix_along(psys, compose(p, q))
         rhs = matrix_along(psys, p) @ matrix_along(psys, q)
         if not np.array_equal(lhs, rhs):
@@ -266,6 +258,7 @@ class SweepResult:
     consistent: int
     disagreements: list = field(default_factory=list)
     sampled: bool = False
+    consistent_by_size: dict[int, int] = field(default_factory=dict)
 
     @property
     def all_agree(self) -> bool:
@@ -309,6 +302,7 @@ def density_fidelity_sweep(
         # row i is the i-th map of itertools.product order: j -> maps[i, j]
         maps = np.array(list(itertools.product(range(size), repeat=size)), dtype=np.intp)
         result.sampled |= len(maps) ** 4 > limit
+        result.consistent_by_size[size] = 0
         for rows in _assignment_blocks(len(maps), limit, rng):
             result.instances += len(rows)
             tabs = maps[rows]
@@ -320,8 +314,10 @@ def density_fidelity_sweep(
                         np.take_along_axis(blue, red, axis=1)
                         == np.take_along_axis(red, blue, axis=1)
                     ).all(axis=1)
+            n_consistent = int(consistent.sum())
+            result.consistent += n_consistent
+            result.consistent_by_size[size] += n_consistent
             for idx in rows[consistent].tolist():
-                result.consistent += 1
                 tables = [dict(zip(elems, (elems[j] for j in maps[i]))) for i in idx]
                 dsys = DiscreteSystem(g, {"v": elems}, dict(zip(("b0", "b1", "r0", "r1"), tables)))
                 for n in degrees:

@@ -271,48 +271,36 @@ def write_certificate(text: str, path) -> None:
     FsPath(path).write_text(text if text.endswith("\n") else text + "\n")
 
 
-def write_pgm(sets: SetTuple, vertex: str, path) -> None:
-    """Binary 8-bit raster of a planar cloud at grid resolution (0 = point)."""
-    lattice = sets.clouds[vertex]
-    if lattice.shape[1] != 2:
+def _write_raster(path, lattices, shades) -> None:
+    """Binary 8-bit raster of planar lattice clouds over their joint bounding
+    box at grid resolution.  Bit i of a cell's code is set when lattices[i]
+    holds it, and the pixel gets shades[code]."""
+    cells = np.concatenate(lattices)
+    if cells.shape[1] != 2:
         raise ValueError("rasters are only defined for planar clouds")
-    if len(lattice) == 0:
+    if len(cells) == 0:
         raise ValueError("empty cloud")
-    lo = lattice.min(axis=0)
-    hi = lattice.max(axis=0)
+    lo = cells.min(axis=0)
+    hi = cells.max(axis=0)
     width = int(hi[0] - lo[0]) + 1
     height = int(hi[1] - lo[1]) + 1
-    img = np.full((height, width), 255, dtype=np.uint8)
-    cols = lattice[:, 0] - lo[0]
-    rows = hi[1] - lattice[:, 1]  # y axis points up in the plane, down in the file
-    img[rows, cols] = 0
+    code = np.zeros((height, width), dtype=np.uint8)
+    for bit, lattice in enumerate(lattices):
+        # y axis points up in the plane, down in the file
+        code[hi[1] - lattice[:, 1], lattice[:, 0] - lo[0]] |= 1 << bit
+    img = np.asarray(shades, dtype=np.uint8)[code]
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(img.tobytes())
 
 
+def write_pgm(sets: SetTuple, vertex: str, path) -> None:
+    """Binary 8-bit raster of a planar cloud at grid resolution (0 = point)."""
+    _write_raster(path, [sets.clouds[vertex]], [255, 0])
+
+
 def write_diff_pgm(a: SetTuple, b: SetTuple, vertex: str, path) -> None:
-    """Raster comparing two clouds: black = both, grays = one-sided."""
+    """Raster comparing two clouds: black = both, 90 = a only, 170 = b only."""
     if not a.same_grid(b):
         raise ValueError("grid mismatch")
-    one = {tuple(r) for r in a.clouds[vertex].tolist()}
-    two = {tuple(r) for r in b.clouds[vertex].tolist()}
-    both = one | two
-    if not both:
-        raise ValueError("empty clouds")
-    arr = np.array(sorted(both), dtype=np.int64)
-    lo = arr.min(axis=0)
-    hi = arr.max(axis=0)
-    img = np.full((int(hi[1] - lo[1]) + 1, int(hi[0] - lo[0]) + 1), 255, dtype=np.uint8)
-    for cell in both:
-        col = cell[0] - lo[0]
-        row = hi[1] - cell[1]
-        if cell in one and cell in two:
-            img[row, col] = 0
-        elif cell in one:
-            img[row, col] = 90
-        else:
-            img[row, col] = 170
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+    _write_raster(path, [a.clouds[vertex], b.clouds[vertex]], [255, 90, 170, 0])

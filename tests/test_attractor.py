@@ -1,11 +1,14 @@
 """Grid clouds, set-valued iteration, certificates."""
 
+import math
+
 import numpy as np
 import pytest
 
 from kfractal import fixtures
 from kfractal.attractor import (
     SetTuple,
+    _canonical,
     check_commutation,
     compute_attractor,
     contraction_factor,
@@ -13,6 +16,7 @@ from kfractal.attractor import (
     hutchinson_step,
     tuple_distance,
 )
+from kfractal.boxcount import dimension_estimate, occupied_cells
 from kfractal.kgraph import KGraph
 from kfractal.systems import AffineMap, Box, MetricFiber, MWSystem
 
@@ -38,6 +42,61 @@ def test_settuple_grid_mismatch_detected():
     b = SetTuple.from_points(np.zeros(1), 0.25, {"v": np.array([[0.0]])})
     with pytest.raises(ValueError):
         tuple_distance(a, b)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_canonical_and_occupied_cells_match_unique_rows(d):
+    # seeded lattices with negative coordinates and many duplicates
+    rng = np.random.default_rng(40 + d)
+    lattice = rng.integers(-25, 20, size=(3000, d))
+    assert np.array_equal(_canonical(lattice), np.unique(lattice, axis=0))
+    for factor in (1, 2, 3, 8):
+        coarse = np.floor_divide(lattice, factor)
+        assert occupied_cells(lattice, factor) == len(np.unique(coarse, axis=0))
+
+
+def test_canonical_wide_spans_match_unique_rows():
+    def span_product(lattice):
+        return float(np.prod(lattice.max(axis=0) - lattice.min(axis=0).astype(float) + 1.0))
+
+    rng = np.random.default_rng(3)
+    base = rng.integers(-3, 3, size=(500, 3))
+    # spans with a product just below 2**62 are packed; past it, and past the
+    # int64 range of one span, rows are compared as rows
+    near = base[:, :2] * np.array([2**29, 2**28])
+    assert 2**61 < span_product(near) < 2**62
+    past = base * np.array([2**60, 1, 1])
+    wider = base * np.array([2**61, 1, 1])
+    assert 2**62 < span_product(past) < span_product(wider)
+    for lattice in (near, past, wider):
+        assert np.array_equal(_canonical(lattice), np.unique(lattice, axis=0))
+        assert occupied_cells(lattice, 4) == len(np.unique(lattice // 4, axis=0))
+    assert occupied_cells(np.empty((0, 2), dtype=np.int64)) == 0
+
+
+def test_coarsen_and_dimension_estimate():
+    rng = np.random.default_rng(8)
+    lattice = rng.integers(-50, 50, size=(2000, 2))
+    s = SetTuple([0.5, -1.0], 0.25, {"v": lattice, "w": lattice[:10]})
+    c = s.coarsen(4)
+    assert c.same_grid(SetTuple([0.5, -1.0], 1.0, {}))
+    assert np.array_equal(c.clouds["v"], np.unique(lattice // 4, axis=0))
+    n_fine = len(np.unique(lattice, axis=0))
+    n_coarse = len(np.unique(lattice // 2, axis=0))
+    assert dimension_estimate(s, "v") == math.log(n_fine / n_coarse) / math.log(2)
+
+
+def test_vertex_distances_match_per_vertex_hausdorff():
+    sys = fixtures.cantor_product()
+    h = 1 / 81
+    C0 = SetTuple.from_fibers(sys, h)
+    K, _ = compute_attractor(sys, sys.diagonal_degree, C0)
+    got = K.vertex_distances(C0, sys.metric)
+    assert got == {v: hausdorff_distance(K.points(v), C0.points(v), sys.metric) for v in K.clouds}
+    assert max(got.values()) > 0
+    assert K.vertex_distances(K, sys.metric) == {v: 0.0 for v in K.clouds}
+    with pytest.raises(ValueError):
+        K.vertex_distances(SetTuple(K.origin, K.pitch, {}))
 
 
 def test_from_fibers_fills_regions():

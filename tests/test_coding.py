@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kfractal import fixtures
-from kfractal.attractor import SetTuple, compute_attractor
+from kfractal.attractor import SetTuple, compute_attractor, hausdorff_distance
 from kfractal.coding import (
     PathPrefix,
     check_intertwining,
@@ -263,6 +263,36 @@ def test_coded_cloud_sampled_20k_covers_product():
     assert cert.converged
     T2, err = coded_cloud(sys_, (6, 6), pitch=h, count=20000, seed=17, exhaustive=False)
     assert compare_attractor_coding(sys_, K, T2, tol=4 * h + 2 * err)
+
+
+def _reference_compare(sys, attractor_sets, coded_sets, tol):
+    # compare_attractor_coding before it went through SetTuple.vertex_distances
+    if not attractor_sets.same_grid(coded_sets):
+        raise ValueError("grid mismatch between the two clouds")
+    return all(
+        hausdorff_distance(attractor_sets.points(v), coded_sets.points(v), sys.metric) <= tol
+        for v in sys.graph.vertices
+    )
+
+
+@pytest.mark.parametrize("name, h, depth", [("s1", 1 / 64, (6,)), ("p2c", 1 / 81, (4, 4))])
+def test_compare_attractor_coding_matches_reference(name, h, depth):
+    sys_ = fixtures.SYSTEMS[name]()
+    K, _ = compute_attractor(sys_, sys_.diagonal_degree, SetTuple.from_fibers(sys_, h))
+    T2, err = coded_cloud(sys_, depth, pitch=h)
+    gaps = {
+        v: hausdorff_distance(K.points(v), T2.points(v), sys_.metric)
+        for v in sys_.graph.vertices
+    }
+    assert K.vertex_distances(T2, sys_.metric) == gaps
+    worst = max(gaps.values())
+    assert worst > 0
+    for tol in (4 * h + 2 * err, worst, worst * (1 - 1e-9), 0.0):
+        verdict = compare_attractor_coding(sys_, K, T2, tol)
+        assert verdict == _reference_compare(sys_, K, T2, tol)
+    # equal clouds agree at any tolerance, without measuring a distance
+    assert compare_attractor_coding(sys_, K, K, 0.0)
+    assert _reference_compare(sys_, K, K, 0.0)
 
 
 def test_compare_requires_same_grid():

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from kfractal import fixtures
-from kfractal.attractor import SetTuple, hutchinson_step, tuple_distance
+from kfractal.attractor import (
+    SetTuple,
+    compute_attractor,
+    hausdorff_distance,
+    hutchinson_step,
+    tuple_distance,
+)
 from kfractal.diagonal import (
     check_diagonal_agreement,
     check_intertwining_transfer,
@@ -149,3 +155,32 @@ def test_agreement_p2c_cantor_square():
     rep = check_diagonal_agreement(sys, tol=4 * h, pitch=h)
     assert rep.passed
     assert "distance" in rep.summary()
+
+
+def _reference_agreement(sys, tol, pitch):
+    # check_diagonal_agreement's per-vertex loop before it went through
+    # SetTuple.vertex_distances
+    dsys = diagonal_system(sys)
+    C0 = SetTuple.from_fibers(sys, pitch)
+    K_src, cert_src = compute_attractor(sys, sys.diagonal_degree, C0)
+    K_col, cert_col = compute_attractor(dsys.system, (1,), C0)
+    distances = {}
+    for v in sys.graph.vertices:
+        if np.array_equal(K_src.clouds[v], K_col.clouds[v]):
+            distances[v] = 0.0
+        else:
+            distances[v] = hausdorff_distance(K_src.points(v), K_col.points(v), sys.metric)
+    passed = (
+        cert_src.converged and cert_col.converged and all(d <= tol for d in distances.values())
+    )
+    return distances, passed
+
+
+@pytest.mark.parametrize("name, h", [("s1", 1 / 64), ("p2c", 1 / 81)])
+@pytest.mark.parametrize("tol_pitches", [4, 0])
+def test_agreement_matches_reference(name, h, tol_pitches):
+    sys = fixtures.SYSTEMS[name]()
+    rep = check_diagonal_agreement(sys, tol=tol_pitches * h, pitch=h)
+    distances, passed = _reference_agreement(sys, tol_pitches * h, h)
+    assert rep.distances == distances
+    assert rep.passed == passed

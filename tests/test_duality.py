@@ -230,6 +230,16 @@ def test_sweep_size3_counts(limit, seed, sampled, instances, consistent):
     assert res.all_agree
 
 
+def test_sweep_counts_consistent_assignments_per_fiber_size():
+    # 4,000 draws at size 4 hold no commuting assignment: that size checks nothing
+    res = density_fidelity_sweep(max_fiber_size=4, limit=4000, seed=12)
+    assert res.consistent_by_size == {1: 1, 2: 58, 3: 32, 4: 0}
+    assert res.consistent == 91
+    res = density_fidelity_sweep(max_fiber_size=4, limit=100_000, seed=1)
+    assert res.consistent_by_size == {1: 1, 2: 58, 3: 833, 4: 11}
+    assert res.consistent == sum(res.consistent_by_size.values())
+
+
 # ---------------------------------------------------------------------------
 # the twisted product
 

@@ -7,7 +7,9 @@ import pytest
 
 from kfractal import fixtures
 from kfractal.attractor import SetTuple
+from kfractal import cli
 from kfractal.cli import MAX_FIBER_SIZE, build_parser, main
+from kfractal.duality import SweepResult
 from kfractal.io import (
     InstanceFormatError,
     discrete_to_dict,
@@ -105,6 +107,63 @@ def test_diff_pgm_levels(tmp_path):
     data = path.read_bytes()
     pixels = np.frombuffer(data[len(b"P5\n3 1\n255\n"):], dtype=np.uint8)
     assert pixels.tolist() == [0, 90, 170]
+
+
+def _reference_diff_pgm(a, b, vertex, path):
+    # the writer before it painted with arrays: Python sets of cells, one
+    # pixel per loop step
+    one = {tuple(r) for r in a.clouds[vertex].tolist()}
+    two = {tuple(r) for r in b.clouds[vertex].tolist()}
+    both = one | two
+    arr = np.array(sorted(both), dtype=np.int64)
+    lo = arr.min(axis=0)
+    hi = arr.max(axis=0)
+    img = np.full((int(hi[1] - lo[1]) + 1, int(hi[0] - lo[0]) + 1), 255, dtype=np.uint8)
+    for cell in both:
+        col = cell[0] - lo[0]
+        row = hi[1] - cell[1]
+        if cell in one and cell in two:
+            img[row, col] = 0
+        elif cell in one:
+            img[row, col] = 90
+        else:
+            img[row, col] = 170
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))
+        fh.write(img.tobytes())
+
+
+def _lattice_tuple(rows):
+    return SetTuple(np.zeros(2), 0.5, {"v": np.array(rows, dtype=np.int64).reshape(-1, 2)})
+
+
+_rng = np.random.default_rng(5)
+_cloud_a = _rng.integers(-30, 30, size=(400, 2))
+_cloud_b = _rng.integers(-10, 45, size=(300, 2))
+
+
+@pytest.mark.parametrize(
+    "rows_a, rows_b",
+    [
+        (_cloud_a, _cloud_b),                      # overlapping
+        (_cloud_a, _cloud_a + [100, 3]),           # disjoint
+        (_cloud_a, _cloud_a),                      # equal
+        (_cloud_a, []),                            # b empty
+        ([], _cloud_b),                            # a empty
+        ([[-7, 4]], [[-7, 4]]),                    # one shared cell
+    ],
+    ids=["overlap", "disjoint", "equal", "b-empty", "a-empty", "single"],
+)
+def test_diff_pgm_matches_reference_writer(tmp_path, rows_a, rows_b):
+    a, b = _lattice_tuple(rows_a), _lattice_tuple(rows_b)
+    write_diff_pgm(a, b, "v", tmp_path / "new.pgm")
+    _reference_diff_pgm(a, b, "v", tmp_path / "old.pgm")
+    assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "old.pgm").read_bytes()
+
+
+def test_diff_pgm_refuses_two_empty_clouds(tmp_path):
+    with pytest.raises(ValueError):
+        write_diff_pgm(_lattice_tuple([]), _lattice_tuple([]), "v", tmp_path / "x.pgm")
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +303,97 @@ def test_cli_duality_flag_bounds_accepted():
     assert (args.max_fiber_size, args.seed) == (MAX_FIBER_SIZE, 0)
     args = build_parser().parse_args(["duality", "--max-fiber-size", "1"])
     assert (args.max_fiber_size, args.seed) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("attractor", ["--pitch", "abc"]),
+        ("attractor", ["--pitch", "0"]),
+        ("attractor", ["--pitch", "-0.5"]),
+        ("attractor", ["--pitch", "nan"]),
+        ("attractor", ["--pitch", "inf"]),
+        ("attractor", ["--tol", "-1"]),
+        ("attractor", ["--tol", "0"]),
+        ("attractor", ["--max-iter", "x"]),
+        ("attractor", ["--max-iter", "0"]),
+        ("diagonal", ["--max-iter", "2.5"]),
+        ("validate", ["--seed", "-1"]),
+        ("coding", ["--count", "0"]),
+        ("coding", ["--count", "ten"]),
+        ("coding", ["--seed", "y"]),
+    ],
+)
+def test_cli_bad_numeric_flag_exits_2_in_one_line(tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--instance", "s1", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"kfractal {command}: error: argument {flags[0]}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, degree",
+    [
+        ("attractor", "a"),
+        ("attractor", "1,x"),
+        ("attractor", "-1"),
+        ("attractor", "0"),
+        ("coding", "0,0"),
+        ("coding", "1.5"),
+    ],
+)
+def test_cli_bad_degree_exits_2_in_one_line(tmp_path, capsys, command, degree):
+    code = main([command, "--instance", "t0", "--degree", degree, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: degree")
+
+
+def test_cli_bad_pitch_from_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KFRACTAL_PITCH", "0")
+    with pytest.raises(SystemExit) as exc:
+        main(["attractor", "--instance", "s1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "argument --pitch" in err
+
+
+def test_cli_numeric_flags_are_typed():
+    args = build_parser().parse_args(
+        ["coding", "--instance", "s1", "--pitch", "0.25", "--tol", "1e-3",
+         "--max-iter", "1", "--seed", "0", "--count", "1"]
+    )
+    assert (args.pitch, args.tol, args.max_iter, args.seed, args.count) == (0.25, 1e-3, 1, 0, 1)
+    args = build_parser().parse_args(["attractor", "--instance", "s1"])
+    assert (args.pitch, args.tol, args.max_iter, args.seed) == (None, None, 64, 0)
+
+
+def test_cli_duality_names_unchecked_fiber_sizes(tmp_path, capsys, monkeypatch):
+    # a sampled size that drew no commuting assignment checked nothing
+    res = SweepResult([(1, 0)], 300, 2, sampled=True, consistent_by_size={1: 1, 2: 1, 3: 0, 4: 0})
+    monkeypatch.setattr(cli, "density_fidelity_sweep", lambda **kw: res)
+    assert main(["duality", "--max-fiber-size", "4", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith("100% agreement")
+    assert lines[2] == (
+        "unchecked fiber sizes (no consistent assignment drawn): 3, 4"
+    )
+    assert len(lines) == 3
+
+
+def test_cli_duality_default_output_unchanged(tmp_path, capsys):
+    assert main(["duality", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "sweep over the 2+2-loop template, fiber sizes <= 2: 257 assignments, "
+        "59 consistent\n"
+        "density == fidelity on [(1, 0), (0, 1), (1, 1)]: 100% agreement\n"
+    )
 
 
 def test_cli_outputs_deterministic(tmp_path):
