@@ -11,7 +11,6 @@ from .kgraph import (
     factorize,
     path_to_word,
     validate_kgraph,
-    vertex_path,
     word_to_path,
 )
 from .systems import (

@@ -18,6 +18,7 @@ from pathlib import Path as FsPath
 from .attractor import SetTuple, compute_attractor
 from .boxcount import dimension_estimate
 from .coding import (
+    _require_codable,
     check_intertwining,
     check_subsystem,
     coded_cloud,
@@ -43,7 +44,7 @@ from .io import (
     write_pgm,
 )
 from .kgraph import Path, validate_kgraph
-from .systems import RELAXED, validate_system
+from .systems import RELAXED, STRICT, validate_system
 
 PASS, FAIL, PARSE_ERROR, NO_CONVERGENCE = 0, 1, 2, 3
 
@@ -228,6 +229,10 @@ def cmd_coding(args) -> int:
         else:
             base = max(1, -(-per // k))
             depth = (base,) * k
+    try:
+        _require_codable(sys_, depth)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
     C0 = SetTuple.from_fibers(sys_, h)
     K, cert = compute_attractor(sys_, sys_.diagonal_degree, C0, tol=tol,
                                 max_iter=args.max_iter)
@@ -319,7 +324,9 @@ def cmd_duality(args) -> int:
         kind, obj = _resolve_instance(args.instance)
         if kind != "discrete":
             raise InstanceFormatError("duality --instance needs a discrete system")
-        vrep = validate_discrete_system(obj)
+        vrep = validate_kgraph(obj.graph)
+        if vrep.ok:
+            vrep = validate_discrete_system(obj)
         if not vrep.ok:
             lines.append(str(vrep))
             failed = True
@@ -372,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=_env("out", "out"), help="output directory")
         p.add_argument("--degree", default=None,
                        help="comma-separated degree vector (default: diagonal)")
-        p.add_argument("--mode", default=None, help="override the declared mode")
+        p.add_argument("--mode", default=None, choices=(STRICT, RELAXED),
+                       help="override the declared mode")
         p.add_argument("--render", action="store_true", help="write extra rasters")
 
     common(sub.add_parser("validate", help="check the instance axioms"))

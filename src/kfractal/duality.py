@@ -57,9 +57,6 @@ class DiscreteSystem:
     name: str = ""
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def fiber(self, v: str) -> tuple[str, ...]:
-        return self.fibers[v]
-
 
 def map_along(dsys: DiscreteSystem, p: Path) -> dict[str, str]:
     """Function table of a path: composite of the edge tables along its

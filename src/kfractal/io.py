@@ -1,10 +1,10 @@
-"""Instance files and artifact writers.
+"""Instance readers and artifact writers.
 
 One JSON document describes a graph, a metric system (graph + fibers +
 affine maps), or a discrete system (graph + element lists + tables); the
 `kind` field disambiguates, the schema is documented in
-docs/instance_format.md.  Writers are deterministic byte for byte: sorted
-keys, repr floats, fixed row order.
+docs/instance_format.md.  Artifact writers are deterministic byte for byte:
+repr floats, fixed row order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .attractor import SetTuple
 from .duality import DiscreteSystem
-from .kgraph import KGraph
+from .kgraph import KGraph, KGraphError
 from .systems import (
     AffineMap,
     Ball,
@@ -40,23 +40,6 @@ def _need(doc: dict, key: str, context: str):
 
 # ---------------------------------------------------------------------------
 # graphs
-
-
-def kgraph_to_dict(g: KGraph) -> dict:
-    edges = []
-    for color in range(1, g.k + 1):
-        edges.append(
-            [
-                {"id": e.ident, "r": e.range_vertex, "s": e.source_vertex}
-                for e in g.edges_of_color(color)
-            ]
-        )
-    squares = {}
-    for (i, j), table in sorted(g.squares.items()):
-        squares[f"{i},{j}"] = [
-            [[e, f], [f2, e2]] for (e, f), (f2, e2) in sorted(table.items())
-        ]
-    return {"k": g.k, "vertices": list(g.vertices), "edges": edges, "squares": squares}
 
 
 def kgraph_from_dict(doc: dict) -> KGraph:
@@ -95,18 +78,6 @@ def kgraph_from_dict(doc: dict) -> KGraph:
 # regions and fibers
 
 
-def region_to_dict(region) -> dict:
-    if isinstance(region, Box):
-        return {"type": "box", "min": region.lo.tolist(), "max": region.hi.tolist()}
-    if isinstance(region, Ball):
-        return {"type": "ball", "center": region.center.tolist(), "radius": region.radius}
-    if isinstance(region, Polygon):
-        return {"type": "polygon", "corners": region.corners.tolist()}
-    if isinstance(region, PointSet):
-        return {"type": "points", "points": region.points.tolist()}
-    raise InstanceFormatError(f"unknown region {type(region).__name__}")
-
-
 def region_from_dict(doc: dict):
     rtype = _need(doc, "type", "region")
     if rtype == "box":
@@ -124,23 +95,6 @@ def region_from_dict(doc: dict):
 # systems
 
 
-def system_to_dict(sys: MWSystem) -> dict:
-    doc = kgraph_to_dict(sys.graph)
-    doc["kind"] = "mw"
-    doc["name"] = sys.name
-    doc["fibers"] = {
-        v: {"region": region_to_dict(f.region), "metric": f.metric}
-        for v, f in sorted(sys.fibers.items())
-    }
-    doc["maps"] = {
-        e: {"matrix": m.matrix.tolist(), "translation": m.shift.tolist()}
-        for e, m in sorted(sys.generators.items())
-    }
-    doc["c"] = sys.ratio
-    doc["mode"] = sys.mode
-    return doc
-
-
 def system_from_dict(doc: dict) -> MWSystem:
     g = kgraph_from_dict(doc)
     fibers = {}
@@ -148,7 +102,7 @@ def system_from_dict(doc: dict) -> MWSystem:
         fibers[v] = MetricFiber(
             v,
             region_from_dict(_need(spec, "region", f"fiber {v}")),
-            spec.get("metric", "euclidean"),
+            str(spec.get("metric", "euclidean")),
         )
     gens = {}
     for ident, spec in _need(doc, "maps", "system").items():
@@ -171,23 +125,17 @@ def system_from_dict(doc: dict) -> MWSystem:
     )
 
 
-def discrete_to_dict(dsys: DiscreteSystem) -> dict:
-    doc = kgraph_to_dict(dsys.graph)
-    doc["kind"] = "discrete"
-    doc["name"] = dsys.name
-    doc["fibers"] = {v: {"elements": list(t)} for v, t in sorted(dsys.fibers.items())}
-    doc["maps"] = {e: {"table": dict(sorted(t.items()))} for e, t in sorted(dsys.tables.items())}
-    return doc
-
-
 def discrete_from_dict(doc: dict) -> DiscreteSystem:
     g = kgraph_from_dict(doc)
     fibers = {}
     for v, spec in _need(doc, "fibers", "discrete system").items():
-        fibers[v] = tuple(_need(spec, "elements", f"fiber {v}"))
+        fibers[v] = tuple(str(t) for t in _need(spec, "elements", f"fiber {v}"))
     tables = {}
     for ident, spec in _need(doc, "maps", "discrete system").items():
-        tables[ident] = dict(_need(spec, "table", f"map {ident}"))
+        if ident not in g.edges:
+            raise InstanceFormatError(f"maps: unknown edge {ident!r}")
+        table = _need(spec, "table", f"map {ident}")
+        tables[ident] = {str(t): str(u) for t, u in table.items()}
     return DiscreteSystem(g, fibers, tables, name=doc.get("name", ""))
 
 
@@ -214,34 +162,22 @@ def load_instance(source) -> tuple[str, object]:
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
     kind = doc.get("kind")
-    if kind is None:
-        if "maps" in doc and "fibers" in doc:
-            sample = next(iter(doc["fibers"].values()), {})
-            kind = "discrete" if "elements" in sample else "mw"
-        else:
-            kind = "graph"
     try:
+        if kind is None:
+            if "maps" in doc and "fibers" in doc:
+                sample = next(iter(doc["fibers"].values()), {})
+                kind = "discrete" if "elements" in sample else "mw"
+            else:
+                kind = "graph"
         if kind == "graph":
             return "graph", kgraph_from_dict(doc)
         if kind == "mw":
             return "mw", system_from_dict(doc)
         if kind == "discrete":
             return "discrete", discrete_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, KGraphError, OverflowError, TypeError, ValueError) as exc:
         raise InstanceFormatError(f"malformed instance: {exc}") from exc
     raise InstanceFormatError(f"unknown instance kind {kind!r}")
-
-
-def dump_instance(obj, path) -> None:
-    if isinstance(obj, MWSystem):
-        doc = system_to_dict(obj)
-    elif isinstance(obj, DiscreteSystem):
-        doc = discrete_to_dict(obj)
-    elif isinstance(obj, KGraph):
-        doc = kgraph_to_dict(obj)
-    else:
-        raise InstanceFormatError(f"cannot serialize {type(obj).__name__}")
-    FsPath(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def packaged_instance(name: str) -> FsPath:

@@ -32,9 +32,6 @@ def degree_sub(n: Degree, m: Degree) -> Degree:
 def degree_leq(n: Degree, m: Degree) -> bool:
     return all(a <= b for a, b in zip(n, m))
 
-def degree_total(n: Degree) -> int:
-    return sum(n)
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -187,11 +184,6 @@ class Path:
         if not self.edges:
             return f"Path({self.range_vertex!r})"
         return f"Path({'.'.join(self.edges)})"
-
-
-def vertex_path(g: KGraph, v: str) -> Path:
-    """The degree-0 path at a vertex."""
-    return Path(g, v)
 
 
 def _check_raw_word(g: KGraph, range_vertex: str, word) -> None:
@@ -547,7 +539,7 @@ def word_to_path(dg: DiagonalGraph, word, range_vertex: str | None = None) -> Pa
     if not word:
         if range_vertex is None:
             raise KGraphError("empty word needs a range vertex")
-        return vertex_path(dg.source, range_vertex)
+        return Path(dg.source, range_vertex)
     out = dg.edge_to_path[word[0]]
     if range_vertex is not None and out.range_vertex != range_vertex:
         raise KGraphError("word does not start at the stated vertex")

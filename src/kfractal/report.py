@@ -33,9 +33,6 @@ class ValidationReport:
     def structural(self) -> list[Finding]:
         return [f for f in self.findings if f.kind == STRUCTURAL]
 
-    def axiom_violations(self) -> list[Finding]:
-        return [f for f in self.findings if f.kind == AXIOM]
-
     def codes(self) -> set[str]:
         return {f.code for f in self.findings}
 

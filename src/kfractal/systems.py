@@ -340,9 +340,6 @@ class MWSystem:
     def diagonal_degree(self):
         return (1,) * self.graph.k
 
-    def fiber(self, v: str) -> MetricFiber:
-        return self.fibers[v]
-
 
 def extend_map(sys: MWSystem, p: Path) -> AffineMap:
     """The affine map of a path: composite of the generators along its
@@ -441,6 +438,14 @@ def validate_system(sys: MWSystem) -> ValidationReport:
                 "contraction ratio must lie in (0, 1)")
     if sys.mode not in (STRICT, RELAXED):
         rep.add(STRUCTURAL, "bad-mode", sys.mode, "mode must be strict or relaxed")
+    for v, f in sys.fibers.items():
+        if f.metric not in (EUCLIDEAN, MAX):
+            rep.add(STRUCTURAL, "bad-metric", v, f"metric {f.metric!r} must be euclidean or max")
+        if not all(np.isfinite(b).all() for b in f.region.bounding_box()):
+            rep.add(STRUCTURAL, "non-finite", v, "region bounding box is not finite")
+    for ident, m in sys.generators.items():
+        if not (np.isfinite(m.matrix).all() and np.isfinite(m.shift).all()):
+            rep.add(STRUCTURAL, "non-finite", ident, "matrix or translation entry is not finite")
     if rep.findings:
         return rep
 

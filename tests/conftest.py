@@ -2,56 +2,31 @@ import pytest
 
 from kfractal.kgraph import KGraph
 
-
-def flip_square(blue_ids, red_ids, loops_at=None):
-    """Square table for single-vertex graphs sending (b, r) to (r, b)."""
-    return {(b, r): (r, b) for b in blue_ids for r in red_ids}
+from shipped import shipped
 
 
 @pytest.fixture(scope="session")
 def g_s1():
     """1-graph: one vertex, three loops."""
-    return KGraph(1, ["v"], {1: [("a0", "v", "v"), ("a1", "v", "v"), ("a2", "v", "v")]})
+    return shipped("s1").graph
 
 
 @pytest.fixture(scope="session")
 def g_p2():
     """2-graph: one vertex, 2 + 2 loops, flip squares."""
-    return KGraph(
-        2,
-        ["v"],
-        {
-            1: [("b0", "v", "v"), ("b1", "v", "v")],
-            2: [("r0", "v", "v"), ("r1", "v", "v")],
-        },
-        {(1, 2): flip_square(["b0", "b1"], ["r0", "r1"])},
-    )
+    return shipped("p2").graph
 
 
 @pytest.fixture(scope="session")
 def g_t0():
     """2-graph: one vertex, one loop per color."""
-    return KGraph(
-        2,
-        ["v"],
-        {1: [("b", "v", "v")], 2: [("r", "v", "v")]},
-        {(1, 2): {("b", "r"): ("r", "b")}},
-    )
+    return shipped("t0").graph
 
 
 @pytest.fixture(scope="session")
 def g_f3():
     """3-graph: one vertex, one loop per color, flip squares."""
-    return KGraph(
-        3,
-        ["v"],
-        {1: [("x1", "v", "v")], 2: [("x2", "v", "v")], 3: [("x3", "v", "v")]},
-        {
-            (1, 2): {("x1", "x2"): ("x2", "x1")},
-            (1, 3): {("x1", "x3"): ("x3", "x1")},
-            (2, 3): {("x2", "x3"): ("x3", "x2")},
-        },
-    )
+    return shipped("f3").graph
 
 
 @pytest.fixture(scope="session")

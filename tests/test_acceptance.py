@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from kfractal import fixtures
 from kfractal.attractor import (
     SetTuple,
     check_commutation,
@@ -41,6 +40,8 @@ from kfractal.systems import check_k_surjective
 
 REPO = Path(__file__).resolve().parent.parent
 
+from shipped import shipped
+
 
 class Timer:
     def __enter__(self):
@@ -57,7 +58,7 @@ def report(num, label, t):
 
 def test_criterion_1_fixed_point_uniqueness():
     """Two runs from a corner point and from the full fiber agree to 8h."""
-    sys_ = fixtures.sierpinski()
+    sys_ = shipped("s1")
     h = 1.0 / 512.0
     with Timer() as t:
         full = SetTuple.from_fibers(sys_, h)
@@ -77,7 +78,7 @@ def test_criterion_2_commutation():
     degrees = [(1, 0), (0, 1), (1, 1)]
     with Timer() as t:
         for name in ("p2", "p2c"):
-            sys_ = fixtures.SYSTEMS[name]()
+            sys_ = shipped(name)
             pts = rng.random((400, 2))
             C = SetTuple.from_points(np.zeros(2), h, {"v": pts})
             for n in degrees:
@@ -88,7 +89,7 @@ def test_criterion_2_commutation():
 
 def test_criterion_3_coding_agreement():
     """Exhaustive depth-9 coded cloud vs the iterated fixed point."""
-    sys_ = fixtures.sierpinski()
+    sys_ = shipped("s1")
     h = 1.0 / 512.0
     with Timer() as t:
         K, cert = compute_attractor(
@@ -106,7 +107,7 @@ def test_criterion_3_coding_agreement():
 def test_criterion_4_coded_cloud_k_surjective():
     """The coded clouds cover themselves under every degree with |n| <= 2."""
     with Timer() as t:
-        sys_ = fixtures.sierpinski()
+        sys_ = shipped("s1")
         h = 1.0 / 512.0
         T2, err = coded_cloud(sys_, (9,), pitch=h)
         tol = 2 * h + 2 * err
@@ -114,7 +115,7 @@ def test_criterion_4_coded_cloud_k_surjective():
             rep = check_k_surjective(sys_, n, T2, tol)
             assert rep.passed, (n, rep.distances, tol)
 
-        sys_ = fixtures.cantor_product()
+        sys_ = shipped("p2c")
         h = 1.0 / 729.0
         T2, err = coded_cloud(sys_, (6, 6), pitch=h)
         tol = 2 * h + 2 * err
@@ -130,10 +131,10 @@ def test_criterion_5_diagonal_collapse_agreement():
     """Rank-k attractor vs rank-1 collapse attractor, per vertex."""
     with Timer() as t:
         for name, h in (("p2", 1.0 / 512.0), ("p2c", 1.0 / 729.0)):
-            sys_ = fixtures.SYSTEMS[name]()
+            sys_ = shipped(name)
             rep = check_diagonal_agreement(sys_, tol=4 * h, pitch=h)
             assert rep.passed, rep.summary()
-        s1 = fixtures.sierpinski()
+        s1 = shipped("s1")
         rep1 = check_diagonal_agreement(s1, tol=0.0, pitch=1.0 / 512.0)
         assert max(rep1.distances.values()) == 0.0
         assert rep1.passed
@@ -158,7 +159,7 @@ def test_criterion_7_twisted_factorization():
     """Unique twisted factorization up to degree (2,2) on three fixtures."""
     with Timer() as t:
         for name in ("d1", "d2", "d3"):
-            dsys = fixtures.DISCRETE[name]()
+            dsys = shipped(name)
             tkg = build_transformation_graph(dsys, (2, 2))
             assert tkg.report.ok, f"{name}: {tkg.report}"
     report(7, "twisted products validate with zero violations (d1, d2, d3)", t.seconds)
@@ -167,10 +168,10 @@ def test_criterion_7_twisted_factorization():
 def test_criterion_8_combinatorial_laws():
     """Factorization, degree additivity, word injectivity, partitions."""
     graphs = {
-        "s1": fixtures.s1_graph(),
-        "p2": fixtures.p2_graph(),
-        "t0": fixtures.t0_graph(),
-        "f3": fixtures.f3_graph(),
+        "s1": shipped("s1").graph,
+        "p2": shipped("p2").graph,
+        "t0": shipped("t0").graph,
+        "f3": shipped("f3").graph,
     }
     with Timer() as t:
         for name, g in graphs.items():
@@ -233,7 +234,7 @@ def test_criterion_8_combinatorial_laws():
 
 def test_criterion_9_box_dimension():
     """Grid-occupancy dimension of the resolved gasket at scales h and 2h."""
-    sys_ = fixtures.sierpinski()
+    sys_ = shipped("s1")
     h = 1.0 / 512.0
     target = math.log(3) / math.log(2)
     with Timer() as t:

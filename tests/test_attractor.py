@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from kfractal import fixtures
 from kfractal.attractor import (
     SetTuple,
     _canonical,
@@ -19,6 +18,8 @@ from kfractal.attractor import (
 from kfractal.boxcount import dimension_estimate, occupied_cells
 from kfractal.kgraph import KGraph
 from kfractal.systems import AffineMap, Box, MetricFiber, MWSystem
+
+from shipped import shipped
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +88,7 @@ def test_coarsen_and_dimension_estimate():
 
 
 def test_vertex_distances_match_per_vertex_hausdorff():
-    sys = fixtures.cantor_product()
+    sys = shipped("p2c")
     h = 1 / 81
     C0 = SetTuple.from_fibers(sys, h)
     K, _ = compute_attractor(sys, sys.diagonal_degree, C0)
@@ -100,7 +101,7 @@ def test_vertex_distances_match_per_vertex_hausdorff():
 
 
 def test_from_fibers_fills_regions():
-    sys = fixtures.half_product()
+    sys = shipped("p2")
     s = SetTuple.from_fibers(sys, 0.25)
     assert len(s.clouds["v"]) == 25
 
@@ -110,7 +111,7 @@ def test_from_fibers_fills_regions():
 
 
 def test_step_t0_diagonal_quarters_interval():
-    sys = fixtures.point_product()
+    sys = shipped("t0")
     h = 1 / 256
     C = SetTuple.from_fibers(sys, h)
     out = hutchinson_step(sys, (1, 1), C)
@@ -120,12 +121,12 @@ def test_step_t0_diagonal_quarters_interval():
 
 
 def test_step_s1_three_half_triangles():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     h = 1 / 64
     C = SetTuple.from_fibers(sys, h)
     out = hutchinson_step(sys, (1,), C)
     pts = out.points("v")
-    corners = np.array(fixtures.TRIANGLE)
+    corners = sys.fibers["v"].region.corners
     # every output point sits in one of the three half-scale triangles
     slack = h
     inside_any = np.zeros(len(pts), dtype=bool)
@@ -133,7 +134,7 @@ def test_step_s1_three_half_triangles():
         local = (pts - c / 2.0) * 2.0
         from kfractal.systems import Polygon
 
-        inside_any |= Polygon(fixtures.TRIANGLE).contains(local, tol=4 * slack)
+        inside_any |= Polygon(corners).contains(local, tol=4 * slack)
     assert inside_any.all()
     # and the image is strictly smaller than the full triangle
     assert len(pts) < len(C.points("v"))
@@ -144,7 +145,7 @@ def test_step_result_independent_of_evaluation_order():
     # per-path image computations; reversing the map list must change nothing
     from kfractal.systems import degree_maps
 
-    sys_ = fixtures.cantor_product()
+    sys_ = shipped("p2c")
     C = SetTuple.from_fibers(sys_, 1 / 81)
     maps = degree_maps(sys_, (1, 1))
     reversed_maps = {v: list(reversed(rows)) for v, rows in maps.items()}
@@ -154,13 +155,13 @@ def test_step_result_independent_of_evaluation_order():
 
 
 def test_step_degree_zero_identity():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     C = SetTuple.from_fibers(sys, 1 / 32)
     assert hutchinson_step(sys, (0,), C) is C
 
 
 def test_step_monotone_in_the_input():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     h = 1 / 64
     big = SetTuple.from_fibers(sys, h)
     small_pts = big.points("v")[::7]
@@ -176,7 +177,7 @@ def test_step_monotone_in_the_input():
 
 
 def test_attractor_t0_collapses_to_origin():
-    sys = fixtures.point_product()
+    sys = shipped("t0")
     h = 1 / 256
     C0 = SetTuple.from_point(sys, h, {"v": np.array([1.0])})
     K, cert = compute_attractor(sys, (1, 1), C0, tol=4 * h)
@@ -185,7 +186,7 @@ def test_attractor_t0_collapses_to_origin():
 
 
 def test_attractor_unique_limit_from_far_apart_starts():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     h = 1 / 128
     tol = 2 * h
     full = SetTuple.from_fibers(sys, h)
@@ -198,7 +199,7 @@ def test_attractor_unique_limit_from_far_apart_starts():
 
 
 def test_attractor_fixed_point_residual():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     h = 1 / 128
     tol = 2 * h
     K, cert = compute_attractor(sys, (1,), SetTuple.from_fibers(sys, h), tol=tol)
@@ -209,7 +210,7 @@ def test_attractor_fixed_point_residual():
 def test_attractor_cantor_product_projection_oracle():
     # x-projection of the planar ternary attractor must match a 1-d ternary
     # attractor computed by an independent rank-1 run
-    sys = fixtures.cantor_product()
+    sys = shipped("p2c")
     h = 1 / 243
     K, cert = compute_attractor(sys, (1, 1), SetTuple.from_fibers(sys, h), tol=2 * h)
     assert cert.converged
@@ -238,7 +239,7 @@ def test_attractor_cantor_product_projection_oracle():
 
 
 def test_non_contraction_rejected():
-    sys = fixtures.half_product()
+    sys = shipped("p2")
     h = 1 / 64
     C0 = SetTuple.from_fibers(sys, h)
     # single colors do not contract in relaxed product systems
@@ -248,7 +249,7 @@ def test_non_contraction_rejected():
 
 
 def test_max_iter_reported_not_raised():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     h = 1 / 128
     C0 = SetTuple.from_fibers(sys, h)
     K, cert = compute_attractor(sys, (1,), C0, tol=1e-9, max_iter=2)
@@ -258,7 +259,7 @@ def test_max_iter_reported_not_raised():
 
 
 def test_empty_start_rejected():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     C0 = SetTuple.from_points(np.zeros(2), 1 / 64, {"v": np.empty((0, 2))})
     with pytest.raises(ValueError):
         compute_attractor(sys, (1,), C0)
@@ -269,20 +270,20 @@ def test_empty_start_rejected():
 
 
 def test_commutation_degree_zero_exact():
-    sys = fixtures.half_product()
+    sys = shipped("p2")
     C = SetTuple.from_fibers(sys, 1 / 32)
     assert check_commutation(sys, (0, 0), (1, 1), C, tol=0.0)
 
 
 def test_commutation_p2_unit_degrees():
-    sys = fixtures.half_product()
+    sys = shipped("p2")
     h = 1 / 128
     C = SetTuple.from_fibers(sys, h)
     assert check_commutation(sys, (1, 0), (0, 1), C, tol=2 * h)
 
 
 def test_commutation_s1_powers():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     h = 1 / 128
     C = SetTuple.from_fibers(sys, h)
     assert check_commutation(sys, (1,), (2,), C, tol=2 * h)
@@ -295,7 +296,7 @@ def test_commutation_s1_powers():
     ("t0", (1, 0), (1, 1)),
 ])
 def test_semigroup_law_within_grid_slack(name, n, m):
-    sys = fixtures.SYSTEMS[name]()
+    sys = shipped(name)
     h = 1 / 128
     C = SetTuple.from_fibers(sys, h)
     two_steps = hutchinson_step(sys, m, hutchinson_step(sys, n, C))
@@ -344,7 +345,7 @@ def test_multi_vertex_system_end_to_end():
 
 
 def test_measured_contraction_bound():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     h = 1 / 128
     rng = np.random.default_rng(5)
     tri = SetTuple.from_fibers(sys, h)

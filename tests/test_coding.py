@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from kfractal import fixtures
 from kfractal.attractor import SetTuple, compute_attractor, hausdorff_distance
 from kfractal.coding import (
     PathPrefix,
@@ -15,8 +14,10 @@ from kfractal.coding import (
     required_depth,
     sample_prefixes,
 )
-from kfractal.kgraph import KGraphError, Path, path_from_word, vertex_path
+from kfractal.kgraph import KGraphError, Path, path_from_word
 from kfractal.systems import AffineMap, extend_map
+
+from shipped import shipped
 
 
 def word_path(g, ids):
@@ -28,13 +29,13 @@ def word_path(g, ids):
 
 
 def test_prefix_depth_must_match():
-    g = fixtures.s1_graph()
+    g = shipped("s1").graph
     with pytest.raises(KGraphError):
         PathPrefix(Path(g, "v", ("a0",)), (2,))
 
 
 def test_prefix_truncation_consistency():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     p = word_path(sys.graph, ["a0", "a2", "a1", "a0"])
     prefix = PathPrefix.of(p)
     trunc = prefix.truncate((2,))
@@ -42,7 +43,7 @@ def test_prefix_truncation_consistency():
 
 
 def test_code_point_t0_nested_contraction():
-    sys = fixtures.point_product()
+    sys = shipped("t0")
     for n in (1, 2, 4):
         p = path_from_word(sys.graph, "v", ("b",) * n + ("r",) * n)
         coded = code_point(sys, PathPrefix.of(p))
@@ -51,7 +52,7 @@ def test_code_point_t0_nested_contraction():
 
 
 def test_code_point_s1_constant_word_hits_fixed_corner():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     p = word_path(sys.graph, ["a0"] * 10)
     coded = code_point(sys, PathPrefix.of(p))
     assert np.linalg.norm(coded.point - np.array([0.0, 0.0])) <= 2.0 ** -10
@@ -61,7 +62,7 @@ def test_code_point_s1_constant_word_hits_fixed_corner():
 def test_code_point_alternating_word_linear_solve_oracle():
     # the limit of the alternating word is the fixed point of the two-step
     # composite; solve (I - M) z = t independently
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     p = word_path(sys.graph, ["a0", "a1"] * 5)
     coded = code_point(sys, PathPrefix.of(p))
     two = extend_map(sys, word_path(sys.graph, ["a0", "a1"]))
@@ -70,7 +71,7 @@ def test_code_point_alternating_word_linear_solve_oracle():
 
 
 def test_code_point_error_bound_strict_mode():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     for p in [word_path(sys.graph, ["a1"] * 4), word_path(sys.graph, ["a2", "a0"])]:
         coded = code_point(sys, PathPrefix.of(p))
         n = sum(p.degree)
@@ -78,7 +79,7 @@ def test_code_point_error_bound_strict_mode():
 
 
 def test_code_point_relaxed_requires_diagonal():
-    sys = fixtures.half_product()
+    sys = shipped("p2")
     off = path_from_word(sys.graph, "v", ("b0",))
     with pytest.raises(ValueError):
         code_point(sys, PathPrefix.of(off))
@@ -88,7 +89,7 @@ def test_code_point_relaxed_requires_diagonal():
 
 
 def test_basepoint_rules_stay_within_twice_error():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     p = word_path(sys.graph, ["a1", "a2", "a0", "a1"])
     a = code_point(sys, PathPrefix.of(p), basepoint="centroid")
     b = code_point(sys, PathPrefix.of(p), basepoint={"v": np.array([0.0, 0.0])})
@@ -100,20 +101,20 @@ def test_basepoint_rules_stay_within_twice_error():
 
 
 def test_sample_exhaustive_lists_all():
-    g = fixtures.s1_graph()
+    g = shipped("s1").graph
     prefixes = sample_prefixes(g, "v", (3,), count=0, exhaustive=True)
     assert len(prefixes) == 27
     assert len({p.path for p in prefixes}) == 27
 
 
 def test_sample_depth_zero_is_vertex():
-    g = fixtures.s1_graph()
+    g = shipped("s1").graph
     prefixes = sample_prefixes(g, "v", (0,), count=1, seed=1)
-    assert prefixes[0].path == vertex_path(g, "v")
+    assert prefixes[0].path == Path(g, "v")
 
 
 def test_sample_deterministic_under_seed():
-    g = fixtures.p2_graph()
+    g = shipped("p2").graph
     a = sample_prefixes(g, "v", (2, 2), count=12, seed=42)
     b = sample_prefixes(g, "v", (2, 2), count=12, seed=42)
     assert [p.path for p in a] == [q.path for q in b]
@@ -122,7 +123,7 @@ def test_sample_deterministic_under_seed():
 
 
 def test_sample_replacement_contract():
-    g = fixtures.s1_graph()
+    g = shipped("s1").graph
     with pytest.raises(ValueError):
         sample_prefixes(g, "v", (1,), count=10)
     got = sample_prefixes(g, "v", (1,), count=10, replace=True)
@@ -146,8 +147,8 @@ def test_sample_uniform_weighting_two_vertex(g_two_vertex):
 
 
 def test_intertwining_vertex_is_exact():
-    sys = fixtures.sierpinski()
-    v = vertex_path(sys.graph, "v")
+    sys = shipped("s1")
+    v = Path(sys.graph, "v")
     prefixes = sample_prefixes(sys.graph, "v", (12,), count=5, seed=3)
     rep = check_intertwining(sys, v, prefixes, tol=0.01)
     assert rep.passed
@@ -155,7 +156,7 @@ def test_intertwining_vertex_is_exact():
 
 
 def test_intertwining_s1_generator():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     lam = Path(sys.graph, "v", ("a2",))
     prefixes = sample_prefixes(sys.graph, "v", (12,), count=50, seed=11)
     rep = check_intertwining(sys, lam, prefixes, tol=1e-3)
@@ -164,7 +165,7 @@ def test_intertwining_s1_generator():
 
 
 def test_intertwining_insufficient_depth_reported():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     lam = Path(sys.graph, "v", ("a0",))
     shallow = sample_prefixes(sys.graph, "v", (2,), count=4, seed=2)
     rep = check_intertwining(sys, lam, shallow, tol=1e-6)
@@ -178,7 +179,7 @@ def test_intertwining_detects_square_corruption():
     # breaking the commutation between the colors splits the two evaluation
     # routes apart; a rank-2 control is needed because in rank 1 both routes
     # apply the same composite
-    sys = fixtures.cantor_product()
+    sys = shipped("p2c")
     bad = dict(sys.generators)
     bad["r0"] = AffineMap.of(bad["r0"].matrix, (0.05, 0.0), "v", "v")
     sys.generators = bad
@@ -215,7 +216,7 @@ def test_intertwining_rejects_misrooted_prefixes():
 
 
 def test_coded_cloud_t0_single_point():
-    sys = fixtures.point_product()
+    sys = shipped("t0")
     sets, err = coded_cloud(sys, (6, 6), pitch=1 / 256)
     pts = sets.points("v")
     assert len(pts) == 1
@@ -223,7 +224,7 @@ def test_coded_cloud_t0_single_point():
 
 
 def test_coded_cloud_matches_attractor_s1():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     h = 1 / 128
     depth = 7
     K, cert = compute_attractor(sys, (1,), SetTuple.from_fibers(sys, h), tol=2 * h)
@@ -235,7 +236,7 @@ def test_coded_cloud_matches_attractor_s1():
 
 
 def test_coded_cloud_sampled_subset_of_exhaustive():
-    sys = fixtures.cantor_product()
+    sys = shipped("p2c")
     h = 1 / 243
     full, _ = coded_cloud(sys, (5, 5), pitch=h)
     sampled, _ = coded_cloud(sys, (5, 5), pitch=h, count=500, seed=9, exhaustive=False)
@@ -245,7 +246,7 @@ def test_coded_cloud_sampled_subset_of_exhaustive():
 
 def test_coded_cloud_p2c_product_oracle():
     # coded cloud against the attractor computed by iteration
-    sys = fixtures.cantor_product()
+    sys = shipped("p2c")
     h = 1 / 243
     K, cert = compute_attractor(sys, (1, 1), SetTuple.from_fibers(sys, h), tol=2 * h)
     T2, err = coded_cloud(sys, (5, 5), pitch=h)
@@ -257,7 +258,7 @@ def test_coded_cloud_sampled_20k_covers_product():
     # heavy sampling misses a handful of the 4096 depth-(6,6) cells; the
     # missed cells sit within a parent cell of a covered sibling, so the
     # gap stays inside the certified band
-    sys_ = fixtures.cantor_product()
+    sys_ = shipped("p2c")
     h = 1 / 729
     K, cert = compute_attractor(sys_, (1, 1), SetTuple.from_fibers(sys_, h), tol=2 * h)
     assert cert.converged
@@ -277,7 +278,7 @@ def _reference_compare(sys, attractor_sets, coded_sets, tol):
 
 @pytest.mark.parametrize("name, h, depth", [("s1", 1 / 64, (6,)), ("p2c", 1 / 81, (4, 4))])
 def test_compare_attractor_coding_matches_reference(name, h, depth):
-    sys_ = fixtures.SYSTEMS[name]()
+    sys_ = shipped(name)
     K, _ = compute_attractor(sys_, sys_.diagonal_degree, SetTuple.from_fibers(sys_, h))
     T2, err = coded_cloud(sys_, depth, pitch=h)
     gaps = {
@@ -296,7 +297,7 @@ def test_compare_attractor_coding_matches_reference(name, h, depth):
 
 
 def test_compare_requires_same_grid():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     a = SetTuple.from_points(np.zeros(2), 1 / 64, {"v": np.zeros((1, 2))})
     b = SetTuple.from_points(np.zeros(2), 1 / 128, {"v": np.zeros((1, 2))})
     with pytest.raises(ValueError):
@@ -304,8 +305,8 @@ def test_compare_requires_same_grid():
 
 
 def test_compare_negative_control_different_fractals():
-    s1 = fixtures.sierpinski()
-    p2c = fixtures.cantor_product()
+    s1 = shipped("s1")
+    p2c = shipped("p2c")
     h = 1 / 128
     K, _ = compute_attractor(s1, (1,), SetTuple.from_fibers(s1, h), tol=2 * h)
     T2, err = coded_cloud(p2c, (4, 4), pitch=h)
@@ -313,7 +314,7 @@ def test_compare_negative_control_different_fractals():
 
 
 def test_check_subsystem_gasket_invariant():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     h = 1 / 128
     K, cert = compute_attractor(sys, (1,), SetTuple.from_fibers(sys, h), tol=2 * h)
     rep = check_subsystem(sys, K, tol=cert.error_bound + 2 * h)
@@ -321,7 +322,7 @@ def test_check_subsystem_gasket_invariant():
 
 
 def test_check_subsystem_corner_singleton_fails():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     single = SetTuple.from_point(sys, 1 / 128, {"v": np.array([0.0, 0.0])})
     rep = check_subsystem(sys, single, tol=0.01)
     assert not rep.passed
@@ -329,7 +330,7 @@ def test_check_subsystem_corner_singleton_fails():
 
 
 def test_prefix_consistency_across_depths():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     deep = word_path(sys.graph, ["a0", "a1", "a2", "a0", "a1", "a2", "a0", "a1", "a2", "a0"])
     shallow = PathPrefix.of(deep).truncate((6,))
     c_deep = code_point(sys, PathPrefix.of(deep))

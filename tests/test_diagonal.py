@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from kfractal import fixtures
 from kfractal.attractor import (
     SetTuple,
     compute_attractor,
@@ -19,9 +18,11 @@ from kfractal.diagonal import (
 )
 from kfractal.systems import extend_map, lipschitz_bound, validate_system
 
+from shipped import shipped
+
 
 def test_rank1_collapse_keeps_generators():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     dsys = diagonal_system(sys)
     assert len(dsys.system.generators) == 3
     for ident, lam in dsys.graph.edge_to_path.items():
@@ -32,7 +33,7 @@ def test_rank1_collapse_keeps_generators():
 
 
 def test_p2_collapse_four_quarter_maps():
-    sys = fixtures.half_product()
+    sys = shipped("p2")
     dsys = diagonal_system(sys)
     gens = dsys.system.generators
     assert len(gens) == 4
@@ -44,7 +45,7 @@ def test_p2_collapse_four_quarter_maps():
 
 
 def test_f3_collapse_single_generator():
-    sys = fixtures.rank3_loops()
+    sys = shipped("f3")
     dsys = diagonal_system(sys)
     gens = list(dsys.system.generators.values())
     assert len(gens) == 1
@@ -53,7 +54,7 @@ def test_f3_collapse_single_generator():
 
 @pytest.mark.parametrize("name", ["s1", "p2", "p2c", "t0", "f3"])
 def test_collapse_validates_strict(name):
-    sys = fixtures.SYSTEMS[name]()
+    sys = shipped(name)
     dsys = diagonal_system(sys)
     rep = validate_system(dsys.system)
     assert rep.ok, str(rep)
@@ -61,7 +62,7 @@ def test_collapse_validates_strict(name):
 
 
 def test_collapse_generator_data_equals_source_composites():
-    sys = fixtures.cantor_product()
+    sys = shipped("p2c")
     dsys = diagonal_system(sys)
     for ident, lam in dsys.graph.edge_to_path.items():
         composite = extend_map(sys, lam)
@@ -74,7 +75,7 @@ def test_step_equivalence_bitwise():
     # one diagonal step of the source and one step of the collapse must
     # produce identical snapped clouds from identical inputs
     for name in ("p2", "p2c", "t0"):
-        sys = fixtures.SYSTEMS[name]()
+        sys = shipped(name)
         dsys = diagonal_system(sys)
         h = 1 / 64
         C = SetTuple.from_fibers(sys, h)
@@ -84,7 +85,7 @@ def test_step_equivalence_bitwise():
 
 
 def test_transfer_rank1_reduces_to_intertwining():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     dsys = diagonal_system(sys)
     words = sample_diagonal_words(dsys, length=10, count=6, seed=3)
     rep = check_intertwining_transfer(dsys, words, tol=1e-3)
@@ -92,7 +93,7 @@ def test_transfer_rank1_reduces_to_intertwining():
 
 
 def test_transfer_p2_depth8():
-    sys = fixtures.half_product()
+    sys = shipped("p2")
     dsys = diagonal_system(sys)
     words = sample_diagonal_words(dsys, length=8, count=10, seed=4)
     rep = check_intertwining_transfer(dsys, words, tol=1e-3)
@@ -101,7 +102,7 @@ def test_transfer_p2_depth8():
 
 
 def test_transfer_detects_corrupted_back_reference():
-    sys = fixtures.cantor_product()
+    sys = shipped("p2c")
     dsys = diagonal_system(sys)
     # swap two entries of the edge -> path table
     (i1, p1), (i2, p2) = list(dsys.graph.edge_to_path.items())[:2]
@@ -119,7 +120,7 @@ def test_word_translation_composes_with_coding_exactly():
     from kfractal.kgraph import word_to_path
     from kfractal.systems import exact_after, exact_path_map
 
-    sys_ = fixtures.cantor_product()
+    sys_ = shipped("p2c")
     dsys = diagonal_system(sys_)
     dg = dsys.graph
     for word in sample_diagonal_words(dsys, length=2, count=6, seed=8):
@@ -132,7 +133,7 @@ def test_word_translation_composes_with_coding_exactly():
 
 
 def test_agreement_s1_exact_zero():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     h = 1 / 128
     rep = check_diagonal_agreement(sys, tol=4 * h, pitch=h)
     assert rep.passed
@@ -140,7 +141,7 @@ def test_agreement_s1_exact_zero():
 
 
 def test_agreement_p2_full_square():
-    sys = fixtures.half_product()
+    sys = shipped("p2")
     h = 1 / 128
     rep = check_diagonal_agreement(sys, tol=4 * h, pitch=h)
     assert rep.passed
@@ -150,7 +151,7 @@ def test_agreement_p2_full_square():
 
 
 def test_agreement_p2c_cantor_square():
-    sys = fixtures.cantor_product()
+    sys = shipped("p2c")
     h = 1 / 243
     rep = check_diagonal_agreement(sys, tol=4 * h, pitch=h)
     assert rep.passed
@@ -179,7 +180,7 @@ def _reference_agreement(sys, tol, pitch):
 @pytest.mark.parametrize("name, h", [("s1", 1 / 64), ("p2c", 1 / 81)])
 @pytest.mark.parametrize("tol_pitches", [4, 0])
 def test_agreement_matches_reference(name, h, tol_pitches):
-    sys = fixtures.SYSTEMS[name]()
+    sys = shipped(name)
     rep = check_diagonal_agreement(sys, tol=tol_pitches * h, pitch=h)
     distances, passed = _reference_agreement(sys, tol_pitches * h, h)
     assert rep.distances == distances

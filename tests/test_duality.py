@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from kfractal import duality, fixtures
+from kfractal import duality
 from kfractal.duality import (
     DiscreteSystem,
     _transformation_checks,
@@ -32,6 +32,8 @@ from kfractal.kgraph import (
 )
 from kfractal.report import ValidationReport
 
+from shipped import shipped
+
 
 def single_loop_graph():
     return KGraph(1, ["v"], {1: [("e", "v", "v")]})
@@ -43,14 +45,14 @@ def single_loop_graph():
 
 @pytest.mark.parametrize("name", ["d1", "d2", "d3"])
 def test_discrete_fixtures_validate(name):
-    dsys = fixtures.DISCRETE[name]()
+    dsys = shipped(name)
     assert validate_kgraph(dsys.graph).ok
     rep = validate_discrete_system(dsys)
     assert rep.ok, str(rep)
 
 
 def test_square_inconsistent_tables_detected():
-    g = fixtures.p2_graph()
+    g = shipped("p2").graph
     swap = {"0": "1", "1": "0"}
     const = {"0": "0", "1": "0"}
     ident = {"0": "0", "1": "1"}
@@ -104,14 +106,14 @@ def test_pullback_three_cycle_permutation():
 
 @pytest.mark.parametrize("name", ["d1", "d2", "d3"])
 def test_contravariance_verified_up_to_3(name):
-    dsys = fixtures.DISCRETE[name]()
+    dsys = shipped(name)
     psys, rep = pullback_system(dsys, verify_bound=3)
     assert rep.ok, str(rep)
 
 
 def test_pullback_round_trip():
     for name in ("d1", "d2", "d3"):
-        dsys = fixtures.DISCRETE[name]()
+        dsys = shipped(name)
         psys, _ = pullback_system(dsys)
         back = discrete_from_pullback(psys)
         assert back.tables == dsys.tables
@@ -136,7 +138,7 @@ def test_pullback_rejects_non_selector():
 
 
 def test_surjective_generator_dense_and_faithful():
-    dsys = fixtures.discrete_covering()
+    dsys = shipped("d2")
     for n in [(1, 0), (0, 1), (1, 1), (2, 1)]:
         verdict = check_density_fidelity(dsys, n)
         assert verdict.k_dense and verdict.k_faithful and verdict.agree
@@ -145,7 +147,7 @@ def test_surjective_generator_dense_and_faithful():
 def test_disjoint_images_cover():
     # two constant maps onto different points cover a 2-point fiber; the
     # other color uses identities, which commute with anything
-    g = fixtures.p2_graph()
+    g = shipped("p2").graph
     c0 = {"0": "0", "1": "0"}
     c1 = {"0": "1", "1": "1"}
     ident = {"0": "0", "1": "1"}
@@ -160,7 +162,7 @@ def test_disjoint_images_cover():
 
 def test_common_missed_point_breaks_both():
     # every table lands in {0}: the indicator of "1" kills every pullback
-    g = fixtures.p2_graph()
+    g = shipped("p2").graph
     const = {"0": "0", "1": "0"}
     dsys = DiscreteSystem(
         g, {"v": ("0", "1")}, {e: dict(const) for e in g.edges}
@@ -245,7 +247,7 @@ def test_sweep_counts_consistent_assignments_per_fiber_size():
 
 
 def test_transformation_singleton_mirrors_source():
-    dsys = fixtures.discrete_singleton()
+    dsys = shipped("d1")
     tkg = build_transformation_graph(dsys, (2, 2))
     assert tkg.report.ok, str(tkg.report)
     g = dsys.graph
@@ -256,7 +258,7 @@ def test_transformation_singleton_mirrors_source():
 
 
 def test_transformation_covering_doubles_morphisms():
-    dsys = fixtures.discrete_covering()
+    dsys = shipped("d2")
     tkg = build_transformation_graph(dsys, (2, 2))
     assert tkg.report.ok, str(tkg.report)
     g = dsys.graph
@@ -282,7 +284,7 @@ def test_transformation_constant_map_loop():
 @pytest.mark.parametrize("name", ["d1", "d2", "d3"])
 def test_transformation_factorization_formula(name):
     # the twisted splitting must read (head, tail-image) * (tail, element)
-    dsys = fixtures.DISCRETE[name]()
+    dsys = shipped(name)
     tkg = build_transformation_graph(dsys, (2, 2))
     assert tkg.report.ok
     from kfractal.kgraph import factorize
@@ -297,7 +299,7 @@ def test_transformation_factorization_formula(name):
 def test_transformation_d2_validates_at_degree_3_3():
     # 450 twisted morphisms: about 91M raw triples, of which only the
     # composable ones within the bound are composed
-    dsys = fixtures.discrete_covering()
+    dsys = shipped("d2")
     tkg = build_transformation_graph(dsys, (3, 3))
     assert tkg.report.ok, str(tkg.report)
     assert sum(len(pairs) for pairs in tkg.morphisms.values()) == 450
@@ -369,7 +371,7 @@ D2_SKEWED_FINDINGS = """\
     ],
 )
 def test_duplicated_morphism_findings(name, bound, degree, expected):
-    tkg = build_transformation_graph(fixtures.DISCRETE[name](), bound)
+    tkg = build_transformation_graph(shipped(name), bound)
     assert tkg.report.ok
     tkg.morphisms[degree].append(tkg.morphisms[degree][0])
     assert str(_transformation_checks(tkg)) == expected
@@ -389,7 +391,7 @@ def test_skewed_composition_findings(monkeypatch, name, expected):
         return real(p, q)
 
     monkeypatch.setattr(duality, "compose", skewed)
-    tkg = build_transformation_graph(fixtures.DISCRETE[name](), (2, 1))
+    tkg = build_transformation_graph(shipped(name), (2, 1))
     assert str(tkg.report) == expected
 
 
@@ -452,7 +454,7 @@ def test_twisted_checks_match_exhaustive_reference(monkeypatch, name, fault):
             return real(p, q)
 
         monkeypatch.setattr(duality, "compose", skewed)
-    tkg = build_transformation_graph(fixtures.DISCRETE[name](), (2, 1))
+    tkg = build_transformation_graph(shipped(name), (2, 1))
     if fault == "duplicate":
         tkg.morphisms[(1, 1)].append(tkg.morphisms[(1, 1)][-1])
     elif fault == "drop":
@@ -464,7 +466,7 @@ def test_twisted_checks_match_exhaustive_reference(monkeypatch, name, fault):
 
 
 def test_transformation_product_paths_consistent():
-    dsys = fixtures.discrete_covering()
+    dsys = shipped("d2")
     tkg = build_transformation_graph(dsys, (1, 1))
     for lam, t in tkg.morphisms[(1, 1)]:
         p = tkg.product_path(lam, t)
@@ -478,13 +480,13 @@ def test_transformation_product_paths_consistent():
 
 
 def test_properness_tautology():
-    rep = check_properness(fixtures.discrete_constant())
+    rep = check_properness(shipped("d3"))
     assert rep.proper_maps and rep.proper_pullbacks and rep.tautological
 
 
 def test_properness_random_systems():
     rng = np.random.default_rng(31)
-    g = fixtures.p2_graph()
+    g = shipped("p2").graph
     elems = ("0", "1")
     checked = 0
     for _ in range(100):

@@ -1,55 +1,34 @@
 """Instance parsing, artifact writers, and the command-line driver."""
 
+import functools
 import json
+import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kfractal import fixtures
 from kfractal.attractor import SetTuple
 from kfractal import cli
 from kfractal.cli import MAX_FIBER_SIZE, build_parser, main
-from kfractal.duality import SweepResult
+from kfractal.duality import SweepResult, validate_discrete_system
 from kfractal.io import (
     InstanceFormatError,
-    discrete_to_dict,
-    dump_instance,
     load_instance,
     packaged_instance,
-    system_to_dict,
     write_clouds_csv,
     write_diff_pgm,
     write_pgm,
 )
+from kfractal.kgraph import validate_kgraph
+from kfractal.report import ValidationReport
+from kfractal.systems import validate_system
 
 
 # ---------------------------------------------------------------------------
 # instance files
-
-
-@pytest.mark.parametrize("name", ["s1", "p2", "p2c", "t0", "f3"])
-def test_shipped_metric_instances_match_builders(name):
-    kind, loaded = load_instance(packaged_instance(name))
-    assert kind == "mw"
-    built = fixtures.SYSTEMS[name]()
-    assert system_to_dict(loaded) == system_to_dict(built)
-
-
-@pytest.mark.parametrize("name", ["d1", "d2", "d3"])
-def test_shipped_discrete_instances_match_builders(name):
-    kind, loaded = load_instance(packaged_instance(name))
-    assert kind == "discrete"
-    built = fixtures.DISCRETE[name]()
-    assert discrete_to_dict(loaded) == discrete_to_dict(built)
-
-
-def test_dump_load_round_trip(tmp_path):
-    sys_ = fixtures.cantor_product()
-    path = tmp_path / "x.json"
-    dump_instance(sys_, path)
-    kind, again = load_instance(path)
-    assert kind == "mw"
-    assert system_to_dict(again) == system_to_dict(sys_)
 
 
 def test_truncated_file_reports_location(tmp_path):
@@ -70,6 +49,102 @@ def test_missing_field_reported(tmp_path):
 
 def test_unknown_instance_name(tmp_path):
     assert main(["validate", "--instance", "nope", "--out", str(tmp_path)]) == 2
+
+
+SHIPPED = ("s1", "p2", "p2c", "t0", "f3", "d1", "d2", "d3")
+VALIDATORS = {"mw": validate_system, "discrete": validate_discrete_system}
+DROP = object()
+RETYPED = ("x", 1, [], {}, None)
+NUMBERS = (math.nan, math.inf, -math.inf, 0)
+
+
+def _parent(doc, path):
+    """The container that holds the field at a key path."""
+    return functools.reduce(operator.getitem, path[:-1], doc)
+
+
+def _fields(node, path=()):
+    """(key path, value) of every field and list entry below node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,), child
+        yield from _fields(child, path + (key,))
+
+
+@st.composite
+def mutated_instances(draw):
+    """A shipped document with one to three fields dropped, retyped, or,
+    where the field is a number, replaced by NaN, +-inf or 0."""
+    doc = json.loads(packaged_instance(draw(st.sampled_from(SHIPPED))).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        path, value = draw(st.sampled_from(list(_fields(doc))))
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        new = draw(st.sampled_from((DROP,) + RETYPED + (NUMBERS if numeric else ())))
+        if new is DROP:
+            del _parent(doc, path)[path[-1]]
+        else:
+            _parent(doc, path)[path[-1]] = new
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(mutated_instances())
+def test_mutated_shipped_instances_end_in_findings(doc):
+    try:
+        kind, obj = load_instance(doc)
+    except InstanceFormatError:
+        return
+    rep = validate_kgraph(obj if kind == "graph" else obj.graph)
+    if rep.ok and kind in VALIDATORS:
+        rep = VALIDATORS[kind](obj)
+    assert isinstance(rep, ValidationReport)
+
+
+@pytest.mark.parametrize(
+    "name, path, value, finding",
+    [
+        ("s1", ("maps", "a0", "matrix", 0, 0), math.nan, "non-finite: a0"),
+        ("p2", ("maps", "b0", "matrix", 0, 0), math.nan, "non-finite: b0"),
+        ("s1", ("maps", "a1", "translation", 1), -math.inf, "non-finite: a1"),
+        ("p2", ("fibers", "v", "region", "max", 0), math.inf, "non-finite: v"),
+        ("s1", ("fibers", "v", "region", "corners", 2, 1), math.nan, "non-finite: v"),
+        ("s1", ("fibers", "v", "metric"), "taxicab", "bad-metric: v"),
+    ],
+)
+def test_cli_non_finite_and_unknown_metric_are_findings(tmp_path, capsys, name, path,
+                                                        value, finding):
+    doc = json.loads(packaged_instance(name).read_text())
+    _parent(doc, path)[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--instance", str(bad), "--out", str(tmp_path)]) == 1
+    assert f"[structural] {finding}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {"fibers": [1]},
+        {"fibers": {"v": 1}},
+        {"maps": None},
+        {"k": math.inf},
+        {"k": 0, "edges": []},
+    ],
+)
+def test_cli_malformed_instance_exits_2_in_one_line(tmp_path, capsys, edits):
+    doc = json.loads(packaged_instance("s1").read_text())
+    doc.update(edits)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--instance", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: malformed instance")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +310,7 @@ def test_cli_coding_relaxed_system(tmp_path):
 
 
 def test_cli_coding_corrupted_instance_names_offender(tmp_path, capsys):
-    doc = system_to_dict(fixtures.sierpinski())
+    doc = json.loads(packaged_instance("s1").read_text())
     doc["maps"]["a1"]["translation"] = [0.9, 0.0]  # image escapes the fiber
     bad = tmp_path / "s1_bad.json"
     bad.write_text(json.dumps(doc))
@@ -352,6 +427,55 @@ def test_cli_bad_degree_exits_2_in_one_line(tmp_path, capsys, command, degree):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: degree")
+
+
+@pytest.mark.parametrize("elements, code", [([0, 1], 0), (["0", {}], 1)])
+def test_cli_discrete_elements_are_read_as_strings(tmp_path, elements, code):
+    doc = json.loads(packaged_instance("d2").read_text())
+    doc["fibers"]["v"]["elements"] = elements
+    path = tmp_path / "d2_edited.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--instance", str(path), "--out", str(tmp_path)]) == code
+
+
+def test_cli_discrete_table_for_unknown_edge_exits_2_in_one_line(tmp_path, capsys):
+    doc = json.loads(packaged_instance("d1").read_text())
+    doc["maps"]["zz"] = {"table": {"t": "t"}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--instance", str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: maps: unknown edge 'zz'\n"
+
+
+def test_cli_duality_reports_an_invalid_graph(tmp_path, capsys):
+    doc = json.loads(packaged_instance("d2").read_text())
+    del doc["squares"]["1,2"][0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["duality", "--max-fiber-size", "1", "--instance", str(bad),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "[axiom]" in capsys.readouterr().out
+
+
+def test_cli_bad_mode_exits_2_in_one_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--instance", "s1", "--mode", "bogus", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("kfractal validate: error: argument --mode")
+    assert not out.exists()
+
+
+def test_cli_coding_off_diagonal_relaxed_depth_exits_2_in_one_line(tmp_path, capsys):
+    code = main(["coding", "--instance", "p2", "--degree", "1,2", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: relaxed mode codes only diagonal depths")
+    assert not (tmp_path / "coding.txt").exists()
 
 
 def test_cli_bad_pitch_from_environment(tmp_path, capsys, monkeypatch):

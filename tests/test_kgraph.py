@@ -25,7 +25,6 @@ from kfractal.kgraph import (
     path_to_word,
     segment,
     validate_kgraph,
-    vertex_path,
     word_to_path,
 )
 
@@ -152,7 +151,7 @@ def test_enumerate_s1_depth2(g_s1):
 
 
 def test_enumerate_degree_zero(g_p2):
-    assert enumerate_paths(g_p2, "v", (0, 0)) == [vertex_path(g_p2, "v")]
+    assert enumerate_paths(g_p2, "v", (0, 0)) == [Path(g_p2, "v")]
 
 
 def test_enumerate_p2_diagonal(g_p2):
@@ -189,7 +188,7 @@ def test_enumeration_is_lexicographic(g_two_vertex):
 
 def test_compose_identity_laws(g_p2):
     q = enumerate_paths(g_p2, "v", (1, 1))[0]
-    v = vertex_path(g_p2, "v")
+    v = Path(g_p2, "v")
     assert compose(v, q) == q
     assert compose(q, v) == q
 
@@ -247,7 +246,7 @@ def test_path_from_word_normalizes(g_p2):
 def test_factorize_trivial_ends(g_p2):
     p = enumerate_paths(g_p2, "v", (1, 1))[2]
     head, tail = factorize(p, (0, 0))
-    assert head == vertex_path(g_p2, "v") and tail == p
+    assert head == Path(g_p2, "v") and tail == p
     head, tail = factorize(p, p.degree)
     assert head == p and tail.is_vertex
 
@@ -359,7 +358,7 @@ def test_diagonal_two_vertex_valid(g_two_vertex):
 
 def test_word_roundtrip_empty(g_p2):
     dg = diagonal_graph(g_p2)
-    v = vertex_path(g_p2, "v")
+    v = Path(g_p2, "v")
     assert word_to_path(dg, [], "v") == v
     assert path_to_word(dg, v) == []
 

@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from kfractal import fixtures
 from kfractal.attractor import SetTuple
-from kfractal.kgraph import Path, compose, enumerate_paths, factorize, vertex_path
+from kfractal.kgraph import Path, compose, enumerate_paths, factorize
 from kfractal.systems import (
     exact_path_map,
     EUCLIDEAN,
@@ -25,6 +24,8 @@ from kfractal.systems import (
     lipschitz_bound,
     validate_system,
 )
+
+from shipped import shipped
 
 
 # ---------------------------------------------------------------------------
@@ -97,19 +98,18 @@ def test_lipschitz_antidiagonal():
 
 
 def test_extend_vertex_is_identity():
-    sys = fixtures.sierpinski()
-    m = extend_map(sys, vertex_path(sys.graph, "v"))
+    sys = shipped("s1")
+    m = extend_map(sys, Path(sys.graph, "v"))
     pts = np.array([[0.3, 0.2]])
     assert np.array_equal(m.apply(pts), pts)
 
 
 def test_extend_two_step_hand_composite():
     # a0 after a1 on the triangle: z -> z/4 + p1/4 + p0/2, computed by hand
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     p = Path(sys.graph, "v", ("a0", "a1"))
     m = extend_map(sys, p)
-    p0 = np.array(fixtures.TRIANGLE[0])
-    p1 = np.array(fixtures.TRIANGLE[1])
+    p0, p1 = sys.fibers["v"].region.corners[:2]
     z = np.array([0.2, 0.3])
     expected = z / 4 + p1 / 4 + p0 / 2
     assert np.allclose(m.apply(z), expected, atol=1e-15)
@@ -117,7 +117,7 @@ def test_extend_two_step_hand_composite():
 
 def test_extend_route_independent_exact_p2():
     # both orderings of a mixed word produce the same exact rational map
-    sys = fixtures.half_product()
+    sys = shipped("p2")
     p = Path(sys.graph, "v", ("b0", "r0"))
     direct = exact_path_map(sys, p)
     head, tail = factorize(p, (0, 1))  # r0 first route
@@ -130,7 +130,7 @@ def test_extend_route_independent_exact_p2():
 def test_extend_all_decompositions_exact(name):
     """extend(p) equals extend(head) o extend(tail) exactly (in rationals)
     for every splitting of every path with |d| <= 3."""
-    sys = fixtures.SYSTEMS[name]()
+    sys = shipped(name)
     g = sys.graph
     degs = [
         n
@@ -162,7 +162,7 @@ def test_extend_all_decompositions_exact(name):
 
 
 def test_extend_respects_composition_exact():
-    sys = fixtures.cantor_product()
+    sys = shipped("p2c")
     g = sys.graph
     pool = [p for n in [(1, 0), (0, 1), (1, 1)] for p in enumerate_paths(g, "v", n)]
     for p, q in itertools.product(pool, pool):
@@ -172,7 +172,7 @@ def test_extend_respects_composition_exact():
 
 
 def test_extend_lipschitz_bounded_by_product():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     for p in enumerate_paths(sys.graph, "v", (3,)):
         lip = lipschitz_bound(extend_map(sys, p), sys.metric)
         assert lip <= 0.5 ** 3 + 1e-12
@@ -184,13 +184,13 @@ def test_extend_lipschitz_bounded_by_product():
 
 @pytest.mark.parametrize("name", ["s1", "p2", "p2c", "t0", "f3"])
 def test_fixture_systems_validate(name):
-    sys = fixtures.SYSTEMS[name]()
+    sys = shipped(name)
     rep = validate_system(sys)
     assert rep.ok, str(rep)
 
 
 def test_strict_mode_rejects_p2():
-    sys = fixtures.half_product()
+    sys = shipped("p2")
     sys.mode = "strict"
     rep = validate_system(sys)
     assert "lipschitz" in rep.codes()
@@ -199,7 +199,7 @@ def test_strict_mode_rejects_p2():
 
 
 def test_square_consistency_violation_reported():
-    sys = fixtures.half_product()
+    sys = shipped("p2")
     bad = dict(sys.generators)
     bad["b0"] = AffineMap.of([[0.5, 0.0], [0.0, 1.0 / 3.0]], (0.0, 0.0), "v", "v")
     sys.generators = bad
@@ -208,7 +208,7 @@ def test_square_consistency_violation_reported():
 
 
 def test_containment_violation_reported():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     bad = dict(sys.generators)
     bad["a1"] = AffineMap.of([[0.5, 0.0], [0.0, 0.5]], (0.9, 0.0), "v", "v")
     sys.generators = bad
@@ -217,7 +217,7 @@ def test_containment_violation_reported():
 
 
 def test_missing_generator_is_structural():
-    sys = fixtures.point_product()
+    sys = shipped("t0")
     gens = dict(sys.generators)
     del gens["r"]
     sys.generators = gens
@@ -234,7 +234,7 @@ def _fiber_tuple(sys, pitch):
 
 
 def test_k_surjective_square_tiling():
-    sys = fixtures.half_product()
+    sys = shipped("p2")
     h = 1 / 64
     sets = _fiber_tuple(sys, h)
     rep = check_k_surjective(sys, (1, 1), sets, tol=2 * h)
@@ -244,7 +244,7 @@ def test_k_surjective_square_tiling():
 def test_k_surjective_gasket_attractor():
     from kfractal.attractor import compute_attractor
 
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     h = 1 / 128
     start = _fiber_tuple(sys, h)
     gasket, cert = compute_attractor(sys, (1,), start, tol=2 * h)
@@ -254,7 +254,7 @@ def test_k_surjective_gasket_attractor():
 
 
 def test_k_surjective_fails_on_full_triangle_depth5():
-    sys = fixtures.sierpinski()
+    sys = shipped("s1")
     h = 1 / 128
     sets = _fiber_tuple(sys, h)
     rep = check_k_surjective(sys, (5,), sets, tol=2 * h)
@@ -264,7 +264,7 @@ def test_k_surjective_fails_on_full_triangle_depth5():
 
 
 def test_k_dense_matches_surjective_and_onto_generator():
-    sys = fixtures.half_product()
+    sys = shipped("p2")
     h = 1 / 64
     sets = _fiber_tuple(sys, h)
     # at a fixed grid resolution image density and image equality cannot be
@@ -275,7 +275,7 @@ def test_k_dense_matches_surjective_and_onto_generator():
 
 
 def test_k_surjective_flags_empty_cloud():
-    sys = fixtures.point_product()
+    sys = shipped("t0")
     sets = SetTuple.from_points(np.zeros(1), 1 / 64, {"v": np.empty((0, 1))})
     rep = check_k_surjective(sys, (1, 1), sets, tol=1.0)
     assert rep.empty_vertices == ["v"]
@@ -283,12 +283,12 @@ def test_k_surjective_flags_empty_cloud():
 
 
 def test_proper_dense_reports():
-    s1 = check_proper_dense(fixtures.sierpinski())
+    s1 = check_proper_dense(shipped("s1"))
     assert s1.proper and not s1.dense
-    p2 = check_proper_dense(fixtures.half_product())
+    p2 = check_proper_dense(shipped("p2"))
     assert p2.proper and not p2.dense
     # a surjective generator is dense at any resolution
-    onto = fixtures.point_product()
+    onto = shipped("t0")
     onto.generators = {
         "b": AffineMap.of([[1.0]], (0.0,), "v", "v"),
         "r": AffineMap.of([[1.0]], (0.0,), "v", "v"),
