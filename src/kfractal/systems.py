@@ -102,12 +102,18 @@ class Ball:
 
 
 class Polygon:
-    """Convex polygon in the plane; corners are normalized to CCW order."""
+    """Convex polygon in the plane; corners are normalized to CCW order.
+
+    Non-finite corners are kept as given, for ``validate_system`` to report
+    as ``non-finite``; repeated or collinear corners are refused."""
 
     def __init__(self, corners):
         pts = np.asarray(corners, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
             raise ValueError("polygon needs >= 3 planar corners")
+        if not np.isfinite(pts).all():
+            self.corners = pts
+            return
         area2 = 0.0
         for i in range(len(pts)):
             x0, y0 = pts[i]
@@ -119,8 +125,11 @@ class Polygon:
         edges = np.roll(pts, -1, axis=0) - pts
         nxt = np.roll(edges, -1, axis=0)
         cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-        if np.any(cross < -1e-12 * np.abs(cross).max()):
+        slack = 1e-12 * np.abs(cross).max()
+        if np.any(cross < -slack):
             raise ValueError("polygon is not convex")
+        if np.any(cross <= slack):
+            raise ValueError("bad-region: polygon has repeated or collinear corners")
 
     @property
     def dim(self):

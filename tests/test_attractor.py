@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kfractal import _kernels, attractor
 from kfractal.attractor import (
     SetTuple,
     _canonical,
@@ -98,6 +99,89 @@ def test_vertex_distances_match_per_vertex_hausdorff():
     assert K.vertex_distances(K, sys.metric) == {v: 0.0 for v in K.clouds}
     with pytest.raises(ValueError):
         K.vertex_distances(SetTuple(K.origin, K.pitch, {}))
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Names of the distance transforms run, with the size rule lowered so
+    that every product of pairs may use a window."""
+    from scipy import ndimage
+
+    calls = []
+    for name in ("distance_transform_edt", "distance_transform_cdt"):
+
+        def spy(*args, _fn=getattr(ndimage, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ndimage, name, spy)
+    monkeypatch.setattr(attractor, "INDEX_MIN_PAIRS", 0)
+    return calls
+
+
+def _lattice_pair(d, kind, seed):
+    """Two seeded lattice clouds around the origin, negative coordinates
+    included, dense enough for a distance window."""
+    side = {1: 400, 2: 40, 3: 12}[d]
+    rng = np.random.default_rng(seed)
+
+    def cloud(n):
+        return rng.integers(-side // 2, side // 2, size=(n, d))
+
+    a = cloud(side**d // 4)
+    if kind == "nested":
+        b = a[: len(a) // 3]
+    elif kind == "disjoint":
+        b = cloud(side**d // 4)
+        b[:, 0] += side
+    elif kind == "point":
+        b = cloud(1) + rng.integers(-2, 3, size=(1, d))
+    elif kind == "points":
+        a = cloud(1)
+        b = a + rng.integers(-3, 4, size=(1, d))
+    else:
+        b = cloud(side**d // 4)
+    return a, b
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("metric", ["euclidean", "max"])
+@pytest.mark.parametrize("kind", ["overlapping", "nested", "disjoint", "point", "points"])
+@pytest.mark.parametrize("dyadic", [True, False])
+def test_lattice_distances_match_brute_force(transforms, d, metric, kind, dyadic):
+    a, b = _lattice_pair(d, kind, seed=10 * d + len(kind))
+    origin, pitch = (np.zeros(d), 2.0**-5) if dyadic else (np.array([0.5, -1.0, 0.25][:d]), 0.3)
+    A = SetTuple(origin, pitch, {"v": a})
+    B = SetTuple(origin, pitch, {"v": b})
+    assert A != B
+    got = A.vertex_distances(B, metric)["v"]
+    assert transforms  # measured on the window, not on points()
+    pa, pb = A.points("v"), B.points("v")
+    want = max(
+        _kernels.directed_max_min(pa, pb, metric), _kernels.directed_max_min(pb, pa, metric)
+    )
+    if dyadic:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("metric", ["euclidean", "max"])
+def test_sparse_clouds_skip_the_window(monkeypatch, d, metric):
+    # the window over these two points would hold (10**9 + 1)**d cells
+    from scipy import ndimage
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a distance window was allocated")
+
+    for name in ("distance_transform_edt", "distance_transform_cdt"):
+        monkeypatch.setattr(ndimage, name, refuse)
+    monkeypatch.setattr(attractor, "INDEX_MIN_PAIRS", 0)
+    A = SetTuple(np.zeros(d), 1.0, {"v": np.zeros((1, d), dtype=np.int64)})
+    B = SetTuple(np.zeros(d), 1.0, {"v": np.full((1, d), 10**9)})
+    want = math.sqrt(d * 10**18) if metric == "euclidean" else 1e9
+    assert A.vertex_distances(B, metric) == {"v": want}
 
 
 def test_from_fibers_fills_regions():

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,37 @@ def test_cli_non_finite_and_unknown_metric_are_findings(tmp_path, capsys, name, 
     bad.write_text(json.dumps(doc))
     assert main(["validate", "--instance", str(bad), "--out", str(tmp_path)]) == 1
     assert f"[structural] {finding}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_corner_loads_without_warnings(tmp_path, capsys, value):
+    doc = json.loads(packaged_instance("s1").read_text())
+    doc["fibers"]["v"]["region"]["corners"][1][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--instance", str(bad), "--out", str(tmp_path)]) == 1
+    assert "[structural] non-finite: v" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "corners",
+    [
+        [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],              # collinear
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],  # repeated
+    ],
+    ids=["collinear", "repeated"],
+)
+def test_cli_degenerate_polygon_is_bad_region(tmp_path, capsys, corners):
+    doc = json.loads(packaged_instance("s1").read_text())
+    doc["fibers"]["v"]["region"]["corners"] = corners
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--instance", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "bad-region" in err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Set distances: the KD-tree path against the brute-force kernel."""
+"""Set distances: the KD-tree path against the brute-force kernel, and the
+lazy scipy imports."""
 
 import os
 import subprocess
@@ -37,6 +38,14 @@ def test_small_products_skip_scipy_spatial():
         "assert directed_distance([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0]]) > 0\n"
         "assert 'scipy.spatial' not in sys.modules\n"
     )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_skips_scipy_ndimage():
+    # distance windows import scipy.ndimage on first use, so setup never pays for it
+    code = "import sys\nimport kfractal.cli\nassert 'scipy.ndimage' not in sys.modules\n"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
