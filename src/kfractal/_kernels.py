@@ -28,8 +28,11 @@ def _prepare(arr):
 def directed_max_min(a, b, metric="euclidean"):
     """sup over a of inf over b of dist(a_i, b_j).
 
-    Raises ValueError on an empty target cloud; an empty ``a`` gives 0.
+    Raises ValueError on an empty target cloud or a metric other than
+    ``"euclidean"`` or ``"max"``; an empty ``a`` gives 0.
     """
+    if metric not in ("euclidean", "max"):
+        raise ValueError(f"unknown metric {metric!r}")
     a = _prepare(a)
     b = _prepare(b)
     if a.shape[1] != b.shape[1]:

@@ -22,8 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .kgraph import enumerate_paths
-from .systems import EUCLIDEAN, MWSystem, degree_maps, extend_map, grid_points, lipschitz_bound
+from .kgraph import KGraphError
+from .systems import (
+    EUCLIDEAN,
+    MAX,
+    AffineMap,
+    MWSystem,
+    degree_maps,
+    grid_points,
+    lipschitz_bound,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -36,14 +44,21 @@ from .systems import EUCLIDEAN, MWSystem, degree_maps, extend_map, grid_points, 
 INDEX_MIN_PAIRS = 2_000_000
 
 
+def _check_metric(metric) -> None:
+    if metric not in (EUCLIDEAN, MAX):
+        raise ValueError(f"unknown metric {metric!r}")
+
+
 def directed_distance(a, b, metric=EUCLIDEAN):
     """One-sided (sup-min) distance from cloud a to cloud b.
 
     Products of at most ``INDEX_MIN_PAIRS`` pairs run the brute-force numpy
     kernel; larger ones query a KD-tree built on ``b``.  Both measure the
     same distance up to floating-point rounding; the choice only changes
-    speed.
+    speed.  A metric other than ``"euclidean"`` or ``"max"`` raises
+    ValueError.
     """
+    _check_metric(metric)
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if len(a) == 0:
@@ -213,7 +228,9 @@ class SetTuple:
         integer rows, by exact distance transforms over their joint bounding
         box scaled by the pitch.  Smaller products, and boxes of more than
         ``WINDOW_CELLS_PER_POINT`` cells per point, go to
-        ``hausdorff_distance`` on the real points instead."""
+        ``hausdorff_distance`` on the real points instead.  A metric other
+        than ``"euclidean"`` or ``"max"`` raises ValueError."""
+        _check_metric(metric)
         if not self.same_grid(other):
             raise ValueError("grid mismatch")
         if set(self.clouds) != set(other.clouds):
@@ -275,11 +292,36 @@ def hutchinson_step(sys: MWSystem, n, C: SetTuple, _maps=None) -> SetTuple:
 
 
 def contraction_factor(sys: MWSystem, n) -> float:
-    """Largest Lipschitz bound among the degree-n path maps."""
+    """Largest Lipschitz bound among the degree-n path maps.
+
+    The paths are not listed.  The normal-form steps are walked keeping, per
+    source vertex reached so far, only the distinct linear parts of the
+    prefix maps, composed in ``extend_map``'s order.  Every path's linear
+    part is then one of the survivors bit for bit, so the maximum is the
+    same as over all paths, at the cost of the distinct parts only.
+    """
+    g = sys.graph
+    n = tuple(n)
+    if len(n) != g.k or any(c < 0 for c in n):
+        raise KGraphError(f"bad degree vector {n!r}")
+    layer = {v: [AffineMap.identity(v, sys.dim)] for v in g.vertices}
+    first = True
+    for color in range(1, g.k + 1):
+        for _ in range(n[color - 1]):
+            nxt: dict[str, dict[bytes, AffineMap]] = {}
+            for u, maps in layer.items():
+                for ident in g.edges_with_range(color, u):
+                    gen = sys.generators[ident]
+                    seen = nxt.setdefault(g.edge(ident).source_vertex, {})
+                    for m in maps:
+                        f = gen if first else m.after(gen)
+                        seen.setdefault(f.matrix.tobytes(), f)
+            layer = {u: list(seen.values()) for u, seen in nxt.items()}
+            first = False
     worst = 0.0
-    for v in sys.graph.vertices:
-        for lam in enumerate_paths(sys.graph, v, n):
-            worst = max(worst, lipschitz_bound(extend_map(sys, lam), sys.metric))
+    for maps in layer.values():
+        for m in maps:
+            worst = max(worst, lipschitz_bound(m, sys.metric))
     return worst
 
 

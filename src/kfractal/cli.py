@@ -19,6 +19,7 @@ from .attractor import SetTuple, compute_attractor
 from .boxcount import dimension_estimate
 from .coding import (
     _require_codable,
+    _require_sampleable,
     check_intertwining,
     check_subsystem,
     coded_cloud,
@@ -229,8 +230,11 @@ def cmd_coding(args) -> int:
         else:
             base = max(1, -(-per // k))
             depth = (base,) * k
+    # the spot checks below sample at `deep`, which covers `depth`
+    deep = tuple(max(c, depth[0]) for c in depth)
     try:
         _require_codable(sys_, depth)
+        _require_sampleable(sys_.graph, deep)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
     C0 = SetTuple.from_fibers(sys_, h)
@@ -259,7 +263,6 @@ def cmd_coding(args) -> int:
         for ident in sorted(sys_.generators):
             e = sys_.graph.edge(ident)
             lam = Path(sys_.graph, e.range_vertex, (ident,))
-            deep = tuple(max(c, depth[0]) for c in depth)
             prefixes = sample_prefixes(
                 sys_.graph, e.source_vertex, deep, count=20,
                 seed=args.seed, replace=True,

@@ -8,6 +8,8 @@ materialized.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +28,7 @@ from .kgraph import (
 from .systems import EUCLIDEAN, RELAXED, MWSystem, extend_map, lipschitz_bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathPrefix:
     """A finite truncation of an infinite path, tagged with its depth."""
 
@@ -97,6 +99,47 @@ def code_point(sys: MWSystem, prefix: PathPrefix, basepoint="centroid") -> Coded
 # prefix sampling
 
 
+# rng.integers draws below an int64 bound, so larger path spaces cannot be
+# sampled uniformly
+_MAX_PATHS = int(np.iinfo(np.int64).max)
+
+
+def _check_drawable(v: str, depth, size: int) -> None:
+    if size > _MAX_PATHS:
+        raise ValueError(
+            f"{size} paths of degree {tuple(depth)} at vertex {v!r} are too many "
+            f"to sample (at most {_MAX_PATHS}, the int64 range)"
+        )
+
+
+def _require_sampleable(g: KGraph, depth) -> None:
+    """Refuse a depth whose path space, at some vertex, is too large to sample."""
+    for v in g.vertices:
+        _check_drawable(v, depth, count_paths(g, v, depth))
+
+
+def _completion_table(g: KGraph, depth):
+    """Per normal-form step of ``depth``, per vertex u: the candidate edges
+    with range u, their cumulative completion counts and their sources; plus
+    the path count of the whole depth at every vertex.
+
+    One dynamic program over the steps, run from the last step to the first,
+    so each intermediate state is the completion count of a suffix."""
+    colors = [c for c in range(1, g.k + 1) for _ in range(depth[c - 1])]
+    counts = {u: 1 for u in g.vertices}
+    steps = []
+    for color in reversed(colors):
+        row = {}
+        for u in g.vertices:
+            cands = g.edges_with_range(color, u)
+            sources = [g.edge(e).source_vertex for e in cands]
+            row[u] = (cands, list(itertools.accumulate(counts[s] for s in sources)), sources)
+        counts = {u: cum[-1] if cum else 0 for u, (_, cum, _) in row.items()}
+        steps.append(row)
+    steps.reverse()
+    return steps, counts
+
+
 def sample_prefixes(
     g: KGraph,
     v: str,
@@ -111,13 +154,18 @@ def sample_prefixes(
     ``exhaustive`` returns them all.  Otherwise ``count`` paths are drawn
     uniformly from vΛ^depth by weighting every edge choice with the number
     of completions (integer arithmetic, so the draw is exactly uniform and
-    reproducible from the seed).  Asking for more samples than exist
-    requires ``replace=True``.
+    reproducible from the seed).  The completion counts of every suffix come
+    from one table built per call; each sample then takes one
+    ``rng.integers`` draw per step, in normal-form order.  Asking for more
+    samples than exist requires ``replace=True``; a path count that does not
+    fit in int64 raises ValueError.
     """
     depth = tuple(depth)
     if exhaustive:
         return [PathPrefix.of(p) for p in enumerate_paths(g, v, depth)]
-    size = count_paths(g, v, depth)
+    steps, sizes = _completion_table(g, depth)
+    size = sizes[v]
+    _check_drawable(v, depth, size)
     if count > size and not replace:
         raise ValueError(
             f"requested {count} samples from {size} paths; pass replace=True"
@@ -126,25 +174,13 @@ def sample_prefixes(
     out = []
     for _ in range(count):
         at = v
-        word: list[str] = []
-        rem = list(depth)
-        for color in range(1, g.k + 1):
-            for _ in range(depth[color - 1]):
-                rem[color - 1] -= 1
-                cands = g.edges_with_range(color, at)
-                weights = [
-                    count_paths(g, g.edge(e).source_vertex, tuple(rem)) for e in cands
-                ]
-                total = sum(weights)
-                r = int(rng.integers(0, total))
-                acc = 0
-                for e, w in zip(cands, weights):
-                    acc += w
-                    if r < acc:
-                        word.append(e)
-                        at = g.edge(e).source_vertex
-                        break
-        out.append(PathPrefix.of(Path(g, v, tuple(word))))
+        word = []
+        for row in steps:
+            cands, cum, sources = row[at]
+            i = bisect.bisect_right(cum, int(rng.integers(0, cum[-1] if cum else 0)))
+            word.append(cands[i])
+            at = sources[i]
+        out.append(PathPrefix(Path(g, v, tuple(word)), depth))
     return out
 
 
@@ -229,7 +265,10 @@ def coded_cloud(
     Exhaustive enumeration is used whenever the path count stays below 10^6
     (and no explicit ``count`` was given); it runs as a leaf-to-root sweep
     applying one edge color at a time, which touches each composite exactly
-    once.  Sampling is seeded and uniform.
+    once.  Sampling is seeded and uniform (``sample_prefixes``); the sampled
+    prefixes are evaluated together as stacked matrices, giving the same
+    points bit for bit as ``code_point``.  The radius comes from
+    ``contraction_factor`` in both cases, so no per-point bound is computed.
     """
     depth = tuple(depth)
     _require_codable(sys, depth)
@@ -265,9 +304,42 @@ def coded_cloud(
         prefixes = sample_prefixes(
             g, v, depth, count, seed=seed, replace=count > sizes[v]
         )
-        pts = [code_point(sys, x, basepoint).point for x in prefixes]
-        clouds[v] = np.array(pts)
+        clouds[v] = _coded_points(sys, v, prefixes, sum(depth), basepoint)
     return SetTuple.from_points(origin, pitch, clouds), err
+
+
+def _coded_points(sys: MWSystem, v: str, prefixes, length: int, basepoint) -> np.ndarray:
+    """``code_point(sys, p, basepoint).point`` for every prefix with range v
+    and the given length, as rows, bit for bit.
+
+    The prefixes' maps are composed together as stacked matrices, in
+    ``extend_map``'s left-fold order along the normal form (the first edge's
+    map, then each later one applied first); then each source vertex's
+    basepoint is pushed through its prefixes' maps."""
+    g, dim, n = sys.graph, sys.dim, len(prefixes)
+    ids = sorted(sys.generators)
+    index = {e: i for i, e in enumerate(ids)}
+    mats = np.stack([sys.generators[e].matrix for e in ids])
+    shifts = np.stack([sys.generators[e].shift for e in ids])
+    words = np.fromiter(
+        (index[e] for p in prefixes for e in p.path.edges), dtype=np.intp, count=n * length
+    ).reshape(n, length)
+    if length == 0:
+        # vertex paths: code_point applies the identity map
+        m, s = np.broadcast_to(np.eye(dim), (n, dim, dim)), np.zeros((n, dim))
+        sources = np.full(n, g.vertices.index(v))
+    else:
+        m, s = mats[words[:, 0]], shifts[words[:, 0]]
+        for j in range(1, length):
+            s = (m @ shifts[words[:, j], :, None])[:, :, 0] + s
+            m = m @ mats[words[:, j]]
+        edge_source = np.array([g.vertices.index(g.edge(e).source_vertex) for e in ids])
+        sources = edge_source[words[:, -1]]
+    out = np.empty((n, dim))
+    for i in np.unique(sources):
+        at = sources == i
+        out[at] = m[at] @ _basepoint(sys, g.vertices[i], basepoint) + s[at]
+    return out
 
 
 def compare_attractor_coding(

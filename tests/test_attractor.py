@@ -17,8 +17,8 @@ from kfractal.attractor import (
     tuple_distance,
 )
 from kfractal.boxcount import dimension_estimate, occupied_cells
-from kfractal.kgraph import KGraph
-from kfractal.systems import AffineMap, Box, MetricFiber, MWSystem
+from kfractal.kgraph import KGraph, enumerate_paths
+from kfractal.systems import AffineMap, Box, MetricFiber, MWSystem, extend_map, lipschitz_bound
 
 from shipped import shipped
 
@@ -184,6 +184,20 @@ def test_sparse_clouds_skip_the_window(monkeypatch, d, metric):
     assert A.vertex_distances(B, metric) == {"v": want}
 
 
+def test_vertex_distances_reject_unknown_metric(transforms):
+    # equal clouds short-circuit and unequal ones take the window (the size
+    # rule is lowered to 0); neither may read the name as a known metric
+    a = np.array([[0, 0], [3, 4]])
+    A = SetTuple(np.zeros(2), 1.0, {"v": a})
+    B = SetTuple(np.zeros(2), 1.0, {"v": a[:1]})
+    for other in (A, B):
+        with pytest.raises(ValueError, match="unknown metric 'taxicab'"):
+            A.vertex_distances(other, "taxicab")
+    assert transforms == []
+    assert A.vertex_distances(B, "max") == {"v": 4.0}
+    assert transforms == ["distance_transform_cdt"] * 2  # one per direction
+
+
 def test_from_fibers_fills_regions():
     sys = shipped("p2")
     s = SetTuple.from_fibers(sys, 0.25)
@@ -330,6 +344,56 @@ def test_non_contraction_rejected():
     with pytest.raises(ValueError):
         compute_attractor(sys, (1, 0), C0)
     assert contraction_factor(sys, (1, 0)) == pytest.approx(1.0)
+
+
+def _enumerated_contraction(sys, n):
+    # every path of the degree listed, one Lipschitz bound per path map
+    worst = 0.0
+    for v in sys.graph.vertices:
+        for lam in enumerate_paths(sys.graph, v, n):
+            worst = max(worst, lipschitz_bound(extend_map(sys, lam), sys.metric))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "name, degrees",
+    [
+        ("s1", [(0,), (1,), (3,), (7,)]),
+        ("p2", [(0, 0), (1, 0), (1, 1), (2, 3), (4, 4)]),
+        ("p2c", [(1, 1), (3, 2), (5, 5)]),
+        ("t0", [(1, 1), (6, 6)]),
+        ("f3", [(1, 1, 1), (3, 2, 1)]),
+    ],
+)
+def test_contraction_factor_matches_enumeration(name, degrees):
+    sys = shipped(name)
+    for n in degrees:
+        assert contraction_factor(sys, n) == _enumerated_contraction(sys, n)
+
+
+def _rotating_two_vertex_system(g, metric, seed):
+    # a distinct scaled rotation on every edge, so few path products coincide
+    rng = np.random.default_rng(seed)
+    gens = {}
+    for ident, e in g.edges.items():
+        t, r = rng.uniform(0, 2 * np.pi), rng.uniform(0.3, 0.7)
+        rot = r * np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        gens[ident] = AffineMap.of(rot, rng.uniform(-1, 1, 2), e.source_vertex, e.range_vertex)
+    fibers = {v: MetricFiber(v, Box((0.0, 0.0), (1.0, 1.0)), metric) for v in g.vertices}
+    return MWSystem(g, fibers, gens, ratio=0.7)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "max"])
+def test_contraction_factor_two_vertex_matches_enumeration(g_two_vertex, metric):
+    sys = _rotating_two_vertex_system(g_two_vertex, metric, seed=3)
+    for n in [(0, 0), (1, 0), (0, 2), (2, 1), (3, 3)]:
+        assert contraction_factor(sys, n) == _enumerated_contraction(sys, n)
+
+
+def test_contraction_factor_does_not_list_paths():
+    # 3^45 paths; all share one linear part
+    sys = shipped("s1")
+    assert contraction_factor(sys, (45,)) == pytest.approx(0.5**45, rel=1e-12)
 
 
 def test_max_iter_reported_not_raised():

@@ -14,8 +14,8 @@ from kfractal.coding import (
     required_depth,
     sample_prefixes,
 )
-from kfractal.kgraph import KGraphError, Path, path_from_word
-from kfractal.systems import AffineMap, extend_map
+from kfractal.kgraph import KGraph, KGraphError, Path, count_paths, path_from_word
+from kfractal.systems import AffineMap, Box, MetricFiber, MWSystem, extend_map
 
 from shipped import shipped
 
@@ -142,6 +142,108 @@ def test_sample_uniform_weighting_two_vertex(g_two_vertex):
     assert seen == space  # 4 paths, 400 draws
 
 
+def _reference_sample(g, v, depth, count, seed):
+    # the per-sample walk the sampler replaced: count_paths for every
+    # candidate edge at every step, then a linear scan of the weights
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        at = v
+        word = []
+        rem = list(depth)
+        for color in range(1, g.k + 1):
+            for _ in range(depth[color - 1]):
+                rem[color - 1] -= 1
+                cands = g.edges_with_range(color, at)
+                weights = [count_paths(g, g.edge(e).source_vertex, tuple(rem)) for e in cands]
+                r = int(rng.integers(0, sum(weights)))
+                acc = 0
+                for e, w in zip(cands, weights):
+                    acc += w
+                    if r < acc:
+                        word.append(e)
+                        at = g.edge(e).source_vertex
+                        break
+        out.append(Path(g, v, tuple(word)))
+    return out
+
+
+def _lopsided_system():
+    """A strict 1-graph on u and w whose completion counts differ (u receives
+    two edges, w one), with non-dyadic maps on [0, 1]."""
+    g = KGraph(1, ["u", "w"], {1: [("a", "u", "u"), ("b", "u", "w"), ("c", "w", "u")]})
+    return MWSystem(
+        g,
+        {v: MetricFiber(v, Box((0.0,), (1.0,)), "euclidean") for v in ("u", "w")},
+        {
+            "a": AffineMap.of([[0.3]], (0.1,), "u", "u"),
+            "b": AffineMap.of([[0.35]], (0.55,), "w", "u"),
+            "c": AffineMap.of([[0.4]], (0.2,), "u", "w"),
+        },
+        ratio=0.4,
+    )
+
+
+def _product_system(seed):
+    """A relaxed rank-2 product system with seeded, non-dyadic ratios and
+    shifts: blue maps scale x and red maps scale y, so every flip square
+    commutes."""
+    rng = np.random.default_rng(seed)
+    blue, red = ["b0", "b1"], ["r0", "r1", "r2"]
+    g = KGraph(
+        2,
+        ["v"],
+        {1: [(e, "v", "v") for e in blue], 2: [(e, "v", "v") for e in red]},
+        {(1, 2): {(b, r): (r, b) for b in blue for r in red}},
+    )
+    gens = {}
+    for axis, ids in enumerate((blue, red)):
+        for e in ids:
+            scale, shift = np.ones(2), np.zeros(2)
+            scale[axis] = rng.uniform(0.2, 0.45)
+            shift[axis] = rng.uniform(0.0, 1.0 - scale[axis])
+            gens[e] = AffineMap.of(np.diag(scale), shift, "v", "v")
+    fiber = MetricFiber("v", Box((0.0, 0.0), (1.0, 1.0)), "max")
+    return MWSystem(g, {"v": fiber}, gens, ratio=0.45, mode="relaxed")
+
+
+def _graph(name, request):
+    if name == "two_vertex":
+        return request.getfixturevalue("g_two_vertex")
+    if name == "lopsided":
+        return _lopsided_system().graph
+    return shipped(name).graph
+
+
+@pytest.mark.parametrize("seed", [0, 5, 91])
+@pytest.mark.parametrize(
+    "name, depth, count, replace",
+    [
+        ("s1", (7,), 60, False),
+        ("p2", (3, 3), 60, False),
+        ("p2c", (4, 4), 60, False),
+        ("f3", (2, 1, 3), 5, True),
+        ("two_vertex", (3, 3), 60, False),
+        ("lopsided", (10,), 60, False),
+        ("s1", (0,), 3, True),
+        ("s1", (1,), 10, True),
+    ],
+)
+def test_sampler_matches_per_sample_walk(request, name, depth, count, replace, seed):
+    g = _graph(name, request)
+    for v in g.vertices:
+        got = sample_prefixes(g, v, depth, count, seed=seed, replace=replace)
+        assert [p.path for p in got] == _reference_sample(g, v, depth, count, seed)
+
+
+def test_sampler_refuses_counts_beyond_int64():
+    g = shipped("s1").graph
+    assert 3**39 < 2**63 - 1 < 3**40
+    assert len(sample_prefixes(g, "v", (39,), count=2, seed=1)) == 2
+    with pytest.raises(ValueError, match="too many to sample"):
+        sample_prefixes(g, "v", (40,), count=2, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # intertwining
 
@@ -264,6 +366,54 @@ def test_coded_cloud_sampled_20k_covers_product():
     assert cert.converged
     T2, err = coded_cloud(sys_, (6, 6), pitch=h, count=20000, seed=17, exhaustive=False)
     assert compare_attractor_coding(sys_, K, T2, tol=4 * h + 2 * err)
+
+
+@pytest.fixture
+def raw_clouds(monkeypatch):
+    """The point clouds coded_cloud hands to SetTuple.from_points, before
+    they are snapped."""
+    seen = {}
+    snap = SetTuple.from_points.__func__
+
+    def spy(cls, origin, pitch, clouds):
+        seen.update(clouds)
+        return snap(cls, origin, pitch, clouds)
+
+    monkeypatch.setattr(SetTuple, "from_points", classmethod(spy))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name, depth, count, basepoint",
+    [
+        ("s1", (7,), 2000, "centroid"),
+        ("s1", (12,), 500, "centroid"),
+        ("s1", (0,), 4, "centroid"),
+        ("p2c", (6, 6), 800, "centroid"),
+        ("product", (5, 5), 800, "centroid"),
+        ("lopsided", (9,), 300, "centroid"),
+        ("lopsided", (6,), 300, {"u": (0.9,), "w": (0.05,)}),
+    ],
+)
+def test_sampled_coded_cloud_equals_code_point(raw_clouds, name, depth, count, basepoint):
+    if name == "product":
+        sys = _product_system(seed=2)
+    elif name == "lopsided":
+        sys = _lopsided_system()
+    else:
+        sys = shipped(name)
+    g = sys.graph
+    coded_cloud(sys, depth, pitch=1 / 64, count=count, seed=8, exhaustive=False,
+                basepoint=basepoint)
+    assert set(raw_clouds) == set(g.vertices)
+    for v in g.vertices:
+        replace = count > count_paths(g, v, depth)
+        prefixes = sample_prefixes(g, v, depth, count, seed=8, replace=replace)
+        want = np.array([code_point(sys, p, basepoint).point for p in prefixes])
+        got = raw_clouds[v]
+        assert got.shape == want.shape
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def _reference_compare(sys, attractor_sets, coded_sets, tol):

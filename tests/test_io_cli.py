@@ -4,7 +4,11 @@ import functools
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,8 @@ from kfractal.io import (
 from kfractal.kgraph import validate_kgraph
 from kfractal.report import ValidationReport
 from kfractal.systems import validate_system
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +514,22 @@ def test_cli_coding_off_diagonal_relaxed_depth_exits_2_in_one_line(tmp_path, cap
     assert err.count("\n") == 1
     assert err.startswith("error: relaxed mode codes only diagonal depths")
     assert not (tmp_path / "coding.txt").exists()
+
+
+def test_cli_coding_too_deep_to_sample_exits_2_in_one_line(tmp_path):
+    # 3^45 paths: the refusal must come before any iteration, and the
+    # radius must not list the paths, so the run ends well inside the timeout
+    argv = ["coding", "--instance", "s1", "--degree", "45", "--count", "10",
+            "--out", str(tmp_path)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "kfractal", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: ")
+    assert "too many to sample" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_bad_pitch_from_environment(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kfractal import _kernels
+from kfractal import _kernels, attractor
 from kfractal.attractor import INDEX_MIN_PAIRS, directed_distance, hausdorff_distance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -70,3 +70,22 @@ def test_directed_asymmetry():
 def test_empty_target_rejected():
     with pytest.raises(ValueError):
         directed_distance(np.zeros((1, 2)), np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("size_rule", ["brute-force", "kd-tree"])
+def test_directed_distance_rejects_unknown_metric(monkeypatch, size_rule):
+    # both size paths used to read an unknown name as some metric: 5.0 by
+    # brute force, 4.0 through the KD-tree
+    if size_rule == "kd-tree":
+        monkeypatch.setattr(attractor, "INDEX_MIN_PAIRS", 0)
+    a, b = [[0.0, 0.0]], [[3.0, 4.0]]
+    for fn in (directed_distance, hausdorff_distance):
+        with pytest.raises(ValueError, match="unknown metric 'taxicab'"):
+            fn(a, b, "taxicab")
+    assert directed_distance(a, b, "max") == 4.0
+    assert directed_distance(a, b, "euclidean") == 5.0
+
+
+def test_kernel_rejects_unknown_metric():
+    with pytest.raises(ValueError, match="unknown metric 'taxicab'"):
+        _kernels.directed_max_min([[0.0, 0.0]], [[3.0, 4.0]], "taxicab")
