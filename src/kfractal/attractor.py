@@ -2,7 +2,8 @@
 
 Compact sets are represented by finite point clouds snapped to a regular
 grid.  Snapping keeps unions idempotent and memory bounded; storing lattice
-coordinates as integers makes equality and canonical ordering exact.  The
+coordinates as integers makes equality and canonical ordering exact; dense
+clouds are canonicalised by a scatter into an occupancy window.  The
 iteration stops on a Banach a-posteriori estimate: once consecutive tuples
 are within delta, the limit is within delta*c/(1-c), plus grid slack.
 
@@ -82,10 +83,10 @@ def hausdorff_distance(a, b, metric=EUCLIDEAN):
     return max(directed_distance(a, b, metric), directed_distance(b, a, metric))
 
 
-# A distance window may hold at most this many cells per point of the two
-# clouds it compares; the densest shipped comparison has about 7.  The bound
-# is checked before the window is allocated, and sparser pairs are measured
-# from their points instead.
+# An occupancy window, for a distance or for ``_canonical``, may hold at most
+# this many cells per point it holds; the densest shipped comparison has
+# about 7.  The bound is checked before the window is allocated, and sparser
+# clouds are measured from their points, or sorted, instead.
 WINDOW_CELLS_PER_POINT = 16
 
 
@@ -122,39 +123,32 @@ def _window_distance(a: np.ndarray, b: np.ndarray, metric) -> float | None:
 
 
 def _canonical(idx: np.ndarray) -> np.ndarray:
-    """Sorted duplicate-free rows, lexicographically.
+    """np.unique(idx, axis=0) of a nonempty int64 array, C-contiguous.
 
-    Rows are packed into one integer each first (row-major over the
-    coordinate spans), which sorts in the same order as np.unique(axis=0)
-    but far faster; spans whose product does not fit below 2**62 fall back
-    to the row-wise path.
+    A cloud whose bounding box (sized in Python integers) holds at most
+    ``WINDOW_CELLS_PER_POINT`` cells per row is scattered into an occupancy
+    window over it, read back in C order, which is lexicographic; sparser
+    clouds are sorted row-wise.
     """
-    d = idx.shape[1]
     lo = idx.min(axis=0)
-    hi = idx.max(axis=0)
-    if float(np.prod(hi.astype(float) - lo.astype(float) + 1.0)) >= 2**62:
+    shape = tuple(int(h) - int(l) + 1 for h, l in zip(idx.max(axis=0), lo))
+    if math.prod(shape) > WINDOW_CELLS_PER_POINT * len(idx):
         return np.unique(idx, axis=0)
-    span = (hi - lo + 1).astype(np.int64)
-    shifted = idx - lo
-    packed = shifted[:, 0]
-    for t in range(1, d):
-        packed = packed * span[t] + shifted[:, t]
-    packed = np.unique(packed)
-    out = np.empty((len(packed), d), dtype=np.int64)
-    for t in range(d - 1, 0, -1):
-        out[:, t] = packed % span[t] + lo[t]
-        packed //= span[t]
-    out[:, 0] = packed + lo[0]
-    return out
+    window = np.zeros(shape, dtype=bool)
+    window[tuple((idx - lo).T)] = True
+    cells = np.flatnonzero(window)
+    del window
+    return np.stack(np.unravel_index(cells, shape), axis=1) + lo
 
 
 class SetTuple:
     """One finite grid cloud per vertex.
 
-    Clouds are stored as lexicographically sorted, duplicate-free int64
-    lattice coordinates relative to (origin, pitch); real coordinates are
-    origin + pitch * index.  Construction canonicalizes, so equal sets have
-    equal representations regardless of input order.
+    Clouds are stored as lexicographically sorted, duplicate-free,
+    C-contiguous int64 lattice coordinates relative to (origin, pitch); real
+    coordinates are origin + pitch * index.  Construction canonicalizes
+    (``_canonical``), so equal sets have equal rows regardless of input
+    order; the rows are the one stored form.
     """
 
     def __init__(self, origin, pitch: float, clouds: dict[str, np.ndarray]):
@@ -275,8 +269,8 @@ def hutchinson_step(sys: MWSystem, n, C: SetTuple, _maps=None) -> SetTuple:
     union of the path images of the current clouds.
 
     The union is computed from exact affine images of all points and snapped
-    once, then canonicalized, so the result does not depend on evaluation
-    order (degree 0 returns C unchanged).
+    once, then canonicalized by one scatter or sort, so the result does not
+    depend on evaluation order (degree 0 returns C unchanged).
     """
     if all(c == 0 for c in n):
         return C

@@ -18,6 +18,7 @@ from pathlib import Path as FsPath
 from .attractor import SetTuple, compute_attractor
 from .boxcount import dimension_estimate
 from .coding import (
+    MAX_EXHAUSTIVE_PATHS,
     _require_codable,
     _require_sampleable,
     check_intertwining,
@@ -44,8 +45,8 @@ from .io import (
     write_diff_pgm,
     write_pgm,
 )
-from .kgraph import Path, validate_kgraph
-from .systems import RELAXED, STRICT, validate_system
+from .kgraph import Path, count_paths, validate_kgraph
+from .systems import RELAXED, STRICT, grid_axes, validate_system
 
 PASS, FAIL, PARSE_ERROR, NO_CONVERGENCE = 0, 1, 2, 3
 
@@ -170,10 +171,16 @@ def cmd_validate(args) -> int:
 
 def _pitch_and_tol(args, sys_) -> tuple[float, float]:
     """The grid pitch h (default: max fiber diameter / 512) and the
-    tolerance (default 4h) of a metric command."""
+    tolerance (default 4h) of a metric command; a grid too large for some
+    fiber is an input error."""
     h = args.pitch
     if h is None:
         h = max(f.diameter() for f in sys_.fibers.values()) / 512.0
+    for f in sys_.fibers.values():
+        try:
+            grid_axes(f.region, h, 0.0)
+        except ValueError as exc:
+            raise InstanceFormatError(f"fiber {f.vertex!r}: {exc}") from None
     tol = args.tol if args.tol is not None else 4.0 * h
     return h, tol
 
@@ -237,6 +244,12 @@ def cmd_coding(args) -> int:
         _require_sampleable(sys_.graph, deep)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
+    if args.count is None:
+        paths = max(count_paths(sys_.graph, v, depth) for v in sys_.graph.vertices)
+        if paths > MAX_EXHAUSTIVE_PATHS:
+            raise InstanceFormatError(f"{paths} paths of degree {depth} at a vertex are "
+                                      f"too many to list (at most {MAX_EXHAUSTIVE_PATHS}); "
+                                      "pass --count")
     C0 = SetTuple.from_fibers(sys_, h)
     K, cert = compute_attractor(sys_, sys_.diagonal_degree, C0, tol=tol,
                                 max_iter=args.max_iter)

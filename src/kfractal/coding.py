@@ -102,6 +102,8 @@ def code_point(sys: MWSystem, prefix: PathPrefix, basepoint="centroid") -> Coded
 # rng.integers draws below an int64 bound, so larger path spaces cannot be
 # sampled uniformly
 _MAX_PATHS = int(np.iinfo(np.int64).max)
+# without a sample count, coded_cloud lists the paths up to this many per vertex
+MAX_EXHAUSTIVE_PATHS = 1_000_000
 
 
 def _check_drawable(v: str, depth, size: int) -> None:
@@ -262,13 +264,14 @@ def coded_cloud(
     """Per vertex, the snapped cloud of coded points over vΛ^depth, plus the
     uniform error radius valid for every point.
 
-    Exhaustive enumeration is used whenever the path count stays below 10^6
-    (and no explicit ``count`` was given); it runs as a leaf-to-root sweep
-    applying one edge color at a time, which touches each composite exactly
-    once.  Sampling is seeded and uniform (``sample_prefixes``); the sampled
-    prefixes are evaluated together as stacked matrices, giving the same
-    points bit for bit as ``code_point``.  The radius comes from
-    ``contraction_factor`` in both cases, so no per-point bound is computed.
+    Exhaustive enumeration is used whenever the path count stays within
+    ``MAX_EXHAUSTIVE_PATHS`` (and no explicit ``count`` was given); it runs
+    as a leaf-to-root sweep applying one edge color at a time, which touches
+    each composite exactly once.  Sampling is seeded and uniform
+    (``sample_prefixes``); the sampled prefixes are evaluated together as
+    stacked matrices, giving the same points bit for bit as ``code_point``.
+    The radius comes from ``contraction_factor`` in both cases, so no
+    per-point bound is computed.
     """
     depth = tuple(depth)
     _require_codable(sys, depth)
@@ -279,7 +282,7 @@ def coded_cloud(
 
     sizes = {v: count_paths(g, v, depth) for v in g.vertices}
     if exhaustive is None:
-        exhaustive = count is None and all(s <= 1_000_000 for s in sizes.values())
+        exhaustive = count is None and all(s <= MAX_EXHAUSTIVE_PATHS for s in sizes.values())
 
     if exhaustive:
         clouds = {

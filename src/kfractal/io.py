@@ -193,13 +193,20 @@ def packaged_instance(name: str) -> FsPath:
 
 
 def write_clouds_csv(sets: SetTuple, path) -> None:
+    """Rows of ``SetTuple.points`` in stored order, as repr floats.  Each
+    distinct lattice coordinate of an axis, origin[t] + pitch * float(i), is
+    formatted once, and the rows are gathered from those per-axis tables."""
     dim = sets.origin.size
-    header = "vertex," + ",".join(f"x{i}" for i in range(dim))
-    lines = [header]
+    lines = ["vertex," + ",".join(f"x{i}" for i in range(dim))]
     for v in sets.vertices():
-        for row in sets.points(v):
-            coords = ",".join(repr(float(x)) for x in row)
-            lines.append(f"{v},{coords}")
+        rows = sets.clouds[v]
+        columns = [[v] * len(rows)]
+        for t in range(dim):
+            values, inverse = np.unique(rows[:, t], return_inverse=True)
+            coords = sets.origin[t] + sets.pitch * values.astype(float)
+            text = np.array([repr(x) for x in coords.tolist()], dtype=object)
+            columns.append(text[inverse].tolist())
+        lines.extend(map(",".join, zip(*columns)))
     FsPath(path).write_text("\n".join(lines) + "\n")
 
 

@@ -11,6 +11,7 @@ check has no tolerance).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -210,15 +211,31 @@ class PointSet:
         return self.points.min(axis=0), self.points.max(axis=0)
 
 
+# largest grid a region's bounding box may hold (16.8M points: every shipped
+# fiber down to a quarter of its default pitch)
+MAX_GRID_POINTS = 2**24
+
+
+def grid_axes(region, pitch, origin) -> list[np.ndarray]:
+    """Per axis, the lattice indices spanning the region's bounding box.  More
+    than ``MAX_GRID_POINTS`` points, counted in Python integers, raise
+    ValueError before anything is allocated."""
+    lo, hi = region.bounding_box()
+    with np.errstate(over="ignore"):
+        start, stop = np.floor((lo - origin) / pitch), np.ceil((hi - origin) / pitch)
+    if not np.isfinite(stop - start).all() or math.prod(
+            int(n) + 1 for n in stop - start) > MAX_GRID_POINTS:
+        raise ValueError(f"a grid of pitch {pitch!r} over the region has more than "
+                         f"{MAX_GRID_POINTS} points")
+    return [np.arange(int(a), int(b) + 1) for a, b in zip(start, stop)]
+
+
 def grid_points(region, pitch, origin=None):
     """Grid-aligned sample of a region: all lattice points of the given pitch
-    inside it (with boundary slack)."""
-    lo, hi = region.bounding_box()
-    d = lo.size
+    inside it (with boundary slack); too large a grid raises ValueError."""
+    d = region.dim
     origin = np.zeros(d) if origin is None else np.asarray(origin, dtype=float)
-    start = np.floor((lo - origin) / pitch).astype(int)
-    stop = np.ceil((hi - origin) / pitch).astype(int)
-    axes = [np.arange(a, b + 1) for a, b in zip(start, stop)]
+    axes = grid_axes(region, pitch, origin)
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     pts = origin + pitch * mesh
     keep = region.contains(pts, tol=pitch * 1e-6)
@@ -412,7 +429,10 @@ def _image_inside(m: AffineMap, src: MetricFiber, dst: MetricFiber, pitch=None) 
         if not dst.region.contains_ball(center, radius):
             return False
     pitch = pitch or max(region.diameter(EUCLIDEAN) / 64.0, 1e-9)
-    sample = grid_points(region, pitch)
+    try:
+        sample = grid_points(region, pitch)
+    except ValueError:  # too fine to allocate (d >= 5); the checks above stand
+        return True
     if len(sample):
         if not np.all(dst.region.contains(m.apply(sample))):
             return False

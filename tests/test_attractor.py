@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kfractal import _kernels, attractor
 from kfractal.attractor import (
@@ -63,8 +65,8 @@ def test_canonical_wide_spans_match_unique_rows():
 
     rng = np.random.default_rng(3)
     base = rng.integers(-3, 3, size=(500, 3))
-    # spans with a product just below 2**62 are packed; past it, and past the
-    # int64 range of one span, rows are compared as rows
+    # boxes far too large for an occupancy window, with spans just below
+    # 2**62, past it, and past the int64 range of one span: rows are sorted
     near = base[:, :2] * np.array([2**29, 2**28])
     assert 2**61 < span_product(near) < 2**62
     past = base * np.array([2**60, 1, 1])
@@ -74,6 +76,62 @@ def test_canonical_wide_spans_match_unique_rows():
         assert np.array_equal(_canonical(lattice), np.unique(lattice, axis=0))
         assert occupied_cells(lattice, 4) == len(np.unique(lattice // 4, axis=0))
     assert occupied_cells(np.empty((0, 2), dtype=np.int64)) == 0
+
+
+@st.composite
+def _lattice_rows(draw):
+    # per-axis spans of 1 to 13 cells over up to 40 rows: boxes from under
+    # one cell per row (d = 1) to 2197 cells for a few rows (d = 3), so both
+    # the occupancy window and the row sort run; offsets reach +-2**62
+    d = draw(st.integers(1, 3))
+    spans = draw(st.lists(st.integers(0, 12), min_size=d, max_size=d))
+    lo = draw(st.lists(st.integers(-(2**62), 2**62), min_size=d, max_size=d))
+    axes = [st.integers(a, a + s) for a, s in zip(lo, spans)]
+    rows = draw(st.lists(st.tuples(*axes), min_size=1, max_size=40))
+    return np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_rows())
+def test_canonical_equals_unique_rows(rows):
+    out = _canonical(rows)
+    assert out.dtype == np.int64
+    assert out.flags.c_contiguous
+    assert np.array_equal(out, np.unique(rows, axis=0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("cells_per_row, sorts", [(16, False), (17, True)])
+def test_canonical_scatters_up_to_sixteen_cells_per_row(monkeypatch, d, cells_per_row, sorts):
+    # 8 rows, two of them the corners of a box of exactly cells_per_row * 8
+    # cells, one duplicated, all coordinates negative
+    shape = (2,) * (d - 1) + (cells_per_row * 8 // 2 ** (d - 1),)
+    lo = np.full(d, -50)
+    rng = np.random.default_rng(d)
+    inside = lo + rng.integers(0, shape, size=(5, d))
+    rows = np.vstack([lo + np.array(shape) - 1, inside, lo, inside[:1]])
+    assert len(rows) == 8 and math.prod(shape) == cells_per_row * len(rows)
+    sorted_rows = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: sorted_rows.append(1) or unique(*a, **kw))
+    out = _canonical(rows)
+    monkeypatch.undo()
+    assert bool(sorted_rows) == sorts
+    assert out.flags.c_contiguous
+    assert np.array_equal(out, np.unique(rows, axis=0))
+
+
+def test_rows_and_points_are_c_contiguous():
+    # the stored rows are C-contiguous; an np.argwhere read-back would be
+    # F-ordered and still compare equal
+    sys_ = shipped("p2")
+    start = SetTuple.from_fibers(sys_, 1 / 64)
+    step = hutchinson_step(sys_, sys_.diagonal_degree, start)
+    for sets in (start, step):
+        for v in sets.vertices():
+            assert len(sets.clouds[v]) > 1000
+            assert sets.clouds[v].flags.c_contiguous
+            assert sets.points(v).flags.c_contiguous
 
 
 def test_coarsen_and_dimension_estimate():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfractal.attractor import SetTuple
+from kfractal.attractor import SetTuple, compute_attractor
 from kfractal import cli
 from kfractal.cli import MAX_FIBER_SIZE, build_parser, main
 from kfractal.duality import SweepResult, validate_discrete_system
@@ -30,6 +30,8 @@ from kfractal.io import (
 from kfractal.kgraph import validate_kgraph
 from kfractal.report import ValidationReport
 from kfractal.systems import validate_system
+
+from shipped import shipped
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -198,6 +200,51 @@ def test_csv_deterministic(tmp_path):
     text = a.read_text().splitlines()
     assert text[0] == "vertex,x0,x1"
     assert len(text) == 3
+
+
+def _reference_clouds_csv(sets, path):
+    # the writer before the per-axis tables: one repr per float, row by row
+    dim = sets.origin.size
+    lines = ["vertex," + ",".join(f"x{i}" for i in range(dim))]
+    for v in sets.vertices():
+        for row in sets.points(v):
+            lines.append(f"{v}," + ",".join(repr(float(x)) for x in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _assert_csv_matches_reference(sets, tmp_path):
+    write_clouds_csv(sets, tmp_path / "new.csv")
+    _reference_clouds_csv(sets, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["p2", "p2c", "s1"])
+def test_csv_of_shipped_attractor_matches_reference_writer(tmp_path, name):
+    sys_ = shipped(name)
+    h = max(f.diameter() for f in sys_.fibers.values()) / 512.0
+    K, cert = compute_attractor(sys_, sys_.diagonal_degree, SetTuple.from_fibers(sys_, h),
+                                tol=4.0 * h)
+    assert cert.converged
+    _assert_csv_matches_reference(K, tmp_path)
+
+
+_rng_csv = np.random.default_rng(11)
+
+
+@pytest.mark.parametrize(
+    "origin, pitch, clouds",
+    [
+        ((-0.3, 1 / 3), 0.1, {"v": _rng_csv.integers(-40, 40, size=(600, 2))}),
+        ((0.25,), 2.0**-7, {"v": _rng_csv.integers(-300, 300, size=(400, 1))}),
+        ((0.1, -1.5, 2.0), 0.05, {"v": _rng_csv.integers(-9, 9, size=(800, 3))}),
+        ((0.0, 0.0), 1e-3, {"v": _rng_csv.integers(-10**12, 10**12, size=(300, 2))}),
+        ((0.5, 0.5), 0.25, {"a": _rng_csv.integers(0, 20, size=(50, 2)),
+                            "b": np.empty((0, 2), dtype=np.int64)}),
+    ],
+    ids=["non-dyadic", "1-d", "3-d", "sparse", "one-empty"],
+)
+def test_csv_matches_reference_writer(tmp_path, origin, pitch, clouds):
+    _assert_csv_matches_reference(SetTuple(origin, pitch, clouds), tmp_path)
 
 
 def test_pgm_layout(tmp_path):
@@ -529,6 +576,35 @@ def test_cli_coding_too_deep_to_sample_exits_2_in_one_line(tmp_path):
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: ")
     assert "too many to sample" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_coding_too_many_paths_to_list_exits_2_before_iterating(tmp_path):
+    # 3^13 paths and no --count: refused before the attractor iteration,
+    # which at this depth would run to the end before failing
+    argv = ["coding", "--instance", "s1", "--degree", "13", "--out", str(tmp_path)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "kfractal", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: 1594323 paths of degree (13,)")
+    assert "--count" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["attractor", "coding", "diagonal"])
+@pytest.mark.parametrize("pitch", ["1e-9", "5e-324"])
+def test_cli_pitch_too_fine_to_allocate_exits_2_in_one_line(tmp_path, capsys, command, pitch):
+    # p2's unit square at 1e-9 holds 10^18 grid points; counted, never allocated
+    count = ["--count", "5"] if command == "coding" else []
+    code = main([command, "--instance", "p2", "--pitch", pitch, *count, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: fiber 'v': a grid of pitch")
+    assert f"more than {2**24} points" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from kfractal.attractor import SetTuple
-from kfractal.kgraph import Path, compose, enumerate_paths, factorize
+from kfractal.kgraph import KGraph, Path, compose, enumerate_paths, factorize
 from kfractal.systems import (
     exact_path_map,
     EUCLIDEAN,
     MAX,
+    MAX_GRID_POINTS,
     AffineMap,
     Ball,
     Box,
+    MetricFiber,
+    MWSystem,
     Polygon,
     check_k_surjective,
     check_proper_dense,
@@ -69,6 +72,27 @@ def test_grid_points_cover_box():
     pts = grid_points(Box((0.0, 0.0), (1.0, 1.0)), 0.25)
     assert len(pts) == 25
     assert pts.min() == 0.0 and pts.max() == 1.0
+
+
+@pytest.mark.parametrize("pitch", [1 / 4096, 1e-9, 5e-324])
+def test_grid_points_refuse_more_than_max_grid_points(pitch):
+    # 4097^2 is the first square grid of the unit box past 2**24 points; the
+    # count is refused before anything is allocated
+    assert 4097**2 > MAX_GRID_POINTS == 2**24
+    with pytest.raises(ValueError, match="more than 16777216 points"):
+        grid_points(Box((0.0, 0.0), (1.0, 1.0)), pitch)
+
+
+@pytest.mark.parametrize("shift, contained", [(0.25, True), (0.75, False)])
+def test_validate_five_dimensional_box_past_the_grid_budget(shift, contained):
+    # the backup grid sample at diameter / 64 would hold 30^5 points, past
+    # MAX_GRID_POINTS; the exact corner check decides alone
+    g = KGraph(1, ["w"], {1: [("e", "w", "w")]})
+    fiber = MetricFiber("w", Box((0.0,) * 5, (1.0,) * 5), "euclidean")
+    gen = AffineMap.of(np.eye(5) / 2, (shift,) * 5, "w", "w")
+    rep = validate_system(MWSystem(g, {"w": fiber}, {"e": gen}, ratio=0.6))
+    assert rep.ok == contained
+    assert ("domain-containment" in rep.codes()) != contained
 
 
 # ---------------------------------------------------------------------------
