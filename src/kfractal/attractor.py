@@ -319,6 +319,14 @@ def contraction_factor(sys: MWSystem, n) -> float:
     return worst
 
 
+def _require_contraction(sys: MWSystem, n) -> float:
+    """The degree-n operator's contraction factor; ValueError unless below 1."""
+    c_n = contraction_factor(sys, n)
+    if c_n >= 1.0:
+        raise ValueError(f"degree {tuple(n)} operator is not a contraction (factor {c_n:.6g})")
+    return c_n
+
+
 @dataclass(frozen=True)
 class ConvergenceCertificate:
     iterations: int
@@ -363,11 +371,7 @@ def compute_attractor(
     for v in sys.graph.vertices:
         if len(C0.clouds.get(v, ())) == 0:
             raise ValueError(f"empty initial cloud at vertex {v!r}")
-    c_n = contraction_factor(sys, n)
-    if c_n >= 1.0:
-        raise ValueError(
-            f"degree {tuple(n)} operator is not a contraction (factor {c_n:.6g})"
-        )
+    c_n = _require_contraction(sys, n)
     maps = degree_maps(sys, n)
     current = C0
     delta = float("inf")

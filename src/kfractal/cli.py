@@ -2,29 +2,27 @@
 
 Subcommands: validate, attractor, coding, diagonal, duality.  Exit codes:
 0 = all checks passed, 1 = checks failed, 2 = input/parse error,
-3 = iteration did not converge.  Every numeric flag can also be set through
-a KFRACTAL_* environment variable (flag wins); outputs are byte-identical
-across runs with the same configuration and seed.
+3 = iteration did not converge.  Each subcommand accepts only the flags it
+reads, and checks all of them before it creates ``--out`` or starts work;
+outputs are byte-identical across runs with the same flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path as FsPath
 
-from .attractor import SetTuple, compute_attractor
+from .attractor import SetTuple, _require_contraction, compute_attractor
 from .boxcount import dimension_estimate
 from .coding import (
-    MAX_EXHAUSTIVE_PATHS,
     _require_codable,
-    _require_sampleable,
     check_intertwining,
     check_subsystem,
     coded_cloud,
     compare_attractor_coding,
+    path_budget,
     required_depth,
     sample_prefixes,
 )
@@ -45,7 +43,7 @@ from .io import (
     write_diff_pgm,
     write_pgm,
 )
-from .kgraph import Path, count_paths, validate_kgraph
+from .kgraph import Path, validate_kgraph
 from .systems import RELAXED, STRICT, grid_axes, validate_system
 
 PASS, FAIL, PARSE_ERROR, NO_CONVERGENCE = 0, 1, 2, 3
@@ -53,10 +51,6 @@ PASS, FAIL, PARSE_ERROR, NO_CONVERGENCE = 0, 1, 2, 3
 # the duality sweep tabulates all |T|^|T| self-maps of each fiber size up to
 # this one: 46,656 maps at 6, 823,543 at 7
 MAX_FIBER_SIZE = 6
-
-
-def _env(name, default):
-    return os.environ.get(f"KFRACTAL_{name.upper()}", default)
 
 
 def _int_between(lo, hi=None):
@@ -123,7 +117,7 @@ def _resolve_instance(arg):
 
 def _load_system(args):
     kind, obj = _resolve_instance(args.instance)
-    if kind == "mw" and getattr(args, "mode", None):
+    if kind == "mw" and args.mode:
         obj.mode = args.mode
     return kind, obj
 
@@ -202,9 +196,13 @@ def cmd_attractor(args) -> int:
     sys_ = _prepare_mw(args)
     if sys_ is None:
         return FAIL
-    out = _outdir(args)
     h, tol = _pitch_and_tol(args, sys_)
     degree = _parse_degree(args.degree, sys_.graph.k) or sys_.diagonal_degree
+    try:
+        _require_contraction(sys_, degree)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
+    out = _outdir(args)
     C0 = SetTuple.from_fibers(sys_, h)
     K, cert = compute_attractor(sys_, degree, C0, tol=tol, max_iter=args.max_iter)
 
@@ -225,7 +223,6 @@ def cmd_coding(args) -> int:
     sys_ = _prepare_mw(args)
     if sys_ is None:
         return FAIL
-    out = _outdir(args)
     h, tol = _pitch_and_tol(args, sys_)
     k = sys_.graph.k
     if args.degree:
@@ -237,19 +234,16 @@ def cmd_coding(args) -> int:
         else:
             base = max(1, -(-per // k))
             depth = (base,) * k
-    # the spot checks below sample at `deep`, which covers `depth`
     deep = tuple(max(c, depth[0]) for c in depth)
     try:
         _require_codable(sys_, depth)
-        _require_sampleable(sys_.graph, deep)
+        path_budget(sys_.graph, depth, args.count)
+        if deep != depth:
+            # the spot checks below draw 20 prefixes at `deep`
+            path_budget(sys_.graph, deep, 20)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
-    if args.count is None:
-        paths = max(count_paths(sys_.graph, v, depth) for v in sys_.graph.vertices)
-        if paths > MAX_EXHAUSTIVE_PATHS:
-            raise InstanceFormatError(f"{paths} paths of degree {depth} at a vertex are "
-                                      f"too many to list (at most {MAX_EXHAUSTIVE_PATHS}); "
-                                      "pass --count")
+    out = _outdir(args)
     C0 = SetTuple.from_fibers(sys_, h)
     K, cert = compute_attractor(sys_, sys_.diagonal_degree, C0, tol=tol,
                                 max_iter=args.max_iter)
@@ -298,23 +292,27 @@ def cmd_diagonal(args) -> int:
     sys_ = _prepare_mw(args)
     if sys_ is None:
         return FAIL
-    out = _outdir(args)
     h, tol = _pitch_and_tol(args, sys_)
+    out = _outdir(args)
     rep = check_diagonal_agreement(sys_, tol=tol, pitch=h, max_iter=args.max_iter)
-    if not (rep.source_certificate.converged and rep.collapse_certificate.converged):
-        write_certificate(rep.summary(), out / "diagonal.txt")
-        print(rep.summary())
-        return NO_CONVERGENCE
+    converged = rep.source_certificate.converged and rep.collapse_certificate.converged
     write_certificate(rep.summary(), out / "diagonal.txt")
-    if sys_.dim == 2 and args.render:
+    if converged and sys_.dim == 2 and args.render:
         for v in sys_.graph.vertices:
             write_diff_pgm(rep.sets_source, rep.sets_collapse, v,
                            out / f"diagonal_diff_{v}.pgm")
     print(rep.summary())
+    if not converged:
+        return NO_CONVERGENCE
     return PASS if rep.passed else FAIL
 
 
 def cmd_duality(args) -> int:
+    obj = None
+    if args.instance:
+        kind, obj = _resolve_instance(args.instance)
+        if kind != "discrete":
+            raise InstanceFormatError("duality --instance needs a discrete system")
     out = _outdir(args)
     lines = []
     failed = False
@@ -336,10 +334,7 @@ def cmd_duality(args) -> int:
         )
     failed |= not res.all_agree
 
-    if args.instance:
-        kind, obj = _resolve_instance(args.instance)
-        if kind != "discrete":
-            raise InstanceFormatError("duality --instance needs a discrete system")
+    if obj is not None:
         vrep = validate_kgraph(obj.graph)
         if vrep.ok:
             vrep = validate_discrete_system(obj)
@@ -377,43 +372,46 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kfractal",
         description="Validate rank-k contraction systems, compute certified "
                     "attractors, and run the structural checks.",
-        epilog="Environment overrides: KFRACTAL_PITCH, KFRACTAL_TOL, "
-               "KFRACTAL_MAX_ITER, KFRACTAL_SEED, KFRACTAL_OUT.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_instance=True):
-        if needs_instance:
-            p.add_argument("--instance", required=True,
-                           help="instance file, or a builtin name (s1, p2, p2c, t0, f3, d1..d3)")
-        p.add_argument("--pitch", default=_env("pitch", None), type=_positive_float,
-                       help="grid pitch h > 0 (default: max fiber diameter / 512)")
-        p.add_argument("--tol", default=_env("tol", None), type=_positive_float,
-                       help="tolerance > 0 (default 4h)")
-        p.add_argument("--max-iter", default=_env("max_iter", 64), type=_int_between(1))
-        p.add_argument("--seed", default=_env("seed", 0), type=_int_between(0))
-        p.add_argument("--out", default=_env("out", "out"), help="output directory")
-        p.add_argument("--degree", default=None,
-                       help="comma-separated degree vector (default: diagonal)")
-        p.add_argument("--mode", default=None, choices=(STRICT, RELAXED),
-                       help="override the declared mode")
-        p.add_argument("--render", action="store_true", help="write extra rasters")
+    def command(name, help, iterates=True):
+        """A subparser with validate's flags, plus the iteration flags if
+        the command iterates the operator."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--instance", required=True,
+                       help="instance file, or a builtin name (s1, p2, p2c, t0, f3, d1..d3)")
+        p.add_argument("--mode", choices=(STRICT, RELAXED), help="override the declared mode")
+        p.add_argument("--out", default="out", help="output directory")
+        if iterates:
+            p.add_argument("--pitch", type=_positive_float,
+                           help="grid pitch h > 0 (default: max fiber diameter / 512)")
+            p.add_argument("--tol", type=_positive_float, help="tolerance > 0 (default 4h)")
+            p.add_argument("--max-iter", default=64, type=_int_between(1),
+                           help="iteration limit >= 1 (default 64)")
+        return p
 
-    common(sub.add_parser("validate", help="check the instance axioms"))
-    common(sub.add_parser("attractor", help="iterate to the fixed point, export clouds"))
-    p_cod = sub.add_parser("coding", help="compare prefix coding with the attractor")
-    common(p_cod)
-    p_cod.add_argument("--count", default=None, type=_int_between(1),
+    command("validate", "check the instance axioms", iterates=False)
+    command("attractor", "iterate to the fixed point, export clouds").add_argument(
+        "--degree", help="comma-separated degree vector (default: diagonal)")
+    p_cod = command("coding", "compare prefix coding with the attractor")
+    p_cod.add_argument("--degree", help="comma-separated coding depth (default: the least "
+                                        "depth whose coded error is below the tolerance)")
+    p_cod.add_argument("--seed", default=0, type=_int_between(0),
+                       help="seed of the sampled prefixes (default 0)")
+    p_cod.add_argument("--count", type=_int_between(1),
                        help="sample size >= 1 (default exhaustive)")
-    common(sub.add_parser("diagonal", help="compare against the rank-1 collapse"))
+    command("diagonal", "compare against the rank-1 collapse").add_argument(
+        "--render", action="store_true",
+        help="write a difference raster per vertex (planar systems)")
     p_dual = sub.add_parser("duality", help="exact density/fidelity sweep")
-    p_dual.add_argument("--instance", default=None)
-    p_dual.add_argument("--max-fiber-size", default=_env("max_fiber_size", 2),
+    p_dual.add_argument("--instance", help="a discrete instance to check as well")
+    p_dual.add_argument("--max-fiber-size", default=2,
                         type=_int_between(1, MAX_FIBER_SIZE),
                         help=f"largest fiber size swept, 1..{MAX_FIBER_SIZE} (default 2)")
-    p_dual.add_argument("--seed", default=_env("seed", 0), type=_int_between(0),
+    p_dual.add_argument("--seed", default=0, type=_int_between(0),
                         help="seed of the sampled sizes (default 0)")
-    p_dual.add_argument("--out", default=_env("out", "out"))
+    p_dual.add_argument("--out", default="out", help="output directory")
     return ap
 
 

@@ -22,7 +22,6 @@ from .kgraph import (
     Path,
     compose,
     count_paths,
-    enumerate_paths,
     factorize,
 )
 from .systems import EUCLIDEAN, RELAXED, MWSystem, extend_map, lipschitz_bound
@@ -114,10 +113,23 @@ def _check_drawable(v: str, depth, size: int) -> None:
         )
 
 
-def _require_sampleable(g: KGraph, depth) -> None:
-    """Refuse a depth whose path space, at some vertex, is too large to sample."""
-    for v in g.vertices:
-        _check_drawable(v, depth, count_paths(g, v, depth))
+def path_budget(g: KGraph, depth, count: int | None) -> dict[str, int]:
+    """Per vertex, the number of paths of degree ``depth``, after checking
+    that coding can afford them: with no sample ``count`` every path is
+    listed, so at most ``MAX_EXHAUSTIVE_PATHS`` per vertex; with a count
+    they are drawn with int64 integers, so at most the int64 range.
+    Raises ValueError otherwise."""
+    depth = tuple(depth)
+    sizes = {v: count_paths(g, v, depth) for v in g.vertices}
+    if count is None:
+        most = max(sizes.values())
+        if most > MAX_EXHAUSTIVE_PATHS:
+            raise ValueError(f"{most} paths of degree {depth} at a vertex are too many "
+                             f"to list (at most {MAX_EXHAUSTIVE_PATHS}); pass --count")
+    else:
+        for v, size in sizes.items():
+            _check_drawable(v, depth, size)
+    return sizes
 
 
 def _completion_table(g: KGraph, depth):
@@ -148,14 +160,11 @@ def sample_prefixes(
     depth,
     count: int,
     seed: int = 0,
-    exhaustive: bool = False,
     replace: bool = False,
 ) -> list[PathPrefix]:
-    """Prefixes with range v and the given depth.
-
-    ``exhaustive`` returns them all.  Otherwise ``count`` paths are drawn
-    uniformly from vΛ^depth by weighting every edge choice with the number
-    of completions (integer arithmetic, so the draw is exactly uniform and
+    """``count`` prefixes with range v and the given depth, drawn uniformly
+    from vΛ^depth by weighting every edge choice with the number of
+    completions (integer arithmetic, so the draw is exactly uniform and
     reproducible from the seed).  The completion counts of every suffix come
     from one table built per call; each sample then takes one
     ``rng.integers`` draw per step, in normal-form order.  Asking for more
@@ -163,8 +172,6 @@ def sample_prefixes(
     fit in int64 raises ValueError.
     """
     depth = tuple(depth)
-    if exhaustive:
-        return [PathPrefix.of(p) for p in enumerate_paths(g, v, depth)]
     steps, sizes = _completion_table(g, depth)
     size = sizes[v]
     _check_drawable(v, depth, size)
@@ -258,16 +265,15 @@ def coded_cloud(
     origin=None,
     count: int | None = None,
     seed: int = 0,
-    exhaustive: bool | None = None,
     basepoint="centroid",
 ) -> tuple[SetTuple, float]:
     """Per vertex, the snapped cloud of coded points over vΛ^depth, plus the
     uniform error radius valid for every point.
 
-    Exhaustive enumeration is used whenever the path count stays within
-    ``MAX_EXHAUSTIVE_PATHS`` (and no explicit ``count`` was given); it runs
-    as a leaf-to-root sweep applying one edge color at a time, which touches
-    each composite exactly once.  Sampling is seeded and uniform
+    With no ``count`` every path is coded, within the limits of
+    ``path_budget``; the paths are evaluated as a leaf-to-root sweep
+    applying one edge color at a time, which touches each composite exactly
+    once.  With a ``count`` the sampling is seeded and uniform
     (``sample_prefixes``); the sampled prefixes are evaluated together as
     stacked matrices, giving the same points bit for bit as ``code_point``.
     The radius comes from ``contraction_factor`` in both cases, so no
@@ -280,11 +286,8 @@ def coded_cloud(
     max_diam = max(f.diameter() for f in sys.fibers.values())
     err = contraction_factor(sys, depth) * max_diam
 
-    sizes = {v: count_paths(g, v, depth) for v in g.vertices}
-    if exhaustive is None:
-        exhaustive = count is None and all(s <= MAX_EXHAUSTIVE_PATHS for s in sizes.values())
-
-    if exhaustive:
+    sizes = path_budget(g, depth, count)
+    if count is None:
         clouds = {
             v: np.atleast_2d(_basepoint(sys, v, basepoint)) for v in g.vertices
         }
@@ -300,8 +303,6 @@ def coded_cloud(
                 clouds = nxt
         return SetTuple.from_points(origin, pitch, clouds), err
 
-    if count is None:
-        raise ValueError("non-exhaustive coding needs a sample count")
     clouds = {}
     for v in g.vertices:
         prefixes = sample_prefixes(

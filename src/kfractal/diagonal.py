@@ -172,7 +172,6 @@ def check_diagonal_agreement(
     tol: float,
     pitch: float,
     max_iter: int = 64,
-    inner_tol: float | None = None,
 ) -> DiagonalAgreement:
     """Compute the source attractor at the diagonal degree and the collapsed
     system's attractor at degree 1 on the same grid, then compare per vertex.
@@ -185,9 +184,7 @@ def check_diagonal_agreement(
     dsys = diagonal_system(sys)
     C0 = SetTuple.from_fibers(sys, pitch)
     p_vec = sys.diagonal_degree
-    K_src, cert_src = compute_attractor(sys, p_vec, C0, tol=inner_tol, max_iter=max_iter)
-    K_col, cert_col = compute_attractor(
-        dsys.system, (1,), C0, tol=inner_tol, max_iter=max_iter
-    )
+    K_src, cert_src = compute_attractor(sys, p_vec, C0, max_iter=max_iter)
+    K_col, cert_col = compute_attractor(dsys.system, (1,), C0, max_iter=max_iter)
     distances = K_src.vertex_distances(K_col, sys.metric)
     return DiagonalAgreement(tol, distances, cert_src, cert_col, K_src, K_col)

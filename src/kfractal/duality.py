@@ -75,9 +75,9 @@ def map_along(dsys: DiscreteSystem, p: Path) -> dict[str, str]:
     return out
 
 
-def validate_discrete_system(dsys: DiscreteSystem, composition_bound: int = 3) -> ValidationReport:
+def validate_discrete_system(dsys: DiscreteSystem) -> ValidationReport:
     """Table totality, exact square consistency, and the composition law on
-    all path pairs up to the given total degree."""
+    all path pairs up to total degree 3."""
     rep = ValidationReport()
     g = dsys.graph
     for v in g.vertices:
@@ -111,7 +111,7 @@ def validate_discrete_system(dsys: DiscreteSystem, composition_bound: int = 3) -
     if rep.findings:
         return rep
 
-    for p, q in _composable_pairs(g, composition_bound):
+    for p, q in _composable_pairs(g, 3):
         composed = map_along(dsys, compose(p, q))
         chained = {t: map_along(dsys, p)[u] for t, u in map_along(dsys, q).items()}
         if composed != chained:

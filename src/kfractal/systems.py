@@ -411,7 +411,7 @@ def degree_maps(sys: MWSystem, n) -> dict[str, list[tuple[AffineMap, str]]]:
     return out
 
 
-def _image_inside(m: AffineMap, src: MetricFiber, dst: MetricFiber, pitch=None) -> bool:
+def _image_inside(m: AffineMap, src: MetricFiber, dst: MetricFiber) -> bool:
     """Whether m maps src's region into dst's region.
 
     Exact for box/polygon/point sources into convex targets (corner images);
@@ -428,9 +428,8 @@ def _image_inside(m: AffineMap, src: MetricFiber, dst: MetricFiber, pitch=None) 
         radius = region.radius * float(np.linalg.norm(m.matrix, 2))
         if not dst.region.contains_ball(center, radius):
             return False
-    pitch = pitch or max(region.diameter(EUCLIDEAN) / 64.0, 1e-9)
     try:
-        sample = grid_points(region, pitch)
+        sample = grid_points(region, max(region.diameter(EUCLIDEAN) / 64.0, 1e-9))
     except ValueError:  # too fine to allocate (d >= 5); the checks above stand
         return True
     if len(sample):
@@ -577,17 +576,15 @@ class ProperDenseReport:
     edge_distances: dict[str, float]
 
 
-def check_proper_dense(sys: MWSystem, pitch: float | None = None,
-                       tol: float | None = None) -> ProperDenseReport:
+def check_proper_dense(sys: MWSystem) -> ProperDenseReport:
     """Properness is automatic for continuous maps between compact fibers;
     density asks each single generator image to be tol-dense in its codomain
-    fiber, which genuine contractions fail."""
+    fiber, which genuine contractions fail.  Both are measured on grids of
+    pitch h = max fiber diameter / 128, with tol = 4h."""
     from .attractor import directed_distance
 
-    if pitch is None:
-        pitch = max(f.diameter() for f in sys.fibers.values()) / 128.0
-    if tol is None:
-        tol = 4.0 * pitch
+    pitch = max(f.diameter() for f in sys.fibers.values()) / 128.0
+    tol = 4.0 * pitch
     clouds = {v: grid_points(f.region, pitch) for v, f in sys.fibers.items()}
     edge_distances = {}
     for ident, m in sorted(sys.generators.items()):

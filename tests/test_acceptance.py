@@ -264,7 +264,7 @@ def test_criterion_9_box_dimension():
 def test_criterion_10_cli_determinism(tmp_path):
     """Byte-identical CSV, raster, and report artifacts across reruns."""
     env_cmds = [
-        ["attractor", "--instance", "p2c", "--pitch", str(1.0 / 243.0), "--seed", "3"],
+        ["attractor", "--instance", "p2c", "--pitch", str(1.0 / 243.0)],
         ["coding", "--instance", "s1", "--pitch", str(1.0 / 128.0), "--seed", "3"],
     ]
     with Timer() as t:

@@ -5,12 +5,14 @@ import pytest
 
 from kfractal.attractor import SetTuple, compute_attractor, hausdorff_distance
 from kfractal.coding import (
+    MAX_EXHAUSTIVE_PATHS,
     PathPrefix,
     check_intertwining,
     check_subsystem,
     code_point,
     coded_cloud,
     compare_attractor_coding,
+    path_budget,
     required_depth,
     sample_prefixes,
 )
@@ -98,13 +100,6 @@ def test_basepoint_rules_stay_within_twice_error():
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-def test_sample_exhaustive_lists_all():
-    g = shipped("s1").graph
-    prefixes = sample_prefixes(g, "v", (3,), count=0, exhaustive=True)
-    assert len(prefixes) == 27
-    assert len({p.path for p in prefixes}) == 27
 
 
 def test_sample_depth_zero_is_vertex():
@@ -244,6 +239,21 @@ def test_sampler_refuses_counts_beyond_int64():
         sample_prefixes(g, "v", (40,), count=2, seed=1)
 
 
+def test_path_budget_lists_up_to_the_limit_and_samples_up_to_int64():
+    sys_ = shipped("s1")
+    g = sys_.graph
+    assert 3**12 <= MAX_EXHAUSTIVE_PATHS < 3**13
+    assert path_budget(g, (12,), None) == {"v": 3**12}
+    with pytest.raises(ValueError, match=r"^1594323 paths of degree \(13,\) .* too many to list"):
+        path_budget(g, (13,), None)
+    # coded_cloud applies the same budget before it codes anything
+    with pytest.raises(ValueError, match="too many to list"):
+        coded_cloud(sys_, (13,), pitch=1 / 64)
+    assert path_budget(g, (39,), 5) == {"v": 3**39}
+    with pytest.raises(ValueError, match="too many to sample"):
+        path_budget(g, (40,), 5)
+
+
 # ---------------------------------------------------------------------------
 # intertwining
 
@@ -341,7 +351,7 @@ def test_coded_cloud_sampled_subset_of_exhaustive():
     sys = shipped("p2c")
     h = 1 / 243
     full, _ = coded_cloud(sys, (5, 5), pitch=h)
-    sampled, _ = coded_cloud(sys, (5, 5), pitch=h, count=500, seed=9, exhaustive=False)
+    sampled, _ = coded_cloud(sys, (5, 5), pitch=h, count=500, seed=9)
     full_rows = {tuple(r) for r in full.clouds["v"].tolist()}
     assert all(tuple(r) in full_rows for r in sampled.clouds["v"].tolist())
 
@@ -364,7 +374,7 @@ def test_coded_cloud_sampled_20k_covers_product():
     h = 1 / 729
     K, cert = compute_attractor(sys_, (1, 1), SetTuple.from_fibers(sys_, h), tol=2 * h)
     assert cert.converged
-    T2, err = coded_cloud(sys_, (6, 6), pitch=h, count=20000, seed=17, exhaustive=False)
+    T2, err = coded_cloud(sys_, (6, 6), pitch=h, count=20000, seed=17)
     assert compare_attractor_coding(sys_, K, T2, tol=4 * h + 2 * err)
 
 
@@ -403,8 +413,7 @@ def test_sampled_coded_cloud_equals_code_point(raw_clouds, name, depth, count, b
     else:
         sys = shipped(name)
     g = sys.graph
-    coded_cloud(sys, depth, pitch=1 / 64, count=count, seed=8, exhaustive=False,
-                basepoint=basepoint)
+    coded_cloud(sys, depth, pitch=1 / 64, count=count, seed=8, basepoint=basepoint)
     assert set(raw_clouds) == set(g.vertices)
     for v in g.vertices:
         replace = count > count_paths(g, v, depth)

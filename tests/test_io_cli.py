@@ -1,5 +1,6 @@
 """Instance parsing, artifact writers, and the command-line driver."""
 
+import argparse
 import functools
 import json
 import math
@@ -33,7 +34,8 @@ from kfractal.systems import validate_system
 
 from shipped import shipped
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +450,6 @@ def test_cli_duality_bad_flag_exits_2_in_one_line(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-def test_cli_duality_bad_seed_from_environment(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KFRACTAL_SEED", "-1")
-    with pytest.raises(SystemExit) as exc:
-        main(["duality", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "argument --seed" in capsys.readouterr().err
-
-
 def test_cli_duality_flag_bounds_accepted():
     args = build_parser().parse_args(
         ["duality", "--max-fiber-size", str(MAX_FIBER_SIZE), "--seed", "0"]
@@ -478,7 +472,7 @@ def test_cli_duality_flag_bounds_accepted():
         ("attractor", ["--max-iter", "x"]),
         ("attractor", ["--max-iter", "0"]),
         ("diagonal", ["--max-iter", "2.5"]),
-        ("validate", ["--seed", "-1"]),
+        ("coding", ["--seed", "-1"]),
         ("coding", ["--count", "0"]),
         ("coding", ["--count", "ten"]),
         ("coding", ["--seed", "y"]),
@@ -608,16 +602,6 @@ def test_cli_pitch_too_fine_to_allocate_exits_2_in_one_line(tmp_path, capsys, co
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_bad_pitch_from_environment(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KFRACTAL_PITCH", "0")
-    with pytest.raises(SystemExit) as exc:
-        main(["attractor", "--instance", "s1", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "argument --pitch" in err
-
-
 def test_cli_numeric_flags_are_typed():
     args = build_parser().parse_args(
         ["coding", "--instance", "s1", "--pitch", "0.25", "--tol", "1e-3",
@@ -625,7 +609,7 @@ def test_cli_numeric_flags_are_typed():
     )
     assert (args.pitch, args.tol, args.max_iter, args.seed, args.count) == (0.25, 1e-3, 1, 0, 1)
     args = build_parser().parse_args(["attractor", "--instance", "s1"])
-    assert (args.pitch, args.tol, args.max_iter, args.seed) == (None, None, 64, 0)
+    assert (args.pitch, args.tol, args.max_iter) == (None, None, 64)
 
 
 def test_cli_duality_names_unchecked_fiber_sizes(tmp_path, capsys, monkeypatch):
@@ -654,6 +638,128 @@ def test_cli_outputs_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):
         assert main(["attractor", "--instance", "p2c", "--pitch", str(1 / 81),
-                     "--seed", "7", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
     for name in ("attractor.csv", "attractor_v.pgm", "certificate.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the flag surface: each command accepts exactly the flags it reads
+
+FLAGS = {
+    "validate": {"--instance", "--mode", "--out"},
+    "attractor": {"--instance", "--mode", "--out", "--pitch", "--tol", "--max-iter",
+                  "--degree"},
+    "coding": {"--instance", "--mode", "--out", "--pitch", "--tol", "--max-iter",
+               "--degree", "--seed", "--count"},
+    "diagonal": {"--instance", "--mode", "--out", "--pitch", "--tol", "--max-iter",
+                 "--render"},
+    "duality": {"--instance", "--max-fiber-size", "--seed", "--out"},
+}
+
+
+def _parser_flags():
+    """Per subcommand, the option strings its parser accepts, without --help."""
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_cli_flag_sets_are_pinned():
+    flags = _parser_flags()
+    assert flags == FLAGS
+    assert sum(len(f) for f in flags.values()) == 30
+
+
+def _readme_flag_table():
+    """Per subcommand, the flags README's CLI table marks for it."""
+    lines = (REPO / "README.md").read_text(encoding="utf-8").splitlines()
+    header = next(line for line in lines if line.startswith("| flag |"))
+    commands = [c.strip() for c in header.strip("|").split("|")[1:-1]]
+    table = {c: set() for c in commands}
+    for line in lines:
+        if not line.startswith("| `--"):
+            continue
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        for command, mark in zip(commands, cells[1:]):
+            if mark:
+                table[command].add(cells[0].strip("`"))
+    return table
+
+
+def test_readme_flag_table_matches_parser():
+    assert _readme_flag_table() == _parser_flags()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("validate", ["--pitch", "0.1"]),
+        ("attractor", ["--seed", "3"]),
+        ("attractor", ["--render"]),
+        ("coding", ["--render"]),
+        ("diagonal", ["--degree", "2,2"]),
+        ("diagonal", ["--seed", "1"]),
+    ],
+)
+def test_cli_flag_a_command_does_not_read_exits_2(tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--instance", "p2c", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"kfractal: error: unrecognized arguments: {' '.join(flags)}\n"
+    assert not out.exists()
+
+
+def test_cli_ignores_kfractal_environment(tmp_path, monkeypatch):
+    argv = ["coding", "--instance", "t0", "--count", "50", "--seed", "2"]
+    plain, tweaked = tmp_path / "plain", tmp_path / "tweaked"
+    assert main([*argv, "--out", str(plain)]) == 0
+    monkeypatch.setenv("KFRACTAL_PITCH", "0")
+    monkeypatch.setenv("KFRACTAL_SEED", "-1")
+    assert main([*argv, "--out", str(tweaked)]) == 0
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in tweaked.iterdir()) == ["coded.csv", "coding.txt"]
+    for name in names:
+        assert (plain / name).read_bytes() == (tweaked / name).read_bytes()
+
+
+def test_cli_non_contracting_degree_exits_2_in_one_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["attractor", "--instance", "p2", "--degree", "1,0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degree (1, 0) operator is not a contraction (factor 1)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["attractor", "--instance", "p2", "--pitch", "1e-9"],
+        ["coding", "--instance", "p2", "--pitch", "1e-9", "--count", "5"],
+        ["coding", "--instance", "s1", "--degree", "13"],
+        ["coding", "--instance", "p2", "--degree", "1,2"],
+        ["diagonal", "--instance", "p2", "--pitch", "1e-9"],
+        ["duality", "--instance", "nosuch"],
+        ["duality", "--instance", "s1"],
+    ],
+)
+def test_cli_input_error_creates_no_out_dir(tmp_path, capsys, argv):
+    out = tmp_path / "fresh"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_duality_resolves_instance_before_the_sweep(tmp_path, monkeypatch):
+    def sweep(**kw):
+        raise AssertionError("the sweep ran for a bad --instance")
+
+    monkeypatch.setattr(cli, "density_fidelity_sweep", sweep)
+    argv = ["duality", "--instance", "nosuch", "--max-fiber-size", "3"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
