@@ -3,9 +3,13 @@
 Compact sets are represented by finite point clouds snapped to a regular
 grid.  Snapping keeps unions idempotent and memory bounded; storing lattice
 coordinates as integers makes equality and canonical ordering exact; dense
-clouds are canonicalised by a scatter into an occupancy window.  The
-iteration stops on a Banach a-posteriori estimate: once consecutive tuples
-are within delta, the limit is within delta*c/(1-c), plus grid slack.
+clouds and unions are canonicalised by a scatter into an occupancy window.
+The operator maps lattice rows to lattice rows: a path map with a diagonal
+linear part sends each axis through a small table of snapped image indices,
+equal bit for bit to snapping its float image, and other maps are applied
+to the real points.  The iteration stops on a Banach a-posteriori
+estimate: once consecutive tuples are within delta, the limit is within
+delta*c/(1-c), plus grid slack.
 
 Two tuples on the same lattice are compared from their integer rows: large
 unequal clouds are measured by exact distance transforms (Maurer, Qi &
@@ -83,7 +87,7 @@ def hausdorff_distance(a, b, metric=EUCLIDEAN):
     return max(directed_distance(a, b, metric), directed_distance(b, a, metric))
 
 
-# An occupancy window, for a distance or for ``_canonical``, may hold at most
+# An occupancy window, for a distance or for ``_union``, may hold at most
 # this many cells per point it holds; the densest shipped comparison has
 # about 7.  The bound is checked before the window is allocated, and sparser
 # clouds are measured from their points, or sorted, instead.
@@ -122,23 +126,43 @@ def _window_distance(a: np.ndarray, b: np.ndarray, metric) -> float | None:
 # grid-snapped set tuples
 
 
-def _canonical(idx: np.ndarray) -> np.ndarray:
-    """np.unique(idx, axis=0) of a nonempty int64 array, C-contiguous.
+def _union(images, rows: int) -> np.ndarray:
+    """np.unique of the rows of some images, ``rows`` rows in all (at least
+    one), as C-contiguous int64 rows.
 
-    A cloud whose bounding box (sized in Python integers) holds at most
-    ``WINDOW_CELLS_PER_POINT`` cells per row is scattered into an occupancy
-    window over it, read back in C order, which is lexicographic; sparser
-    clouds are sorted row-wise.
+    An image is a list of per-axis (table, key) pairs: its column j is
+    ``table[key]``, and the tables' extremes bound the columns.  When the
+    box they span (sized in Python integers) holds at most
+    ``WINDOW_CELLS_PER_POINT`` cells per row, every image is scattered into
+    one occupancy window over it, read back in C order, which is
+    lexicographic; sparser unions are sorted row-wise.
     """
-    lo = idx.min(axis=0)
-    shape = tuple(int(h) - int(l) + 1 for h, l in zip(idx.max(axis=0), lo))
-    if math.prod(shape) > WINDOW_CELLS_PER_POINT * len(idx):
-        return np.unique(idx, axis=0)
+    axes = list(zip(*images))
+    lo = [min(int(t.min()) for t, _ in col) for col in axes]
+    shape = tuple(max(int(t.max()) for t, _ in col) - low + 1 for col, low in zip(axes, lo))
+    if math.prod(shape) > WINDOW_CELLS_PER_POINT * rows:
+        return np.unique(
+            np.concatenate([np.stack([t[k] for t, k in img], axis=1) for img in images]),
+            axis=0,
+        )
     window = np.zeros(shape, dtype=bool)
-    window[tuple((idx - lo).T)] = True
+    for img in images:
+        window[tuple((t - low)[k] for (t, k), low in zip(img, lo))] = True
     cells = np.flatnonzero(window)
     del window
-    return np.stack(np.unravel_index(cells, shape), axis=1) + lo
+    out = np.stack(np.unravel_index(cells, shape), axis=1)
+    out += lo
+    return out
+
+
+def _canonical(idx: np.ndarray) -> np.ndarray:
+    """np.unique(idx, axis=0) of a nonempty int64 array, C-contiguous."""
+    return _union([[(col, slice(None)) for col in idx.T]], len(idx))
+
+
+def _snap(pts: np.ndarray, origin: np.ndarray, pitch: float) -> np.ndarray:
+    """Lattice indices of the grid points nearest to real points."""
+    return np.rint((pts - origin) / pitch).astype(np.int64)
 
 
 class SetTuple:
@@ -148,7 +172,8 @@ class SetTuple:
     C-contiguous int64 lattice coordinates relative to (origin, pitch); real
     coordinates are origin + pitch * index.  Construction canonicalizes
     (``_canonical``), so equal sets have equal rows regardless of input
-    order; the rows are the one stored form.
+    order; the rows are the one stored form.  ``hutchinson_step`` builds
+    its rows in that form and hands them over through ``_of_rows``.
     """
 
     def __init__(self, origin, pitch: float, clouds: dict[str, np.ndarray]):
@@ -173,8 +198,16 @@ class SetTuple:
             if pts.size == 0:
                 snapped[v] = np.empty((0, origin.size), dtype=np.int64)
                 continue
-            snapped[v] = np.rint((pts - origin) / pitch).astype(np.int64)
+            snapped[v] = _snap(pts, origin, pitch)
         return cls(origin, pitch, snapped)
+
+    @classmethod
+    def _of_rows(cls, origin: np.ndarray, pitch: float, clouds: dict[str, np.ndarray]):
+        """A tuple over float origin and pitch whose clouds are already in
+        the stored form; they are kept as they are."""
+        self = cls.__new__(cls)
+        self.origin, self.pitch, self.clouds = origin, pitch, clouds
+        return self
 
     @classmethod
     def from_fibers(cls, sys: MWSystem, pitch: float, origin=None):
@@ -264,25 +297,58 @@ def tuple_distance(a: SetTuple, b: SetTuple, metric=EUCLIDEAN) -> float:
 # the set-valued operator
 
 
+def _image(m: AffineMap, C: SetTuple, src: str, spans):
+    """The snapped image under m of C's nonempty cloud at src, as the
+    per-axis (table, key) pairs of ``_union``.
+
+    ``spans`` holds, per axis, the cloud's least and greatest index and its
+    column less the least index.  A diagonal linear part maps each axis on
+    its own: every index of the cloud's span goes through the float
+    expression of ``m.apply`` on ``C.points`` and then ``_snap``, whose
+    off-diagonal terms would only add exact zeros, into a small table that
+    the column keys.  Other maps are applied to the points, then snapped.
+    """
+    a, origin, pitch = m.matrix, C.origin, C.pitch
+    if not np.array_equal(a, np.diag(np.diagonal(a))):
+        return [(col, slice(None)) for col in _snap(m.apply(C.points(src)), origin, pitch).T]
+    image = []
+    for j, (low, high, key) in enumerate(spans):
+        x = origin[j] + pitch * np.arange(low, high + 1).astype(float)
+        table = np.rint((x * a[j, j] + m.shift[j] - origin[j]) / pitch).astype(np.int64)
+        image.append((table, key))
+    return image
+
+
 def hutchinson_step(sys: MWSystem, n, C: SetTuple, _maps=None) -> SetTuple:
     """One application of the degree-n operator: per vertex, the snapped
     union of the path images of the current clouds.
 
-    The union is computed from exact affine images of all points and snapped
-    once, then canonicalized by one scatter or sort, so the result does not
-    depend on evaluation order (degree 0 returns C unchanged).
+    Each path map's image of a lattice cloud is snapped on its own, through
+    per-axis index tables when its linear part is diagonal and from the
+    real points otherwise; either way it lands on the rows that snapping
+    ``m.apply`` of every point gives.  The images of a vertex are united by
+    one scatter into an occupancy window, or one sort, so the result does
+    not depend on evaluation order (degree 0 returns C unchanged).
     """
     if all(c == 0 for c in n):
         return C
     maps = _maps if _maps is not None else degree_maps(sys, n)
+    spans = {}
     out = {}
     for v in sys.graph.vertices:
-        pieces = [m.apply(C.points(src)) for m, src in maps[v]]
-        pieces = [p for p in pieces if len(p)]
-        if not pieces:
+        images, rows = [], 0
+        for m, src in maps[v]:
+            cloud = C.clouds[src]
+            if not len(cloud):
+                continue
+            if src not in spans:
+                spans[src] = [(col.min(), col.max(), col - col.min()) for col in cloud.T]
+            images.append(_image(m, C, src, spans[src]))
+            rows += len(cloud)
+        if not images:
             raise ValueError(f"no images at vertex {v!r} (empty input clouds)")
-        out[v] = np.concatenate(pieces)
-    return SetTuple.from_points(C.origin, C.pitch, out)
+        out[v] = _union(images, rows)
+    return SetTuple._of_rows(C.origin, C.pitch, out)
 
 
 def contraction_factor(sys: MWSystem, n) -> float:
@@ -390,6 +456,7 @@ def check_commutation(sys: MWSystem, n, m, C: SetTuple, tol: float) -> bool:
     The underlying composite maps commute exactly; only the intermediate
     snapping differs, which stays within grid slack.
     """
-    nm = hutchinson_step(sys, m, hutchinson_step(sys, n, C))
-    mn = hutchinson_step(sys, n, hutchinson_step(sys, m, C))
+    maps_n, maps_m = degree_maps(sys, n), degree_maps(sys, m)
+    nm = hutchinson_step(sys, m, hutchinson_step(sys, n, C, _maps=maps_n), _maps=maps_m)
+    mn = hutchinson_step(sys, n, hutchinson_step(sys, m, C, _maps=maps_m), _maps=maps_n)
     return tuple_distance(nm, mn, sys.metric) <= tol

@@ -296,6 +296,96 @@ def test_step_s1_three_half_triangles():
     assert len(pts) < len(C.points("v"))
 
 
+def _reference_step(C, maps):
+    # the step as it was: snap the union of every point's float image
+    return SetTuple.from_points(C.origin, C.pitch, {
+        v: np.concatenate([m.apply(C.points(src)) for m, src in rows if len(C.clouds[src])])
+        for v, rows in maps.items()
+    })
+
+
+def _assert_stored_form(sets):
+    for rows in sets.clouds.values():
+        assert rows.dtype == np.int64 and rows.ndim == 2
+        assert rows.flags.c_contiguous
+        pairs = zip(rows.tolist(), rows[1:].tolist())
+        assert all(a < b for a, b in pairs)  # sorted and duplicate-free
+
+
+def _bare_system(*vertices):
+    # hutchinson_step reads only the graph's vertices once it is given maps
+    loops = [(f"e{v}", v, v) for v in vertices]
+    return MWSystem(KGraph(1, list(vertices), {1: loops}), {}, {}, ratio=0.5)
+
+
+_RATIOS = (0.5, -0.5, 1 / 3, -1 / 3, 0.25, -2 / 3, 0.7, 0.0)
+
+
+@st.composite
+def _step_inputs(draw):
+    # two vertices on a lattice of a dyadic or non-dyadic pitch and a zero
+    # or non-zero origin; per vertex, one to four maps from either vertex,
+    # diagonal (reflections and ratios like 1/3 included) or not, shifted by
+    # half cells, which put images on rounding ties, or by any amount; spans
+    # of up to 60 cells over up to 40 rows make both dense and sparse unions
+    d = draw(st.integers(1, 3))
+    origin = np.array(draw(st.lists(st.sampled_from([0.0, 0.3, -1.25, 1 / 3]),
+                                    min_size=d, max_size=d)))
+    pitch = draw(st.sampled_from([1 / 64, 1 / 81, 0.1, 1 / 3]))
+    clouds = {}
+    for v in ("u", "w"):
+        lo = draw(st.lists(st.integers(-100, 100), min_size=d, max_size=d))
+        spans = draw(st.lists(st.integers(0, 60), min_size=d, max_size=d))
+        axes = [st.integers(a, a + s) for a, s in zip(lo, spans)]
+        clouds[v] = np.array(draw(st.lists(st.tuples(*axes), min_size=1, max_size=40)))
+    entry = st.floats(-1, 1, allow_nan=False).map(lambda x: round(x, 3))
+    maps = {}
+    for v in ("u", "w"):
+        rows = []
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.booleans()):
+                matrix = np.diag(draw(st.lists(st.sampled_from(_RATIOS), min_size=d, max_size=d)))
+            else:
+                matrix = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                                min_size=d, max_size=d)))
+            half_cells = st.integers(-12, 12).map(lambda i: i * pitch / 2)
+            shift = draw(st.lists(st.one_of(entry, half_cells), min_size=d, max_size=d))
+            src = draw(st.sampled_from(("u", "w")))
+            rows.append((AffineMap.of(matrix, shift, src, v), src))
+        maps[v] = rows
+    return SetTuple(origin, pitch, clouds), maps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_inputs())
+def test_step_equals_snapped_union_of_affine_images(inputs):
+    C, maps = inputs
+    out = hutchinson_step(_bare_system("u", "w"), (1,), C, _maps=maps)
+    assert out == _reference_step(C, maps)
+    _assert_stored_form(out)
+
+
+@pytest.mark.parametrize("d, diagonal", [(1, True), (2, True), (2, False), (3, True), (3, False)])
+@pytest.mark.parametrize("spread, sorts", [(1, False), (1000, True)])
+def test_step_sorts_sparse_unions(monkeypatch, d, diagonal, spread, sorts):
+    # two reflected (and, off the diagonal, sheared) copies of a 3^d block,
+    # overlapping or so far apart that their box has over 16 cells per row
+    C = SetTuple(np.full(d, 0.1), 1 / 3, {"v": np.indices((3,) * d).reshape(d, -1).T})
+    matrix = -np.eye(d)
+    if not diagonal:
+        matrix[0, -1] = 1 / 3
+    maps = {"v": [(AffineMap.of(matrix, np.zeros(d), "v", "v"), "v"),
+                  (AffineMap.of(matrix, np.full(d, spread / 3), "v", "v"), "v")]}
+    sorted_rows = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: sorted_rows.append(1) or unique(*a, **kw))
+    out = hutchinson_step(_bare_system("v"), (1,), C, _maps=maps)
+    monkeypatch.undo()
+    assert bool(sorted_rows) == sorts
+    assert out == _reference_step(C, maps)
+    _assert_stored_form(out)
+
+
 def test_step_result_independent_of_evaluation_order():
     # the contract demands bit-identical output for any schedule of the
     # per-path image computations; reversing the map list must change nothing

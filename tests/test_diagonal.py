@@ -163,8 +163,8 @@ def _reference_agreement(sys, tol, pitch):
     # SetTuple.vertex_distances
     dsys = diagonal_system(sys)
     C0 = SetTuple.from_fibers(sys, pitch)
-    K_src, cert_src = compute_attractor(sys, sys.diagonal_degree, C0)
-    K_col, cert_col = compute_attractor(dsys.system, (1,), C0)
+    K_src, cert_src = compute_attractor(sys, sys.diagonal_degree, C0, tol=tol)
+    K_col, cert_col = compute_attractor(dsys.system, (1,), C0, tol=tol)
     distances = {}
     for v in sys.graph.vertices:
         if np.array_equal(K_src.clouds[v], K_col.clouds[v]):

@@ -2,6 +2,7 @@
 
 import argparse
 import functools
+import hashlib
 import json
 import math
 import operator
@@ -416,6 +417,20 @@ def test_cli_diagonal_pass(tmp_path):
     assert (tmp_path / "diagonal_diff_v.pgm").exists()
 
 
+def test_cli_diagonal_iterates_to_the_given_tol(tmp_path, capsys):
+    # --tol reaches both iterations, as it does attractor's
+    assert main(["diagonal", "--instance", "s1", "--tol", "0.05",
+                 "--out", str(tmp_path / "d")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["attractor", "--instance", "s1", "--tol", "0.05",
+                 "--out", str(tmp_path / "a")]) == 0
+    cert = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("converged:"))
+    assert "iterations=3 " in cert and "tol=0.05 " in cert
+    assert lines[0] == f"source:   {cert}"
+    assert lines[1] == f"collapse: {cert}"
+
+
 def test_cli_duality_sweep_and_instance(tmp_path, capsys):
     code = main(["duality", "--max-fiber-size", "2", "--instance", "d3",
                  "--out", str(tmp_path)])
@@ -641,6 +656,29 @@ def test_cli_outputs_deterministic(tmp_path):
                      "--out", str(out)]) == 0
     for name in ("attractor.csv", "attractor_v.pgm", "certificate.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# sha256 of the artifacts of ``attractor --instance NAME --pitch 0.0078125``,
+# recorded before the Hutchinson step moved from float images to per-axis
+# lattice tables; any change to the step's arithmetic shows here first
+PINNED_ATTRACTOR_DIGESTS = {
+    "p2c": {
+        "attractor.csv": "3b425f25eed9e6add0580dc100de1f7b76d9de2a09d3e35bbea7a6c7dcb8f6ea",
+        "certificate.txt": "81a5fe365ac01ba760a5f2a90739d20c56adef43a9a66327c2d454095ac50489",
+    },
+    "s1": {
+        "attractor.csv": "afc478b50d75290fb18c92b4880011e87e4f65bdc77190aafc2a48e4becfe1ed",
+        "certificate.txt": "760498edd90d07e062e531ce41793a7fb123f06e6f3cb6b318fe21ad2193c06a",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ATTRACTOR_DIGESTS))
+def test_cli_attractor_artifacts_are_pinned(tmp_path, capsys, name):
+    assert main(["attractor", "--instance", name, "--pitch", "0.0078125",
+                 "--out", str(tmp_path)]) == 0
+    for artifact, digest in PINNED_ATTRACTOR_DIGESTS[name].items():
+        assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
