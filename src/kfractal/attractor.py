@@ -12,11 +12,14 @@ estimate: once consecutive tuples are within delta, the limit is within
 delta*c/(1-c), plus grid slack.
 
 Two tuples on the same lattice are compared from their integer rows: large
-unequal clouds are measured by exact distance transforms (Maurer, Qi &
-Raghavan, IEEE PAMI 25(2), 2003) over a window whose size is bounded per
-point before it is allocated.  Off-lattice clouds, small products and
-clouds too sparse for a window are measured point by point, by brute force
-or with a KD-tree.
+unequal clouds are measured in numpy over an occupancy window whose size is
+bounded per point before it is allocated, each direction only at the source
+cells outside the target.  The max metric takes the two raster passes of
+the unit chamfer (Rosenfeld & Pfaltz 1966), the Euclidean metric a gap
+along one axis and then rings of offsets along the others; both are
+integer, hence exact.  Off-lattice clouds, small products and clouds too
+sparse for a window are measured point by point, by brute force or with a
+KD-tree, the one use of scipy.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .systems import (
     AffineMap,
     MWSystem,
     degree_maps,
-    grid_points,
+    grid_indices,
     lipschitz_bound,
 )
 
@@ -43,9 +46,11 @@ from .systems import (
 # distances
 
 
-# Above this many point pairs a KD-tree on ``b``, or a distance window between
-# lattice clouds, beats measuring every pair; below it the brute-force kernel
-# is faster and spares the scipy import.
+# Above this many point pairs a KD-tree on ``b`` beats measuring every pair;
+# below it the brute-force kernel is faster and spares the scipy import.
+# Lattice clouds go to a distance window only above it too: the window is
+# faster at any size, but on real points a distance can differ from the
+# window's exact one in its last bit, so the rule keeps printed digits.
 INDEX_MIN_PAIRS = 2_000_000
 
 
@@ -99,27 +104,136 @@ def _window_distance(a: np.ndarray, b: np.ndarray, metric) -> float | None:
     clouds, or None when their joint bounding box holds more than
     ``WINDOW_CELLS_PER_POINT`` cells per point.
 
-    Each direction marks one cloud in an occupancy window over the box and
-    reads an exact distance transform (Euclidean, or chessboard for the max
-    metric) at the other cloud's cells.
+    The window's axes are ordered shortest first, so that ``_farthest``
+    loops over the short ones and vectorises along the longest.  Each
+    direction marks the target cloud in an occupancy window over the box
+    and measures, with ``_farthest``, only the source cells outside it;
+    when there are none the direction is 0, as when one iterate lies
+    inside the other.
     """
-    lo = np.minimum(a.min(axis=0), b.min(axis=0))
-    hi = np.maximum(a.max(axis=0), b.max(axis=0))
-    shape = tuple(int(h) - int(l) + 1 for h, l in zip(hi, lo))
-    if math.prod(shape) > WINDOW_CELLS_PER_POINT * (len(a) + len(b)):
+    lo = [min(int(x.min()), int(y.min())) for x, y in zip(a.T, b.T)]
+    span = [max(int(x.max()), int(y.max())) - low + 1 for x, y, low in zip(a.T, b.T, lo)]
+    if math.prod(span) > WINDOW_CELLS_PER_POINT * (len(a) + len(b)):
         return None
-    from scipy import ndimage
+    axes = sorted(range(len(span)), key=span.__getitem__)
+    shape = tuple(span[k] for k in axes)
 
-    def farthest(src, dst):
-        free = np.ones(shape, dtype=bool)
-        free[tuple((dst - lo).T)] = False
-        if metric == EUCLIDEAN:
-            dist = ndimage.distance_transform_edt(free)
-        else:
-            dist = ndimage.distance_transform_cdt(free, metric="chessboard")
-        return float(dist[tuple((src - lo).T)].max())
+    def flat(rows):
+        out = np.zeros(len(rows), dtype=np.int64)
+        for k, n in zip(axes, shape):
+            out *= n
+            out += rows[:, k] - lo[k]
+        return out
 
-    return max(farthest(a, b), farthest(b, a))
+    fa, fb = flat(a), flat(b)
+    worst = 0
+    for src, dst in ((fa, fb), (fb, fa)):
+        occ = np.zeros(math.prod(shape), dtype=bool)
+        occ[dst] = True
+        outside = src[~occ[src]]
+        if len(outside):
+            worst = max(worst, _farthest(occ.reshape(shape), outside, metric))
+    return math.sqrt(worst) if metric == EUCLIDEAN else float(worst)
+
+
+def _farthest(occ: np.ndarray, cells: np.ndarray, metric) -> int:
+    """The largest distance from the given unoccupied cells (C-order flat
+    indices, at least one) to the occupied cells of a window that has some:
+    squared for the Euclidean metric, chessboard for the max metric.
+
+    Everything is integer, so the result is exact.  Chessboard distances
+    come from the two raster passes of ``_chamfer``.  Euclidean ones start
+    from each cell's gap to the nearest occupied cell along the last axis,
+    the longest; offsets along the other axes are then tried in rings of
+    growing length, each cell until no ring can shorten its distance or the
+    distance cannot exceed the largest one settled so far (the early break
+    of Taha & Hanbury, IEEE TPAMI 37(11), 2015).
+    """
+    shape = occ.shape
+    far = sum(shape)  # above every distance inside the window
+    dtype = np.int32 if 5 * far * far < 2**31 else np.int64
+    if metric != EUCLIDEAN:
+        dist = np.where(occ, dtype(0), dtype(far))
+        _chamfer(dist)
+        _chamfer(dist[(slice(None, None, -1),) * dist.ndim])
+        return int(dist.reshape(-1)[cells].max())
+    last = shape[-1]
+    x = np.arange(last, dtype=dtype)
+    before = np.where(occ, x, dtype(-far))
+    np.maximum.accumulate(before, axis=-1, out=before)
+    np.subtract(x, before, out=before)
+    after = np.where(occ, x, dtype(last - 1 + far))
+    np.minimum.accumulate(after[..., ::-1], axis=-1, out=after[..., ::-1])
+    np.subtract(after, x, out=after)
+    gap = np.minimum(before, after, out=before).reshape(-1)
+    del after
+    np.multiply(gap, gap, out=gap)
+    best = gap[cells]
+    if len(shape) == 1:
+        return int(best.max())
+    # rings: offsets along the leading axes, grouped by squared length
+    lead = np.array(shape[:-1])
+    grids = np.meshgrid(*[np.arange(1 - n, n) for n in lead], indexing="ij")
+    offsets = np.stack([g.reshape(-1) for g in grids], axis=1)
+    cost = (offsets * offsets).sum(axis=1)
+    order = np.argsort(cost, kind="stable")
+    offsets, cost = offsets[order], cost[order]
+    rings = np.flatnonzero(np.diff(cost)) + 1
+    strides = np.array([math.prod(shape[k + 1 :]) for k in range(len(lead))])
+    pos = np.stack(np.unravel_index(cells, shape)[:-1], axis=1)
+    base = cells - pos @ strides
+    worst = 0
+    for start, stop in zip(rings, [*rings[1:], len(cost)]):
+        c = int(cost[start])
+        # a cell within c of its target is settled; one within the largest
+        # settled distance cannot raise the maximum
+        settled = best <= c
+        if settled.any():
+            worst = max(worst, int(best[settled].max()))
+        keep = best > max(c, worst)
+        if not keep.all():
+            best, pos, base = best[keep], pos[keep], base[keep]
+            if not len(best):
+                return worst
+        # offsets past the window's edge are clipped onto it: the clipped
+        # cell is no farther than the ring, so no distance comes out short
+        near = np.clip(pos[:, None, :] + offsets[None, start:stop], 0, lead - 1)
+        ring = gap[base[:, None] + near @ strides].min(axis=1)
+        ring += c
+        np.minimum(best, ring, out=best)
+    return max(worst, int(best.max()))
+
+
+def _chamfer(dist: np.ndarray) -> None:
+    """One raster pass of the unit chamfer, every axis ascending, in place:
+    each cell becomes the least of itself and one more than each neighbour
+    visited before it (Rosenfeld & Pfaltz, JACM 13(4), 1966).  A forward
+    pass and a pass over the reversed array give the exact chessboard
+    distance to the zero cells.
+
+    Along the last axis the left neighbour's term is closed-form:
+    j + minimum.accumulate(r - j).  Along a leading axis each slice first
+    takes one more than the least of the previous slice's neighbourhood.
+    """
+    if dist.ndim == 1:
+        j = np.arange(len(dist), dtype=dist.dtype)
+        dist -= j
+        np.minimum.accumulate(dist, out=dist)
+        dist += j
+        return
+    for i in range(len(dist)):
+        if i:
+            near = dist[i - 1].copy()
+            for axis in range(near.ndim):
+                side = near.copy()
+                lo = (slice(None),) * axis + (slice(1, None),)
+                hi = (slice(None),) * axis + (slice(None, -1),)
+                np.minimum(side[lo], near[hi], out=side[lo])
+                np.minimum(side[hi], near[lo], out=side[hi])
+                near = side
+            near += 1
+            np.minimum(dist[i], near, out=dist[i])
+        _chamfer(dist[i])
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +325,18 @@ class SetTuple:
 
     @classmethod
     def from_fibers(cls, sys: MWSystem, pitch: float, origin=None):
-        """Full fiber regions sampled on the grid (one cloud per vertex)."""
-        origin = np.zeros(sys.dim) if origin is None else origin
-        return cls.from_points(
+        """Full fiber regions sampled on the grid (one cloud per vertex).
+
+        The rows are the lattice indices ``grid_indices`` keeps, already in
+        the stored form, so they never pass through real points."""
+        origin = np.zeros(sys.dim) if origin is None else np.asarray(origin, dtype=float)
+        pitch = float(pitch)
+        if pitch <= 0:
+            raise ValueError("pitch must be positive")
+        return cls._of_rows(
             origin,
             pitch,
-            {v: grid_points(f.region, pitch, origin) for v, f in sys.fibers.items()},
+            {v: grid_indices(f.region, pitch, origin) for v, f in sys.fibers.items()},
         )
 
     @classmethod
@@ -252,10 +372,11 @@ class SetTuple:
         Equal lattice clouds short-circuit to 0 (canonical form makes the
         array comparison conclusive).  Unequal clouds with more than
         ``INDEX_MIN_PAIRS`` pairs between them are measured from their
-        integer rows, by exact distance transforms over their joint bounding
-        box scaled by the pitch.  Smaller products, and boxes of more than
-        ``WINDOW_CELLS_PER_POINT`` cells per point, go to
-        ``hausdorff_distance`` on the real points instead.  A metric other
+        integer rows, exactly, over an occupancy window on their joint
+        bounding box (``_window_distance``), and scaled by the pitch.
+        Smaller products, and boxes of more than ``WINDOW_CELLS_PER_POINT``
+        cells per point, go to ``hausdorff_distance`` on the real points
+        instead.  A metric other
         than ``"euclidean"`` or ``"max"`` raises ValueError."""
         _check_metric(metric)
         if not self.same_grid(other):

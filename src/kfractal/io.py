@@ -192,22 +192,32 @@ def packaged_instance(name: str) -> FsPath:
 # artifact writers (all byte-deterministic)
 
 
+# rows formatted and written at a time by ``write_clouds_csv``, so that the
+# text of a large cloud is never held whole
+CSV_BLOCK_ROWS = 1 << 16
+
+
 def write_clouds_csv(sets: SetTuple, path) -> None:
     """Rows of ``SetTuple.points`` in stored order, as repr floats.  Each
     distinct lattice coordinate of an axis, origin[t] + pitch * float(i), is
-    formatted once, and the rows are gathered from those per-axis tables."""
+    formatted once, and the rows are gathered from those per-axis tables,
+    ``CSV_BLOCK_ROWS`` at a time."""
     dim = sets.origin.size
-    lines = ["vertex," + ",".join(f"x{i}" for i in range(dim))]
-    for v in sets.vertices():
-        rows = sets.clouds[v]
-        columns = [[v] * len(rows)]
-        for t in range(dim):
-            values, inverse = np.unique(rows[:, t], return_inverse=True)
-            coords = sets.origin[t] + sets.pitch * values.astype(float)
-            text = np.array([repr(x) for x in coords.tolist()], dtype=object)
-            columns.append(text[inverse].tolist())
-        lines.extend(map(",".join, zip(*columns)))
-    FsPath(path).write_text("\n".join(lines) + "\n")
+    with FsPath(path).open("w") as fh:
+        fh.write("vertex," + ",".join(f"x{i}" for i in range(dim)) + "\n")
+        for v in sets.vertices():
+            rows = sets.clouds[v]
+            tables = []
+            for t in range(dim):
+                values, inverse = np.unique(rows[:, t], return_inverse=True)
+                coords = sets.origin[t] + sets.pitch * values.astype(float)
+                text = np.array([repr(x) for x in coords.tolist()], dtype=object)
+                tables.append((text, inverse))
+            for start in range(0, len(rows), CSV_BLOCK_ROWS):
+                block = slice(start, start + CSV_BLOCK_ROWS)
+                columns = [text[inverse[block]].tolist() for text, inverse in tables]
+                columns.insert(0, [v] * len(columns[0]))
+                fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def write_certificate(text: str, path) -> None:

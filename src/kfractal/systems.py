@@ -230,16 +230,23 @@ def grid_axes(region, pitch, origin) -> list[np.ndarray]:
     return [np.arange(int(a), int(b) + 1) for a, b in zip(start, stop)]
 
 
-def grid_points(region, pitch, origin=None):
-    """Grid-aligned sample of a region: all lattice points of the given pitch
-    inside it (with boundary slack); too large a grid raises ValueError."""
+def grid_indices(region, pitch, origin=None):
+    """Lattice indices, relative to origin, of the grid points of the given
+    pitch inside a region (with boundary slack): sorted, duplicate-free,
+    C-contiguous int64 rows, because the mesh is built in ``ij`` order.  Too
+    large a grid raises ValueError."""
     d = region.dim
     origin = np.zeros(d) if origin is None else np.asarray(origin, dtype=float)
     axes = grid_axes(region, pitch, origin)
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    pts = origin + pitch * mesh
-    keep = region.contains(pts, tol=pitch * 1e-6)
-    return pts[keep]
+    return mesh[region.contains(origin + pitch * mesh, tol=pitch * 1e-6)]
+
+
+def grid_points(region, pitch, origin=None):
+    """Grid-aligned sample of a region: all lattice points of the given pitch
+    inside it (with boundary slack); too large a grid raises ValueError."""
+    origin = np.zeros(region.dim) if origin is None else np.asarray(origin, dtype=float)
+    return origin + pitch * grid_indices(region, pitch, origin)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kfractal import _kernels, attractor
@@ -20,7 +20,15 @@ from kfractal.attractor import (
 )
 from kfractal.boxcount import dimension_estimate, occupied_cells
 from kfractal.kgraph import KGraph, enumerate_paths
-from kfractal.systems import AffineMap, Box, MetricFiber, MWSystem, extend_map, lipschitz_bound
+from kfractal.systems import (
+    AffineMap,
+    Box,
+    MetricFiber,
+    MWSystem,
+    extend_map,
+    grid_points,
+    lipschitz_bound,
+)
 
 from shipped import shipped
 
@@ -161,18 +169,17 @@ def test_vertex_distances_match_per_vertex_hausdorff():
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """Names of the distance transforms run, with the size rule lowered so
-    that every product of pairs may use a window."""
-    from scipy import ndimage
-
+    """The metric of each window transform run (one per direction that has
+    cells outside the other cloud), with the size rule lowered so that every
+    product of pairs may use a window."""
     calls = []
-    for name in ("distance_transform_edt", "distance_transform_cdt"):
+    farthest = attractor._farthest
 
-        def spy(*args, _fn=getattr(ndimage, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
+    def spy(occ, cells, metric):
+        calls.append(metric)
+        return farthest(occ, cells, metric)
 
-        monkeypatch.setattr(ndimage, name, spy)
+    monkeypatch.setattr(attractor, "_farthest", spy)
     monkeypatch.setattr(attractor, "INDEX_MIN_PAIRS", 0)
     return calls
 
@@ -213,7 +220,8 @@ def test_lattice_distances_match_brute_force(transforms, d, metric, kind, dyadic
     B = SetTuple(origin, pitch, {"v": b})
     assert A != B
     got = A.vertex_distances(B, metric)["v"]
-    assert transforms  # measured on the window, not on points()
+    # measured on the window, not on points()
+    assert transforms and set(transforms) == {metric}
     pa, pb = A.points("v"), B.points("v")
     want = max(
         _kernels.directed_max_min(pa, pb, metric), _kernels.directed_max_min(pb, pa, metric)
@@ -228,13 +236,10 @@ def test_lattice_distances_match_brute_force(transforms, d, metric, kind, dyadic
 @pytest.mark.parametrize("metric", ["euclidean", "max"])
 def test_sparse_clouds_skip_the_window(monkeypatch, d, metric):
     # the window over these two points would hold (10**9 + 1)**d cells
-    from scipy import ndimage
-
     def refuse(*args, **kwargs):
         raise AssertionError("a distance window was allocated")
 
-    for name in ("distance_transform_edt", "distance_transform_cdt"):
-        monkeypatch.setattr(ndimage, name, refuse)
+    monkeypatch.setattr(attractor, "_farthest", refuse)
     monkeypatch.setattr(attractor, "INDEX_MIN_PAIRS", 0)
     A = SetTuple(np.zeros(d), 1.0, {"v": np.zeros((1, d), dtype=np.int64)})
     B = SetTuple(np.zeros(d), 1.0, {"v": np.full((1, d), 10**9)})
@@ -253,7 +258,95 @@ def test_vertex_distances_reject_unknown_metric(transforms):
             A.vertex_distances(other, "taxicab")
     assert transforms == []
     assert A.vertex_distances(B, "max") == {"v": 4.0}
-    assert transforms == ["distance_transform_cdt"] * 2  # one per direction
+    # one direction: B's one cell lies inside A, so only A's cell (3, 4) is measured
+    assert transforms == ["max"]
+
+
+def _window_cells(rng, shape, n):
+    """n distinct cells of a box at the origin, as sorted int64 rows."""
+    flat = np.sort(rng.choice(math.prod(shape), size=n, replace=False))
+    return np.stack(np.unravel_index(flat, shape), axis=1).astype(np.int64)
+
+
+@st.composite
+def _window_pairs(draw):
+    # two lattice clouds whose joint box holds at most 16 cells per point,
+    # so the distance window always runs; shapes up to 500, 40 x 40 and
+    # 12 x 12 x 12 cells, shifted to negative and positive coordinates
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, {1: 500, 2: 40, 3: 12}[d]),
+                                min_size=d, max_size=d)))
+    cells = math.prod(shape)
+    need = -(-cells // 16)
+    kind = draw(st.sampled_from(["random", "nested", "single", "edges", "apart"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        a = _window_cells(rng, shape, draw(st.integers(-(-need // 2), cells)))
+        b = _window_cells(rng, shape, draw(st.integers(-(-need // 2), cells)))
+    elif kind == "nested":  # one direction has no cell outside the other cloud
+        a = _window_cells(rng, shape, draw(st.integers(need, cells)))
+        b = a[np.sort(rng.choice(len(a), size=draw(st.integers(1, len(a))), replace=False))]
+    elif kind == "single":  # one cell against a cloud, or against one cell
+        a = _window_cells(rng, shape, 1)
+        b = _window_cells(rng, shape, draw(st.integers(max(1, need - 1), cells)))
+    elif kind == "edges":  # every cell on the box's faces, corners included
+        grid = np.stack(np.unravel_index(np.arange(cells), shape), axis=1).astype(np.int64)
+        a = grid[((grid == 0) | (grid == np.array(shape) - 1)).any(axis=1)]
+        b = _window_cells(rng, shape, draw(st.integers(max(1, need - len(a)), cells)))
+    else:  # full slabs at both ends of the first axis, up to n0 - 2 cells apart
+        t = draw(st.integers(max(1, -(-shape[0] // 32)), max(1, shape[0] // 2)))
+        grid = np.stack(np.unravel_index(np.arange(cells), shape), axis=1).astype(np.int64)
+        a, b = grid[grid[:, 0] < t], grid[grid[:, 0] >= shape[0] - t]
+    if draw(st.booleans()):
+        a, b = b, a
+    shift = np.array(draw(st.lists(st.integers(-300, 300), min_size=d, max_size=d)))
+    return a + shift, b + shift
+
+
+# the cell (0, 0) meets (1, 4) on the first ring, at 17, and (4, 0) only on
+# the fourth, at 16: it is settled only once no ring below its 17 is left
+_LATE_RING = np.array([[0, 0], [1, 4], [4, 0]]), np.array([[1, 4], [4, 0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_pairs(), st.sampled_from(["euclidean", "max"]), st.integers(-8, 8))
+@example(_LATE_RING, "euclidean", 0)
+def test_window_distance_equals_brute_force(pair, metric, k):
+    a, b = pair
+    pitch = 2.0**k
+    got = attractor._window_distance(a, b, metric)
+    assert got is not None
+    pa, pb = pitch * a.astype(float), pitch * b.astype(float)
+    want = max(
+        _kernels.directed_max_min(pa, pb, metric), _kernels.directed_max_min(pb, pa, metric)
+    )
+    assert pitch * got == want
+    assert attractor._window_distance(b, a, metric) == got
+
+
+def _fiber_systems():
+    from perfbench.generate import product_system
+
+    from kfractal.io import system_from_dict
+
+    systems = {name: shipped(name) for name in ("s1", "p2", "p2c", "t0", "f3")}
+    systems["generated"] = system_from_dict(product_system(5))
+    return systems
+
+
+@pytest.mark.parametrize("pitch", [1 / 512, 1 / 81])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_from_fibers_rows_equal_snapped_grid_points(pitch, shifted):
+    # the integer mesh rows are kept; snapping the real grid points gives them back
+    for name, sys_ in _fiber_systems().items():
+        origin = np.array([0.3, -0.7][: sys_.dim]) if shifted else np.zeros(sys_.dim)
+        got = SetTuple.from_fibers(sys_, pitch, origin)
+        want = SetTuple.from_points(origin, pitch, {
+            v: grid_points(f.region, pitch, origin) for v, f in sys_.fibers.items()
+        })
+        assert got == want, name
+        for v, rows in got.clouds.items():
+            assert rows.dtype == np.int64 and rows.flags.c_contiguous and len(rows), name
 
 
 def test_from_fibers_fills_regions():

@@ -681,6 +681,34 @@ def test_cli_attractor_artifacts_are_pinned(tmp_path, capsys, name):
         assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest
 
 
+# sha256 of stdout and of the text artifacts of commands that compare
+# lattice clouds through distance windows, recorded before the windows moved
+# from scipy's distance transforms to integer numpy passes
+PINNED_OUTPUT_DIGESTS = {
+    "diagonal p2c": (
+        ["diagonal", "--instance", "p2c"],
+        {
+            "stdout": "44a66d1d979edbfdc4e09bbb8ab4f4233d4a9514649502d75834d6767a39bece",
+            "diagonal.txt": "44a66d1d979edbfdc4e09bbb8ab4f4233d4a9514649502d75834d6767a39bece",
+        },
+    ),
+    "coding s1": (
+        ["coding", "--instance", "s1", "--count", "3000", "--seed", "4"],
+        {"coding.txt": "5d07405846f50628d7c207c28afee72169967adfbe700ce15d855ef80239d9a1"},
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_OUTPUT_DIGESTS))
+def test_cli_window_outputs_are_pinned(tmp_path, capsys, label):
+    argv, digests = PINNED_OUTPUT_DIGESTS[label]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    for name, digest in digests.items():
+        data = stdout if name == "stdout" else (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
 # ---------------------------------------------------------------------------
 # the flag surface: each command accepts exactly the flags it reads
 

@@ -1,5 +1,7 @@
 """Set distances: the KD-tree path against the brute-force kernel, and the
-lazy scipy imports."""
+lazy scipy import.  scipy serves only the KD-tree for off-lattice clouds;
+lattice windows are measured in numpy (tests/test_attractor.py), so the
+grid commands run without importing scipy at all."""
 
 import os
 import subprocess
@@ -44,8 +46,23 @@ def test_small_products_skip_scipy_spatial():
 
 
 def test_cli_import_skips_scipy_ndimage():
-    # distance windows import scipy.ndimage on first use, so setup never pays for it
+    # no module imports scipy.ndimage: lattice windows are measured in numpy
     code = "import sys\nimport kfractal.cli\nassert 'scipy.ndimage' not in sys.modules\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["attractor", "diagonal"])
+def test_grid_commands_never_import_scipy(tmp_path, command):
+    # p2c compares its iterates through distance windows on every step
+    code = (
+        "import sys\n"
+        "from kfractal.cli import main\n"
+        f"rc = main([{command!r}, '--instance', 'p2c', '--out', {str(tmp_path)!r}])\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        "raise SystemExit(rc)\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
