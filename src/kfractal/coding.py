@@ -165,32 +165,92 @@ def sample_prefixes(
     """``count`` prefixes with range v and the given depth, drawn uniformly
     from vΛ^depth by weighting every edge choice with the number of
     completions (integer arithmetic, so the draw is exactly uniform and
-    reproducible from the seed).  The completion counts of every suffix come
-    from one table built per call; each sample then takes one
-    ``rng.integers`` draw per step, in normal-form order.  Asking for more
-    samples than exist requires ``replace=True``; a path count that does not
-    fit in int64 raises ValueError.
+    reproducible from the seed).
+
+    The completion counts of every suffix come from one table built per
+    call.  Each sample takes one ``rng.integers(0, total)`` draw per step,
+    in normal-form order, where total is the completion count at the vertex
+    the walk has reached.  When at every step that total is the same at all
+    vertices with paths (every one-vertex graph, for one), the bounds of all
+    ``count`` times the step count draws are known before drawing, and one
+    ``rng.integers`` call with the bounds as an array takes them all.  numpy
+    draws an array-valued ``high`` element by element, exactly as the same
+    scalar calls one after another, so the integers, the prefixes and the
+    generator state afterwards are those of the per-sample walk, which
+    other graphs still take.  (One ``size=count`` draw per step would take
+    the same numbers step by step rather than sample by sample, and so give
+    them to other samples.)
+
+    Asking for more samples than exist requires ``replace=True``; a vertex
+    with no path of the depth, or a path count that does not fit in int64,
+    raises ValueError.
     """
     depth = tuple(depth)
     steps, sizes = _completion_table(g, depth)
     size = sizes[v]
     _check_drawable(v, depth, size)
+    if size == 0:
+        raise ValueError(f"vertex {v!r} has no path of degree {depth} to sample")
     if count > size and not replace:
         raise ValueError(
             f"requested {count} samples from {size} paths; pass replace=True"
         )
     rng = np.random.default_rng(seed)
-    out = []
+    highs = _walk_free_totals(steps)
+    if highs is None:
+        words = _walk_per_sample(steps, v, count, rng)
+    else:
+        words = _walk_batched(g, steps, highs, v, count, rng)
+    return [PathPrefix(Path(g, v, word), depth) for word in words]
+
+
+def _walk_free_totals(steps):
+    """Per step, the completion total shared by every vertex with paths, or
+    None when some step's total depends on the vertex the walk reached."""
+    highs = []
+    for row in steps:
+        totals = {cum[-1] for _, cum, _ in row.values() if cum and cum[-1]}
+        if len(totals) != 1:
+            return None
+        highs.append(totals.pop())
+    return highs
+
+
+def _walk_per_sample(steps, v, count, rng):
+    """Edge words of ``count`` walks from v, one scalar draw per step."""
+    words = []
     for _ in range(count):
         at = v
         word = []
         for row in steps:
             cands, cum, sources = row[at]
-            i = bisect.bisect_right(cum, int(rng.integers(0, cum[-1] if cum else 0)))
+            i = bisect.bisect_right(cum, int(rng.integers(0, cum[-1])))
             word.append(cands[i])
             at = sources[i]
-        out.append(PathPrefix(Path(g, v, tuple(word)), depth))
-    return out
+        words.append(tuple(word))
+    return words
+
+
+def _walk_batched(g, steps, highs, v, count, rng):
+    """The words of ``_walk_per_sample`` from one array-bounded draw, taken
+    sample by sample and step by step in the same order; each step's edges
+    are picked by searchsorted, grouped by the vertex each sample is at."""
+    draws = rng.integers(0, np.tile(np.array(highs, dtype=np.int64), count))
+    draws = draws.reshape(count, len(steps))
+    index = {u: i for i, u in enumerate(g.vertices)}
+    at = np.full(count, index[v])
+    words = np.empty((count, len(steps)), dtype=object)
+    for j, row in enumerate(steps):
+        nxt = np.empty_like(at)
+        for u, (cands, cum, sources) in row.items():
+            here = at == index[u]
+            if not here.any():
+                continue
+            i = np.searchsorted(np.array(cum, dtype=np.int64), draws[here, j], side="right")
+            words[here, j] = np.array(cands, dtype=object)[i]
+            nxt[here] = np.array([index[s] for s in sources])[i]
+        at = nxt
+    return [tuple(word) for word in words.tolist()]
 
 
 # ---------------------------------------------------------------------------

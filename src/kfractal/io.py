@@ -233,10 +233,11 @@ def _write_raster(path, lattices, shades) -> None:
         raise ValueError("rasters are only defined for planar clouds")
     if len(cells) == 0:
         raise ValueError("empty cloud")
-    lo = cells.min(axis=0)
-    hi = cells.max(axis=0)
-    width = int(hi[0] - lo[0]) + 1
-    height = int(hi[1] - lo[1]) + 1
+    # per column: numpy reduces an (N, 2) array along axis 0 far more slowly
+    lo = [int(column.min()) for column in cells.T]
+    hi = [int(column.max()) for column in cells.T]
+    width = hi[0] - lo[0] + 1
+    height = hi[1] - lo[1] + 1
     code = np.zeros((height, width), dtype=np.uint8)
     for bit, lattice in enumerate(lattices):
         # y axis points up in the plane, down in the file

@@ -222,6 +222,14 @@ def _graph(name, request):
         ("lopsided", (10,), 60, False),
         ("s1", (0,), 3, True),
         ("s1", (1,), 10, True),
+        # bounds above 2**32, then near the int64 limit
+        ("s1", (25,), 60, False),
+        ("s1", (39,), 3, False),
+        # one path each, so every bound is 1 and no draw takes a random number
+        ("f3", (3, 3, 3), 60, True),
+        ("t0", (4, 4), 60, True),
+        ("p2", (2, 2), 0, False),
+        ("lopsided", (10,), 0, False),
     ],
 )
 def test_sampler_matches_per_sample_walk(request, name, depth, count, replace, seed):
@@ -229,6 +237,67 @@ def test_sampler_matches_per_sample_walk(request, name, depth, count, replace, s
     for v in g.vertices:
         got = sample_prefixes(g, v, depth, count, seed=seed, replace=replace)
         assert [p.path for p in got] == _reference_sample(g, v, depth, count, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 77])
+def test_array_bounded_integers_match_scalar_draws(seed):
+    # the batched sampler relies on numpy drawing an array-valued ``high``
+    # element by element, exactly as the same scalar calls one after another
+    bounds = [1, 3, 2187, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 1, 2**62, 3**39]
+    highs = np.array(bounds * 4, dtype=np.int64)
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = batched.integers(0, highs).tolist()
+    want = [int(scalar.integers(0, int(h))) for h in highs]
+    assert got == want, (
+        "this numpy draws an array-valued high differently from scalar calls; "
+        "sample_prefixes would change the seeded prefixes"
+    )
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.fixture
+def integers_calls(monkeypatch):
+    """The positional arguments of every ``Generator.integers`` call made by
+    generators that ``np.random.default_rng`` returns in the test."""
+    calls = []
+    make = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = make(seed)
+
+        def integers(self, *args, **kwargs):
+            calls.append(args)
+            return self.rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, depth",
+    [("s1", (7,)), ("p2", (2, 2)), ("f3", (3, 3, 3)), ("t0", (4, 4)), ("two_vertex", (2, 2))],
+)
+def test_walk_free_graphs_draw_once_per_call(request, integers_calls, name, depth):
+    g = _graph(name, request)
+    for v in g.vertices:
+        integers_calls.clear()
+        assert len(sample_prefixes(g, v, depth, 50, seed=3, replace=True)) == 50
+        assert len(integers_calls) == 1
+
+
+def test_lopsided_graph_keeps_the_per_sample_walk(integers_calls):
+    g = _lopsided_system().graph
+    assert len(sample_prefixes(g, "u", (10,), 7, seed=3)) == 7
+    assert len(integers_calls) == 7 * 10
+
+
+@pytest.mark.parametrize("replace", [False, True])
+def test_sampler_names_a_vertex_without_paths(replace):
+    g = KGraph(1, ["u", "w"], {1: [("a", "u", "u"), ("b", "u", "w")]})
+    assert count_paths(g, "w", (2,)) == 0
+    with pytest.raises(ValueError, match=r"^vertex 'w' has no path of degree \(2,\) to sample$"):
+        sample_prefixes(g, "w", (2,), 5, seed=1, replace=replace)
 
 
 def test_sampler_refuses_counts_beyond_int64():

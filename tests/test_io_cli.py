@@ -660,15 +660,18 @@ def test_cli_outputs_deterministic(tmp_path):
 
 # sha256 of the artifacts of ``attractor --instance NAME --pitch 0.0078125``,
 # recorded before the Hutchinson step moved from float images to per-axis
-# lattice tables; any change to the step's arithmetic shows here first
+# lattice tables (the rasters before their bounding box was reduced per
+# column); any change to the step's arithmetic shows here first
 PINNED_ATTRACTOR_DIGESTS = {
     "p2c": {
         "attractor.csv": "3b425f25eed9e6add0580dc100de1f7b76d9de2a09d3e35bbea7a6c7dcb8f6ea",
         "certificate.txt": "81a5fe365ac01ba760a5f2a90739d20c56adef43a9a66327c2d454095ac50489",
+        "attractor_v.pgm": "39547290b40e331c4b0c779ecf2b40e44c6ca62d8ec2decfe57d7766728bd19e",
     },
     "s1": {
         "attractor.csv": "afc478b50d75290fb18c92b4880011e87e4f65bdc77190aafc2a48e4becfe1ed",
         "certificate.txt": "760498edd90d07e062e531ce41793a7fb123f06e6f3cb6b318fe21ad2193c06a",
+        "attractor_v.pgm": "656fe47bbbaa8e3d5950a3fc395a6e4a849c46d308b5efe84ed757c56fa50746",
     },
 }
 
@@ -683,7 +686,8 @@ def test_cli_attractor_artifacts_are_pinned(tmp_path, capsys, name):
 
 # sha256 of stdout and of the text artifacts of commands that compare
 # lattice clouds through distance windows, recorded before the windows moved
-# from scipy's distance transforms to integer numpy passes
+# from scipy's distance transforms to integer numpy passes (coded.csv before
+# the sampler drew all its prefixes in one call)
 PINNED_OUTPUT_DIGESTS = {
     "diagonal p2c": (
         ["diagonal", "--instance", "p2c"],
@@ -694,7 +698,12 @@ PINNED_OUTPUT_DIGESTS = {
     ),
     "coding s1": (
         ["coding", "--instance", "s1", "--count", "3000", "--seed", "4"],
-        {"coding.txt": "5d07405846f50628d7c207c28afee72169967adfbe700ce15d855ef80239d9a1"},
+        {
+            "coding.txt": "5d07405846f50628d7c207c28afee72169967adfbe700ce15d855ef80239d9a1",
+            # 3000 draws cover part of the 2187 paths, so this file pins the
+            # seeded prefix stream
+            "coded.csv": "c33d3f4c1ca053747bbc6e6db5d014324c97235be70c54136562588bcd5976fb",
+        },
     ),
 }
 
