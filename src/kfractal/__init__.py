@@ -18,7 +18,6 @@ from .systems import (
     MetricFiber,
     MWSystem,
     check_k_surjective,
-    check_proper_dense,
     extend_map,
     lipschitz_bound,
     validate_system,

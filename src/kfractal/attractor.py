@@ -17,9 +17,13 @@ bounded per point before it is allocated, each direction only at the source
 cells outside the target.  The max metric takes the two raster passes of
 the unit chamfer (Rosenfeld & Pfaltz 1966), the Euclidean metric a gap
 along one axis and then rings of offsets along the others; both are
-integer, hence exact.  Off-lattice clouds, small products and clouds too
-sparse for a window are measured point by point, by brute force or with a
-KD-tree, the one use of scipy.
+integer, hence exact.  ``_directed_window_distance`` runs one direction of
+the same window on a sparse cloud, bounded by the largest fiber grid instead
+of per point: the coding invariance check measures its snapped images so.
+Off-lattice clouds, small products and clouds too sparse for a window are
+measured point by point, by brute force or with a KD-tree.  The KD-tree is
+the one use of scipy, and only library callers of ``directed_distance`` and
+``hausdorff_distance`` reach it; no CLI command imports scipy.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .kgraph import KGraphError
 from .systems import (
     EUCLIDEAN,
     MAX,
+    MAX_GRID_POINTS,
     AffineMap,
     MWSystem,
     degree_maps,
@@ -99,21 +104,18 @@ def hausdorff_distance(a, b, metric=EUCLIDEAN):
 WINDOW_CELLS_PER_POINT = 16
 
 
-def _window_distance(a: np.ndarray, b: np.ndarray, metric) -> float | None:
-    """Hausdorff distance, in lattice units, between two nonempty lattice
-    clouds, or None when their joint bounding box holds more than
-    ``WINDOW_CELLS_PER_POINT`` cells per point.
+def _window(a: np.ndarray, b: np.ndarray, most: int):
+    """The occupancy window over the joint bounding box of two nonempty
+    lattice clouds, or None when the box holds more than ``most`` cells,
+    counted in Python integers before anything is allocated.
 
-    The window's axes are ordered shortest first, so that ``_farthest``
-    loops over the short ones and vectorises along the longest.  Each
-    direction marks the target cloud in an occupancy window over the box
-    and measures, with ``_farthest``, only the source cells outside it;
-    when there are none the direction is 0, as when one iterate lies
-    inside the other.
+    Returns the window's shape, its axes ordered shortest first so that
+    ``_farthest`` loops over the short ones and vectorises along the
+    longest, and each cloud's C-order flat cells in it.
     """
     lo = [min(int(x.min()), int(y.min())) for x, y in zip(a.T, b.T)]
     span = [max(int(x.max()), int(y.max())) - low + 1 for x, y, low in zip(a.T, b.T, lo)]
-    if math.prod(span) > WINDOW_CELLS_PER_POINT * (len(a) + len(b)):
+    if math.prod(span) > most:
         return None
     axes = sorted(range(len(span)), key=span.__getitem__)
     shape = tuple(span[k] for k in axes)
@@ -125,15 +127,55 @@ def _window_distance(a: np.ndarray, b: np.ndarray, metric) -> float | None:
             out += rows[:, k] - lo[k]
         return out
 
-    fa, fb = flat(a), flat(b)
-    worst = 0
-    for src, dst in ((fa, fb), (fb, fa)):
-        occ = np.zeros(math.prod(shape), dtype=bool)
-        occ[dst] = True
-        outside = src[~occ[src]]
-        if len(outside):
-            worst = max(worst, _farthest(occ.reshape(shape), outside, metric))
-    return math.sqrt(worst) if metric == EUCLIDEAN else float(worst)
+    return shape, flat(a), flat(b)
+
+
+def _directed_cells(src: np.ndarray, dst: np.ndarray, shape, metric) -> int:
+    """The one-sided distance from the flat cells src to the flat cells dst
+    of a window, as ``_farthest`` gives it (squared for the Euclidean
+    metric).  dst is marked in an occupancy window and only the src cells
+    outside it are measured; when there are none the distance is 0, as when
+    one iterate lies inside the other."""
+    occ = np.zeros(math.prod(shape), dtype=bool)
+    occ[dst] = True
+    outside = src[~occ[src]]
+    return _farthest(occ.reshape(shape), outside, metric) if len(outside) else 0
+
+
+def _cells_to_length(cells: int, metric) -> float:
+    return math.sqrt(cells) if metric == EUCLIDEAN else float(cells)
+
+
+def _window_distance(a: np.ndarray, b: np.ndarray, metric) -> float | None:
+    """Hausdorff distance, in lattice units, between two nonempty lattice
+    clouds, or None when their joint bounding box holds more than
+    ``WINDOW_CELLS_PER_POINT`` cells per point; each direction is one
+    ``_directed_cells`` over the same window."""
+    window = _window(a, b, WINDOW_CELLS_PER_POINT * (len(a) + len(b)))
+    if window is None:
+        return None
+    shape, fa, fb = window
+    worst = max(_directed_cells(fa, fb, shape, metric), _directed_cells(fb, fa, shape, metric))
+    return _cells_to_length(worst, metric)
+
+
+def _directed_window_distance(a: np.ndarray, b: np.ndarray, metric) -> float:
+    """One-sided (sup-min) distance, in lattice units, from lattice cloud a
+    to lattice cloud b, both nonempty, measured exactly in integers over an
+    occupancy window of their joint bounding box.
+
+    The window is bounded by the largest grid a fiber may hold,
+    ``MAX_GRID_POINTS`` cells, rather than per point, because a cloud may be
+    sparse in it; a larger box raises ValueError before the window is
+    allocated.
+    """
+    _check_metric(metric)
+    window = _window(a, b, MAX_GRID_POINTS)
+    if window is None:
+        raise ValueError(f"the lattice clouds' joint box has more than "
+                         f"{MAX_GRID_POINTS} cells")
+    shape, fa, fb = window
+    return _cells_to_length(_directed_cells(fa, fb, shape, metric), metric)
 
 
 def _farthest(occ: np.ndarray, cells: np.ndarray, metric) -> int:

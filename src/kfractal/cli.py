@@ -30,7 +30,6 @@ from .diagonal import check_diagonal_agreement
 from .duality import (
     build_transformation_graph,
     check_density_fidelity,
-    check_properness,
     density_fidelity_sweep,
     validate_discrete_system,
 )
@@ -359,9 +358,6 @@ def cmd_duality(args) -> int:
                 f"{'all checks pass' if tkg.report.ok else str(tkg.report)}"
             )
             failed |= not tkg.report.ok
-            prep = check_properness(obj)
-            lines.append(f"properness: maps={prep.proper_maps} "
-                         f"pullbacks={prep.proper_pullbacks} (tautological on finite fibers)")
     write_certificate("\n".join(lines), out / "duality.txt")
     print("\n".join(lines))
     return FAIL if failed else PASS

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attractor import SetTuple, contraction_factor, directed_distance
+from .attractor import SetTuple, _directed_window_distance, _snap, contraction_factor
 from .kgraph import (
     KGraph,
     KGraphError,
@@ -425,15 +425,31 @@ class SubsystemReport:
 
 
 def check_subsystem(sys: MWSystem, sets: SetTuple, tol: float) -> SubsystemReport:
-    """One-sided containment of every generator image in the range cloud."""
+    """One-sided containment of every generator image in the range cloud.
+
+    Each generator's real image of the source cloud is snapped to the
+    lattice of ``sets`` and measured against the range cloud exactly, in
+    integers, over an occupancy window of their joint box; the window may
+    hold ``MAX_GRID_POINTS`` cells, the largest fiber grid, and a larger one
+    raises ValueError before it is allocated.  The reported distance is
+    pitch * cells + eps, where eps is the largest offset |p - snap(p)| of an
+    image point in the metric: at most h*sqrt(d)/2 for the Euclidean metric
+    and h/2 for the max metric, and 0 when the images land on lattice points.
+    Since d(p, T) <= |p - q| + d(q, T) for the snapped point q, it is an
+    upper bound on the real image's one-sided distance.
+    """
+    origin, pitch = sets.origin, sets.pitch
     dists = {}
     for ident in sorted(sys.generators):
         e = sys.graph.edge(ident)
-        src = sets.points(e.source_vertex)
-        if len(src) == 0:
-            raise ValueError(f"empty cloud at {e.source_vertex!r}")
-        image = sys.generators[ident].apply(src)
-        dists[ident] = directed_distance(
-            image, sets.points(e.range_vertex), sys.metric
-        )
+        for v in (e.source_vertex, e.range_vertex):
+            if len(sets.clouds[v]) == 0:
+                raise ValueError(f"empty cloud at {v!r}")
+        image = sys.generators[ident].apply(sets.points(e.source_vertex))
+        rows = _snap(image, origin, pitch)
+        offset = image - (origin + pitch * rows.astype(float))
+        norm = 2 if sys.metric == EUCLIDEAN else np.inf
+        eps = float(np.linalg.norm(offset, norm, axis=1).max())
+        cells = _directed_window_distance(rows, sets.clouds[e.range_vertex], sys.metric)
+        dists[ident] = pitch * cells + eps
     return SubsystemReport(tol, dists)

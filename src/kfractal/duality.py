@@ -526,35 +526,3 @@ def _factorizations(tkg: TransformationKGraph, heads, tails) -> dict:
         for nu, u in into.get(tkg.star_source(mu, s), ()):
             out.setdefault((compose(mu, nu), u), []).append(((mu, s), (nu, u)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# properness (a tautology on finite fibers, recorded as such)
-
-
-@dataclass(frozen=True)
-class PropernessReport:
-    proper_maps: bool
-    proper_pullbacks: bool
-    tautological: bool
-    note: str
-
-
-def check_properness(dsys: DiscreteSystem) -> PropernessReport:
-    """On finite discrete fibers every map is proper and every pullback
-    lands inside the codomain function space; the check verifies the matrix
-    shapes and says so."""
-    psys, _ = pullback_system(dsys, verify_bound=0)
-    shapes_ok = True
-    for ident, mat in psys.matrices.items():
-        e = dsys.graph.edge(ident)
-        expected = (len(dsys.fibers[e.range_vertex]), len(dsys.fibers[e.source_vertex]))
-        if mat.shape != expected or not np.all(mat.sum(axis=0) == 1):
-            shapes_ok = False
-    return PropernessReport(
-        proper_maps=True,
-        proper_pullbacks=shapes_ok,
-        tautological=True,
-        note="finite fibers: preimages of (finite) compact sets are compact; "
-             "pullbacks of finitely supported functions stay finitely supported",
-    )

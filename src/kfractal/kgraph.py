@@ -130,16 +130,18 @@ class Path:
 
     ``edges`` lists edge ids with colors non-decreasing left to right; the
     leftmost edge starts at ``range_vertex``.  Two Path values represent the
-    same morphism exactly when they are equal.
+    same morphism exactly when they are equal.  ``degree`` counts the edges
+    of each color, as the validating walk over them reads the colors.
     """
 
-    __slots__ = ("graph", "range_vertex", "edges")
+    __slots__ = ("graph", "range_vertex", "edges", "degree")
 
     def __init__(self, graph: KGraph, range_vertex: str, edges: tuple[str, ...] = ()):
         if range_vertex not in graph.vertex_set:
             raise KGraphError(f"unknown vertex {range_vertex!r}")
         at = range_vertex
         last_color = 0
+        counts = [0] * graph.k
         for ident in edges:
             e = graph.edge(ident)
             if e.color < last_color:
@@ -148,22 +150,17 @@ class Path:
                 raise KGraphError(f"edges not composable at {ident!r}")
             last_color = e.color
             at = e.source_vertex
+            counts[e.color - 1] += 1
         self.graph = graph
         self.range_vertex = range_vertex
         self.edges = tuple(edges)
+        self.degree: Degree = tuple(counts)
 
     @property
     def source_vertex(self) -> str:
         if not self.edges:
             return self.range_vertex
         return self.graph.edge(self.edges[-1]).source_vertex
-
-    @property
-    def degree(self) -> Degree:
-        counts = [0] * self.graph.k
-        for ident in self.edges:
-            counts[self.graph.edge(ident).color - 1] += 1
-        return tuple(counts)
 
     @property
     def is_vertex(self) -> bool:

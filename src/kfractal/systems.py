@@ -572,40 +572,3 @@ def check_k_surjective(sys: MWSystem, n, sets, tol: float) -> CoverageReport:
             continue
         distances[v] = directed_distance(target, np.concatenate(pieces), sys.metric)
     return CoverageReport(tuple(n), tol, distances, empty)
-
-
-@dataclass
-class ProperDenseReport:
-    proper: bool
-    proper_reason: str
-    dense: bool
-    tol: float
-    edge_distances: dict[str, float]
-
-
-def check_proper_dense(sys: MWSystem) -> ProperDenseReport:
-    """Properness is automatic for continuous maps between compact fibers;
-    density asks each single generator image to be tol-dense in its codomain
-    fiber, which genuine contractions fail.  Both are measured on grids of
-    pitch h = max fiber diameter / 128, with tol = 4h."""
-    from .attractor import directed_distance
-
-    pitch = max(f.diameter() for f in sys.fibers.values()) / 128.0
-    tol = 4.0 * pitch
-    clouds = {v: grid_points(f.region, pitch) for v, f in sys.fibers.items()}
-    edge_distances = {}
-    for ident, m in sorted(sys.generators.items()):
-        e = sys.graph.edge(ident)
-        image = m.apply(clouds[e.source_vertex])
-        edge_distances[ident] = directed_distance(
-            clouds[e.range_vertex], image, sys.metric
-        )
-    dense = all(d <= tol for d in edge_distances.values())
-    return ProperDenseReport(
-        proper=True,
-        proper_reason="continuous maps between compact fibers: preimages of "
-                      "compact sets are compact",
-        dense=dense,
-        tol=tol,
-        edge_distances=edge_distances,
-    )

@@ -1,8 +1,13 @@
 """Prefix coding: certified points, sampling, intertwining, coded clouds."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from kfractal import _kernels
 from kfractal.attractor import SetTuple, compute_attractor, hausdorff_distance
 from kfractal.coding import (
     MAX_EXHAUSTIVE_PATHS,
@@ -17,7 +22,7 @@ from kfractal.coding import (
     sample_prefixes,
 )
 from kfractal.kgraph import KGraph, KGraphError, Path, count_paths, path_from_word
-from kfractal.systems import AffineMap, Box, MetricFiber, MWSystem, extend_map
+from kfractal.systems import MAX_GRID_POINTS, AffineMap, Box, MetricFiber, MWSystem, extend_map
 
 from shipped import shipped
 
@@ -555,6 +560,113 @@ def test_check_subsystem_corner_singleton_fails():
     rep = check_subsystem(sys, single, tol=0.01)
     assert not rep.passed
     assert rep.edge_distances["a1"] > 0.2
+
+
+def _images_into(metric, dim, maps, origin, pitch, source, target):
+    """A system whose generators g0, g1, ... map fiber w into fiber u, and
+    lattice clouds at u (the target) and w (the source)."""
+    g = KGraph(1, ["u", "w"], {1: [(f"g{i}", "u", "w") for i in range(len(maps))]})
+    box = Box((-4.0,) * dim, (4.0,) * dim)
+    sys = MWSystem(
+        g,
+        {v: MetricFiber(v, box, metric) for v in ("u", "w")},
+        {f"g{i}": AffineMap.of(a, b, "u", "w") for i, (a, b) in enumerate(maps)},
+        ratio=0.5,
+    )
+    return sys, SetTuple(origin, pitch, {"u": target, "w": source})
+
+
+_coords = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _affine_maps(draw, dim):
+    shift = draw(st.lists(_coords, min_size=dim, max_size=dim))
+    if dim == 1:
+        return [[draw(_coords)]], shift
+    kind = draw(st.sampled_from(["rotation", "shear", "general"]))
+    if kind == "rotation":
+        t, r = draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.1, 1.0))
+        a = [[r * math.cos(t), -r * math.sin(t)], [r * math.sin(t), r * math.cos(t)]]
+    elif kind == "shear":
+        a = [[1.0, draw(_coords)], [0.0, 1.0]]
+    else:
+        a = [draw(st.lists(_coords, min_size=2, max_size=2)) for _ in range(2)]
+    return a, shift
+
+
+@st.composite
+def _subsystem_cases(draw):
+    # dyadic pitch and origin, so every lattice point is exact in floats
+    dim = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 5))
+    pitch, side = 2.0**-k, 2 ** (k + 1)  # clouds within 2 of the origin
+    origin = np.array(draw(st.lists(st.integers(-8, 8), min_size=dim, max_size=dim))) / 8
+
+    def cloud():
+        rows = draw(st.lists(st.lists(st.integers(-side, side), min_size=dim, max_size=dim),
+                             min_size=1, max_size=40))
+        return np.array(rows, dtype=np.int64)
+
+    maps = draw(st.lists(_affine_maps(dim), min_size=1, max_size=3))
+    return dim, maps, origin, pitch, cloud(), cloud()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subsystem_cases(), st.sampled_from(["euclidean", "max"]))
+@example(
+    (2, [([[0.1, 0.0], [0.0, 0.1]], [0.0, 0.0])], np.array([0.375, 0.375]), 0.25,
+     np.array([[0, 0]]), np.array([[0, 0]])),
+    "euclidean",
+)
+def test_subsystem_bound_is_sound_and_within_a_cell(case, metric):
+    # the bound is the snapped images' lattice distance plus the largest
+    # snapping offset eps: at least the real images' distance, and more by
+    # at most 2 * eps <= h * sqrt(d) (Euclidean) or h (max).  Both sides are
+    # float evaluations: where the triangle inequality is an equality (a
+    # snapped point between its image and its nearest target, as for
+    # x -> x / 10 on the diagonal) they round the same real number apart by
+    # an ulp, so each comparison allows a few ulps.
+    dim, maps, origin, pitch, source, target = case
+    sys, sets = _images_into(metric, dim, maps, origin, pitch, source, target)
+    rep = check_subsystem(sys, sets, tol=0.0)
+    slack = pitch * (math.sqrt(dim) if metric == "euclidean" else 1.0)
+    for ident, m in sys.generators.items():
+        real = _kernels.directed_max_min(m.apply(sets.points("w")), sets.points("u"), metric)
+        rounding = 8 * math.ulp(real + slack)
+        assert real - rounding <= rep.edge_distances[ident] <= real + slack + rounding
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "max"])
+def test_subsystem_bound_is_zero_for_images_on_the_lattice(metric):
+    # a quarter turn, a flip and a shear with integer entries, shifted by
+    # whole cells: on a dyadic lattice every image is exactly a point of
+    # the target cloud, so no offset and no lattice distance is added
+    pitch, origin = 0.125, np.zeros(2)
+    source = np.array([[0, 0], [1, 0], [2, 3], [-1, 4]])
+    linear = [[[0, -1], [1, 0]], [[-1, 0], [0, 1]], [[1, 1], [0, 1]]]
+    cells = [(0, 0), (2, -1), (-3, 5)]
+    maps = [(a, pitch * np.array(c)) for a, c in zip(linear, cells)]
+    target = np.concatenate([source @ np.array(a).T + c for a, c in zip(linear, cells)])
+    sys, sets = _images_into(metric, 2, maps, origin, pitch, source, target)
+    rep = check_subsystem(sys, sets, tol=0.0)
+    assert rep.edge_distances == {"g0": 0.0, "g1": 0.0, "g2": 0.0}
+    assert rep.passed
+    # without the image (0, 1) of (1, 0) in the target, g0's bound is the
+    # exact lattice distance from it to (0, 0), one cell, and nothing more
+    sets = SetTuple(origin, pitch, {"u": np.delete(target, 1, axis=0), "w": source})
+    rep = check_subsystem(sys, sets, tol=0.0)
+    assert rep.edge_distances == {"g0": pitch, "g1": 0.0, "g2": 0.0}
+
+
+def test_subsystem_refuses_a_window_past_the_grid_bound():
+    # images of 2 * 10**4 cells along each axis: 4 * 10**8 cells, above the
+    # largest fiber grid, refused before the window is allocated
+    sys, sets = _images_into("max", 2, [([[1.0, 0.0], [0.0, 1.0]], (2e4, 2e4))],
+                             np.zeros(2), 1.0, np.zeros((1, 2), dtype=np.int64),
+                             np.zeros((1, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} cells"):
+        check_subsystem(sys, sets, tol=0.0)
 
 
 def test_prefix_consistency_across_depths():

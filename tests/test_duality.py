@@ -11,7 +11,6 @@ from kfractal.duality import (
     _transformation_checks,
     build_transformation_graph,
     check_density_fidelity,
-    check_properness,
     degrees_upto,
     density_fidelity_sweep,
     discrete_from_pullback,
@@ -473,28 +472,3 @@ def test_transformation_product_paths_consistent():
         assert p.degree == (1, 1)
         assert p.range_vertex == tkg.vertex_ids[tkg.star_range(lam, t)]
         assert p.source_vertex == tkg.vertex_ids[tkg.star_source(lam, t)]
-
-
-# ---------------------------------------------------------------------------
-# properness
-
-
-def test_properness_tautology():
-    rep = check_properness(shipped("d3"))
-    assert rep.proper_maps and rep.proper_pullbacks and rep.tautological
-
-
-def test_properness_random_systems():
-    rng = np.random.default_rng(31)
-    g = shipped("p2").graph
-    elems = ("0", "1")
-    checked = 0
-    for _ in range(100):
-        tabs = {}
-        for e in g.edges:
-            tabs[e] = {t: elems[int(rng.integers(0, 2))] for t in elems}
-        dsys = DiscreteSystem(g, {"v": elems}, tabs)
-        rep = check_properness(dsys)
-        assert rep.proper_maps and rep.proper_pullbacks
-        checked += 1
-    assert checked == 100

@@ -687,7 +687,8 @@ def test_cli_attractor_artifacts_are_pinned(tmp_path, capsys, name):
 # sha256 of stdout and of the text artifacts of commands that compare
 # lattice clouds through distance windows, recorded before the windows moved
 # from scipy's distance transforms to integer numpy passes (coded.csv before
-# the sampler drew all its prefixes in one call)
+# the sampler drew all its prefixes in one call; coding.txt after the
+# invariance check moved onto the lattice, see PINNED_LINES)
 PINNED_OUTPUT_DIGESTS = {
     "diagonal p2c": (
         ["diagonal", "--instance", "p2c"],
@@ -699,11 +700,27 @@ PINNED_OUTPUT_DIGESTS = {
     "coding s1": (
         ["coding", "--instance", "s1", "--count", "3000", "--seed", "4"],
         {
-            "coding.txt": "5d07405846f50628d7c207c28afee72169967adfbe700ce15d855ef80239d9a1",
+            "coding.txt": "cd799232a3ef5e3fdf1149be6b724222807be0454ac69b7fb821acd8e507b1c8",
             # 3000 draws cover part of the 2187 paths, so this file pins the
             # seeded prefix stream
             "coded.csv": "c33d3f4c1ca053747bbc6e6db5d014324c97235be70c54136562588bcd5976fb",
         },
+    ),
+}
+
+
+# lines of those artifacts, as text: check_subsystem's bounds measure the
+# snapped generator images on the lattice and add the largest snapping
+# offset; the KD-tree on the real images printed 0.0176052, 0.0148746 and
+# 0.0145712, each below its bound
+PINNED_LINES = {
+    "coding s1": (
+        "coding.txt",
+        [
+            "  edge a0: one-sided distance 0.0186629",
+            "  edge a1: one-sided distance 0.0158511",
+            "  edge a2: one-sided distance 0.0146652",
+        ],
     ),
 }
 
@@ -713,6 +730,10 @@ def test_cli_window_outputs_are_pinned(tmp_path, capsys, label):
     argv, digests = PINNED_OUTPUT_DIGESTS[label]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     stdout = capsys.readouterr().out.encode()
+    if label in PINNED_LINES:
+        name, lines = PINNED_LINES[label]
+        text = (tmp_path / name).read_text().splitlines()
+        assert [line for line in text if line.startswith("  edge ")] == lines
     for name, digest in digests.items():
         data = stdout if name == "stdout" else (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name

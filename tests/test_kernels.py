@@ -1,7 +1,9 @@
 """Set distances: the KD-tree path against the brute-force kernel, and the
-lazy scipy import.  scipy serves only the KD-tree for off-lattice clouds;
-lattice windows are measured in numpy (tests/test_attractor.py), so the
-grid commands run without importing scipy at all."""
+lazy scipy import.  scipy serves only the KD-tree that library callers of
+``directed_distance`` and ``hausdorff_distance`` reach with large clouds;
+lattice windows are measured in numpy (tests/test_attractor.py), and
+``coding`` snaps its generator images onto the lattice before measuring
+them, so no CLI command imports scipy at all."""
 
 import os
 import subprocess
@@ -53,13 +55,23 @@ def test_cli_import_skips_scipy_ndimage():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("command", ["attractor", "diagonal"])
-def test_grid_commands_never_import_scipy(tmp_path, command):
-    # p2c compares its iterates through distance windows on every step
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # p2c compares its iterates through distance windows on every step
+        ["attractor", "--instance", "p2c"],
+        ["diagonal", "--instance", "p2c"],
+        # 2187 coded points against 2187 snapped images per generator: the
+        # products a KD-tree measured before the images were snapped
+        ["coding", "--instance", "s1", "--count", "20000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_grid_commands_never_import_scipy(tmp_path, argv):
     code = (
         "import sys\n"
         "from kfractal.cli import main\n"
-        f"rc = main([{command!r}, '--instance', 'p2c', '--out', {str(tmp_path)!r}])\n"
+        f"rc = main({[*argv, '--out', str(tmp_path)]!r})\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
         "raise SystemExit(rc)\n"
     )

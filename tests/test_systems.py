@@ -20,7 +20,6 @@ from kfractal.systems import (
     MWSystem,
     Polygon,
     check_k_surjective,
-    check_proper_dense,
     exact_after,
     extend_map,
     grid_points,
@@ -304,17 +303,3 @@ def test_k_surjective_flags_empty_cloud():
     rep = check_k_surjective(sys, (1, 1), sets, tol=1.0)
     assert rep.empty_vertices == ["v"]
     assert not rep.passed
-
-
-def test_proper_dense_reports():
-    s1 = check_proper_dense(shipped("s1"))
-    assert s1.proper and not s1.dense
-    p2 = check_proper_dense(shipped("p2"))
-    assert p2.proper and not p2.dense
-    # a surjective generator is dense at any resolution
-    onto = shipped("t0")
-    onto.generators = {
-        "b": AffineMap.of([[1.0]], (0.0,), "v", "v"),
-        "r": AffineMap.of([[1.0]], (0.0,), "v", "v"),
-    }
-    assert check_proper_dense(onto).dense
