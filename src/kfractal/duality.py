@@ -21,7 +21,6 @@ from .kgraph import (
     Path,
     compose,
     degree_add,
-    degree_leq,
     enumerate_paths,
     factorize,
     validate_kgraph,
@@ -286,42 +285,101 @@ def density_fidelity_sweep(
     All four tables range over Maps(T, T); an assignment is consistent when
     every mixed pair commutes (that is what the flip squares demand).  The
     full assignment space is enumerated when it has at most ``limit``
-    elements, otherwise a seeded uniform sample of that size is drawn.
-    Commutation is tested on integer map tables, a block of assignments at
-    a time; only the consistent ones are checked for density and fidelity.
+    elements, otherwise a seeded uniform sample of that size is drawn; the
+    generator is made at the first sampled size.  Each block of assignments
+    is tested for commutation on integer map tables, and its consistent rows
+    get their density and fidelity verdicts together (``_block_verdicts``),
+    along the paths of each degree.
     """
     g = _template_2graph()
-    rng = np.random.default_rng(seed)
+    rng = None
     degrees = [tuple(n) for n in degrees]
+    paths = {n: _template_paths(g, n) for n in degrees}
     result = SweepResult(degrees, 0, 0)
     for size in range(1, max_fiber_size + 1):
-        elems = tuple(str(i) for i in range(size))
         # row i is the i-th map of itertools.product order: j -> maps[i, j]
         maps = np.array(list(itertools.product(range(size), repeat=size)), dtype=np.intp)
-        result.sampled |= len(maps) ** 4 > limit
+        sampled = len(maps) ** 4 > limit
+        if sampled and rng is None:
+            rng = np.random.default_rng(seed)
+        result.sampled |= sampled
         result.consistent_by_size[size] = 0
         for rows in _assignment_blocks(len(maps), limit, rng):
             result.instances += len(rows)
             tabs = maps[rows]
-            consistent = np.ones(len(rows), dtype=bool)
-            for b in (0, 1):
-                for r in (2, 3):
-                    blue, red = tabs[:, b], tabs[:, r]
-                    consistent &= (
-                        np.take_along_axis(blue, red, axis=1)
-                        == np.take_along_axis(red, blue, axis=1)
-                    ).all(axis=1)
+            consistent = _commuting(tabs)
             n_consistent = int(consistent.sum())
             result.consistent += n_consistent
             result.consistent_by_size[size] += n_consistent
-            for idx in rows[consistent].tolist():
-                tables = [dict(zip(elems, (elems[j] for j in maps[i]))) for i in idx]
-                dsys = DiscreteSystem(g, {"v": elems}, dict(zip(("b0", "b1", "r0", "r1"), tables)))
-                for n in degrees:
-                    verdict = check_density_fidelity(dsys, n)
-                    if not verdict.agree:
-                        result.disagreements.append((size, tuple(idx), n, verdict))
+            if not n_consistent:
+                continue
+            rows, tabs = rows[consistent], tabs[consistent]
+            verdicts = [_block_verdicts(tabs, paths[n]) for n in degrees]
+            split = np.any([dense != faithful for dense, faithful in verdicts], axis=0)
+            for i in np.flatnonzero(split).tolist():
+                for n, (dense, faithful) in zip(degrees, verdicts):
+                    if dense[i] != faithful[i]:
+                        verdict = DensityFidelity(bool(dense[i]), bool(faithful[i]))
+                        result.disagreements.append((size, tuple(rows[i].tolist()), n, verdict))
     return result
+
+
+def _commuting(tabs: np.ndarray) -> np.ndarray:
+    """Rows of a block of (b0, b1, r0, r1) integer tables whose blue and red
+    tables commute pairwise."""
+    consistent = np.ones(len(tabs), dtype=bool)
+    for b in (0, 1):
+        for r in (2, 3):
+            blue, red = tabs[:, b], tabs[:, r]
+            consistent &= (
+                np.take_along_axis(blue, red, axis=1)
+                == np.take_along_axis(red, blue, axis=1)
+            ).all(axis=1)
+    return consistent
+
+
+# the template's edges, in the order of a row of table indices
+_TEMPLATE_EDGES = ("b0", "b1", "r0", "r1")
+
+
+def _template_paths(g: KGraph, n) -> list[tuple[int, ...]]:
+    """The degree-n paths of the template, as tuples of indices into
+    ``_TEMPLATE_EDGES`` (empty for the vertex)."""
+    return [tuple(map(_TEMPLATE_EDGES.index, p.edges)) for p in enumerate_paths(g, "v", n)]
+
+
+def _block_verdicts(tabs: np.ndarray, paths) -> tuple[np.ndarray, np.ndarray]:
+    """Density and fidelity of a block of template systems at one degree.
+
+    ``tabs[i, e]`` is the integer table of edge e (an index into
+    ``_TEMPLATE_EDGES``) in system i, and ``paths`` lists the paths of the
+    degree as edge-index tuples.  The two routes of
+    ``check_density_fidelity`` share only these inputs: density composes
+    the tables along each path and tests that the images cover the fiber;
+    fidelity multiplies the 0/1 pullback matrices along each path and tests
+    that no row of their sum is zero.
+    """
+    count, _, size = tabs.shape
+    elements = np.arange(size)
+
+    covered = np.zeros((count, size), dtype=bool)
+    for path in paths:
+        image = np.broadcast_to(elements, (count, size))
+        for e in reversed(path):
+            image = np.take_along_axis(tabs[:, e], image, axis=1)
+        covered[np.arange(count)[:, None], image] = True
+    dense = covered.all(axis=1)
+
+    # matrices[i, e, r, c] == 1 exactly when table e of system i sends c to r
+    matrices = (tabs[:, :, None, :] == elements[:, None]).astype(np.int64)
+    hit = np.zeros((count, size), dtype=np.int64)
+    for path in paths:
+        mat = np.broadcast_to(np.eye(size, dtype=np.int64), (count, size, size))
+        for e in path:
+            mat = mat @ matrices[:, e]
+        hit += mat.sum(axis=2)
+    faithful = (hit > 0).all(axis=1)
+    return dense, faithful
 
 
 # assignments per block of the sweep: larger blocks are no faster, and one
@@ -436,6 +494,16 @@ def build_transformation_graph(dsys: DiscreteSystem, degree_bound) -> Transforma
 
 
 def _transformation_checks(tkg: TransformationKGraph) -> ValidationReport:
+    """Findings on a materialized twisted product, all tagged "internal".
+
+    The factorization and associativity checks read one composition table.
+    The morphisms are numbered in flat order, and each composable pair (a, b)
+    whose degrees sum to at most the bound is composed once, through
+    ``star_compose``.  Each product is filed under (a·b, d(a), d(b)), where
+    uniqueness looks up the factorizations of every morphism; associativity
+    compares (a·b)·c with a·(b·c) from the same table.  The findings are
+    those of trying every head/tail pair and every triple, in that order.
+    """
     rep = ValidationReport()
     g = tkg.source.graph
 
@@ -460,12 +528,45 @@ def _transformation_checks(tkg: TransformationKGraph) -> ValidationReport:
             rep.add("internal", "morphism-mismatch", str(n),
                     f"{len(spelled)} spelled vs {len(enumerated)} enumerated")
 
+    # degrees within the bound by number; plus[i][j] numbers the sum of
+    # degrees i and j, or is None when the sum exceeds the bound
+    levels = degrees_upto(g.k, tkg.degree_bound)
+    level = {n: i for i, n in enumerate(levels)}
+    plus = [[level.get(degree_add(n, m)) for m in levels] for n in levels]
+
+    # the composition table: products[ia][ib] is flat[ia]·flat[ib], for b
+    # ranging into the star source of a, in flat order
+    flat = [pt for pairs in tkg.morphisms.values() for pt in pairs]
+    degree = [level[lam.degree] for lam, _ in flat]
+    index: dict[tuple[Path, str], int] = {}
+    into: dict[tuple[str, str], list[int]] = {}
+    for i, (lam, t) in enumerate(flat):
+        index.setdefault((lam, t), i)
+        into.setdefault(tkg.star_range(lam, t), []).append(i)
+    products: list[dict[int, tuple[Path, str]]] = []
+    splits: dict[tuple, list[tuple[int, int]]] = {}
+    for ia, (lam, t) in enumerate(flat):
+        row = {}
+        sums = plus[degree[ia]]
+        for ib in into.get(tkg.star_source(lam, t), ()):
+            if sums[degree[ib]] is not None:
+                row[ib] = ab = tkg.star_compose(flat[ia], flat[ib])
+                splits.setdefault((ab, degree[ia], degree[ib]), []).append((ia, ib))
+        products.append(row)
+
+    def star(x, y):
+        """x·y from the table, or composed afresh for a pair the table lacks
+        (a corrupted list without x or y); KGraphError when x, y do not
+        compose."""
+        row = products[index[x]] if x in index else {}
+        iy = index.get(y)
+        return row[iy] if iy in row else tkg.star_compose(x, y)
+
     # twisted unique factorization: (lam, t) splits as
     # (head, table(tail)(t)) * (tail, t), and as nothing else
     for n, pairs in tkg.morphisms.items():
         for m in degrees_upto(g.k, n):
             rest = tuple(b - a for a, b in zip(m, n))
-            splits = _factorizations(tkg, tkg.morphisms[m], tkg.morphisms[rest])
             for lam, t in pairs:
                 head, tail = factorize(lam, m)
                 first = (head, map_along(tkg.source, tail)[t])
@@ -473,9 +574,9 @@ def _transformation_checks(tkg: TransformationKGraph) -> ValidationReport:
                 if tkg.star_compose(first, second) != (lam, t):
                     rep.add("internal", "twisted-factorization",
                             f"({lam!r},{t})", "formula does not recompose")
-                found = splits.get((lam, t), ())
-                for split in found:
-                    if split != (first, second):
+                found = splits.get(((lam, t), level[m], level[rest]), ())
+                for ia, ib in found:
+                    if (flat[ia], flat[ib]) != (first, second):
                         rep.add("internal", "twisted-uniqueness",
                                 f"({lam!r},{t})",
                                 "a second factorization exists")
@@ -483,46 +584,24 @@ def _transformation_checks(tkg: TransformationKGraph) -> ValidationReport:
                     rep.add("internal", "twisted-uniqueness",
                             f"({lam!r},{t})", f"{len(found)} factorizations found")
 
-    # associativity of the twisted composition within the bound, over the
-    # composable triples only: b ranges into the star source of a, c into
-    # that of b, both in flat order
-    flat = [pt for pairs in tkg.morphisms.values() for pt in pairs]
-    degree = [lam.degree for lam, _ in flat]
-    source = [tkg.star_source(lam, t) for lam, t in flat]
-    into: dict[tuple[str, str], list[int]] = {}
-    for ic, (lam, t) in enumerate(flat):
-        into.setdefault(tkg.star_range(lam, t), []).append(ic)
-    bound = tkg.degree_bound
-    for ia, a in enumerate(flat):
-        for ib in into.get(source[ia], ()):
-            ab = degree_add(degree[ia], degree[ib])
-            if not degree_leq(ab, bound):
-                continue
+    # associativity within the bound, over the composable triples only: b
+    # ranges into the star source of a, c into that of b; a triple whose
+    # products do not compose is skipped
+    for ia, row in enumerate(products):
+        a = flat[ia]
+        for ib, ab in row.items():
             b = flat[ib]
-            for ic in into.get(source[ib], ()):
-                if not degree_leq(degree_add(ab, degree[ic]), bound):
+            sums = plus[plus[degree[ia]][degree[ib]]]
+            for ic, bc in products[ib].items():
+                if sums[degree[ic]] is None:
                     continue
                 c = flat[ic]
                 try:
-                    left = tkg.star_compose(tkg.star_compose(a, b), c)
-                    right = tkg.star_compose(a, tkg.star_compose(b, c))
+                    left = star(ab, c)
+                    right = star(a, bc)
                 except KGraphError:
                     continue
                 if left != right:
                     rep.add("internal", "twisted-associativity",
                             f"{a}/{b}/{c}", "composition orders disagree")
     return rep
-
-
-def _factorizations(tkg: TransformationKGraph, heads, tails) -> dict:
-    """Every composite (mu, s)*(nu, u) of a head and a tail, keyed by the
-    morphism it composes to, with its factorizations in scan order (heads
-    outer, tails inner)."""
-    into: dict[tuple[str, str], list[tuple[Path, str]]] = {}
-    for nu, u in tails:
-        into.setdefault(tkg.star_range(nu, u), []).append((nu, u))
-    out: dict[tuple[Path, str], list] = {}
-    for mu, s in heads:
-        for nu, u in into.get(tkg.star_source(mu, s), ()):
-            out.setdefault((compose(mu, nu), u), []).append(((mu, s), (nu, u)))
-    return out

@@ -129,7 +129,12 @@ def discrete_from_dict(doc: dict) -> DiscreteSystem:
     g = kgraph_from_dict(doc)
     fibers = {}
     for v, spec in _need(doc, "fibers", "discrete system").items():
+        if v not in g.vertex_set:
+            raise InstanceFormatError(f"fibers: unknown vertex {v!r}")
         fibers[v] = tuple(str(t) for t in _need(spec, "elements", f"fiber {v}"))
+        if len(set(fibers[v])) != len(fibers[v]):
+            twice = next(t for t in fibers[v] if fibers[v].count(t) > 1)
+            raise InstanceFormatError(f"fiber {v}: element {twice!r} listed twice")
     tables = {}
     for ident, spec in _need(doc, "maps", "discrete system").items():
         if ident not in g.edges:

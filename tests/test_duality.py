@@ -241,6 +241,65 @@ def test_sweep_counts_consistent_assignments_per_fiber_size():
     assert res.consistent == sum(res.consistent_by_size.values())
 
 
+def test_block_verdicts_match_reference_on_every_consistent_assignment():
+    # every consistent assignment of fiber sizes 1 to 3, enumerated whole
+    g = duality._template_2graph()
+    degrees = [(1, 0), (0, 1), (1, 1), (0, 0), (2, 1)]
+    paths = {n: duality._template_paths(g, n) for n in degrees}
+    checked = 0
+    outcomes = set()
+    for size in (1, 2, 3):
+        elems = tuple(str(i) for i in range(size))
+        maps = np.array(list(itertools.product(range(size), repeat=size)))
+        for rows in duality._assignment_blocks(len(maps), len(maps) ** 4, None):
+            tabs = maps[rows]
+            tabs = tabs[duality._commuting(tabs)]
+            verdicts = [duality._block_verdicts(tabs, paths[n]) for n in degrees]
+            for i, quad in enumerate(tabs.tolist()):
+                tables = {
+                    e: {elems[j]: elems[x] for j, x in enumerate(tab)}
+                    for e, tab in zip(duality._TEMPLATE_EDGES, quad)
+                }
+                dsys = DiscreteSystem(g, {"v": elems}, tables)
+                for n, (dense, faithful) in zip(degrees, verdicts):
+                    ref = check_density_fidelity(dsys, n)
+                    assert (dense[i], faithful[i]) == (ref.k_dense, ref.k_faithful), (quad, n)
+                    outcomes.add(ref.k_dense)
+                checked += 1
+    assert checked == 4460
+    assert outcomes == {True, False}
+
+
+def test_sweep_records_disagreements_per_assignment_then_degree(monkeypatch):
+    # a stand-in for the block verdicts: dense only at degree (1, 0), whose
+    # two paths it sees, and faithful only on the even rows of a block
+    def verdicts(tabs, paths):
+        return np.full(len(tabs), len(paths) == 2), np.arange(len(tabs)) % 2 == 0
+
+    monkeypatch.setattr(duality, "_block_verdicts", verdicts)
+    degrees = ((1, 0), (1, 1))
+    res = density_fidelity_sweep(max_fiber_size=2, degrees=degrees)
+    expected = []
+    for size in (1, 2):
+        maps = list(itertools.product(range(size), repeat=size))
+        consistent = [
+            idx
+            for idx in itertools.product(range(len(maps)), repeat=4)
+            if all(
+                [maps[b][maps[r][t]] for t in range(size)]
+                == [maps[r][maps[b][t]] for t in range(size)]
+                for b in idx[:2]
+                for r in idx[2:]
+            )
+        ]
+        for i, idx in enumerate(consistent):
+            for n in degrees:
+                dense, faithful = n == (1, 0), i % 2 == 0
+                if dense != faithful:
+                    expected.append((size, idx, n, duality.DensityFidelity(dense, faithful)))
+    assert res.disagreements == expected
+
+
 # ---------------------------------------------------------------------------
 # the twisted product
 
@@ -394,6 +453,30 @@ def test_skewed_composition_findings(monkeypatch, name, expected):
     assert str(tkg.report) == expected
 
 
+def test_transformation_checks_compose_each_pair_once(monkeypatch):
+    # one call per composable pair within the bound (the table) plus one
+    # per factorization-formula check, and nothing for the triples
+    tkg = build_transformation_graph(shipped("d2"), (2, 2))
+    flat = [pt for pairs in tkg.morphisms.values() for pt in pairs]
+    pairs = sum(
+        tkg.star_source(*a) == tkg.star_range(*b)
+        and all(x <= y for x, y in zip(degree_add(a[0].degree, b[0].degree), (2, 2)))
+        for a in flat
+        for b in flat
+    )
+    formulas = sum(len(degrees_upto(2, n)) * len(p) for n, p in tkg.morphisms.items())
+    calls = []
+    real = duality.compose
+
+    def counted(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(duality, "compose", counted)
+    assert _transformation_checks(tkg).ok
+    assert len(calls) <= pairs + formulas
+
+
 def _exhaustive_twisted_findings(tkg):
     """Factorization, uniqueness and associativity findings from trying
     every head/tail pair and every triple: the reference for the checks
@@ -462,6 +545,25 @@ def test_twisted_checks_match_exhaustive_reference(monkeypatch, name, fault):
     expected = _exhaustive_twisted_findings(tkg).findings
     assert found == expected
     assert (fault == "none") == (not expected)
+
+
+@pytest.mark.parametrize("name", ["d1", "d2", "d3"])
+def test_twisted_checks_compose_afresh_what_the_table_lacks(monkeypatch, name):
+    # with the first (b0.r0, t) dropped from the list, triples whose a·b is
+    # that morphism find no (a·b)·c in the table, and the skewed composition
+    # makes some of them disagree
+    real = duality.compose
+
+    def skewed(p, q):
+        if p.edges == ("b0",) and q.edges == ("r0",):
+            return Path(p.graph, p.range_vertex, ("b0", "r1"))
+        return real(p, q)
+
+    monkeypatch.setattr(duality, "compose", skewed)
+    tkg = build_transformation_graph(shipped(name), (2, 1))
+    del tkg.morphisms[(1, 1)][0]
+    found = [f for f in _transformation_checks(tkg).findings if f.code.startswith("twisted")]
+    assert found == _exhaustive_twisted_findings(tkg).findings
 
 
 def test_transformation_product_paths_consistent():

@@ -541,6 +541,41 @@ def test_cli_discrete_table_for_unknown_edge_exits_2_in_one_line(tmp_path, capsy
     assert capsys.readouterr().err == "error: maps: unknown edge 'zz'\n"
 
 
+@pytest.mark.parametrize(
+    "fibers, error",
+    [
+        # a repeated element used to pass validate and make duality report
+        # four twisted factorizations where there is one
+        ({"v": {"elements": ["t", "t"]}}, "error: fiber v: element 't' listed twice\n"),
+        ({"v": {"elements": [0, "0"]}}, "error: fiber v: element '0' listed twice\n"),
+        ({"v": {"elements": ["t"]}, "w": {"elements": ["t"]}},
+         "error: fibers: unknown vertex 'w'\n"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "duality"])
+def test_cli_discrete_bad_fiber_exits_2_in_one_line(tmp_path, capsys, command, fibers, error):
+    doc = json.loads(packaged_instance("d1").read_text())
+    doc["fibers"] = fibers
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--instance", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", error)
+    assert not out.exists()
+
+
+def test_cli_duality_exhaustive_run_skips_numpy_random(tmp_path):
+    # sizes 1 and 2 are enumerated whole, so no generator is made
+    code = ("import sys\n"
+            "from kfractal.cli import main\n"
+            f"assert main(['duality', '--instance', 'd1', '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert 'numpy.random' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_duality_reports_an_invalid_graph(tmp_path, capsys):
     doc = json.loads(packaged_instance("d2").read_text())
     del doc["squares"]["1,2"][0]
@@ -737,6 +772,40 @@ def test_cli_window_outputs_are_pinned(tmp_path, capsys, label):
     for name, digest in digests.items():
         data = stdout if name == "stdout" else (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+# sha256 of stdout and of duality.txt (the same bytes) for the duality runs,
+# recorded before the twisted-product checks read one composition table and
+# the sweep decided density and fidelity a block of assignments at a time;
+# "generated" is perfbench.generate's discrete system at seed 3
+PINNED_DUALITY_DIGESTS = {
+    "d1": (["--instance", "d1"],
+           "063fe18e4452a8b1353853856852a3824e22f882e336bd51b543c50eedc7aae9"),
+    "d2": (["--instance", "d2"],
+           "477e974de5b575beb0fd054f228009b8fea6e0c1b15bb37578766061ba57f1a2"),
+    "d3": (["--instance", "d3"],
+           "4ad96349b06ba71b45c5c51434ae05f683f9a088dc4a6ace4e8b4505f921305d"),
+    "generated": (["--instance", "{generated}"],
+                  "a7aa533b36b4cfefa6105cea97ee5e36d0e6ba9fdacb43dd446d190ca3a18d07"),
+    "sweep 3": (["--max-fiber-size", "3", "--seed", "1"],
+                "3dfba7d11348d0e6c8142f1fdd47408cf6887c6d0bbd13f7621ab58a1d931ce6"),
+    "sweep 4": (["--max-fiber-size", "4", "--seed", "1"],
+                "c628cad762d8f8bb76359bde4304e28737eafd7f45b14d16e9ac8e7c34592fb8"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_DUALITY_DIGESTS))
+def test_cli_duality_outputs_are_pinned(tmp_path, capsys, label):
+    from perfbench.generate import discrete_system, dumps
+
+    generated = tmp_path / "generated.json"
+    generated.write_text(dumps(discrete_system(3)))
+    flags, digest = PINNED_DUALITY_DIGESTS[label]
+    flags = [flag.format(generated=generated) for flag in flags]
+    out = tmp_path / "out"
+    assert main(["duality", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert hashlib.sha256((out / "duality.txt").read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
