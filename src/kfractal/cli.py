@@ -5,6 +5,11 @@ Subcommands: validate, attractor, coding, diagonal, duality.  Exit codes:
 3 = iteration did not converge.  Each subcommand accepts only the flags it
 reads, and checks all of them before it creates ``--out`` or starts work;
 outputs are byte-identical across runs with the same flags.
+
+The numpy modules are imported when a command needs them: attractor,
+coding, diagonal and validate on a metric system always do; validate on a
+graph or a discrete system never does, and duality only when it samples a
+fiber size too large to enumerate.
 """
 
 from __future__ import annotations
@@ -14,19 +19,6 @@ import math
 import sys
 from pathlib import Path as FsPath
 
-from .attractor import SetTuple, _require_contraction, compute_attractor
-from .boxcount import dimension_estimate
-from .coding import (
-    _require_codable,
-    check_intertwining,
-    check_subsystem,
-    coded_cloud,
-    compare_attractor_coding,
-    path_budget,
-    required_depth,
-    sample_prefixes,
-)
-from .diagonal import check_diagonal_agreement
 from .duality import (
     build_transformation_graph,
     check_density_fidelity,
@@ -43,7 +35,7 @@ from .io import (
     write_pgm,
 )
 from .kgraph import Path, validate_kgraph
-from .systems import RELAXED, STRICT, grid_axes, validate_system
+from .report import RELAXED, STRICT
 
 PASS, FAIL, PARSE_ERROR, NO_CONVERGENCE = 0, 1, 2, 3
 
@@ -138,6 +130,8 @@ def _validate_graph_and_system(obj, kind):
         ok = False
         lines.extend("  " + str(f) for f in grep.findings)
     if kind == "mw" and grep.ok:
+        from .systems import validate_system
+
         srep = validate_system(obj)
         lines.append(f"system ({obj.mode} mode, c={obj.ratio:g}): "
                      f"{'valid' if srep.ok else 'INVALID'}")
@@ -166,6 +160,8 @@ def _pitch_and_tol(args, sys_) -> tuple[float, float]:
     """The grid pitch h (default: max fiber diameter / 512) and the
     tolerance (default 4h) of a metric command; a grid too large for some
     fiber is an input error."""
+    from .systems import grid_axes
+
     h = args.pitch
     if h is None:
         h = max(f.diameter() for f in sys_.fibers.values()) / 512.0
@@ -192,6 +188,9 @@ def _prepare_mw(args):
 
 
 def cmd_attractor(args) -> int:
+    from .attractor import SetTuple, _require_contraction, compute_attractor
+    from .boxcount import dimension_estimate
+
     sys_ = _prepare_mw(args)
     if sys_ is None:
         return FAIL
@@ -219,6 +218,18 @@ def cmd_attractor(args) -> int:
 
 
 def cmd_coding(args) -> int:
+    from .attractor import SetTuple, compute_attractor
+    from .coding import (
+        _require_codable,
+        check_intertwining,
+        check_subsystem,
+        coded_cloud,
+        compare_attractor_coding,
+        path_budget,
+        required_depth,
+        sample_prefixes,
+    )
+
     sys_ = _prepare_mw(args)
     if sys_ is None:
         return FAIL
@@ -288,6 +299,8 @@ def cmd_coding(args) -> int:
 
 
 def cmd_diagonal(args) -> int:
+    from .diagonal import check_diagonal_agreement
+
     sys_ = _prepare_mw(args)
     if sys_ is None:
         return FAIL

@@ -1,18 +1,19 @@
 """Exact checks on systems with finite discrete fibers.
 
-Function tables replace continuous maps, 0/1 integer matrices replace
-pullback operators on function spaces, and every statement becomes decidable
-by enumeration: density of images against triviality of common kernels, the
-reconstruction of a table system from its pullback matrices, and the twisted
-product graph whose morphisms are (path, fiber element) pairs.
+Function tables replace continuous maps, 0/1 integer matrices (tuples of
+rows of Python ints) replace pullback operators on function spaces, and
+every statement becomes decidable by enumeration: density of images against
+triviality of common kernels, the contravariance of the pullback matrices,
+and the twisted product graph whose morphisms are (path, fiber element)
+pairs.  Only the sampled fiber sizes of the density/fidelity sweep import
+numpy.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .kgraph import (
     Degree,
@@ -75,13 +76,20 @@ def map_along(dsys: DiscreteSystem, p: Path) -> dict[str, str]:
 
 
 def validate_discrete_system(dsys: DiscreteSystem) -> ValidationReport:
-    """Table totality, exact square consistency, and the composition law on
+    """Fibers that list each element once, one per vertex of the graph,
+    table totality, exact square consistency, and the composition law on
     all path pairs up to total degree 3."""
     rep = ValidationReport()
     g = dsys.graph
     for v in g.vertices:
         if v not in dsys.fibers or len(dsys.fibers[v]) == 0:
             rep.add(STRUCTURAL, "missing-fiber", v, "vertex has no (nonempty) fiber")
+    for v, fiber in dsys.fibers.items():
+        if v not in g.vertex_set:
+            rep.add(STRUCTURAL, "unknown-vertex", v, "fiber of a vertex the graph lacks")
+        elif len(set(fiber)) != len(fiber):
+            twice = next(t for t in fiber if fiber.count(t) > 1)
+            rep.add(STRUCTURAL, "repeated-element", v, f"element {twice!r} listed twice")
     for ident in g.edges:
         if ident not in dsys.tables:
             rep.add(STRUCTURAL, "missing-table", ident, "edge has no function table")
@@ -138,12 +146,27 @@ def _composable_pairs(g: KGraph, bound: int):
 # pullback systems (function spaces as coordinates, one 0/1 matrix per edge)
 
 
+Matrix = tuple[tuple[int, ...], ...]
+
+
 @dataclass
 class PullbackSystem:
     graph: KGraph
     fibers: dict[str, tuple[str, ...]]
-    matrices: dict[str, np.ndarray]  # edge -> int64 (|T_r|, |T_s|), one 1 per column
+    matrices: dict[str, Matrix]  # edge -> |T_r| rows of |T_s| ints, one 1 per column
     name: str = ""
+
+
+def _selector(images, rows: int) -> Matrix:
+    """The 0/1 matrix with ``rows`` rows whose column j has its 1 in row
+    images[j]."""
+    return tuple(tuple(int(i == r) for i in images) for r in range(rows))
+
+
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Exact integer product of two matrices given as tuples of rows."""
+    columns = list(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in columns) for row in a)
 
 
 def pullback_system(dsys: DiscreteSystem, verify_bound: int = 3) -> tuple[PullbackSystem, ValidationReport]:
@@ -154,52 +177,30 @@ def pullback_system(dsys: DiscreteSystem, verify_bound: int = 3) -> tuple[Pullba
     matrices = {}
     for ident, tab in dsys.tables.items():
         e = dsys.graph.edge(ident)
-        src = dsys.fibers[e.source_vertex]
-        dst = dsys.fibers[e.range_vertex]
-        dst_index = {t: i for i, t in enumerate(dst)}
-        mat = np.zeros((len(dst), len(src)), dtype=np.int64)
-        for j, t in enumerate(src):
-            mat[dst_index[tab[t]], j] = 1
-        matrices[ident] = mat
+        dst_index = {t: i for i, t in enumerate(dsys.fibers[e.range_vertex])}
+        images = [dst_index[tab[t]] for t in dsys.fibers[e.source_vertex]]
+        matrices[ident] = _selector(images, len(dst_index))
     psys = PullbackSystem(dsys.graph, dict(dsys.fibers), matrices, dsys.name)
 
     rep = ValidationReport()
     for p, q in _composable_pairs(dsys.graph, verify_bound):
         lhs = matrix_along(psys, compose(p, q))
-        rhs = matrix_along(psys, p) @ matrix_along(psys, q)
-        if not np.array_equal(lhs, rhs):
+        rhs = _matmul(matrix_along(psys, p), matrix_along(psys, q))
+        if lhs != rhs:
             rep.add(AXIOM, "contravariance", f"{p!r}*{q!r}",
                     "matrix of the composite differs from the matrix product")
     return psys, rep
 
 
-def matrix_along(psys: PullbackSystem, p: Path) -> np.ndarray:
+def matrix_along(psys: PullbackSystem, p: Path) -> Matrix:
     """0/1 matrix of a path (exact integer product along the normal form)."""
     if p.is_vertex:
-        return np.eye(len(psys.fibers[p.range_vertex]), dtype=np.int64)
+        size = len(psys.fibers[p.range_vertex])
+        return _selector(range(size), size)
     out = psys.matrices[p.edges[0]]
     for ident in p.edges[1:]:
-        out = out @ psys.matrices[ident]
+        out = _matmul(out, psys.matrices[ident])
     return out
-
-
-def discrete_from_pullback(psys: PullbackSystem) -> DiscreteSystem:
-    """Reconstruct the unique table system with these pullback matrices.
-
-    Requires every matrix to carry exactly one 1 per column (that is what
-    makes it the linearization of a function)."""
-    tables = {}
-    for ident, mat in psys.matrices.items():
-        e = psys.graph.edge(ident)
-        src = psys.fibers[e.source_vertex]
-        dst = psys.fibers[e.range_vertex]
-        if mat.shape != (len(dst), len(src)) or not np.all(mat.sum(axis=0) == 1):
-            raise ValueError(f"matrix for {ident!r} is not a per-column selector")
-        if not np.isin(mat, (0, 1)).all():
-            raise ValueError(f"matrix for {ident!r} has entries outside 0/1")
-        rows = mat.argmax(axis=0)
-        tables[ident] = {t: dst[rows[j]] for j, t in enumerate(src)}
-    return DiscreteSystem(psys.graph, dict(psys.fibers), tables, psys.name)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +239,11 @@ def check_density_fidelity(dsys: DiscreteSystem, n) -> DensityFidelity:
     psys, _ = pullback_system(dsys, verify_bound=0)
     faithful = True
     for v in g.vertices:
-        hit = np.zeros(len(dsys.fibers[v]), dtype=np.int64)
+        hit = [0] * len(dsys.fibers[v])
         for lam in enumerate_paths(g, v, n):
-            hit += matrix_along(psys, lam).sum(axis=1)
-        if not np.all(hit > 0):
+            for i, row in enumerate(matrix_along(psys, lam)):
+                hit[i] += sum(row)
+        if not all(hit):
             faithful = False
             break
     return DensityFidelity(dense, faithful)
@@ -285,48 +287,77 @@ def density_fidelity_sweep(
     All four tables range over Maps(T, T); an assignment is consistent when
     every mixed pair commutes (that is what the flip squares demand).  The
     full assignment space is enumerated when it has at most ``limit``
-    elements, otherwise a seeded uniform sample of that size is drawn; the
-    generator is made at the first sampled size.  Each block of assignments
-    is tested for commutation on integer map tables, and its consistent rows
-    get their density and fidelity verdicts together (``_block_verdicts``),
-    along the paths of each degree.
+    elements, otherwise a seeded uniform sample of that size is drawn.  An
+    enumerated size lists its consistent assignments in pure Python; numpy
+    is imported, and the generator made, at the first sampled size.  Each
+    consistent assignment gets its density and fidelity verdicts along the
+    paths of each degree (``_row_verdicts``).
     """
     g = _template_2graph()
     rng = None
     degrees = [tuple(n) for n in degrees]
-    paths = {n: _template_paths(g, n) for n in degrees}
+    paths = [_template_paths(g, n) for n in degrees]
     result = SweepResult(degrees, 0, 0)
     for size in range(1, max_fiber_size + 1):
-        # row i is the i-th map of itertools.product order: j -> maps[i, j]
-        maps = np.array(list(itertools.product(range(size), repeat=size)), dtype=np.intp)
-        sampled = len(maps) ** 4 > limit
-        if sampled and rng is None:
-            rng = np.random.default_rng(seed)
-        result.sampled |= sampled
+        # the i-th map of itertools.product order: j -> maps[i][j]
+        maps = list(itertools.product(range(size), repeat=size))
+        total = len(maps) ** 4
+        if total > limit:
+            if rng is None:
+                import numpy as np
+
+                rng = np.random.default_rng(seed)
+            result.sampled = True
+            result.instances += limit
+            rows = _sampled_assignments(maps, limit, rng)
+        else:
+            result.instances += total
+            rows = _consistent_assignments(maps)
         result.consistent_by_size[size] = 0
-        for rows in _assignment_blocks(len(maps), limit, rng):
-            result.instances += len(rows)
-            tabs = maps[rows]
-            consistent = _commuting(tabs)
-            n_consistent = int(consistent.sum())
-            result.consistent += n_consistent
-            result.consistent_by_size[size] += n_consistent
-            if not n_consistent:
-                continue
-            rows, tabs = rows[consistent], tabs[consistent]
-            verdicts = [_block_verdicts(tabs, paths[n]) for n in degrees]
-            split = np.any([dense != faithful for dense, faithful in verdicts], axis=0)
-            for i in np.flatnonzero(split).tolist():
-                for n, (dense, faithful) in zip(degrees, verdicts):
-                    if dense[i] != faithful[i]:
-                        verdict = DensityFidelity(bool(dense[i]), bool(faithful[i]))
-                        result.disagreements.append((size, tuple(rows[i].tolist()), n, verdict))
+        for row in rows:
+            result.consistent_by_size[size] += 1
+            verdicts = _row_verdicts([maps[i] for i in row], paths)
+            for n, verdict in zip(degrees, verdicts):
+                if not verdict.agree:
+                    result.disagreements.append((size, row, n, verdict))
+        result.consistent += result.consistent_by_size[size]
     return result
 
 
-def _commuting(tabs: np.ndarray) -> np.ndarray:
+def _consistent_assignments(maps):
+    """All assignments (b0, b1, r0, r1) of indices into ``maps`` whose blue
+    and red maps commute pairwise, in lexicographic order."""
+    n = len(maps)
+    commute = [[all(f[h[t]] == h[f[t]] for t in range(len(f))) for h in maps] for f in maps]
+    for b0, b1 in itertools.product(range(n), repeat=2):
+        reds = [r for r in range(n) if commute[b0][r] and commute[b1][r]]
+        for r0, r1 in itertools.product(reds, repeat=2):
+            yield b0, b1, r0, r1
+
+
+# assignments drawn at a time by the sweep: larger blocks are no faster, and
+# one block of 100,000 raises the peak RSS of a size-3 sweep from 36 to 54 MB
+_SWEEP_BLOCK = 2048
+
+
+def _sampled_assignments(maps, limit: int, rng):
+    """The consistent rows, in draw order, of ``limit`` seeded uniform draws
+    of four indices into ``maps`` (the same stream as one draw of shape
+    (limit, 4), or as ``limit`` draws of 4), drawn and tested for
+    commutation ``_SWEEP_BLOCK`` rows at a time."""
+    import numpy as np
+
+    table = np.array(maps, dtype=np.intp)
+    for start in range(0, limit, _SWEEP_BLOCK):
+        rows = rng.integers(0, len(maps), (min(_SWEEP_BLOCK, limit - start), 4))
+        yield from map(tuple, rows[_commuting(table[rows])].tolist())
+
+
+def _commuting(tabs):
     """Rows of a block of (b0, b1, r0, r1) integer tables whose blue and red
     tables commute pairwise."""
+    import numpy as np
+
     consistent = np.ones(len(tabs), dtype=bool)
     for b in (0, 1):
         for r in (2, 3):
@@ -348,59 +379,37 @@ def _template_paths(g: KGraph, n) -> list[tuple[int, ...]]:
     return [tuple(map(_TEMPLATE_EDGES.index, p.edges)) for p in enumerate_paths(g, "v", n)]
 
 
-def _block_verdicts(tabs: np.ndarray, paths) -> tuple[np.ndarray, np.ndarray]:
-    """Density and fidelity of a block of template systems at one degree.
+def _row_verdicts(tables, degree_paths) -> list[DensityFidelity]:
+    """Density and fidelity of one template system at each degree.
 
-    ``tabs[i, e]`` is the integer table of edge e (an index into
-    ``_TEMPLATE_EDGES``) in system i, and ``paths`` lists the paths of the
-    degree as edge-index tuples.  The two routes of
-    ``check_density_fidelity`` share only these inputs: density composes
-    the tables along each path and tests that the images cover the fiber;
-    fidelity multiplies the 0/1 pullback matrices along each path and tests
-    that no row of their sum is zero.
+    ``tables[e]`` is the integer table of edge e (an index into
+    ``_TEMPLATE_EDGES``), and ``degree_paths`` lists, per degree, its paths
+    as edge-index tuples.  The two routes of ``check_density_fidelity``
+    share only these inputs: density composes the tables along each path
+    and tests that the images cover the fiber; fidelity multiplies the 0/1
+    pullback matrices along each path and tests that no row of their sum is
+    zero.
     """
-    count, _, size = tabs.shape
-    elements = np.arange(size)
+    size = len(tables[0])
+    matrices = [_selector(tab, size) for tab in tables]
+    verdicts = []
+    for paths in degree_paths:
+        covered = set()
+        for path in paths:
+            image = range(size)
+            for e in reversed(path):
+                image = [tables[e][t] for t in image]
+            covered.update(image)
 
-    covered = np.zeros((count, size), dtype=bool)
-    for path in paths:
-        image = np.broadcast_to(elements, (count, size))
-        for e in reversed(path):
-            image = np.take_along_axis(tabs[:, e], image, axis=1)
-        covered[np.arange(count)[:, None], image] = True
-    dense = covered.all(axis=1)
-
-    # matrices[i, e, r, c] == 1 exactly when table e of system i sends c to r
-    matrices = (tabs[:, :, None, :] == elements[:, None]).astype(np.int64)
-    hit = np.zeros((count, size), dtype=np.int64)
-    for path in paths:
-        mat = np.broadcast_to(np.eye(size, dtype=np.int64), (count, size, size))
-        for e in path:
-            mat = mat @ matrices[:, e]
-        hit += mat.sum(axis=2)
-    faithful = (hit > 0).all(axis=1)
-    return dense, faithful
-
-
-# assignments per block of the sweep: larger blocks are no faster, and one
-# block of 100,000 raises the peak RSS of a size-3 sweep from 36 to 54 MB
-_SWEEP_BLOCK = 2048
-
-
-def _assignment_blocks(n_maps: int, limit: int, rng):
-    """Rows of four map indices (b0, b1, r0, r1), in blocks of at most
-    ``_SWEEP_BLOCK`` rows: all n_maps**4 assignments in lexicographic order
-    when there are at most ``limit``, otherwise ``limit`` seeded uniform
-    draws (the same stream as one draw of shape (limit, 4), or as ``limit``
-    draws of 4)."""
-    total = n_maps ** 4
-    count = min(total, limit)
-    for start in range(0, count, _SWEEP_BLOCK):
-        stop = min(start + _SWEEP_BLOCK, count)
-        if total <= limit:
-            yield np.stack(np.unravel_index(np.arange(start, stop), (n_maps,) * 4), axis=1)
-        else:
-            yield rng.integers(0, n_maps, (stop - start, 4))
+        hit = [0] * size
+        for path in paths:
+            mat = matrices[path[0]] if path else _selector(range(size), size)
+            for e in path[1:]:
+                mat = _matmul(mat, matrices[e])
+            for i, row in enumerate(mat):
+                hit[i] += sum(row)
+        verdicts.append(DensityFidelity(len(covered) == size, all(hit)))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -4,28 +4,23 @@ One JSON document describes a graph, a metric system (graph + fibers +
 affine maps), or a discrete system (graph + element lists + tables); the
 `kind` field disambiguates, the schema is documented in
 docs/instance_format.md.  Artifact writers are deterministic byte for byte:
-repr floats, fixed row order.
+repr floats, fixed row order.  numpy and the metric modules are imported
+only by the metric readers and the grid writers, so reading a graph or a
+discrete system imports neither.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path as FsPath
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .attractor import SetTuple
 from .duality import DiscreteSystem
 from .kgraph import KGraph, KGraphError
-from .systems import (
-    AffineMap,
-    Ball,
-    Box,
-    MetricFiber,
-    MWSystem,
-    PointSet,
-    Polygon,
-)
+
+if TYPE_CHECKING:
+    from .attractor import SetTuple
+    from .systems import MWSystem
 
 
 class InstanceFormatError(Exception):
@@ -79,6 +74,8 @@ def kgraph_from_dict(doc: dict) -> KGraph:
 
 
 def region_from_dict(doc: dict):
+    from .systems import Ball, Box, PointSet, Polygon
+
     rtype = _need(doc, "type", "region")
     if rtype == "box":
         return Box(_need(doc, "min", "box"), _need(doc, "max", "box"))
@@ -96,6 +93,8 @@ def region_from_dict(doc: dict):
 
 
 def system_from_dict(doc: dict) -> MWSystem:
+    from .systems import AffineMap, MetricFiber, MWSystem
+
     g = kgraph_from_dict(doc)
     fibers = {}
     for v, spec in _need(doc, "fibers", "system").items():
@@ -207,6 +206,8 @@ def write_clouds_csv(sets: SetTuple, path) -> None:
     distinct lattice coordinate of an axis, origin[t] + pitch * float(i), is
     formatted once, and the rows are gathered from those per-axis tables,
     ``CSV_BLOCK_ROWS`` at a time."""
+    import numpy as np
+
     dim = sets.origin.size
     with FsPath(path).open("w") as fh:
         fh.write("vertex," + ",".join(f"x{i}" for i in range(dim)) + "\n")
@@ -233,6 +234,8 @@ def _write_raster(path, lattices, shades) -> None:
     """Binary 8-bit raster of planar lattice clouds over their joint bounding
     box at grid resolution.  Bit i of a cell's code is set when lattices[i]
     holds it, and the pixel gets shades[code]."""
+    import numpy as np
+
     cells = np.concatenate(lattices)
     if cells.shape[1] != 2:
         raise ValueError("rasters are only defined for planar clouds")

@@ -1,4 +1,5 @@
-"""Validation findings shared by the graph and system checkers."""
+"""Validation findings shared by the graph and system checkers, and the
+modes a metric system is validated in."""
 
 from __future__ import annotations
 
@@ -6,6 +7,10 @@ from dataclasses import dataclass, field
 
 STRUCTURAL = "structural"
 AXIOM = "axiom"
+
+# the modes of a metric system: where its contraction ratio is enforced
+STRICT = "strict"
+RELAXED = "relaxed"
 
 
 @dataclass(frozen=True)

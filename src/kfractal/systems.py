@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .kgraph import KGraph, Path, enumerate_paths
-from .report import AXIOM, STRUCTURAL, ValidationReport
+from .report import AXIOM, RELAXED, STRICT, STRUCTURAL, ValidationReport
 
 EUCLIDEAN = "euclidean"
 MAX = "max"
@@ -338,10 +338,6 @@ def lipschitz_bound(m: AffineMap, metric: str = EUCLIDEAN) -> float:
 
 # ---------------------------------------------------------------------------
 # systems
-
-
-STRICT = "strict"
-RELAXED = "relaxed"
 
 
 @dataclass

@@ -13,7 +13,6 @@ from kfractal.duality import (
     check_density_fidelity,
     degrees_upto,
     density_fidelity_sweep,
-    discrete_from_pullback,
     map_along,
     matrix_along,
     pullback_system,
@@ -36,6 +35,26 @@ from shipped import shipped
 
 def single_loop_graph():
     return KGraph(1, ["v"], {1: [("e", "v", "v")]})
+
+
+def discrete_from_pullback(psys):
+    """Reconstruct the unique table system with these pullback matrices.
+
+    Requires every matrix to carry exactly one 1 per column (that is what
+    makes it the linearization of a function)."""
+    tables = {}
+    for ident, matrix in psys.matrices.items():
+        mat = np.asarray(matrix)
+        e = psys.graph.edge(ident)
+        src = psys.fibers[e.source_vertex]
+        dst = psys.fibers[e.range_vertex]
+        if mat.shape != (len(dst), len(src)) or not np.all(mat.sum(axis=0) == 1):
+            raise ValueError(f"matrix for {ident!r} is not a per-column selector")
+        if not np.isin(mat, (0, 1)).all():
+            raise ValueError(f"matrix for {ident!r} has entries outside 0/1")
+        rows = mat.argmax(axis=0)
+        tables[ident] = {t: dst[rows[j]] for j, t in enumerate(src)}
+    return DiscreteSystem(psys.graph, dict(psys.fibers), tables, psys.name)
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +90,32 @@ def test_partial_table_structural():
     assert "partial-table" in rep.codes()
 
 
+def test_repeated_fiber_element_structural():
+    # before this finding the system validated, and its twisted product
+    # reported internal twisted-uniqueness findings
+    dsys = shipped("d1")
+    dsys.fibers = {"v": ("t", "t")}
+    rep = validate_discrete_system(dsys)
+    assert [(f.kind, f.code, f.subject) for f in rep.findings] == [
+        ("structural", "repeated-element", "v")
+    ]
+
+
+def test_fiber_of_unknown_vertex_structural():
+    dsys = shipped("d1")
+    dsys.fibers["w"] = ("t",)
+    rep = validate_discrete_system(dsys)
+    assert [(f.kind, f.code, f.subject) for f in rep.findings] == [
+        ("structural", "unknown-vertex", "w")
+    ]
+
+
 def test_pullback_identity_matrix():
     g = single_loop_graph()
     dsys = DiscreteSystem(g, {"v": ("a", "b")}, {"e": {"a": "a", "b": "b"}})
     psys, rep = pullback_system(dsys)
     assert rep.ok
-    assert np.array_equal(psys.matrices["e"], np.eye(2, dtype=np.int64))
+    assert np.array_equal(np.asarray(psys.matrices["e"]), np.eye(2, dtype=np.int64))
 
 
 def test_pullback_constant_map_row_of_ones():
@@ -84,7 +123,7 @@ def test_pullback_constant_map_row_of_ones():
     dsys = DiscreteSystem(g, {"v": ("x", "y")}, {"e": {"x": "x", "y": "x"}})
     psys, rep = pullback_system(dsys)
     assert rep.ok
-    assert psys.matrices["e"].tolist() == [[1, 1], [0, 0]]
+    assert np.asarray(psys.matrices["e"]).tolist() == [[1, 1], [0, 0]]
 
 
 def test_pullback_three_cycle_permutation():
@@ -97,10 +136,10 @@ def test_pullback_three_cycle_permutation():
     expected = np.zeros((3, 3), dtype=np.int64)
     for j, image in enumerate([1, 2, 0]):
         expected[image, j] = 1
-    assert np.array_equal(psys.matrices["e"], expected)
+    assert np.array_equal(np.asarray(psys.matrices["e"]), expected)
     # composing the cycle three times gives the identity, exactly
     p3 = Path(g, "v", ("e", "e", "e"))
-    assert np.array_equal(matrix_along(psys, p3), np.eye(3, dtype=np.int64))
+    assert np.array_equal(np.asarray(matrix_along(psys, p3)), np.eye(3, dtype=np.int64))
 
 
 @pytest.mark.parametrize("name", ["d1", "d2", "d3"])
@@ -118,7 +157,7 @@ def test_pullback_round_trip():
         assert back.tables == dsys.tables
         psys2, _ = pullback_system(back)
         assert all(
-            np.array_equal(psys.matrices[e], psys2.matrices[e])
+            np.array_equal(np.asarray(psys.matrices[e]), np.asarray(psys2.matrices[e]))
             for e in psys.matrices
         )
 
@@ -127,7 +166,7 @@ def test_pullback_rejects_non_selector():
     g = single_loop_graph()
     dsys = DiscreteSystem(g, {"v": ("a", "b")}, {"e": {"a": "a", "b": "b"}})
     psys, _ = pullback_system(dsys)
-    psys.matrices["e"] = np.array([[1, 1], [1, 0]], dtype=np.int64)
+    psys.matrices["e"] = ((1, 1), (1, 0))
     with pytest.raises(ValueError):
         discrete_from_pullback(psys)
 
@@ -172,7 +211,7 @@ def test_common_missed_point_breaks_both():
     # exhibit the kernel element explicitly: the indicator column vanishes
     psys, _ = pullback_system(dsys)
     for lam in enumerate_paths(g, "v", (1, 1)):
-        mat = matrix_along(psys, lam)
+        mat = np.asarray(matrix_along(psys, lam))
         assert mat[:, 1].tolist() == [0, 0] or mat.sum(axis=1)[1] == 0
 
 
@@ -242,44 +281,40 @@ def test_sweep_counts_consistent_assignments_per_fiber_size():
 
 
 def test_block_verdicts_match_reference_on_every_consistent_assignment():
-    # every consistent assignment of fiber sizes 1 to 3, enumerated whole
+    # every consistent assignment of fiber sizes 1 to 3, enumerated whole,
+    # through the row verdicts the sweep gives each consistent assignment
     g = duality._template_2graph()
     degrees = [(1, 0), (0, 1), (1, 1), (0, 0), (2, 1)]
-    paths = {n: duality._template_paths(g, n) for n in degrees}
+    paths = [duality._template_paths(g, n) for n in degrees]
     checked = 0
     outcomes = set()
     for size in (1, 2, 3):
         elems = tuple(str(i) for i in range(size))
-        maps = np.array(list(itertools.product(range(size), repeat=size)))
-        for rows in duality._assignment_blocks(len(maps), len(maps) ** 4, None):
-            tabs = maps[rows]
-            tabs = tabs[duality._commuting(tabs)]
-            verdicts = [duality._block_verdicts(tabs, paths[n]) for n in degrees]
-            for i, quad in enumerate(tabs.tolist()):
-                tables = {
-                    e: {elems[j]: elems[x] for j, x in enumerate(tab)}
-                    for e, tab in zip(duality._TEMPLATE_EDGES, quad)
-                }
-                dsys = DiscreteSystem(g, {"v": elems}, tables)
-                for n, (dense, faithful) in zip(degrees, verdicts):
-                    ref = check_density_fidelity(dsys, n)
-                    assert (dense[i], faithful[i]) == (ref.k_dense, ref.k_faithful), (quad, n)
-                    outcomes.add(ref.k_dense)
-                checked += 1
+        maps = list(itertools.product(range(size), repeat=size))
+        for row in duality._consistent_assignments(maps):
+            quad = [maps[i] for i in row]
+            verdicts = duality._row_verdicts(quad, paths)
+            tables = {
+                e: {elems[j]: elems[x] for j, x in enumerate(tab)}
+                for e, tab in zip(duality._TEMPLATE_EDGES, quad)
+            }
+            dsys = DiscreteSystem(g, {"v": elems}, tables)
+            for n, verdict in zip(degrees, verdicts):
+                ref = check_density_fidelity(dsys, n)
+                assert (verdict.k_dense, verdict.k_faithful) == (ref.k_dense, ref.k_faithful), (quad, n)
+                outcomes.add(ref.k_dense)
+            checked += 1
     assert checked == 4460
     assert outcomes == {True, False}
 
 
 def test_sweep_records_disagreements_per_assignment_then_degree(monkeypatch):
-    # a stand-in for the block verdicts: dense only at degree (1, 0), whose
-    # two paths it sees, and faithful only on the even rows of a block
-    def verdicts(tabs, paths):
-        return np.full(len(tabs), len(paths) == 2), np.arange(len(tabs)) % 2 == 0
-
-    monkeypatch.setattr(duality, "_block_verdicts", verdicts)
+    # a stand-in for the row verdicts: dense only at degree (1, 0), whose
+    # two paths it sees, and faithful only on the even consistent rows of
+    # each fiber size
     degrees = ((1, 0), (1, 1))
-    res = density_fidelity_sweep(max_fiber_size=2, degrees=degrees)
     expected = []
+    position = {}
     for size in (1, 2):
         maps = list(itertools.product(range(size), repeat=size))
         consistent = [
@@ -293,10 +328,18 @@ def test_sweep_records_disagreements_per_assignment_then_degree(monkeypatch):
             )
         ]
         for i, idx in enumerate(consistent):
+            position[tuple(maps[j] for j in idx)] = i
             for n in degrees:
                 dense, faithful = n == (1, 0), i % 2 == 0
                 if dense != faithful:
                     expected.append((size, idx, n, duality.DensityFidelity(dense, faithful)))
+
+    def verdicts(tables, degree_paths):
+        faithful = position[tuple(tables)] % 2 == 0
+        return [duality.DensityFidelity(len(paths) == 2, faithful) for paths in degree_paths]
+
+    monkeypatch.setattr(duality, "_row_verdicts", verdicts)
+    res = density_fidelity_sweep(max_fiber_size=2, degrees=degrees)
     assert res.disagreements == expected
 
 

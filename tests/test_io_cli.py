@@ -564,18 +564,6 @@ def test_cli_discrete_bad_fiber_exits_2_in_one_line(tmp_path, capsys, command, f
     assert not out.exists()
 
 
-def test_cli_duality_exhaustive_run_skips_numpy_random(tmp_path):
-    # sizes 1 and 2 are enumerated whole, so no generator is made
-    code = ("import sys\n"
-            "from kfractal.cli import main\n"
-            f"assert main(['duality', '--instance', 'd1', '--out', {str(tmp_path)!r}]) == 0\n"
-            "assert 'numpy.random' not in sys.modules\n")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_cli_duality_reports_an_invalid_graph(tmp_path, capsys):
     doc = json.loads(packaged_instance("d2").read_text())
     del doc["squares"]["1,2"][0]

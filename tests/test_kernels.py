@@ -1,22 +1,15 @@
-"""Set distances: the KD-tree path against the brute-force kernel, and the
-lazy scipy import.  scipy serves only the KD-tree that library callers of
-``directed_distance`` and ``hausdorff_distance`` reach with large clouds;
-lattice windows are measured in numpy (tests/test_attractor.py), and
-``coding`` snaps its generator images onto the lattice before measuring
-them, so no CLI command imports scipy at all."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Set distances: the KD-tree path against the brute-force kernel.  scipy
+serves only the KD-tree that library callers of ``directed_distance`` and
+``hausdorff_distance`` reach with large clouds; lattice windows are measured
+in numpy (tests/test_attractor.py), and ``coding`` snaps its generator
+images onto the lattice before measuring them, so no CLI command imports
+scipy at all (tests/test_imports.py)."""
 
 import numpy as np
 import pytest
 
 from kfractal import _kernels, attractor
 from kfractal.attractor import INDEX_MIN_PAIRS, directed_distance, hausdorff_distance
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def clouds(seed, na=800, nb=900, d=2):
@@ -31,53 +24,6 @@ def test_indexed_matches_brute_force(metric, d):
     assert len(a) * len(b) > INDEX_MIN_PAIRS  # directed_distance uses the KD-tree
     reference = _kernels.directed_max_min(a, b, metric)
     assert directed_distance(a, b, metric) == pytest.approx(reference, abs=1e-12)
-
-
-def test_small_products_skip_scipy_spatial():
-    # the brute-force path exists so that small commands never pay for this import
-    code = (
-        "import sys\n"
-        "import kfractal.cli\n"
-        "from kfractal.attractor import directed_distance\n"
-        "assert directed_distance([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0]]) > 0\n"
-        "assert 'scipy.spatial' not in sys.modules\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_cli_import_skips_scipy_ndimage():
-    # no module imports scipy.ndimage: lattice windows are measured in numpy
-    code = "import sys\nimport kfractal.cli\nassert 'scipy.ndimage' not in sys.modules\n"
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # p2c compares its iterates through distance windows on every step
-        ["attractor", "--instance", "p2c"],
-        ["diagonal", "--instance", "p2c"],
-        # 2187 coded points against 2187 snapped images per generator: the
-        # products a KD-tree measured before the images were snapped
-        ["coding", "--instance", "s1", "--count", "20000"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_grid_commands_never_import_scipy(tmp_path, argv):
-    code = (
-        "import sys\n"
-        "from kfractal.cli import main\n"
-        f"rc = main({[*argv, '--out', str(tmp_path)]!r})\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
-        "raise SystemExit(rc)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_hausdorff_identical_clouds_zero():
