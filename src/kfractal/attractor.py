@@ -9,7 +9,11 @@ linear part sends each axis through a small table of snapped image indices,
 equal bit for bit to snapping its float image, and other maps are applied
 to the real points.  The iteration stops on a Banach a-posteriori
 estimate: once consecutive tuples are within delta, the limit is within
-delta*c/(1-c), plus grid slack.
+delta*c/(1-c), plus grid slack.  A step that is not the last allowed one
+is only decided against that stop threshold: its displacement is measured
+exactly up to the largest lattice distance that stops, and past it only as
+far as needed to show that it does not stop.  The displacement printed is
+therefore always the exact lattice distance.
 
 Two tuples on the same lattice are compared from their integer rows: large
 unequal clouds are measured in numpy over an occupancy window whose size is
@@ -17,9 +21,11 @@ bounded per point before it is allocated, each direction only at the source
 cells outside the target.  The max metric takes the two raster passes of
 the unit chamfer (Rosenfeld & Pfaltz 1966), the Euclidean metric a gap
 along one axis and then rings of offsets along the others; both are
-integer, hence exact.  ``_directed_window_distance`` runs one direction of
-the same window on a sparse cloud, bounded by the largest fiber grid instead
-of per point: the coding invariance check measures its snapped images so.
+integer, hence exact.  A measure capped at the stop threshold takes the
+gap and the rings, within the cap, for both metrics.
+``_directed_window_distance`` runs one direction of the same window on a
+sparse cloud, bounded by the largest fiber grid instead of per point: the
+coding invariance check measures its snapped images so.
 Off-lattice clouds, small products and clouds too sparse for a window are
 measured point by point, by brute force or with a KD-tree.  The KD-tree is
 the one use of scipy, and only library callers of ``directed_distance`` and
@@ -130,32 +136,39 @@ def _window(a: np.ndarray, b: np.ndarray, most: int):
     return shape, flat(a), flat(b)
 
 
-def _directed_cells(src: np.ndarray, dst: np.ndarray, shape, metric) -> int:
+def _directed_cells(src: np.ndarray, dst: np.ndarray, shape, metric, cap=None) -> int:
     """The one-sided distance from the flat cells src to the flat cells dst
     of a window, as ``_farthest`` gives it (squared for the Euclidean
-    metric).  dst is marked in an occupancy window and only the src cells
-    outside it are measured; when there are none the distance is 0, as when
-    one iterate lies inside the other."""
+    metric, and exact only up to a ``cap``).  dst is marked in an occupancy
+    window and only the src cells outside it are measured; when there are
+    none the distance is 0, as when one iterate lies inside the other."""
     occ = np.zeros(math.prod(shape), dtype=bool)
     occ[dst] = True
     outside = src[~occ[src]]
-    return _farthest(occ.reshape(shape), outside, metric) if len(outside) else 0
+    return _farthest(occ.reshape(shape), outside, metric, cap) if len(outside) else 0
 
 
 def _cells_to_length(cells: int, metric) -> float:
     return math.sqrt(cells) if metric == EUCLIDEAN else float(cells)
 
 
-def _window_distance(a: np.ndarray, b: np.ndarray, metric) -> float | None:
+def _window_distance(a: np.ndarray, b: np.ndarray, metric, cap=None) -> float | None:
     """Hausdorff distance, in lattice units, between two nonempty lattice
     clouds, or None when their joint bounding box holds more than
     ``WINDOW_CELLS_PER_POINT`` cells per point; each direction is one
-    ``_directed_cells`` over the same window."""
+    ``_directed_cells`` over the same window.
+
+    With a ``cap`` in cells (squared for the Euclidean metric) the distance
+    is exact when it is within the cap, and otherwise some length past the
+    cap and at most the exact one; a first direction past the cap ends the
+    measure."""
     window = _window(a, b, WINDOW_CELLS_PER_POINT * (len(a) + len(b)))
     if window is None:
         return None
     shape, fa, fb = window
-    worst = max(_directed_cells(fa, fb, shape, metric), _directed_cells(fb, fa, shape, metric))
+    worst = _directed_cells(fa, fb, shape, metric, cap)
+    if cap is None or worst <= cap:
+        worst = max(worst, _directed_cells(fb, fa, shape, metric, cap))
     return _cells_to_length(worst, metric)
 
 
@@ -178,23 +191,40 @@ def _directed_window_distance(a: np.ndarray, b: np.ndarray, metric) -> float:
     return _cells_to_length(_directed_cells(fa, fb, shape, metric), metric)
 
 
-def _farthest(occ: np.ndarray, cells: np.ndarray, metric) -> int:
+# a capped ``_farthest`` settles this many cells first, those of largest gap
+# along the last axis: one of them past the cap ends the measure, and their
+# largest distance lets the ring loop drop most other cells at once
+PROBE_CELLS = 16
+
+
+def _farthest(occ: np.ndarray, cells: np.ndarray, metric, cap: int | None = None) -> int:
     """The largest distance from the given unoccupied cells (C-order flat
     indices, at least one) to the occupied cells of a window that has some:
     squared for the Euclidean metric, chessboard for the max metric.
 
-    Everything is integer, so the result is exact.  Chessboard distances
-    come from the two raster passes of ``_chamfer``.  Euclidean ones start
-    from each cell's gap to the nearest occupied cell along the last axis,
-    the longest; offsets along the other axes are then tried in rings of
-    growing length, each cell until no ring can shorten its distance or the
-    distance cannot exceed the largest one settled so far (the early break
-    of Taha & Hanbury, IEEE TPAMI 37(11), 2015).
+    Everything is integer, so the result is exact.  Uncapped chessboard
+    distances come from the two raster passes of ``_chamfer``.  Otherwise
+    each cell starts from its gap to the nearest occupied cell along the
+    last axis, the longest; offsets along the other axes are then tried in
+    rings of growing cost, squared length combined by + for the Euclidean
+    metric and chessboard length combined by max for the max metric.
+
+    With a ``cap`` (at least 0) the result is exact when it is at most the
+    cap, and otherwise some value above the cap and at most the exact one.
+    Both metrics then take only the rings within the cap, after the
+    ``PROBE_CELLS`` cells of largest gap have been settled: one of them past
+    the cap ends the measure, and their largest distance lets the others
+    stop early.  A cap at or above every distance the window can hold is
+    dropped.
     """
     shape = occ.shape
     far = sum(shape)  # above every distance inside the window
     dtype = np.int32 if 5 * far * far < 2**31 else np.int64
-    if metric != EUCLIDEAN:
+    euclidean = metric == EUCLIDEAN
+    if cap is not None and cap >= (sum((n - 1) ** 2 for n in shape) if euclidean
+                                   else max(shape) - 1):
+        cap = None
+    if cap is None and not euclidean:
         dist = np.where(occ, dtype(0), dtype(far))
         _chamfer(dist)
         _chamfer(dist[(slice(None, None, -1),) * dist.ndim])
@@ -209,41 +239,68 @@ def _farthest(occ: np.ndarray, cells: np.ndarray, metric) -> int:
     np.subtract(after, x, out=after)
     gap = np.minimum(before, after, out=before).reshape(-1)
     del after
-    np.multiply(gap, gap, out=gap)
+    if euclidean:
+        np.multiply(gap, gap, out=gap)
     best = gap[cells]
     if len(shape) == 1:
         return int(best.max())
-    # rings: offsets along the leading axes, grouped by squared length
+    # offsets along the leading axes, within the cap, grouped by cost
     lead = np.array(shape[:-1])
-    grids = np.meshgrid(*[np.arange(1 - n, n) for n in lead], indexing="ij")
+    reach = lead - 1
+    if cap is not None:
+        reach = np.minimum(reach, math.isqrt(cap) if euclidean else cap)
+    grids = np.meshgrid(*[np.arange(-r, r + 1) for r in reach], indexing="ij")
     offsets = np.stack([g.reshape(-1) for g in grids], axis=1)
-    cost = (offsets * offsets).sum(axis=1)
+    cost = (offsets * offsets).sum(axis=1) if euclidean else np.abs(offsets).max(axis=1)
+    if cap is not None:
+        offsets, cost = offsets[cost <= cap], cost[cost <= cap]
     order = np.argsort(cost, kind="stable")
     offsets, cost = offsets[order], cost[order]
     rings = np.flatnonzero(np.diff(cost)) + 1
     strides = np.array([math.prod(shape[k + 1 :]) for k in range(len(lead))])
+
+    def settle(best, pos, base, worst):
+        # the largest distance of the cells whose gaps, leading positions and
+        # flat bases are given, with worst settled already: each cell is tried
+        # ring by ring until no ring can shorten its distance or the distance
+        # cannot exceed the largest one settled so far (the early break of
+        # Taha & Hanbury, IEEE TPAMI 37(11), 2015)
+        for start, stop in zip(rings, [*rings[1:], len(cost)]):
+            c = int(cost[start])
+            # a cell within c of its target is settled; one within the largest
+            # settled distance cannot raise the maximum
+            settled = best <= c
+            if settled.any():
+                worst = max(worst, int(best[settled].max()))
+                if cap is not None and worst > cap:
+                    return worst
+            keep = best > max(c, worst)
+            if not keep.all():
+                best, pos, base = best[keep], pos[keep], base[keep]
+                if not len(best):
+                    return worst
+            # offsets past the window's edge are clipped onto it: the clipped
+            # cell is no farther than the ring, so no distance comes out short
+            near = np.clip(pos[:, None, :] + offsets[None, start:stop], 0, lead - 1)
+            ring = gap[base[:, None] + near @ strides].min(axis=1)
+            if euclidean:
+                ring += c
+            else:
+                np.maximum(ring, c, out=ring)
+            np.minimum(best, ring, out=best)
+        rest = int(best.max())
+        # past the last ring within the cap, a cell above it stays above it
+        return cap + 1 if cap is not None and rest > cap else max(worst, rest)
+
     pos = np.stack(np.unravel_index(cells, shape)[:-1], axis=1)
     base = cells - pos @ strides
     worst = 0
-    for start, stop in zip(rings, [*rings[1:], len(cost)]):
-        c = int(cost[start])
-        # a cell within c of its target is settled; one within the largest
-        # settled distance cannot raise the maximum
-        settled = best <= c
-        if settled.any():
-            worst = max(worst, int(best[settled].max()))
-        keep = best > max(c, worst)
-        if not keep.all():
-            best, pos, base = best[keep], pos[keep], base[keep]
-            if not len(best):
-                return worst
-        # offsets past the window's edge are clipped onto it: the clipped
-        # cell is no farther than the ring, so no distance comes out short
-        near = np.clip(pos[:, None, :] + offsets[None, start:stop], 0, lead - 1)
-        ring = gap[base[:, None] + near @ strides].min(axis=1)
-        ring += c
-        np.minimum(best, ring, out=best)
-    return max(worst, int(best.max()))
+    if cap is not None and len(best) > PROBE_CELLS:
+        probe = np.argpartition(best, -PROBE_CELLS)[-PROBE_CELLS:]
+        worst = settle(best[probe], pos[probe], base[probe], 0)
+        if worst > cap:
+            return worst
+    return settle(best, pos, base, worst)
 
 
 def _chamfer(dist: np.ndarray) -> None:
@@ -408,7 +465,8 @@ class SetTuple:
             self.origin, self.pitch * factor, {v: c // factor for v, c in self.clouds.items()}
         )
 
-    def vertex_distances(self, other: "SetTuple", metric=EUCLIDEAN) -> dict[str, float]:
+    def vertex_distances(self, other: "SetTuple", metric=EUCLIDEAN, *,
+                         cap: int | None = None) -> dict[str, float]:
         """Per-vertex Hausdorff distance to another tuple on the same grid.
 
         Equal lattice clouds short-circuit to 0 (canonical form makes the
@@ -419,7 +477,12 @@ class SetTuple:
         Smaller products, and boxes of more than ``WINDOW_CELLS_PER_POINT``
         cells per point, go to ``hausdorff_distance`` on the real points
         instead.  A metric other
-        than ``"euclidean"`` or ``"max"`` raises ValueError."""
+        than ``"euclidean"`` or ``"max"`` raises ValueError.
+
+        A ``cap``, in cells and squared for the Euclidean metric, goes to
+        the windows: a distance they measure is exact when it is within the
+        cap, and otherwise some value past pitch times the cap's length and
+        at most the exact one.  Points are always measured exactly."""
         _check_metric(metric)
         if not self.same_grid(other):
             raise ValueError("grid mismatch")
@@ -431,7 +494,8 @@ class SetTuple:
             if np.array_equal(c, o):
                 out[v] = 0.0
                 continue
-            cells = _window_distance(c, o, metric) if len(c) * len(o) > INDEX_MIN_PAIRS else None
+            cells = (_window_distance(c, o, metric, cap)
+                     if len(c) * len(o) > INDEX_MIN_PAIRS else None)
             if cells is None:
                 out[v] = hausdorff_distance(self.points(v), other.points(v), metric)
             else:
@@ -450,10 +514,11 @@ class SetTuple:
         return f"SetTuple(pitch={self.pitch:g}, sizes={sizes})"
 
 
-def tuple_distance(a: SetTuple, b: SetTuple, metric=EUCLIDEAN) -> float:
+def tuple_distance(a: SetTuple, b: SetTuple, metric=EUCLIDEAN, *, cap: int | None = None) -> float:
     """sup over vertices of the per-vertex Hausdorff distance; equal clouds
-    cost nothing, which keeps fixed-point detection cheap."""
-    return max(a.vertex_distances(b, metric).values(), default=0.0)
+    cost nothing, which keeps fixed-point detection cheap.  A ``cap`` makes
+    the window measurements exact only within it (``vertex_distances``)."""
+    return max(a.vertex_distances(b, metric, cap=cap).values(), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +645,37 @@ class ConvergenceCertificate:
         )
 
 
+def _stops(delta: float, c: float, tol: float) -> bool:
+    """The Banach stop test: an iterate that moved delta under an operator
+    contracting by c lies within delta*c/(1-c) of the fixed point."""
+    return delta * c / (1.0 - c) <= tol
+
+
+# above every lattice distance a window can hold, squared ones included
+_CAP_TOP = 2**64
+
+
+def _stop_cap(pitch: float, c: float, tol: float, metric) -> int:
+    """The largest lattice distance (squared for the Euclidean metric) whose
+    displacement, pitch times its length as ``vertex_distances`` forms it,
+    passes ``_stops``: ``_CAP_TOP`` when that one passes, 0 when none does.
+
+    Every step of that expression is monotone in the distance, so the
+    distances that pass are those up to one bound, found by bisection on
+    the expression itself; the decisions it makes are the loop's own.
+    """
+    def passes(cells):
+        return _stops(pitch * _cells_to_length(cells, metric), c, tol)
+
+    if passes(_CAP_TOP):
+        return _CAP_TOP
+    lo, hi = 0, _CAP_TOP  # no distance from hi on passes
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return lo
+
+
 def compute_attractor(
     sys: MWSystem,
     n,
@@ -594,6 +690,14 @@ def compute_attractor(
     contract, so pass a multiple of (1,..,1) there).  Returns the final
     tuple and its certificate; non-convergence within max_iter is reported
     on the certificate, not raised.
+
+    Each step but the last allowed one only has to be decided against the
+    stop test, so its displacement is measured with a cap: the largest
+    lattice distance that passes the test (``_stop_cap``).  Within the cap
+    the measure is exact, past it the step cannot stop; the step that stops
+    was therefore measured exactly.  The last allowed step is measured
+    without a cap, so the certificate's displacement is always the exact
+    lattice distance.
     """
     if tol is None:
         tol = 4.0 * C0.pitch
@@ -602,13 +706,14 @@ def compute_attractor(
             raise ValueError(f"empty initial cloud at vertex {v!r}")
     c_n = _require_contraction(sys, n)
     maps = degree_maps(sys, n)
+    cap = _stop_cap(C0.pitch, c_n, tol, sys.metric)
     current = C0
     delta = float("inf")
     for it in range(1, max_iter + 1):
         nxt = hutchinson_step(sys, n, current, _maps=maps)
-        delta = tuple_distance(current, nxt, sys.metric)
+        delta = tuple_distance(current, nxt, sys.metric, cap=cap if it < max_iter else None)
         current = nxt
-        if delta * c_n / (1.0 - c_n) <= tol:
+        if _stops(delta, c_n, tol):
             return current, ConvergenceCertificate(it, delta, c_n, C0.pitch, tol, True)
     return current, ConvergenceCertificate(max_iter, delta, c_n, C0.pitch, tol, False)
 

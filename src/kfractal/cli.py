@@ -9,7 +9,8 @@ outputs are byte-identical across runs with the same flags.
 The numpy modules are imported when a command needs them: attractor,
 coding, diagonal and validate on a metric system always do; validate on a
 graph or a discrete system never does, and duality only when it samples a
-fiber size too large to enumerate.
+fiber size too large to enumerate.  ``duality`` itself is imported only by
+the duality command and by validate on a discrete system.
 """
 
 from __future__ import annotations
@@ -19,12 +20,6 @@ import math
 import sys
 from pathlib import Path as FsPath
 
-from .duality import (
-    build_transformation_graph,
-    check_density_fidelity,
-    density_fidelity_sweep,
-    validate_discrete_system,
-)
 from .io import (
     InstanceFormatError,
     load_instance,
@@ -139,6 +134,8 @@ def _validate_graph_and_system(obj, kind):
             ok = False
             lines.extend("  " + str(f) for f in srep.findings)
     elif kind == "discrete" and grep.ok:
+        from .duality import validate_discrete_system
+
         drep = validate_discrete_system(obj)
         lines.append(f"discrete system: {'valid' if drep.ok else 'INVALID'}")
         if not drep.ok:
@@ -320,6 +317,13 @@ def cmd_diagonal(args) -> int:
 
 
 def cmd_duality(args) -> int:
+    from .duality import (
+        build_transformation_graph,
+        check_density_fidelity,
+        density_fidelity_sweep,
+        validate_discrete_system,
+    )
+
     obj = None
     if args.instance:
         kind, obj = _resolve_instance(args.instance)

@@ -6,7 +6,7 @@ affine maps), or a discrete system (graph + element lists + tables); the
 docs/instance_format.md.  Artifact writers are deterministic byte for byte:
 repr floats, fixed row order.  numpy and the metric modules are imported
 only by the metric readers and the grid writers, so reading a graph or a
-discrete system imports neither.
+discrete system imports neither; ``duality`` only by the discrete reader.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ import json
 from pathlib import Path as FsPath
 from typing import TYPE_CHECKING
 
-from .duality import DiscreteSystem
 from .kgraph import KGraph, KGraphError
 
 if TYPE_CHECKING:
     from .attractor import SetTuple
+    from .duality import DiscreteSystem
     from .systems import MWSystem
 
 
@@ -125,6 +125,8 @@ def system_from_dict(doc: dict) -> MWSystem:
 
 
 def discrete_from_dict(doc: dict) -> DiscreteSystem:
+    from .duality import DiscreteSystem
+
     g = kgraph_from_dict(doc)
     fibers = {}
     for v, spec in _need(doc, "fibers", "discrete system").items():

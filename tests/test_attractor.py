@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kfractal import _kernels, attractor
 from kfractal.attractor import (
+    ConvergenceCertificate,
     SetTuple,
     _canonical,
     check_commutation,
@@ -175,9 +176,9 @@ def transforms(monkeypatch):
     calls = []
     farthest = attractor._farthest
 
-    def spy(occ, cells, metric):
+    def spy(occ, cells, metric, cap=None):
         calls.append(metric)
-        return farthest(occ, cells, metric)
+        return farthest(occ, cells, metric, cap)
 
     monkeypatch.setattr(attractor, "_farthest", spy)
     monkeypatch.setattr(attractor, "INDEX_MIN_PAIRS", 0)
@@ -322,6 +323,126 @@ def test_window_distance_equals_brute_force(pair, metric, k):
     )
     assert pitch * got == want
     assert attractor._window_distance(b, a, metric) == got
+
+
+def _assert_capped(got, exact, cap):
+    # exact within the cap; past it, above the cap and at most exact
+    if exact <= cap:
+        assert got == exact
+    else:
+        assert cap < got <= exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_pairs(), st.sampled_from(["euclidean", "max"]), st.data())
+def test_capped_distance_is_exact_within_the_cap(pair, metric, data):
+    a, b = pair
+    shape, fa, fb = attractor._window(a, b, math.inf)
+    # caps from 0 to past the largest distance the window holds
+    span = sum((n - 1) ** 2 for n in shape) if metric == "euclidean" else max(shape) - 1
+    cap = data.draw(st.one_of(st.integers(0, 20), st.integers(0, span + 2)), label="cap")
+    there = attractor._directed_cells(fa, fb, shape, metric)
+    back = attractor._directed_cells(fb, fa, shape, metric)
+    _assert_capped(attractor._directed_cells(fa, fb, shape, metric, cap), there, cap)
+    _assert_capped(attractor._directed_cells(fb, fa, shape, metric, cap), back, cap)
+    exact = max(there, back)
+    got = attractor._window_distance(a, b, metric, cap)
+    want = attractor._window_distance(a, b, metric)
+    assert want == attractor._cells_to_length(exact, metric)
+    if exact <= cap:
+        assert got == want
+    else:
+        assert attractor._cells_to_length(cap, metric) < got <= want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["euclidean", "max"]), st.sampled_from([2.0**-9, 1 / 81, 0.3, 1 / 300]),
+       st.floats(0.0, 0.999), st.floats(1e-6, 10.0))
+def test_stop_cap_is_the_last_distance_that_stops(metric, pitch, c, tol):
+    cap = attractor._stop_cap(pitch, c, tol, metric)
+
+    def stops(cells):
+        return attractor._stops(pitch * attractor._cells_to_length(cells, metric), c, tol)
+
+    assert 0 <= cap <= attractor._CAP_TOP
+    assert all(stops(x) for x in range(max(0, cap - 3), cap + 1)) or cap == 0
+    if cap < attractor._CAP_TOP:
+        assert not any(stops(x) for x in range(cap + 1, cap + 4))
+    assert (cap == attractor._CAP_TOP) == stops(attractor._CAP_TOP)
+
+
+def _default_pitch(sys_):
+    return max(f.diameter() for f in sys_.fibers.values()) / 512
+
+
+def _spy(monkeypatch, name):
+    """The cap of each call to the attractor function ``name``."""
+    caps = []
+    measure = getattr(attractor, name)
+
+    def spy(a, b, metric, cap=None):
+        caps.append(cap)
+        return measure(a, b, metric, cap=cap)
+
+    monkeypatch.setattr(attractor, name, spy)
+    return caps
+
+
+@pytest.mark.parametrize("name", ["p2c", "s1"])
+def test_converging_run_measures_only_capped_windows(monkeypatch, name):
+    sys_ = shipped(name)
+    C0 = SetTuple.from_fibers(sys_, _default_pitch(sys_))
+    caps = _spy(monkeypatch, "_window_distance")
+    K, cert = compute_attractor(sys_, sys_.diagonal_degree, C0)
+    monkeypatch.undo()
+    assert cert.converged and cert.iterations > 2
+    assert caps and None not in caps
+    # the step that stopped was measured exactly
+    prev, _ = compute_attractor(sys_, sys_.diagonal_degree, C0, max_iter=cert.iterations - 1)
+    assert hutchinson_step(sys_, sys_.diagonal_degree, prev) == K
+    assert cert.displacement == tuple_distance(prev, K, sys_.metric)
+
+
+def test_max_iter_run_measures_its_last_step_exactly(monkeypatch):
+    sys_ = shipped("s1")
+    C0 = SetTuple.from_fibers(sys_, _default_pitch(sys_))
+    caps = _spy(monkeypatch, "tuple_distance")
+    K, cert = compute_attractor(sys_, (1,), C0, max_iter=3)
+    monkeypatch.undo()
+    assert not cert.converged
+    assert len(caps) == 3 and None not in caps[:2] and caps[2] is None
+    prev = hutchinson_step(sys_, (1,), hutchinson_step(sys_, (1,), C0))
+    exact = tuple_distance(prev, K, sys_.metric)
+    assert exact > cert.tol
+    assert cert.displacement == exact
+    assert f"displacement={exact:.6g} " in cert.summary()
+
+
+def _constant_system():
+    # one map onto one point: the operator contracts by c = 0
+    g = KGraph(1, ["v"], {1: [("e", "v", "v")]})
+    return MWSystem(g, {"v": MetricFiber("v", Box((0.0, 0.0), (1.0, 1.0)), "euclidean")},
+                    {"e": AffineMap.of(np.zeros((2, 2)), (0.25, 0.5), "v", "v")}, ratio=0.5)
+
+
+@pytest.mark.parametrize("case", ["constant map", "p2c at tol 1e308"])
+def test_stop_without_a_cap_search(monkeypatch, case):
+    # every distance passes the stop test: the cap is settled by one
+    # evaluation, and the first step stops with its exact displacement
+    sys_, tol = (_constant_system(), None) if case == "constant map" else (shipped("p2c"), 1e308)
+    h = 1 / 128
+    C0 = SetTuple.from_fibers(sys_, h)
+    monkeypatch.setattr(attractor, "INDEX_MIN_PAIRS", 0)  # measure on the window
+    evaluated = []
+    stops = attractor._stops
+    monkeypatch.setattr(attractor, "_stops", lambda *args: evaluated.append(args) or stops(*args))
+    K, cert = compute_attractor(sys_, sys_.diagonal_degree, C0, tol=tol)
+    monkeypatch.setattr(attractor, "_stops", stops)
+    assert len(evaluated) == 2  # the cap, then the one step
+    exact = tuple_distance(C0, K, sys_.metric)
+    c = contraction_factor(sys_, sys_.diagonal_degree)
+    assert cert == ConvergenceCertificate(1, exact, c, h, 4 * h if tol is None else tol, True)
+    assert exact > 0 and (c == 0) == (case == "constant map")
 
 
 def _fiber_systems():

@@ -4,7 +4,7 @@ The exact commands (``validate`` on a discrete system, ``duality`` on the
 enumerated fiber sizes) and the package itself leave numpy out; no command
 imports scipy, and a small product of clouds is measured without
 ``scipy.spatial``.  No numpy also means no ``numpy.random`` and no
-``scipy.ndimage``.
+``scipy.ndimage``.  The grid commands leave ``kfractal.duality`` out.
 """
 
 import os
@@ -39,6 +39,10 @@ GUARDS = {
     # 2187 coded points against 2187 snapped images per generator: the
     # products a KD-tree measured before the images were snapped
     "coding-s1": (["coding", "--instance", "s1", "--count", "20000"], "scipy"),
+    # duality is read only by the duality command and the discrete reader
+    "attractor-p2c-no-duality": (["attractor", "--instance", "p2c"], "kfractal.duality"),
+    "diagonal-p2c-no-duality": (["diagonal", "--instance", "p2c"], "kfractal.duality"),
+    "coding-s1-no-duality": (["coding", "--instance", "s1"], "kfractal.duality"),
     # the brute-force path exists so that small products never pay for this import
     "small-directed-distance": (SMALL_DISTANCE, "scipy.spatial"),
 }

@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfractal.attractor import SetTuple, compute_attractor
-from kfractal import cli
-from kfractal.cli import MAX_FIBER_SIZE, build_parser, main
+from kfractal import duality
+from kfractal.cli import MAX_FIBER_SIZE, NO_CONVERGENCE, PASS, build_parser, main
 from kfractal.duality import SweepResult, validate_discrete_system
 from kfractal.io import (
     InstanceFormatError,
@@ -653,7 +653,7 @@ def test_cli_numeric_flags_are_typed():
 def test_cli_duality_names_unchecked_fiber_sizes(tmp_path, capsys, monkeypatch):
     # a sampled size that drew no commuting assignment checked nothing
     res = SweepResult([(1, 0)], 300, 2, sampled=True, consistent_by_size={1: 1, 2: 1, 3: 0, 4: 0})
-    monkeypatch.setattr(cli, "density_fidelity_sweep", lambda **kw: res)
+    monkeypatch.setattr(duality, "density_fidelity_sweep", lambda **kw: res)
     assert main(["duality", "--max-fiber-size", "4", "--out", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].endswith("100% agreement")
@@ -705,6 +705,32 @@ def test_cli_attractor_artifacts_are_pinned(tmp_path, capsys, name):
                  "--out", str(tmp_path)]) == 0
     for artifact, digest in PINNED_ATTRACTOR_DIGESTS[name].items():
         assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest
+
+
+# sha256 of stdout and of certificate.txt (the same bytes) of ``attractor``
+# at the default pitch, where runs take more steps than at 0.0078125, and
+# at a stop that fails or comes at once; recorded before the displacement
+# of a step that cannot be the last was measured only against the stop test
+PINNED_DEFAULT_PITCH_DIGESTS = {
+    "p2": (["--instance", "p2"], PASS,
+           "cb06e16a7c205847aabd16bb279ef8584a06dedcac4e2257dd62f2da83f27f8a"),
+    "p2c": (["--instance", "p2c"], PASS,
+            "ccbf14048583d2cab2e1d1da78fee8b502aca8bd44c40fa516dc3aa16fcce291"),
+    "s1": (["--instance", "s1"], PASS,
+           "dbc20ccd4c6d182dd8854bc4ff9aa7a86e6087db63246cac5af7b223d93ca523"),
+    "s1 max-iter 3": (["--instance", "s1", "--max-iter", "3"], NO_CONVERGENCE,
+                      "e163956d1909580a441654111d877267878546a8d8bbee1d960a4a834caf3700"),
+    "p2c tol 0.1": (["--instance", "p2c", "--tol", "0.1"], PASS,
+                    "9844eb6ae2f7eea2ea57535f25874a77c417b630bc027d495741c0d21223858a"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_DEFAULT_PITCH_DIGESTS))
+def test_cli_attractor_default_pitch_is_pinned(tmp_path, capsys, label):
+    flags, code, digest = PINNED_DEFAULT_PITCH_DIGESTS[label]
+    assert main(["attractor", *flags, "--out", str(tmp_path)]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert hashlib.sha256((tmp_path / "certificate.txt").read_bytes()).hexdigest() == digest
 
 
 # sha256 of stdout and of the text artifacts of commands that compare
@@ -913,6 +939,6 @@ def test_cli_duality_resolves_instance_before_the_sweep(tmp_path, monkeypatch):
     def sweep(**kw):
         raise AssertionError("the sweep ran for a bad --instance")
 
-    monkeypatch.setattr(cli, "density_fidelity_sweep", sweep)
+    monkeypatch.setattr(duality, "density_fidelity_sweep", sweep)
     argv = ["duality", "--instance", "nosuch", "--max-fiber-size", "3"]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
