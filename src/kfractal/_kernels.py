@@ -3,8 +3,8 @@
 Every pair is measured, a block of ``a`` rows at a time.  Euclidean
 distances are summed squared coordinate by coordinate, reduced with
 min/max, and square-rooted once at the end.  ``attractor.directed_distance``
-runs it on small products, and tests use it as the reference for that
-function's KD-tree path.
+and ``hausdorff_distance`` run it on real point clouds; tests use it as the
+off-lattice reference for the lattice windows.
 """
 
 import math

@@ -15,21 +15,21 @@ exactly up to the largest lattice distance that stops, and past it only as
 far as needed to show that it does not stop.  The displacement printed is
 therefore always the exact lattice distance.
 
-Two tuples on the same lattice are compared from their integer rows: large
-unequal clouds are measured in numpy over an occupancy window whose size is
-bounded per point before it is allocated, each direction only at the source
-cells outside the target.  The max metric takes the two raster passes of
-the unit chamfer (Rosenfeld & Pfaltz 1966), the Euclidean metric a gap
-along one axis and then rings of offsets along the others; both are
-integer, hence exact.  A measure capped at the stop threshold takes the
-gap and the rings, within the cap, for both metrics.
-``_directed_window_distance`` runs one direction of the same window on a
-sparse cloud, bounded by the largest fiber grid instead of per point: the
-coding invariance check measures its snapped images so.
-Off-lattice clouds, small products and clouds too sparse for a window are
-measured point by point, by brute force or with a KD-tree.  The KD-tree is
-the one use of scipy, and only library callers of ``directed_distance`` and
-``hausdorff_distance`` reach it; no CLI command imports scipy.
+Two tuples on the same lattice are compared from their integer rows, in
+numpy over an occupancy window of their joint bounding box, each direction
+only at the source cells outside the target.  The window is bounded by the
+largest fiber grid, ``MAX_GRID_POINTS`` cells, before it is allocated;
+every iterate lies in its fiber's grid, so no comparison the commands make
+is refused.  The max metric takes the two raster passes of the unit
+chamfer (Rosenfeld & Pfaltz 1966), the Euclidean metric a gap along one
+axis and then rings of offsets along the others; both are integer, hence
+exact.  A measure capped at the stop threshold takes the gap and the
+rings, within the cap, for both metrics.  ``_directed_window_distance``
+runs one direction of the same window: the coding invariance check and
+the k-surjectivity check measure snapped images so, and add the largest
+snapping offset (``_snap_offset``).
+``directed_distance`` and ``hausdorff_distance`` measure real point clouds
+pair by pair, by brute force; they are the off-lattice reference.
 """
 
 from __future__ import annotations
@@ -57,26 +57,15 @@ from .systems import (
 # distances
 
 
-# Above this many point pairs a KD-tree on ``b`` beats measuring every pair;
-# below it the brute-force kernel is faster and spares the scipy import.
-# Lattice clouds go to a distance window only above it too: the window is
-# faster at any size, but on real points a distance can differ from the
-# window's exact one in its last bit, so the rule keeps printed digits.
-INDEX_MIN_PAIRS = 2_000_000
-
-
 def _check_metric(metric) -> None:
     if metric not in (EUCLIDEAN, MAX):
         raise ValueError(f"unknown metric {metric!r}")
 
 
 def directed_distance(a, b, metric=EUCLIDEAN):
-    """One-sided (sup-min) distance from cloud a to cloud b.
-
-    Products of at most ``INDEX_MIN_PAIRS`` pairs run the brute-force numpy
-    kernel; larger ones query a KD-tree built on ``b``.  Both measure the
-    same distance up to floating-point rounding; the choice only changes
-    speed.  A metric other than ``"euclidean"`` or ``"max"`` raises
+    """One-sided (sup-min) distance from cloud a to cloud b, every pair
+    measured by the brute-force kernel.  The lattice windows are checked
+    against it.  A metric other than ``"euclidean"`` or ``"max"`` raises
     ValueError.
     """
     _check_metric(metric)
@@ -86,12 +75,7 @@ def directed_distance(a, b, metric=EUCLIDEAN):
         return 0.0
     if len(b) == 0:
         raise ValueError("empty target cloud")
-    if len(a) * len(b) <= INDEX_MIN_PAIRS:
-        return _kernels.directed_max_min(a, b, metric)
-    from scipy.spatial import cKDTree
-
-    dist, _ = cKDTree(b).query(a, k=1, p=2 if metric == EUCLIDEAN else np.inf)
-    return float(np.max(dist))
+    return _kernels.directed_max_min(a, b, metric)
 
 
 def hausdorff_distance(a, b, metric=EUCLIDEAN):
@@ -103,17 +87,11 @@ def hausdorff_distance(a, b, metric=EUCLIDEAN):
     return max(directed_distance(a, b, metric), directed_distance(b, a, metric))
 
 
-# An occupancy window, for a distance or for ``_union``, may hold at most
-# this many cells per point it holds; the densest shipped comparison has
-# about 7.  The bound is checked before the window is allocated, and sparser
-# clouds are measured from their points, or sorted, instead.
-WINDOW_CELLS_PER_POINT = 16
-
-
-def _window(a: np.ndarray, b: np.ndarray, most: int):
+def _window(a: np.ndarray, b: np.ndarray):
     """The occupancy window over the joint bounding box of two nonempty
-    lattice clouds, or None when the box holds more than ``most`` cells,
-    counted in Python integers before anything is allocated.
+    lattice clouds.  A box of more than ``MAX_GRID_POINTS`` cells, the
+    largest fiber grid, counted in Python integers, raises ValueError
+    before anything is allocated.
 
     Returns the window's shape, its axes ordered shortest first so that
     ``_farthest`` loops over the short ones and vectorises along the
@@ -121,8 +99,9 @@ def _window(a: np.ndarray, b: np.ndarray, most: int):
     """
     lo = [min(int(x.min()), int(y.min())) for x, y in zip(a.T, b.T)]
     span = [max(int(x.max()), int(y.max())) - low + 1 for x, y, low in zip(a.T, b.T, lo)]
-    if math.prod(span) > most:
-        return None
+    if math.prod(span) > MAX_GRID_POINTS:
+        raise ValueError(f"the lattice clouds' joint box has more than "
+                         f"{MAX_GRID_POINTS} cells")
     axes = sorted(range(len(span)), key=span.__getitem__)
     shape = tuple(span[k] for k in axes)
 
@@ -152,20 +131,16 @@ def _cells_to_length(cells: int, metric) -> float:
     return math.sqrt(cells) if metric == EUCLIDEAN else float(cells)
 
 
-def _window_distance(a: np.ndarray, b: np.ndarray, metric, cap=None) -> float | None:
+def _window_distance(a: np.ndarray, b: np.ndarray, metric, cap=None) -> float:
     """Hausdorff distance, in lattice units, between two nonempty lattice
-    clouds, or None when their joint bounding box holds more than
-    ``WINDOW_CELLS_PER_POINT`` cells per point; each direction is one
-    ``_directed_cells`` over the same window.
+    clouds; each direction is one ``_directed_cells`` over the same
+    ``_window``.
 
     With a ``cap`` in cells (squared for the Euclidean metric) the distance
     is exact when it is within the cap, and otherwise some length past the
     cap and at most the exact one; a first direction past the cap ends the
     measure."""
-    window = _window(a, b, WINDOW_CELLS_PER_POINT * (len(a) + len(b)))
-    if window is None:
-        return None
-    shape, fa, fb = window
+    shape, fa, fb = _window(a, b)
     worst = _directed_cells(fa, fb, shape, metric, cap)
     if cap is None or worst <= cap:
         worst = max(worst, _directed_cells(fb, fa, shape, metric, cap))
@@ -174,20 +149,10 @@ def _window_distance(a: np.ndarray, b: np.ndarray, metric, cap=None) -> float | 
 
 def _directed_window_distance(a: np.ndarray, b: np.ndarray, metric) -> float:
     """One-sided (sup-min) distance, in lattice units, from lattice cloud a
-    to lattice cloud b, both nonempty, measured exactly in integers over an
-    occupancy window of their joint bounding box.
-
-    The window is bounded by the largest grid a fiber may hold,
-    ``MAX_GRID_POINTS`` cells, rather than per point, because a cloud may be
-    sparse in it; a larger box raises ValueError before the window is
-    allocated.
-    """
+    to lattice cloud b, both nonempty, measured exactly in integers over
+    their ``_window``."""
     _check_metric(metric)
-    window = _window(a, b, MAX_GRID_POINTS)
-    if window is None:
-        raise ValueError(f"the lattice clouds' joint box has more than "
-                         f"{MAX_GRID_POINTS} cells")
-    shape, fa, fb = window
+    shape, fa, fb = _window(a, b)
     return _cells_to_length(_directed_cells(fa, fb, shape, metric), metric)
 
 
@@ -339,6 +304,12 @@ def _chamfer(dist: np.ndarray) -> None:
 # grid-snapped set tuples
 
 
+# ``_union`` scatters into an occupancy window only when its box holds at
+# most this many cells per row, checked before the window is allocated;
+# sparser unions are sorted.
+WINDOW_CELLS_PER_POINT = 16
+
+
 def _union(images, rows: int) -> np.ndarray:
     """np.unique of the rows of some images, ``rows`` rows in all (at least
     one), as C-contiguous int64 rows.
@@ -378,6 +349,21 @@ def _snap(pts: np.ndarray, origin: np.ndarray, pitch: float) -> np.ndarray:
     return np.rint((pts - origin) / pitch).astype(np.int64)
 
 
+def _snap_offset(pts: np.ndarray, origin: np.ndarray, pitch: float, metric):
+    """The lattice rows nearest to some real points, at least one, and eps,
+    the largest offset |p - snap(p)| in the metric: at most h*sqrt(d)/2 for
+    the Euclidean metric and h/2 for the max metric, and 0 when every point
+    is a lattice point.
+
+    A one-sided distance measured on the rows is off from the real points'
+    one by at most eps, either way, by the triangle inequality; adding eps
+    gives an upper bound."""
+    rows = _snap(pts, origin, pitch)
+    offset = pts - (origin + pitch * rows.astype(float))
+    norm = 2 if metric == EUCLIDEAN else np.inf
+    return rows, float(np.linalg.norm(offset, norm, axis=1).max())
+
+
 class SetTuple:
     """One finite grid cloud per vertex.
 
@@ -399,6 +385,9 @@ class SetTuple:
             idx = np.asarray(idx, dtype=np.int64)
             if idx.ndim != 2:
                 raise ValueError("lattice cloud must be 2-d")
+            if len(idx) and idx.shape[1] != self.origin.size:
+                raise ValueError(f"lattice cloud at {v!r} has rows of width {idx.shape[1]}, "
+                                 f"but the origin has dimension {self.origin.size}")
             canon[v] = _canonical(idx) if len(idx) else idx.reshape(0, self.origin.size)
         self.clouds = canon
 
@@ -470,19 +459,17 @@ class SetTuple:
         """Per-vertex Hausdorff distance to another tuple on the same grid.
 
         Equal lattice clouds short-circuit to 0 (canonical form makes the
-        array comparison conclusive).  Unequal clouds with more than
-        ``INDEX_MIN_PAIRS`` pairs between them are measured from their
+        array comparison conclusive).  Unequal clouds are measured from their
         integer rows, exactly, over an occupancy window on their joint
-        bounding box (``_window_distance``), and scaled by the pitch.
-        Smaller products, and boxes of more than ``WINDOW_CELLS_PER_POINT``
-        cells per point, go to ``hausdorff_distance`` on the real points
-        instead.  A metric other
-        than ``"euclidean"`` or ``"max"`` raises ValueError.
+        bounding box (``_window_distance``), and scaled by the pitch.  A box
+        of more than ``MAX_GRID_POINTS`` cells, an empty cloud against a
+        nonempty one, or a metric other than ``"euclidean"`` or ``"max"``
+        raises ValueError.
 
         A ``cap``, in cells and squared for the Euclidean metric, goes to
-        the windows: a distance they measure is exact when it is within the
-        cap, and otherwise some value past pitch times the cap's length and
-        at most the exact one.  Points are always measured exactly."""
+        the windows: a distance is exact when it is within the cap, and
+        otherwise some value past pitch times the cap's length and at most
+        the exact one."""
         _check_metric(metric)
         if not self.same_grid(other):
             raise ValueError("grid mismatch")
@@ -493,13 +480,10 @@ class SetTuple:
             o = other.clouds[v]
             if np.array_equal(c, o):
                 out[v] = 0.0
-                continue
-            cells = (_window_distance(c, o, metric, cap)
-                     if len(c) * len(o) > INDEX_MIN_PAIRS else None)
-            if cells is None:
-                out[v] = hausdorff_distance(self.points(v), other.points(v), metric)
+            elif not len(c) or not len(o):
+                raise ValueError(f"empty cloud at vertex {v!r} against a nonempty one")
             else:
-                out[v] = self.pitch * cells
+                out[v] = self.pitch * _window_distance(c, o, metric, cap)
         return out
 
     def __eq__(self, other):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attractor import SetTuple, _directed_window_distance, _snap, contraction_factor
+from .attractor import SetTuple, _directed_window_distance, _snap_offset, contraction_factor
 from .kgraph import (
     KGraph,
     KGraphError,
@@ -446,10 +446,7 @@ def check_subsystem(sys: MWSystem, sets: SetTuple, tol: float) -> SubsystemRepor
             if len(sets.clouds[v]) == 0:
                 raise ValueError(f"empty cloud at {v!r}")
         image = sys.generators[ident].apply(sets.points(e.source_vertex))
-        rows = _snap(image, origin, pitch)
-        offset = image - (origin + pitch * rows.astype(float))
-        norm = 2 if sys.metric == EUCLIDEAN else np.inf
-        eps = float(np.linalg.norm(offset, norm, axis=1).max())
+        rows, eps = _snap_offset(image, origin, pitch, sys.metric)
         cells = _directed_window_distance(rows, sets.clouds[e.range_vertex], sys.metric)
         dists[ident] = pitch * cells + eps
     return SubsystemReport(tol, dists)

@@ -548,23 +548,35 @@ class CoverageReport:
 
 
 def check_k_surjective(sys: MWSystem, n, sets, tol: float) -> CoverageReport:
-    """One-sided distance from each fiber cloud to the union of its
-    degree-n images; a vertex passes when that distance is <= tol."""
-    from .attractor import directed_distance  # local import to avoid a cycle
+    """One-sided distance from each fiber cloud of the set tuple ``sets``
+    to the union of its degree-n images; a vertex passes when that distance
+    is <= tol.
+
+    As in ``coding.check_subsystem``, the real images are snapped to the
+    lattice of ``sets``, and the fiber cloud is measured against them
+    exactly, in integers, over a window of at most ``MAX_GRID_POINTS``
+    cells.  The reported distance is pitch * cells + eps, where eps is the
+    largest offset |q - snap(q)| of an image point.  Since
+    d(p, T) <= d(p, snap T) + eps, it is an upper bound on the distance to
+    the real images.
+    """
+    # local import to avoid a cycle
+    from .attractor import _directed_window_distance, _snap_offset
 
     maps = degree_maps(sys, n)
     distances = {}
     empty = []
     for v in sys.graph.vertices:
-        target = sets.points(v)
+        target = sets.clouds[v]
         if len(target) == 0:
             empty.append(v)
             continue
-        pieces = [m.apply(sets.points(src)) for m, src in maps[v]]
-        pieces = [p for p in pieces if len(p)]
+        pieces = [m.apply(sets.points(src)) for m, src in maps[v] if len(sets.clouds[src])]
         if not pieces:
             empty.append(v)
             distances[v] = float("inf")
             continue
-        distances[v] = directed_distance(target, np.concatenate(pieces), sys.metric)
+        rows, eps = _snap_offset(np.concatenate(pieces), sets.origin, sets.pitch, sys.metric)
+        cells = _directed_window_distance(target, rows, sys.metric)
+        distances[v] = sets.pitch * cells + eps
     return CoverageReport(tuple(n), tol, distances, empty)

@@ -22,6 +22,7 @@ from kfractal.attractor import (
 from kfractal.boxcount import dimension_estimate, occupied_cells
 from kfractal.kgraph import KGraph, enumerate_paths
 from kfractal.systems import (
+    MAX_GRID_POINTS,
     AffineMap,
     Box,
     MetricFiber,
@@ -168,11 +169,28 @@ def test_vertex_distances_match_per_vertex_hausdorff():
         K.vertex_distances(SetTuple(K.origin, K.pitch, {}))
 
 
+def test_set_tuple_refuses_rows_of_another_dimension():
+    # refused at construction: a window over mismatched columns would
+    # measure a wrong distance without an error
+    with pytest.raises(ValueError, match="rows of width 3, but the origin has dimension 2"):
+        SetTuple(np.zeros(2), 1.0, {"v": np.zeros((3, 3), int)})
+    # an empty cloud takes the origin's dimension
+    assert SetTuple(np.zeros(2), 1.0, {"v": np.zeros((0, 3), int)}).clouds["v"].shape == (0, 2)
+
+
+def test_vertex_distances_name_an_empty_cloud():
+    A = SetTuple(np.zeros(2), 1.0, {"u": [[0, 0]], "w": np.zeros((0, 2))})
+    B = SetTuple(np.zeros(2), 1.0, {"u": [[0, 0]], "w": [[1, 1]]})
+    for x, y in ((A, B), (B, A)):
+        with pytest.raises(ValueError, match="empty cloud at vertex 'w'"):
+            x.vertex_distances(y)
+    assert A.vertex_distances(A) == {"u": 0.0, "w": 0.0}
+
+
 @pytest.fixture
 def transforms(monkeypatch):
     """The metric of each window transform run (one per direction that has
-    cells outside the other cloud), with the size rule lowered so that every
-    product of pairs may use a window."""
+    cells outside the other cloud)."""
     calls = []
     farthest = attractor._farthest
 
@@ -181,7 +199,6 @@ def transforms(monkeypatch):
         return farthest(occ, cells, metric, cap)
 
     monkeypatch.setattr(attractor, "_farthest", spy)
-    monkeypatch.setattr(attractor, "INDEX_MIN_PAIRS", 0)
     return calls
 
 
@@ -236,21 +253,21 @@ def test_lattice_distances_match_brute_force(transforms, d, metric, kind, dyadic
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("metric", ["euclidean", "max"])
 def test_sparse_clouds_skip_the_window(monkeypatch, d, metric):
-    # the window over these two points would hold (10**9 + 1)**d cells
+    # the window over these two points would hold (10**9 + 1)**d cells, more
+    # than the largest fiber grid: refused before anything is allocated
     def refuse(*args, **kwargs):
         raise AssertionError("a distance window was allocated")
 
-    monkeypatch.setattr(attractor, "_farthest", refuse)
-    monkeypatch.setattr(attractor, "INDEX_MIN_PAIRS", 0)
+    monkeypatch.setattr(attractor, "_directed_cells", refuse)
     A = SetTuple(np.zeros(d), 1.0, {"v": np.zeros((1, d), dtype=np.int64)})
     B = SetTuple(np.zeros(d), 1.0, {"v": np.full((1, d), 10**9)})
-    want = math.sqrt(d * 10**18) if metric == "euclidean" else 1e9
-    assert A.vertex_distances(B, metric) == {"v": want}
+    with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} cells"):
+        A.vertex_distances(B, metric)
 
 
 def test_vertex_distances_reject_unknown_metric(transforms):
-    # equal clouds short-circuit and unequal ones take the window (the size
-    # rule is lowered to 0); neither may read the name as a known metric
+    # equal clouds short-circuit and unequal ones take the window; neither
+    # may read the name as a known metric
     a = np.array([[0, 0], [3, 4]])
     A = SetTuple(np.zeros(2), 1.0, {"v": a})
     B = SetTuple(np.zeros(2), 1.0, {"v": a[:1]})
@@ -337,7 +354,7 @@ def _assert_capped(got, exact, cap):
 @given(_window_pairs(), st.sampled_from(["euclidean", "max"]), st.data())
 def test_capped_distance_is_exact_within_the_cap(pair, metric, data):
     a, b = pair
-    shape, fa, fb = attractor._window(a, b, math.inf)
+    shape, fa, fb = attractor._window(a, b)
     # caps from 0 to past the largest distance the window holds
     span = sum((n - 1) ** 2 for n in shape) if metric == "euclidean" else max(shape) - 1
     cap = data.draw(st.one_of(st.integers(0, 20), st.integers(0, span + 2)), label="cap")
@@ -432,7 +449,6 @@ def test_stop_without_a_cap_search(monkeypatch, case):
     sys_, tol = (_constant_system(), None) if case == "constant map" else (shipped("p2c"), 1e308)
     h = 1 / 128
     C0 = SetTuple.from_fibers(sys_, h)
-    monkeypatch.setattr(attractor, "INDEX_MIN_PAIRS", 0)  # measure on the window
     evaluated = []
     stops = attractor._stops
     monkeypatch.setattr(attractor, "_stops", lambda *args: evaluated.append(args) or stops(*args))

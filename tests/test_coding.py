@@ -22,7 +22,15 @@ from kfractal.coding import (
     sample_prefixes,
 )
 from kfractal.kgraph import KGraph, KGraphError, Path, count_paths, path_from_word
-from kfractal.systems import MAX_GRID_POINTS, AffineMap, Box, MetricFiber, MWSystem, extend_map
+from kfractal.systems import (
+    MAX_GRID_POINTS,
+    AffineMap,
+    Box,
+    MetricFiber,
+    MWSystem,
+    check_k_surjective,
+    extend_map,
+)
 
 from shipped import shipped
 
@@ -626,15 +634,25 @@ def test_subsystem_bound_is_sound_and_within_a_cell(case, metric):
     # float evaluations: where the triangle inequality is an equality (a
     # snapped point between its image and its nearest target, as for
     # x -> x / 10 on the diagonal) they round the same real number apart by
-    # an ulp, so each comparison allows a few ulps.
+    # an ulp, so each comparison allows a few ulps.  check_subsystem
+    # measures each image against the target cloud, check_k_surjective the
+    # target cloud against the union of the images.
     dim, maps, origin, pitch, source, target = case
     sys, sets = _images_into(metric, dim, maps, origin, pitch, source, target)
-    rep = check_subsystem(sys, sets, tol=0.0)
     slack = pitch * (math.sqrt(dim) if metric == "euclidean" else 1.0)
-    for ident, m in sys.generators.items():
-        real = _kernels.directed_max_min(m.apply(sets.points("w")), sets.points("u"), metric)
+
+    def within_a_cell(bound, real):
         rounding = 8 * math.ulp(real + slack)
-        assert real - rounding <= rep.edge_distances[ident] <= real + slack + rounding
+        assert real - rounding <= bound <= real + slack + rounding
+
+    rep = check_subsystem(sys, sets, tol=0.0)
+    images = {ident: m.apply(sets.points("w")) for ident, m in sys.generators.items()}
+    for ident, image in images.items():
+        within_a_cell(rep.edge_distances[ident],
+                      _kernels.directed_max_min(image, sets.points("u"), metric))
+    cover = check_k_surjective(sys, (1,), sets, tol=0.0)
+    within_a_cell(cover.distances["u"], _kernels.directed_max_min(
+        sets.points("u"), np.concatenate(list(images.values())), metric))
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "max"])

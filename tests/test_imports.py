@@ -1,25 +1,60 @@
-"""What a command imports, checked in a fresh process.
+"""What a command imports, checked in a fresh process, and what the package
+declares that it needs.
 
 The exact commands (``validate`` on a discrete system, ``duality`` on the
-enumerated fiber sizes) and the package itself leave numpy out; no command
-imports scipy, and a small product of clouds is measured without
-``scipy.spatial``.  No numpy also means no ``numpy.random`` and no
-``scipy.ndimage``.  The grid commands leave ``kfractal.duality`` out.
+enumerated fiber sizes) and the package itself leave numpy out; nothing
+imports scipy, whatever the sizes of the clouds compared.  No numpy also
+means no ``numpy.random``.  The grid commands leave ``kfractal.duality``
+out.
 """
 
+import ast
+import json
 import os
+import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
-SMALL_DISTANCE = (
-    "import kfractal.cli\n"
+# p2c with its ratios 1/3 made 0.1 and its translations 2/3 made 0.9: a 2-d
+# dust of dimension 0.602, whose iterates are sparse in their fiber grid
+# (10,816 points against 576 in a 513^2 box on the second step)
+DUST = "dust.json"
+
+
+def write_dust(path: Path) -> None:
+    doc = json.loads((SRC / "kfractal" / "data" / "p2c.json").read_text())
+    doc["name"], doc["c"] = "dust", 0.1
+    for m in doc["maps"].values():
+        m["matrix"] = [[0.1 if x == 1 / 3 else x for x in row] for row in m["matrix"]]
+        m["translation"] = [0.9 if x == 2 / 3 else x for x in m["translation"]]
+    path.write_text(json.dumps(doc))
+
+
+# 1500 x 1400 pairs, more than 2,000,000: real clouds of any size are measured
+# by brute force
+LARGE_DISTANCE = (
+    "import numpy as np\n"
     "from kfractal.attractor import directed_distance\n"
-    "assert directed_distance([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0]]) > 0\n"
+    "a = np.random.default_rng(0).random((1500, 2))\n"
+    "assert directed_distance(a, a[:1400]) > 0\n"
+)
+
+# s1's depth-9 coded cloud, 13,618 points, against its 3 x 13,618 degree-1
+# images: far above the 2,000,000 pairs where a KD-tree once took over
+K_SURJECTIVE = (
+    "from kfractal.coding import coded_cloud\n"
+    "from kfractal.io import load_instance, packaged_instance\n"
+    "from kfractal.systems import check_k_surjective\n"
+    "sys_ = load_instance(packaged_instance('s1'))[1]\n"
+    "T, err = coded_cloud(sys_, (9,), pitch=1 / 512)\n"
+    "assert check_k_surjective(sys_, (1,), T, 2 / 512 + 2 * err).passed\n"
 )
 
 # (what runs: Python source, or the argv of a CLI command; the module it
@@ -43,8 +78,12 @@ GUARDS = {
     "attractor-p2c-no-duality": (["attractor", "--instance", "p2c"], "kfractal.duality"),
     "diagonal-p2c-no-duality": (["diagonal", "--instance", "p2c"], "kfractal.duality"),
     "coding-s1-no-duality": (["coding", "--instance", "s1"], "kfractal.duality"),
-    # the brute-force path exists so that small products never pay for this import
-    "small-directed-distance": (SMALL_DISTANCE, "scipy.spatial"),
+    # sparse clouds in large boxes are measured on the lattice too
+    "attractor-dust": (["attractor", "--instance", DUST], "scipy"),
+    "diagonal-dust": (["diagonal", "--instance", DUST], "scipy"),
+    "coding-dust": (["coding", "--instance", DUST, "--count", "20000"], "scipy"),
+    "large-directed-distance": (LARGE_DISTANCE, "scipy"),
+    "k-surjective-s1": (K_SURJECTIVE, "scipy"),
 }
 
 
@@ -60,6 +99,9 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
 def test_fresh_process_leaves_module_out(tmp_path, name):
     run, module = GUARDS[name]
     if isinstance(run, list):
+        if DUST in run:
+            write_dust(tmp_path / DUST)
+            run = [str(tmp_path / DUST) if arg == DUST else arg for arg in run]
         run = ("from kfractal.cli import main\n"
                f"assert main({[*run, '--out', str(tmp_path)]!r}) == 0\n")
     code = ("import sys\n" + run
@@ -67,3 +109,23 @@ def test_fresh_process_leaves_module_out(tmp_path, name):
               f"sorted(m for m in sys.modules if m.startswith({module!r}))\n")
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def third_party_imports() -> set[str]:
+    """The top-level modules imported anywhere under src/kfractal, outside
+    the standard library and the package itself."""
+    found = set()
+    for path in (SRC / "kfractal").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"kfractal"}
+
+
+def test_dependencies_are_exactly_the_third_party_imports():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"]}
+    assert declared == third_party_imports()
