@@ -217,9 +217,12 @@ MAX_GRID_POINTS = 2**24
 
 
 def grid_axes(region, pitch, origin) -> list[np.ndarray]:
-    """Per axis, the lattice indices spanning the region's bounding box.  More
-    than ``MAX_GRID_POINTS`` points, counted in Python integers, raise
-    ValueError before anything is allocated."""
+    """Per axis, the lattice indices spanning the region's bounding box.  A
+    pitch that is not positive, or more than ``MAX_GRID_POINTS`` points,
+    counted in Python integers, raise ValueError before anything is
+    allocated."""
+    if not pitch > 0:
+        raise ValueError(f"grid pitch must be positive, got {pitch!r}")
     lo, hi = region.bounding_box()
     with np.errstate(over="ignore"):
         start, stop = np.floor((lo - origin) / pitch), np.ceil((hi - origin) / pitch)

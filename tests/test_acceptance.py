@@ -21,11 +21,7 @@ from kfractal.attractor import (
 )
 from kfractal.boxcount import occupied_cells
 from kfractal.coding import coded_cloud
-from kfractal.duality import (
-    build_transformation_graph,
-    density_fidelity_sweep,
-    degrees_upto,
-)
+from kfractal.duality import density_fidelity_sweep
 from kfractal.diagonal import check_diagonal_agreement
 from kfractal.kgraph import (
     compose,
@@ -36,6 +32,7 @@ from kfractal.kgraph import (
     word_to_path,
 )
 from kfractal.systems import check_k_surjective
+from oracles import degrees_upto, skeleton_findings, twisted_findings, twisted_model
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -118,7 +115,7 @@ def test_criterion_4_coded_cloud_k_surjective():
         h = 1.0 / 729.0
         T2, err = coded_cloud(sys_, (6, 6), pitch=h)
         tol = 2 * h + 2 * err
-        for n in degrees_upto(2, (2, 2)):
+        for n in degrees_upto((2, 2)):
             if sum(n) > 2:
                 continue
             rep = check_k_surjective(sys_, n, T2, tol)
@@ -155,12 +152,15 @@ def test_criterion_6_density_fidelity_sweep():
 
 
 def test_criterion_7_twisted_factorization():
-    """Unique twisted factorization up to degree (2,2) on three fixtures."""
+    """The twisted products of three fixtures are 2-graphs: their skeletons
+    and squares validate, and enumerated up to degree (2,2) their morphisms
+    factor uniquely and compose associatively."""
     with Timer() as t:
         for name in ("d1", "d2", "d3"):
             dsys = shipped(name)
-            tkg = build_transformation_graph(dsys, (2, 2))
-            assert tkg.report.ok, f"{name}: {tkg.report}"
+            assert not skeleton_findings(dsys), name
+            rep = twisted_findings(twisted_model(dsys, (2, 2)))
+            assert rep.ok, f"{name}: {rep}"
     report(7, "twisted products validate with zero violations (d1, d2, d3)", t.seconds)
 
 
@@ -174,7 +174,7 @@ def test_criterion_8_combinatorial_laws():
     }
     with Timer() as t:
         for name, g in graphs.items():
-            degs = [n for n in degrees_upto(g.k, (4,) * g.k) if sum(n) <= 4]
+            degs = [n for n in degrees_upto((4,) * g.k) if sum(n) <= 4]
             for v in g.vertices:
                 for n in degs:
                     paths = enumerate_paths(g, v, n)

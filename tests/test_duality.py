@@ -4,31 +4,37 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from kfractal import duality
 from kfractal.duality import (
     DiscreteSystem,
-    _transformation_checks,
-    build_transformation_graph,
     check_density_fidelity,
-    degrees_upto,
     density_fidelity_sweep,
     map_along,
     matrix_along,
     pullback_system,
+    twisted_product,
     validate_discrete_system,
 )
 from kfractal.kgraph import (
     KGraph,
-    KGraphError,
     Path,
     count_paths,
-    degree_add,
     enumerate_paths,
     factorize,
     validate_kgraph,
 )
-from kfractal.report import ValidationReport
+from oracles import (
+    composition_law_findings,
+    contravariance_findings,
+    degrees_upto,
+    skeleton_findings,
+    twisted_findings,
+    twisted_model,
+)
 
 from shipped import shipped
 
@@ -113,16 +119,14 @@ def test_fiber_of_unknown_vertex_structural():
 def test_pullback_identity_matrix():
     g = single_loop_graph()
     dsys = DiscreteSystem(g, {"v": ("a", "b")}, {"e": {"a": "a", "b": "b"}})
-    psys, rep = pullback_system(dsys)
-    assert rep.ok
+    psys = pullback_system(dsys)
     assert np.array_equal(np.asarray(psys.matrices["e"]), np.eye(2, dtype=np.int64))
 
 
 def test_pullback_constant_map_row_of_ones():
     g = single_loop_graph()
     dsys = DiscreteSystem(g, {"v": ("x", "y")}, {"e": {"x": "x", "y": "x"}})
-    psys, rep = pullback_system(dsys)
-    assert rep.ok
+    psys = pullback_system(dsys)
     assert np.asarray(psys.matrices["e"]).tolist() == [[1, 1], [0, 0]]
 
 
@@ -131,8 +135,7 @@ def test_pullback_three_cycle_permutation():
     dsys = DiscreteSystem(
         g, {"v": ("0", "1", "2")}, {"e": {"0": "1", "1": "2", "2": "0"}}
     )
-    psys, rep = pullback_system(dsys)
-    assert rep.ok
+    psys = pullback_system(dsys)
     expected = np.zeros((3, 3), dtype=np.int64)
     for j, image in enumerate([1, 2, 0]):
         expected[image, j] = 1
@@ -144,18 +147,33 @@ def test_pullback_three_cycle_permutation():
 
 @pytest.mark.parametrize("name", ["d1", "d2", "d3"])
 def test_contravariance_verified_up_to_3(name):
-    dsys = shipped(name)
-    psys, rep = pullback_system(dsys, verify_bound=3)
+    rep = contravariance_findings(shipped(name), 3)
     assert rep.ok, str(rep)
+
+
+@pytest.mark.parametrize("name", ["d1", "d2", "d3"])
+def test_composition_law_verified_up_to_3(name):
+    rep = composition_law_findings(shipped(name), 3)
+    assert rep.ok, str(rep)
+
+
+def test_inconsistent_tables_break_both_laws():
+    # the oracles see what square consistency rules out: const and swap do
+    # not commute, so some path table is not the chained tables
+    dsys = shipped("d2")
+    dsys.tables["b1"] = {"0": "0", "1": "0"}
+    assert "square-consistency" in validate_discrete_system(dsys).codes()
+    assert composition_law_findings(dsys, 2).codes() == {"composition-law"}
+    assert contravariance_findings(dsys, 2).codes() == {"contravariance"}
 
 
 def test_pullback_round_trip():
     for name in ("d1", "d2", "d3"):
         dsys = shipped(name)
-        psys, _ = pullback_system(dsys)
+        psys = pullback_system(dsys)
         back = discrete_from_pullback(psys)
         assert back.tables == dsys.tables
-        psys2, _ = pullback_system(back)
+        psys2 = pullback_system(back)
         assert all(
             np.array_equal(np.asarray(psys.matrices[e]), np.asarray(psys2.matrices[e]))
             for e in psys.matrices
@@ -165,7 +183,7 @@ def test_pullback_round_trip():
 def test_pullback_rejects_non_selector():
     g = single_loop_graph()
     dsys = DiscreteSystem(g, {"v": ("a", "b")}, {"e": {"a": "a", "b": "b"}})
-    psys, _ = pullback_system(dsys)
+    psys = pullback_system(dsys)
     psys.matrices["e"] = ((1, 1), (1, 0))
     with pytest.raises(ValueError):
         discrete_from_pullback(psys)
@@ -209,7 +227,7 @@ def test_common_missed_point_breaks_both():
     verdict = check_density_fidelity(dsys, (1, 1))
     assert not verdict.k_dense and not verdict.k_faithful and verdict.agree
     # exhibit the kernel element explicitly: the indicator column vanishes
-    psys, _ = pullback_system(dsys)
+    psys = pullback_system(dsys)
     for lam in enumerate_paths(g, "v", (1, 1)):
         mat = np.asarray(matrix_along(psys, lam))
         assert mat[:, 1].tolist() == [0, 0] or mat.sum(axis=1)[1] == 0
@@ -344,41 +362,46 @@ def test_sweep_records_disagreements_per_assignment_then_degree(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the twisted product
+# the twisted product: its skeleton, and the (path, element) model as oracle
 
 
 def test_transformation_singleton_mirrors_source():
     dsys = shipped("d1")
-    tkg = build_transformation_graph(dsys, (2, 2))
-    assert tkg.report.ok, str(tkg.report)
+    tm = twisted_model(dsys, (2, 2))
+    assert not skeleton_findings(dsys)
+    assert twisted_findings(tm).ok, str(twisted_findings(tm))
     g = dsys.graph
-    for n in degrees_upto(2, (2, 2)):
-        assert len(tkg.morphisms[n]) == sum(
+    for n in degrees_upto((2, 2)):
+        assert len(tm.morphisms[n]) == sum(
             count_paths(g, v, n) for v in g.vertices
         )
 
 
 def test_transformation_covering_doubles_morphisms():
     dsys = shipped("d2")
-    tkg = build_transformation_graph(dsys, (2, 2))
-    assert tkg.report.ok, str(tkg.report)
+    tm = twisted_model(dsys, (2, 2))
+    assert twisted_findings(tm).ok
     g = dsys.graph
-    for n in degrees_upto(2, (2, 2)):
+    for n in degrees_upto((2, 2)):
         expected = 2 * sum(count_paths(g, v, n) for v in g.vertices)
-        assert len(tkg.morphisms[n]) == expected
+        assert len(tm.morphisms[n]) == expected
     # bijective tables keep the product free of sources: a genuine 2-graph
-    assert validate_kgraph(tkg.kgraph).ok
+    assert validate_kgraph(tm.kgraph).ok
 
 
 def test_transformation_constant_map_loop():
     g = single_loop_graph()
     dsys = DiscreteSystem(g, {"v": ("0", "1")}, {"e": {"0": "0", "1": "0"}})
-    tkg = build_transformation_graph(dsys, (3,))
-    assert tkg.report.ok, str(tkg.report)
+    tm = twisted_model(dsys, (3,))
+    assert twisted_findings(tm).ok
+    # "1" is no table's image: a genuine source, the only skeleton finding
+    assert [(f.code, f.subject) for f in validate_kgraph(tm.kgraph).findings] == [
+        ("source-vertex", "v|1")
+    ]
     # twisted sources stay injective per fiber element
-    for lam, t in tkg.morphisms[(1,)]:
-        assert tkg.star_source(lam, t) == (lam.source_vertex, t)
-    sources = {tkg.star_source(lam, t) for lam, t in tkg.morphisms[(1,)]}
+    for lam, t in tm.morphisms[(1,)]:
+        assert tm.star_source(lam, t) == (lam.source_vertex, t)
+    sources = {tm.star_source(lam, t) for lam, t in tm.morphisms[(1,)]}
     assert len(sources) == 2
 
 
@@ -386,28 +409,42 @@ def test_transformation_constant_map_loop():
 def test_transformation_factorization_formula(name):
     # the twisted splitting must read (head, tail-image) * (tail, element)
     dsys = shipped(name)
-    tkg = build_transformation_graph(dsys, (2, 2))
-    assert tkg.report.ok
-    from kfractal.kgraph import factorize
-
-    for lam, t in tkg.morphisms[(2, 2)]:
+    tm = twisted_model(dsys, (2, 2))
+    for lam, t in tm.morphisms[(2, 2)]:
         head, tail = factorize(lam, (1, 1))
         first = (head, map_along(dsys, tail)[t])
         second = (tail, t)
-        assert tkg.star_compose(first, second) == (lam, t)
+        assert tm.star_compose(first, second) == (lam, t)
 
 
 def test_transformation_d2_validates_at_degree_3_3():
-    # 450 twisted morphisms: about 91M raw triples, of which only the
-    # composable ones within the bound are composed
+    tm = twisted_model(shipped("d2"), (3, 3))
+    assert twisted_findings(tm).ok
+    assert sum(len(pairs) for pairs in tm.morphisms.values()) == 450
+
+
+def test_transformation_product_paths_consistent():
     dsys = shipped("d2")
-    tkg = build_transformation_graph(dsys, (3, 3))
-    assert tkg.report.ok, str(tkg.report)
-    assert sum(len(pairs) for pairs in tkg.morphisms.values()) == 450
+    tm = twisted_model(dsys, (1, 1))
+    for lam, t in tm.morphisms[(1, 1)]:
+        p = tm.product_path(lam, t)
+        assert p.degree == (1, 1)
+        assert p.range_vertex == "|".join(tm.star_range(lam, t))
+        assert p.source_vertex == "|".join(tm.star_source(lam, t))
 
 
-# Findings on corrupted products, in order, as the exhaustive checks (every
-# triple, every head/tail pair) reported them.
+def test_twisted_product_skeleton_ids():
+    dsys = shipped("d2")
+    kg = twisted_product(dsys)
+    assert kg.vertices == ("v|0", "v|1")
+    # b1 swaps the elements: its lift from 0 ranges over 1
+    e = kg.edge("b1|0")
+    assert (e.color, e.range_vertex, e.source_vertex) == (1, "v|1", "v|0")
+    assert kg.squares[(1, 2)][("b1|1", "r1|0")] == ("r1|1", "b1|0")
+
+
+# Findings of the oracle on corrupted models, in order: every head/tail
+# pair and every composable triple is tried.
 
 D1_DUPLICATE_FINDINGS = """\
 [internal] morphism-collision: (1, 0): distinct twisted morphisms spell the same path
@@ -472,10 +509,22 @@ D2_SKEWED_FINDINGS = """\
     ],
 )
 def test_duplicated_morphism_findings(name, bound, degree, expected):
-    tkg = build_transformation_graph(shipped(name), bound)
-    assert tkg.report.ok
-    tkg.morphisms[degree].append(tkg.morphisms[degree][0])
-    assert str(_transformation_checks(tkg)) == expected
+    tm = twisted_model(shipped(name), bound)
+    assert twisted_findings(tm).ok
+    tm.morphisms[degree].append(tm.morphisms[degree][0])
+    assert str(twisted_findings(tm)) == expected
+
+
+def skew(monkeypatch, outer, inner, result):
+    """Make the model's composition send outer·inner to the path ``result``."""
+    real = oracles.compose
+
+    def skewed(p, q):
+        if p.edges == outer and q.edges == inner:
+            return Path(p.graph, p.range_vertex, result)
+        return real(p, q)
+
+    monkeypatch.setattr(oracles, "compose", skewed)
 
 
 @pytest.mark.parametrize(
@@ -484,136 +533,97 @@ def test_duplicated_morphism_findings(name, bound, degree, expected):
 def test_skewed_composition_findings(monkeypatch, name, expected):
     # a composition that sends b0*r0 to b0.r1 breaks the factorization
     # formula, uniqueness and associativity at once
-    real = duality.compose
-
-    def skewed(p, q):
-        if p.edges == ("b0",) and q.edges == ("r0",):
-            return Path(p.graph, p.range_vertex, ("b0", "r1"))
-        return real(p, q)
-
-    monkeypatch.setattr(duality, "compose", skewed)
-    tkg = build_transformation_graph(shipped(name), (2, 1))
-    assert str(tkg.report) == expected
-
-
-def test_transformation_checks_compose_each_pair_once(monkeypatch):
-    # one call per composable pair within the bound (the table) plus one
-    # per factorization-formula check, and nothing for the triples
-    tkg = build_transformation_graph(shipped("d2"), (2, 2))
-    flat = [pt for pairs in tkg.morphisms.values() for pt in pairs]
-    pairs = sum(
-        tkg.star_source(*a) == tkg.star_range(*b)
-        and all(x <= y for x, y in zip(degree_add(a[0].degree, b[0].degree), (2, 2)))
-        for a in flat
-        for b in flat
-    )
-    formulas = sum(len(degrees_upto(2, n)) * len(p) for n, p in tkg.morphisms.items())
-    calls = []
-    real = duality.compose
-
-    def counted(p, q):
-        calls.append((p, q))
-        return real(p, q)
-
-    monkeypatch.setattr(duality, "compose", counted)
-    assert _transformation_checks(tkg).ok
-    assert len(calls) <= pairs + formulas
-
-
-def _exhaustive_twisted_findings(tkg):
-    """Factorization, uniqueness and associativity findings from trying
-    every head/tail pair and every triple: the reference for the checks
-    that visit composable pairs and triples only."""
-    rep = ValidationReport()
-    for n, pairs in tkg.morphisms.items():
-        for m in degrees_upto(tkg.source.graph.k, n):
-            rest = tuple(b - a for a, b in zip(m, n))
-            for lam, t in pairs:
-                head, tail = factorize(lam, m)
-                first = (head, map_along(tkg.source, tail)[t])
-                second = (tail, t)
-                if tkg.star_compose(first, second) != (lam, t):
-                    rep.add("internal", "twisted-factorization",
-                            f"({lam!r},{t})", "formula does not recompose")
-                hits = 0
-                for mu, s in tkg.morphisms[m]:
-                    for nu, u in tkg.morphisms[rest]:
-                        if mu.source_vertex != nu.range_vertex:
-                            continue
-                        if s != map_along(tkg.source, nu)[u]:
-                            continue
-                        if (duality.compose(mu, nu), u) == (lam, t):
-                            hits += 1
-                            if (mu, s) != first or (nu, u) != second:
-                                rep.add("internal", "twisted-uniqueness",
-                                        f"({lam!r},{t})",
-                                        "a second factorization exists")
-                if hits != 1:
-                    rep.add("internal", "twisted-uniqueness",
-                            f"({lam!r},{t})", f"{hits} factorizations found")
-    flat = [pt for pairs in tkg.morphisms.values() for pt in pairs]
-    for a, b, c in itertools.product(flat, repeat=3):
-        total = degree_add(degree_add(a[0].degree, b[0].degree), c[0].degree)
-        if not all(x <= y for x, y in zip(total, tkg.degree_bound)):
-            continue
-        try:
-            left = tkg.star_compose(tkg.star_compose(a, b), c)
-            right = tkg.star_compose(a, tkg.star_compose(b, c))
-        except KGraphError:
-            continue
-        if left != right:
-            rep.add("internal", "twisted-associativity",
-                    f"{a}/{b}/{c}", "composition orders disagree")
-    return rep
+    skew(monkeypatch, ("b0",), ("r0",), ("b0", "r1"))
+    tm = twisted_model(shipped(name), (2, 1))
+    assert str(twisted_findings(tm)) == expected
 
 
 @pytest.mark.parametrize("name", ["d1", "d2", "d3"])
 @pytest.mark.parametrize("fault", ["none", "duplicate", "drop", "skew"])
 def test_twisted_checks_match_exhaustive_reference(monkeypatch, name, fault):
+    # the skeleton check and the exhaustive reference agree that the shipped
+    # products are k-graphs, and the reference reports every fault of the
+    # model: a repeated morphism, a missing one, a wrong composite
+    dsys = shipped(name)
+    assert not skeleton_findings(dsys)
     if fault == "skew":
-        real = duality.compose
-
-        def skewed(p, q):
-            if p.edges == ("b0",) and q.edges == ("r1",):
-                return Path(p.graph, p.range_vertex, ("b1", "r1"))
-            return real(p, q)
-
-        monkeypatch.setattr(duality, "compose", skewed)
-    tkg = build_transformation_graph(shipped(name), (2, 1))
+        skew(monkeypatch, ("b0",), ("r1",), ("b1", "r1"))
+    tm = twisted_model(dsys, (2, 1))
     if fault == "duplicate":
-        tkg.morphisms[(1, 1)].append(tkg.morphisms[(1, 1)][-1])
+        tm.morphisms[(1, 1)].append(tm.morphisms[(1, 1)][-1])
     elif fault == "drop":
-        del tkg.morphisms[(1, 0)][1]
-    found = [f for f in _transformation_checks(tkg).findings if f.code.startswith("twisted")]
-    expected = _exhaustive_twisted_findings(tkg).findings
-    assert found == expected
-    assert (fault == "none") == (not expected)
+        del tm.morphisms[(1, 0)][1]
+    assert (fault == "none") == twisted_findings(tm).ok
 
 
-@pytest.mark.parametrize("name", ["d1", "d2", "d3"])
-def test_twisted_checks_compose_afresh_what_the_table_lacks(monkeypatch, name):
-    # with the first (b0.r0, t) dropped from the list, triples whose a·b is
-    # that morphism find no (a·b)·c in the table, and the skewed composition
-    # makes some of them disagree
-    real = duality.compose
-
-    def skewed(p, q):
-        if p.edges == ("b0",) and q.edges == ("r0",):
-            return Path(p.graph, p.range_vertex, ("b0", "r1"))
-        return real(p, q)
-
-    monkeypatch.setattr(duality, "compose", skewed)
-    tkg = build_transformation_graph(shipped(name), (2, 1))
-    del tkg.morphisms[(1, 1)][0]
-    found = [f for f in _transformation_checks(tkg).findings if f.code.startswith("twisted")]
-    assert found == _exhaustive_twisted_findings(tkg).findings
-
-
-def test_transformation_product_paths_consistent():
+def test_mutated_table_is_reported_by_every_check():
+    # const and swap do not commute: the lifted square of (b1, r1) at 1
+    # changes its range, and the spelled path b1.r1 from 1 splits otherwise
     dsys = shipped("d2")
-    tkg = build_transformation_graph(dsys, (1, 1))
-    for lam, t in tkg.morphisms[(1, 1)]:
-        p = tkg.product_path(lam, t)
-        assert p.degree == (1, 1)
-        assert p.range_vertex == tkg.vertex_ids[tkg.star_range(lam, t)]
-        assert p.source_vertex == tkg.vertex_ids[tkg.star_source(lam, t)]
+    dsys.tables["b1"] = {"0": "0", "1": "0"}
+    assert "square-consistency" in validate_discrete_system(dsys).codes()
+    assert {f.code for f in skeleton_findings(dsys)} >= {"square-endpoint"}
+    assert "product-factorization" in twisted_findings(twisted_model(dsys, (1, 1))).codes()
+
+
+@st.composite
+def flip_systems(draw, k):
+    """A valid one-vertex discrete system of rank k with flip squares: one
+    or two loops per color, and every table a power of one self-map of a
+    fiber of one to three elements, so tables of different colors
+    commute."""
+    size = draw(st.sampled_from((3, 2, 1)))
+    elems = tuple(str(i) for i in range(size))
+    base = draw(st.lists(st.sampled_from(elems), min_size=size, max_size=size))
+    edges = {
+        c: [(f"e{c}{i}", "v", "v") for i in range(draw(st.integers(1, 2)))]
+        for c in range(1, k + 1)
+    }
+    squares = {
+        (i, j): {(e, f): (f, e) for e, _, _ in edges[i] for f, _, _ in edges[j]}
+        for i, j in itertools.combinations(range(1, k + 1), 2)
+    }
+    tables = {}
+    for rows in edges.values():
+        for ident, _, _ in rows:
+            table = {t: t for t in elems}
+            for _ in range(draw(st.integers(0, 3))):
+                table = {t: base[int(u)] for t, u in table.items()}
+            tables[ident] = table
+    return DiscreteSystem(KGraph(k, ["v"], edges, squares), {"v": elems}, tables)
+
+
+def commute_across_colors(dsys):
+    g = dsys.graph
+    return all(
+        all(dsys.tables[e][dsys.tables[f][t]] == dsys.tables[f][dsys.tables[e][t]]
+            for t in dsys.fibers["v"])
+        for e, f in itertools.combinations(g.edges, 2)
+        if g.edge(e).color != g.edge(f).color
+    )
+
+
+@pytest.mark.parametrize("k, bound", [(2, (2, 2)), (3, (1, 1, 1))])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_skeleton_and_oracle_agree_on_random_systems(k, bound, data):
+    dsys = data.draw(flip_systems(k))
+    assert validate_discrete_system(dsys).ok
+    assert not skeleton_findings(dsys)
+    assert twisted_findings(twisted_model(dsys, bound)).ok
+    # one table entry changed so that two colors stop commuting, built in
+    # code past the reader
+    elems = dsys.fibers["v"]
+    breaking = []
+    for ident, table in dsys.tables.items():
+        for t, w in itertools.product(elems, elems):
+            if w != table[t]:
+                mutated = DiscreteSystem(dsys.graph, dsys.fibers,
+                                         {**dsys.tables, ident: {**table, t: w}})
+                if not commute_across_colors(mutated):
+                    breaking.append(mutated)
+    if breaking:
+        mutated = data.draw(st.sampled_from(breaking))
+        assert "square-consistency" in validate_discrete_system(mutated).codes()
+        assert skeleton_findings(mutated)
+        assert not twisted_findings(twisted_model(mutated, bound)).ok

@@ -3,6 +3,7 @@
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -670,6 +671,110 @@ def test_cli_duality_default_output_unchanged(tmp_path, capsys):
         "59 consistent\n"
         "density == fidelity on [(1, 0), (0, 1), (1, 1)]: 100% agreement\n"
     )
+
+
+def flip_document(name, k, loops, elements, power):
+    """A one-vertex discrete instance with flip squares: ``loops`` loops per
+    color, and the table of the i-th loop the (i + 1)-st power of
+    ``power``, a table on ``elements``, so tables of any colors commute."""
+    ids = {c: [f"e{c}{i}" for i in range(loops)] for c in range(1, k + 1)}
+    tables = {}
+    for c, row in ids.items():
+        table = dict(power)
+        for ident in row:
+            tables[ident] = table
+            table = {t: power[u] for t, u in table.items()}
+    return {
+        "kind": "discrete",
+        "name": name,
+        "k": k,
+        "vertices": ["v"],
+        "edges": [[{"id": e, "r": "v", "s": "v"} for e in ids[c]] for c in ids],
+        "squares": {
+            f"{i},{j}": [[[e, f], [f, e]] for e in ids[i] for f in ids[j]]
+            for i, j in itertools.combinations(ids, 2)
+        },
+        "fibers": {"v": {"elements": list(elements)}},
+        "maps": {e: {"table": tab} for e, tab in tables.items()},
+    }
+
+
+def test_cli_duality_rank_1_prints_each_degree_once(tmp_path, capsys):
+    # at rank 1 the probe e_1 is the diagonal degree (1,)
+    path = tmp_path / "r1.json"
+    path.write_text(json.dumps(flip_document("r1", 1, 1, "ab", {"a": "b", "b": "a"})))
+    assert main(["duality", "--max-fiber-size", "1", "--instance", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "instance r1 degree (1,): dense=True faithful=True agree=True",
+        "twisted product up to (2,): all checks pass",
+    ]
+
+
+def test_cli_duality_3_graph_checks_the_skeleton(tmp_path, capsys, monkeypatch):
+    # 3 loops per color over a 3-cycle: the degree-(2, 2, 2) morphisms alone
+    # number 3 * 3^6; only the density probes enumerate paths, of degree at
+    # most (1, 1, 1)
+    path = tmp_path / "c3.json"
+    cycle = {"0": "1", "1": "2", "2": "0"}
+    path.write_text(json.dumps(flip_document("c3", 3, 3, "012", cycle)))
+    degrees = []
+    real = duality.enumerate_paths
+
+    def recorded(g, v, n):
+        degrees.append(n)
+        return real(g, v, n)
+
+    monkeypatch.setattr(duality, "enumerate_paths", recorded)
+    assert main(["duality", "--max-fiber-size", "1", "--instance", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "twisted product up to (2, 2, 2): all checks pass"
+    assert lines[-2] == "instance c3 degree (1, 1, 1): dense=True faithful=True agree=True"
+    assert max(map(sum, degrees)) == 3
+
+
+def test_cli_duality_reports_a_twisted_product_with_sources(tmp_path, capsys):
+    # a constant table leaves elements no edge reaches: genuine sources of
+    # the product, which the construction allows
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps(flip_document("const", 2, 1, "ab", {"a": "a", "b": "a"})))
+    assert main(["duality", "--max-fiber-size", "1", "--instance", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "twisted product up to (2, 2): all checks pass"
+    )
+
+
+def point_system(path):
+    """p2 shrunk to the point (0, 0): every map keeps it, and the box
+    fiber has min == max, which validate accepts."""
+    doc = json.loads(packaged_instance("p2").read_text())
+    doc["fibers"]["v"]["region"] = {"type": "box", "min": [0.0, 0.0], "max": [0.0, 0.0]}
+    for m in doc["maps"].values():
+        m["translation"] = [0.0, 0.0]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command", ["attractor", "coding", "diagonal"])
+def test_cli_zero_diameter_fibers_ask_for_a_pitch(tmp_path, capsys, command):
+    path = point_system(tmp_path / "point.json")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--instance", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: every fiber has diameter 0, so there is no default pitch: give --pitch\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_zero_diameter_fibers_converge_at_a_given_pitch(tmp_path, capsys):
+    path = point_system(tmp_path / "point.json")
+    assert main(["attractor", "--instance", str(path), "--pitch", "0.1",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "vertex v: points=1 " in capsys.readouterr().out
 
 
 def test_cli_outputs_deterministic(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,15 @@ def test_grid_points_refuse_more_than_max_grid_points(pitch):
     assert 4097**2 > MAX_GRID_POINTS == 2**24
     with pytest.raises(ValueError, match="more than 16777216 points"):
         grid_points(Box((0.0, 0.0), (1.0, 1.0)), pitch)
+
+
+@pytest.mark.parametrize("pitch", [0.0, -0.25, math.nan])
+def test_grid_points_refuse_a_pitch_that_is_not_positive(pitch):
+    # refused before the bounding box is divided by it, so numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid pitch must be positive"):
+            grid_points(Box((0.0, 0.0), (0.0, 0.0)), pitch)
 
 
 @pytest.mark.parametrize("shift, contained", [(0.25, True), (0.75, False)])
