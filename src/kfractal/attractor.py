@@ -427,14 +427,6 @@ class SetTuple:
             {v: grid_indices(f.region, pitch, origin) for v, f in sys.fibers.items()},
         )
 
-    @classmethod
-    def from_point(cls, sys: MWSystem, pitch: float, point_per_vertex, origin=None):
-        """Singleton clouds (e.g. one corner point per vertex)."""
-        origin = np.zeros(sys.dim) if origin is None else origin
-        return cls.from_points(
-            origin, pitch, {v: np.atleast_2d(p) for v, p in point_per_vertex.items()}
-        )
-
     def points(self, v: str) -> np.ndarray:
         return self.origin + self.pitch * self.clouds[v].astype(float)
 

@@ -281,10 +281,11 @@ def cmd_coding(args) -> int:
         for ident in sorted(sys_.generators):
             e = sys_.graph.edge(ident)
             lam = Path(sys_.graph, e.range_vertex, (ident,))
-            prefixes = sample_prefixes(
-                sys_.graph, e.source_vertex, deep, count=20,
-                seed=args.seed, replace=True,
-            )
+            prefixes = [
+                Path(sys_.graph, e.source_vertex, word)
+                for word in sample_prefixes(sys_.graph, e.source_vertex, deep, count=20,
+                                            seed=args.seed, replace=True)
+            ]
             rep = check_intertwining(sys_, lam, prefixes, tol=max(tol, 8 * err))
             verdict = "pass" if rep.passed else "FAIL"
             lines.append(f"  prepend-vs-map for {ident}: {verdict} "

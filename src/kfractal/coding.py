@@ -22,38 +22,14 @@ from .kgraph import (
     Path,
     compose,
     count_paths,
-    factorize,
 )
 from .systems import EUCLIDEAN, RELAXED, MWSystem, extend_map, lipschitz_bound
-
-
-@dataclass(frozen=True, slots=True)
-class PathPrefix:
-    """A finite truncation of an infinite path, tagged with its depth."""
-
-    path: Path
-    depth: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.path.degree != tuple(self.depth):
-            raise KGraphError(
-                f"declared depth {self.depth} != path degree {self.path.degree}"
-            )
-
-    @classmethod
-    def of(cls, path: Path) -> "PathPrefix":
-        return cls(path, path.degree)
-
-    def truncate(self, m) -> "PathPrefix":
-        head, _ = factorize(self.path, tuple(m))
-        return PathPrefix.of(head)
 
 
 @dataclass(frozen=True)
 class CodedPoint:
     point: np.ndarray
     error_radius: float
-    vertex: str
 
 
 def _metric_dist(a, b, metric):
@@ -79,19 +55,20 @@ def _basepoint(sys: MWSystem, vertex: str, rule):
     return np.asarray(rule[vertex], dtype=float)
 
 
-def code_point(sys: MWSystem, prefix: PathPrefix, basepoint="centroid") -> CodedPoint:
-    """Image of the source fiber's basepoint under the prefix map.
+def code_point(sys: MWSystem, path: Path, basepoint="centroid") -> CodedPoint:
+    """Image of the source fiber's basepoint under the map of the finite
+    prefix ``path``, which codes the attractor points of its infinite
+    extensions.
 
     The returned error radius (prefix Lipschitz bound times source fiber
     diameter) covers the whole image, so any two basepoint rules give points
     within twice that radius of each other.
     """
-    _require_codable(sys, prefix.depth)
-    path = prefix.path
+    _require_codable(sys, path.degree)
     m = extend_map(sys, path)
     b = _basepoint(sys, path.source_vertex, basepoint)
     err = lipschitz_bound(m, sys.metric) * sys.fibers[path.source_vertex].diameter()
-    return CodedPoint(m.apply(b), err, path.range_vertex)
+    return CodedPoint(m.apply(b), err)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +78,8 @@ def code_point(sys: MWSystem, prefix: PathPrefix, basepoint="centroid") -> Coded
 # rng.integers draws below an int64 bound, so larger path spaces cannot be
 # sampled uniformly
 _MAX_PATHS = int(np.iinfo(np.int64).max)
-# without a sample count, coded_cloud lists the paths up to this many per vertex
+# coded_cloud codes at most this many points per vertex: every path without a
+# sample count, or this many samples
 MAX_EXHAUSTIVE_PATHS = 1_000_000
 
 
@@ -115,11 +93,16 @@ def _check_drawable(v: str, depth, size: int) -> None:
 
 def path_budget(g: KGraph, depth, count: int | None) -> dict[str, int]:
     """Per vertex, the number of paths of degree ``depth``, after checking
-    that coding can afford them: with no sample ``count`` every path is
-    listed, so at most ``MAX_EXHAUSTIVE_PATHS`` per vertex; with a count
-    they are drawn with int64 integers, so at most the int64 range.
-    Raises ValueError otherwise."""
+    that coding can afford them.  A vertex codes at most
+    ``MAX_EXHAUSTIVE_PATHS`` points: with no sample ``count`` all its paths
+    are listed, so there may be at most that many; with a count, the count
+    may be at most that many, and the paths are drawn with int64 integers,
+    so there may be at most the int64 range of them.  Raises ValueError
+    otherwise, before anything is allocated."""
     depth = tuple(depth)
+    if count is not None and count > MAX_EXHAUSTIVE_PATHS:
+        raise ValueError(f"{count} samples per vertex are too many to code "
+                         f"(at most {MAX_EXHAUSTIVE_PATHS})")
     sizes = {v: count_paths(g, v, depth) for v in g.vertices}
     if count is None:
         most = max(sizes.values())
@@ -161,11 +144,16 @@ def sample_prefixes(
     count: int,
     seed: int = 0,
     replace: bool = False,
-) -> list[PathPrefix]:
+) -> list[tuple[str, ...]]:
     """``count`` prefixes with range v and the given depth, drawn uniformly
     from vΛ^depth by weighting every edge choice with the number of
     completions (integer arithmetic, so the draw is exactly uniform and
     reproducible from the seed).
+
+    Each prefix is returned as its edge word, the ``edges`` of its ``Path``
+    in normal form; no ``Path`` is built.  Every step picks an edge with
+    range the vertex reached and moves to its source, colour by colour, so
+    every word is composable and colour-sorted by construction.
 
     The completion counts of every suffix come from one table built per
     call.  Each sample takes one ``rng.integers(0, total)`` draw per step,
@@ -198,10 +186,8 @@ def sample_prefixes(
     rng = np.random.default_rng(seed)
     highs = _walk_free_totals(steps)
     if highs is None:
-        words = _walk_per_sample(steps, v, count, rng)
-    else:
-        words = _walk_batched(g, steps, highs, v, count, rng)
-    return [PathPrefix(Path(g, v, word), depth) for word in words]
+        return _walk_per_sample(steps, v, count, rng)
+    return _walk_batched(g, steps, highs, v, count, rng)
 
 
 def _walk_free_totals(steps):
@@ -288,29 +274,28 @@ def check_intertwining(
 
     For each prefix x rooted at s(lam), code_point(lam x) and
     sigma_lam(code_point(x)) must land within tol plus the certified error
-    radii.  Insufficient prefix depth (coded error > tol/4) is reported
-    together with the depth that would suffice.
+    radii.  The prefixes are ``Path``s; insufficient prefix depth (coded
+    error > tol/4) is reported together with the depth that would suffice.
     """
     rep = IntertwiningReport(lam, tol)
     sig = extend_map(sys, lam)
     sig_lip = lipschitz_bound(sig, sys.metric)
     for prefix in prefixes:
-        if prefix.path.range_vertex != lam.source_vertex:
+        if prefix.range_vertex != lam.source_vertex:
             raise KGraphError("prefix not rooted at the path's source")
         base = code_point(sys, prefix, basepoint)
         if base.error_radius > tol / 4.0:
             rep.insufficient_depth = True
             rep.required_total_depth = required_depth(sys, tol / 4.0)
             return rep
-        joined = PathPrefix.of(compose(lam, prefix.path))
-        lhs = code_point(sys, joined, basepoint)
+        lhs = code_point(sys, compose(lam, prefix), basepoint)
         rhs = sig.apply(base.point)
         dist = _metric_dist(lhs.point, rhs, sys.metric)
         allowed = tol + lhs.error_radius + sig_lip * base.error_radius
         rep.samples += 1
         rep.max_distance = max(rep.max_distance, dist)
         if dist > allowed:
-            rep.failures.append((prefix.path, dist, allowed))
+            rep.failures.append((prefix, dist, allowed))
     return rep
 
 
@@ -334,8 +319,9 @@ def coded_cloud(
     ``path_budget``; the paths are evaluated as a leaf-to-root sweep
     applying one edge color at a time, which touches each composite exactly
     once.  With a ``count`` the sampling is seeded and uniform
-    (``sample_prefixes``); the sampled prefixes are evaluated together as
-    stacked matrices, giving the same points bit for bit as ``code_point``.
+    (``sample_prefixes``); the sampled edge words are evaluated together as
+    stacked matrices, giving the same points bit for bit as ``code_point``
+    of their paths, and no ``Path`` is built.
     The radius comes from ``contraction_factor`` in both cases, so no
     per-point bound is computed.
     """
@@ -365,40 +351,40 @@ def coded_cloud(
 
     clouds = {}
     for v in g.vertices:
-        prefixes = sample_prefixes(
-            g, v, depth, count, seed=seed, replace=count > sizes[v]
-        )
-        clouds[v] = _coded_points(sys, v, prefixes, sum(depth), basepoint)
+        words = sample_prefixes(g, v, depth, count, seed=seed, replace=count > sizes[v])
+        clouds[v] = _coded_points(sys, v, words, sum(depth), basepoint)
     return SetTuple.from_points(origin, pitch, clouds), err
 
 
-def _coded_points(sys: MWSystem, v: str, prefixes, length: int, basepoint) -> np.ndarray:
-    """``code_point(sys, p, basepoint).point`` for every prefix with range v
-    and the given length, as rows, bit for bit.
+def _coded_points(sys: MWSystem, v: str, words, length: int, basepoint) -> np.ndarray:
+    """``code_point(sys, Path(sys.graph, v, w), basepoint).point`` for every
+    edge word w of a path with range v and the given length, as rows, bit
+    for bit.
 
-    The prefixes' maps are composed together as stacked matrices, in
-    ``extend_map``'s left-fold order along the normal form (the first edge's
-    map, then each later one applied first); then each source vertex's
-    basepoint is pushed through its prefixes' maps."""
-    g, dim, n = sys.graph, sys.dim, len(prefixes)
+    Each edge id is looked up in the sorted generator table, so an id the
+    table lacks raises KeyError.  The words' maps are composed together as
+    stacked matrices, in ``extend_map``'s left-fold order along the normal
+    form (the first edge's map, then each later one applied first); then
+    each source vertex's basepoint is pushed through its words' maps."""
+    g, dim, n = sys.graph, sys.dim, len(words)
     ids = sorted(sys.generators)
     index = {e: i for i, e in enumerate(ids)}
     mats = np.stack([sys.generators[e].matrix for e in ids])
     shifts = np.stack([sys.generators[e].shift for e in ids])
-    words = np.fromiter(
-        (index[e] for p in prefixes for e in p.path.edges), dtype=np.intp, count=n * length
+    indices = np.fromiter(
+        (index[e] for word in words for e in word), dtype=np.intp, count=n * length
     ).reshape(n, length)
     if length == 0:
         # vertex paths: code_point applies the identity map
         m, s = np.broadcast_to(np.eye(dim), (n, dim, dim)), np.zeros((n, dim))
         sources = np.full(n, g.vertices.index(v))
     else:
-        m, s = mats[words[:, 0]], shifts[words[:, 0]]
+        m, s = mats[indices[:, 0]], shifts[indices[:, 0]]
         for j in range(1, length):
-            s = (m @ shifts[words[:, j], :, None])[:, :, 0] + s
-            m = m @ mats[words[:, j]]
+            s = (m @ shifts[indices[:, j], :, None])[:, :, 0] + s
+            m = m @ mats[indices[:, j]]
         edge_source = np.array([g.vertices.index(g.edge(e).source_vertex) for e in ids])
-        sources = edge_source[words[:, -1]]
+        sources = edge_source[indices[:, -1]]
     out = np.empty((n, dim))
     for i in np.unique(sources):
         at = sources == i

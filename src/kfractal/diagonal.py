@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attractor import ConvergenceCertificate, SetTuple, compute_attractor
-from .coding import PathPrefix, _metric_dist, code_point
+from .coding import _metric_dist, code_point
 from .kgraph import DiagonalGraph, diagonal_graph, path_from_word, word_to_path
 from .systems import STRICT, MWSystem, extend_map, lipschitz_bound
 
@@ -96,15 +96,15 @@ def check_intertwining_transfer(
                 continue
             ew = (ident,) + tuple(word)
             collapse_path = path_from_word(sys.graph, e.range_vertex, ew)
-            lhs = code_point(sys, PathPrefix.of(collapse_path), basepoint)
+            lhs = code_point(sys, collapse_path, basepoint)
 
             base_path = path_from_word(sys.graph, e.source_vertex, tuple(word))
-            base = code_point(sys, PathPrefix.of(base_path), basepoint)
+            base = code_point(sys, base_path, basepoint)
             gen = sys.generators[ident]
             mid = gen.apply(base.point)
 
             expanded = word_to_path(dsys.graph, ew, e.range_vertex)
-            via_source = code_point(src, PathPrefix.of(expanded), basepoint)
+            via_source = code_point(src, expanded, basepoint)
 
             allowed = tol + lhs.error_radius + lipschitz_bound(gen, metric) * base.error_radius
             d1 = _metric_dist(lhs.point, mid, metric)

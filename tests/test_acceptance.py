@@ -58,7 +58,7 @@ def test_criterion_1_fixed_point_uniqueness():
     h = 1.0 / 512.0
     with Timer() as t:
         full = SetTuple.from_fibers(sys_, h)
-        corner = SetTuple.from_point(sys_, h, {"v": np.array([0.0, 0.0])})
+        corner = SetTuple.from_points(np.zeros(2), h, {"v": np.array([0.0, 0.0])})
         K1, c1 = compute_attractor(sys_, (1,), full, tol=4 * h)
         K2, c2 = compute_attractor(sys_, (1,), corner, tol=4 * h)
         assert c1.converged and c2.converged

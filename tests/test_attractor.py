@@ -655,7 +655,7 @@ def test_step_monotone_in_the_input():
 def test_attractor_t0_collapses_to_origin():
     sys = shipped("t0")
     h = 1 / 256
-    C0 = SetTuple.from_point(sys, h, {"v": np.array([1.0])})
+    C0 = SetTuple.from_points(np.zeros(1), h, {"v": np.array([1.0])})
     K, cert = compute_attractor(sys, (1, 1), C0, tol=4 * h)
     assert cert.converged
     assert np.abs(K.points("v")).max() <= 4 * h + cert.error_bound
@@ -666,7 +666,7 @@ def test_attractor_unique_limit_from_far_apart_starts():
     h = 1 / 128
     tol = 2 * h
     full = SetTuple.from_fibers(sys, h)
-    corner = SetTuple.from_point(sys, h, {"v": np.array([0.0, 0.0])})
+    corner = SetTuple.from_points(np.zeros(2), h, {"v": np.array([0.0, 0.0])})
     K1, c1 = compute_attractor(sys, (1,), full, tol=tol)
     K2, c2 = compute_attractor(sys, (1,), corner, tol=tol)
     assert c1.converged and c2.converged

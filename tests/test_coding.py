@@ -11,7 +11,6 @@ from kfractal import _kernels
 from kfractal.attractor import SetTuple, compute_attractor, hausdorff_distance
 from kfractal.coding import (
     MAX_EXHAUSTIVE_PATHS,
-    PathPrefix,
     check_intertwining,
     check_subsystem,
     code_point,
@@ -21,7 +20,7 @@ from kfractal.coding import (
     required_depth,
     sample_prefixes,
 )
-from kfractal.kgraph import KGraph, KGraphError, Path, count_paths, path_from_word
+from kfractal.kgraph import KGraph, KGraphError, Path, count_paths, factorize, path_from_word
 from kfractal.systems import (
     MAX_GRID_POINTS,
     AffineMap,
@@ -39,29 +38,26 @@ def word_path(g, ids):
     return path_from_word(g, "v", tuple(ids))
 
 
+def sampled_paths(g, depth, count, seed):
+    return [Path(g, "v", w) for w in sample_prefixes(g, "v", depth, count, seed=seed)]
+
+
 # ---------------------------------------------------------------------------
 # code_point
-
-
-def test_prefix_depth_must_match():
-    g = shipped("s1").graph
-    with pytest.raises(KGraphError):
-        PathPrefix(Path(g, "v", ("a0",)), (2,))
 
 
 def test_prefix_truncation_consistency():
     sys = shipped("s1")
     p = word_path(sys.graph, ["a0", "a2", "a1", "a0"])
-    prefix = PathPrefix.of(p)
-    trunc = prefix.truncate((2,))
-    assert trunc.path.edges == ("a0", "a2")
+    head, _ = factorize(p, (2,))
+    assert head.edges == ("a0", "a2")
 
 
 def test_code_point_t0_nested_contraction():
     sys = shipped("t0")
     for n in (1, 2, 4):
         p = path_from_word(sys.graph, "v", ("b",) * n + ("r",) * n)
-        coded = code_point(sys, PathPrefix.of(p))
+        coded = code_point(sys, p)
         assert abs(float(coded.point[0])) <= 2.0 ** (-2 * n)
         assert coded.error_radius <= 2.0 ** (-2 * n) + 1e-15
 
@@ -69,7 +65,7 @@ def test_code_point_t0_nested_contraction():
 def test_code_point_s1_constant_word_hits_fixed_corner():
     sys = shipped("s1")
     p = word_path(sys.graph, ["a0"] * 10)
-    coded = code_point(sys, PathPrefix.of(p))
+    coded = code_point(sys, p)
     assert np.linalg.norm(coded.point - np.array([0.0, 0.0])) <= 2.0 ** -10
     assert coded.error_radius == pytest.approx(2.0 ** -10, rel=1e-12)
 
@@ -79,7 +75,7 @@ def test_code_point_alternating_word_linear_solve_oracle():
     # composite; solve (I - M) z = t independently
     sys = shipped("s1")
     p = word_path(sys.graph, ["a0", "a1"] * 5)
-    coded = code_point(sys, PathPrefix.of(p))
+    coded = code_point(sys, p)
     two = extend_map(sys, word_path(sys.graph, ["a0", "a1"]))
     z = np.linalg.solve(np.eye(2) - two.matrix, two.shift)
     assert np.linalg.norm(coded.point - z) <= 2.0 ** -10 + 1e-12
@@ -88,7 +84,7 @@ def test_code_point_alternating_word_linear_solve_oracle():
 def test_code_point_error_bound_strict_mode():
     sys = shipped("s1")
     for p in [word_path(sys.graph, ["a1"] * 4), word_path(sys.graph, ["a2", "a0"])]:
-        coded = code_point(sys, PathPrefix.of(p))
+        coded = code_point(sys, p)
         n = sum(p.degree)
         assert coded.error_radius <= sys.ratio ** n * 1.0 + 1e-12
 
@@ -97,17 +93,17 @@ def test_code_point_relaxed_requires_diagonal():
     sys = shipped("p2")
     off = path_from_word(sys.graph, "v", ("b0",))
     with pytest.raises(ValueError):
-        code_point(sys, PathPrefix.of(off))
+        code_point(sys, off)
     ok = path_from_word(sys.graph, "v", ("b0", "r0"))
-    coded = code_point(sys, PathPrefix.of(ok))
+    coded = code_point(sys, ok)
     assert coded.error_radius <= 0.5 + 1e-12
 
 
 def test_basepoint_rules_stay_within_twice_error():
     sys = shipped("s1")
     p = word_path(sys.graph, ["a1", "a2", "a0", "a1"])
-    a = code_point(sys, PathPrefix.of(p), basepoint="centroid")
-    b = code_point(sys, PathPrefix.of(p), basepoint={"v": np.array([0.0, 0.0])})
+    a = code_point(sys, p, basepoint="centroid")
+    b = code_point(sys, p, basepoint={"v": np.array([0.0, 0.0])})
     assert np.linalg.norm(a.point - b.point) <= a.error_radius + b.error_radius
 
 
@@ -117,17 +113,16 @@ def test_basepoint_rules_stay_within_twice_error():
 
 def test_sample_depth_zero_is_vertex():
     g = shipped("s1").graph
-    prefixes = sample_prefixes(g, "v", (0,), count=1, seed=1)
-    assert prefixes[0].path == Path(g, "v")
+    assert sample_prefixes(g, "v", (0,), count=1, seed=1) == [()]
 
 
 def test_sample_deterministic_under_seed():
     g = shipped("p2").graph
     a = sample_prefixes(g, "v", (2, 2), count=12, seed=42)
     b = sample_prefixes(g, "v", (2, 2), count=12, seed=42)
-    assert [p.path for p in a] == [q.path for q in b]
+    assert a == b
     c = sample_prefixes(g, "v", (2, 2), count=12, seed=43)
-    assert [p.path for p in a] != [q.path for q in c]
+    assert a != c
 
 
 def test_sample_replacement_contract():
@@ -141,11 +136,11 @@ def test_sample_replacement_contract():
 def test_sample_uniform_weighting_two_vertex(g_two_vertex):
     # weighted edge choice must produce only genuine paths, and in the long
     # run every path of the small space
-    prefixes = sample_prefixes(g_two_vertex, "u", (1, 1), count=400, seed=7, replace=True)
+    words = sample_prefixes(g_two_vertex, "u", (1, 1), count=400, seed=7, replace=True)
     from kfractal.kgraph import enumerate_paths
 
     space = set(enumerate_paths(g_two_vertex, "u", (1, 1)))
-    seen = {p.path for p in prefixes}
+    seen = {Path(g_two_vertex, "u", w) for w in words}
     assert seen <= space
     assert seen == space  # 4 paths, 400 draws
 
@@ -249,7 +244,9 @@ def test_sampler_matches_per_sample_walk(request, name, depth, count, replace, s
     g = _graph(name, request)
     for v in g.vertices:
         got = sample_prefixes(g, v, depth, count, seed=seed, replace=replace)
-        assert [p.path for p in got] == _reference_sample(g, v, depth, count, seed)
+        assert got == [p.edges for p in _reference_sample(g, v, depth, count, seed)]
+        # every word is a path of the depth, which the sampler does not check
+        assert all(Path(g, v, word).degree == depth for word in got)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4, 77])
@@ -334,6 +331,10 @@ def test_path_budget_lists_up_to_the_limit_and_samples_up_to_int64():
     assert path_budget(g, (39,), 5) == {"v": 3**39}
     with pytest.raises(ValueError, match="too many to sample"):
         path_budget(g, (40,), 5)
+    # a sample count has the same budget as the listed paths
+    assert path_budget(g, (7,), MAX_EXHAUSTIVE_PATHS) == {"v": 3**7}
+    with pytest.raises(ValueError, match=r"^1000001 samples per vertex are too many to code"):
+        path_budget(g, (7,), MAX_EXHAUSTIVE_PATHS + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +344,7 @@ def test_path_budget_lists_up_to_the_limit_and_samples_up_to_int64():
 def test_intertwining_vertex_is_exact():
     sys = shipped("s1")
     v = Path(sys.graph, "v")
-    prefixes = sample_prefixes(sys.graph, "v", (12,), count=5, seed=3)
+    prefixes = sampled_paths(sys.graph, (12,), 5, 3)
     rep = check_intertwining(sys, v, prefixes, tol=0.01)
     assert rep.passed
     assert rep.max_distance == 0.0
@@ -352,7 +353,7 @@ def test_intertwining_vertex_is_exact():
 def test_intertwining_s1_generator():
     sys = shipped("s1")
     lam = Path(sys.graph, "v", ("a2",))
-    prefixes = sample_prefixes(sys.graph, "v", (12,), count=50, seed=11)
+    prefixes = sampled_paths(sys.graph, (12,), 50, 11)
     rep = check_intertwining(sys, lam, prefixes, tol=1e-3)
     assert rep.passed
     assert rep.samples == 50
@@ -361,7 +362,7 @@ def test_intertwining_s1_generator():
 def test_intertwining_insufficient_depth_reported():
     sys = shipped("s1")
     lam = Path(sys.graph, "v", ("a0",))
-    shallow = sample_prefixes(sys.graph, "v", (2,), count=4, seed=2)
+    shallow = sampled_paths(sys.graph, (2,), 4, 2)
     rep = check_intertwining(sys, lam, shallow, tol=1e-6)
     assert not rep.passed
     assert rep.insufficient_depth
@@ -378,7 +379,7 @@ def test_intertwining_detects_square_corruption():
     bad["r0"] = AffineMap.of(bad["r0"].matrix, (0.05, 0.0), "v", "v")
     sys.generators = bad
     lam = path_from_word(sys.graph, "v", ("b0", "r0"))
-    prefixes = sample_prefixes(sys.graph, "v", (8, 8), count=20, seed=5)
+    prefixes = sampled_paths(sys.graph, (8, 8), 20, 5)
     rep = check_intertwining(sys, lam, prefixes, tol=1e-3)
     assert not rep.passed
     assert rep.failures
@@ -400,7 +401,7 @@ def test_intertwining_rejects_misrooted_prefixes():
         mode="strict",
     )
     lam = Path(g, "u", ("a",))  # source is w
-    rooted_at_u = [PathPrefix.of(Path(g, "u", ("a", "b")))]
+    rooted_at_u = [Path(g, "u", ("a", "b"))]
     with pytest.raises(KGraphError):
         check_intertwining(sys, lam, rooted_at_u, tol=1.0)
 
@@ -427,6 +428,20 @@ def test_coded_cloud_matches_attractor_s1():
     assert err == pytest.approx(0.5 ** depth, rel=1e-12)
     tol = 4 * h + err
     assert compare_attractor_coding(sys, K, T2, tol)
+
+
+def test_sampled_coded_cloud_builds_no_paths(monkeypatch):
+    # the sampled edge words are evaluated as they are
+    built = []
+    init = Path.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "__init__", counting)
+    coded_cloud(shipped("s1"), (7,), pitch=1 / 64, count=20000, seed=1)
+    assert built == []
 
 
 def test_coded_cloud_sampled_subset_of_exhaustive():
@@ -499,8 +514,8 @@ def test_sampled_coded_cloud_equals_code_point(raw_clouds, name, depth, count, b
     assert set(raw_clouds) == set(g.vertices)
     for v in g.vertices:
         replace = count > count_paths(g, v, depth)
-        prefixes = sample_prefixes(g, v, depth, count, seed=8, replace=replace)
-        want = np.array([code_point(sys, p, basepoint).point for p in prefixes])
+        words = sample_prefixes(g, v, depth, count, seed=8, replace=replace)
+        want = np.array([code_point(sys, Path(g, v, w), basepoint).point for w in words])
         got = raw_clouds[v]
         assert got.shape == want.shape
         assert got.dtype == want.dtype
@@ -564,7 +579,7 @@ def test_check_subsystem_gasket_invariant():
 
 def test_check_subsystem_corner_singleton_fails():
     sys = shipped("s1")
-    single = SetTuple.from_point(sys, 1 / 128, {"v": np.array([0.0, 0.0])})
+    single = SetTuple.from_points(np.zeros(2), 1 / 128, {"v": np.array([0.0, 0.0])})
     rep = check_subsystem(sys, single, tol=0.01)
     assert not rep.passed
     assert rep.edge_distances["a1"] > 0.2
@@ -690,7 +705,7 @@ def test_subsystem_refuses_a_window_past_the_grid_bound():
 def test_prefix_consistency_across_depths():
     sys = shipped("s1")
     deep = word_path(sys.graph, ["a0", "a1", "a2", "a0", "a1", "a2", "a0", "a1", "a2", "a0"])
-    shallow = PathPrefix.of(deep).truncate((6,))
-    c_deep = code_point(sys, PathPrefix.of(deep))
+    shallow, _ = factorize(deep, (6,))
+    c_deep = code_point(sys, deep)
     c_shallow = code_point(sys, shallow)
     assert np.linalg.norm(c_deep.point - c_shallow.point) <= c_shallow.error_radius

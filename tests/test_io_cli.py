@@ -627,6 +627,20 @@ def test_cli_coding_too_many_paths_to_list_exits_2_before_iterating(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_coding_count_above_the_budget_exits_2_before_allocating(tmp_path):
+    # a vertex codes at most MAX_EXHAUSTIVE_PATHS points, listed or sampled
+    out = tmp_path / "out"
+    argv = ["coding", "--instance", "f3", "--count", "1000001", "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "kfractal", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: 1000001 samples per vertex are too many to code "
+                           "(at most 1000000)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["attractor", "coding", "diagonal"])
 @pytest.mark.parametrize("pitch", ["1e-9", "5e-324"])
 def test_cli_pitch_too_fine_to_allocate_exits_2_in_one_line(tmp_path, capsys, command, pitch):
@@ -860,6 +874,31 @@ PINNED_OUTPUT_DIGESTS = {
             "coded.csv": "c33d3f4c1ca053747bbc6e6db5d014324c97235be70c54136562588bcd5976fb",
         },
     ),
+    # completion totals that depend on the walk, so the per-sample walk
+    # draws both the coded cloud and the spot checks; 40 draws cover part of
+    # the 21 and 13 paths at u and w
+    "coding lopsided": (
+        ["coding", "--instance", "{lopsided}", "--count", "40", "--seed", "3"],
+        {
+            "stdout": "5e65f9cc005a32da46c683889adc47a600ccbdbd67833bfa1d0cab0f3a3fdf47",
+            "coding.txt": "5e65f9cc005a32da46c683889adc47a600ccbdbd67833bfa1d0cab0f3a3fdf47",
+            "coded.csv": "79aad2c18219c343c910df3e7bda1ab481daf2e2998225225217e3bdc29aad21",
+        },
+    ),
+}
+
+# tests/test_coding.py's _lopsided_system: a strict 1-graph on u and w whose
+# completion counts differ (u receives two edges, w one)
+LOPSIDED = {
+    "kind": "mw", "name": "lopsided", "k": 1, "vertices": ["u", "w"], "squares": {},
+    "edges": [[{"id": "a", "r": "u", "s": "u"}, {"id": "b", "r": "u", "s": "w"},
+               {"id": "c", "r": "w", "s": "u"}]],
+    "fibers": {v: {"metric": "euclidean", "region": {"type": "box", "min": [0.0], "max": [1.0]}}
+               for v in ("u", "w")},
+    "maps": {"a": {"matrix": [[0.3]], "translation": [0.1]},
+             "b": {"matrix": [[0.35]], "translation": [0.55]},
+             "c": {"matrix": [[0.4]], "translation": [0.2]}},
+    "c": 0.4, "mode": "strict",
 }
 
 
@@ -881,7 +920,10 @@ PINNED_LINES = {
 
 @pytest.mark.parametrize("label", sorted(PINNED_OUTPUT_DIGESTS))
 def test_cli_window_outputs_are_pinned(tmp_path, capsys, label):
+    lopsided = tmp_path / "lopsided.json"
+    lopsided.write_text(json.dumps(LOPSIDED))
     argv, digests = PINNED_OUTPUT_DIGESTS[label]
+    argv = [arg.format(lopsided=lopsided) for arg in argv]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     stdout = capsys.readouterr().out.encode()
     if label in PINNED_LINES:
