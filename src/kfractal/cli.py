@@ -278,14 +278,13 @@ def cmd_coding(args) -> int:
         lines.append(f"  edge {e}: one-sided distance {d:.6g}")
     if sys_.mode != RELAXED:
         # spot-check prepending one generator against mapping the coded point
+        ids = sorted(sys_.graph.edges)
         for ident in sorted(sys_.generators):
             e = sys_.graph.edge(ident)
             lam = Path(sys_.graph, e.range_vertex, (ident,))
-            prefixes = [
-                Path(sys_.graph, e.source_vertex, word)
-                for word in sample_prefixes(sys_.graph, e.source_vertex, deep, count=20,
-                                            seed=args.seed, replace=True)
-            ]
+            rows = sample_prefixes(sys_.graph, e.source_vertex, deep, count=20, seed=args.seed)
+            prefixes = [Path(sys_.graph, e.source_vertex, tuple(ids[i] for i in row))
+                        for row in rows.tolist()]
             rep = check_intertwining(sys_, lam, prefixes, tol=max(tol, 8 * err))
             verdict = "pass" if rep.passed else "FAIL"
             lines.append(f"  prepend-vs-map for {ident}: {verdict} "

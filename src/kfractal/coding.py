@@ -8,7 +8,6 @@ materialized.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -116,127 +115,78 @@ def path_budget(g: KGraph, depth, count: int | None) -> dict[str, int]:
 
 
 def _completion_table(g: KGraph, depth):
-    """Per normal-form step of ``depth``, per vertex u: the candidate edges
-    with range u, their cumulative completion counts and their sources; plus
-    the path count of the whole depth at every vertex.
+    """Per normal-form step of ``depth``, per vertex index u (the position
+    in ``g.vertices``): the edge numbers (positions in ``sorted(g.edges)``)
+    of the candidate edges with range u, in order, their cumulative
+    completion counts from 0 to u's total, so that candidate i's block of
+    completions is [starts[i], starts[i + 1]), and the indices of their
+    sources; plus the path count of the whole depth at every vertex index.
 
     One dynamic program over the steps, run from the last step to the first,
-    so each intermediate state is the completion count of a suffix."""
+    so each intermediate state is the completion count of a suffix.  The
+    counts are Python ints: a vertex no sample reaches may have more
+    completions than int64 holds."""
     colors = [c for c in range(1, g.k + 1) for _ in range(depth[c - 1])]
-    counts = {u: 1 for u in g.vertices}
+    number = {e: i for i, e in enumerate(sorted(g.edges))}
+    index = {u: i for i, u in enumerate(g.vertices)}
+    counts = [1] * len(g.vertices)
     steps = []
     for color in reversed(colors):
-        row = {}
+        row = []
         for u in g.vertices:
             cands = g.edges_with_range(color, u)
-            sources = [g.edge(e).source_vertex for e in cands]
-            row[u] = (cands, list(itertools.accumulate(counts[s] for s in sources)), sources)
-        counts = {u: cum[-1] if cum else 0 for u, (_, cum, _) in row.items()}
+            sources = [index[g.edge(e).source_vertex] for e in cands]
+            starts = list(itertools.accumulate((counts[s] for s in sources), initial=0))
+            row.append(([number[e] for e in cands], starts, sources))
+        counts = [starts[-1] for _, starts, _ in row]
         steps.append(row)
     steps.reverse()
     return steps, counts
 
 
-def sample_prefixes(
-    g: KGraph,
-    v: str,
-    depth,
-    count: int,
-    seed: int = 0,
-    replace: bool = False,
-) -> list[tuple[str, ...]]:
+def sample_prefixes(g: KGraph, v: str, depth, count: int, seed: int = 0) -> np.ndarray:
     """``count`` prefixes with range v and the given depth, drawn uniformly
-    from vΛ^depth by weighting every edge choice with the number of
-    completions (integer arithmetic, so the draw is exactly uniform and
-    reproducible from the seed).
+    and with replacement from vΛ^depth, as a ``(count, steps)`` intp array:
+    row i is the i-th prefix's edges in normal form, each as its edge number,
+    its position in ``sorted(g.edges)``.
 
-    Each prefix is returned as its edge word, the ``edges`` of its ``Path``
-    in normal form; no ``Path`` is built.  Every step picks an edge with
-    range the vertex reached and moves to its source, colour by colour, so
-    every word is composable and colour-sorted by construction.
+    One ``rng.integers(0, size, count)`` call draws a rank per sample, where
+    size = |vΛ^depth|, and each rank is unranked through the completion
+    table.  At every step, the samples standing at a vertex u pick the
+    candidate edge whose block of completions holds their rank, keep the
+    offset inside that block as their rank, and move to the edge's source.
+    The candidates of a step are sorted, so rank r unranks to the r-th path
+    of ``enumerate_paths(g, v, depth)``, in lexicographic order.  That is a
+    bijection from [0, size) onto vΛ^depth, so a uniform rank gives a
+    uniform prefix.
 
-    The completion counts of every suffix come from one table built per
-    call.  Each sample takes one ``rng.integers(0, total)`` draw per step,
-    in normal-form order, where total is the completion count at the vertex
-    the walk has reached.  When at every step that total is the same at all
-    vertices with paths (every one-vertex graph, for one), the bounds of all
-    ``count`` times the step count draws are known before drawing, and one
-    ``rng.integers`` call with the bounds as an array takes them all.  numpy
-    draws an array-valued ``high`` element by element, exactly as the same
-    scalar calls one after another, so the integers, the prefixes and the
-    generator state afterwards are those of the per-sample walk, which
-    other graphs still take.  (One ``size=count`` draw per step would take
-    the same numbers step by step rather than sample by sample, and so give
-    them to other samples.)
-
-    Asking for more samples than exist requires ``replace=True``; a vertex
-    with no path of the depth, or a path count that does not fit in int64,
-    raises ValueError.
+    A vertex with no path of the depth, or a path count that does not fit
+    in int64, raises ValueError.
     """
     depth = tuple(depth)
     steps, sizes = _completion_table(g, depth)
-    size = sizes[v]
+    start = g.vertices.index(v)
+    size = sizes[start]
     _check_drawable(v, depth, size)
     if size == 0:
         raise ValueError(f"vertex {v!r} has no path of degree {depth} to sample")
-    if count > size and not replace:
-        raise ValueError(
-            f"requested {count} samples from {size} paths; pass replace=True"
-        )
-    rng = np.random.default_rng(seed)
-    highs = _walk_free_totals(steps)
-    if highs is None:
-        return _walk_per_sample(steps, v, count, rng)
-    return _walk_batched(g, steps, highs, v, count, rng)
-
-
-def _walk_free_totals(steps):
-    """Per step, the completion total shared by every vertex with paths, or
-    None when some step's total depends on the vertex the walk reached."""
-    highs = []
-    for row in steps:
-        totals = {cum[-1] for _, cum, _ in row.values() if cum and cum[-1]}
-        if len(totals) != 1:
-            return None
-        highs.append(totals.pop())
-    return highs
-
-
-def _walk_per_sample(steps, v, count, rng):
-    """Edge words of ``count`` walks from v, one scalar draw per step."""
-    words = []
-    for _ in range(count):
-        at = v
-        word = []
-        for row in steps:
-            cands, cum, sources = row[at]
-            i = bisect.bisect_right(cum, int(rng.integers(0, cum[-1])))
-            word.append(cands[i])
-            at = sources[i]
-        words.append(tuple(word))
-    return words
-
-
-def _walk_batched(g, steps, highs, v, count, rng):
-    """The words of ``_walk_per_sample`` from one array-bounded draw, taken
-    sample by sample and step by step in the same order; each step's edges
-    are picked by searchsorted, grouped by the vertex each sample is at."""
-    draws = rng.integers(0, np.tile(np.array(highs, dtype=np.int64), count))
-    draws = draws.reshape(count, len(steps))
-    index = {u: i for i, u in enumerate(g.vertices)}
-    at = np.full(count, index[v])
-    words = np.empty((count, len(steps)), dtype=object)
+    ranks = np.random.default_rng(seed).integers(0, size, count)
+    at = np.full(count, start)
+    rows = np.empty((count, len(steps)), dtype=np.intp)
     for j, row in enumerate(steps):
         nxt = np.empty_like(at)
-        for u, (cands, cum, sources) in row.items():
-            here = at == index[u]
-            if not here.any():
+        for u, (numbers, starts, sources) in enumerate(row):
+            here = np.flatnonzero(at == u)
+            if len(here) == 0:
                 continue
-            i = np.searchsorted(np.array(cum, dtype=np.int64), draws[here, j], side="right")
-            words[here, j] = np.array(cands, dtype=object)[i]
-            nxt[here] = np.array([index[s] for s in sources])[i]
+            # a reached vertex has at most size completions, so int64 holds them
+            lower = np.array(starts[:-1], dtype=np.int64)
+            i = np.searchsorted(lower, ranks[here], side="right") - 1
+            rows[here, j] = np.array(numbers)[i]
+            ranks[here] -= lower[i]
+            nxt[here] = np.array(sources)[i]
         at = nxt
-    return [tuple(word) for word in words.tolist()]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +268,11 @@ def coded_cloud(
     With no ``count`` every path is coded, within the limits of
     ``path_budget``; the paths are evaluated as a leaf-to-root sweep
     applying one edge color at a time, which touches each composite exactly
-    once.  With a ``count`` the sampling is seeded and uniform
-    (``sample_prefixes``); the sampled edge words are evaluated together as
-    stacked matrices, giving the same points bit for bit as ``code_point``
-    of their paths, and no ``Path`` is built.
+    once.  With a ``count`` the ``count`` prefixes per vertex are drawn
+    seeded, uniformly and with replacement by ``sample_prefixes``, as rows
+    of edge numbers; ``_coded_points`` evaluates them together as stacked
+    matrices, giving the same points bit for bit as ``code_point`` of their
+    paths, and no ``Path`` is built.
     The radius comes from ``contraction_factor`` in both cases, so no
     per-point bound is computed.
     """
@@ -332,7 +283,7 @@ def coded_cloud(
     max_diam = max(f.diameter() for f in sys.fibers.values())
     err = contraction_factor(sys, depth) * max_diam
 
-    sizes = path_budget(g, depth, count)
+    path_budget(g, depth, count)
     if count is None:
         clouds = {
             v: np.atleast_2d(_basepoint(sys, v, basepoint)) for v in g.vertices
@@ -349,42 +300,40 @@ def coded_cloud(
                 clouds = nxt
         return SetTuple.from_points(origin, pitch, clouds), err
 
-    clouds = {}
-    for v in g.vertices:
-        words = sample_prefixes(g, v, depth, count, seed=seed, replace=count > sizes[v])
-        clouds[v] = _coded_points(sys, v, words, sum(depth), basepoint)
+    clouds = {
+        v: _coded_points(sys, v, sample_prefixes(g, v, depth, count, seed=seed), basepoint)
+        for v in g.vertices
+    }
     return SetTuple.from_points(origin, pitch, clouds), err
 
 
-def _coded_points(sys: MWSystem, v: str, words, length: int, basepoint) -> np.ndarray:
-    """``code_point(sys, Path(sys.graph, v, w), basepoint).point`` for every
-    edge word w of a path with range v and the given length, as rows, bit
-    for bit.
+def _coded_points(sys: MWSystem, v: str, rows: np.ndarray, basepoint) -> np.ndarray:
+    """``code_point(sys, path, basepoint).point`` for the path with range v
+    of every row of edge numbers (positions in ``sorted(sys.graph.edges)``),
+    as rows, bit for bit.
 
-    Each edge id is looked up in the sorted generator table, so an id the
-    table lacks raises KeyError.  The words' maps are composed together as
-    stacked matrices, in ``extend_map``'s left-fold order along the normal
-    form (the first edge's map, then each later one applied first); then
-    each source vertex's basepoint is pushed through its words' maps."""
-    g, dim, n = sys.graph, sys.dim, len(words)
-    ids = sorted(sys.generators)
-    index = {e: i for i, e in enumerate(ids)}
+    The generator tables are stacked in edge-number order, so an edge that
+    ``sys.generators`` lacks raises KeyError.  The rows' maps are composed
+    together as stacked matrices, in ``extend_map``'s left-fold order along
+    the normal form (the first edge's map, then each later one applied
+    first); then each source vertex's basepoint is pushed through its rows'
+    maps."""
+    g, dim = sys.graph, sys.dim
+    n, length = rows.shape
+    ids = sorted(g.edges)
     mats = np.stack([sys.generators[e].matrix for e in ids])
     shifts = np.stack([sys.generators[e].shift for e in ids])
-    indices = np.fromiter(
-        (index[e] for word in words for e in word), dtype=np.intp, count=n * length
-    ).reshape(n, length)
     if length == 0:
         # vertex paths: code_point applies the identity map
         m, s = np.broadcast_to(np.eye(dim), (n, dim, dim)), np.zeros((n, dim))
         sources = np.full(n, g.vertices.index(v))
     else:
-        m, s = mats[indices[:, 0]], shifts[indices[:, 0]]
+        m, s = mats[rows[:, 0]], shifts[rows[:, 0]]
         for j in range(1, length):
-            s = (m @ shifts[indices[:, j], :, None])[:, :, 0] + s
-            m = m @ mats[indices[:, j]]
+            s = (m @ shifts[rows[:, j], :, None])[:, :, 0] + s
+            m = m @ mats[rows[:, j]]
         edge_source = np.array([g.vertices.index(g.edge(e).source_vertex) for e in ids])
-        sources = edge_source[indices[:, -1]]
+        sources = edge_source[rows[:, -1]]
     out = np.empty((n, dim))
     for i in np.unique(sources):
         at = sources == i

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .attractor import ConvergenceCertificate, SetTuple, compute_attractor
 from .coding import _metric_dist, code_point
 from .kgraph import DiagonalGraph, diagonal_graph, path_from_word, word_to_path
@@ -115,24 +113,6 @@ def check_intertwining_transfer(
             if d1 > allowed or d2 > allowed2:
                 rep.failures.append((ew, d1, d2))
     return rep
-
-
-def sample_diagonal_words(dsys: DiagonalSystem, length: int, count: int, seed: int = 0):
-    """Seeded composable words over the collapse's edge set."""
-    g = dsys.system.graph
-    rng = np.random.default_rng(seed)
-    ids = sorted(g.edges)
-    words = []
-    for _ in range(count):
-        at = None
-        word = []
-        for _ in range(length):
-            cands = [i for i in ids if at is None or g.edge(i).range_vertex == at]
-            pick = cands[int(rng.integers(0, len(cands)))]
-            word.append(pick)
-            at = g.edge(pick).source_vertex
-        words.append(tuple(word))
-    return words
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,15 @@ from kfractal.coding import (
     required_depth,
     sample_prefixes,
 )
-from kfractal.kgraph import KGraph, KGraphError, Path, count_paths, factorize, path_from_word
+from kfractal.kgraph import (
+    KGraph,
+    KGraphError,
+    Path,
+    count_paths,
+    enumerate_paths,
+    factorize,
+    path_from_word,
+)
 from kfractal.systems import (
     MAX_GRID_POINTS,
     AffineMap,
@@ -38,8 +46,14 @@ def word_path(g, ids):
     return path_from_word(g, "v", tuple(ids))
 
 
-def sampled_paths(g, depth, count, seed):
-    return [Path(g, "v", w) for w in sample_prefixes(g, "v", depth, count, seed=seed)]
+def words(g, rows):
+    """Rows of edge numbers as edge-id words."""
+    ids = sorted(g.edges)
+    return [tuple(ids[i] for i in row) for row in rows.tolist()]
+
+
+def sampled_paths(g, depth, count, seed, v="v"):
+    return [Path(g, v, w) for w in words(g, sample_prefixes(g, v, depth, count, seed=seed))]
 
 
 # ---------------------------------------------------------------------------
@@ -113,62 +127,46 @@ def test_basepoint_rules_stay_within_twice_error():
 
 def test_sample_depth_zero_is_vertex():
     g = shipped("s1").graph
-    assert sample_prefixes(g, "v", (0,), count=1, seed=1) == [()]
+    rows = sample_prefixes(g, "v", (0,), count=1, seed=1)
+    assert rows.shape == (1, 0)
+    assert words(g, rows) == [()]
 
 
 def test_sample_deterministic_under_seed():
     g = shipped("p2").graph
     a = sample_prefixes(g, "v", (2, 2), count=12, seed=42)
     b = sample_prefixes(g, "v", (2, 2), count=12, seed=42)
-    assert a == b
+    assert a.dtype == np.intp and a.shape == (12, 4)
+    assert np.array_equal(a, b)
     c = sample_prefixes(g, "v", (2, 2), count=12, seed=43)
-    assert a != c
-
-
-def test_sample_replacement_contract():
-    g = shipped("s1").graph
-    with pytest.raises(ValueError):
-        sample_prefixes(g, "v", (1,), count=10)
-    got = sample_prefixes(g, "v", (1,), count=10, replace=True)
-    assert len(got) == 10
+    assert not np.array_equal(a, c)
 
 
 def test_sample_uniform_weighting_two_vertex(g_two_vertex):
     # weighted edge choice must produce only genuine paths, and in the long
     # run every path of the small space
-    words = sample_prefixes(g_two_vertex, "u", (1, 1), count=400, seed=7, replace=True)
-    from kfractal.kgraph import enumerate_paths
-
     space = set(enumerate_paths(g_two_vertex, "u", (1, 1)))
-    seen = {Path(g_two_vertex, "u", w) for w in words}
+    seen = set(sampled_paths(g_two_vertex, (1, 1), 400, 7, v="u"))
     assert seen <= space
     assert seen == space  # 4 paths, 400 draws
 
 
-def _reference_sample(g, v, depth, count, seed):
-    # the per-sample walk the sampler replaced: count_paths for every
-    # candidate edge at every step, then a linear scan of the weights
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        at = v
-        word = []
-        rem = list(depth)
-        for color in range(1, g.k + 1):
-            for _ in range(depth[color - 1]):
-                rem[color - 1] -= 1
-                cands = g.edges_with_range(color, at)
-                weights = [count_paths(g, g.edge(e).source_vertex, tuple(rem)) for e in cands]
-                r = int(rng.integers(0, sum(weights)))
-                acc = 0
-                for e, w in zip(cands, weights):
-                    acc += w
-                    if r < acc:
-                        word.append(e)
-                        at = g.edge(e).source_vertex
-                        break
-        out.append(Path(g, v, tuple(word)))
-    return out
+def _unrank_reference(g, v, depth, rank):
+    # the rank-th path of vΛ^depth in lexicographic order, in Python ints:
+    # count_paths gives the completions of every candidate edge, and a
+    # linear scan finds the block holding the rank
+    word, at, rest = [], v, list(depth)
+    for color in range(1, g.k + 1):
+        for _ in range(depth[color - 1]):
+            rest[color - 1] -= 1
+            for e in g.edges_with_range(color, at):
+                block = count_paths(g, g.edge(e).source_vertex, tuple(rest))
+                if rank < block:
+                    break
+                rank -= block
+            word.append(e)
+            at = g.edge(e).source_vertex
+    return tuple(word)
 
 
 def _lopsided_system():
@@ -218,51 +216,27 @@ def _graph(name, request):
     return shipped(name).graph
 
 
-@pytest.mark.parametrize("seed", [0, 5, 91])
-@pytest.mark.parametrize(
-    "name, depth, count, replace",
-    [
-        ("s1", (7,), 60, False),
-        ("p2", (3, 3), 60, False),
-        ("p2c", (4, 4), 60, False),
-        ("f3", (2, 1, 3), 5, True),
-        ("two_vertex", (3, 3), 60, False),
-        ("lopsided", (10,), 60, False),
-        ("s1", (0,), 3, True),
-        ("s1", (1,), 10, True),
-        # bounds above 2**32, then near the int64 limit
-        ("s1", (25,), 60, False),
-        ("s1", (39,), 3, False),
-        # one path each, so every bound is 1 and no draw takes a random number
-        ("f3", (3, 3, 3), 60, True),
-        ("t0", (4, 4), 60, True),
-        ("p2", (2, 2), 0, False),
-        ("lopsided", (10,), 0, False),
-    ],
-)
-def test_sampler_matches_per_sample_walk(request, name, depth, count, replace, seed):
-    g = _graph(name, request)
-    for v in g.vertices:
-        got = sample_prefixes(g, v, depth, count, seed=seed, replace=replace)
-        assert got == [p.edges for p in _reference_sample(g, v, depth, count, seed)]
-        # every word is a path of the depth, which the sampler does not check
-        assert all(Path(g, v, word).degree == depth for word in got)
+SAMPLED_CASES = [
+    ("s1", (7,), 60),
+    ("p2", (3, 3), 60),
+    ("p2c", (4, 4), 60),
+    ("f3", (2, 1, 3), 5),
+    ("two_vertex", (3, 3), 60),
+    ("lopsided", (10,), 60),
+    ("s1", (0,), 3),
+    ("s1", (1,), 10),
+    # ranks above 2**32, then near the int64 limit: too many paths to list
+    ("s1", (25,), 60),
+    ("s1", (39,), 3),
+    # one path each, so every rank is 0
+    ("f3", (3, 3, 3), 60),
+    ("t0", (4, 4), 60),
+    # no sample, but still one draw
+    ("p2", (2, 2), 0),
+    ("lopsided", (10,), 0),
+]
 
-
-@pytest.mark.parametrize("seed", [0, 1, 4, 77])
-def test_array_bounded_integers_match_scalar_draws(seed):
-    # the batched sampler relies on numpy drawing an array-valued ``high``
-    # element by element, exactly as the same scalar calls one after another
-    bounds = [1, 3, 2187, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 1, 2**62, 3**39]
-    highs = np.array(bounds * 4, dtype=np.int64)
-    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = batched.integers(0, highs).tolist()
-    want = [int(scalar.integers(0, int(h))) for h in highs]
-    assert got == want, (
-        "this numpy draws an array-valued high differently from scalar calls; "
-        "sample_prefixes would change the seeded prefixes"
-    )
-    assert batched.bit_generator.state == scalar.bit_generator.state
+LISTED = 10**4
 
 
 @pytest.fixture
@@ -284,30 +258,80 @@ def integers_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "name, depth",
-    [("s1", (7,)), ("p2", (2, 2)), ("f3", (3, 3, 3)), ("t0", (4, 4)), ("two_vertex", (2, 2))],
-)
-def test_walk_free_graphs_draw_once_per_call(request, integers_calls, name, depth):
+def _unrank(monkeypatch, g, v, depth, ranks):
+    """The rows ``sample_prefixes`` returns when its generator draws
+    ``ranks``."""
+    size = count_paths(g, v, depth)
+
+    class Fixed:
+        def __init__(self, seed):
+            pass
+
+        def integers(self, low, high, n):
+            assert (low, high, n) == (0, size, len(ranks))
+            return np.array(ranks, dtype=np.int64)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", Fixed)
+        return sample_prefixes(g, v, depth, len(ranks))
+
+
+@pytest.mark.parametrize("name, depth, count", SAMPLED_CASES)
+def test_ranks_unrank_to_the_listed_paths(monkeypatch, request, name, depth, count):
+    g = _graph(name, request)
+    for v in g.vertices:
+        size = count_paths(g, v, depth)
+        if size <= LISTED:
+            rows = _unrank(monkeypatch, g, v, depth, range(size))
+            assert words(g, rows) == [p.edges for p in enumerate_paths(g, v, depth)]
+        ranks = [0, size - 1, *np.random.default_rng(0).integers(0, size, count).tolist()]
+        rows = _unrank(monkeypatch, g, v, depth, ranks)
+        assert words(g, rows) == [_unrank_reference(g, v, depth, r) for r in ranks]
+        # every row is a path of the depth, which the sampler does not check
+        assert all(Path(g, v, w).degree == depth for w in words(g, rows))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 91])
+@pytest.mark.parametrize("name, depth, count", SAMPLED_CASES)
+def test_sampler_unranks_its_seeded_ranks(request, name, depth, count, seed):
+    g = _graph(name, request)
+    for v in g.vertices:
+        size = count_paths(g, v, depth)
+        ranks = np.random.default_rng(seed).integers(0, size, count).tolist()
+        if size <= LISTED:
+            paths = enumerate_paths(g, v, depth)
+            want = [paths[r].edges for r in ranks]
+        else:
+            want = [_unrank_reference(g, v, depth, r) for r in ranks]
+        got = sample_prefixes(g, v, depth, count, seed=seed)
+        assert got.shape == (count, sum(depth))
+        assert words(g, got) == want
+
+
+@pytest.mark.parametrize("name, depth, count", SAMPLED_CASES)
+def test_sampler_draws_once_per_call(request, integers_calls, name, depth, count):
     g = _graph(name, request)
     for v in g.vertices:
         integers_calls.clear()
-        assert len(sample_prefixes(g, v, depth, 50, seed=3, replace=True)) == 50
-        assert len(integers_calls) == 1
+        assert len(sample_prefixes(g, v, depth, count, seed=3)) == count
+        assert integers_calls == [(0, count_paths(g, v, depth), count)]
 
 
-def test_lopsided_graph_keeps_the_per_sample_walk(integers_calls):
-    g = _lopsided_system().graph
-    assert len(sample_prefixes(g, "u", (10,), 7, seed=3)) == 7
-    assert len(integers_calls) == 7 * 10
-
-
-@pytest.mark.parametrize("replace", [False, True])
-def test_sampler_names_a_vertex_without_paths(replace):
+def test_sampler_names_a_vertex_without_paths():
     g = KGraph(1, ["u", "w"], {1: [("a", "u", "u"), ("b", "u", "w")]})
     assert count_paths(g, "w", (2,)) == 0
     with pytest.raises(ValueError, match=r"^vertex 'w' has no path of degree \(2,\) to sample$"):
-        sample_prefixes(g, "w", (2,), 5, seed=1, replace=replace)
+        sample_prefixes(g, "w", (2,), 5, seed=1)
+
+
+def test_sampler_ignores_unreached_vertices_beyond_int64():
+    # w's 3**40 paths do not fit in int64, but no path from v reaches w
+    g = KGraph(1, ["v", "w"], {1: [("a", "v", "v"), ("b0", "w", "w"), ("b1", "w", "w"),
+                                   ("b2", "w", "w")]})
+    assert count_paths(g, "w", (40,)) == 3**40 > 2**63 - 1
+    assert words(g, sample_prefixes(g, "v", (40,), 5, seed=2)) == [("a",) * 40] * 5
+    with pytest.raises(ValueError, match="too many to sample"):
+        sample_prefixes(g, "w", (40,), 5, seed=2)
 
 
 def test_sampler_refuses_counts_beyond_int64():
@@ -513,9 +537,8 @@ def test_sampled_coded_cloud_equals_code_point(raw_clouds, name, depth, count, b
     coded_cloud(sys, depth, pitch=1 / 64, count=count, seed=8, basepoint=basepoint)
     assert set(raw_clouds) == set(g.vertices)
     for v in g.vertices:
-        replace = count > count_paths(g, v, depth)
-        words = sample_prefixes(g, v, depth, count, seed=8, replace=replace)
-        want = np.array([code_point(sys, Path(g, v, w), basepoint).point for w in words])
+        paths = sampled_paths(g, depth, count, 8, v=v)
+        want = np.array([code_point(sys, p, basepoint).point for p in paths])
         got = raw_clouds[v]
         assert got.shape == want.shape
         assert got.dtype == want.dtype

@@ -10,15 +10,27 @@ from kfractal.attractor import (
     hutchinson_step,
     tuple_distance,
 )
+from kfractal.coding import sample_prefixes
 from kfractal.diagonal import (
     check_diagonal_agreement,
     check_intertwining_transfer,
     diagonal_system,
-    sample_diagonal_words,
 )
 from kfractal.systems import extend_map, lipschitz_bound, validate_system
 
 from shipped import shipped
+
+
+def diagonal_words(dsys, length, count, seed):
+    """Seeded composable words over the collapse's edge ids: ``count``
+    uniform prefixes of degree (length,) at each vertex."""
+    g = dsys.system.graph
+    ids = sorted(g.edges)
+    return [
+        tuple(ids[i] for i in row)
+        for v in g.vertices
+        for row in sample_prefixes(g, v, (length,), count, seed=seed).tolist()
+    ]
 
 
 def test_rank1_collapse_keeps_generators():
@@ -87,7 +99,7 @@ def test_step_equivalence_bitwise():
 def test_transfer_rank1_reduces_to_intertwining():
     sys = shipped("s1")
     dsys = diagonal_system(sys)
-    words = sample_diagonal_words(dsys, length=10, count=6, seed=3)
+    words = diagonal_words(dsys, length=10, count=6, seed=3)
     rep = check_intertwining_transfer(dsys, words, tol=1e-3)
     assert rep.passed, rep.failures
 
@@ -95,7 +107,7 @@ def test_transfer_rank1_reduces_to_intertwining():
 def test_transfer_p2_depth8():
     sys = shipped("p2")
     dsys = diagonal_system(sys)
-    words = sample_diagonal_words(dsys, length=8, count=10, seed=4)
+    words = diagonal_words(dsys, length=8, count=10, seed=4)
     rep = check_intertwining_transfer(dsys, words, tol=1e-3)
     assert rep.passed, rep.failures
     assert rep.samples == 40  # 4 edges x 10 words
@@ -108,7 +120,7 @@ def test_transfer_detects_corrupted_back_reference():
     (i1, p1), (i2, p2) = list(dsys.graph.edge_to_path.items())[:2]
     dsys.graph.edge_to_path[i1] = p2
     dsys.graph.edge_to_path[i2] = p1
-    words = sample_diagonal_words(dsys, length=6, count=8, seed=5)
+    words = diagonal_words(dsys, length=6, count=8, seed=5)
     rep = check_intertwining_transfer(dsys, words, tol=1e-4)
     assert not rep.passed
     assert rep.failures
@@ -123,7 +135,7 @@ def test_word_translation_composes_with_coding_exactly():
     sys_ = shipped("p2c")
     dsys = diagonal_system(sys_)
     dg = dsys.graph
-    for word in sample_diagonal_words(dsys, length=2, count=6, seed=8):
+    for word in diagonal_words(dsys, length=2, count=6, seed=8):
         expanded = word_to_path(dg, list(word))
         whole = exact_path_map(sys_, expanded)
         folded = exact_path_map(sys_, dg.edge_to_path[word[0]])

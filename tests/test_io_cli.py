@@ -854,9 +854,9 @@ def test_cli_attractor_default_pitch_is_pinned(tmp_path, capsys, label):
 
 # sha256 of stdout and of the text artifacts of commands that compare
 # lattice clouds through distance windows, recorded before the windows moved
-# from scipy's distance transforms to integer numpy passes (coded.csv before
-# the sampler drew all its prefixes in one call; coding.txt after the
-# invariance check moved onto the lattice, see PINNED_LINES)
+# from scipy's distance transforms to integer numpy passes (the sampled
+# coding runs after the sampler began to draw one rank per prefix, once
+# test_sampled_coded_csv_is_code_point_at_the_drawn_ranks agreed with them)
 PINNED_OUTPUT_DIGESTS = {
     "diagonal p2c": (
         ["diagonal", "--instance", "p2c"],
@@ -868,21 +868,20 @@ PINNED_OUTPUT_DIGESTS = {
     "coding s1": (
         ["coding", "--instance", "s1", "--count", "3000", "--seed", "4"],
         {
-            "coding.txt": "cd799232a3ef5e3fdf1149be6b724222807be0454ac69b7fb821acd8e507b1c8",
+            "coding.txt": "5c7dc81a93b9f812a409257fbdd22b14886515935bbe1c246a66b0bb6a17867d",
             # 3000 draws cover part of the 2187 paths, so this file pins the
             # seeded prefix stream
-            "coded.csv": "c33d3f4c1ca053747bbc6e6db5d014324c97235be70c54136562588bcd5976fb",
+            "coded.csv": "4a1ecd1f6202e273cb99a3f4304b194d3a6616cbf9d182686734bff615729124",
         },
     ),
-    # completion totals that depend on the walk, so the per-sample walk
-    # draws both the coded cloud and the spot checks; 40 draws cover part of
-    # the 21 and 13 paths at u and w
+    # completion totals that differ between the vertices; 40 draws cover
+    # part of the 21 and 13 paths at u and w
     "coding lopsided": (
         ["coding", "--instance", "{lopsided}", "--count", "40", "--seed", "3"],
         {
-            "stdout": "5e65f9cc005a32da46c683889adc47a600ccbdbd67833bfa1d0cab0f3a3fdf47",
-            "coding.txt": "5e65f9cc005a32da46c683889adc47a600ccbdbd67833bfa1d0cab0f3a3fdf47",
-            "coded.csv": "79aad2c18219c343c910df3e7bda1ab481daf2e2998225225217e3bdc29aad21",
+            "stdout": "0afb3b72e9930f8b43d369e5a121008d8f5bc60c03a72148b6986e949ae37db9",
+            "coding.txt": "0afb3b72e9930f8b43d369e5a121008d8f5bc60c03a72148b6986e949ae37db9",
+            "coded.csv": "3ea9e36104b4ca21539981a0dc9b17c84423abe304a985053d1d3c2a21ef6a18",
         },
     ),
 }
@@ -904,14 +903,15 @@ LOPSIDED = {
 
 # lines of those artifacts, as text: check_subsystem's bounds measure the
 # snapped generator images on the lattice and add the largest snapping
-# offset; the KD-tree on the real images printed 0.0176052, 0.0148746 and
-# 0.0145712, each below its bound
+# offset (with the sampler's earlier stream, the KD-tree on the real images
+# printed 0.0176052, 0.0148746 and 0.0145712, each below its lattice bound
+# 0.0186629, 0.0158511 and 0.0146652)
 PINNED_LINES = {
     "coding s1": (
         "coding.txt",
         [
-            "  edge a0: one-sided distance 0.0186629",
-            "  edge a1: one-sided distance 0.0158511",
+            "  edge a0: one-sided distance 0.0167232",
+            "  edge a1: one-sided distance 0.0147872",
             "  edge a2: one-sided distance 0.0146652",
         ],
     ),
@@ -933,6 +933,34 @@ def test_cli_window_outputs_are_pinned(tmp_path, capsys, label):
     for name, digest in digests.items():
         data = stdout if name == "stdout" else (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("label", ["coding s1", "coding lopsided"])
+def test_sampled_coded_csv_is_code_point_at_the_drawn_ranks(tmp_path, capsys, label):
+    # the pinned coded.csv rebuilt without the sampler: per vertex, the r-th
+    # listed path for every rank r of default_rng(seed).integers(0, size, count)
+    from kfractal.coding import code_point
+    from kfractal.kgraph import enumerate_paths
+
+    lopsided = tmp_path / "lopsided.json"
+    lopsided.write_text(json.dumps(LOPSIDED))
+    argv, _ = PINNED_OUTPUT_DIGESTS[label]
+    argv = [arg.format(lopsided=lopsided) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    source = lopsided if flags["--instance"] == str(lopsided) else packaged_instance("s1")
+    sys_ = load_instance(source)[1]
+    h = max(f.diameter() for f in sys_.fibers.values()) / 512
+    text = (tmp_path / "coding.txt").read_text()
+    depth = tuple(int(c) for c in text.split("depth: (", 1)[1].split(")", 1)[0].split(",") if c)
+    clouds = {}
+    for v in sys_.graph.vertices:
+        paths = enumerate_paths(sys_.graph, v, depth)
+        ranks = np.random.default_rng(int(flags["--seed"])).integers(
+            0, len(paths), int(flags["--count"]))
+        clouds[v] = np.array([code_point(sys_, paths[r]).point for r in ranks.tolist()])
+    write_clouds_csv(SetTuple.from_points(np.zeros(sys_.dim), h, clouds), tmp_path / "want.csv")
+    assert (tmp_path / "coded.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # sha256 of stdout and of duality.txt (the same bytes) for the duality runs,
