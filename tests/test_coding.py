@@ -455,7 +455,7 @@ def test_coded_cloud_matches_attractor_s1():
 
 
 def test_sampled_coded_cloud_builds_no_paths(monkeypatch):
-    # the sampled edge words are evaluated as they are
+    # the sampled rows of edge numbers are evaluated as they are
     built = []
     init = Path.__init__
 

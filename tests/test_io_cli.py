@@ -948,8 +948,8 @@ def test_sampled_coded_csv_is_code_point_at_the_drawn_ranks(tmp_path, capsys, la
     argv = [arg.format(lopsided=lopsided) for arg in argv]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     flags = dict(zip(argv[1::2], argv[2::2]))
-    source = lopsided if flags["--instance"] == str(lopsided) else packaged_instance("s1")
-    sys_ = load_instance(source)[1]
+    name = flags["--instance"]
+    sys_ = load_instance(lopsided if name == str(lopsided) else packaged_instance(name))[1]
     h = max(f.diameter() for f in sys_.fibers.values()) / 512
     text = (tmp_path / "coding.txt").read_text()
     depth = tuple(int(c) for c in text.split("depth: (", 1)[1].split(")", 1)[0].split(",") if c)
