@@ -317,8 +317,13 @@ def test_sampler_draws_once_per_call(request, integers_calls, name, depth, count
         assert integers_calls == [(0, count_paths(g, v, depth), count)]
 
 
-def test_sampler_names_a_vertex_without_paths():
-    g = KGraph(1, ["u", "w"], {1: [("a", "u", "u"), ("b", "u", "w")]})
+@pytest.mark.parametrize("one_step", [False, True])
+def test_sampler_names_a_vertex_without_paths(one_step):
+    # w has no path of degree (2,): it receives no edge, or with one_step a
+    # single edge from x, which receives none, so its paths stop after one step
+    edges = [("a", "u", "u"), ("b", "u", "w")] + [("c", "w", "x")] * one_step
+    g = KGraph(1, ["u", "w", "x"], {1: edges})
+    assert count_paths(g, "w", (1,)) == int(one_step)
     assert count_paths(g, "w", (2,)) == 0
     with pytest.raises(ValueError, match=r"^vertex 'w' has no path of degree \(2,\) to sample$"):
         sample_prefixes(g, "w", (2,), 5, seed=1)
