@@ -7,13 +7,14 @@ clouds and unions are canonicalised by a scatter into an occupancy window.
 The operator maps lattice rows to lattice rows: a path map with a diagonal
 linear part sends each axis through a small table of snapped image indices,
 equal bit for bit to snapping its float image, and other maps are applied
-to the real points.  The iteration stops on a Banach a-posteriori
-estimate: once consecutive tuples are within delta, the limit is within
-delta*c/(1-c), plus grid slack.  A step that is not the last allowed one
-is only decided against that stop threshold: its displacement is measured
-exactly up to the largest lattice distance that stops, and past it only as
-far as needed to show that it does not stop.  The displacement printed is
-therefore always the exact lattice distance.
+to the real points.  The iteration stops at a lattice fixed point, a tuple
+A that the snapped step returns unchanged.  Every point of F(A) then lies
+within eps of A and every point of A within eps of F(A), where eps is the
+largest snapping offset, float slack included (``snap_slack``), so the
+collage theorem puts the true attractor within eps/(1-c) of A.  A run that
+reaches its step limit without stopping measures its last step's
+displacement delta once and is certified by (c*delta + eps)/(1-c).  Both
+bounds are rounded upward.
 
 Two tuples on the same lattice are compared from their integer rows, in
 numpy over an occupancy window of their joint bounding box, each direction
@@ -23,11 +24,10 @@ every iterate lies in its fiber's grid, so no comparison the commands make
 is refused.  The max metric takes the two raster passes of the unit
 chamfer (Rosenfeld & Pfaltz 1966), the Euclidean metric a gap along one
 axis and then rings of offsets along the others; both are integer, hence
-exact.  A measure capped at the stop threshold takes the gap and the
-rings, within the cap, for both metrics.  ``_directed_window_distance``
-runs one direction of the same window: the coding invariance check and
-the k-surjectivity check measure snapped images so, and add the largest
-snapping offset (``_snap_offset``).
+exact.  ``_directed_window_bound`` runs one direction of the same
+window: the coding invariance check and the k-surjectivity check measure
+snapped images so, and add the largest snapping offset (``_snap_offset``),
+rounding the sum upward.
 ``directed_distance`` and ``hausdorff_distance`` measure real point clouds
 pair by pair, by brute force; they are the off-lattice reference.
 """
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -115,81 +116,71 @@ def _window(a: np.ndarray, b: np.ndarray):
     return shape, flat(a), flat(b)
 
 
-def _directed_cells(src: np.ndarray, dst: np.ndarray, shape, metric, cap=None) -> int:
+def _directed_cells(src: np.ndarray, dst: np.ndarray, shape, metric) -> int:
     """The one-sided distance from the flat cells src to the flat cells dst
     of a window, as ``_farthest`` gives it (squared for the Euclidean
-    metric, and exact only up to a ``cap``).  dst is marked in an occupancy
-    window and only the src cells outside it are measured; when there are
-    none the distance is 0, as when one iterate lies inside the other."""
+    metric).  dst is marked in an occupancy window and only the src cells
+    outside it are measured; when there are none the distance is 0, as when
+    one iterate lies inside the other."""
     occ = np.zeros(math.prod(shape), dtype=bool)
     occ[dst] = True
     outside = src[~occ[src]]
-    return _farthest(occ.reshape(shape), outside, metric, cap) if len(outside) else 0
+    return _farthest(occ.reshape(shape), outside, metric) if len(outside) else 0
 
 
 def _cells_to_length(cells: int, metric) -> float:
     return math.sqrt(cells) if metric == EUCLIDEAN else float(cells)
 
 
-def _window_distance(a: np.ndarray, b: np.ndarray, metric, cap=None) -> float:
+def _window_distance(a: np.ndarray, b: np.ndarray, metric) -> float:
     """Hausdorff distance, in lattice units, between two nonempty lattice
     clouds; each direction is one ``_directed_cells`` over the same
-    ``_window``.
-
-    With a ``cap`` in cells (squared for the Euclidean metric) the distance
-    is exact when it is within the cap, and otherwise some length past the
-    cap and at most the exact one; a first direction past the cap ends the
-    measure."""
+    ``_window``."""
     shape, fa, fb = _window(a, b)
-    worst = _directed_cells(fa, fb, shape, metric, cap)
-    if cap is None or worst <= cap:
-        worst = max(worst, _directed_cells(fb, fa, shape, metric, cap))
+    worst = max(_directed_cells(fa, fb, shape, metric), _directed_cells(fb, fa, shape, metric))
     return _cells_to_length(worst, metric)
 
 
-def _directed_window_distance(a: np.ndarray, b: np.ndarray, metric) -> float:
-    """One-sided (sup-min) distance, in lattice units, from lattice cloud a
-    to lattice cloud b, both nonempty, measured exactly in integers over
-    their ``_window``."""
+def _round_up(x: Fraction) -> float:
+    """The least float at or above the rational x: the one outward rounding
+    of a bound evaluated exactly, so a bound that is a float stays exact."""
+    f = float(x)
+    return f if f >= x else math.nextafter(f, math.inf)
+
+
+def _sqrt_up(n: int) -> Fraction:
+    """The least float at or above the square root of n, as a rational."""
+    s = math.sqrt(n)
+    return Fraction(s) if Fraction(s) ** 2 >= n else Fraction(math.nextafter(s, math.inf))
+
+
+def _directed_window_bound(a: np.ndarray, b: np.ndarray, pitch: float, eps: float,
+                           metric) -> float:
+    """pitch times the one-sided (sup-min) lattice distance from lattice
+    cloud a to lattice cloud b, both nonempty, plus eps, rounded upward.
+    The distance is measured exactly in integers over their ``_window``."""
     _check_metric(metric)
     shape, fa, fb = _window(a, b)
-    return _cells_to_length(_directed_cells(fa, fb, shape, metric), metric)
+    cells = _directed_cells(fa, fb, shape, metric)
+    length = _sqrt_up(cells) if metric == EUCLIDEAN else Fraction(cells)
+    return _round_up(Fraction(pitch) * length + Fraction(eps))
 
 
-# a capped ``_farthest`` settles this many cells first, those of largest gap
-# along the last axis: one of them past the cap ends the measure, and their
-# largest distance lets the ring loop drop most other cells at once
-PROBE_CELLS = 16
-
-
-def _farthest(occ: np.ndarray, cells: np.ndarray, metric, cap: int | None = None) -> int:
+def _farthest(occ: np.ndarray, cells: np.ndarray, metric) -> int:
     """The largest distance from the given unoccupied cells (C-order flat
     indices, at least one) to the occupied cells of a window that has some:
     squared for the Euclidean metric, chessboard for the max metric.
 
-    Everything is integer, so the result is exact.  Uncapped chessboard
-    distances come from the two raster passes of ``_chamfer``.  Otherwise
-    each cell starts from its gap to the nearest occupied cell along the
-    last axis, the longest; offsets along the other axes are then tried in
-    rings of growing cost, squared length combined by + for the Euclidean
-    metric and chessboard length combined by max for the max metric.
-
-    With a ``cap`` (at least 0) the result is exact when it is at most the
-    cap, and otherwise some value above the cap and at most the exact one.
-    Both metrics then take only the rings within the cap, after the
-    ``PROBE_CELLS`` cells of largest gap have been settled: one of them past
-    the cap ends the measure, and their largest distance lets the others
-    stop early.  A cap at or above every distance the window can hold is
-    dropped.
+    Everything is integer, so the result is exact.  Chessboard distances
+    come from the two raster passes of ``_chamfer``.  A Euclidean distance
+    starts from the cell's gap to the nearest occupied cell along the last
+    axis, the longest; offsets along the other axes are then tried in rings
+    of growing squared length, added to the squared gap they reach.
     """
     shape = occ.shape
     far = sum(shape)  # above every distance inside the window
     dtype = np.int32 if 5 * far * far < 2**31 else np.int64
-    euclidean = metric == EUCLIDEAN
-    if cap is not None and cap >= (sum((n - 1) ** 2 for n in shape) if euclidean
-                                   else max(shape) - 1):
-        cap = None
-    if cap is None and not euclidean:
+    if metric != EUCLIDEAN:
         dist = np.where(occ, dtype(0), dtype(far))
         _chamfer(dist)
         _chamfer(dist[(slice(None, None, -1),) * dist.ndim])
@@ -204,68 +195,44 @@ def _farthest(occ: np.ndarray, cells: np.ndarray, metric, cap: int | None = None
     np.subtract(after, x, out=after)
     gap = np.minimum(before, after, out=before).reshape(-1)
     del after
-    if euclidean:
-        np.multiply(gap, gap, out=gap)
+    np.multiply(gap, gap, out=gap)
     best = gap[cells]
     if len(shape) == 1:
         return int(best.max())
-    # offsets along the leading axes, within the cap, grouped by cost
+    # offsets along the leading axes, grouped by squared length
     lead = np.array(shape[:-1])
-    reach = lead - 1
-    if cap is not None:
-        reach = np.minimum(reach, math.isqrt(cap) if euclidean else cap)
-    grids = np.meshgrid(*[np.arange(-r, r + 1) for r in reach], indexing="ij")
+    grids = np.meshgrid(*[np.arange(1 - n, n) for n in lead], indexing="ij")
     offsets = np.stack([g.reshape(-1) for g in grids], axis=1)
-    cost = (offsets * offsets).sum(axis=1) if euclidean else np.abs(offsets).max(axis=1)
-    if cap is not None:
-        offsets, cost = offsets[cost <= cap], cost[cost <= cap]
+    cost = (offsets * offsets).sum(axis=1)
     order = np.argsort(cost, kind="stable")
     offsets, cost = offsets[order], cost[order]
     rings = np.flatnonzero(np.diff(cost)) + 1
     strides = np.array([math.prod(shape[k + 1 :]) for k in range(len(lead))])
-
-    def settle(best, pos, base, worst):
-        # the largest distance of the cells whose gaps, leading positions and
-        # flat bases are given, with worst settled already: each cell is tried
-        # ring by ring until no ring can shorten its distance or the distance
-        # cannot exceed the largest one settled so far (the early break of
-        # Taha & Hanbury, IEEE TPAMI 37(11), 2015)
-        for start, stop in zip(rings, [*rings[1:], len(cost)]):
-            c = int(cost[start])
-            # a cell within c of its target is settled; one within the largest
-            # settled distance cannot raise the maximum
-            settled = best <= c
-            if settled.any():
-                worst = max(worst, int(best[settled].max()))
-                if cap is not None and worst > cap:
-                    return worst
-            keep = best > max(c, worst)
-            if not keep.all():
-                best, pos, base = best[keep], pos[keep], base[keep]
-                if not len(best):
-                    return worst
-            # offsets past the window's edge are clipped onto it: the clipped
-            # cell is no farther than the ring, so no distance comes out short
-            near = np.clip(pos[:, None, :] + offsets[None, start:stop], 0, lead - 1)
-            ring = gap[base[:, None] + near @ strides].min(axis=1)
-            if euclidean:
-                ring += c
-            else:
-                np.maximum(ring, c, out=ring)
-            np.minimum(best, ring, out=best)
-        rest = int(best.max())
-        # past the last ring within the cap, a cell above it stays above it
-        return cap + 1 if cap is not None and rest > cap else max(worst, rest)
-
     pos = np.stack(np.unravel_index(cells, shape)[:-1], axis=1)
     base = cells - pos @ strides
+    # each cell is tried ring by ring until no ring can shorten its distance
+    # or the distance cannot exceed the largest one settled so far (the
+    # early break of Taha & Hanbury, IEEE TPAMI 37(11), 2015)
     worst = 0
-    if cap is not None and len(best) > PROBE_CELLS:
-        probe = np.argpartition(best, -PROBE_CELLS)[-PROBE_CELLS:]
-        worst = settle(best[probe], pos[probe], base[probe], 0)
-        if worst > cap:
-            return worst
-    return settle(best, pos, base, worst)
+    for start, stop in zip(rings, [*rings[1:], len(cost)]):
+        c = int(cost[start])
+        # a cell within c of its target is settled; one within the largest
+        # settled distance cannot raise the maximum
+        settled = best <= c
+        if settled.any():
+            worst = max(worst, int(best[settled].max()))
+        keep = best > max(c, worst)
+        if not keep.all():
+            best, pos, base = best[keep], pos[keep], base[keep]
+            if not len(best):
+                return worst
+        # offsets past the window's edge are clipped onto it: the clipped
+        # cell is no farther than the ring, so no distance comes out short
+        near = np.clip(pos[:, None, :] + offsets[None, start:stop], 0, lead - 1)
+        ring = gap[base[:, None] + near @ strides].min(axis=1)
+        ring += c
+        np.minimum(best, ring, out=best)
+    return max(worst, int(best.max()))
 
 
 def _chamfer(dist: np.ndarray) -> None:
@@ -357,7 +324,7 @@ def _snap_offset(pts: np.ndarray, origin: np.ndarray, pitch: float, metric):
 
     A one-sided distance measured on the rows is off from the real points'
     one by at most eps, either way, by the triangle inequality; adding eps
-    gives an upper bound."""
+    gives an upper bound (``_directed_window_bound``)."""
     rows = _snap(pts, origin, pitch)
     offset = pts - (origin + pitch * rows.astype(float))
     norm = 2 if metric == EUCLIDEAN else np.inf
@@ -446,8 +413,7 @@ class SetTuple:
             self.origin, self.pitch * factor, {v: c // factor for v, c in self.clouds.items()}
         )
 
-    def vertex_distances(self, other: "SetTuple", metric=EUCLIDEAN, *,
-                         cap: int | None = None) -> dict[str, float]:
+    def vertex_distances(self, other: "SetTuple", metric=EUCLIDEAN) -> dict[str, float]:
         """Per-vertex Hausdorff distance to another tuple on the same grid.
 
         Equal lattice clouds short-circuit to 0 (canonical form makes the
@@ -456,12 +422,7 @@ class SetTuple:
         bounding box (``_window_distance``), and scaled by the pitch.  A box
         of more than ``MAX_GRID_POINTS`` cells, an empty cloud against a
         nonempty one, or a metric other than ``"euclidean"`` or ``"max"``
-        raises ValueError.
-
-        A ``cap``, in cells and squared for the Euclidean metric, goes to
-        the windows: a distance is exact when it is within the cap, and
-        otherwise some value past pitch times the cap's length and at most
-        the exact one."""
+        raises ValueError."""
         _check_metric(metric)
         if not self.same_grid(other):
             raise ValueError("grid mismatch")
@@ -475,7 +436,7 @@ class SetTuple:
             elif not len(c) or not len(o):
                 raise ValueError(f"empty cloud at vertex {v!r} against a nonempty one")
             else:
-                out[v] = self.pitch * _window_distance(c, o, metric, cap)
+                out[v] = self.pitch * _window_distance(c, o, metric)
         return out
 
     def __eq__(self, other):
@@ -490,11 +451,10 @@ class SetTuple:
         return f"SetTuple(pitch={self.pitch:g}, sizes={sizes})"
 
 
-def tuple_distance(a: SetTuple, b: SetTuple, metric=EUCLIDEAN, *, cap: int | None = None) -> float:
+def tuple_distance(a: SetTuple, b: SetTuple, metric=EUCLIDEAN) -> float:
     """sup over vertices of the per-vertex Hausdorff distance; equal clouds
-    cost nothing, which keeps fixed-point detection cheap.  A ``cap`` makes
-    the window measurements exact only within it (``vertex_distances``)."""
-    return max(a.vertex_distances(b, metric, cap=cap).values(), default=0.0)
+    cost nothing."""
+    return max(a.vertex_distances(b, metric).values(), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +515,39 @@ def hutchinson_step(sys: MWSystem, n, C: SetTuple, _maps=None) -> SetTuple:
     return SetTuple._of_rows(C.origin, C.pitch, out)
 
 
+# float roundings from a lattice point to the lattice point its image snaps
+# to, past the d - 1 additions of a matrix row: the row's products, + shift,
+# - origin, / pitch, and back to a point, pitch * index, + origin
+_ROUNDINGS = 6
+
+
+def snap_slack(C: SetTuple, maps, metric) -> float:
+    """eps, how far a snapped image point of C under the path maps of
+    ``degree_maps`` can lie from the exact image, rounded upward.
+
+    Snapping alone moves each coordinate by at most h/2.  Float arithmetic
+    can move it by eta = gamma*(2M + h) more, where M bounds
+    |a_i|.|x| + |s_i| + |o_i| over the maps' rows i and the source clouds'
+    points x, and gamma = (d + 6)u, u = 2^-53, covers the d + 5 roundings
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1).
+    eps is (h/2 + eta)*sqrt(d) for the Euclidean metric and h/2 + eta for
+    the max metric.
+    """
+    origin, pitch = C.origin, C.pitch
+    reach = {}  # per source vertex and axis, the largest |x_j| of its cloud
+    for v, rows in C.clouds.items():
+        if len(rows):
+            ends = [origin + pitch * np.array([f(col) for col in rows.T], dtype=float)
+                    for f in (np.min, np.max)]
+            reach[v] = np.maximum(*np.abs(ends))
+    worst = max((float((np.abs(m.matrix) @ reach[src] + np.abs(m.shift) + np.abs(origin)).max())
+                 for rows in maps.values() for m, src in rows if src in reach), default=0.0)
+    dim = origin.size
+    eta = Fraction(dim + _ROUNDINGS, 2**53) * (2 * Fraction(worst) + Fraction(pitch))
+    coordinate = Fraction(pitch) / 2 + eta
+    return _round_up(coordinate * _sqrt_up(dim) if metric == EUCLIDEAN else coordinate)
+
+
 def contraction_factor(sys: MWSystem, n) -> float:
     """Largest Lipschitz bound among the degree-n path maps.
 
@@ -597,69 +590,49 @@ def _require_contraction(sys: MWSystem, n) -> float:
     return c_n
 
 
+def collage_bound(c: float, eps: float, displacement: float = 0.0) -> float:
+    """(c*displacement + eps)/(1-c), evaluated exactly and rounded upward.
+
+    An iterate A = snap(F(B)) of an operator F contracting by c < 1, with
+    d_H(B, A) = displacement and every snap within eps, lies within
+    c*displacement + eps of F(A); by the collage theorem (Barnsley, Ervin,
+    Hardin & Lancaster, PNAS 83, 1986) it then lies within this bound of the
+    fixed point.  At a lattice fixed point B = A and the displacement is 0."""
+    c = Fraction(c)
+    return _round_up((c * Fraction(displacement) + Fraction(eps)) / (1 - c))
+
+
 @dataclass(frozen=True)
 class ConvergenceCertificate:
     iterations: int
     displacement: float        # Hausdorff gap between the last two iterates
     contraction: float         # Lipschitz bound of the iterated operator
     pitch: float
-    tol: float
+    eps: float                 # the largest snapping offset, snap_slack
     converged: bool
 
     @property
     def error_bound(self) -> float:
-        """A-posteriori distance to the true fixed point: the Banach
-        estimate for the returned iterate plus grid slack."""
-        return self.displacement * self.contraction / (1.0 - self.contraction) + 2.0 * self.pitch
+        """A-posteriori distance from the returned iterate to the true
+        fixed point (``collage_bound``)."""
+        return collage_bound(self.contraction, self.eps, self.displacement)
 
     def summary(self) -> str:
         status = "converged" if self.converged else "NOT converged"
         return (
             f"{status}: iterations={self.iterations} displacement={self.displacement:.6g} "
             f"contraction={self.contraction:.6g} pitch={self.pitch:.6g} "
-            f"tol={self.tol:.6g} error_bound={self.error_bound:.6g}"
+            f"eps={self.eps:.6g} error_bound={self.error_bound!r}"
         )
-
-
-def _stops(delta: float, c: float, tol: float) -> bool:
-    """The Banach stop test: an iterate that moved delta under an operator
-    contracting by c lies within delta*c/(1-c) of the fixed point."""
-    return delta * c / (1.0 - c) <= tol
-
-
-# above every lattice distance a window can hold, squared ones included
-_CAP_TOP = 2**64
-
-
-def _stop_cap(pitch: float, c: float, tol: float, metric) -> int:
-    """The largest lattice distance (squared for the Euclidean metric) whose
-    displacement, pitch times its length as ``vertex_distances`` forms it,
-    passes ``_stops``: ``_CAP_TOP`` when that one passes, 0 when none does.
-
-    Every step of that expression is monotone in the distance, so the
-    distances that pass are those up to one bound, found by bisection on
-    the expression itself; the decisions it makes are the loop's own.
-    """
-    def passes(cells):
-        return _stops(pitch * _cells_to_length(cells, metric), c, tol)
-
-    if passes(_CAP_TOP):
-        return _CAP_TOP
-    lo, hi = 0, _CAP_TOP  # no distance from hi on passes
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
-    return lo
 
 
 def compute_attractor(
     sys: MWSystem,
     n,
     C0: SetTuple,
-    tol: float | None = None,
     max_iter: int = 64,
 ) -> tuple[SetTuple, ConvergenceCertificate]:
-    """Iterate the degree-n operator from C0 until certified within tol.
+    """Iterate the degree-n operator from C0 to a lattice fixed point.
 
     The contraction factor of the operator is measured from the composite
     maps; a factor >= 1 is rejected (in relaxed mode only diagonal degrees
@@ -667,31 +640,29 @@ def compute_attractor(
     tuple and its certificate; non-convergence within max_iter is reported
     on the certificate, not raised.
 
-    Each step but the last allowed one only has to be decided against the
-    stop test, so its displacement is measured with a cap: the largest
-    lattice distance that passes the test (``_stop_cap``).  Within the cap
-    the measure is exact, past it the step cannot stop; the step that stops
-    was therefore measured exactly.  The last allowed step is measured
-    without a cap, so the certificate's displacement is always the exact
-    lattice distance.
+    The run stops when a step returns its input (tuple equality, which
+    measures no distance): that tuple is a fixed point of the snapped
+    operator, and its certificate is eps/(1-c) with a displacement of 0.  A
+    run that reaches max_iter measures its last step's displacement once,
+    exactly on the lattice, and is certified by (c*displacement + eps)/(1-c).
+    eps is the larger ``snap_slack`` of C0 and of the last step's input, so
+    no run from C0 claims less than ``collage_bound(c, snap_slack(C0))``.
     """
-    if tol is None:
-        tol = 4.0 * C0.pitch
     for v in sys.graph.vertices:
         if len(C0.clouds.get(v, ())) == 0:
             raise ValueError(f"empty initial cloud at vertex {v!r}")
     c_n = _require_contraction(sys, n)
     maps = degree_maps(sys, n)
-    cap = _stop_cap(C0.pitch, c_n, tol, sys.metric)
     current = C0
-    delta = float("inf")
     for it in range(1, max_iter + 1):
-        nxt = hutchinson_step(sys, n, current, _maps=maps)
-        delta = tuple_distance(current, nxt, sys.metric, cap=cap if it < max_iter else None)
-        current = nxt
-        if _stops(delta, c_n, tol):
-            return current, ConvergenceCertificate(it, delta, c_n, C0.pitch, tol, True)
-    return current, ConvergenceCertificate(max_iter, delta, c_n, C0.pitch, tol, False)
+        prev, current = current, hutchinson_step(sys, n, current, _maps=maps)
+        if current == prev:
+            converged, delta = True, 0.0
+            break
+    else:
+        converged, delta = False, tuple_distance(prev, current, sys.metric)
+    eps = max(snap_slack(C, maps, sys.metric) for C in (C0, prev))
+    return current, ConvergenceCertificate(it, delta, c_n, C0.pitch, eps, converged)
 
 
 def check_commutation(sys: MWSystem, n, m, C: SetTuple, tol: float) -> bool:

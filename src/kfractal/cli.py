@@ -155,9 +155,9 @@ def cmd_validate(args) -> int:
 
 def _pitch_and_tol(args, sys_) -> tuple[float, float]:
     """The grid pitch h (default: max fiber diameter / 512) and the
-    tolerance (default 4h) of a metric command; a grid too large for some
-    fiber, or no default pitch because every fiber is a point, is an input
-    error."""
+    tolerance, the largest error bound a run may claim (default 4h), of a
+    metric command; a grid too large for some fiber, or no default pitch
+    because every fiber is a point, is an input error."""
     from .systems import grid_axes
 
     h = args.pitch
@@ -175,6 +175,25 @@ def _pitch_and_tol(args, sys_) -> tuple[float, float]:
     return h, tol
 
 
+def _require_tol(sys_, degree, C0, tol: float) -> None:
+    """An input error unless the degree's operator contracts and a run from
+    C0 can claim an error bound within tol: the least bound any such run
+    claims is its lattice fixed point's, eps/(1-c), checked before
+    iterating."""
+    from .attractor import _require_contraction, collage_bound, snap_slack
+    from .systems import degree_maps
+
+    try:
+        c = _require_contraction(sys_, degree)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
+    bound = collage_bound(c, snap_slack(C0, degree_maps(sys_, degree), sys_.metric))
+    if bound > tol:
+        raise InstanceFormatError(
+            f"--tol {tol!r} is below {bound!r}, the least error bound the degree "
+            f"{degree} operator (contraction {c:.6g}) can claim at pitch {C0.pitch!r}")
+
+
 def _prepare_mw(args):
     kind, obj = _load_system(args)
     if kind != "mw":
@@ -189,7 +208,7 @@ def _prepare_mw(args):
 
 
 def cmd_attractor(args) -> int:
-    from .attractor import SetTuple, _require_contraction, compute_attractor
+    from .attractor import SetTuple, compute_attractor
     from .boxcount import dimension_estimate
 
     sys_ = _prepare_mw(args)
@@ -197,13 +216,10 @@ def cmd_attractor(args) -> int:
         return FAIL
     h, tol = _pitch_and_tol(args, sys_)
     degree = _parse_degree(args.degree, sys_.graph.k) or sys_.diagonal_degree
-    try:
-        _require_contraction(sys_, degree)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from None
-    out = _outdir(args)
     C0 = SetTuple.from_fibers(sys_, h)
-    K, cert = compute_attractor(sys_, degree, C0, tol=tol, max_iter=args.max_iter)
+    _require_tol(sys_, degree, C0, tol)
+    out = _outdir(args)
+    K, cert = compute_attractor(sys_, degree, C0, max_iter=args.max_iter)
 
     write_clouds_csv(K, out / "attractor.csv")
     lines = [f"instance: {sys_.name or args.instance}",
@@ -254,10 +270,10 @@ def cmd_coding(args) -> int:
             path_budget(sys_.graph, deep, 20)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
-    out = _outdir(args)
     C0 = SetTuple.from_fibers(sys_, h)
-    K, cert = compute_attractor(sys_, sys_.diagonal_degree, C0, tol=tol,
-                                max_iter=args.max_iter)
+    _require_tol(sys_, sys_.diagonal_degree, C0, tol)
+    out = _outdir(args)
+    K, cert = compute_attractor(sys_, sys_.diagonal_degree, C0, max_iter=args.max_iter)
     if not cert.converged:
         write_certificate(cert.summary(), out / "certificate.txt")
         print(cert.summary())
@@ -300,14 +316,17 @@ def cmd_coding(args) -> int:
 
 
 def cmd_diagonal(args) -> int:
+    from .attractor import SetTuple
     from .diagonal import check_diagonal_agreement
 
     sys_ = _prepare_mw(args)
     if sys_ is None:
         return FAIL
     h, tol = _pitch_and_tol(args, sys_)
+    C0 = SetTuple.from_fibers(sys_, h)
+    _require_tol(sys_, sys_.diagonal_degree, C0, tol)
     out = _outdir(args)
-    rep = check_diagonal_agreement(sys_, tol=tol, pitch=h, max_iter=args.max_iter)
+    rep = check_diagonal_agreement(sys_, tol, C0, max_iter=args.max_iter)
     converged = rep.source_certificate.converged and rep.collapse_certificate.converged
     write_certificate(rep.summary(), out / "diagonal.txt")
     if converged and sys_.dim == 2 and args.render:
@@ -409,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
         if iterates:
             p.add_argument("--pitch", type=_positive_float,
                            help="grid pitch h > 0 (default: max fiber diameter / 512)")
-            p.add_argument("--tol", type=_positive_float, help="tolerance > 0 (default 4h)")
+            p.add_argument("--tol", type=_positive_float,
+                           help="the largest error bound a run may claim (4·pitch), > 0")
             p.add_argument("--max-iter", default=64, type=_int_between(1),
                            help="iteration limit >= 1 (default 64)")
         return p

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attractor import SetTuple, _directed_window_distance, _snap_offset, contraction_factor
+from .attractor import SetTuple, _directed_window_bound, _snap_offset, contraction_factor
 from .kgraph import (
     KGraph,
     KGraphError,
@@ -367,11 +367,12 @@ def check_subsystem(sys: MWSystem, sets: SetTuple, tol: float) -> SubsystemRepor
     integers, over an occupancy window of their joint box; the window may
     hold ``MAX_GRID_POINTS`` cells, the largest fiber grid, and a larger one
     raises ValueError before it is allocated.  The reported distance is
-    pitch * cells + eps, where eps is the largest offset |p - snap(p)| of an
-    image point in the metric: at most h*sqrt(d)/2 for the Euclidean metric
-    and h/2 for the max metric, and 0 when the images land on lattice points.
-    Since d(p, T) <= |p - q| + d(q, T) for the snapped point q, it is an
-    upper bound on the real image's one-sided distance.
+    pitch * cells + eps, rounded upward, where eps is the largest offset
+    |p - snap(p)| of an image point in the metric: at most h*sqrt(d)/2 for
+    the Euclidean metric and h/2 for the max metric, and 0 when the images
+    land on lattice points.  Since d(p, T) <= |p - q| + d(q, T) for the
+    snapped point q, it is an upper bound on the real image's one-sided
+    distance.
     """
     origin, pitch = sets.origin, sets.pitch
     dists = {}
@@ -382,6 +383,6 @@ def check_subsystem(sys: MWSystem, sets: SetTuple, tol: float) -> SubsystemRepor
                 raise ValueError(f"empty cloud at {v!r}")
         image = sys.generators[ident].apply(sets.points(e.source_vertex))
         rows, eps = _snap_offset(image, origin, pitch, sys.metric)
-        cells = _directed_window_distance(rows, sets.clouds[e.range_vertex], sys.metric)
-        dists[ident] = pitch * cells + eps
+        dists[ident] = _directed_window_bound(rows, sets.clouds[e.range_vertex], pitch, eps,
+                                              sys.metric)
     return SubsystemReport(tol, dists)

@@ -150,22 +150,21 @@ class DiagonalAgreement:
 def check_diagonal_agreement(
     sys: MWSystem,
     tol: float,
-    pitch: float,
+    C0: SetTuple,
     max_iter: int = 64,
 ) -> DiagonalAgreement:
     """Compute the source attractor at the diagonal degree and the collapsed
-    system's attractor at degree 1 on the same grid, both iterated until
-    certified within tol, then compare per vertex against tol.
+    system's attractor at degree 1 on the same grid, both iterated from C0
+    to their lattice fixed points, then compare per vertex against tol.
 
-    Both runs start from the full fiber grids; because the collapsed
-    generators are the same composites, the per-iteration clouds coincide
-    exactly and the measured distances quantify only what the bookkeeping
-    (degree handling, diagonal edge table) could have broken.
+    The commands start both runs from the full fiber grids; because the
+    collapsed generators are the same composites, the per-iteration clouds
+    coincide exactly and the measured distances quantify only what the
+    bookkeeping (degree handling, diagonal edge table) could have broken.
     """
     dsys = diagonal_system(sys)
-    C0 = SetTuple.from_fibers(sys, pitch)
     p_vec = sys.diagonal_degree
-    K_src, cert_src = compute_attractor(sys, p_vec, C0, tol=tol, max_iter=max_iter)
-    K_col, cert_col = compute_attractor(dsys.system, (1,), C0, tol=tol, max_iter=max_iter)
+    K_src, cert_src = compute_attractor(sys, p_vec, C0, max_iter=max_iter)
+    K_col, cert_col = compute_attractor(dsys.system, (1,), C0, max_iter=max_iter)
     distances = K_src.vertex_distances(K_col, sys.metric)
     return DiagonalAgreement(tol, distances, cert_src, cert_col, K_src, K_col)

@@ -558,13 +558,13 @@ def check_k_surjective(sys: MWSystem, n, sets, tol: float) -> CoverageReport:
     As in ``coding.check_subsystem``, the real images are snapped to the
     lattice of ``sets``, and the fiber cloud is measured against them
     exactly, in integers, over a window of at most ``MAX_GRID_POINTS``
-    cells.  The reported distance is pitch * cells + eps, where eps is the
-    largest offset |q - snap(q)| of an image point.  Since
+    cells.  The reported distance is pitch * cells + eps, rounded upward,
+    where eps is the largest offset |q - snap(q)| of an image point.  Since
     d(p, T) <= d(p, snap T) + eps, it is an upper bound on the distance to
     the real images.
     """
     # local import to avoid a cycle
-    from .attractor import _directed_window_distance, _snap_offset
+    from .attractor import _directed_window_bound, _snap_offset
 
     maps = degree_maps(sys, n)
     distances = {}
@@ -580,6 +580,5 @@ def check_k_surjective(sys: MWSystem, n, sets, tol: float) -> CoverageReport:
             distances[v] = float("inf")
             continue
         rows, eps = _snap_offset(np.concatenate(pieces), sets.origin, sets.pitch, sys.metric)
-        cells = _directed_window_distance(target, rows, sys.metric)
-        distances[v] = sets.pitch * cells + eps
+        distances[v] = _directed_window_bound(target, rows, sets.pitch, eps, sys.metric)
     return CoverageReport(tuple(n), tol, distances, empty)

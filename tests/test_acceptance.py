@@ -59,8 +59,8 @@ def test_criterion_1_fixed_point_uniqueness():
     with Timer() as t:
         full = SetTuple.from_fibers(sys_, h)
         corner = SetTuple.from_points(np.zeros(2), h, {"v": np.array([0.0, 0.0])})
-        K1, c1 = compute_attractor(sys_, (1,), full, tol=4 * h)
-        K2, c2 = compute_attractor(sys_, (1,), corner, tol=4 * h)
+        K1, c1 = compute_attractor(sys_, (1,), full)
+        K2, c2 = compute_attractor(sys_, (1,), corner)
         assert c1.converged and c2.converged
         gap = tuple_distance(K1, K2, sys_.metric)
     assert gap <= 8 * h, gap
@@ -88,9 +88,7 @@ def test_criterion_3_coding_agreement():
     sys_ = shipped("s1")
     h = 1.0 / 512.0
     with Timer() as t:
-        K, cert = compute_attractor(
-            sys_, (1,), SetTuple.from_fibers(sys_, h), tol=h / 4
-        )
+        K, cert = compute_attractor(sys_, (1,), SetTuple.from_fibers(sys_, h))
         assert cert.converged
         T2, err = coded_cloud(sys_, (9,), pitch=h)
         assert len(T2.clouds["v"]) > 0
@@ -128,10 +126,10 @@ def test_criterion_5_diagonal_collapse_agreement():
     with Timer() as t:
         for name, h in (("p2", 1.0 / 512.0), ("p2c", 1.0 / 729.0)):
             sys_ = shipped(name)
-            rep = check_diagonal_agreement(sys_, tol=4 * h, pitch=h)
+            rep = check_diagonal_agreement(sys_, tol=4 * h, C0=SetTuple.from_fibers(sys_, h))
             assert rep.passed, rep.summary()
         s1 = shipped("s1")
-        rep1 = check_diagonal_agreement(s1, tol=0.0, pitch=1.0 / 512.0)
+        rep1 = check_diagonal_agreement(s1, tol=0.0, C0=SetTuple.from_fibers(s1, 1.0 / 512.0))
         assert max(rep1.distances.values()) == 0.0
         assert rep1.passed
     report(5, "collapse attractors agree (p2, p2c within 4h; s1 exactly)", t.seconds)
@@ -237,9 +235,7 @@ def test_criterion_9_box_dimension():
     h = 1.0 / 512.0
     target = math.log(3) / math.log(2)
     with Timer() as t:
-        K, cert = compute_attractor(
-            sys_, (1,), SetTuple.from_fibers(sys_, h), tol=h / 4
-        )
+        K, cert = compute_attractor(sys_, (1,), SetTuple.from_fibers(sys_, h))
         assert cert.converged
         lattice = K.clouds["v"]
         # independent oracle: brute-force occupied-cell sets at both scales

@@ -1,6 +1,8 @@
 """Grid clouds, set-valued iteration, certificates."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,10 +11,10 @@ from hypothesis import strategies as st
 
 from kfractal import _kernels, attractor
 from kfractal.attractor import (
-    ConvergenceCertificate,
     SetTuple,
     _canonical,
     check_commutation,
+    collage_bound,
     compute_attractor,
     contraction_factor,
     hausdorff_distance,
@@ -194,9 +196,9 @@ def transforms(monkeypatch):
     calls = []
     farthest = attractor._farthest
 
-    def spy(occ, cells, metric, cap=None):
+    def spy(occ, cells, metric):
         calls.append(metric)
-        return farthest(occ, cells, metric, cap)
+        return farthest(occ, cells, metric)
 
     monkeypatch.setattr(attractor, "_farthest", spy)
     return calls
@@ -342,123 +344,27 @@ def test_window_distance_equals_brute_force(pair, metric, k):
     assert attractor._window_distance(b, a, metric) == got
 
 
-def _assert_capped(got, exact, cap):
-    # exact within the cap; past it, above the cap and at most exact
-    if exact <= cap:
-        assert got == exact
-    else:
-        assert cap < got <= exact
-
-
-@settings(max_examples=300, deadline=None)
-@given(_window_pairs(), st.sampled_from(["euclidean", "max"]), st.data())
-def test_capped_distance_is_exact_within_the_cap(pair, metric, data):
-    a, b = pair
-    shape, fa, fb = attractor._window(a, b)
-    # caps from 0 to past the largest distance the window holds
-    span = sum((n - 1) ** 2 for n in shape) if metric == "euclidean" else max(shape) - 1
-    cap = data.draw(st.one_of(st.integers(0, 20), st.integers(0, span + 2)), label="cap")
-    there = attractor._directed_cells(fa, fb, shape, metric)
-    back = attractor._directed_cells(fb, fa, shape, metric)
-    _assert_capped(attractor._directed_cells(fa, fb, shape, metric, cap), there, cap)
-    _assert_capped(attractor._directed_cells(fb, fa, shape, metric, cap), back, cap)
-    exact = max(there, back)
-    got = attractor._window_distance(a, b, metric, cap)
-    want = attractor._window_distance(a, b, metric)
-    assert want == attractor._cells_to_length(exact, metric)
-    if exact <= cap:
-        assert got == want
-    else:
-        assert attractor._cells_to_length(cap, metric) < got <= want
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["euclidean", "max"]), st.sampled_from([2.0**-9, 1 / 81, 0.3, 1 / 300]),
-       st.floats(0.0, 0.999), st.floats(1e-6, 10.0))
-def test_stop_cap_is_the_last_distance_that_stops(metric, pitch, c, tol):
-    cap = attractor._stop_cap(pitch, c, tol, metric)
-
-    def stops(cells):
-        return attractor._stops(pitch * attractor._cells_to_length(cells, metric), c, tol)
-
-    assert 0 <= cap <= attractor._CAP_TOP
-    assert all(stops(x) for x in range(max(0, cap - 3), cap + 1)) or cap == 0
-    if cap < attractor._CAP_TOP:
-        assert not any(stops(x) for x in range(cap + 1, cap + 4))
-    assert (cap == attractor._CAP_TOP) == stops(attractor._CAP_TOP)
-
-
 def _default_pitch(sys_):
     return max(f.diameter() for f in sys_.fibers.values()) / 512
-
-
-def _spy(monkeypatch, name):
-    """The cap of each call to the attractor function ``name``."""
-    caps = []
-    measure = getattr(attractor, name)
-
-    def spy(a, b, metric, cap=None):
-        caps.append(cap)
-        return measure(a, b, metric, cap=cap)
-
-    monkeypatch.setattr(attractor, name, spy)
-    return caps
-
-
-@pytest.mark.parametrize("name", ["p2c", "s1"])
-def test_converging_run_measures_only_capped_windows(monkeypatch, name):
-    sys_ = shipped(name)
-    C0 = SetTuple.from_fibers(sys_, _default_pitch(sys_))
-    caps = _spy(monkeypatch, "_window_distance")
-    K, cert = compute_attractor(sys_, sys_.diagonal_degree, C0)
-    monkeypatch.undo()
-    assert cert.converged and cert.iterations > 2
-    assert caps and None not in caps
-    # the step that stopped was measured exactly
-    prev, _ = compute_attractor(sys_, sys_.diagonal_degree, C0, max_iter=cert.iterations - 1)
-    assert hutchinson_step(sys_, sys_.diagonal_degree, prev) == K
-    assert cert.displacement == tuple_distance(prev, K, sys_.metric)
 
 
 def test_max_iter_run_measures_its_last_step_exactly(monkeypatch):
     sys_ = shipped("s1")
     C0 = SetTuple.from_fibers(sys_, _default_pitch(sys_))
-    caps = _spy(monkeypatch, "tuple_distance")
+    measured = []
+    measure = attractor.tuple_distance
+    monkeypatch.setattr(attractor, "tuple_distance",
+                        lambda *args: measured.append(args) or measure(*args))
     K, cert = compute_attractor(sys_, (1,), C0, max_iter=3)
     monkeypatch.undo()
     assert not cert.converged
-    assert len(caps) == 3 and None not in caps[:2] and caps[2] is None
+    assert len(measured) == 1  # the last step only
     prev = hutchinson_step(sys_, (1,), hutchinson_step(sys_, (1,), C0))
     exact = tuple_distance(prev, K, sys_.metric)
-    assert exact > cert.tol
+    assert exact > 0
     assert cert.displacement == exact
+    assert cert.error_bound == collage_bound(cert.contraction, cert.eps, exact)
     assert f"displacement={exact:.6g} " in cert.summary()
-
-
-def _constant_system():
-    # one map onto one point: the operator contracts by c = 0
-    g = KGraph(1, ["v"], {1: [("e", "v", "v")]})
-    return MWSystem(g, {"v": MetricFiber("v", Box((0.0, 0.0), (1.0, 1.0)), "euclidean")},
-                    {"e": AffineMap.of(np.zeros((2, 2)), (0.25, 0.5), "v", "v")}, ratio=0.5)
-
-
-@pytest.mark.parametrize("case", ["constant map", "p2c at tol 1e308"])
-def test_stop_without_a_cap_search(monkeypatch, case):
-    # every distance passes the stop test: the cap is settled by one
-    # evaluation, and the first step stops with its exact displacement
-    sys_, tol = (_constant_system(), None) if case == "constant map" else (shipped("p2c"), 1e308)
-    h = 1 / 128
-    C0 = SetTuple.from_fibers(sys_, h)
-    evaluated = []
-    stops = attractor._stops
-    monkeypatch.setattr(attractor, "_stops", lambda *args: evaluated.append(args) or stops(*args))
-    K, cert = compute_attractor(sys_, sys_.diagonal_degree, C0, tol=tol)
-    monkeypatch.setattr(attractor, "_stops", stops)
-    assert len(evaluated) == 2  # the cap, then the one step
-    exact = tuple_distance(C0, K, sys_.metric)
-    c = contraction_factor(sys_, sys_.diagonal_degree)
-    assert cert == ConvergenceCertificate(1, exact, c, h, 4 * h if tol is None else tol, True)
-    assert exact > 0 and (c == 0) == (case == "constant map")
 
 
 def _fiber_systems():
@@ -656,7 +562,7 @@ def test_attractor_t0_collapses_to_origin():
     sys = shipped("t0")
     h = 1 / 256
     C0 = SetTuple.from_points(np.zeros(1), h, {"v": np.array([1.0])})
-    K, cert = compute_attractor(sys, (1, 1), C0, tol=4 * h)
+    K, cert = compute_attractor(sys, (1, 1), C0)
     assert cert.converged
     assert np.abs(K.points("v")).max() <= 4 * h + cert.error_bound
 
@@ -667,8 +573,8 @@ def test_attractor_unique_limit_from_far_apart_starts():
     tol = 2 * h
     full = SetTuple.from_fibers(sys, h)
     corner = SetTuple.from_points(np.zeros(2), h, {"v": np.array([0.0, 0.0])})
-    K1, c1 = compute_attractor(sys, (1,), full, tol=tol)
-    K2, c2 = compute_attractor(sys, (1,), corner, tol=tol)
+    K1, c1 = compute_attractor(sys, (1,), full)
+    K2, c2 = compute_attractor(sys, (1,), corner)
     assert c1.converged and c2.converged
     gap = tuple_distance(K1, K2, sys.metric)
     assert gap <= 2 * (tol + 2 * h)
@@ -678,7 +584,7 @@ def test_attractor_fixed_point_residual():
     sys = shipped("s1")
     h = 1 / 128
     tol = 2 * h
-    K, cert = compute_attractor(sys, (1,), SetTuple.from_fibers(sys, h), tol=tol)
+    K, cert = compute_attractor(sys, (1,), SetTuple.from_fibers(sys, h))
     residual = tuple_distance(K, hutchinson_step(sys, (1,), K), sys.metric)
     assert residual <= tol + 2 * h
 
@@ -688,7 +594,7 @@ def test_attractor_cantor_product_projection_oracle():
     # attractor computed by an independent rank-1 run
     sys = shipped("p2c")
     h = 1 / 243
-    K, cert = compute_attractor(sys, (1, 1), SetTuple.from_fibers(sys, h), tol=2 * h)
+    K, cert = compute_attractor(sys, (1, 1), SetTuple.from_fibers(sys, h))
     assert cert.converged
 
     g1 = KGraph(1, ["w"], {1: [("c0", "w", "w"), ("c1", "w", "w")]})
@@ -702,9 +608,7 @@ def test_attractor_cantor_product_projection_oracle():
         ratio=1 / 3,
         mode="strict",
     )
-    K1, cert1 = compute_attractor(
-        line, (1,), SetTuple.from_fibers(line, h), tol=2 * h
-    )
+    K1, cert1 = compute_attractor(line, (1,), SetTuple.from_fibers(line, h))
     assert cert1.converged
     proj = np.unique(K.clouds["v"][:, 0])
     oracle = np.unique(K1.clouds["w"][:, 0])
@@ -778,7 +682,7 @@ def test_max_iter_reported_not_raised():
     sys = shipped("s1")
     h = 1 / 128
     C0 = SetTuple.from_fibers(sys, h)
-    K, cert = compute_attractor(sys, (1,), C0, tol=1e-9, max_iter=2)
+    K, cert = compute_attractor(sys, (1,), C0, max_iter=2)
     assert not cert.converged
     assert cert.iterations == 2
     assert cert.error_bound > 0
@@ -789,6 +693,60 @@ def test_empty_start_rejected():
     C0 = SetTuple.from_points(np.zeros(2), 1 / 64, {"v": np.empty((0, 2))})
     with pytest.raises(ValueError):
         compute_attractor(sys, (1,), C0)
+
+
+@st.composite
+def _interval_maps(draw, least):
+    """Maps x -> r*x + t with dyadic r >= least and t whose images cover
+    [0, 1] without a gap, the first fixing 0 and the last fixing 1: their
+    attractor is [0, 1]."""
+    maps, end = [], Fraction(0)
+    while True:
+        r = Fraction(draw(st.integers(least, 58)), 64)
+        if end + r >= 1:
+            return [*maps, (r, 1 - r)]
+        t = Fraction(draw(st.integers(int(128 * max(0, end - r / 2)), int(128 * end))), 128)
+        maps.append((r, t))
+        end = t + r
+
+
+def _interval_distance(xs):
+    """The directed distances from the points xs (Fractions) to [0, 1] and
+    back: the farthest point outside, and the farthest point of [0, 1]
+    from xs, which is 0, 1 or the middle of a gap."""
+    xs = sorted(set(xs))
+    out = max(max(-x, x - 1, Fraction(0)) for x in xs)
+    back = [abs(y - min(xs, key=lambda x: abs(x - y))) for y in (Fraction(0), Fraction(1))]
+    back += [(b - a) / 2 for a, b in zip(xs, xs[1:]) if 0 <= (a + b) / 2 <= 1]
+    return out, max(back)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.sampled_from(["euclidean", "max"]), st.data())
+def test_error_bound_covers_the_distance_to_an_interval_attractor(dim, metric, data):
+    # products of interval systems: the attractor is [0, 1]^dim, and the
+    # snapped iteration keeps a product of per-axis clouds, so the exact
+    # Hausdorff distance comes from the axes' directed distances
+    least, finest = (16, 8) if dim == 1 else (24, 5)
+    axes = [data.draw(_interval_maps(least), label=f"axis {j}") for j in range(dim)]
+    h = 2.0 ** -data.draw(st.integers(3, finest), label="pitch exponent")
+    maps = list(itertools.product(*axes))
+    g = KGraph(1, ["v"], {1: [(f"e{i}", "v", "v") for i in range(len(maps))]})
+    gens = {f"e{i}": AffineMap.of(np.diag([float(r) for r, _ in m]), [float(t) for _, t in m],
+                                  "v", "v") for i, m in enumerate(maps)}
+    ratio = float(max(r for axis in axes for r, _ in axis))
+    fiber = MetricFiber("v", Box((0.0,) * dim, (1.0,) * dim), metric)
+    sys_ = MWSystem(g, {"v": fiber}, gens, ratio=ratio)
+    K, cert = compute_attractor(sys_, (1,), SetTuple.from_fibers(sys_, h))
+    pts = K.points("v")
+    per_axis = [[Fraction(x) for x in np.unique(pts[:, j]).tolist()] for j in range(dim)]
+    assert len(pts) == math.prod(len(xs) for xs in per_axis)  # a product of its axes
+    out, back = zip(*(_interval_distance(xs) for xs in per_axis))
+    bound = Fraction(cert.error_bound)
+    if metric == "max":
+        assert bound >= max(out + back)
+    else:
+        assert bound**2 >= max(sum(d * d for d in out), sum(d * d for d in back))
 
 
 # ---------------------------------------------------------------------------
@@ -854,11 +812,10 @@ def test_multi_vertex_system_end_to_end():
     from kfractal.systems import validate_system
     assert validate_system(sys_).ok
     h = 1 / 512
-    K, cert = compute_attractor(sys_, (1,), SetTuple.from_fibers(sys_, h), tol=2 * h)
+    K, cert = compute_attractor(sys_, (1,), SetTuple.from_fibers(sys_, h))
     assert cert.converged
-    # per-vertex fixed point equations hold at grid resolution
-    residual = tuple_distance(K, hutchinson_step(sys_, (1,), K), sys_.metric)
-    assert residual <= 2 * h + cert.tol
+    # per-vertex fixed point equations hold on the lattice
+    assert hutchinson_step(sys_, (1,), K) == K
     # the coded cloud reproduces the same pair of sets
     from kfractal.coding import coded_cloud, compare_attractor_coding
 

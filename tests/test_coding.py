@@ -451,7 +451,7 @@ def test_coded_cloud_matches_attractor_s1():
     sys = shipped("s1")
     h = 1 / 128
     depth = 7
-    K, cert = compute_attractor(sys, (1,), SetTuple.from_fibers(sys, h), tol=2 * h)
+    K, cert = compute_attractor(sys, (1,), SetTuple.from_fibers(sys, h))
     T2, err = coded_cloud(sys, (depth,), pitch=h)
     assert cert.converged
     assert err == pytest.approx(0.5 ** depth, rel=1e-12)
@@ -486,7 +486,7 @@ def test_coded_cloud_p2c_product_oracle():
     # coded cloud against the attractor computed by iteration
     sys = shipped("p2c")
     h = 1 / 243
-    K, cert = compute_attractor(sys, (1, 1), SetTuple.from_fibers(sys, h), tol=2 * h)
+    K, cert = compute_attractor(sys, (1, 1), SetTuple.from_fibers(sys, h))
     T2, err = coded_cloud(sys, (5, 5), pitch=h)
     assert cert.converged
     assert compare_attractor_coding(sys, K, T2, tol=4 * h + err)
@@ -498,7 +498,7 @@ def test_coded_cloud_sampled_20k_covers_product():
     # gap stays inside the certified band
     sys_ = shipped("p2c")
     h = 1 / 729
-    K, cert = compute_attractor(sys_, (1, 1), SetTuple.from_fibers(sys_, h), tol=2 * h)
+    K, cert = compute_attractor(sys_, (1, 1), SetTuple.from_fibers(sys_, h))
     assert cert.converged
     T2, err = coded_cloud(sys_, (6, 6), pitch=h, count=20000, seed=17)
     assert compare_attractor_coding(sys_, K, T2, tol=4 * h + 2 * err)
@@ -550,14 +550,26 @@ def test_sampled_coded_cloud_equals_code_point(raw_clouds, name, depth, count, b
         assert got.tobytes() == want.tobytes()
 
 
-def _reference_compare(sys, attractor_sets, coded_sets, tol):
-    # compare_attractor_coding before it went through SetTuple.vertex_distances
+def _reference_gaps(sys, attractor_sets, coded_sets):
+    """Per vertex, the Hausdorff distance by brute force.  With origin 0 and
+    a power-of-two pitch it is measured on the real points, and equals the
+    lattice distance bit for bit; with any other pitch it is the pitch times
+    the brute force on the integer rows, whose squared distances are exact
+    in floats."""
     if not attractor_sets.same_grid(coded_sets):
         raise ValueError("grid mismatch between the two clouds")
-    return all(
-        hausdorff_distance(attractor_sets.points(v), coded_sets.points(v), sys.metric) <= tol
-        for v in sys.graph.vertices
-    )
+    h = attractor_sets.pitch
+    if not attractor_sets.origin.any() and math.frexp(h)[0] == 0.5:
+        return {v: hausdorff_distance(attractor_sets.points(v), coded_sets.points(v), sys.metric)
+                for v in sys.graph.vertices}
+    return {v: h * hausdorff_distance(attractor_sets.clouds[v].astype(float),
+                                      coded_sets.clouds[v].astype(float), sys.metric)
+            for v in sys.graph.vertices}
+
+
+def _reference_compare(sys, attractor_sets, coded_sets, tol):
+    # compare_attractor_coding before it went through SetTuple.vertex_distances
+    return all(d <= tol for d in _reference_gaps(sys, attractor_sets, coded_sets).values())
 
 
 @pytest.mark.parametrize("name, h, depth", [("s1", 1 / 64, (6,)), ("p2c", 1 / 81, (4, 4))])
@@ -565,10 +577,7 @@ def test_compare_attractor_coding_matches_reference(name, h, depth):
     sys_ = shipped(name)
     K, _ = compute_attractor(sys_, sys_.diagonal_degree, SetTuple.from_fibers(sys_, h))
     T2, err = coded_cloud(sys_, depth, pitch=h)
-    gaps = {
-        v: hausdorff_distance(K.points(v), T2.points(v), sys_.metric)
-        for v in sys_.graph.vertices
-    }
+    gaps = _reference_gaps(sys_, K, T2)
     assert K.vertex_distances(T2, sys_.metric) == gaps
     worst = max(gaps.values())
     assert worst > 0
@@ -592,7 +601,7 @@ def test_compare_negative_control_different_fractals():
     s1 = shipped("s1")
     p2c = shipped("p2c")
     h = 1 / 128
-    K, _ = compute_attractor(s1, (1,), SetTuple.from_fibers(s1, h), tol=2 * h)
+    K, _ = compute_attractor(s1, (1,), SetTuple.from_fibers(s1, h))
     T2, err = coded_cloud(p2c, (4, 4), pitch=h)
     assert not compare_attractor_coding(s1, K, T2, tol=4 * h + err)
 
@@ -600,7 +609,7 @@ def test_compare_negative_control_different_fractals():
 def test_check_subsystem_gasket_invariant():
     sys = shipped("s1")
     h = 1 / 128
-    K, cert = compute_attractor(sys, (1,), SetTuple.from_fibers(sys, h), tol=2 * h)
+    K, cert = compute_attractor(sys, (1,), SetTuple.from_fibers(sys, h))
     rep = check_subsystem(sys, K, tol=cert.error_bound + 2 * h)
     assert rep.passed, rep.edge_distances
 
@@ -718,6 +727,25 @@ def test_subsystem_bound_is_zero_for_images_on_the_lattice(metric):
     sets = SetTuple(origin, pitch, {"u": np.delete(target, 1, axis=0), "w": source})
     rep = check_subsystem(sys, sets, tol=0.0)
     assert rep.edge_distances == {"g0": pitch, "g1": 0.0, "g2": 0.0}
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "max"])
+def test_subsystem_bound_is_not_below_the_float_distance(metric):
+    # x -> x/10 on the diagonal with origin (0.375, 0.375) and pitch 0.25:
+    # the snapped image lies between the image and its target, so the
+    # triangle inequality is an equality; summed in round-to-nearest, the
+    # Euclidean bound read 0.4772970773009196, an ulp below the real
+    # image's float distance 0.47729707730091964
+    sys, sets = _images_into(metric, 2, [([[0.1, 0.0], [0.0, 0.1]], [0.0, 0.0])],
+                             np.array([0.375, 0.375]), 0.25, np.array([[0, 0]]),
+                             np.array([[0, 0]]))
+    image, target = sys.generators["g0"].apply(sets.points("w")), sets.points("u")
+    sub = check_subsystem(sys, sets, tol=0.0).edge_distances["g0"]
+    cover = check_k_surjective(sys, (1,), sets, tol=0.0).distances["u"]
+    assert sub >= _kernels.directed_max_min(image, target, metric)
+    assert cover >= _kernels.directed_max_min(target, image, metric)
+    if metric == "euclidean":
+        assert sub == cover == 0.47729707730091964
 
 
 def test_subsystem_refuses_a_window_past_the_grid_bound():

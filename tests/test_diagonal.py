@@ -147,7 +147,7 @@ def test_word_translation_composes_with_coding_exactly():
 def test_agreement_s1_exact_zero():
     sys = shipped("s1")
     h = 1 / 128
-    rep = check_diagonal_agreement(sys, tol=4 * h, pitch=h)
+    rep = check_diagonal_agreement(sys, tol=4 * h, C0=SetTuple.from_fibers(sys, h))
     assert rep.passed
     assert max(rep.distances.values()) == 0.0
 
@@ -155,7 +155,7 @@ def test_agreement_s1_exact_zero():
 def test_agreement_p2_full_square():
     sys = shipped("p2")
     h = 1 / 128
-    rep = check_diagonal_agreement(sys, tol=4 * h, pitch=h)
+    rep = check_diagonal_agreement(sys, tol=4 * h, C0=SetTuple.from_fibers(sys, h))
     assert rep.passed
     # the quarter maps tile the square, so the attractor is the whole fiber
     full = SetTuple.from_fibers(sys, h)
@@ -165,7 +165,7 @@ def test_agreement_p2_full_square():
 def test_agreement_p2c_cantor_square():
     sys = shipped("p2c")
     h = 1 / 243
-    rep = check_diagonal_agreement(sys, tol=4 * h, pitch=h)
+    rep = check_diagonal_agreement(sys, tol=4 * h, C0=SetTuple.from_fibers(sys, h))
     assert rep.passed
     assert "distance" in rep.summary()
 
@@ -175,8 +175,8 @@ def _reference_agreement(sys, tol, pitch):
     # SetTuple.vertex_distances
     dsys = diagonal_system(sys)
     C0 = SetTuple.from_fibers(sys, pitch)
-    K_src, cert_src = compute_attractor(sys, sys.diagonal_degree, C0, tol=tol)
-    K_col, cert_col = compute_attractor(dsys.system, (1,), C0, tol=tol)
+    K_src, cert_src = compute_attractor(sys, sys.diagonal_degree, C0)
+    K_col, cert_col = compute_attractor(dsys.system, (1,), C0)
     distances = {}
     for v in sys.graph.vertices:
         if np.array_equal(K_src.clouds[v], K_col.clouds[v]):
@@ -193,7 +193,7 @@ def _reference_agreement(sys, tol, pitch):
 @pytest.mark.parametrize("tol_pitches", [4, 0])
 def test_agreement_matches_reference(name, h, tol_pitches):
     sys = shipped(name)
-    rep = check_diagonal_agreement(sys, tol=tol_pitches * h, pitch=h)
+    rep = check_diagonal_agreement(sys, tol=tol_pitches * h, C0=SetTuple.from_fibers(sys, h))
     distances, passed = _reference_agreement(sys, tol_pitches * h, h)
     assert rep.distances == distances
     assert rep.passed == passed

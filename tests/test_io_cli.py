@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,9 @@ from kfractal.io import (
     write_diff_pgm,
     write_pgm,
 )
-from kfractal.kgraph import validate_kgraph
+from kfractal.kgraph import enumerate_paths, validate_kgraph
 from kfractal.report import ValidationReport
-from kfractal.systems import validate_system
+from kfractal.systems import extend_map, validate_system
 
 from shipped import shipped
 
@@ -226,8 +227,7 @@ def _assert_csv_matches_reference(sets, tmp_path):
 def test_csv_of_shipped_attractor_matches_reference_writer(tmp_path, name):
     sys_ = shipped(name)
     h = max(f.diameter() for f in sys_.fibers.values()) / 512.0
-    K, cert = compute_attractor(sys_, sys_.diagonal_degree, SetTuple.from_fibers(sys_, h),
-                                tol=4.0 * h)
+    K, cert = compute_attractor(sys_, sys_.diagonal_degree, SetTuple.from_fibers(sys_, h))
     assert cert.converged
     _assert_csv_matches_reference(K, tmp_path)
 
@@ -355,10 +355,10 @@ def test_cli_validate_parse_error(tmp_path):
 
 
 def test_cli_attractor_t0_single_point(tmp_path):
-    # a tolerance below the pitch drives the snapped iteration all the way
-    # to its exact fixed set, a single pixel at the common fixed point
+    # the snapped iteration runs to its exact fixed set, a single pixel at
+    # the common fixed point; its bound, (h/2)/(1 - 1/4), is within one pitch
     code = main(["attractor", "--instance", "t0", "--pitch", "0.00390625",
-                 "--tol", "0.0009765625", "--out", str(tmp_path)])
+                 "--tol", "0.00390625", "--out", str(tmp_path)])
     assert code == 0
     rows = (tmp_path / "attractor.csv").read_text().splitlines()
     assert len(rows) == 2  # header + the origin
@@ -367,7 +367,7 @@ def test_cli_attractor_t0_single_point(tmp_path):
 
 def test_cli_attractor_non_convergence_exit3(tmp_path):
     code = main(["attractor", "--instance", "s1", "--pitch", "0.0078125",
-                 "--tol", "1e-12", "--max-iter", "2", "--out", str(tmp_path)])
+                 "--max-iter", "2", "--out", str(tmp_path)])
     assert code == 3
     assert "NOT converged" in (tmp_path / "certificate.txt").read_text()
 
@@ -418,18 +418,23 @@ def test_cli_diagonal_pass(tmp_path):
     assert (tmp_path / "diagonal_diff_v.pgm").exists()
 
 
-def test_cli_diagonal_iterates_to_the_given_tol(tmp_path, capsys):
-    # --tol reaches both iterations, as it does attractor's
-    assert main(["diagonal", "--instance", "s1", "--tol", "0.05",
-                 "--out", str(tmp_path / "d")]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert main(["attractor", "--instance", "s1", "--tol", "0.05",
-                 "--out", str(tmp_path / "a")]) == 0
-    cert = next(line for line in capsys.readouterr().out.splitlines()
-                if line.startswith("converged:"))
-    assert "iterations=3 " in cert and "tol=0.05 " in cert
-    assert lines[0] == f"source:   {cert}"
-    assert lines[1] == f"collapse: {cert}"
+@pytest.mark.parametrize("command", ["attractor", "coding", "diagonal"])
+def test_cli_tol_below_the_least_bound_exits_2_in_one_line(tmp_path, capsys, command):
+    # s1 at pitch 1/512 claims at least (h*sqrt(2)/2)/(1 - 1/2), about 1.41h,
+    # so --tol h is refused before iterating and before --out is created
+    out = tmp_path / "out"
+    argv = [command, "--instance", "s1", "--tol", "0.001953125", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --tol 0.001953125 is below 0.002762135864014981, the least error bound "
+        "the degree (1,) operator (contraction 0.5) can claim at pitch 0.001953125\n")
+    assert not out.exists()
+    # at that bound the run is allowed, and claims it
+    argv[4] = "0.002762135864014981"
+    assert main(argv) == 0
+    assert "error_bound=0.002762135864014981\n" in capsys.readouterr().out
 
 
 def test_cli_duality_sweep_and_instance(tmp_path, capsys):
@@ -800,20 +805,106 @@ def test_cli_outputs_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def _one_map(tmp_path, c):
+    """x -> c*x + (1 - c) on [0, 1]: for 1/2 <= c < 1 the translation is
+    exact in floats (Sterbenz), so the attractor is exactly the point 1."""
+    doc = {
+        "kind": "mw", "name": f"one map {c}", "k": 1, "vertices": ["v"], "squares": {},
+        "edges": [[{"id": "e", "r": "v", "s": "v"}]],
+        "fibers": {"v": {"metric": "euclidean",
+                         "region": {"type": "box", "min": [0.0], "max": [1.0]}}},
+        "maps": {"e": {"matrix": [[c]], "translation": [1 - c]}},
+        "c": c, "mode": "strict",
+    }
+    path = tmp_path / f"one-map-{c}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _read_clouds(path):
+    """attractor.csv as one float array of points per vertex."""
+    clouds = {}
+    for line in path.read_text().splitlines()[1:]:
+        v, *coords = line.split(",")
+        clouds.setdefault(v, []).append([float(x) for x in coords])
+    return {v: np.array(pts) for v, pts in clouds.items()}
+
+
+def _distinct_rows(rows):
+    """The distinct rows of an integer array, in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+
+
+# the true error, in pitches h = 1/512: the lowest point of the cloud is
+# 1 - 4h at c = 0.9 (where the Banach stop printed 2h) and 1 - 50h at 0.99
+@pytest.mark.parametrize("c, tol, pitches", [(0.5, None, 0), (0.9, "0.01171875", 4),
+                                             (0.99, "0.1", 50)])
+def test_cli_one_map_bound_covers_the_true_error(tmp_path, capsys, c, tol, pitches):
+    path = _one_map(tmp_path, c)
+    out = tmp_path / "out"
+    if tol is not None:
+        # eps/(1-c) is 5h at c = 0.9 and 50h at c = 0.99, above the default 4h
+        assert main(["attractor", "--instance", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --tol 0.0078125 is below ")
+        assert not out.exists()
+    flags = ["--tol", tol] if tol is not None else []
+    assert main(["attractor", "--instance", str(path), *flags, "--max-iter", "400",
+                 "--out", str(out)]) == 0
+    cert = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("converged:"))
+    bound = float(cert.rsplit("error_bound=", 1)[1])
+    assert bound <= float(tol or 4 / 512)
+    points = _read_clouds(out / "attractor.csv")["v"][:, 0]
+    true_error = max(abs(Fraction(x) - 1) for x in points.tolist())
+    assert true_error == Fraction(pitches, 512)
+    assert Fraction(bound) >= true_error
+
+
+@pytest.mark.parametrize("name, pitch", [
+    ("s1", None), ("p2", None), ("p2c", None), ("t0", None), ("f3", None),
+    ("s1", "0.0078125"), ("p2c", "0.0078125"),
+])
+def test_cli_attractor_csv_is_a_fixed_point_of_snapped_images(tmp_path, capsys, name, pitch):
+    # the written cloud A against snap(F(A)), F the degree-(1,..,1) operator:
+    # each path map is applied to every point of A as read back from the
+    # csv (no SetTuple, no per-axis tables), and the images are snapped to
+    # the nearest point of the lattice h*Z^d
+    flags = ["--pitch", pitch] if pitch else []
+    assert main(["attractor", "--instance", name, *flags, "--out", str(tmp_path)]) == 0
+    text = capsys.readouterr().out
+    assert "\nconverged: " in text
+    h = float(text.split("\npitch: ", 1)[1].split("\n", 1)[0])
+    sys_ = shipped(name)
+    clouds = _read_clouds(tmp_path / "attractor.csv")
+    assert sorted(clouds) == sorted(sys_.graph.vertices)
+    for v, pts in clouds.items():
+        images = []
+        for lam in enumerate_paths(sys_.graph, v, sys_.diagonal_degree):
+            m = extend_map(sys_, lam)
+            images.append(clouds[lam.source_vertex] @ m.matrix.T + m.shift)
+        snapped = _distinct_rows(np.rint(np.concatenate(images) / h).astype(np.int64))
+        rows = np.rint(pts / h).astype(np.int64)
+        assert np.array_equal(pts, h * rows.astype(float))  # A lies on the lattice
+        assert np.array_equal(snapped, _distinct_rows(rows)), name
+
+
 # sha256 of the artifacts of ``attractor --instance NAME --pitch 0.0078125``,
-# recorded before the Hutchinson step moved from float images to per-axis
-# lattice tables (the rasters before their bounding box was reduced per
-# column); any change to the step's arithmetic shows here first
+# re-recorded when the iteration began to stop at the lattice fixed point,
+# after test_cli_attractor_csv_is_a_fixed_point_of_snapped_images agreed;
+# any change to the step's arithmetic shows here first
 PINNED_ATTRACTOR_DIGESTS = {
     "p2c": {
-        "attractor.csv": "3b425f25eed9e6add0580dc100de1f7b76d9de2a09d3e35bbea7a6c7dcb8f6ea",
-        "certificate.txt": "81a5fe365ac01ba760a5f2a90739d20c56adef43a9a66327c2d454095ac50489",
-        "attractor_v.pgm": "39547290b40e331c4b0c779ecf2b40e44c6ca62d8ec2decfe57d7766728bd19e",
+        "attractor.csv": "daf9b1fdec64276d529929b4ee209f105ff9a7beef5bb11a1c92873f663e5675",
+        "certificate.txt": "ac2231c4175ee0a27c61ce23dc4a2e39788f465c27762a075f4a8e2a36363179",
+        "attractor_v.pgm": "cfd80b052dd8bc9a151352d79dff092a673415383c102da64889b879d50e3e21",
     },
     "s1": {
-        "attractor.csv": "afc478b50d75290fb18c92b4880011e87e4f65bdc77190aafc2a48e4becfe1ed",
-        "certificate.txt": "760498edd90d07e062e531ce41793a7fb123f06e6f3cb6b318fe21ad2193c06a",
-        "attractor_v.pgm": "656fe47bbbaa8e3d5950a3fc395a6e4a849c46d308b5efe84ed757c56fa50746",
+        "attractor.csv": "92afa1d5aac6780a6b98a6e90773287fe12331fc87596a47198ad941e960441a",
+        "certificate.txt": "936fa466238a4c8e9eb9e6b175b3ad893b6cd43080f168cffd06e66ac39d9ec8",
+        "attractor_v.pgm": "a73b45238bc17e0682117a0447690802c245ff9a335d0b44e479db142b61b8ef",
     },
 }
 
@@ -827,20 +918,20 @@ def test_cli_attractor_artifacts_are_pinned(tmp_path, capsys, name):
 
 
 # sha256 of stdout and of certificate.txt (the same bytes) of ``attractor``
-# at the default pitch, where runs take more steps than at 0.0078125, and
-# at a stop that fails or comes at once; recorded before the displacement
-# of a step that cannot be the last was measured only against the stop test
+# at the default pitch, where runs take more steps than at 0.0078125, at a
+# step limit, and at a larger --tol, which leaves the run as it is;
+# re-recorded with the pins above
 PINNED_DEFAULT_PITCH_DIGESTS = {
     "p2": (["--instance", "p2"], PASS,
-           "cb06e16a7c205847aabd16bb279ef8584a06dedcac4e2257dd62f2da83f27f8a"),
+           "388db64912fe73df0f09c53697213e1eaf29cc9b5619c5433d0f11e871b2432d"),
     "p2c": (["--instance", "p2c"], PASS,
-            "ccbf14048583d2cab2e1d1da78fee8b502aca8bd44c40fa516dc3aa16fcce291"),
+            "3fccb32b0ba538b8f8ea377dca9ade03fc33025c92c29540b6480af21ad78fa0"),
     "s1": (["--instance", "s1"], PASS,
-           "dbc20ccd4c6d182dd8854bc4ff9aa7a86e6087db63246cac5af7b223d93ca523"),
+           "7be1bf8e85eae04d5f51cf7ce5b9e2b2b74c4568062fad10a278e1438abdf3ea"),
     "s1 max-iter 3": (["--instance", "s1", "--max-iter", "3"], NO_CONVERGENCE,
-                      "e163956d1909580a441654111d877267878546a8d8bbee1d960a4a834caf3700"),
+                      "22a3d78ecd6a827e3246c58ef31aa9d6e7a7f9eacd3ee561901c71b405da21bb"),
     "p2c tol 0.1": (["--instance", "p2c", "--tol", "0.1"], PASS,
-                    "9844eb6ae2f7eea2ea57535f25874a77c417b630bc027d495741c0d21223858a"),
+                    "3fccb32b0ba538b8f8ea377dca9ade03fc33025c92c29540b6480af21ad78fa0"),
 }
 
 
@@ -856,19 +947,20 @@ def test_cli_attractor_default_pitch_is_pinned(tmp_path, capsys, label):
 # lattice clouds through distance windows, recorded before the windows moved
 # from scipy's distance transforms to integer numpy passes (the sampled
 # coding runs after the sampler began to draw one rank per prefix, once
-# test_sampled_coded_csv_is_code_point_at_the_drawn_ranks agreed with them)
+# test_sampled_coded_csv_is_code_point_at_the_drawn_ranks agreed with them);
+# the text re-recorded with the pins above, for its certificate lines
 PINNED_OUTPUT_DIGESTS = {
     "diagonal p2c": (
         ["diagonal", "--instance", "p2c"],
         {
-            "stdout": "44a66d1d979edbfdc4e09bbb8ab4f4233d4a9514649502d75834d6767a39bece",
-            "diagonal.txt": "44a66d1d979edbfdc4e09bbb8ab4f4233d4a9514649502d75834d6767a39bece",
+            "stdout": "e5b16f33bbf008c4323615499dc98e5c9ef62dbf1f173e3aae102d8ab51766c7",
+            "diagonal.txt": "e5b16f33bbf008c4323615499dc98e5c9ef62dbf1f173e3aae102d8ab51766c7",
         },
     ),
     "coding s1": (
         ["coding", "--instance", "s1", "--count", "3000", "--seed", "4"],
         {
-            "coding.txt": "5c7dc81a93b9f812a409257fbdd22b14886515935bbe1c246a66b0bb6a17867d",
+            "coding.txt": "7cca1e0414114732be0f6b39c3a8390343b7d2d594312ea962653c6e27b83134",
             # 3000 draws cover part of the 2187 paths, so this file pins the
             # seeded prefix stream
             "coded.csv": "4a1ecd1f6202e273cb99a3f4304b194d3a6616cbf9d182686734bff615729124",
@@ -879,8 +971,8 @@ PINNED_OUTPUT_DIGESTS = {
     "coding lopsided": (
         ["coding", "--instance", "{lopsided}", "--count", "40", "--seed", "3"],
         {
-            "stdout": "0afb3b72e9930f8b43d369e5a121008d8f5bc60c03a72148b6986e949ae37db9",
-            "coding.txt": "0afb3b72e9930f8b43d369e5a121008d8f5bc60c03a72148b6986e949ae37db9",
+            "stdout": "787af04303b636f90d6929f9583aa7231e56aa9cf346f718e86d02e887bb48e8",
+            "coding.txt": "787af04303b636f90d6929f9583aa7231e56aa9cf346f718e86d02e887bb48e8",
             "coded.csv": "3ea9e36104b4ca21539981a0dc9b17c84423abe304a985053d1d3c2a21ef6a18",
         },
     ),

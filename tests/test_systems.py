@@ -280,7 +280,7 @@ def test_k_surjective_gasket_attractor():
     sys = shipped("s1")
     h = 1 / 128
     start = _fiber_tuple(sys, h)
-    gasket, cert = compute_attractor(sys, (1,), start, tol=2 * h)
+    gasket, cert = compute_attractor(sys, (1,), start)
     assert cert.converged
     rep = check_k_surjective(sys, (1,), gasket, tol=2 * h)
     assert rep.passed, rep.distances
