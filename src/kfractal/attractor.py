@@ -142,9 +142,13 @@ def _window_distance(a: np.ndarray, b: np.ndarray, metric) -> float:
 
 
 def _round_up(x: Fraction) -> float:
-    """The least float at or above the rational x: the one outward rounding
-    of a bound evaluated exactly, so a bound that is a float stays exact."""
-    f = float(x)
+    """The least float at or above the rational x (inf above the float
+    range): the one outward rounding of a bound evaluated exactly, so a
+    bound that is a float stays exact."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return math.inf
     return f if f >= x else math.nextafter(f, math.inf)
 
 

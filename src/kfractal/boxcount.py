@@ -21,11 +21,11 @@ def occupied_cells(lattice: np.ndarray, factor: int = 1) -> int:
     return len(_canonical(np.asarray(lattice, dtype=np.int64) // factor))
 
 
-def dimension_estimate(sets: SetTuple, vertex: str, coarse: int = 2) -> float:
-    """log(N_fine / N_coarse) / log(coarse) between the native grid and a
-    coarsened one."""
+def dimension_estimate(sets: SetTuple, vertex: str) -> float:
+    """log2(N_fine / N_coarse) between the native grid and the one of twice
+    its pitch."""
     n_fine = len(sets.clouds[vertex])
-    n_coarse = len(sets.coarsen(coarse).clouds[vertex])
+    n_coarse = len(sets.coarsen(2).clouds[vertex])
     if n_fine == 0 or n_coarse == 0:
         return 0.0
-    return math.log(n_fine / n_coarse) / math.log(coarse)
+    return math.log(n_fine / n_coarse) / math.log(2)

@@ -172,7 +172,21 @@ def _pitch_and_tol(args, sys_) -> tuple[float, float]:
         except ValueError as exc:
             raise InstanceFormatError(f"fiber {f.vertex!r}: {exc}") from None
     tol = args.tol if args.tol is not None else 4.0 * h
+    if tol == math.inf:
+        raise InstanceFormatError(f"the default --tol, 4·pitch, overflows at pitch {h!r}: give --tol")
     return h, tol
+
+
+def _start_grid(sys_, h):
+    """The fiber grids of pitch h, the start of every run; a fiber that
+    holds no grid point is an input error."""
+    from .attractor import SetTuple
+
+    C0 = SetTuple.from_fibers(sys_, h)
+    for v, cloud in C0.clouds.items():
+        if len(cloud) == 0:
+            raise InstanceFormatError(f"fiber {v!r}: no grid point of pitch {h!r} lies in it")
+    return C0
 
 
 def _require_tol(sys_, degree, C0, tol: float) -> None:
@@ -208,7 +222,7 @@ def _prepare_mw(args):
 
 
 def cmd_attractor(args) -> int:
-    from .attractor import SetTuple, compute_attractor
+    from .attractor import compute_attractor
     from .boxcount import dimension_estimate
 
     sys_ = _prepare_mw(args)
@@ -216,7 +230,7 @@ def cmd_attractor(args) -> int:
         return FAIL
     h, tol = _pitch_and_tol(args, sys_)
     degree = _parse_degree(args.degree, sys_.graph.k) or sys_.diagonal_degree
-    C0 = SetTuple.from_fibers(sys_, h)
+    C0 = _start_grid(sys_, h)
     _require_tol(sys_, degree, C0, tol)
     out = _outdir(args)
     K, cert = compute_attractor(sys_, degree, C0, max_iter=args.max_iter)
@@ -225,7 +239,7 @@ def cmd_attractor(args) -> int:
     lines = [f"instance: {sys_.name or args.instance}",
              f"degree: {degree}", f"pitch: {h!r}", cert.summary()]
     for v in K.vertices():
-        est = dimension_estimate(K, v, coarse=2)
+        est = dimension_estimate(K, v)
         lines.append(f"vertex {v}: points={len(K.clouds[v])} boxdim~{est:.4f}")
         if sys_.dim == 2:
             write_pgm(K, v, out / f"attractor_{v}.pgm")
@@ -235,7 +249,7 @@ def cmd_attractor(args) -> int:
 
 
 def cmd_coding(args) -> int:
-    from .attractor import SetTuple, compute_attractor
+    from .attractor import compute_attractor
     from .coding import (
         _require_codable,
         check_intertwining,
@@ -270,7 +284,7 @@ def cmd_coding(args) -> int:
             path_budget(sys_.graph, deep, 20)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
-    C0 = SetTuple.from_fibers(sys_, h)
+    C0 = _start_grid(sys_, h)
     _require_tol(sys_, sys_.diagonal_degree, C0, tol)
     out = _outdir(args)
     K, cert = compute_attractor(sys_, sys_.diagonal_degree, C0, max_iter=args.max_iter)
@@ -316,14 +330,13 @@ def cmd_coding(args) -> int:
 
 
 def cmd_diagonal(args) -> int:
-    from .attractor import SetTuple
     from .diagonal import check_diagonal_agreement
 
     sys_ = _prepare_mw(args)
     if sys_ is None:
         return FAIL
     h, tol = _pitch_and_tol(args, sys_)
-    C0 = SetTuple.from_fibers(sys_, h)
+    C0 = _start_grid(sys_, h)
     _require_tol(sys_, sys_.diagonal_degree, C0, tol)
     out = _outdir(args)
     rep = check_diagonal_agreement(sys_, tol, C0, max_iter=args.max_iter)

@@ -46,28 +46,20 @@ def _require_codable(sys: MWSystem, depth) -> None:
         )
 
 
-def _basepoint(sys: MWSystem, vertex: str, rule):
-    if rule == "centroid":
-        return sys.fibers[vertex].basepoint()
-    if callable(rule):
-        return np.asarray(rule(vertex), dtype=float)
-    return np.asarray(rule[vertex], dtype=float)
-
-
-def code_point(sys: MWSystem, path: Path, basepoint="centroid") -> CodedPoint:
-    """Image of the source fiber's basepoint under the map of the finite
-    prefix ``path``, which codes the attractor points of its infinite
-    extensions.
+def code_point(sys: MWSystem, path: Path) -> CodedPoint:
+    """Image of the source fiber's basepoint (its centroid) under the map of
+    the finite prefix ``path``, which codes the attractor points of its
+    infinite extensions.
 
     The returned error radius (prefix Lipschitz bound times source fiber
-    diameter) covers the whole image, so any two basepoint rules give points
-    within twice that radius of each other.
+    diameter) covers the whole image, so the image of any other point of
+    the source fiber lies within twice that radius of the coded point.
     """
     _require_codable(sys, path.degree)
     m = extend_map(sys, path)
-    b = _basepoint(sys, path.source_vertex, basepoint)
-    err = lipschitz_bound(m, sys.metric) * sys.fibers[path.source_vertex].diameter()
-    return CodedPoint(m.apply(b), err)
+    fiber = sys.fibers[path.source_vertex]
+    err = lipschitz_bound(m, sys.metric) * fiber.diameter()
+    return CodedPoint(m.apply(fiber.basepoint()), err)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +210,7 @@ def required_depth(sys: MWSystem, target_error: float) -> int:
 
 
 def check_intertwining(
-    sys: MWSystem, lam: Path, prefixes, tol: float, basepoint="centroid"
+    sys: MWSystem, lam: Path, prefixes, tol: float
 ) -> IntertwiningReport:
     """Compare coding-then-mapping against prepend-then-coding.
 
@@ -233,12 +225,12 @@ def check_intertwining(
     for prefix in prefixes:
         if prefix.range_vertex != lam.source_vertex:
             raise KGraphError("prefix not rooted at the path's source")
-        base = code_point(sys, prefix, basepoint)
+        base = code_point(sys, prefix)
         if base.error_radius > tol / 4.0:
             rep.insufficient_depth = True
             rep.required_total_depth = required_depth(sys, tol / 4.0)
             return rep
-        lhs = code_point(sys, compose(lam, prefix), basepoint)
+        lhs = code_point(sys, compose(lam, prefix))
         rhs = sig.apply(base.point)
         dist = _metric_dist(lhs.point, rhs, sys.metric)
         allowed = tol + lhs.error_radius + sig_lip * base.error_radius
@@ -260,7 +252,6 @@ def coded_cloud(
     origin=None,
     count: int | None = None,
     seed: int = 0,
-    basepoint="centroid",
 ) -> tuple[SetTuple, float]:
     """Per vertex, the snapped cloud of coded points over vΛ^depth, plus the
     uniform error radius valid for every point.
@@ -285,9 +276,7 @@ def coded_cloud(
 
     path_budget(g, depth, count)
     if count is None:
-        clouds = {
-            v: np.atleast_2d(_basepoint(sys, v, basepoint)) for v in g.vertices
-        }
+        clouds = {v: np.atleast_2d(sys.fibers[v].basepoint()) for v in g.vertices}
         for color in range(g.k, 0, -1):
             for _ in range(depth[color - 1]):
                 nxt = {}
@@ -301,14 +290,14 @@ def coded_cloud(
         return SetTuple.from_points(origin, pitch, clouds), err
 
     clouds = {
-        v: _coded_points(sys, v, sample_prefixes(g, v, depth, count, seed=seed), basepoint)
+        v: _coded_points(sys, v, sample_prefixes(g, v, depth, count, seed=seed))
         for v in g.vertices
     }
     return SetTuple.from_points(origin, pitch, clouds), err
 
 
-def _coded_points(sys: MWSystem, v: str, rows: np.ndarray, basepoint) -> np.ndarray:
-    """``code_point(sys, path, basepoint).point`` for the path with range v
+def _coded_points(sys: MWSystem, v: str, rows: np.ndarray) -> np.ndarray:
+    """``code_point(sys, path).point`` for the path with range v
     of every row of edge numbers (positions in ``sorted(sys.graph.edges)``),
     as rows, bit for bit.
 
@@ -337,7 +326,7 @@ def _coded_points(sys: MWSystem, v: str, rows: np.ndarray, basepoint) -> np.ndar
     out = np.empty((n, dim))
     for i in np.unique(sources):
         at = sources == i
-        out[at] = m[at] @ _basepoint(sys, g.vertices[i], basepoint) + s[at]
+        out[at] = m[at] @ sys.fibers[g.vertices[i]].basepoint() + s[at]
     return out
 
 

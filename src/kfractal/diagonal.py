@@ -71,7 +71,7 @@ class TransferReport:
 
 
 def check_intertwining_transfer(
-    dsys: DiagonalSystem, words, tol: float, basepoint="centroid"
+    dsys: DiagonalSystem, words, tol: float
 ) -> TransferReport:
     """Verify that coding commutes with the collapse, three ways per sample.
 
@@ -94,15 +94,15 @@ def check_intertwining_transfer(
                 continue
             ew = (ident,) + tuple(word)
             collapse_path = path_from_word(sys.graph, e.range_vertex, ew)
-            lhs = code_point(sys, collapse_path, basepoint)
+            lhs = code_point(sys, collapse_path)
 
             base_path = path_from_word(sys.graph, e.source_vertex, tuple(word))
-            base = code_point(sys, base_path, basepoint)
+            base = code_point(sys, base_path)
             gen = sys.generators[ident]
             mid = gen.apply(base.point)
 
             expanded = word_to_path(dsys.graph, ew, e.range_vertex)
-            via_source = code_point(src, expanded, basepoint)
+            via_source = code_point(src, expanded)
 
             allowed = tol + lhs.error_radius + lipschitz_bound(gen, metric) * base.error_radius
             d1 = _metric_dist(lhs.point, mid, metric)

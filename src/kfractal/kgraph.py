@@ -192,30 +192,40 @@ def _check_raw_word(g: KGraph, range_vertex: str, word) -> None:
         at = e.source_vertex
 
 
-def _normalize(g: KGraph, word) -> tuple[str, ...]:
-    """Sort a composable word by color using the square bijections.
+def _swap(g: KGraph, w: list[str], t: int) -> None:
+    """Rewrite w[t] w[t + 1], two edges of different colors, in place as the
+    other factorization of their morphism: an ascending pair through the
+    squares, a descending one through their inverses.  Every word rewrite is
+    a run of these, and unique factorization makes their order immaterial."""
+    a, b = w[t], w[t + 1]
+    ca, cb = g.edge(a).color, g.edge(b).color
+    if ca < cb:
+        order, table = "ascending", g.squares.get((ca, cb), {})
+    else:
+        order, table = "descending", g.squares_inv.get((cb, ca), {})
+    try:
+        w[t], w[t + 1] = table[(a, b)]
+    except KeyError:
+        raise KGraphError(f"no square entry for {order} pair ({a}, {b})") from None
 
-    Each swap rewrites a descending adjacent pair through the inverse square
-    table; the inversion count drops by one per swap, so this terminates.
-    Uniqueness of the result is the normal-form property certified by
-    ``validate_kgraph``.
-    """
+
+def _rearrange(g: KGraph, word: list[str], keys: list) -> None:
+    """Insertion-sort ``word`` in place by ``keys``, one per position and
+    moved along with its edge, so the sort ends after at most len(word)**2/2
+    exchanges whatever the square tables hold; every exchange is a ``_swap``."""
+    for j in range(1, len(word)):
+        t = j - 1
+        while t >= 0 and keys[t] > keys[t + 1]:
+            _swap(g, word, t)
+            keys[t], keys[t + 1] = keys[t + 1], keys[t]
+            t -= 1
+
+
+def _normalize(g: KGraph, word) -> tuple[str, ...]:
+    """Sort a composable word by color with ``_rearrange``.  Uniqueness of
+    the result is the normal-form property certified by ``validate_kgraph``."""
     w = list(word)
-    i = 0
-    while i < len(w) - 1:
-        a, b = g.edge(w[i]), g.edge(w[i + 1])
-        if a.color > b.color:
-            table = g.squares_inv.get((b.color, a.color), {})
-            try:
-                e, f = table[(w[i], w[i + 1])]
-            except KeyError:
-                raise KGraphError(
-                    f"no square entry for descending pair ({w[i]}, {w[i + 1]})"
-                ) from None
-            w[i], w[i + 1] = e, f
-            i = max(i - 1, 0)
-        else:
-            i += 1
+    _rearrange(g, w, [g.edge(e).color for e in w])
     return tuple(w)
 
 
@@ -239,41 +249,14 @@ def compose(p: Path, q: Path) -> Path:
     return Path(p.graph, p.range_vertex, _normalize(p.graph, p.edges + q.edges))
 
 
-def _pull_color_to_front(g: KGraph, word: list[str], color: int) -> str:
-    """Rewrite ``word`` in place so its head is its unique leading edge of
-    the given color, and return that edge id.
-
-    The first color-``color`` edge is moved left through the lower-color
-    prefix with forward square applications.
-    """
-    idx = None
-    for t, ident in enumerate(word):
-        if g.edge(ident).color == color:
-            idx = t
-            break
-    if idx is None:
-        raise KGraphError(f"no color-{color} edge to extract")
-    for t in range(idx - 1, -1, -1):
-        a = word[t]
-        x = word[t + 1]
-        ca = g.edge(a).color
-        table = g.squares.get((ca, color), {})
-        try:
-            x2, a2 = table[(a, x)]
-        except KeyError:
-            raise KGraphError(
-                f"no square entry for ascending pair ({a}, {x})"
-            ) from None
-        word[t], word[t + 1] = x2, a2
-    return word.pop(0)
-
-
 def factorize(p: Path, m: Degree) -> tuple[Path, Path]:
     """Split p as (head, tail) with d(head) = m.
 
-    The splitting is the unique one guaranteed by the factorization property;
-    uniqueness is exercised exhaustively by the test suite rather than
-    assumed here.
+    One ``_rearrange`` by the key (edge is past the first m_c edges of its
+    color c, c) moves each head edge left across the tail edges before it,
+    nearest first; the word is then split after |m| edges.  The splitting is
+    the unique one of the factorization property; uniqueness is exercised
+    exhaustively by the test suite rather than assumed here.
     """
     d = p.degree
     if len(m) != p.graph.k or any(c < 0 for c in m):
@@ -281,13 +264,14 @@ def factorize(p: Path, m: Degree) -> tuple[Path, Path]:
     if not degree_leq(m, d):
         raise KGraphError(f"degree {m} not dominated by d(p)={d}")
     g = p.graph
-    rest = list(p.edges)
-    head: list[str] = []
-    for color in range(1, g.k + 1):
-        for _ in range(m[color - 1]):
-            head.append(_pull_color_to_front(g, rest, color))
-    mu = Path(g, p.range_vertex, tuple(head))
-    nu = Path(g, mu.source_vertex, tuple(rest))
+    w, keys, seen = list(p.edges), [], [0] * g.k
+    for e in w:
+        c = g.edge(e).color
+        keys.append((seen[c - 1] >= m[c - 1], c))
+        seen[c - 1] += 1
+    _rearrange(g, w, keys)
+    mu = Path(g, p.range_vertex, tuple(w[:sum(m)]))
+    nu = Path(g, mu.source_vertex, tuple(w[sum(m):]))
     return mu, nu
 
 
@@ -465,9 +449,7 @@ def validate_kgraph(g: KGraph) -> ValidationReport:
 def _swap_schedule(g: KGraph, word: tuple[str, ...], junctions) -> tuple[str, ...]:
     w = list(word)
     for t in junctions:
-        a, b = g.edge(w[t]), g.edge(w[t + 1])
-        e, f = g.squares_inv[(b.color, a.color)][(w[t], w[t + 1])]
-        w[t], w[t + 1] = e, f
+        _swap(g, w, t)
     return tuple(w)
 
 

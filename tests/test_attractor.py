@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -365,6 +366,16 @@ def test_max_iter_run_measures_its_last_step_exactly(monkeypatch):
     assert cert.displacement == exact
     assert cert.error_bound == collage_bound(cert.contraction, cert.eps, exact)
     assert f"displacement={exact:.6g} " in cert.summary()
+
+
+def test_collage_bound_above_the_float_range_is_inf():
+    top = sys.float_info.max
+    assert attractor._round_up(Fraction(top)) == top
+    assert attractor._round_up(Fraction(top) + 1) == math.inf
+    assert attractor._round_up(Fraction(2) ** 1100) == math.inf
+    # s1 at pitch 1.7e308 has eps about 1.2e308, and eps/(1 - 1/2) is above
+    # the float range
+    assert collage_bound(0.5, 1.2e308) == math.inf
 
 
 def _fiber_systems():

@@ -114,11 +114,13 @@ def test_code_point_relaxed_requires_diagonal():
 
 
 def test_basepoint_rules_stay_within_twice_error():
+    # the coded point is the centroid's image; the image of another point of
+    # the source fiber, here its corner 0, lies within twice the radius
     sys = shipped("s1")
     p = word_path(sys.graph, ["a1", "a2", "a0", "a1"])
-    a = code_point(sys, p, basepoint="centroid")
-    b = code_point(sys, p, basepoint={"v": np.array([0.0, 0.0])})
-    assert np.linalg.norm(a.point - b.point) <= a.error_radius + b.error_radius
+    a = code_point(sys, p)
+    b = extend_map(sys, p).apply(np.array([0.0, 0.0]))
+    assert np.linalg.norm(a.point - b) <= 2 * a.error_radius
 
 
 # ---------------------------------------------------------------------------
@@ -519,19 +521,22 @@ def raw_clouds(monkeypatch):
     return seen
 
 
+_SAMPLED_CASES = [
+    ("s1", (7,), 2000),
+    ("s1", (12,), 500),
+    ("s1", (0,), 4),
+    ("p2c", (6, 6), 800),
+    ("product", (5, 5), 800),
+    ("lopsided", (9,), 300),
+]
+
+
+# every coded point is the image of its source fiber's centroid, as the ids say
 @pytest.mark.parametrize(
-    "name, depth, count, basepoint",
-    [
-        ("s1", (7,), 2000, "centroid"),
-        ("s1", (12,), 500, "centroid"),
-        ("s1", (0,), 4, "centroid"),
-        ("p2c", (6, 6), 800, "centroid"),
-        ("product", (5, 5), 800, "centroid"),
-        ("lopsided", (9,), 300, "centroid"),
-        ("lopsided", (6,), 300, {"u": (0.9,), "w": (0.05,)}),
-    ],
+    "name, depth, count", _SAMPLED_CASES,
+    ids=[f"{name}-depth{i}-{count}-centroid" for i, (name, _, count) in enumerate(_SAMPLED_CASES)],
 )
-def test_sampled_coded_cloud_equals_code_point(raw_clouds, name, depth, count, basepoint):
+def test_sampled_coded_cloud_equals_code_point(raw_clouds, name, depth, count):
     if name == "product":
         sys = _product_system(seed=2)
     elif name == "lopsided":
@@ -539,11 +544,11 @@ def test_sampled_coded_cloud_equals_code_point(raw_clouds, name, depth, count, b
     else:
         sys = shipped(name)
     g = sys.graph
-    coded_cloud(sys, depth, pitch=1 / 64, count=count, seed=8, basepoint=basepoint)
+    coded_cloud(sys, depth, pitch=1 / 64, count=count, seed=8)
     assert set(raw_clouds) == set(g.vertices)
     for v in g.vertices:
         paths = sampled_paths(g, depth, count, 8, v=v)
-        want = np.array([code_point(sys, p, basepoint).point for p in paths])
+        want = np.array([code_point(sys, p).point for p in paths])
         got = raw_clouds[v]
         assert got.shape == want.shape
         assert got.dtype == want.dtype

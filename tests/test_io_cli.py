@@ -660,6 +660,46 @@ def test_cli_pitch_too_fine_to_allocate_exits_2_in_one_line(tmp_path, capsys, co
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["attractor", "coding", "diagonal"])
+def test_cli_fiber_without_grid_points_exits_2_in_one_line(tmp_path, capsys, command):
+    # a ball of radius 0.01 at (0.3, 0.3), mapped into itself, holds no
+    # point of the pitch-0.25 grid
+    doc = json.loads(packaged_instance("s1").read_text())
+    doc["edges"] = [[{"id": "a", "r": "v", "s": "v"}]]
+    doc["fibers"]["v"]["region"] = {"type": "ball", "center": [0.3, 0.3], "radius": 0.01}
+    doc["maps"] = {"a": {"matrix": [[0.5, 0.0], [0.0, 0.5]], "translation": [0.15, 0.15]}}
+    dot = tmp_path / "dot.json"
+    dot.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--instance", str(dot), "--pitch", "0.25", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fiber 'v': no grid point of pitch 0.25 lies in it\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, instance, pitch", [("attractor", "s1", "1.7e308"),
+                                                      ("diagonal", "p2c", "1e308")])
+def test_cli_pitch_whose_default_tol_overflows_exits_2_in_one_line(tmp_path, capsys, command,
+                                                                   instance, pitch):
+    out = tmp_path / "out"
+    argv = [command, "--instance", instance, "--pitch", pitch, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the default --tol, 4·pitch, overflows at pitch "
+                            f"{float(pitch)!r}: give --tol\n")
+    assert not out.exists()
+    if command == "attractor":
+        # with a finite --tol, the least bound at this pitch is above the
+        # float range, so it reads inf, not a traceback
+        assert main([*argv, "--tol", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol 1e+308 is below inf, the least error bound")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 def test_cli_numeric_flags_are_typed():
     args = build_parser().parse_args(
         ["coding", "--instance", "s1", "--pitch", "0.25", "--tol", "1e-3",

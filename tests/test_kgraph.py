@@ -7,6 +7,7 @@ than by the code under test.
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -87,6 +88,43 @@ def test_missing_square_reported():
         {(1, 2): {}},
     )
     assert "square-incomplete" in validate_kgraph(g).codes()
+
+
+def _one_square_2graph():
+    """Loops b0, b1 (color 1) and r0, r1 (color 2) with the one square
+    b1 r1 = r0 b0, so most two-edge words have no other factorization."""
+    return KGraph(
+        2, ["v"],
+        {1: [("b0", "v", "v"), ("b1", "v", "v")], 2: [("r0", "v", "v"), ("r1", "v", "v")]},
+        {(1, 2): {("b1", "r1"): ("r0", "b0")}},
+    )
+
+
+def test_normal_form_names_the_descending_pair_without_a_square():
+    # r0 b0 becomes b1 r1 by the inverse square, then r1 b1 has none
+    g = _one_square_2graph()
+    msg = re.escape("no square entry for descending pair (r1, b1)")
+    with pytest.raises(KGraphError, match=msg):
+        path_from_word(g, "v", ("r0", "b0", "b1"))
+    with pytest.raises(KGraphError, match=msg):
+        compose(Path(g, "v", ("r0",)), Path(g, "v", ("b0", "b1")))
+
+
+def test_factorize_names_the_ascending_pair_without_a_square():
+    # r1 crosses b1 first (b1 r1 = r0 b0), then b0 r0 has no square
+    g = _one_square_2graph()
+    with pytest.raises(KGraphError, match=r"no square entry for ascending pair \(b0, r0\)"):
+        factorize(Path(g, "v", ("b0", "b1", "r1")), (0, 1))
+
+
+def test_normal_form_ends_on_a_wrong_colored_square():
+    # the entry's key and value both read r b, so sorting by rereading the
+    # colors would swap r b for itself forever; the sort makes one swap
+    g = KGraph(2, ["v"], {1: [("b", "v", "v")], 2: [("r", "v", "v")]},
+               {(1, 2): {("r", "b"): ("r", "b")}})
+    assert "wrong-color" in validate_kgraph(g).codes()
+    with pytest.raises(KGraphError, match="edge list not color-sorted at 'b'"):
+        path_from_word(g, "v", ("r", "b"))
 
 
 def test_dangling_ids_are_structural():
