@@ -265,6 +265,11 @@ def cmd_coding(args) -> int:
     if sys_ is None:
         return FAIL
     h, tol = _pitch_and_tol(args, sys_)
+    # the coded cloud is compared within tol + 2h + 2·err; a threshold that
+    # overflows to inf would pass without checking anything
+    if tol + 2.0 * h == math.inf:
+        raise InstanceFormatError(
+            f"--tol {tol!r} plus 2·pitch overflows at pitch {h!r}: give a smaller --tol or --pitch")
     k = sys_.graph.k
     if args.degree:
         depth = _parse_degree(args.degree, k)
@@ -294,6 +299,10 @@ def cmd_coding(args) -> int:
         return NO_CONVERGENCE
     T2, err = coded_cloud(sys_, depth, pitch=h, seed=args.seed, count=args.count)
     agree_tol = tol + 2.0 * h + 2.0 * err
+    if agree_tol == math.inf:
+        raise InstanceFormatError(
+            f"the agreement threshold, --tol {tol!r} + 2·pitch + 2·coded error {err!r}, "
+            "overflows")
     agree = compare_attractor_coding(sys_, K, T2, agree_tol)
     sub = check_subsystem(sys_, T2, tol=2.0 * h + 2.0 * err)
     lines = [

@@ -324,7 +324,8 @@ def _coded_points(sys: MWSystem, v: str, rows: np.ndarray) -> np.ndarray:
         edge_source = np.array([g.vertices.index(g.edge(e).source_vertex) for e in ids])
         sources = edge_source[rows[:, -1]]
     out = np.empty((n, dim))
-    for i in np.unique(sources):
+    # the source vertices present, ascending (a 1-d np.unique imports numpy.ma)
+    for i in np.flatnonzero(np.bincount(sources)):
         at = sources == i
         out[at] = m[at] @ sys.fibers[g.vertices[i]].basepoint() + s[at]
     return out

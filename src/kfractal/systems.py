@@ -233,16 +233,31 @@ def grid_axes(region, pitch, origin) -> list[np.ndarray]:
     return [np.arange(int(a), int(b) + 1) for a, b in zip(start, stop)]
 
 
+# grid points built and tested at a time by ``grid_indices``, so that the
+# bounding-box mesh of a large fiber is never held whole
+_GRID_SLAB_POINTS = 1 << 14
+
+
 def grid_indices(region, pitch, origin=None):
     """Lattice indices, relative to origin, of the grid points of the given
     pitch inside a region (with boundary slack): sorted, duplicate-free,
     C-contiguous int64 rows, because the mesh is built in ``ij`` order.  Too
-    large a grid raises ValueError."""
+    large a grid raises ValueError, counted by ``grid_axes`` first.
+
+    The mesh is built in slabs of whole rows of the first axis, at most
+    ``_GRID_SLAB_POINTS`` points each (one row when a row holds more), and
+    the rows each slab keeps are concatenated: the transient memory is about
+    twice the kept rows, not the bounding box."""
     d = region.dim
     origin = np.zeros(d) if origin is None else np.asarray(origin, dtype=float)
-    axes = grid_axes(region, pitch, origin)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    return mesh[region.contains(origin + pitch * mesh, tol=pitch * 1e-6)]
+    first, *rest = grid_axes(region, pitch, origin)
+    step = max(1, _GRID_SLAB_POINTS // math.prod(map(len, rest)))
+    kept = []
+    for start in range(0, len(first), step):
+        axes = np.meshgrid(first[start:start + step], *rest, indexing="ij")
+        mesh = np.stack(axes, axis=-1).reshape(-1, d)
+        kept.append(mesh[region.contains(origin + pitch * mesh, tol=pitch * 1e-6)])
+    return np.concatenate(kept)
 
 
 def grid_points(region, pitch, origin=None):

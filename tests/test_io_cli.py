@@ -700,6 +700,41 @@ def test_cli_pitch_whose_default_tol_overflows_exits_2_in_one_line(tmp_path, cap
         assert not out.exists()
 
 
+def test_cli_coding_threshold_that_overflows_exits_2_in_one_line(tmp_path, capsys):
+    # tol + 2·pitch is inf: the agreement check would pass without checking
+    # anything, so it is refused before --out is created
+    out = tmp_path / "out"
+    argv = ["coding", "--instance", "s1", "--pitch", "1e308", "--tol", "1.7e308", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --tol 1.7e+308 plus 2·pitch overflows at pitch 1e+308: "
+                            "give a smaller --tol or --pitch\n")
+    assert not out.exists()
+
+
+def test_cli_coding_coded_error_that_overflows_exits_2_in_one_line(tmp_path, capsys):
+    # a box so wide that its diameter, and so the coded error, is inf
+    doc = json.loads(packaged_instance("s1").read_text())
+    doc["c"] = 0.9
+    doc["edges"] = [[{"id": "a", "r": "v", "s": "v"}]]
+    doc["fibers"]["v"]["region"] = {"type": "box", "min": [0.0, 0.0], "max": [1.2e308, 1.2e308]}
+    doc["maps"] = {"a": {"matrix": [[0.9, 0.0], [0.0, 0.9]], "translation": [0.0, 0.0]}}
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["coding", "--instance", str(wide), "--degree", "1", "--pitch", "1e306",
+            "--tol", "5e307", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the diameter's overflow
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the agreement threshold, --tol 5e+307 + 2·pitch + "
+                            "2·coded error inf, overflows\n")
+    assert not (out / "coding.txt").exists() and not (out / "coded.csv").exists()
+
+
 def test_cli_numeric_flags_are_typed():
     args = build_parser().parse_args(
         ["coding", "--instance", "s1", "--pitch", "0.25", "--tol", "1e-3",

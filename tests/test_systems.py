@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from kfractal import systems
 from kfractal.attractor import SetTuple
 from kfractal.kgraph import KGraph, Path, compose, enumerate_paths, factorize
 from kfractal.systems import (
@@ -19,10 +21,13 @@ from kfractal.systems import (
     Box,
     MetricFiber,
     MWSystem,
+    PointSet,
     Polygon,
     check_k_surjective,
     exact_after,
     extend_map,
+    grid_axes,
+    grid_indices,
     grid_points,
     lipschitz_bound,
     validate_system,
@@ -72,6 +77,78 @@ def test_grid_points_cover_box():
     pts = grid_points(Box((0.0, 0.0), (1.0, 1.0)), 0.25)
     assert len(pts) == 25
     assert pts.min() == 0.0 and pts.max() == 1.0
+
+
+def one_shot_grid_indices(region, pitch, origin=None):
+    """The whole bounding-box mesh built at once and tested at once: the
+    reference for the slabs of ``grid_indices``."""
+    d = region.dim
+    origin = np.zeros(d) if origin is None else np.asarray(origin, dtype=float)
+    axes = grid_axes(region, pitch, origin)
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    return mesh[region.contains(origin + pitch * mesh, tol=pitch * 1e-6)]
+
+
+# (region, pitch) per kind and dimension; a Polygon is planar.  Each first
+# axis has 13 to 17 rows, so no slab size below divides it and the last slab
+# is short.
+SLAB_REGIONS = {
+    "box-1": (Box((-0.3,), (0.9,)), 0.1),
+    "box-2": (Box((0.0, -0.2), (1.5, 0.7)), 0.1),
+    "box-3": (Box((0.0, 0.0, 0.0), (1.3, 0.4, 0.3)), 0.1),
+    "ball-1": (Ball((0.05,), 0.7), 0.1),
+    "ball-2": (Ball((0.0, 0.1), 0.75), 0.1),
+    "ball-3": (Ball((0.2, 0.0, -0.1), 0.7), 0.1),
+    "polygon-2": (Polygon(((0.0, 0.0), (1.4, 0.1), (0.3, 1.0))), 0.1),
+    "pointset-1": (PointSet([[0.0], [0.5], [1.25]]), 0.25),
+    "pointset-2": (PointSet([[0.0, 0.0], [0.5, 3.0], [3.25, 1.0], [1.0, 1.1]]), 0.25),
+    "pointset-3": (PointSet([[0.0, 0.0, 0.0], [3.5, 0.25, 0.5], [1.0, 0.5, 0.75]]), 0.25),
+    # a ball between the grid points keeps none of them
+    "empty-2": (Ball((0.31, 0.31), 0.01), 0.25),
+}
+
+# the slab size, from the first axis's length n and a row's width w
+SLAB_SIZES = {
+    "whole-grid-in-one-block": lambda n, w: n * w,
+    "one-block-plus-one-row": lambda n, w: (n - 1) * w,
+    "three-rows-and-a-bit": lambda n, w: 3 * w + 1,
+    "row-wider-than-the-block": lambda n, w: w - 1,
+    "default": lambda n, w: systems._GRID_SLAB_POINTS,
+}
+
+
+@pytest.mark.parametrize("name", SLAB_REGIONS)
+@pytest.mark.parametrize("slab", SLAB_SIZES)
+@pytest.mark.parametrize("origin", [None, (0.037, -0.011, 0.052)])
+def test_grid_indices_slabs_equal_the_one_shot_mesh(monkeypatch, name, slab, origin):
+    region, pitch = SLAB_REGIONS[name]
+    origin = None if origin is None else origin[:region.dim]
+    first, *rest = grid_axes(region, pitch, np.zeros(region.dim) if origin is None else origin)
+    n, w = len(first), math.prod(map(len, rest))
+    monkeypatch.setattr(systems, "_GRID_SLAB_POINTS", SLAB_SIZES[slab](n, w))
+    got = grid_indices(region, pitch, origin)
+    want = one_shot_grid_indices(region, pitch, origin)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert got.shape == want.shape and np.array_equal(got, want)
+    # the shifted lattice misses every point of a point set
+    empty = name.startswith("empty") or (name.startswith("pointset") and origin is not None)
+    assert (len(got) == 0) == empty
+
+
+def test_start_grid_peak_memory_is_about_twice_its_rows():
+    # s1's triangle at its default pitch: the bounding-box mesh and its
+    # containment temporaries once peaked at 23.5 MiB for 1.7 MiB of rows
+    s1 = shipped("s1")
+    h = max(f.diameter() for f in s1.fibers.values()) / 512.0
+    tracemalloc.start()
+    try:
+        C0 = SetTuple.from_fibers(s1, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(rows.nbytes for rows in C0.clouds.values())
+    assert kept > 1 << 20
+    assert peak <= 2 * kept + (4 << 20), (peak, kept)
 
 
 @pytest.mark.parametrize("pitch", [1 / 4096, 1e-9, 5e-324])
