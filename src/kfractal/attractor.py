@@ -2,8 +2,12 @@
 
 Compact sets are represented by finite point clouds snapped to a regular
 grid.  Snapping keeps unions idempotent and memory bounded; storing lattice
-coordinates as integers makes equality and canonical ordering exact; dense
-clouds and unions are canonicalised by a scatter into an occupancy window.
+coordinates as integers makes equality and canonical ordering exact.
+Clouds and unions are canonicalised by numbering their cells in the
+bounding box: dense ones by a scatter into an occupancy window, sparse ones
+by a sort of the flat cell numbers.  Every pass over a cloud runs
+``BLOCK_ROWS`` rows at a time, so a step holds its input and output rows
+and a window, and no temporary that grows with the cloud.
 The operator maps lattice rows to lattice rows: a path map with a diagonal
 linear part sends each axis through a small table of snapped image indices,
 equal bit for bit to snapping its float image, and other maps are applied
@@ -280,39 +284,164 @@ def _chamfer(dist: np.ndarray) -> None:
 # sparser unions are sorted.
 WINDOW_CELLS_PER_POINT = 16
 
+# rows read, keyed and decoded at a time by every pass over a lattice cloud
+# (the images and read-back of ``_union``, and the grid writers), so that no
+# temporary grows with the cloud: a block's int64 column is 64 KiB, under
+# glibc's initial 128 KiB mmap threshold
+BLOCK_ROWS = 1 << 13
 
-def _union(images, rows: int) -> np.ndarray:
-    """np.unique of the rows of some images, ``rows`` rows in all (at least
-    one), as C-contiguous int64 rows.
+# a box of at most this many cells numbers its cells in int64
+_MAX_KEYED_CELLS = 1 << 62
 
-    An image is a list of per-axis (table, key) pairs: its column j is
-    ``table[key]``, and the tables' extremes bound the columns.  When the
-    box they span (sized in Python integers) holds at most
-    ``WINDOW_CELLS_PER_POINT`` cells per row, every image is scattered into
-    one occupancy window over it, read back in C order, which is
-    lexicographic; sparser unions are sorted row-wise.
+
+def _blocks(n: int):
+    """Slices of at most ``BLOCK_ROWS`` consecutive indices covering n."""
+    return (slice(s, s + BLOCK_ROWS) for s in range(0, n, BLOCK_ROWS))
+
+
+class _Image:
+    """The image rows of a nonempty lattice cloud, ``len(cloud)`` of them,
+    made a block of the cloud's rows at a time by ``block``.  ``ends``
+    holds per axis the least and greatest image coordinate, as Python
+    integers."""
+
+    cloud: np.ndarray
+    ends: list
+
+    def keys(self, lo, strides):
+        """Per block, the C-order flat cells sum_j (x_j - lo_j)*stride_j of
+        the image rows in a box at lo that numbers its cells in int64."""
+        for s in _blocks(len(self.cloud)):
+            rows = self.block(s)
+            flat = (rows[:, 0] - lo[0]) * strides[0]
+            for j in range(1, len(lo)):
+                flat += (rows[:, j] - lo[j]) * strides[j]
+            yield flat
+
+    def rows(self) -> np.ndarray:
+        return np.concatenate([self.block(s) for s in _blocks(len(self.cloud))])
+
+
+class _Rows(_Image):
+    """A cloud's rows floor-divided by a positive integer factor (1 keeps
+    them): the image of canonicalisation and of coarsening."""
+
+    def __init__(self, cloud: np.ndarray, factor: int = 1):
+        self.cloud, self.factor = cloud, factor
+        self.ends = [(int(col.min()) // factor, int(col.max()) // factor) for col in cloud.T]
+
+    def block(self, s):
+        rows = self.cloud[s]
+        return rows if self.factor == 1 else rows // self.factor
+
+
+class _Tabled(_Image):
+    """A cloud sent through one table per axis: column j of the image is
+    ``tables[j][cloud[:, j] - lows[j]]``."""
+
+    def __init__(self, cloud: np.ndarray, tables, lows):
+        self.cloud, self.tables, self.lows = cloud, tables, lows
+        self.ends = [(int(t.min()), int(t.max())) for t in tables]
+
+    def block(self, s):
+        return np.stack([t[col - low] for t, col, low
+                         in zip(self.tables, self.cloud[s].T, self.lows)], axis=1)
+
+    def keys(self, lo, strides):
+        # the tables are shifted and scaled once, so a block's flat cell is
+        # one gather and add per axis
+        scaled = [(t - low) * stride for t, low, stride in zip(self.tables, lo, strides)]
+        for s in _blocks(len(self.cloud)):
+            cols = self.cloud[s].T
+            flat = scaled[0][cols[0] - self.lows[0]]
+            for table, col, low in zip(scaled[1:], cols[1:], self.lows[1:]):
+                flat += table[col - low]
+            yield flat
+
+
+class _Snapped(_Image):
+    """A cloud's real points under an affine map, snapped back onto its
+    lattice; the extremes take one pass over the blocks."""
+
+    def __init__(self, m: AffineMap, C: "SetTuple", src: str):
+        self.m, self.origin, self.pitch = m, C.origin, C.pitch
+        self.cloud = C.clouds[src]
+        lows, highs = zip(*((b.min(axis=0), b.max(axis=0))
+                            for b in map(self.block, _blocks(len(self.cloud)))))
+        self.ends = list(zip(np.min(lows, axis=0).tolist(), np.max(highs, axis=0).tolist()))
+
+    def block(self, s):
+        points = self.origin + self.pitch * self.cloud[s].astype(float)
+        return _snap(self.m.apply(points), self.origin, self.pitch)
+
+
+def _decode(cells: np.ndarray, lo, strides, out: np.ndarray) -> None:
+    """Write into out the rows of the C-order flat cells of a box at lo;
+    cells is consumed."""
+    for j, stride in enumerate(strides[:-1]):
+        q = cells // stride
+        np.add(q, lo[j], out=out[:, j])
+        q *= stride
+        cells -= q
+    np.add(cells, lo[-1], out=out[:, -1])
+
+
+def _union(images) -> np.ndarray:
+    """np.unique of the rows of one or more images, as C-contiguous int64
+    rows.
+
+    Every pass runs ``BLOCK_ROWS`` source rows, or window cells, at a time.
+    The images' ends span a box, sized in Python integers.  Each block of
+    image rows becomes its C-order flat cells in that box: for a tabled
+    image one gather per axis from its tables, pre-shifted and scaled by the
+    box's strides.  When the box holds at most ``WINDOW_CELLS_PER_POINT``
+    cells per row, the cells are scattered into a 1-d occupancy window over
+    it; otherwise they are written into one int64 array, sorted, and kept
+    where they differ from their predecessor.  Either way the distinct
+    cells come out ascending, which is lexicographic row order, and are
+    decoded one block at a time into the preallocated result by floor
+    division per stride.  Only a box of more than 2^62 cells, which int64
+    cannot number, is sorted row-wise by np.unique.
     """
-    axes = list(zip(*images))
-    lo = [min(int(t.min()) for t, _ in col) for col in axes]
-    shape = tuple(max(int(t.max()) for t, _ in col) - low + 1 for col, low in zip(axes, lo))
-    if math.prod(shape) > WINDOW_CELLS_PER_POINT * rows:
-        return np.unique(
-            np.concatenate([np.stack([t[k] for t, k in img], axis=1) for img in images]),
-            axis=0,
-        )
-    window = np.zeros(shape, dtype=bool)
-    for img in images:
-        window[tuple((t - low)[k] for (t, k), low in zip(img, lo))] = True
-    cells = np.flatnonzero(window)
-    del window
-    out = np.stack(np.unravel_index(cells, shape), axis=1)
-    out += lo
+    rows = sum(len(img.cloud) for img in images)
+    lo = [min(img.ends[j][0] for img in images) for j in range(len(images[0].ends))]
+    shape = [max(img.ends[j][1] for img in images) - low + 1 for j, low in enumerate(lo)]
+    cells = math.prod(shape)
+    if cells > _MAX_KEYED_CELLS:
+        return np.unique(np.concatenate([img.rows() for img in images]), axis=0)
+    strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
+    if cells > WINDOW_CELLS_PER_POINT * rows:
+        keys = np.empty(rows, dtype=np.int64)
+        at = 0
+        for img in images:
+            for flat in img.keys(lo, strides):
+                keys[at:at + len(flat)] = flat
+                at += len(flat)
+        keys.sort()
+        new = np.empty(rows, dtype=bool)
+        new[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        count = int(np.count_nonzero(new))
+        found = (keys[s][new[s]] for s in _blocks(rows))
+    else:
+        window = np.zeros(cells, dtype=bool)
+        for img in images:
+            for flat in img.keys(lo, strides):
+                window[flat] = True
+        count = int(np.count_nonzero(window))
+        found = (np.flatnonzero(window[s]) + s.start for s in _blocks(cells))
+    out = np.empty((count, len(lo)), dtype=np.int64)
+    at = 0
+    for block in found:
+        _decode(block, lo, strides, out[at:at + len(block)])
+        at += len(block)
     return out
 
 
-def _canonical(idx: np.ndarray) -> np.ndarray:
-    """np.unique(idx, axis=0) of a nonempty int64 array, C-contiguous."""
-    return _union([[(col, slice(None)) for col in idx.T]], len(idx))
+def _canonical(idx: np.ndarray, factor: int = 1) -> np.ndarray:
+    """np.unique(idx // factor, axis=0) of a nonempty int64 array, for a
+    positive integer factor, C-contiguous."""
+    return _union([_Rows(idx, factor)])
 
 
 def _snap(pts: np.ndarray, origin: np.ndarray, pitch: float) -> np.ndarray:
@@ -412,10 +541,13 @@ class SetTuple:
         )
 
     def coarsen(self, factor: int) -> "SetTuple":
-        """The occupied cells of the grid with pitch * factor (same origin)."""
-        return SetTuple(
-            self.origin, self.pitch * factor, {v: c // factor for v, c in self.clouds.items()}
-        )
+        """The occupied cells of the grid with pitch * factor (same origin),
+        for a positive integer factor; each cloud is divided and
+        canonicalised in one ``_union``."""
+        if factor < 1:
+            raise ValueError(f"coarsening factor must be a positive integer, got {factor!r}")
+        return SetTuple._of_rows(self.origin, self.pitch * factor, {
+            v: _canonical(c, factor) if len(c) else c for v, c in self.clouds.items()})
 
     def vertex_distances(self, other: "SetTuple", metric=EUCLIDEAN) -> dict[str, float]:
         """Per-vertex Hausdorff distance to another tuple on the same grid.
@@ -465,26 +597,25 @@ def tuple_distance(a: SetTuple, b: SetTuple, metric=EUCLIDEAN) -> float:
 # the set-valued operator
 
 
-def _image(m: AffineMap, C: SetTuple, src: str, spans):
-    """The snapped image under m of C's nonempty cloud at src, as the
-    per-axis (table, key) pairs of ``_union``.
+def _image(m: AffineMap, C: SetTuple, src: str, span) -> _Image:
+    """The snapped image under m of C's nonempty cloud at src.
 
-    ``spans`` holds, per axis, the cloud's least and greatest index and its
-    column less the least index.  A diagonal linear part maps each axis on
-    its own: every index of the cloud's span goes through the float
-    expression of ``m.apply`` on ``C.points`` and then ``_snap``, whose
-    off-diagonal terms would only add exact zeros, into a small table that
-    the column keys.  Other maps are applied to the points, then snapped.
+    ``span`` holds, per axis, the cloud's least and greatest index.  A
+    diagonal linear part maps each axis on its own: every index of the
+    cloud's span goes through the float expression of ``m.apply`` on
+    ``C.points`` and then ``_snap``, whose off-diagonal terms would only add
+    exact zeros, into a small table that the cloud's column reads
+    (``_Tabled``).  Other maps are applied to the points, then snapped,
+    block by block (``_Snapped``).
     """
     a, origin, pitch = m.matrix, C.origin, C.pitch
     if not np.array_equal(a, np.diag(np.diagonal(a))):
-        return [(col, slice(None)) for col in _snap(m.apply(C.points(src)), origin, pitch).T]
-    image = []
-    for j, (low, high, key) in enumerate(spans):
+        return _Snapped(m, C, src)
+    tables = []
+    for j, (low, high) in enumerate(span):
         x = origin[j] + pitch * np.arange(low, high + 1).astype(float)
-        table = np.rint((x * a[j, j] + m.shift[j] - origin[j]) / pitch).astype(np.int64)
-        image.append((table, key))
-    return image
+        tables.append(np.rint((x * a[j, j] + m.shift[j] - origin[j]) / pitch).astype(np.int64))
+    return _Tabled(C.clouds[src], tables, [low for low, _ in span])
 
 
 def hutchinson_step(sys: MWSystem, n, C: SetTuple, _maps=None) -> SetTuple:
@@ -495,8 +626,11 @@ def hutchinson_step(sys: MWSystem, n, C: SetTuple, _maps=None) -> SetTuple:
     per-axis index tables when its linear part is diagonal and from the
     real points otherwise; either way it lands on the rows that snapping
     ``m.apply`` of every point gives.  The images of a vertex are united by
-    one scatter into an occupancy window, or one sort, so the result does
-    not depend on evaluation order (degree 0 returns C unchanged).
+    one ``_union``, a scatter into an occupancy window or one sort of flat
+    cells, so the result does not depend on evaluation order (degree 0
+    returns C unchanged).  Every pass runs a block of ``BLOCK_ROWS`` rows at
+    a time, so the step holds little beyond its input and output rows, the
+    window and, for a sparse union, one int64 key per image row.
     """
     if all(c == 0 for c in n):
         return C
@@ -504,18 +638,17 @@ def hutchinson_step(sys: MWSystem, n, C: SetTuple, _maps=None) -> SetTuple:
     spans = {}
     out = {}
     for v in sys.graph.vertices:
-        images, rows = [], 0
+        images = []
         for m, src in maps[v]:
             cloud = C.clouds[src]
             if not len(cloud):
                 continue
             if src not in spans:
-                spans[src] = [(col.min(), col.max(), col - col.min()) for col in cloud.T]
+                spans[src] = [(int(col.min()), int(col.max())) for col in cloud.T]
             images.append(_image(m, C, src, spans[src]))
-            rows += len(cloud)
         if not images:
             raise ValueError(f"no images at vertex {v!r} (empty input clouds)")
-        out[v] = _union(images, rows)
+        out[v] = _union(images)
     return SetTuple._of_rows(C.origin, C.pitch, out)
 
 

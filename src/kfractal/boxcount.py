@@ -15,10 +15,12 @@ from .attractor import SetTuple, _canonical
 
 
 def occupied_cells(lattice: np.ndarray, factor: int = 1) -> int:
-    """Occupied cell count after coarsening integer lattice coords by factor."""
+    """Occupied cell count after coarsening integer lattice coords by a
+    positive integer factor; the division runs inside ``_canonical``, a
+    block of rows at a time."""
     if len(lattice) == 0:
         return 0
-    return len(_canonical(np.asarray(lattice, dtype=np.int64) // factor))
+    return len(_canonical(np.asarray(lattice, dtype=np.int64), factor))
 
 
 def dimension_estimate(sets: SetTuple, vertex: str) -> float:

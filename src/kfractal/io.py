@@ -200,14 +200,31 @@ def packaged_instance(name: str) -> FsPath:
 
 # rows formatted and written at a time by ``write_clouds_csv``, so that the
 # text of a large cloud is never held whole
-CSV_BLOCK_ROWS = 1 << 16
+CSV_BLOCK_ROWS = 1 << 12
+
+
+def _distinct(column):
+    """The ascending distinct values of an int64 column: those of each
+    block of rows, then those of their concatenation, so that only a
+    block's values are sorted at a time when the column repeats them."""
+    import numpy as np
+
+    from .attractor import _blocks
+
+    def sort_distinct(a):
+        a = np.sort(a)
+        return a[np.concatenate(([True], a[1:] != a[:-1]))] if len(a) else a
+
+    parts = [sort_distinct(column[s]) for s in _blocks(len(column))]
+    return sort_distinct(np.concatenate(parts)) if parts else column
 
 
 def write_clouds_csv(sets: SetTuple, path) -> None:
     """Rows of ``SetTuple.points`` in stored order, as repr floats.  Each
     distinct lattice coordinate of an axis, origin[t] + pitch * float(i), is
     formatted once, and the rows are gathered from those per-axis tables,
-    ``CSV_BLOCK_ROWS`` at a time."""
+    ``CSV_BLOCK_ROWS`` at a time, by np.searchsorted of the block's
+    coordinates in the axis's distinct values."""
     import numpy as np
 
     dim = sets.origin.size
@@ -217,14 +234,15 @@ def write_clouds_csv(sets: SetTuple, path) -> None:
             rows = sets.clouds[v]
             tables = []
             for t in range(dim):
-                values, inverse = np.unique(rows[:, t], return_inverse=True)
+                values = _distinct(rows[:, t])
                 coords = sets.origin[t] + sets.pitch * values.astype(float)
                 text = np.array([repr(x) for x in coords.tolist()], dtype=object)
-                tables.append((text, inverse))
+                tables.append((values, text))
             for start in range(0, len(rows), CSV_BLOCK_ROWS):
-                block = slice(start, start + CSV_BLOCK_ROWS)
-                columns = [text[inverse[block]].tolist() for text, inverse in tables]
-                columns.insert(0, [v] * len(columns[0]))
+                block = rows[start:start + CSV_BLOCK_ROWS]
+                columns = [text[np.searchsorted(values, col)].tolist()
+                           for (values, text), col in zip(tables, block.T)]
+                columns.insert(0, [v] * len(block))
                 fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
@@ -235,27 +253,37 @@ def write_certificate(text: str, path) -> None:
 def _write_raster(path, lattices, shades) -> None:
     """Binary 8-bit raster of planar lattice clouds over their joint bounding
     box at grid resolution.  Bit i of a cell's code is set when lattices[i]
-    holds it, and the pixel gets shades[code]."""
+    holds it, and the pixel gets shades[code].  The box is the clouds' own
+    extremes joined, and each cloud is painted ``BLOCK_ROWS`` rows at a
+    time and shaded as many pixels at a time, so the only full-size array is
+    the code raster."""
     import numpy as np
 
-    cells = np.concatenate(lattices)
-    if cells.shape[1] != 2:
+    from .attractor import _blocks
+
+    if any(lattice.shape[1] != 2 for lattice in lattices):
         raise ValueError("rasters are only defined for planar clouds")
-    if len(cells) == 0:
-        raise ValueError("empty cloud")
     # per column: numpy reduces an (N, 2) array along axis 0 far more slowly
-    lo = [int(column.min()) for column in cells.T]
-    hi = [int(column.max()) for column in cells.T]
+    ends = [[(int(col.min()), int(col.max())) for col in lattice.T]
+            for lattice in lattices if len(lattice)]
+    if not ends:
+        raise ValueError("empty cloud")
+    lo = [min(e[j][0] for e in ends) for j in range(2)]
+    hi = [max(e[j][1] for e in ends) for j in range(2)]
     width = hi[0] - lo[0] + 1
     height = hi[1] - lo[1] + 1
     code = np.zeros((height, width), dtype=np.uint8)
     for bit, lattice in enumerate(lattices):
-        # y axis points up in the plane, down in the file
-        code[hi[1] - lattice[:, 1], lattice[:, 0] - lo[0]] |= 1 << bit
-    img = np.asarray(shades, dtype=np.uint8)[code]
+        for s in _blocks(len(lattice)):
+            x, y = lattice[s].T
+            # y axis points up in the plane, down in the file
+            code[hi[1] - y, x - lo[0]] |= 1 << bit
+    shades = np.asarray(shades, dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+        pixels = code.reshape(-1)
+        for s in _blocks(len(pixels)):
+            fh.write(shades[pixels[s]].tobytes())
 
 
 def write_pgm(sets: SetTuple, vertex: str, path) -> None:

@@ -31,6 +31,23 @@ CONTAINMENT_EPS = 1e-9
 # regions
 
 
+def _scaled(length, v: np.ndarray):
+    """length(v), for a Euclidean length function of v's last axis, taken
+    of v scaled by a power of two near its largest entry and scaled back.
+    The scaling is exact, so where v's squares are finite normal floats the
+    value is length(v) bit for bit; where they would overflow it stays
+    finite up to the float range."""
+    top = float(np.abs(v).max(initial=0.0))
+    if not 0.0 < top < math.inf:
+        return length(v)
+    e = math.frexp(top)[1]
+    return np.ldexp(length(np.ldexp(v, -e)), e)
+
+
+def _pair_lengths(diff: np.ndarray) -> np.ndarray:
+    return np.sqrt((diff ** 2).sum(-1))
+
+
 class Box:
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
@@ -44,7 +61,7 @@ class Box:
 
     def diameter(self, metric=EUCLIDEAN):
         side = self.hi - self.lo
-        return float(np.linalg.norm(side)) if metric == EUCLIDEAN else float(side.max())
+        return float(_scaled(np.linalg.norm, side)) if metric == EUCLIDEAN else float(side.max())
 
     def centroid(self):
         return (self.lo + self.hi) / 2.0
@@ -139,7 +156,7 @@ class Polygon:
     def diameter(self, metric=EUCLIDEAN):
         diff = self.corners[:, None, :] - self.corners[None, :, :]
         if metric == EUCLIDEAN:
-            return float(np.sqrt((diff ** 2).sum(-1)).max())
+            return float(_scaled(_pair_lengths, diff).max())
         return float(np.abs(diff).max())
 
     def centroid(self):
@@ -189,7 +206,7 @@ class PointSet:
             return Box(lo, hi).diameter(metric)
         diff = pts[:, None, :] - pts[None, :, :]
         if metric == EUCLIDEAN:
-            return float(np.sqrt((diff ** 2).sum(-1)).max())
+            return float(_scaled(_pair_lengths, diff).max())
         return float(np.abs(diff).max())
 
     def centroid(self):
@@ -218,11 +235,11 @@ MAX_GRID_POINTS = 2**24
 
 def grid_axes(region, pitch, origin) -> list[np.ndarray]:
     """Per axis, the lattice indices spanning the region's bounding box.  A
-    pitch that is not positive, or more than ``MAX_GRID_POINTS`` points,
-    counted in Python integers, raise ValueError before anything is
+    pitch that is not positive and finite, or more than ``MAX_GRID_POINTS``
+    points, counted in Python integers, raise ValueError before anything is
     allocated."""
-    if not pitch > 0:
-        raise ValueError(f"grid pitch must be positive, got {pitch!r}")
+    if not 0 < pitch < math.inf:
+        raise ValueError(f"grid pitch must be positive and finite, got {pitch!r}")
     lo, hi = region.bounding_box()
     with np.errstate(over="ignore"):
         start, stop = np.floor((lo - origin) / pitch), np.ceil((hi - origin) / pitch)

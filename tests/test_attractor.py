@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,21 @@ def test_canonical_equals_unique_rows(rows):
     assert np.array_equal(out, np.unique(rows, axis=0))
 
 
+def _spy_windows(monkeypatch):
+    # the sizes of the boolean arrays np.zeros allocates: the occupancy window
+    # of _union is one, and its sort branch allocates none
+    windows = []
+    zeros = np.zeros
+
+    def spy(shape, dtype=float, *args, **kwargs):
+        if np.dtype(dtype) == bool:
+            windows.append(shape)
+        return zeros(shape, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", spy)
+    return windows
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("cells_per_row, sorts", [(16, False), (17, True)])
 def test_canonical_scatters_up_to_sixteen_cells_per_row(monkeypatch, d, cells_per_row, sorts):
@@ -124,12 +140,10 @@ def test_canonical_scatters_up_to_sixteen_cells_per_row(monkeypatch, d, cells_pe
     inside = lo + rng.integers(0, shape, size=(5, d))
     rows = np.vstack([lo + np.array(shape) - 1, inside, lo, inside[:1]])
     assert len(rows) == 8 and math.prod(shape) == cells_per_row * len(rows)
-    sorted_rows = []
-    unique = np.unique
-    monkeypatch.setattr(np, "unique", lambda *a, **kw: sorted_rows.append(1) or unique(*a, **kw))
+    windows = _spy_windows(monkeypatch)
     out = _canonical(rows)
     monkeypatch.undo()
-    assert bool(sorted_rows) == sorts
+    assert windows == ([] if sorts else [math.prod(shape)])
     assert out.flags.c_contiguous
     assert np.array_equal(out, np.unique(rows, axis=0))
 
@@ -523,14 +537,31 @@ def test_step_sorts_sparse_unions(monkeypatch, d, diagonal, spread, sorts):
         matrix[0, -1] = 1 / 3
     maps = {"v": [(AffineMap.of(matrix, np.zeros(d), "v", "v"), "v"),
                   (AffineMap.of(matrix, np.full(d, spread / 3), "v", "v"), "v")]}
-    sorted_rows = []
-    unique = np.unique
-    monkeypatch.setattr(np, "unique", lambda *a, **kw: sorted_rows.append(1) or unique(*a, **kw))
+    windows = _spy_windows(monkeypatch)
     out = hutchinson_step(_bare_system("v"), (1,), C, _maps=maps)
     monkeypatch.undo()
-    assert bool(sorted_rows) == sorts
+    assert len(windows) == (0 if sorts else 1)
     assert out == _reference_step(C, maps)
     _assert_stored_form(out)
+
+
+def test_step_peak_memory_is_its_rows():
+    # one step of p2's start grid at its default pitch, 263,169 rows: whole
+    # cloud key columns, gathers and read-backs once peaked at 14.1 MiB over
+    # 4.0 MiB of output; the blocked passes hold the output and a window
+    sys_ = shipped("p2")
+    h = max(f.diameter() for f in sys_.fibers.values()) / 512.0
+    start = SetTuple.from_fibers(sys_, h)
+    tracemalloc.start()
+    try:
+        step = hutchinson_step(sys_, sys_.diagonal_degree, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows_in = sum(rows.nbytes for rows in start.clouds.values())
+    rows_out = sum(rows.nbytes for rows in step.clouds.values())
+    assert rows_in > 4 << 20 and rows_out > 1 << 20
+    assert peak <= rows_in + rows_out + (2 << 20), (peak, rows_in, rows_out)
 
 
 def test_step_result_independent_of_evaluation_order():

@@ -82,11 +82,12 @@ GUARDS = {
     "attractor-dust": (["attractor", "--instance", DUST], "scipy"),
     "diagonal-dust": (["diagonal", "--instance", DUST], "scipy"),
     "coding-dust": (["coding", "--instance", DUST, "--count", "20000"], "scipy"),
-    # a 1-d np.unique imports numpy.ma; the dust's sparse unions still call
-    # np.unique(axis=0), so it has no row here
+    # np.unique without return_inverse imports numpy.ma; the dust's sparse
+    # unions sort flat int64 cells instead of calling np.unique(axis=0)
     "coding-s1-no-ma": (["coding", "--instance", "s1", "--count", "20000", "--seed", "1"],
                         "numpy.ma"),
     "attractor-p2-no-ma": (["attractor", "--instance", "p2"], "numpy.ma"),
+    "attractor-dust-no-ma": (["attractor", "--instance", DUST], "numpy.ma"),
     "large-directed-distance": (LARGE_DISTANCE, "scipy"),
     "k-surjective-s1": (K_SURJECTIVE, "scipy"),
 }

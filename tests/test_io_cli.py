@@ -10,6 +10,7 @@ import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -249,6 +250,27 @@ _rng_csv = np.random.default_rng(11)
 )
 def test_csv_matches_reference_writer(tmp_path, origin, pitch, clouds):
     _assert_csv_matches_reference(SetTuple(origin, pitch, clouds), tmp_path)
+
+
+@pytest.mark.parametrize("writer", ["csv", "pgm"])
+def test_writers_peak_memory_is_fixed(tmp_path, writer):
+    # p2's start grid at its default pitch, 263,169 rows: whole-cloud inverse
+    # indices and 65,536-row text blocks once peaked at 12.4 MiB for the CSV,
+    # and the concatenated cells and shaded image at 8.5 MiB for the raster
+    sys_ = shipped("p2")
+    h = max(f.diameter() for f in sys_.fibers.values()) / 512.0
+    start = SetTuple.from_fibers(sys_, h)
+    assert sum(len(rows) for rows in start.clouds.values()) == 263169
+    tracemalloc.start()
+    try:
+        if writer == "csv":
+            write_clouds_csv(start, tmp_path / "points.csv")
+        else:
+            write_pgm(start, "v", tmp_path / "v.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def test_pgm_layout(tmp_path):
@@ -714,7 +736,7 @@ def test_cli_coding_threshold_that_overflows_exits_2_in_one_line(tmp_path, capsy
 
 
 def test_cli_coding_coded_error_that_overflows_exits_2_in_one_line(tmp_path, capsys):
-    # a box so wide that its diameter, and so the coded error, is inf
+    # a box so wide that twice the coded error, 0.9 times its diameter, is inf
     doc = json.loads(packaged_instance("s1").read_text())
     doc["c"] = 0.9
     doc["edges"] = [[{"id": "a", "r": "v", "s": "v"}]]
@@ -725,14 +747,28 @@ def test_cli_coding_coded_error_that_overflows_exits_2_in_one_line(tmp_path, cap
     out = tmp_path / "out"
     argv = ["coding", "--instance", str(wide), "--degree", "1", "--pitch", "1e306",
             "--tol", "5e307", "--out", str(out)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the diameter's overflow
-        assert main(argv) == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: the agreement threshold, --tol 5e+307 + 2·pitch + "
-                            "2·coded error inf, overflows\n")
+                            "2·coded error 1.5273506473629426e+308, overflows\n")
     assert not (out / "coding.txt").exists() and not (out / "coded.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "attractor", "coding"])
+def test_cli_box_near_the_float_range_runs_without_warnings(tmp_path, capsys, command):
+    # p2 on a box with corner (1.2e308, 1.2e308): its Euclidean diameter once
+    # squared to inf, and validate sampled the box at pitch inf, NaN points
+    doc = json.loads(packaged_instance("p2").read_text())
+    doc["fibers"]["v"]["region"]["max"] = [1.2e308, 1.2e308]
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--instance", str(huge), "--out", str(tmp_path / "out")])
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert (code, err) == (0, "") or (code == 2 and err.count("\n") == 1), (code, err)
 
 
 def test_cli_numeric_flags_are_typed():

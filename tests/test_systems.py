@@ -169,6 +169,41 @@ def test_grid_points_refuse_a_pitch_that_is_not_positive(pitch):
             grid_points(Box((0.0, 0.0), (0.0, 0.0)), pitch)
 
 
+def test_grid_points_refuse_an_infinite_pitch():
+    # inf * 0 would make NaN points out of the mesh
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid pitch must be positive and finite, got inf"):
+            grid_points(Box((0.0, 0.0), (1.0, 1.0)), math.inf)
+
+
+@pytest.mark.parametrize("x, y", [(1.2e308, 1.2e308), (1e155, 1e150)])
+def test_diameters_near_the_float_range_stay_finite(x, y):
+    # the squares of these sides overflow; the lengths do not (a polygon's
+    # convexity check multiplies coordinates, so it takes the smaller box)
+    corners = [(0.0, 0.0), (x, 0.0), (x, y), (0.0, y)]
+    regions = [Box(corners[0], corners[2]), PointSet(corners)]
+    if x * y < 1e306:
+        regions.append(Polygon(corners))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for region in regions:
+            assert math.isclose(region.diameter(), math.hypot(x, y), rel_tol=1e-15)
+
+
+def test_diameters_keep_their_floats():
+    # scaling by a power of two is exact: the same float as the plain
+    # formulas on ordinary coordinates, so default pitches do not move
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        for _ in range(200):
+            pts = rng.random((5, d)) * 10.0 ** rng.uniform(-5, 5)
+            side = pts.max(axis=0) - pts.min(axis=0)
+            assert Box(pts.min(axis=0), pts.max(axis=0)).diameter() == float(np.linalg.norm(side))
+            diff = pts[:, None, :] - pts[None, :, :]
+            assert PointSet(pts).diameter() == float(np.sqrt((diff ** 2).sum(-1)).max())
+
+
 @pytest.mark.parametrize("shift, contained", [(0.25, True), (0.75, False)])
 def test_validate_five_dimensional_box_past_the_grid_budget(shift, contained):
     # the backup grid sample at diameter / 64 would hold 30^5 points, past
