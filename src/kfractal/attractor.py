@@ -7,7 +7,8 @@ Clouds and unions are canonicalised by numbering their cells in the
 bounding box: dense ones by a scatter into an occupancy window, sparse ones
 by a sort of the flat cell numbers.  Every pass over a cloud runs
 ``BLOCK_ROWS`` rows at a time, so a step holds its input and output rows
-and a window, and no temporary that grows with the cloud.
+and a window, and no temporary that grows with the cloud; the step that
+returns its input returns the same arrays, so it holds no output rows.
 The operator maps lattice rows to lattice rows: a path map with a diagonal
 linear part sends each axis through a small table of snapped image indices,
 equal bit for bit to snapping its float image, and other maps are applied
@@ -20,17 +21,27 @@ reaches its step limit without stopping measures its last step's
 displacement delta once and is certified by (c*delta + eps)/(1-c).  Both
 bounds are rounded upward.
 
+Since the bound holds for any lattice fixed point, the commands need not
+start from the whole fiber grids at the pitch h.  ``refine_attractor``
+starts from the fiber grids at a pitch 2^L*h coarse enough to fit one block
+(``start_grids``), iterates each level to its fixed point and starts the
+next, at half the pitch, from the fine cells around it that lie in the
+fibers: the subdivision scheme of Dellnitz & Hohmann (Numer. Math. 75,
+1997), which refines the cells the dynamics keeps.
+
 Two tuples on the same lattice are compared from their integer rows, in
 numpy over an occupancy window of their joint bounding box, each direction
 only at the source cells outside the target.  The window is bounded by the
-largest fiber grid, ``MAX_GRID_POINTS`` cells, before it is allocated;
-every iterate lies in its fiber's grid, so no comparison the commands make
-is refused.  The max metric takes the two raster passes of the unit
-chamfer (Rosenfeld & Pfaltz 1966), the Euclidean metric a gap along one
-axis and then rings of offsets along the others; both are integer, hence
-exact.  ``_directed_window_bound`` runs one direction of the same
-window: the coding invariance check and the k-surjectivity check measure
-snapped images so, and add the largest snapping offset (``_snap_offset``),
+largest fiber grid, ``MAX_GRID_POINTS`` cells, before it is allocated.  An
+iterate need not lie in its fiber's grid: snapping can move an image row
+out of the fiber, and s1's fixed point at its default pitch has 752 of its
+28,648 rows outside the triangle, though inside its bounding box.  The
+max metric takes the two raster passes of the unit chamfer (Rosenfeld &
+Pfaltz 1966), the Euclidean metric a gap along one axis and then rings of
+offsets along the others; both are integer, hence exact.
+``_directed_window_bound`` runs one direction of the same window: the
+coding invariance check and the k-surjectivity check measure snapped
+images so, and add the largest snapping offset (``_snap_offset``),
 rounding the sum upward.
 ``directed_distance`` and ``hausdorff_distance`` measure real point clouds
 pair by pair, by brute force; they are the off-lattice reference.
@@ -38,8 +49,9 @@ pair by pair, by brute force; they are the off-lattice reference.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -53,7 +65,9 @@ from .systems import (
     AffineMap,
     MWSystem,
     degree_maps,
+    grid_bounds,
     grid_indices,
+    in_region,
     lipschitz_bound,
 )
 
@@ -308,6 +322,10 @@ class _Image:
     cloud: np.ndarray
     ends: list
 
+    @property
+    def size(self) -> int:
+        return len(self.cloud)
+
     def keys(self, lo, strides):
         """Per block, the C-order flat cells sum_j (x_j - lo_j)*stride_j of
         the image rows in a box at lo that numbers its cells in int64."""
@@ -333,6 +351,38 @@ class _Rows(_Image):
     def block(self, s):
         rows = self.cloud[s]
         return rows if self.factor == 1 else rows // self.factor
+
+
+class _Children(_Image):
+    """The points of the lattice of half a coarse cloud's pitch within one
+    fine cell of its rows: 2r + o for each row r and each of the 3^d
+    offsets o in {-1, 0, 1}^d, so ``size`` is 3^d times the cloud's rows."""
+
+    def __init__(self, cloud: np.ndarray):
+        self.cloud = cloud
+        self.offsets = np.array(list(itertools.product((-1, 0, 1), repeat=cloud.shape[1])),
+                                dtype=np.int64)
+        self.ends = [(2 * int(col.min()) - 1, 2 * int(col.max()) + 1) for col in cloud.T]
+
+    @property
+    def size(self) -> int:
+        return len(self.offsets) * len(self.cloud)
+
+    def block(self, s):
+        doubled = 2 * self.cloud[s]
+        return (doubled[None] + self.offsets[:, None]).reshape(-1, self.cloud.shape[1])
+
+    def keys(self, lo, strides):
+        # a row's children differ from its doubled row's flat cell by one
+        # constant per offset
+        shifts = (self.offsets * np.array(strides, dtype=np.int64)).sum(axis=1).tolist()
+        for s in _blocks(len(self.cloud)):
+            rows = self.cloud[s]
+            flat = (2 * rows[:, 0] - lo[0]) * strides[0]
+            for j in range(1, len(lo)):
+                flat += (2 * rows[:, j] - lo[j]) * strides[j]
+            for shift in shifts:
+                yield flat + shift
 
 
 class _Tabled(_Image):
@@ -386,9 +436,9 @@ def _decode(cells: np.ndarray, lo, strides, out: np.ndarray) -> None:
     np.add(cells, lo[-1], out=out[:, -1])
 
 
-def _union(images) -> np.ndarray:
+def _union(images, like: np.ndarray | None = None) -> np.ndarray:
     """np.unique of the rows of one or more images, as C-contiguous int64
-    rows.
+    rows; ``like`` itself when the rows equal it.
 
     Every pass runs ``BLOCK_ROWS`` source rows, or window cells, at a time.
     The images' ends span a box, sized in Python integers.  Each block of
@@ -399,16 +449,22 @@ def _union(images) -> np.ndarray:
     it; otherwise they are written into one int64 array, sorted, and kept
     where they differ from their predecessor.  Either way the distinct
     cells come out ascending, which is lexicographic row order, and are
-    decoded one block at a time into the preallocated result by floor
-    division per stride.  Only a box of more than 2^62 cells, which int64
-    cannot number, is sorted row-wise by np.unique.
+    decoded one block at a time by floor division per stride.  Only a box of
+    more than 2^62 cells, which int64 cannot number, is sorted row-wise by
+    np.unique.
+
+    ``like``, a cloud in the stored form (a step's input), is compared block
+    by block with the decoded rows; the result is allocated only at the
+    first block that differs, so a step that returns its input holds no
+    second copy of it.
     """
-    rows = sum(len(img.cloud) for img in images)
+    rows = sum(img.size for img in images)
     lo = [min(img.ends[j][0] for img in images) for j in range(len(images[0].ends))]
     shape = [max(img.ends[j][1] for img in images) - low + 1 for j, low in enumerate(lo)]
     cells = math.prod(shape)
     if cells > _MAX_KEYED_CELLS:
-        return np.unique(np.concatenate([img.rows() for img in images]), axis=0)
+        out = np.unique(np.concatenate([img.rows() for img in images]), axis=0)
+        return like if like is not None and np.array_equal(out, like) else out
     strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
     if cells > WINDOW_CELLS_PER_POINT * rows:
         keys = np.empty(rows, dtype=np.int64)
@@ -430,11 +486,22 @@ def _union(images) -> np.ndarray:
                 window[flat] = True
         count = int(np.count_nonzero(window))
         found = (np.flatnonzero(window[s]) + s.start for s in _blocks(cells))
-    out = np.empty((count, len(lo)), dtype=np.int64)
+    if like is None or len(like) != count:
+        out = np.empty((count, len(lo)), dtype=np.int64)
+    else:
+        out, buf = like, np.empty((min(count, BLOCK_ROWS), len(lo)), dtype=np.int64)
     at = 0
     for block in found:
-        _decode(block, lo, strides, out[at:at + len(block)])
-        at += len(block)
+        n = len(block)
+        if out is not like:
+            _decode(block, lo, strides, out[at:at + n])
+        else:
+            _decode(block, lo, strides, buf[:n])
+            if not np.array_equal(buf[:n], like[at:at + n]):
+                out = np.empty((count, len(lo)), dtype=np.int64)
+                out[:at] = like[:at]
+                out[at:at + n] = buf[:n]
+        at += n
     return out
 
 
@@ -580,7 +647,8 @@ class SetTuple:
             return False
         if set(self.clouds) != set(other.clouds):
             return False
-        return all(np.array_equal(self.clouds[v], other.clouds[v]) for v in self.clouds)
+        return all(self.clouds[v] is other.clouds[v]
+                   or np.array_equal(self.clouds[v], other.clouds[v]) for v in self.clouds)
 
     def __repr__(self):
         sizes = {v: len(c) for v, c in sorted(self.clouds.items())}
@@ -630,7 +698,9 @@ def hutchinson_step(sys: MWSystem, n, C: SetTuple, _maps=None) -> SetTuple:
     cells, so the result does not depend on evaluation order (degree 0
     returns C unchanged).  Every pass runs a block of ``BLOCK_ROWS`` rows at
     a time, so the step holds little beyond its input and output rows, the
-    window and, for a sparse union, one int64 key per image row.
+    window and, for a sparse union, one int64 key per image row.  Each union
+    is decoded against the vertex's input cloud, so a vertex whose cloud the
+    step returns unchanged keeps its input array and allocates no output.
     """
     if all(c == 0 for c in n):
         return C
@@ -648,7 +718,7 @@ def hutchinson_step(sys: MWSystem, n, C: SetTuple, _maps=None) -> SetTuple:
             images.append(_image(m, C, src, spans[src]))
         if not images:
             raise ValueError(f"no images at vertex {v!r} (empty input clouds)")
-        out[v] = _union(images)
+        out[v] = _union(images, like=C.clouds[v])
     return SetTuple._of_rows(C.origin, C.pitch, out)
 
 
@@ -660,7 +730,27 @@ _ROUNDINGS = 6
 
 def snap_slack(C: SetTuple, maps, metric) -> float:
     """eps, how far a snapped image point of C under the path maps of
-    ``degree_maps`` can lie from the exact image, rounded upward.
+    ``degree_maps`` can lie from the exact image, rounded upward
+    (``_span_slack`` of the clouds' least and greatest rows)."""
+    spans = {v: [(int(col.min()), int(col.max())) for col in rows.T]
+             for v, rows in C.clouds.items() if len(rows)}
+    return _span_slack(C.origin, C.pitch, spans, maps, metric)
+
+
+def grid_slack(sys: MWSystem, pitch: float, maps, origin=None) -> float:
+    """``_span_slack`` of the fiber grids of the pitch, from the ends of
+    their bounding boxes (``grid_bounds``): at least ``snap_slack`` of any
+    tuple of rows in those boxes, and computed without listing a grid."""
+    origin = np.zeros(sys.dim) if origin is None else np.asarray(origin, dtype=float)
+    spans = {v: grid_bounds(f.region, pitch, origin) for v, f in sys.fibers.items()}
+    return _span_slack(origin, float(pitch), spans, maps, sys.metric)
+
+
+def _span_slack(origin: np.ndarray, pitch: float, spans, maps, metric) -> float:
+    """eps, how far a snapped image point can lie from the exact image under
+    the path maps of ``degree_maps``, for source clouds whose rows lie, per
+    vertex of ``spans`` and axis, between the least and greatest index
+    given; rounded upward.
 
     Snapping alone moves each coordinate by at most h/2.  Float arithmetic
     can move it by eta = gamma*(2M + h) more, where M bounds
@@ -670,13 +760,10 @@ def snap_slack(C: SetTuple, maps, metric) -> float:
     eps is (h/2 + eta)*sqrt(d) for the Euclidean metric and h/2 + eta for
     the max metric.
     """
-    origin, pitch = C.origin, C.pitch
     reach = {}  # per source vertex and axis, the largest |x_j| of its cloud
-    for v, rows in C.clouds.items():
-        if len(rows):
-            ends = [origin + pitch * np.array([f(col) for col in rows.T], dtype=float)
-                    for f in (np.min, np.max)]
-            reach[v] = np.maximum(*np.abs(ends))
+    for v, span in spans.items():
+        ends = [origin + pitch * np.array(e, dtype=float) for e in zip(*span)]
+        reach[v] = np.maximum(*np.abs(ends))
     worst = max((float((np.abs(m.matrix) @ reach[src] + np.abs(m.shift) + np.abs(origin)).max())
                  for rows in maps.values() for m, src in rows if src in reach), default=0.0)
     dim = origin.size
@@ -778,10 +865,11 @@ def compute_attractor(
     on the certificate, not raised.
 
     The run stops when a step returns its input (tuple equality, which
-    measures no distance): that tuple is a fixed point of the snapped
-    operator, and its certificate is eps/(1-c) with a displacement of 0.  A
-    run that reaches max_iter measures its last step's displacement once,
-    exactly on the lattice, and is certified by (c*displacement + eps)/(1-c).
+    measures no distance and finds the input's own arrays): that tuple is a
+    fixed point of the snapped operator, and its certificate is eps/(1-c)
+    with a displacement of 0.  A run that reaches max_iter measures its last
+    step's displacement once, exactly on the lattice, and is certified by
+    (c*displacement + eps)/(1-c).
     eps is the larger ``snap_slack`` of C0 and of the last step's input, so
     no run from C0 claims less than ``collage_bound(c, snap_slack(C0))``.
     """
@@ -800,6 +888,102 @@ def compute_attractor(
         converged, delta = False, tuple_distance(prev, current, sys.metric)
     eps = max(snap_slack(C, maps, sys.metric) for C in (C0, prev))
     return current, ConvergenceCertificate(it, delta, c_n, C0.pitch, eps, converged)
+
+
+# ---------------------------------------------------------------------------
+# the fixed point at a fine pitch, reached coarse to fine
+
+
+def _box_points(sys: MWSystem, pitch: float, origin: np.ndarray) -> int:
+    """The points of the fiber grids' bounding boxes at the pitch, in all,
+    counted in Python integers (``grid_bounds``)."""
+    return sum(math.prod(high - low + 1 for low, high in grid_bounds(f.region, pitch, origin))
+               for f in sys.fibers.values())
+
+
+def start_grids(sys: MWSystem, pitch: float, origin=None) -> SetTuple:
+    """The fiber grids a run at the pitch starts from (``refine_attractor``):
+    those of the pitch 2^L * pitch for the least L >= 0 at which the grids'
+    bounding boxes hold at most ``BLOCK_ROWS`` points in all, or at which
+    doubling the pitch would not shrink them; and then for the next finer
+    pitch, down to the pitch itself, while some fiber holds no grid point.
+
+    The lattice of a doubled pitch is part of the finer one, so a fiber with
+    no grid point at the pitch has none at any level: that raises
+    ValueError naming the first such fiber.  So does a grid of the pitch
+    too large for ``grid_bounds``.
+    """
+    origin = np.zeros(sys.dim) if origin is None else np.asarray(origin, dtype=float)
+    pitch = float(pitch)
+    level, points = 0, _box_points(sys, pitch, origin)
+    while points > BLOCK_ROWS and math.isfinite(pitch * 2.0 ** (level + 1)):
+        coarser = _box_points(sys, pitch * 2.0 ** (level + 1), origin)
+        if coarser >= points:
+            break
+        level, points = level + 1, coarser
+    while True:
+        level_pitch = pitch * 2.0 ** level
+        grids = {v: grid_indices(f.region, level_pitch, origin) for v, f in sys.fibers.items()}
+        empty = [v for v, rows in grids.items() if not len(rows)]
+        if not empty:
+            return SetTuple._of_rows(origin, level_pitch, grids)
+        if not level:
+            raise ValueError(f"fiber {empty[0]!r}: no grid point of pitch {pitch!r} lies in it")
+        level -= 1
+
+
+def _children(sys: MWSystem, K: SetTuple) -> SetTuple:
+    """The start of the next finer level after the lattice tuple K: per
+    vertex, the points of the lattice of half K's pitch within one fine cell
+    of twice K's rows (``_Children``, united by one ``_union``) that lie
+    in the vertex's fiber (``in_region``), kept a block of rows at a time
+    in place.  A vertex that keeps none starts from its whole fiber grid."""
+    pitch = K.pitch / 2
+    clouds = {}
+    for v, f in sys.fibers.items():
+        kids = _union([_Children(K.clouds[v])])
+        kept = 0
+        for s in _blocks(len(kids)):
+            block = kids[s]
+            inside = block[in_region(f.region, block, pitch, K.origin)]
+            kids[kept:kept + len(inside)] = inside
+            kept += len(inside)
+        clouds[v] = kids[:kept] if kept else grid_indices(f.region, pitch, K.origin)
+    return SetTuple._of_rows(K.origin, pitch, clouds)
+
+
+def refine_attractor(
+    sys: MWSystem,
+    n,
+    start: SetTuple,
+    pitch: float,
+    max_iter: int = 64,
+) -> tuple[SetTuple, ConvergenceCertificate]:
+    """The degree-n lattice fixed point at the pitch, reached level by level
+    from ``start``, the fiber grids of ``start_grids`` at a pitch 2^L * pitch.
+
+    Each level iterates with ``compute_attractor`` to its lattice fixed
+    point, or for max_iter steps, and the next level, at half the pitch,
+    starts from the ``_children`` of its result; so time and memory follow
+    the attractor's cells more than the fibers'.  The start set does not
+    enter the certificate: eps/(1-c) holds for any lattice fixed point.
+
+    The certificate is the last level's (its iterations count the steps at
+    the pitch, and only it can be NOT converged), with eps raised to
+    ``grid_slack`` of the fiber grids at the pitch: no run claims less than
+    ``collage_bound(c, grid_slack)``, the least bound the commands check
+    ``--tol`` against.
+    """
+    levels = round(math.log2(start.pitch / pitch))
+    if levels < 0 or start.pitch != pitch * 2.0 ** levels:
+        raise ValueError(f"the start's pitch {start.pitch!r} is not {pitch!r} times a power of two")
+    C = start
+    for level in range(levels, -1, -1):
+        K, cert = compute_attractor(sys, n, C, max_iter=max_iter)
+        if level:
+            C = _children(sys, K)
+    gate = grid_slack(sys, pitch, degree_maps(sys, n), start.origin)
+    return K, replace(cert, eps=max(cert.eps, gate))
 
 
 def check_commutation(sys: MWSystem, n, m, C: SetTuple, tol: float) -> bool:

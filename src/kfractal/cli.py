@@ -158,7 +158,7 @@ def _pitch_and_tol(args, sys_) -> tuple[float, float]:
     tolerance, the largest error bound a run may claim (default 4h), of a
     metric command; a grid too large for some fiber, or no default pitch
     because every fiber is a point, is an input error."""
-    from .systems import grid_axes
+    from .systems import grid_bounds
 
     h = args.pitch
     if h is None:
@@ -168,7 +168,7 @@ def _pitch_and_tol(args, sys_) -> tuple[float, float]:
                 "every fiber has diameter 0, so there is no default pitch: give --pitch")
     for f in sys_.fibers.values():
         try:
-            grid_axes(f.region, h, 0.0)
+            grid_bounds(f.region, h, 0.0)
         except ValueError as exc:
             raise InstanceFormatError(f"fiber {f.vertex!r}: {exc}") from None
     tol = args.tol if args.tol is not None else 4.0 * h
@@ -178,34 +178,34 @@ def _pitch_and_tol(args, sys_) -> tuple[float, float]:
 
 
 def _start_grid(sys_, h):
-    """The fiber grids of pitch h, the start of every run; a fiber that
-    holds no grid point is an input error."""
-    from .attractor import SetTuple
+    """The fiber grids a run at pitch h starts from, at the coarse pitch
+    ``start_grids`` picks; a fiber that holds no grid point of pitch h is
+    an input error."""
+    from .attractor import start_grids
 
-    C0 = SetTuple.from_fibers(sys_, h)
-    for v, cloud in C0.clouds.items():
-        if len(cloud) == 0:
-            raise InstanceFormatError(f"fiber {v!r}: no grid point of pitch {h!r} lies in it")
-    return C0
+    try:
+        return start_grids(sys_, h)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
 
 
-def _require_tol(sys_, degree, C0, tol: float) -> None:
-    """An input error unless the degree's operator contracts and a run from
-    C0 can claim an error bound within tol: the least bound any such run
-    claims is its lattice fixed point's, eps/(1-c), checked before
-    iterating."""
-    from .attractor import _require_contraction, collage_bound, snap_slack
+def _require_tol(sys_, degree, h, tol: float) -> None:
+    """An input error unless the degree's operator contracts and a run at
+    pitch h can claim an error bound within tol: the least bound any such
+    run claims is eps/(1-c) with eps the fiber grids' ``grid_slack``,
+    checked before iterating."""
+    from .attractor import _require_contraction, collage_bound, grid_slack
     from .systems import degree_maps
 
     try:
         c = _require_contraction(sys_, degree)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
-    bound = collage_bound(c, snap_slack(C0, degree_maps(sys_, degree), sys_.metric))
+    bound = collage_bound(c, grid_slack(sys_, h, degree_maps(sys_, degree)))
     if bound > tol:
         raise InstanceFormatError(
             f"--tol {tol!r} is below {bound!r}, the least error bound the degree "
-            f"{degree} operator (contraction {c:.6g}) can claim at pitch {C0.pitch!r}")
+            f"{degree} operator (contraction {c:.6g}) can claim at pitch {h!r}")
 
 
 def _prepare_mw(args):
@@ -222,7 +222,7 @@ def _prepare_mw(args):
 
 
 def cmd_attractor(args) -> int:
-    from .attractor import compute_attractor
+    from .attractor import refine_attractor
     from .boxcount import dimension_estimate
 
     sys_ = _prepare_mw(args)
@@ -230,10 +230,10 @@ def cmd_attractor(args) -> int:
         return FAIL
     h, tol = _pitch_and_tol(args, sys_)
     degree = _parse_degree(args.degree, sys_.graph.k) or sys_.diagonal_degree
-    C0 = _start_grid(sys_, h)
-    _require_tol(sys_, degree, C0, tol)
+    start = _start_grid(sys_, h)
+    _require_tol(sys_, degree, h, tol)
     out = _outdir(args)
-    K, cert = compute_attractor(sys_, degree, C0, max_iter=args.max_iter)
+    K, cert = refine_attractor(sys_, degree, start, h, max_iter=args.max_iter)
 
     write_clouds_csv(K, out / "attractor.csv")
     lines = [f"instance: {sys_.name or args.instance}",
@@ -249,7 +249,7 @@ def cmd_attractor(args) -> int:
 
 
 def cmd_coding(args) -> int:
-    from .attractor import compute_attractor
+    from .attractor import refine_attractor
     from .coding import (
         _require_codable,
         check_intertwining,
@@ -289,10 +289,10 @@ def cmd_coding(args) -> int:
             path_budget(sys_.graph, deep, 20)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
-    C0 = _start_grid(sys_, h)
-    _require_tol(sys_, sys_.diagonal_degree, C0, tol)
+    start = _start_grid(sys_, h)
+    _require_tol(sys_, sys_.diagonal_degree, h, tol)
     out = _outdir(args)
-    K, cert = compute_attractor(sys_, sys_.diagonal_degree, C0, max_iter=args.max_iter)
+    K, cert = refine_attractor(sys_, sys_.diagonal_degree, start, h, max_iter=args.max_iter)
     if not cert.converged:
         write_certificate(cert.summary(), out / "certificate.txt")
         print(cert.summary())
@@ -345,10 +345,10 @@ def cmd_diagonal(args) -> int:
     if sys_ is None:
         return FAIL
     h, tol = _pitch_and_tol(args, sys_)
-    C0 = _start_grid(sys_, h)
-    _require_tol(sys_, sys_.diagonal_degree, C0, tol)
+    _start_grid(sys_, h)  # a fiber without grid points exits 2 before --out exists
+    _require_tol(sys_, sys_.diagonal_degree, h, tol)
     out = _outdir(args)
-    rep = check_diagonal_agreement(sys_, tol, C0, max_iter=args.max_iter)
+    rep = check_diagonal_agreement(sys_, tol, h, max_iter=args.max_iter)
     converged = rep.source_certificate.converged and rep.collapse_certificate.converged
     write_certificate(rep.summary(), out / "diagonal.txt")
     if converged and sys_.dim == 2 and args.render:
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=_positive_float,
                            help="the largest error bound a run may claim (4·pitch), > 0")
             p.add_argument("--max-iter", default=64, type=_int_between(1),
-                           help="iteration limit >= 1 (default 64)")
+                           help="iteration limit of each refinement level >= 1 (default 64)")
         return p
 
     command("validate", "check the instance axioms", iterates=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .attractor import ConvergenceCertificate, SetTuple, compute_attractor
+from .attractor import ConvergenceCertificate, SetTuple, refine_attractor, start_grids
 from .coding import _metric_dist, code_point
 from .kgraph import DiagonalGraph, diagonal_graph, path_from_word, word_to_path
 from .systems import STRICT, MWSystem, extend_map, lipschitz_bound
@@ -150,21 +150,22 @@ class DiagonalAgreement:
 def check_diagonal_agreement(
     sys: MWSystem,
     tol: float,
-    C0: SetTuple,
+    pitch: float,
     max_iter: int = 64,
 ) -> DiagonalAgreement:
     """Compute the source attractor at the diagonal degree and the collapsed
-    system's attractor at degree 1 on the same grid, both iterated from C0
-    to their lattice fixed points, then compare per vertex against tol.
+    system's attractor at degree 1 at the pitch, both refined from the same
+    ``start_grids`` through the same levels to their lattice fixed points,
+    then compare per vertex against tol.
 
-    The commands start both runs from the full fiber grids; because the
-    collapsed generators are the same composites, the per-iteration clouds
-    coincide exactly and the measured distances quantify only what the
-    bookkeeping (degree handling, diagonal edge table) could have broken.
+    Because the collapsed generators are the same composites, the
+    per-iteration clouds coincide exactly and the measured distances
+    quantify only what the bookkeeping (degree handling, diagonal edge
+    table) could have broken.
     """
     dsys = diagonal_system(sys)
-    p_vec = sys.diagonal_degree
-    K_src, cert_src = compute_attractor(sys, p_vec, C0, max_iter=max_iter)
-    K_col, cert_col = compute_attractor(dsys.system, (1,), C0, max_iter=max_iter)
+    start = start_grids(sys, pitch)
+    K_src, cert_src = refine_attractor(sys, sys.diagonal_degree, start, pitch, max_iter=max_iter)
+    K_col, cert_col = refine_attractor(dsys.system, (1,), start, pitch, max_iter=max_iter)
     distances = K_src.vertex_distances(K_col, sys.metric)
     return DiagonalAgreement(tol, distances, cert_src, cert_col, K_src, K_col)

@@ -31,16 +31,21 @@ CONTAINMENT_EPS = 1e-9
 # regions
 
 
-def _scaled(length, v: np.ndarray):
-    """length(v), for a Euclidean length function of v's last axis, taken
-    of v scaled by a power of two near its largest entry and scaled back.
-    The scaling is exact, so where v's squares are finite normal floats the
-    value is length(v) bit for bit; where they would overflow it stays
-    finite up to the float range."""
+def _exponent(v: np.ndarray) -> int:
+    """The binary exponent e with v's largest entry in [2^(e-1), 2^e), or 0
+    when v is zero or not finite: scaling v by 2^-e is exact and brings its
+    entries into (-1, 1)."""
     top = float(np.abs(v).max(initial=0.0))
-    if not 0.0 < top < math.inf:
-        return length(v)
-    e = math.frexp(top)[1]
+    return math.frexp(top)[1] if 0.0 < top < math.inf else 0
+
+
+def _scaled(length, v: np.ndarray):
+    """length(v), for a function of degree one in v such as a Euclidean
+    length of v's last axis or a mean, taken of v scaled by a power of two
+    near its largest entry and scaled back.  The scaling is exact, so where
+    v's squares are finite normal floats the value is length(v) bit for
+    bit; where they would overflow it stays finite up to the float range."""
+    e = _exponent(v)
     return np.ldexp(length(np.ldexp(v, -e)), e)
 
 
@@ -68,7 +73,13 @@ class Box:
 
     def contains(self, pts, tol=CONTAINMENT_EPS):
         pts = np.atleast_2d(pts)
-        return np.all((pts >= self.lo - tol) & (pts <= self.hi + tol), axis=1)
+        # column by column: numpy reduces a narrow (N, d) array along its
+        # rows several times slower
+        inside = np.ones(len(pts), dtype=bool)
+        for col, low, high in zip(pts.T, self.lo - tol, self.hi + tol):
+            inside &= col >= low
+            inside &= col <= high
+        return inside
 
     def contains_ball(self, center, radius, tol=CONTAINMENT_EPS):
         center = np.asarray(center, dtype=float)
@@ -132,15 +143,18 @@ class Polygon:
         if not np.isfinite(pts).all():
             self.corners = pts
             return
+        # the orientation and convexity products are taken of the corners
+        # scaled by an exact power of two, so they cannot overflow
+        unit = np.ldexp(pts, -_exponent(pts))
         area2 = 0.0
-        for i in range(len(pts)):
-            x0, y0 = pts[i]
-            x1, y1 = pts[(i + 1) % len(pts)]
+        for i in range(len(unit)):
+            x0, y0 = unit[i]
+            x1, y1 = unit[(i + 1) % len(unit)]
             area2 += x0 * y1 - x1 * y0
         if area2 < 0:
-            pts = pts[::-1].copy()
+            pts, unit = pts[::-1].copy(), unit[::-1]
         self.corners = pts
-        edges = np.roll(pts, -1, axis=0) - pts
+        edges = np.roll(unit, -1, axis=0) - unit
         nxt = np.roll(edges, -1, axis=0)
         cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
         slack = 1e-12 * np.abs(cross).max()
@@ -160,13 +174,13 @@ class Polygon:
         return float(np.abs(diff).max())
 
     def centroid(self):
-        return self.corners.mean(axis=0)
+        return _scaled(lambda v: v.mean(axis=0), self.corners)
 
     def _edge_normals(self):
         edges = np.roll(self.corners, -1, axis=0) - self.corners
         # inward normals for CCW orientation
         normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1)
-        lengths = np.linalg.norm(normals, axis=1)
+        lengths = _scaled(lambda n: np.linalg.norm(n, axis=1), normals)
         return normals / lengths[:, None]
 
     def contains(self, pts, tol=CONTAINMENT_EPS):
@@ -233,11 +247,11 @@ class PointSet:
 MAX_GRID_POINTS = 2**24
 
 
-def grid_axes(region, pitch, origin) -> list[np.ndarray]:
-    """Per axis, the lattice indices spanning the region's bounding box.  A
-    pitch that is not positive and finite, or more than ``MAX_GRID_POINTS``
-    points, counted in Python integers, raise ValueError before anything is
-    allocated."""
+def grid_bounds(region, pitch, origin) -> list[tuple[int, int]]:
+    """Per axis, the least and greatest lattice index spanning the region's
+    bounding box, as Python integers.  A pitch that is not positive and
+    finite, or more than ``MAX_GRID_POINTS`` points, counted in Python
+    integers, raise ValueError."""
     if not 0 < pitch < math.inf:
         raise ValueError(f"grid pitch must be positive and finite, got {pitch!r}")
     lo, hi = region.bounding_box()
@@ -247,7 +261,13 @@ def grid_axes(region, pitch, origin) -> list[np.ndarray]:
             int(n) + 1 for n in stop - start) > MAX_GRID_POINTS:
         raise ValueError(f"a grid of pitch {pitch!r} over the region has more than "
                          f"{MAX_GRID_POINTS} points")
-    return [np.arange(int(a), int(b) + 1) for a, b in zip(start, stop)]
+    return [(int(a), int(b)) for a, b in zip(start, stop)]
+
+
+def grid_axes(region, pitch, origin) -> list[np.ndarray]:
+    """Per axis, the lattice indices spanning the region's bounding box;
+    ``grid_bounds`` refuses too large a grid before anything is allocated."""
+    return [np.arange(a, b + 1) for a, b in grid_bounds(region, pitch, origin)]
 
 
 # grid points built and tested at a time by ``grid_indices``, so that the
@@ -273,8 +293,14 @@ def grid_indices(region, pitch, origin=None):
     for start in range(0, len(first), step):
         axes = np.meshgrid(first[start:start + step], *rest, indexing="ij")
         mesh = np.stack(axes, axis=-1).reshape(-1, d)
-        kept.append(mesh[region.contains(origin + pitch * mesh, tol=pitch * 1e-6)])
+        kept.append(mesh[in_region(region, mesh, pitch, origin)])
     return np.concatenate(kept)
+
+
+def in_region(region, rows, pitch, origin) -> np.ndarray:
+    """Which lattice rows of the given pitch lie in a region, with the
+    boundary slack ``grid_indices`` keeps them by."""
+    return region.contains(origin + pitch * rows, tol=pitch * 1e-6)
 
 
 def grid_points(region, pitch, origin=None):

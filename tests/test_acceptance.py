@@ -126,10 +126,10 @@ def test_criterion_5_diagonal_collapse_agreement():
     with Timer() as t:
         for name, h in (("p2", 1.0 / 512.0), ("p2c", 1.0 / 729.0)):
             sys_ = shipped(name)
-            rep = check_diagonal_agreement(sys_, tol=4 * h, C0=SetTuple.from_fibers(sys_, h))
+            rep = check_diagonal_agreement(sys_, tol=4 * h, pitch=h)
             assert rep.passed, rep.summary()
         s1 = shipped("s1")
-        rep1 = check_diagonal_agreement(s1, tol=0.0, C0=SetTuple.from_fibers(s1, 1.0 / 512.0))
+        rep1 = check_diagonal_agreement(s1, tol=0.0, pitch=1.0 / 512.0)
         assert max(rep1.distances.values()) == 0.0
         assert rep1.passed
     report(5, "collapse attractors agree (p2, p2c within 4h; s1 exactly)", t.seconds)

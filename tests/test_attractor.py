@@ -13,17 +13,26 @@ from hypothesis import strategies as st
 
 from kfractal import _kernels, attractor
 from kfractal.attractor import (
+    BLOCK_ROWS,
     SetTuple,
     _canonical,
+    _children,
+    _Rows,
+    _union,
     check_commutation,
     collage_bound,
     compute_attractor,
     contraction_factor,
+    grid_slack,
     hausdorff_distance,
     hutchinson_step,
+    refine_attractor,
+    snap_slack,
+    start_grids,
     tuple_distance,
 )
 from kfractal.boxcount import dimension_estimate, occupied_cells
+from kfractal.io import system_from_dict
 from kfractal.kgraph import KGraph, enumerate_paths
 from kfractal.systems import (
     MAX_GRID_POINTS,
@@ -31,12 +40,15 @@ from kfractal.systems import (
     Box,
     MetricFiber,
     MWSystem,
+    degree_maps,
     extend_map,
     grid_points,
     lipschitz_bound,
+    validate_system,
 )
+from perfbench.generate import product_system
 
-from shipped import shipped
+from shipped import LOPSIDED, shipped
 
 
 # ---------------------------------------------------------------------------
@@ -886,3 +898,186 @@ def test_measured_contraction_bound():
         )
         rhs = c * tuple_distance(A, B, sys.metric) + 2 * h
         assert lhs <= rhs
+
+
+# ---------------------------------------------------------------------------
+# the fixed point at a pitch, reached coarse to fine
+
+
+def _instance(name):
+    if name == "lopsided":
+        return system_from_dict(LOPSIDED)
+    if name.startswith("product"):
+        return system_from_dict(product_system(int(name.removeprefix("product"))))
+    return shipped(name)
+
+
+def _refined(sys_, h, max_iter=64):
+    return refine_attractor(sys_, sys_.diagonal_degree, start_grids(sys_, h), h, max_iter=max_iter)
+
+
+# every shipped metric instance and the lopsided one at diameter / 128 and
+# / 512, s1 at / 1024 and ten generated product systems at / 512; the 1-d
+# fibers fit in one block at these pitches, so they are not refined
+REFINED_CASES = [
+    *((name, div) for name in ("s1", "p2", "p2c", "t0", "f3", "lopsided") for div in (128, 512)),
+    ("s1", 1024),
+    *((f"product{seed}", 512) for seed in range(1, 11)),
+]
+
+
+@pytest.mark.parametrize("name, div", REFINED_CASES)
+def test_refined_fixed_point_equals_the_full_grid_one(name, div):
+    # the reference iterates from the whole fiber grids at the pitch
+    sys_ = _instance(name)
+    h = max(f.diameter() for f in sys_.fibers.values()) / div
+    K, cert = _refined(sys_, h)
+    ref, ref_cert = compute_attractor(sys_, sys_.diagonal_degree, SetTuple.from_fibers(sys_, h))
+    assert cert.converged and ref_cert.converged
+    assert K == ref
+    assert K.pitch == h and cert.pitch == h
+    gate = grid_slack(sys_, h, degree_maps(sys_, sys_.diagonal_degree))
+    assert cert.eps >= gate >= snap_slack(SetTuple.from_fibers(sys_, h),
+                                          degree_maps(sys_, sys_.diagonal_degree), sys_.metric)
+    assert cert.error_bound == ref_cert.error_bound
+
+
+def test_start_grids_fit_one_block():
+    # p2c's unit square at its default pitch 1/512: 129^2 = 16,641 points at
+    # 4h are more than BLOCK_ROWS, 65^2 = 4225 at 8h are not
+    p2c = shipped("p2c")
+    h = _default_pitch(p2c)
+    start = start_grids(p2c, h)
+    assert h == 1 / 512 and start.pitch == 8 * h and 129**2 > BLOCK_ROWS >= 65**2
+    assert start == SetTuple.from_fibers(p2c, 8 * h)
+    for pitch in (3 * h, 16 * h):  # not 8h over a power of two
+        with pytest.raises(ValueError, match="is not .* times a power of two"):
+            refine_attractor(p2c, p2c.diagonal_degree, start, pitch)
+    # t0's 513 points fit at the pitch itself: the run is the unrefined one
+    t0 = shipped("t0")
+    assert start_grids(t0, _default_pitch(t0)) == SetTuple.from_fibers(t0, _default_pitch(t0))
+
+
+def _thin_strip_system():
+    """A unit square u and a strip w of height 0.0025 at y = 0.26, which
+    holds lattice points of pitch 1/256 (y = 67/256) but none of 1/128."""
+    g = KGraph(1, ["u", "w"], {1: [("a", "u", "u"), ("b", "u", "w"), ("c", "w", "u")]})
+    return MWSystem(
+        g,
+        {"u": MetricFiber("u", Box((0.0, 0.0), (1.0, 1.0))),
+         "w": MetricFiber("w", Box((0.0, 0.26), (1.0, 0.2625)))},
+        {"a": AffineMap.of(np.eye(2) / 2, (0.0, 0.0), "u", "u"),
+         "b": AffineMap.of(np.eye(2) / 2, (0.5, 0.5), "w", "u"),
+         "c": AffineMap.of([[0.5, 0.0], [0.0, 0.0025]], (0.25, 0.26), "u", "w")},
+        ratio=0.5,
+    )
+
+
+def test_thin_fiber_starts_where_it_holds_points():
+    sys_ = _thin_strip_system()
+    assert validate_system(sys_).ok
+    h = 1 / 512
+    # the boxes fit one block at 8h, but the strip is empty at 8h and 4h
+    start = start_grids(sys_, h)
+    assert start.pitch == 2 * h
+    assert start == SetTuple.from_fibers(sys_, 2 * h)
+    K, cert = _refined(sys_, h)
+    ref, ref_cert = compute_attractor(sys_, (1,), SetTuple.from_fibers(sys_, h))
+    assert cert.converged and K == ref
+
+
+def test_start_grids_name_a_fiber_without_grid_points():
+    sys_ = _thin_strip_system()
+    with pytest.raises(ValueError, match=r"^fiber 'w': no grid point of pitch 0.125 lies in it$"):
+        start_grids(sys_, 0.125)
+
+
+def test_children_are_clipped_to_the_fiber_or_fall_back_to_its_grid():
+    p2 = shipped("p2")
+    origin = np.zeros(2)
+    # the 3 x 3 block around an inner row, the 2 x 2 one at a corner
+    inner = _children(p2, SetTuple._of_rows(origin, 1 / 64, {"v": np.array([[10, 20]])}))
+    assert inner.pitch == 1 / 128
+    assert inner.clouds["v"].tolist() == [[x, y] for x in (19, 20, 21) for y in (39, 40, 41)]
+    corner = _children(p2, SetTuple._of_rows(origin, 1 / 64, {"v": np.array([[0, 0]])}))
+    assert corner.clouds["v"].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    # a row whose children all lie outside: the whole fiber grid
+    outside = _children(p2, SetTuple._of_rows(origin, 1 / 64, {"v": np.array([[1000, 1000]])}))
+    assert outside == SetTuple.from_fibers(p2, 1 / 128)
+
+
+def test_max_iter_bounds_each_level_and_only_the_last_sets_the_verdict(monkeypatch, tmp_path,
+                                                                       capsys):
+    # t0 at 2^-13 starts one level up, whose fixed point takes 8 steps; cut
+    # at 4, its children still reach the last level's fixed point in 4
+    from kfractal.cli import PASS, main
+
+    t0 = shipped("t0")
+    h = 2.0**-13
+    runs = []
+    iterate = attractor.compute_attractor
+
+    def spy(*args, **kw):
+        out = iterate(*args, **kw)
+        runs.append(out[1])
+        return out
+
+    monkeypatch.setattr(attractor, "compute_attractor", spy)
+    K, cert = _refined(t0, h, max_iter=4)
+    monkeypatch.undo()
+    assert [(c.pitch, c.iterations, c.converged) for c in runs] == [(2 * h, 4, False), (h, 4, True)]
+    assert cert.converged and cert.iterations == 4
+    argv = ["attractor", "--instance", "t0", "--pitch", repr(h), "--max-iter", "4"]
+    assert main([*argv, "--out", str(tmp_path)]) == PASS
+    assert "\nconverged: iterations=4 " in capsys.readouterr().out
+    # s1 at its default pitch stops 3 steps into each of its 4 levels
+    s1 = shipped("s1")
+    K, cert = _refined(s1, _default_pitch(s1), max_iter=3)
+    assert not cert.converged and cert.iterations == 3
+
+
+def test_refined_p2c_peaks_below_its_fiber_grid():
+    # the fiber grid at the default pitch is 513^2 rows of two int64, 4 MiB;
+    # the refined run starts from 65^2 and holds the carpet's cells
+    p2c = shipped("p2c")
+    h = _default_pitch(p2c)
+    tracemalloc.start()
+    try:
+        K, cert = _refined(p2c, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.converged and len(K.clouds["v"]) == 9604
+    assert peak < 513**2 * 2 * 8, peak
+
+
+def test_proving_step_returns_its_input():
+    # p2's whole fiber grid is its fixed point; the step that shows it
+    # decodes its window against the input and allocates no second cloud
+    p2 = shipped("p2")
+    K = SetTuple.from_fibers(p2, _default_pitch(p2))
+    maps = degree_maps(p2, p2.diagonal_degree)
+    tracemalloc.start()
+    try:
+        step = hutchinson_step(p2, p2.diagonal_degree, K, _maps=maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step.clouds["v"] is K.clouds["v"]
+    assert K.clouds["v"].nbytes > 4 << 20 and peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("spread", [300, 10**6])  # a window, a sort
+@pytest.mark.parametrize("where", [None, 0, BLOCK_ROWS + 5, -1, "count"])
+def test_union_returns_like_exactly_when_equal(spread, where):
+    rng = np.random.default_rng(23)
+    like = _canonical(rng.integers(0, spread, size=(3 * BLOCK_ROWS, 2)))
+    rows = like.copy()
+    if where == "count":
+        rows = rows[1:]
+    elif where is not None:
+        rows[where, 1] = spread + 7  # a cell that like lacks
+    got = _union([_Rows(rows)], like=like)
+    assert (got is like) == (where is None)
+    assert np.array_equal(got, np.unique(rows, axis=0))
+    assert got.flags.c_contiguous and got.dtype == np.int64

@@ -147,7 +147,7 @@ def test_word_translation_composes_with_coding_exactly():
 def test_agreement_s1_exact_zero():
     sys = shipped("s1")
     h = 1 / 128
-    rep = check_diagonal_agreement(sys, tol=4 * h, C0=SetTuple.from_fibers(sys, h))
+    rep = check_diagonal_agreement(sys, tol=4 * h, pitch=h)
     assert rep.passed
     assert max(rep.distances.values()) == 0.0
 
@@ -155,7 +155,7 @@ def test_agreement_s1_exact_zero():
 def test_agreement_p2_full_square():
     sys = shipped("p2")
     h = 1 / 128
-    rep = check_diagonal_agreement(sys, tol=4 * h, C0=SetTuple.from_fibers(sys, h))
+    rep = check_diagonal_agreement(sys, tol=4 * h, pitch=h)
     assert rep.passed
     # the quarter maps tile the square, so the attractor is the whole fiber
     full = SetTuple.from_fibers(sys, h)
@@ -165,14 +165,15 @@ def test_agreement_p2_full_square():
 def test_agreement_p2c_cantor_square():
     sys = shipped("p2c")
     h = 1 / 243
-    rep = check_diagonal_agreement(sys, tol=4 * h, C0=SetTuple.from_fibers(sys, h))
+    rep = check_diagonal_agreement(sys, tol=4 * h, pitch=h)
     assert rep.passed
     assert "distance" in rep.summary()
 
 
 def _reference_agreement(sys, tol, pitch):
     # check_diagonal_agreement's per-vertex loop before it went through
-    # SetTuple.vertex_distances
+    # SetTuple.vertex_distances, on fixed points iterated from the whole
+    # fiber grids at the pitch
     dsys = diagonal_system(sys)
     C0 = SetTuple.from_fibers(sys, pitch)
     K_src, cert_src = compute_attractor(sys, sys.diagonal_degree, C0)
@@ -186,14 +187,19 @@ def _reference_agreement(sys, tol, pitch):
     passed = (
         cert_src.converged and cert_col.converged and all(d <= tol for d in distances.values())
     )
-    return distances, passed
+    return distances, passed, K_src, K_col
 
 
-@pytest.mark.parametrize("name, h", [("s1", 1 / 64), ("p2c", 1 / 81)])
+# at 1/64 and 1/81 the fiber grids fit in one block, so no run is refined;
+# at 1/256 and 1/729 both runs start two and four levels coarser
+@pytest.mark.parametrize("name, h", [("s1", 1 / 64), ("p2c", 1 / 81), ("s1", 1 / 256),
+                                     ("p2c", 1 / 729)])
 @pytest.mark.parametrize("tol_pitches", [4, 0])
 def test_agreement_matches_reference(name, h, tol_pitches):
     sys = shipped(name)
-    rep = check_diagonal_agreement(sys, tol=tol_pitches * h, C0=SetTuple.from_fibers(sys, h))
-    distances, passed = _reference_agreement(sys, tol_pitches * h, h)
+    rep = check_diagonal_agreement(sys, tol=tol_pitches * h, pitch=h)
+    distances, passed, K_src, K_col = _reference_agreement(sys, tol_pitches * h, h)
     assert rep.distances == distances
     assert rep.passed == passed
+    # both runs are refined through the same levels to the same fixed points
+    assert rep.sets_source == K_src and rep.sets_collapse == K_col

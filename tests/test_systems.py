@@ -179,16 +179,29 @@ def test_grid_points_refuse_an_infinite_pitch():
 
 @pytest.mark.parametrize("x, y", [(1.2e308, 1.2e308), (1e155, 1e150)])
 def test_diameters_near_the_float_range_stay_finite(x, y):
-    # the squares of these sides overflow; the lengths do not (a polygon's
-    # convexity check multiplies coordinates, so it takes the smaller box)
+    # the squares of these sides overflow; the lengths do not
     corners = [(0.0, 0.0), (x, 0.0), (x, y), (0.0, y)]
-    regions = [Box(corners[0], corners[2]), PointSet(corners)]
-    if x * y < 1e306:
-        regions.append(Polygon(corners))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for region in regions:
+        for region in (Box(corners[0], corners[2]), PointSet(corners), Polygon(corners)):
             assert math.isclose(region.diameter(), math.hypot(x, y), rel_tol=1e-15)
+
+
+def test_polygon_near_the_float_range_is_a_square():
+    # its orientation and convexity products once overflowed, and the square
+    # was refused as "repeated or collinear corners"
+    corners = [(0.0, 0.0), (1.2e308, 0.0), (1.2e308, 1.2e308), (0.0, 1.2e308)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        square = Polygon(corners)
+        clockwise = Polygon(corners[::-1])
+        # counter-clockwise either way
+        assert square.corners.tolist() == clockwise.corners.tolist() == [list(c) for c in corners]
+        assert square.centroid().tolist() == [6e307, 6e307]
+        inside = square.contains(np.array([[6e307, 6e307], [1.2e308, 0.0], [-1e300, 6e307]]))
+        assert inside.tolist() == [True, True, False]
+    with pytest.raises(ValueError, match="repeated or collinear"):
+        Polygon([(0.0, 0.0), (6e307, 6e307), (1.2e308, 1.2e308)])
 
 
 def test_diameters_keep_their_floats():
