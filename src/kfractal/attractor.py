@@ -878,16 +878,22 @@ def compute_attractor(
             raise ValueError(f"empty initial cloud at vertex {v!r}")
     c_n = _require_contraction(sys, n)
     maps = degree_maps(sys, n)
+    prev, current, it, converged = _iterate(sys, n, C0, max_iter, maps)
+    delta = 0.0 if converged else tuple_distance(prev, current, sys.metric)
+    eps = max(snap_slack(C, maps, sys.metric) for C in (C0, prev))
+    return current, ConvergenceCertificate(it, delta, c_n, C0.pitch, eps, converged)
+
+
+def _iterate(sys: MWSystem, n, C0: SetTuple, max_iter: int, maps):
+    """The steps of ``compute_attractor`` without its certificate: the
+    last step's input and result, the steps taken, and whether the last
+    step returned its input, which ends the run before max_iter."""
     current = C0
     for it in range(1, max_iter + 1):
         prev, current = current, hutchinson_step(sys, n, current, _maps=maps)
         if current == prev:
-            converged, delta = True, 0.0
-            break
-    else:
-        converged, delta = False, tuple_distance(prev, current, sys.metric)
-    eps = max(snap_slack(C, maps, sys.metric) for C in (C0, prev))
-    return current, ConvergenceCertificate(it, delta, c_n, C0.pitch, eps, converged)
+            return prev, current, it, True
+    return prev, current, max_iter, False
 
 
 # ---------------------------------------------------------------------------
@@ -962,14 +968,16 @@ def refine_attractor(
     """The degree-n lattice fixed point at the pitch, reached level by level
     from ``start``, the fiber grids of ``start_grids`` at a pitch 2^L * pitch.
 
-    Each level iterates with ``compute_attractor`` to its lattice fixed
-    point, or for max_iter steps, and the next level, at half the pitch,
-    starts from the ``_children`` of its result; so time and memory follow
-    the attractor's cells more than the fibers'.  The start set does not
-    enter the certificate: eps/(1-c) holds for any lattice fixed point.
+    Each level iterates to its lattice fixed point, or for max_iter steps,
+    and the next level, at half the pitch, starts from the ``_children`` of
+    its result; so time and memory follow the attractor's cells more than
+    the fibers'.  The start set does not enter the certificate: eps/(1-c)
+    holds for any lattice fixed point.
 
-    The certificate is the last level's (its iterations count the steps at
-    the pitch, and only it can be NOT converged), with eps raised to
+    Only the last level runs ``compute_attractor``; the coarser ones
+    ``_iterate`` and measure nothing.  The certificate is the last level's
+    (its iterations count the steps at the pitch, and only it can be NOT
+    converged), with eps raised to
     ``grid_slack`` of the fiber grids at the pitch: no run claims less than
     ``collage_bound(c, grid_slack)``, the least bound the commands check
     ``--tol`` against.
@@ -977,12 +985,13 @@ def refine_attractor(
     levels = round(math.log2(start.pitch / pitch))
     if levels < 0 or start.pitch != pitch * 2.0 ** levels:
         raise ValueError(f"the start's pitch {start.pitch!r} is not {pitch!r} times a power of two")
+    _require_contraction(sys, n)
+    maps = degree_maps(sys, n)
     C = start
-    for level in range(levels, -1, -1):
-        K, cert = compute_attractor(sys, n, C, max_iter=max_iter)
-        if level:
-            C = _children(sys, K)
-    gate = grid_slack(sys, pitch, degree_maps(sys, n), start.origin)
+    for _ in range(levels):
+        C = _children(sys, _iterate(sys, n, C, max_iter, maps)[1])
+    K, cert = compute_attractor(sys, n, C, max_iter=max_iter)
+    gate = grid_slack(sys, pitch, maps, start.origin)
     return K, replace(cert, eps=max(cert.eps, gate))
 
 

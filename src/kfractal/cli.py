@@ -8,9 +8,8 @@ outputs are byte-identical across runs with the same flags.
 
 The numpy modules are imported when a command needs them: attractor,
 coding, diagonal and validate on a metric system always do; validate on a
-graph or a discrete system never does, and duality only when it samples a
-fiber size too large to enumerate.  ``duality`` itself is imported only by
-the duality command and by validate on a discrete system.
+graph or a discrete system and duality never do.  ``duality`` itself is
+imported only by the duality command and by validate on a discrete system.
 """
 
 from __future__ import annotations

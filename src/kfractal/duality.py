@@ -5,14 +5,14 @@ rows of Python ints) replace pullback operators on function spaces, and
 every statement becomes decidable by enumeration or by a finite
 presentation: density of images against triviality of common kernels, and
 the twisted product graph, presented by its 1-skeleton of (edge, fiber
-element) pairs and its lifted squares.  Only the sampled fiber sizes of the
-density/fidelity sweep import numpy.
+element) pairs and its lifted squares.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import random
 from dataclasses import dataclass, field
 
 from .kgraph import KGraph, Path, enumerate_paths
@@ -232,14 +232,13 @@ def density_fidelity_sweep(
     All four tables range over Maps(T, T); an assignment is consistent when
     every mixed pair commutes (that is what the flip squares demand).  The
     full assignment space is enumerated when it has at most ``limit``
-    elements, otherwise a seeded uniform sample of that size is drawn.  An
-    enumerated size lists its consistent assignments in pure Python; numpy
-    is imported, and the generator made, at the first sampled size.  Each
-    consistent assignment gets its density and fidelity verdicts along the
-    paths of each degree (``_row_verdicts``).
+    elements, otherwise ``limit`` seeded uniform draws are taken from one
+    ``random.Random(seed)`` (``_sampled_assignments``).  Each consistent
+    assignment gets its density and fidelity verdicts along the paths of
+    each degree (``_row_verdicts``), memoized per path within a fiber size.
     """
     g = _template_2graph()
-    rng = None
+    rng = random.Random(seed)
     degrees = [tuple(n) for n in degrees]
     paths = [_template_paths(g, n) for n in degrees]
     result = SweepResult(degrees, 0, 0)
@@ -248,10 +247,6 @@ def density_fidelity_sweep(
         maps = list(itertools.product(range(size), repeat=size))
         total = len(maps) ** 4
         if total > limit:
-            if rng is None:
-                import numpy as np
-
-                rng = np.random.default_rng(seed)
             result.sampled = True
             result.instances += limit
             rows = _sampled_assignments(maps, limit, rng)
@@ -259,9 +254,10 @@ def density_fidelity_sweep(
             result.instances += total
             rows = _consistent_assignments(maps)
         result.consistent_by_size[size] = 0
+        memo = ({}, {})
         for row in rows:
             result.consistent_by_size[size] += 1
-            verdicts = _row_verdicts([maps[i] for i in row], paths)
+            verdicts = _row_verdicts([maps[i] for i in row], paths, memo)
             for n, verdict in zip(degrees, verdicts):
                 if not verdict.agree:
                     result.disagreements.append((size, row, n, verdict))
@@ -269,49 +265,47 @@ def density_fidelity_sweep(
     return result
 
 
+def _commute(f, h) -> bool:
+    """Whether the maps f and h, tuples of images, commute; most pairs that
+    do not are rejected at the first element."""
+    return f[h[0]] == h[f[0]] and [f[t] for t in h] == [h[t] for t in f]
+
+
 def _consistent_assignments(maps):
     """All assignments (b0, b1, r0, r1) of indices into ``maps`` whose blue
     and red maps commute pairwise, in lexicographic order."""
     n = len(maps)
-    commute = [[all(f[h[t]] == h[f[t]] for t in range(len(f))) for h in maps] for f in maps]
+    commute = [[_commute(f, h) for h in maps] for f in maps]
     for b0, b1 in itertools.product(range(n), repeat=2):
         reds = [r for r in range(n) if commute[b0][r] and commute[b1][r]]
         for r0, r1 in itertools.product(reds, repeat=2):
             yield b0, b1, r0, r1
 
 
-# assignments drawn at a time by the sweep: larger blocks are no faster, and
-# one block of 100,000 raises the peak RSS of a size-3 sweep from 36 to 54 MB
-_SWEEP_BLOCK = 2048
-
-
 def _sampled_assignments(maps, limit: int, rng):
-    """The consistent rows, in draw order, of ``limit`` seeded uniform draws
-    of four indices into ``maps`` (the same stream as one draw of shape
-    (limit, 4), or as ``limit`` draws of 4), drawn and tested for
-    commutation ``_SWEEP_BLOCK`` rows at a time."""
-    import numpy as np
-
-    table = np.array(maps, dtype=np.intp)
-    for start in range(0, limit, _SWEEP_BLOCK):
-        rows = rng.integers(0, len(maps), (min(_SWEEP_BLOCK, limit - start), 4))
-        yield from map(tuple, rows[_commuting(table[rows])].tolist())
-
-
-def _commuting(tabs):
-    """Rows of a block of (b0, b1, r0, r1) integer tables whose blue and red
-    tables commute pairwise."""
-    import numpy as np
-
-    consistent = np.ones(len(tabs), dtype=bool)
-    for b in (0, 1):
-        for r in (2, 3):
-            blue, red = tabs[:, b], tabs[:, r]
-            consistent &= (
-                np.take_along_axis(blue, red, axis=1)
-                == np.take_along_axis(red, blue, axis=1)
-            ).all(axis=1)
-    return consistent
+    """The consistent rows, in draw order, of ``limit`` uniform draws of
+    (b0, b1, r0, r1) indices into ``maps``.  A draw takes b0, r0 =
+    divmod(rng.randrange(m * m), m), spelled out as the rejection loop that
+    ``randrange`` runs, and is rejected at once unless they commute; only
+    then are b1, r1 drawn the same way.  The consistent rows are
+    distributed as those of ``limit`` draws of all four indices."""
+    m, pairs = len(maps), len(maps) ** 2
+    bits, draw = pairs.bit_length(), rng.getrandbits
+    for _ in range(limit):
+        x = draw(bits)
+        while x >= pairs:
+            x = draw(bits)
+        b0, r0 = divmod(x, m)
+        f, h = maps[b0], maps[r0]
+        if f[h[0]] != h[f[0]] or not _commute(f, h):  # most draws end at f(h(0))
+            continue
+        x = draw(bits)
+        while x >= pairs:
+            x = draw(bits)
+        b1, r1 = divmod(x, m)
+        if (_commute(maps[b1], maps[r1]) and _commute(maps[b0], maps[r1])
+                and _commute(maps[b1], maps[r0])):
+            yield b0, b1, r0, r1
 
 
 # the template's edges, in the order of a row of table indices
@@ -324,7 +318,7 @@ def _template_paths(g: KGraph, n) -> list[tuple[int, ...]]:
     return [tuple(map(_TEMPLATE_EDGES.index, p.edges)) for p in enumerate_paths(g, "v", n)]
 
 
-def _row_verdicts(tables, degree_paths) -> list[DensityFidelity]:
+def _row_verdicts(tables, degree_paths, memo) -> list[DensityFidelity]:
     """Density and fidelity of one template system at each degree.
 
     ``tables[e]`` is the integer table of edge e (an index into
@@ -333,26 +327,32 @@ def _row_verdicts(tables, degree_paths) -> list[DensityFidelity]:
     share only these inputs: density composes the tables along each path
     and tests that the images cover the fiber; fidelity multiplies the 0/1
     pullback matrices along each path and tests that no row of their sum is
-    zero.
+    zero.  ``memo`` holds a dict per route, keyed by the tables along a path
+    (the identity's for the vertex): its image set, its matrix's row sums.
     """
+    images, sums = memo
     size = len(tables[0])
-    matrices = [_selector(tab, size) for tab in tables]
+    identity = (tuple(range(size)),)
     verdicts = []
     for paths in degree_paths:
+        keys = [tuple(tables[e] for e in path) or identity for path in paths]
         covered = set()
-        for path in paths:
-            image = range(size)
-            for e in reversed(path):
-                image = [tables[e][t] for t in image]
-            covered.update(image)
+        for key in keys:
+            if key not in images:
+                image = range(size)
+                for tab in reversed(key):
+                    image = [tab[t] for t in image]
+                images[key] = frozenset(image)
+            covered |= images[key]
 
         hit = [0] * size
-        for path in paths:
-            mat = matrices[path[0]] if path else _selector(range(size), size)
-            for e in path[1:]:
-                mat = _matmul(mat, matrices[e])
-            for i, row in enumerate(mat):
-                hit[i] += sum(row)
+        for key in keys:
+            if key not in sums:
+                mat = _selector(key[0], size)
+                for tab in key[1:]:
+                    mat = _matmul(mat, _selector(tab, size))
+                sums[key] = tuple(map(sum, mat))
+            hit = list(map(operator.add, hit, sums[key]))
         verdicts.append(DensityFidelity(len(covered) == size, all(hit)))
     return verdicts
 

@@ -1015,17 +1015,17 @@ def test_max_iter_bounds_each_level_and_only_the_last_sets_the_verdict(monkeypat
     t0 = shipped("t0")
     h = 2.0**-13
     runs = []
-    iterate = attractor.compute_attractor
+    iterate = attractor._iterate
 
     def spy(*args, **kw):
-        out = iterate(*args, **kw)
-        runs.append(out[1])
-        return out
+        prev, current, steps, converged = iterate(*args, **kw)
+        runs.append((current.pitch, steps, converged))
+        return prev, current, steps, converged
 
-    monkeypatch.setattr(attractor, "compute_attractor", spy)
+    monkeypatch.setattr(attractor, "_iterate", spy)
     K, cert = _refined(t0, h, max_iter=4)
     monkeypatch.undo()
-    assert [(c.pitch, c.iterations, c.converged) for c in runs] == [(2 * h, 4, False), (h, 4, True)]
+    assert runs == [(2 * h, 4, False), (h, 4, True)]
     assert cert.converged and cert.iterations == 4
     argv = ["attractor", "--instance", "t0", "--pitch", repr(h), "--max-iter", "4"]
     assert main([*argv, "--out", str(tmp_path)]) == PASS
@@ -1034,6 +1034,32 @@ def test_max_iter_bounds_each_level_and_only_the_last_sets_the_verdict(monkeypat
     s1 = shipped("s1")
     K, cert = _refined(s1, _default_pitch(s1), max_iter=3)
     assert not cert.converged and cert.iterations == 3
+
+
+S1_MAX_ITER_3 = """\
+instance: s1
+degree: (1,)
+pitch: 0.001953125
+NOT converged: iterations=3 displacement=0.00390625 contraction=0.5 pitch=0.00195312 \
+eps=0.00138107 error_bound=0.006668385864014981
+vertex v: points=29997 boxdim~1.6107
+"""
+
+
+def test_only_the_last_level_measures_its_displacement(monkeypatch, tmp_path, capsys):
+    # s1 stops 3 steps into each of its 4 levels; the coarse levels' results
+    # only seed their children, so the last level's step alone is measured
+    from kfractal.cli import NO_CONVERGENCE, main
+
+    measured = []
+    measure = attractor.tuple_distance
+    monkeypatch.setattr(attractor, "tuple_distance",
+                        lambda *args: measured.append(args[0].pitch) or measure(*args))
+    argv = ["attractor", "--instance", "s1", "--max-iter", "3", "--out", str(tmp_path)]
+    assert main(argv) == NO_CONVERGENCE
+    assert measured == [_default_pitch(shipped("s1"))]
+    assert capsys.readouterr().out == S1_MAX_ITER_3
+    assert (tmp_path / "certificate.txt").read_text() == S1_MAX_ITER_3
 
 
 def test_refined_p2c_peaks_below_its_fiber_grid():

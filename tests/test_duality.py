@@ -1,6 +1,7 @@
 """Exact discrete checks: pullbacks, density vs fidelity, twisted products."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -247,42 +248,56 @@ def test_sweep_size3_sampled_agrees():
     assert res.sampled
 
 
-def test_sweep_matches_assignment_at_a_time_reference():
-    # the reference draws one assignment per rng call and tests commutation
-    # on dict tables
-    limit, seed = 4000, 12
-    rng = np.random.default_rng(seed)
-    consistent = 0
-    for size in (1, 2, 3):
+def reference_sweep(max_fiber_size, limit, seed):
+    """Per fiber size, the consistent assignments of the sweep's rule, drawn
+    one assignment at a time and tested for commutation on dict tables: an
+    enumerated size tries every assignment, a sampled one takes ``limit``
+    draws of (b0, r0) = divmod(randrange(m * m), m) from one
+    ``random.Random(seed)``, and draws (b1, r1) the same way only when b0
+    and r0 commute."""
+    rng = random.Random(seed)
+    counts = {}
+    for size in range(1, max_fiber_size + 1):
         elems = tuple(str(i) for i in range(size))
         maps = [dict(zip(elems, img)) for img in itertools.product(elems, repeat=size)]
-        if len(maps) ** 4 <= limit:
-            assignments = itertools.product(range(len(maps)), repeat=4)
-        else:
-            assignments = (tuple(rng.integers(0, len(maps), 4)) for _ in range(limit))
-        for idx in assignments:
-            b0, b1, r0, r1 = (maps[i] for i in idx)
-            consistent += all(
-                {t: b[r[t]] for t in elems} == {t: r[b[t]] for t in elems}
-                for b in (b0, b1)
-                for r in (r0, r1)
-            )
-    res = density_fidelity_sweep(max_fiber_size=3, limit=limit, seed=seed)
-    assert res.consistent == consistent
+        m = len(maps)
+
+        def commute(b, r):
+            return {t: b[r[t]] for t in elems} == {t: r[b[t]] for t in elems}
+
+        def consistent(b0, b1, r0, r1):
+            return all(commute(maps[b], maps[r]) for b in (b0, b1) for r in (r0, r1))
+
+        if m**4 <= limit:
+            counts[size] = sum(consistent(*idx) for idx in itertools.product(range(m), repeat=4))
+            continue
+        counts[size] = 0
+        for _ in range(limit):
+            b0, r0 = divmod(rng.randrange(m * m), m)
+            if commute(maps[b0], maps[r0]):
+                b1, r1 = divmod(rng.randrange(m * m), m)
+                counts[size] += consistent(b0, b1, r0, r1)
+    return counts
+
+
+def test_sweep_matches_assignment_at_a_time_reference():
+    for limit, seed in ((4000, 12), (100_000, 1)):
+        res = density_fidelity_sweep(max_fiber_size=4, limit=limit, seed=seed)
+        assert res.consistent_by_size == reference_sweep(4, limit, seed)
+        assert res.instances == 1 + 256 + 2 * limit
 
 
 @pytest.mark.parametrize(
     "limit, seed, sampled, instances, consistent",
     [
-        (4000, 12, True, 4257, 91),
-        (100_000, 1, True, 100_257, 892),
+        (4000, 12, True, 4257, 90),
+        (100_000, 1, True, 100_257, 880),
         (600_000, 0, False, 531_698, 4460),
     ],
 )
 def test_sweep_size3_counts(limit, seed, sampled, instances, consistent):
-    # counts of the assignment-at-a-time sweep: the same seeded sample (one
-    # rng.integers(0, 27, 4) call per assignment) and the same exhaustive
-    # enumeration, now tested block-wise on integer map tables
+    # the sampled counts are those of reference_sweep, the exhaustive one
+    # the count of every commuting assignment
     res = density_fidelity_sweep(max_fiber_size=3, limit=limit, seed=seed)
     assert (res.sampled, res.instances, res.consistent) == (sampled, instances, consistent)
     assert res.all_agree
@@ -291,19 +306,22 @@ def test_sweep_size3_counts(limit, seed, sampled, instances, consistent):
 def test_sweep_counts_consistent_assignments_per_fiber_size():
     # 4,000 draws at size 4 hold no commuting assignment: that size checks nothing
     res = density_fidelity_sweep(max_fiber_size=4, limit=4000, seed=12)
-    assert res.consistent_by_size == {1: 1, 2: 58, 3: 32, 4: 0}
-    assert res.consistent == 91
+    assert res.consistent_by_size == {1: 1, 2: 58, 3: 31, 4: 0}
+    assert res.consistent == 90
     res = density_fidelity_sweep(max_fiber_size=4, limit=100_000, seed=1)
-    assert res.consistent_by_size == {1: 1, 2: 58, 3: 833, 4: 11}
+    assert res.consistent_by_size == {1: 1, 2: 58, 3: 821, 4: 11}
     assert res.consistent == sum(res.consistent_by_size.values())
 
 
 def test_block_verdicts_match_reference_on_every_consistent_assignment():
     # every consistent assignment of fiber sizes 1 to 3, enumerated whole,
-    # through the row verdicts the sweep gives each consistent assignment
+    # through the row verdicts the sweep gives each consistent assignment;
+    # one memo serves all 4,460 rows, so an entry keyed on less than the
+    # tables along its path is read back for a row it does not fit
     g = duality._template_2graph()
     degrees = [(1, 0), (0, 1), (1, 1), (0, 0), (2, 1)]
     paths = [duality._template_paths(g, n) for n in degrees]
+    memo = ({}, {})
     checked = 0
     outcomes = set()
     for size in (1, 2, 3):
@@ -311,7 +329,7 @@ def test_block_verdicts_match_reference_on_every_consistent_assignment():
         maps = list(itertools.product(range(size), repeat=size))
         for row in duality._consistent_assignments(maps):
             quad = [maps[i] for i in row]
-            verdicts = duality._row_verdicts(quad, paths)
+            verdicts = duality._row_verdicts(quad, paths, memo)
             tables = {
                 e: {elems[j]: elems[x] for j, x in enumerate(tab)}
                 for e, tab in zip(duality._TEMPLATE_EDGES, quad)
@@ -352,7 +370,7 @@ def test_sweep_records_disagreements_per_assignment_then_degree(monkeypatch):
                 if dense != faithful:
                     expected.append((size, idx, n, duality.DensityFidelity(dense, faithful)))
 
-    def verdicts(tables, degree_paths):
+    def verdicts(tables, degree_paths, memo):
         faithful = position[tuple(tables)] % 2 == 0
         return [duality.DensityFidelity(len(paths) == 2, faithful) for paths in degree_paths]
 

@@ -1,11 +1,11 @@
 """What a command imports, checked in a fresh process, and what the package
 declares that it needs.
 
-The exact commands (``validate`` on a discrete system, ``duality`` on the
-enumerated fiber sizes) and the package itself leave numpy out; nothing
-imports scipy, whatever the sizes of the clouds compared.  No numpy also
-means no ``numpy.random``.  The grid commands leave ``kfractal.duality``
-out.
+The exact commands (``validate`` on a discrete system, and ``duality`` at
+every fiber size, enumerated or sampled) and the package itself leave numpy
+out; nothing imports scipy, whatever the sizes of the clouds compared.  No
+numpy also means no ``numpy.random``.  The grid commands leave
+``kfractal.duality`` out.
 """
 
 import ast
@@ -65,8 +65,11 @@ GUARDS = {
     "duality-d1": (["duality", "--instance", "d1"], "numpy"),
     "duality-d2": (["duality", "--instance", "d2"], "numpy"),
     "duality-d3": (["duality", "--instance", "d3"], "numpy"),
-    # sizes 1 and 2 are enumerated whole, so the sweep never imports numpy
+    # sizes 1 and 2 are enumerated whole; sizes 3 and up are sampled from
+    # random.Random, tested on tuples of images
     "duality-sweep-2": (["duality", "--max-fiber-size", "2"], "numpy"),
+    "duality-sweep-3": (["duality", "--max-fiber-size", "3", "--seed", "1"], "numpy"),
+    "duality-sweep-4": (["duality", "--max-fiber-size", "4", "--seed", "1"], "numpy"),
     "validate-d1": (["validate", "--instance", "d1"], "numpy"),
     # p2c compares its iterates through distance windows on every step
     "attractor-p2c": (["attractor", "--instance", "p2c"], "scipy"),
