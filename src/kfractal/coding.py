@@ -8,13 +8,21 @@ materialized.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attractor import SetTuple, _directed_window_bound, _snap_offset, contraction_factor
+from .attractor import (
+    SetTuple,
+    _blocks,
+    _directed_window_bound,
+    _snap_offset,
+    contraction_factor,
+)
 from .kgraph import (
     KGraph,
     KGraphError,
@@ -66,8 +74,7 @@ def code_point(sys: MWSystem, path: Path) -> CodedPoint:
 # prefix sampling
 
 
-# rng.integers draws below an int64 bound, so larger path spaces cannot be
-# sampled uniformly
+# ranks are unranked in int64, so larger path spaces cannot be sampled
 _MAX_PATHS = int(np.iinfo(np.int64).max)
 # coded_cloud codes at most this many points per vertex: every path without a
 # sample count, or this many samples
@@ -87,7 +94,7 @@ def path_budget(g: KGraph, depth, count: int | None) -> dict[str, int]:
     that coding can afford them.  A vertex codes at most
     ``MAX_EXHAUSTIVE_PATHS`` points: with no sample ``count`` all its paths
     are listed, so there may be at most that many; with a count, the count
-    may be at most that many, and the paths are drawn with int64 integers,
+    may be at most that many, and the paths are unranked in int64 integers,
     so there may be at most the int64 range of them.  Raises ValueError
     otherwise, before anything is allocated."""
     depth = tuple(depth)
@@ -136,35 +143,37 @@ def _completion_table(g: KGraph, depth):
     return steps, counts
 
 
-def sample_prefixes(g: KGraph, v: str, depth, count: int, seed: int = 0) -> np.ndarray:
-    """``count`` prefixes with range v and the given depth, drawn uniformly
-    and with replacement from vΛ^depth, as a ``(count, steps)`` intp array:
-    row i is the i-th prefix's edges in normal form, each as its edge number,
-    its position in ``sorted(g.edges)``.
+def _draw_ranks(rng: random.Random, size: int, n: int) -> np.ndarray:
+    """``n`` ranks drawn uniformly from [0, size), as int64.
 
-    One ``rng.integers(0, size, count)`` call draws a rank per sample, where
-    size = |vΛ^depth|, and each rank is unranked through the completion
-    table.  At every step, the samples standing at a vertex u pick the
-    candidate edge whose block of completions holds their rank, keep the
-    offset inside that block as their rank, and move to the edge's source.
-    The candidates of a step are sorted, so rank r unranks to the r-th path
-    of ``enumerate_paths(g, v, depth)``, in lexicographic order.  That is a
-    bijection from [0, size) onto vΛ^depth, so a uniform rank gives a
-    uniform prefix.
+    Each rank is the top k = (size - 1).bit_length() bits of a little-endian
+    uint64 from ``rng.randbytes``, which is uniform on [0, 2^k); a slot
+    whose bits are size or more is redrawn until it is not, so every rank
+    is exactly uniform.  Since 2^(k-1) < size, fewer than half the slots are
+    redrawn in a round.  A single path needs no bits, so size 1 gives zeros
+    and draws nothing."""
+    if size == 1:
+        return np.zeros(n, dtype=np.int64)
+    shift = 64 - (size - 1).bit_length()
+    ranks = np.frombuffer(rng.randbytes(8 * n), dtype="<u8") >> shift
+    bad = np.flatnonzero(ranks >= size)
+    while len(bad):
+        ranks[bad] = np.frombuffer(rng.randbytes(8 * len(bad)), dtype="<u8") >> shift
+        bad = bad[ranks[bad] >= size]
+    # below size <= the int64 limit, so the bits read the same as int64
+    return ranks.view(np.int64)
 
-    A vertex with no path of the depth, or a path count that does not fit
-    in int64, raises ValueError.
-    """
-    depth = tuple(depth)
-    steps, sizes = _completion_table(g, depth)
-    start = g.vertices.index(v)
-    size = sizes[start]
-    _check_drawable(v, depth, size)
-    if size == 0:
-        raise ValueError(f"vertex {v!r} has no path of degree {depth} to sample")
-    ranks = np.random.default_rng(seed).integers(0, size, count)
-    at = np.full(count, start)
-    rows = np.empty((count, len(steps)), dtype=np.intp)
+
+def _unrank(steps, start: int, ranks) -> np.ndarray:
+    """The rows of edge numbers of the paths of the given ranks from vertex
+    index ``start``, unranked through the completion table ``steps``.
+
+    At every step, the ranks standing at a vertex u pick the candidate edge
+    whose block of completions holds them, keep the offset inside that block
+    as their rank, and move to the edge's source."""
+    ranks = np.array(ranks, dtype=np.int64)
+    at = np.full(len(ranks), start)
+    rows = np.empty((len(ranks), len(steps)), dtype=np.intp)
     for j, row in enumerate(steps):
         nxt = np.empty_like(at)
         for u, (numbers, starts, sources) in enumerate(row):
@@ -179,6 +188,48 @@ def sample_prefixes(g: KGraph, v: str, depth, count: int, seed: int = 0) -> np.n
             nxt[here] = np.array(sources)[i]
         at = nxt
     return rows
+
+
+def sample_prefixes(g: KGraph, v: str, depth, count: int, seed: int = 0,
+                    code=None) -> np.ndarray:
+    """``count`` prefixes with range v and the given depth, drawn uniformly
+    and with replacement from vΛ^depth, as a ``(count, steps)`` intp array:
+    row i is the i-th prefix's edges in normal form, each as its edge number,
+    its position in ``sorted(g.edges)``.
+
+    The completion table is built once; then the samples are drawn, unranked
+    and handed on one block of ``BLOCK_ROWS`` at a time, so no temporary
+    grows with ``count``.  Each block's ranks, one per sample, are drawn
+    from one ``random.Random(seed)`` by ``_draw_ranks`` and unranked through
+    the table by ``_unrank``.  The candidates of a step are sorted, so rank r
+    unranks to the r-th path of ``enumerate_paths(g, v, depth)``, in
+    lexicographic order.  That is a bijection from [0, size) onto vΛ^depth,
+    where size = |vΛ^depth|, so a uniform rank gives a uniform prefix.
+
+    With ``code``, each block's rows are passed to it instead of being kept,
+    and its outputs, one row per sample, are returned stacked in their place.
+
+    A vertex with no path of the depth, or a path count that does not fit
+    in int64, raises ValueError.
+    """
+    depth = tuple(depth)
+    steps, sizes = _completion_table(g, depth)
+    start = g.vertices.index(v)
+    size = sizes[start]
+    _check_drawable(v, depth, size)
+    if size == 0:
+        raise ValueError(f"vertex {v!r} has no path of degree {depth} to sample")
+    rng = random.Random(seed)
+    out = None
+    # one block even without samples, so that the output has its width
+    for block in _blocks(max(count, 1)):
+        n = min(block.stop, count) - block.start
+        rows = _unrank(steps, start, _draw_ranks(rng, size, n))
+        got = rows if code is None else code(rows)
+        if out is None:
+            out = np.empty((count, *got.shape[1:]), dtype=got.dtype)
+        out[block] = got
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +311,12 @@ def coded_cloud(
     ``path_budget``; the paths are evaluated as a leaf-to-root sweep
     applying one edge color at a time, which touches each composite exactly
     once.  With a ``count`` the ``count`` prefixes per vertex are drawn
-    seeded, uniformly and with replacement by ``sample_prefixes``, as rows
-    of edge numbers; ``_coded_points`` evaluates them together as stacked
-    matrices, giving the same points bit for bit as ``code_point`` of their
-    paths, and no ``Path`` is built.
+    seeded, uniformly and with replacement by ``sample_prefixes``, one block
+    of ``BLOCK_ROWS`` rows of edge numbers at a time; ``_coded_points``
+    evaluates each block as stacked matrices, giving the same points bit
+    for bit as ``code_point`` of their paths, and no ``Path`` is built.  A
+    vertex then holds its ``(count, dim)`` points and one block's
+    temporaries.
     The radius comes from ``contraction_factor`` in both cases, so no
     per-point bound is computed.
     """
@@ -290,7 +343,8 @@ def coded_cloud(
         return SetTuple.from_points(origin, pitch, clouds), err
 
     clouds = {
-        v: _coded_points(sys, v, sample_prefixes(g, v, depth, count, seed=seed))
+        v: sample_prefixes(g, v, depth, count, seed=seed,
+                           code=functools.partial(_coded_points, sys, v))
         for v in g.vertices
     }
     return SetTuple.from_points(origin, pitch, clouds), err

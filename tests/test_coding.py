@@ -1,16 +1,20 @@
 """Prefix coding: certified points, sampling, intertwining, coded clouds."""
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kfractal import _kernels
+from kfractal import _kernels, attractor, coding
 from kfractal.attractor import SetTuple, compute_attractor, hausdorff_distance
 from kfractal.coding import (
     MAX_EXHAUSTIVE_PATHS,
+    _completion_table,
+    _draw_ranks,
     check_intertwining,
     check_subsystem,
     code_point,
@@ -241,53 +245,39 @@ SAMPLED_CASES = [
 LISTED = 10**4
 
 
-@pytest.fixture
-def integers_calls(monkeypatch):
-    """The positional arguments of every ``Generator.integers`` call made by
-    generators that ``np.random.default_rng`` returns in the test."""
-    calls = []
-    make = np.random.default_rng
-
-    class Counting:
-        def __init__(self, seed):
-            self.rng = make(seed)
-
-        def integers(self, *args, **kwargs):
-            calls.append(args)
-            return self.rng.integers(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "default_rng", Counting)
-    return calls
+def _unrank(g, v, depth, ranks):
+    """The rows that the sampler's unranking seam gives for ``ranks``."""
+    steps, _ = _completion_table(g, tuple(depth))
+    return coding._unrank(steps, g.vertices.index(v), ranks)
 
 
-def _unrank(monkeypatch, g, v, depth, ranks):
-    """The rows ``sample_prefixes`` returns when its generator draws
-    ``ranks``."""
-    size = count_paths(g, v, depth)
+def _seeded_ranks(size, count, seed):
+    """The ranks ``sample_prefixes`` draws for ``count`` samples from a
+    space of ``size`` paths: one generator, one draw per block."""
+    rng = random.Random(seed)
+    return [r for block in range(0, count, attractor.BLOCK_ROWS)
+            for r in _draw_ranks(rng, size, min(attractor.BLOCK_ROWS, count - block)).tolist()]
 
-    class Fixed:
-        def __init__(self, seed):
-            pass
 
-        def integers(self, low, high, n):
-            assert (low, high, n) == (0, size, len(ranks))
-            return np.array(ranks, dtype=np.int64)
-
-    with monkeypatch.context() as m:
-        m.setattr(np.random, "default_rng", Fixed)
-        return sample_prefixes(g, v, depth, len(ranks))
+@pytest.fixture(params=[None, 7], ids=["one-block", "blocks-of-7"])
+def block_rows(request, monkeypatch):
+    """``BLOCK_ROWS`` as shipped, or 7 so that small counts span blocks."""
+    if request.param is not None:
+        monkeypatch.setattr(attractor, "BLOCK_ROWS", request.param)
+    return attractor.BLOCK_ROWS
 
 
 @pytest.mark.parametrize("name, depth, count", SAMPLED_CASES)
-def test_ranks_unrank_to_the_listed_paths(monkeypatch, request, name, depth, count):
+def test_ranks_unrank_to_the_listed_paths(request, name, depth, count):
     g = _graph(name, request)
+    rng = random.Random(0)
     for v in g.vertices:
         size = count_paths(g, v, depth)
         if size <= LISTED:
-            rows = _unrank(monkeypatch, g, v, depth, range(size))
+            rows = _unrank(g, v, depth, range(size))
             assert words(g, rows) == [p.edges for p in enumerate_paths(g, v, depth)]
-        ranks = [0, size - 1, *np.random.default_rng(0).integers(0, size, count).tolist()]
-        rows = _unrank(monkeypatch, g, v, depth, ranks)
+        ranks = [0, size - 1, *(rng.randrange(size) for _ in range(count))]
+        rows = _unrank(g, v, depth, ranks)
         assert words(g, rows) == [_unrank_reference(g, v, depth, r) for r in ranks]
         # every row is a path of the depth, which the sampler does not check
         assert all(Path(g, v, w).degree == depth for w in words(g, rows))
@@ -296,10 +286,20 @@ def test_ranks_unrank_to_the_listed_paths(monkeypatch, request, name, depth, cou
 @pytest.mark.parametrize("seed", [0, 5, 91])
 @pytest.mark.parametrize("name, depth, count", SAMPLED_CASES)
 def test_sampler_unranks_its_seeded_ranks(request, name, depth, count, seed):
-    g = _graph(name, request)
+    _check_seeded_ranks(_graph(name, request), depth, count, seed)
+
+
+@pytest.mark.parametrize("name, depth, count", SAMPLED_CASES)
+def test_sampler_unranks_its_seeded_ranks_in_blocks_of_7(monkeypatch, request, name, depth,
+                                                         count):
+    monkeypatch.setattr(attractor, "BLOCK_ROWS", 7)
+    _check_seeded_ranks(_graph(name, request), depth, count, 5)
+
+
+def _check_seeded_ranks(g, depth, count, seed):
     for v in g.vertices:
         size = count_paths(g, v, depth)
-        ranks = np.random.default_rng(seed).integers(0, size, count).tolist()
+        ranks = _seeded_ranks(size, count, seed)
         if size <= LISTED:
             paths = enumerate_paths(g, v, depth)
             want = [paths[r].edges for r in ranks]
@@ -311,12 +311,75 @@ def test_sampler_unranks_its_seeded_ranks(request, name, depth, count, seed):
 
 
 @pytest.mark.parametrize("name, depth, count", SAMPLED_CASES)
-def test_sampler_draws_once_per_call(request, integers_calls, name, depth, count):
+def test_sampler_unranks_the_drawn_ranks_block_by_block(monkeypatch, request, block_rows,
+                                                        name, depth, count):
+    # one generator per call, whose draws, one per block, are the ranks
+    # that are unranked, in order
     g = _graph(name, request)
+    draw, unrank, seeded = coding._draw_ranks, coding._unrank, random.Random
+    events = []
+
+    def seeding(seed):
+        events.append(("seed", seed))
+        return seeded(seed)
+
+    def drawing(rng, size, n):
+        ranks = draw(rng, size, n)
+        events.append(("draw", size, ranks.tolist()))
+        return ranks
+
+    def unranking(steps, start, ranks):
+        events.append(("unrank", start, np.asarray(ranks).tolist()))
+        return unrank(steps, start, ranks)
+
+    monkeypatch.setattr(coding.random, "Random", seeding)
+    monkeypatch.setattr(coding, "_draw_ranks", drawing)
+    monkeypatch.setattr(coding, "_unrank", unranking)
     for v in g.vertices:
-        integers_calls.clear()
+        events.clear()
+        size, start = count_paths(g, v, depth), g.vertices.index(v)
         assert len(sample_prefixes(g, v, depth, count, seed=3)) == count
-        assert integers_calls == [(0, count_paths(g, v, depth), count)]
+        blocks = [min(block_rows, count - b) for b in range(0, count, block_rows)] or [0]
+        assert events[0] == ("seed", 3)
+        assert [e[:2] for e in events[1::2]] == [("draw", size)] * len(blocks)
+        assert [len(e[2]) for e in events[1::2]] == blocks
+        assert [e[:2] for e in events[2::2]] == [("unrank", start)] * len(blocks)
+        assert [e[2] for e in events[2::2]] == [e[2] for e in events[1::2]]
+        assert len(events) == 1 + 2 * len(blocks)
+
+
+DRAW_SIZES = [1, 2, 3, 2**20, 2**20 + 1, 3**39, 2**63 - 1]
+
+
+@pytest.mark.parametrize("size", DRAW_SIZES)
+def test_drawn_ranks_lie_below_the_size_and_repeat_under_a_seed(size):
+    ranks = _draw_ranks(random.Random(11), size, 5000)
+    assert ranks.dtype == np.int64 and ranks.shape == (5000,)
+    assert ranks.min() >= 0 and int(ranks.max()) < size
+    assert np.array_equal(ranks, _draw_ranks(random.Random(11), size, 5000))
+    if size == 1:
+        # one path: the generator is left as it was
+        rng = random.Random(11)
+        state = rng.getstate()
+        _draw_ranks(rng, size, 5000)
+        assert rng.getstate() == state
+    else:
+        assert not np.array_equal(ranks, _draw_ranks(random.Random(12), size, 5000))
+        # more than one rank, and ranks above the lower half where there is one
+        assert len(set(ranks.tolist())) > 1 and int(ranks.max()) >= size // 2
+
+
+# the 0.999 quantiles of chi-square with 2, 4 and 2186 degrees of freedom
+CHI2_999 = {3: 13.815510557964274, 5: 18.46682695290317, 2187: 2396.0417718074214}
+
+
+@pytest.mark.parametrize("size", sorted(CHI2_999))
+def test_drawn_ranks_are_uniform(size):
+    n = 60_000
+    counts = np.bincount(_draw_ranks(random.Random(2024), size, n), minlength=size)
+    expected = n / size
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert stat < CHI2_999[size], stat
 
 
 @pytest.mark.parametrize("one_step", [False, True])
@@ -475,6 +538,20 @@ def test_sampled_coded_cloud_builds_no_paths(monkeypatch):
     assert built == []
 
 
+def test_sampled_coded_cloud_holds_one_block_of_temporaries():
+    # 200,000 coded points of s1 are 3.2 MB, and their snapped rows as
+    # much; all the samples' rows and stacked maps at once took 33.8 MiB
+    sys_ = shipped("s1")
+    tracemalloc.start()
+    try:
+        T, _ = coded_cloud(sys_, (7,), pitch=1 / 64, count=200_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(T.clouds["v"]) <= 3**7
+    assert peak < 12 << 20, peak
+
+
 def test_coded_cloud_sampled_subset_of_exhaustive():
     sys = shipped("p2c")
     h = 1 / 243
@@ -537,6 +614,17 @@ _SAMPLED_CASES = [
     ids=[f"{name}-depth{i}-{count}-centroid" for i, (name, _, count) in enumerate(_SAMPLED_CASES)],
 )
 def test_sampled_coded_cloud_equals_code_point(raw_clouds, name, depth, count):
+    _check_coded_points(raw_clouds, name, depth, count)
+
+
+@pytest.mark.parametrize("name, depth, count", [("s1", (7,), 2000), ("lopsided", (9,), 300)])
+def test_sampled_coded_cloud_equals_code_point_in_blocks_of_7(monkeypatch, raw_clouds, name,
+                                                              depth, count):
+    monkeypatch.setattr(attractor, "BLOCK_ROWS", 7)
+    _check_coded_points(raw_clouds, name, depth, count)
+
+
+def _check_coded_points(raw_clouds, name, depth, count):
     if name == "product":
         sys = _product_system(seed=2)
     elif name == "lopsided":

@@ -4,8 +4,8 @@ declares that it needs.
 The exact commands (``validate`` on a discrete system, and ``duality`` at
 every fiber size, enumerated or sampled) and the package itself leave numpy
 out; nothing imports scipy, whatever the sizes of the clouds compared.  No
-numpy also means no ``numpy.random``.  The grid commands leave
-``kfractal.duality`` out.
+command loads ``numpy.random``, sampled coding included.  The grid commands
+leave ``kfractal.duality`` out.
 """
 
 import ast
@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from shipped import LOPSIDED
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
@@ -26,6 +28,10 @@ SRC = ROOT / "src"
 # dust of dimension 0.602, whose iterates are sparse in their fiber grid
 # (10,816 points against 576 in a 513^2 box on the second step)
 DUST = "dust.json"
+
+
+# the two-vertex 1-graph of tests/shipped.py, whose completion counts differ
+LOPSIDED_FILE = "lopsided.json"
 
 
 def write_dust(path: Path) -> None:
@@ -93,6 +99,13 @@ GUARDS = {
     # both diagonal runs unite the children of each level's fixed point
     "diagonal-p2c-no-ma": (["diagonal", "--instance", "p2c"], "numpy.ma"),
     "attractor-dust-no-ma": (["attractor", "--instance", DUST], "numpy.ma"),
+    # coding draws its ranks from random.Random; no command loads numpy.random
+    "coding-s1-no-random": (["coding", "--instance", "s1", "--count", "20000", "--seed", "1"],
+                            "numpy.random"),
+    "coding-lopsided-no-random": (["coding", "--instance", LOPSIDED_FILE, "--count", "40",
+                                   "--seed", "3"], "numpy.random"),
+    "attractor-p2-no-random": (["attractor", "--instance", "p2"], "numpy.random"),
+    "diagonal-p2c-no-random": (["diagonal", "--instance", "p2c"], "numpy.random"),
     "large-directed-distance": (LARGE_DISTANCE, "scipy"),
     "k-surjective-s1": (K_SURJECTIVE, "scipy"),
 }
@@ -113,6 +126,9 @@ def test_fresh_process_leaves_module_out(tmp_path, name):
         if DUST in run:
             write_dust(tmp_path / DUST)
             run = [str(tmp_path / DUST) if arg == DUST else arg for arg in run]
+        if LOPSIDED_FILE in run:
+            (tmp_path / LOPSIDED_FILE).write_text(json.dumps(LOPSIDED))
+            run = [str(tmp_path / LOPSIDED_FILE) if arg == LOPSIDED_FILE else arg for arg in run]
         run = ("from kfractal.cli import main\n"
                f"assert main({[*run, '--out', str(tmp_path)]!r}) == 0\n")
     code = ("import sys\n" + run

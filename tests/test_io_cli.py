@@ -8,6 +8,7 @@ import json
 import math
 import operator
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -1084,7 +1085,9 @@ def test_cli_attractor_default_pitch_is_pinned(tmp_path, capsys, label):
 # coding runs after the sampler began to draw one rank per prefix, once
 # test_sampled_coded_csv_is_code_point_at_the_drawn_ranks agreed with them);
 # the text re-recorded with the pins above, for its certificate lines, and
-# diagonal p2c again for the refined runs (``iterations=`` 6 -> 4 in both)
+# diagonal p2c again for the refined runs (``iterations=`` 6 -> 4 in both);
+# the coding runs again when the ranks came to be drawn from random.Random,
+# coded.csv from that test's rebuild
 PINNED_OUTPUT_DIGESTS = {
     "diagonal p2c": (
         ["diagonal", "--instance", "p2c"],
@@ -1096,10 +1099,10 @@ PINNED_OUTPUT_DIGESTS = {
     "coding s1": (
         ["coding", "--instance", "s1", "--count", "3000", "--seed", "4"],
         {
-            "coding.txt": "7cca1e0414114732be0f6b39c3a8390343b7d2d594312ea962653c6e27b83134",
+            "coding.txt": "2aed732075359187771a342f80a161a5da923309ef54eb4d3e84b5db9c8f96ea",
             # 3000 draws cover part of the 2187 paths, so this file pins the
             # seeded prefix stream
-            "coded.csv": "4a1ecd1f6202e273cb99a3f4304b194d3a6616cbf9d182686734bff615729124",
+            "coded.csv": "4a38a9bacf1c7022a701d4b8c4311ccb138749f308cd2f940848189a141883e8",
         },
     ),
     # completion totals that differ between the vertices; 40 draws cover
@@ -1107,25 +1110,25 @@ PINNED_OUTPUT_DIGESTS = {
     "coding lopsided": (
         ["coding", "--instance", "{lopsided}", "--count", "40", "--seed", "3"],
         {
-            "stdout": "787af04303b636f90d6929f9583aa7231e56aa9cf346f718e86d02e887bb48e8",
-            "coding.txt": "787af04303b636f90d6929f9583aa7231e56aa9cf346f718e86d02e887bb48e8",
-            "coded.csv": "3ea9e36104b4ca21539981a0dc9b17c84423abe304a985053d1d3c2a21ef6a18",
+            "stdout": "b4a5b4894cedc0de97154f4e872e3aa8bb97200fb703aadc1cb6c99c67b2a68e",
+            "coding.txt": "b4a5b4894cedc0de97154f4e872e3aa8bb97200fb703aadc1cb6c99c67b2a68e",
+            "coded.csv": "e3830e934ab2be901ce481a9ffdd9aa76afc9a6bffa2b58e051996e7905331c9",
         },
     ),
 }
 
 # lines of those artifacts, as text: check_subsystem's bounds measure the
 # snapped generator images on the lattice and add the largest snapping
-# offset (with the sampler's earlier stream, the KD-tree on the real images
-# printed 0.0176052, 0.0148746 and 0.0145712, each below its lattice bound
-# 0.0186629, 0.0158511 and 0.0146652)
+# offset (with an earlier numpy stream, the KD-tree on the real images printed
+# 0.0176052, 0.0148746 and 0.0145712, each below its lattice bound 0.0186629,
+# 0.0158511 and 0.0146652)
 PINNED_LINES = {
     "coding s1": (
         "coding.txt",
         [
-            "  edge a0: one-sided distance 0.0167232",
-            "  edge a1: one-sided distance 0.0147872",
-            "  edge a2: one-sided distance 0.0146652",
+            "  edge a0: one-sided distance 0.017778",
+            "  edge a1: one-sided distance 0.0150607",
+            "  edge a2: one-sided distance 0.0110989",
         ],
     ),
 }
@@ -1151,8 +1154,10 @@ def test_cli_window_outputs_are_pinned(tmp_path, capsys, label):
 @pytest.mark.parametrize("label", ["coding s1", "coding lopsided"])
 def test_sampled_coded_csv_is_code_point_at_the_drawn_ranks(tmp_path, capsys, label):
     # the pinned coded.csv rebuilt without the sampler: per vertex, the r-th
-    # listed path for every rank r of default_rng(seed).integers(0, size, count)
-    from kfractal.coding import code_point
+    # listed path for every rank r that _draw_ranks draws from
+    # random.Random(seed), BLOCK_ROWS ranks at a time
+    from kfractal.attractor import BLOCK_ROWS
+    from kfractal.coding import _draw_ranks, code_point
     from kfractal.kgraph import enumerate_paths
 
     lopsided = tmp_path / "lopsided.json"
@@ -1169,9 +1174,10 @@ def test_sampled_coded_csv_is_code_point_at_the_drawn_ranks(tmp_path, capsys, la
     clouds = {}
     for v in sys_.graph.vertices:
         paths = enumerate_paths(sys_.graph, v, depth)
-        ranks = np.random.default_rng(int(flags["--seed"])).integers(
-            0, len(paths), int(flags["--count"]))
-        clouds[v] = np.array([code_point(sys_, paths[r]).point for r in ranks.tolist()])
+        rng, count = random.Random(int(flags["--seed"])), int(flags["--count"])
+        ranks = [r for at in range(0, count, BLOCK_ROWS)
+                 for r in _draw_ranks(rng, len(paths), min(BLOCK_ROWS, count - at)).tolist()]
+        clouds[v] = np.array([code_point(sys_, paths[r]).point for r in ranks])
     write_clouds_csv(SetTuple.from_points(np.zeros(sys_.dim), h, clouds), tmp_path / "want.csv")
     assert (tmp_path / "coded.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
