@@ -4,7 +4,7 @@ Every pair is measured, a block of ``a`` rows at a time.  Euclidean
 distances are summed squared coordinate by coordinate, reduced with
 min/max, and square-rooted once at the end.  ``attractor.directed_distance``
 and ``hausdorff_distance`` run it on real point clouds; tests use it as the
-off-lattice reference for the lattice windows.
+off-lattice reference for the lattice distances.
 """
 
 import math

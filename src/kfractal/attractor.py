@@ -29,19 +29,21 @@ next, at half the pitch, from the fine cells around it that lie in the
 fibers: the subdivision scheme of Dellnitz & Hohmann (Numer. Math. 75,
 1997), which refines the cells the dynamics keeps.
 
-Two tuples on the same lattice are compared from their integer rows, in
-numpy over an occupancy window of their joint bounding box, each direction
-only at the source cells outside the target.  The window is bounded by the
-largest fiber grid, ``MAX_GRID_POINTS`` cells, before it is allocated.  An
-iterate need not lie in its fiber's grid: snapping can move an image row
-out of the fiber, and s1's fixed point at its default pitch has 752 of its
-28,648 rows outside the triangle, though inside its bounding box.  The
-max metric takes the two raster passes of the unit chamfer (Rosenfeld &
-Pfaltz 1966), the Euclidean metric a gap along one axis and then rings of
-offsets along the others; both are integer, hence exact.
-``_directed_window_bound`` runs one direction of the same window: the
-coding invariance check and the k-surjectivity check measure snapped
-images so, and add the largest snapping offset (``_snap_offset``),
+Two tuples on the same lattice are compared from their integer rows, each
+direction only at the source cells outside the target.  Each cloud's cells
+are numbered in the joint bounding box and sorted once (``_joint_keys``);
+the outside cells are those ``searchsorted`` does not find, and each one
+walks the target's occupied rows outward from its own, taking its gap to
+a row along the box's last axis from the sorted numbers, until no further
+row can come nearer (``_farthest``).  Both metrics are measured so, in
+integers, hence exactly, and nothing is allocated over the box: memory is
+O(|A| + |B|), and only a box of more than 2^62 cells, which int64 cannot
+number, is refused.  An iterate need not lie in its fiber's grid: snapping
+can move an image row out of the fiber, and s1's fixed point at its
+default pitch has 752 of its 28,648 rows outside the triangle, though
+inside its bounding box.  ``_directed_bound`` measures one direction so:
+the coding invariance check and the k-surjectivity check measure snapped
+images with it, and add the largest snapping offset (``_snap_offset``),
 rounding the sum upward.
 ``directed_distance`` and ``hausdorff_distance`` measure real point clouds
 pair by pair, by brute force; they are the off-lattice reference.
@@ -57,11 +59,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
+from .exact import round_up, sqrt_up
 from .kgraph import KGraphError
 from .systems import (
     EUCLIDEAN,
     MAX,
-    MAX_GRID_POINTS,
     AffineMap,
     MWSystem,
     degree_maps,
@@ -83,7 +85,7 @@ def _check_metric(metric) -> None:
 
 def directed_distance(a, b, metric=EUCLIDEAN):
     """One-sided (sup-min) distance from cloud a to cloud b, every pair
-    measured by the brute-force kernel.  The lattice windows are checked
+    measured by the brute-force kernel.  The lattice distances are checked
     against it.  A metric other than ``"euclidean"`` or ``"max"`` raises
     ValueError.
     """
@@ -106,187 +108,177 @@ def hausdorff_distance(a, b, metric=EUCLIDEAN):
     return max(directed_distance(a, b, metric), directed_distance(b, a, metric))
 
 
-def _window(a: np.ndarray, b: np.ndarray):
-    """The occupancy window over the joint bounding box of two nonempty
-    lattice clouds.  A box of more than ``MAX_GRID_POINTS`` cells, the
-    largest fiber grid, counted in Python integers, raises ValueError
-    before anything is allocated.
+def _joint_keys(a: np.ndarray, b: np.ndarray):
+    """Two nonempty lattice clouds numbered in their joint bounding box.
 
-    Returns the window's shape, its axes ordered shortest first so that
-    ``_farthest`` loops over the short ones and vectorises along the
-    longest, and each cloud's C-order flat cells in it.
+    The box's axes are ordered shortest first, so that its rows, the lines
+    along the last and longest axis, are fewest.  Returns the box's shape
+    and each cloud's C-order flat cells in it, sorted; they are written a
+    block of ``BLOCK_ROWS`` rows at a time.  A box of more than 2^62 cells,
+    which int64 cannot number, counted in Python integers, raises
+    ValueError before anything is allocated.
     """
     lo = [min(int(x.min()), int(y.min())) for x, y in zip(a.T, b.T)]
     span = [max(int(x.max()), int(y.max())) - low + 1 for x, y, low in zip(a.T, b.T, lo)]
-    if math.prod(span) > MAX_GRID_POINTS:
-        raise ValueError(f"the lattice clouds' joint box has more than "
-                         f"{MAX_GRID_POINTS} cells")
+    if math.prod(span) > _MAX_KEYED_CELLS:
+        raise ValueError("the lattice clouds' joint box has more than 2**62 cells")
     axes = sorted(range(len(span)), key=span.__getitem__)
     shape = tuple(span[k] for k in axes)
+    strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
 
-    def flat(rows):
-        out = np.zeros(len(rows), dtype=np.int64)
-        for k, n in zip(axes, shape):
-            out *= n
-            out += rows[:, k] - lo[k]
+    def keys(rows):
+        out = np.empty(len(rows), dtype=np.int64)
+        for s in _blocks(len(rows)):
+            block, flat = rows[s], out[s]
+            np.multiply(block[:, axes[0]] - lo[axes[0]], strides[0], out=flat)
+            for k, stride in zip(axes[1:], strides[1:]):
+                flat += (block[:, k] - lo[k]) * stride
+        out.sort()
         return out
 
-    return shape, flat(a), flat(b)
+    return shape, keys(a), keys(b)
 
 
-def _directed_cells(src: np.ndarray, dst: np.ndarray, shape, metric) -> int:
-    """The one-sided distance from the flat cells src to the flat cells dst
-    of a window, as ``_farthest`` gives it (squared for the Euclidean
-    metric).  dst is marked in an occupancy window and only the src cells
-    outside it are measured; when there are none the distance is 0, as when
-    one iterate lies inside the other."""
-    occ = np.zeros(math.prod(shape), dtype=bool)
-    occ[dst] = True
-    outside = src[~occ[src]]
-    return _farthest(occ.reshape(shape), outside, metric) if len(outside) else 0
+def _lead(rows: np.ndarray, lead) -> np.ndarray:
+    """The coordinates along leading axes of the given lengths, one column
+    per axis, of row numbers (C-order flat indices over those axes)."""
+    out = np.empty((len(rows), len(lead)), dtype=np.int64)
+    for j in range(len(lead) - 1, -1, -1):
+        rows, out[:, j] = np.divmod(rows, lead[j])
+    return out
+
+
+class _RowIndex:
+    """The occupied rows of a box's sorted flat cells ``keys``, a row being
+    a line along the box's last axis: their row numbers, ascending, where
+    each one's cells start and end in ``keys``, their coordinates along the
+    leading axes (``lead``) and the first of those (``first``, zeros when
+    the box has one axis)."""
+
+    def __init__(self, keys: np.ndarray, shape):
+        self.keys, self.length = keys, shape[-1]
+        row = keys // self.length
+        self.starts = np.flatnonzero(np.diff(row, prepend=-1))
+        self.rows = row[self.starts]
+        self.ends = np.append(self.starts[1:], len(keys))
+        self.lead = _lead(self.rows, shape[:-1])
+        self.first = self.lead[:, 0] if len(shape) > 1 else np.zeros(len(self.rows), np.int64)
+
+
+def _directed_cells(src: np.ndarray, dst: np.ndarray, shape, metric, floor: int = 0) -> int:
+    """The one-sided distance from the sorted flat cells src to the sorted
+    flat cells dst of a box of the given shape, squared for the Euclidean
+    metric and chessboard for the max metric, or floor if that is larger.
+
+    The src cells missing from dst are found by ``searchsorted``,
+    ``BLOCK_ROWS`` of them at a time, and each block is measured by
+    ``_farthest`` against dst's occupied rows, indexed at the first such
+    block; when there are none the distance is 0, as when one iterate lies
+    inside the other.
+    """
+    index, last = None, len(dst) - 1
+    for s in _blocks(len(src)):
+        cells = src[s]
+        outside = cells[dst[np.minimum(np.searchsorted(dst, cells), last)] != cells]
+        if len(outside):
+            index = index or _RowIndex(dst, shape)
+            floor = _farthest(outside, index, shape, metric, floor)
+    return floor
+
+
+def _farthest(cells: np.ndarray, index: _RowIndex, shape, metric, floor: int) -> int:
+    """The largest distance from the given flat cells (at least one, none
+    of them occupied) to the occupied cells of ``index``, squared for the
+    Euclidean metric and chessboard for the max metric, or floor if that is
+    larger.
+
+    Everything is integer, so the result is exact, and nothing is allocated
+    over the box.  Each cell walks the occupied rows outward from its own,
+    two pointers into the ascending row numbers, taking the nearer along
+    the first leading axis first.  For a planar box that is nearest first
+    by squared row distance for the Euclidean metric and by row distance
+    for the max metric; with more leading axes it is nearest first by a
+    lower bound of both.  A row's distance to a cell combines the distance
+    between their rows with the cell's gap to the row's nearest cell along
+    the last axis, read from the sorted cells by ``searchsorted``.  A cell
+    stops when the next row's bound is no less than its distance so far
+    (no later row can shorten it), or when that distance cannot exceed
+    floor, raised to every distance settled (the early break of Taha &
+    Hanbury, IEEE TPAMI 37(11), 2015).  Only occupied rows are visited, so
+    far-apart clouds cost their rows, not their box.
+    """
+    euclid = metric == EUCLIDEAN
+    keys, rows, first, length = index.keys, index.rows, index.first, index.length
+    # above every distance in the box; squares past int64 stay Python integers
+    far = sum(n * n for n in shape) if euclid else max(shape)
+    dtype = np.int64 if far < 2**62 else object
+    end = len(rows) - 1
+
+    own, col = np.divmod(cells, length)
+    p = _lead(own, shape[:-1])
+    p0 = p[:, 0] if len(shape) > 1 else np.zeros(len(cells), np.int64)
+    right = np.searchsorted(rows, own)
+    left = right - 1
+    best = np.full(len(cells), far, dtype=dtype)
+
+    def bounds():
+        # the next row's first-axis distance on either side, far past the ends
+        out = []
+        for at, valid in ((left, left >= 0), (right, right <= end)):
+            gap = np.abs(first[np.clip(at, 0, end)] - p0).astype(dtype, copy=False)
+            out.append(np.where(valid, gap * gap if euclid else gap, far))
+        return out
+
+    below, above = bounds()
+    while len(best):
+        step = below > above
+        t = np.where(step, right, left)
+        right += step
+        left -= ~step
+        # the row's distance: the rows' offset and the gap along the last axis
+        off = np.abs(p - index.lead[t]).astype(dtype, copy=False)
+        near = (off * off).sum(axis=1) if euclid else off.max(axis=1, initial=0)
+        key = rows[t] * length + col
+        at = np.searchsorted(keys, key)
+        gap = np.minimum(
+            np.where(at > index.starts[t], key - keys[np.maximum(at - 1, 0)], length),
+            np.where(at < index.ends[t], keys[np.minimum(at, len(keys) - 1)] - key, length),
+        ).astype(dtype, copy=False)
+        np.minimum(best, near + gap * gap if euclid else np.maximum(near, gap), out=best)
+        below, above = bounds()
+        settled = best <= np.minimum(below, above)
+        if settled.any():
+            floor = max(floor, int(best[settled].max()))
+        keep = ~settled & (best > floor)
+        if not keep.all():
+            best, p, p0, col, left, right, below, above = (
+                x[keep] for x in (best, p, p0, col, left, right, below, above))
+    return floor
 
 
 def _cells_to_length(cells: int, metric) -> float:
     return math.sqrt(cells) if metric == EUCLIDEAN else float(cells)
 
 
-def _window_distance(a: np.ndarray, b: np.ndarray, metric) -> float:
+def _lattice_distance(a: np.ndarray, b: np.ndarray, metric) -> float:
     """Hausdorff distance, in lattice units, between two nonempty lattice
-    clouds; each direction is one ``_directed_cells`` over the same
-    ``_window``."""
-    shape, fa, fb = _window(a, b)
-    worst = max(_directed_cells(fa, fb, shape, metric), _directed_cells(fb, fa, shape, metric))
+    clouds: one ``_directed_cells`` each way over their ``_joint_keys``,
+    the second starting from the first's distance."""
+    shape, fa, fb = _joint_keys(a, b)
+    worst = _directed_cells(fb, fa, shape, metric, _directed_cells(fa, fb, shape, metric))
     return _cells_to_length(worst, metric)
 
 
-def _round_up(x: Fraction) -> float:
-    """The least float at or above the rational x (inf above the float
-    range): the one outward rounding of a bound evaluated exactly, so a
-    bound that is a float stays exact."""
-    try:
-        f = float(x)
-    except OverflowError:
-        return math.inf
-    return f if f >= x else math.nextafter(f, math.inf)
-
-
-def _sqrt_up(n: int) -> Fraction:
-    """The least float at or above the square root of n, as a rational."""
-    s = math.sqrt(n)
-    return Fraction(s) if Fraction(s) ** 2 >= n else Fraction(math.nextafter(s, math.inf))
-
-
-def _directed_window_bound(a: np.ndarray, b: np.ndarray, pitch: float, eps: float,
-                           metric) -> float:
+def _directed_bound(a: np.ndarray, b: np.ndarray, pitch: float, eps: float, metric) -> float:
     """pitch times the one-sided (sup-min) lattice distance from lattice
     cloud a to lattice cloud b, both nonempty, plus eps, rounded upward.
-    The distance is measured exactly in integers over their ``_window``."""
+    The distance is measured exactly in integers from their sorted flat
+    cells (``_joint_keys``, ``_directed_cells``)."""
     _check_metric(metric)
-    shape, fa, fb = _window(a, b)
+    shape, fa, fb = _joint_keys(a, b)
     cells = _directed_cells(fa, fb, shape, metric)
-    length = _sqrt_up(cells) if metric == EUCLIDEAN else Fraction(cells)
-    return _round_up(Fraction(pitch) * length + Fraction(eps))
-
-
-def _farthest(occ: np.ndarray, cells: np.ndarray, metric) -> int:
-    """The largest distance from the given unoccupied cells (C-order flat
-    indices, at least one) to the occupied cells of a window that has some:
-    squared for the Euclidean metric, chessboard for the max metric.
-
-    Everything is integer, so the result is exact.  Chessboard distances
-    come from the two raster passes of ``_chamfer``.  A Euclidean distance
-    starts from the cell's gap to the nearest occupied cell along the last
-    axis, the longest; offsets along the other axes are then tried in rings
-    of growing squared length, added to the squared gap they reach.
-    """
-    shape = occ.shape
-    far = sum(shape)  # above every distance inside the window
-    dtype = np.int32 if 5 * far * far < 2**31 else np.int64
-    if metric != EUCLIDEAN:
-        dist = np.where(occ, dtype(0), dtype(far))
-        _chamfer(dist)
-        _chamfer(dist[(slice(None, None, -1),) * dist.ndim])
-        return int(dist.reshape(-1)[cells].max())
-    last = shape[-1]
-    x = np.arange(last, dtype=dtype)
-    before = np.where(occ, x, dtype(-far))
-    np.maximum.accumulate(before, axis=-1, out=before)
-    np.subtract(x, before, out=before)
-    after = np.where(occ, x, dtype(last - 1 + far))
-    np.minimum.accumulate(after[..., ::-1], axis=-1, out=after[..., ::-1])
-    np.subtract(after, x, out=after)
-    gap = np.minimum(before, after, out=before).reshape(-1)
-    del after
-    np.multiply(gap, gap, out=gap)
-    best = gap[cells]
-    if len(shape) == 1:
-        return int(best.max())
-    # offsets along the leading axes, grouped by squared length
-    lead = np.array(shape[:-1])
-    grids = np.meshgrid(*[np.arange(1 - n, n) for n in lead], indexing="ij")
-    offsets = np.stack([g.reshape(-1) for g in grids], axis=1)
-    cost = (offsets * offsets).sum(axis=1)
-    order = np.argsort(cost, kind="stable")
-    offsets, cost = offsets[order], cost[order]
-    rings = np.flatnonzero(np.diff(cost)) + 1
-    strides = np.array([math.prod(shape[k + 1 :]) for k in range(len(lead))])
-    pos = np.stack(np.unravel_index(cells, shape)[:-1], axis=1)
-    base = cells - pos @ strides
-    # each cell is tried ring by ring until no ring can shorten its distance
-    # or the distance cannot exceed the largest one settled so far (the
-    # early break of Taha & Hanbury, IEEE TPAMI 37(11), 2015)
-    worst = 0
-    for start, stop in zip(rings, [*rings[1:], len(cost)]):
-        c = int(cost[start])
-        # a cell within c of its target is settled; one within the largest
-        # settled distance cannot raise the maximum
-        settled = best <= c
-        if settled.any():
-            worst = max(worst, int(best[settled].max()))
-        keep = best > max(c, worst)
-        if not keep.all():
-            best, pos, base = best[keep], pos[keep], base[keep]
-            if not len(best):
-                return worst
-        # offsets past the window's edge are clipped onto it: the clipped
-        # cell is no farther than the ring, so no distance comes out short
-        near = np.clip(pos[:, None, :] + offsets[None, start:stop], 0, lead - 1)
-        ring = gap[base[:, None] + near @ strides].min(axis=1)
-        ring += c
-        np.minimum(best, ring, out=best)
-    return max(worst, int(best.max()))
-
-
-def _chamfer(dist: np.ndarray) -> None:
-    """One raster pass of the unit chamfer, every axis ascending, in place:
-    each cell becomes the least of itself and one more than each neighbour
-    visited before it (Rosenfeld & Pfaltz, JACM 13(4), 1966).  A forward
-    pass and a pass over the reversed array give the exact chessboard
-    distance to the zero cells.
-
-    Along the last axis the left neighbour's term is closed-form:
-    j + minimum.accumulate(r - j).  Along a leading axis each slice first
-    takes one more than the least of the previous slice's neighbourhood.
-    """
-    if dist.ndim == 1:
-        j = np.arange(len(dist), dtype=dist.dtype)
-        dist -= j
-        np.minimum.accumulate(dist, out=dist)
-        dist += j
-        return
-    for i in range(len(dist)):
-        if i:
-            near = dist[i - 1].copy()
-            for axis in range(near.ndim):
-                side = near.copy()
-                lo = (slice(None),) * axis + (slice(1, None),)
-                hi = (slice(None),) * axis + (slice(None, -1),)
-                np.minimum(side[lo], near[hi], out=side[lo])
-                np.minimum(side[hi], near[lo], out=side[hi])
-                near = side
-            near += 1
-            np.minimum(dist[i], near, out=dist[i])
-        _chamfer(dist[i])
+    length = sqrt_up(cells) if metric == EUCLIDEAN else Fraction(cells)
+    return round_up(Fraction(pitch) * length + Fraction(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +402,22 @@ class _Tabled(_Image):
 
 
 class _Snapped(_Image):
-    """A cloud's real points under an affine map, snapped back onto its
-    lattice; the extremes take one pass over the blocks."""
+    """Real points snapped onto a lattice, a block at a time: a cloud of
+    real points, or with an affine map m, m's images of a lattice cloud's
+    points.  The extremes take one pass over the blocks."""
 
-    def __init__(self, m: AffineMap, C: "SetTuple", src: str):
-        self.m, self.origin, self.pitch = m, C.origin, C.pitch
-        self.cloud = C.clouds[src]
+    def __init__(self, cloud: np.ndarray, origin: np.ndarray, pitch: float,
+                 m: AffineMap | None = None):
+        self.cloud, self.origin, self.pitch, self.m = cloud, origin, pitch, m
         lows, highs = zip(*((b.min(axis=0), b.max(axis=0))
-                            for b in map(self.block, _blocks(len(self.cloud)))))
+                            for b in map(self.block, _blocks(len(cloud)))))
         self.ends = list(zip(np.min(lows, axis=0).tolist(), np.max(highs, axis=0).tolist()))
 
     def block(self, s):
-        points = self.origin + self.pitch * self.cloud[s].astype(float)
-        return _snap(self.m.apply(points), self.origin, self.pitch)
+        points = self.cloud[s]
+        if self.m is not None:
+            points = self.m.apply(self.origin + self.pitch * points.astype(float))
+        return _snap(points, self.origin, self.pitch)
 
 
 def _decode(cells: np.ndarray, lo, strides, out: np.ndarray) -> None:
@@ -524,11 +519,28 @@ def _snap_offset(pts: np.ndarray, origin: np.ndarray, pitch: float, metric):
 
     A one-sided distance measured on the rows is off from the real points'
     one by at most eps, either way, by the triangle inequality; adding eps
-    gives an upper bound (``_directed_window_bound``)."""
+    gives an upper bound (``_directed_bound``)."""
     rows = _snap(pts, origin, pitch)
     offset = pts - (origin + pitch * rows.astype(float))
     norm = 2 if metric == EUCLIDEAN else np.inf
     return rows, float(np.linalg.norm(offset, norm, axis=1).max())
+
+
+def _positive_pitch(pitch) -> float:
+    pitch = float(pitch)
+    if pitch <= 0:
+        raise ValueError("pitch must be positive")
+    return pitch
+
+
+def _check_width(v: str, rows: np.ndarray, dim: int) -> None:
+    """Refuse a cloud at v that is not 2-d, or whose nonempty rows are not
+    of the origin's dimension."""
+    if rows.ndim != 2:
+        raise ValueError("lattice cloud must be 2-d")
+    if len(rows) and rows.shape[1] != dim:
+        raise ValueError(f"lattice cloud at {v!r} has rows of width {rows.shape[1]}, "
+                         f"but the origin has dimension {dim}")
 
 
 class SetTuple:
@@ -544,31 +556,31 @@ class SetTuple:
 
     def __init__(self, origin, pitch: float, clouds: dict[str, np.ndarray]):
         self.origin = np.asarray(origin, dtype=float)
-        self.pitch = float(pitch)
-        if self.pitch <= 0:
-            raise ValueError("pitch must be positive")
+        self.pitch = _positive_pitch(pitch)
         canon = {}
         for v, idx in clouds.items():
             idx = np.asarray(idx, dtype=np.int64)
-            if idx.ndim != 2:
-                raise ValueError("lattice cloud must be 2-d")
-            if len(idx) and idx.shape[1] != self.origin.size:
-                raise ValueError(f"lattice cloud at {v!r} has rows of width {idx.shape[1]}, "
-                                 f"but the origin has dimension {self.origin.size}")
+            _check_width(v, idx, self.origin.size)
             canon[v] = _canonical(idx) if len(idx) else idx.reshape(0, self.origin.size)
         self.clouds = canon
 
     @classmethod
     def from_points(cls, origin, pitch, point_clouds):
+        """The lattice cells of real point clouds.  Each cloud is snapped
+        and canonicalised ``BLOCK_ROWS`` points at a time, by one ``_union``
+        of its ``_Snapped`` image, so the rows equal those of snapping it
+        whole and no temporary grows with the cloud."""
         origin = np.asarray(origin, dtype=float)
-        snapped = {}
+        pitch = _positive_pitch(pitch)
+        clouds = {}
         for v, pts in point_clouds.items():
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
             if pts.size == 0:
-                snapped[v] = np.empty((0, origin.size), dtype=np.int64)
+                clouds[v] = np.empty((0, origin.size), dtype=np.int64)
                 continue
-            snapped[v] = _snap(pts, origin, pitch)
-        return cls(origin, pitch, snapped)
+            _check_width(v, pts, origin.size)
+            clouds[v] = _union([_Snapped(pts, origin, pitch)])
+        return cls._of_rows(origin, pitch, clouds)
 
     @classmethod
     def _of_rows(cls, origin: np.ndarray, pitch: float, clouds: dict[str, np.ndarray]):
@@ -585,9 +597,7 @@ class SetTuple:
         The rows are the lattice indices ``grid_indices`` keeps, already in
         the stored form, so they never pass through real points."""
         origin = np.zeros(sys.dim) if origin is None else np.asarray(origin, dtype=float)
-        pitch = float(pitch)
-        if pitch <= 0:
-            raise ValueError("pitch must be positive")
+        pitch = _positive_pitch(pitch)
         return cls._of_rows(
             origin,
             pitch,
@@ -621,11 +631,12 @@ class SetTuple:
 
         Equal lattice clouds short-circuit to 0 (canonical form makes the
         array comparison conclusive).  Unequal clouds are measured from their
-        integer rows, exactly, over an occupancy window on their joint
-        bounding box (``_window_distance``), and scaled by the pitch.  A box
-        of more than ``MAX_GRID_POINTS`` cells, an empty cloud against a
-        nonempty one, or a metric other than ``"euclidean"`` or ``"max"``
-        raises ValueError."""
+        integer rows, exactly, by their sorted flat cells in the joint
+        bounding box and a walk over each target's occupied rows
+        (``_lattice_distance``), and scaled by the pitch; memory follows the
+        rows, not the box.  A box of more than 2^62 cells, an empty cloud
+        against a nonempty one, or a metric other than ``"euclidean"`` or
+        ``"max"`` raises ValueError."""
         _check_metric(metric)
         if not self.same_grid(other):
             raise ValueError("grid mismatch")
@@ -639,7 +650,7 @@ class SetTuple:
             elif not len(c) or not len(o):
                 raise ValueError(f"empty cloud at vertex {v!r} against a nonempty one")
             else:
-                out[v] = self.pitch * _window_distance(c, o, metric)
+                out[v] = self.pitch * _lattice_distance(c, o, metric)
         return out
 
     def __eq__(self, other):
@@ -678,7 +689,7 @@ def _image(m: AffineMap, C: SetTuple, src: str, span) -> _Image:
     """
     a, origin, pitch = m.matrix, C.origin, C.pitch
     if not np.array_equal(a, np.diag(np.diagonal(a))):
-        return _Snapped(m, C, src)
+        return _Snapped(C.clouds[src], C.origin, C.pitch, m)
     tables = []
     for j, (low, high) in enumerate(span):
         x = origin[j] + pitch * np.arange(low, high + 1).astype(float)
@@ -769,7 +780,7 @@ def _span_slack(origin: np.ndarray, pitch: float, spans, maps, metric) -> float:
     dim = origin.size
     eta = Fraction(dim + _ROUNDINGS, 2**53) * (2 * Fraction(worst) + Fraction(pitch))
     coordinate = Fraction(pitch) / 2 + eta
-    return _round_up(coordinate * _sqrt_up(dim) if metric == EUCLIDEAN else coordinate)
+    return round_up(coordinate * sqrt_up(dim) if metric == EUCLIDEAN else coordinate)
 
 
 def contraction_factor(sys: MWSystem, n) -> float:
@@ -823,7 +834,7 @@ def collage_bound(c: float, eps: float, displacement: float = 0.0) -> float:
     Hardin & Lancaster, PNAS 83, 1986) it then lies within this bound of the
     fixed point.  At a lattice fixed point B = A and the displacement is 0."""
     c = Fraction(c)
-    return _round_up((c * Fraction(displacement) + Fraction(eps)) / (1 - c))
+    return round_up((c * Fraction(displacement) + Fraction(eps)) / (1 - c))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 from .attractor import (
     SetTuple,
     _blocks,
-    _directed_window_bound,
+    _directed_bound,
     _snap_offset,
     contraction_factor,
 )
@@ -408,15 +408,15 @@ def check_subsystem(sys: MWSystem, sets: SetTuple, tol: float) -> SubsystemRepor
 
     Each generator's real image of the source cloud is snapped to the
     lattice of ``sets`` and measured against the range cloud exactly, in
-    integers, over an occupancy window of their joint box; the window may
-    hold ``MAX_GRID_POINTS`` cells, the largest fiber grid, and a larger one
-    raises ValueError before it is allocated.  The reported distance is
-    pitch * cells + eps, rounded upward, where eps is the largest offset
-    |p - snap(p)| of an image point in the metric: at most h*sqrt(d)/2 for
-    the Euclidean metric and h/2 for the max metric, and 0 when the images
-    land on lattice points.  Since d(p, T) <= |p - q| + d(q, T) for the
-    snapped point q, it is an upper bound on the real image's one-sided
-    distance.
+    integers, from their sorted flat cells in the joint box, walking the
+    range cloud's occupied rows (``attractor._directed_bound``); memory
+    follows the rows, not the box, and only a box of more than 2^62 cells
+    raises ValueError.  The reported distance is pitch * cells + eps,
+    rounded upward, where eps is the largest offset |p - snap(p)| of an
+    image point in the metric: at most h*sqrt(d)/2 for the Euclidean metric
+    and h/2 for the max metric, and 0 when the images land on lattice
+    points.  Since d(p, T) <= |p - q| + d(q, T) for the snapped point q, it
+    is an upper bound on the real image's one-sided distance.
     """
     origin, pitch = sets.origin, sets.pitch
     dists = {}
@@ -427,6 +427,6 @@ def check_subsystem(sys: MWSystem, sets: SetTuple, tol: float) -> SubsystemRepor
                 raise ValueError(f"empty cloud at {v!r}")
         image = sys.generators[ident].apply(sets.points(e.source_vertex))
         rows, eps = _snap_offset(image, origin, pitch, sys.metric)
-        dists[ident] = _directed_window_bound(rows, sets.clouds[e.range_vertex], pitch, eps,
-                                              sys.metric)
+        dists[ident] = _directed_bound(rows, sets.clouds[e.range_vertex], pitch, eps,
+                                       sys.metric)
     return SubsystemReport(tol, dists)

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exact import row_sum_norm, spectral_norm
 from .kgraph import KGraph, Path, enumerate_paths
 from .report import AXIOM, RELAXED, STRICT, STRUCTURAL, ValidationReport
 
@@ -388,13 +389,17 @@ def exact_after(a, b):
 
 
 def lipschitz_bound(m: AffineMap, metric: str = EUCLIDEAN) -> float:
-    """Operator norm of the linear part: spectral norm for the Euclidean
-    metric, maximum absolute row sum for the max metric."""
-    if metric == EUCLIDEAN:
-        return float(np.linalg.norm(m.matrix, 2))
-    if metric == MAX:
-        return float(np.abs(m.matrix).sum(axis=1).max())
-    raise ValueError(f"unknown metric {metric!r}")
+    """A certified Lipschitz bound of the linear part A, without LAPACK: the
+    least float at or above its operator norm, the spectral norm for the
+    Euclidean metric (``exact.spectral_norm``) and the maximum absolute row
+    sum for the max metric (``exact.row_sum_norm``), each memoized per
+    linear part.  A matrix with an entry that is not finite has bound inf."""
+    if metric not in (EUCLIDEAN, MAX):
+        raise ValueError(f"unknown metric {metric!r}")
+    if not np.isfinite(m.matrix).all():
+        return math.inf
+    rows = tuple(map(tuple, np.asarray(m.matrix, dtype=float).tolist()))
+    return spectral_norm(rows) if metric == EUCLIDEAN else row_sum_norm(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +484,8 @@ def _image_inside(m: AffineMap, src: MetricFiber, dst: MetricFiber) -> bool:
     """Whether m maps src's region into dst's region.
 
     Exact for box/polygon/point sources into convex targets (corner images);
-    balls use the center image plus an operator-norm radius bound; a coarse
-    grid sample backs all cases up.
+    balls use the center image plus the radius times ``lipschitz_bound``; a
+    coarse grid sample backs all cases up.
     """
     region = src.region
     corners = region.corner_points()
@@ -489,7 +494,7 @@ def _image_inside(m: AffineMap, src: MetricFiber, dst: MetricFiber) -> bool:
             return False
     else:
         center = m.apply(region.centroid())
-        radius = region.radius * float(np.linalg.norm(m.matrix, 2))
+        radius = region.radius * lipschitz_bound(m, EUCLIDEAN)
         if not dst.region.contains_ball(center, radius):
             return False
     try:
@@ -615,14 +620,15 @@ def check_k_surjective(sys: MWSystem, n, sets, tol: float) -> CoverageReport:
 
     As in ``coding.check_subsystem``, the real images are snapped to the
     lattice of ``sets``, and the fiber cloud is measured against them
-    exactly, in integers, over a window of at most ``MAX_GRID_POINTS``
-    cells.  The reported distance is pitch * cells + eps, rounded upward,
-    where eps is the largest offset |q - snap(q)| of an image point.  Since
-    d(p, T) <= d(p, snap T) + eps, it is an upper bound on the distance to
-    the real images.
+    exactly, in integers, from their sorted flat cells, walking the images'
+    occupied rows (``attractor._directed_bound``); nothing is allocated over
+    their joint box.  The reported distance is pitch * cells + eps, rounded
+    upward, where eps is the largest offset |q - snap(q)| of an image point.
+    Since d(p, T) <= d(p, snap T) + eps, it is an upper bound on the
+    distance to the real images.
     """
     # local import to avoid a cycle
-    from .attractor import _directed_window_bound, _snap_offset
+    from .attractor import _directed_bound, _snap_offset
 
     maps = degree_maps(sys, n)
     distances = {}
@@ -638,5 +644,5 @@ def check_k_surjective(sys: MWSystem, n, sets, tol: float) -> CoverageReport:
             distances[v] = float("inf")
             continue
         rows, eps = _snap_offset(np.concatenate(pieces), sets.origin, sets.pitch, sys.metric)
-        distances[v] = _directed_window_bound(target, rows, sets.pitch, eps, sys.metric)
+        distances[v] = _directed_bound(target, rows, sets.pitch, eps, sys.metric)
     return CoverageReport(tuple(n), tol, distances, empty)

@@ -32,10 +32,10 @@ from kfractal.attractor import (
     tuple_distance,
 )
 from kfractal.boxcount import dimension_estimate, occupied_cells
+from kfractal.exact import round_up
 from kfractal.io import system_from_dict
 from kfractal.kgraph import KGraph, enumerate_paths
 from kfractal.systems import (
-    MAX_GRID_POINTS,
     AffineMap,
     Box,
     MetricFiber,
@@ -59,6 +59,23 @@ def test_settuple_canonical_order_and_dedup():
     pts = {"v": np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5]])}
     s = SetTuple.from_points(np.zeros(2), 0.25, pts)
     assert s.clouds["v"].tolist() == [[0, 0], [2, 2]]
+
+
+@pytest.mark.parametrize("block", [7, BLOCK_ROWS])
+def test_from_points_snaps_blocks_to_the_rows_of_the_whole_cloud(monkeypatch, block):
+    # three blocks and a bit of real points, negative coordinates and
+    # repeated cells included, snapped a block at a time
+    rng = np.random.default_rng(block)
+    origin, pitch = np.array([0.25, -1.0]), 0.1
+    pts = rng.normal(0, 2, size=(3 * BLOCK_ROWS + 5, 2))
+    pts[::3] = pts[1::3]
+    monkeypatch.setattr(attractor, "BLOCK_ROWS", block)
+    got = SetTuple.from_points(origin, pitch, {"v": pts, "w": pts[:1], "e": np.empty((0, 2))})
+    whole = np.rint((pts - origin) / pitch).astype(np.int64)
+    assert np.array_equal(got.clouds["v"], np.unique(whole, axis=0))
+    assert np.array_equal(got.clouds["w"], whole[:1])
+    assert got.clouds["e"].shape == (0, 2)
+    _assert_stored_form(got)
 
 
 def test_settuple_equality_ignores_input_order():
@@ -218,14 +235,14 @@ def test_vertex_distances_name_an_empty_cloud():
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """The metric of each window transform run (one per direction that has
-    cells outside the other cloud)."""
+    """The metric of each row walk run (one per block of source cells
+    outside the other cloud, in each direction)."""
     calls = []
     farthest = attractor._farthest
 
-    def spy(occ, cells, metric):
+    def spy(cells, index, shape, metric, floor):
         calls.append(metric)
-        return farthest(occ, cells, metric)
+        return farthest(cells, index, shape, metric, floor)
 
     monkeypatch.setattr(attractor, "_farthest", spy)
     return calls
@@ -233,7 +250,7 @@ def transforms(monkeypatch):
 
 def _lattice_pair(d, kind, seed):
     """Two seeded lattice clouds around the origin, negative coordinates
-    included, dense enough for a distance window."""
+    included, dense in their joint box."""
     side = {1: 400, 2: 40, 3: 12}[d]
     rng = np.random.default_rng(seed)
 
@@ -267,7 +284,7 @@ def test_lattice_distances_match_brute_force(transforms, d, metric, kind, dyadic
     B = SetTuple(origin, pitch, {"v": b})
     assert A != B
     got = A.vertex_distances(B, metric)["v"]
-    # measured on the window, not on points()
+    # measured on the rows, not on points()
     assert transforms and set(transforms) == {metric}
     pa, pb = A.points("v"), B.points("v")
     want = max(
@@ -281,17 +298,58 @@ def test_lattice_distances_match_brute_force(transforms, d, metric, kind, dyadic
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("metric", ["euclidean", "max"])
-def test_sparse_clouds_skip_the_window(monkeypatch, d, metric):
-    # the window over these two points would hold (10**9 + 1)**d cells, more
-    # than the largest fiber grid: refused before anything is allocated
-    def refuse(*args, **kwargs):
-        raise AssertionError("a distance window was allocated")
-
-    monkeypatch.setattr(attractor, "_directed_cells", refuse)
+def test_far_apart_points_are_measured_from_their_rows(d, metric):
+    # one point each, 10**9 apart along up to two axes: their joint box holds
+    # up to 10**18 cells, but only the two rows are read
+    far = np.array([10**9, -(10**9), 0][:d])
     A = SetTuple(np.zeros(d), 1.0, {"v": np.zeros((1, d), dtype=np.int64)})
-    B = SetTuple(np.zeros(d), 1.0, {"v": np.full((1, d), 10**9)})
-    with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} cells"):
+    B = SetTuple(np.zeros(d), 1.0, {"v": far[None]})
+    tracemalloc.start()
+    try:
+        got = A.vertex_distances(B, metric)["v"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _kernels.directed_max_min(A.points("v"), B.points("v"), metric)
+    assert got == math.sqrt(min(d, 2) * 10**18) if metric == "euclidean" else got == 10**9
+    assert peak < 32 << 10, peak
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "max"])
+def test_squares_past_int64_are_exact(metric):
+    # one cell 2**40 along the long axis and one across from the other: the
+    # squared distance, 2**80 + 1, is past int64 and is summed in Python
+    # integers
+    a, b = np.array([[0, 0]]), np.array([[1, 2**40]])
+    shape, ka, kb = attractor._joint_keys(a, b)
+    assert shape == (2, 2**40 + 1)
+    assert attractor._directed_cells(ka, kb, shape, metric) == (
+        2**80 + 1 if metric == "euclidean" else 2**40)
+    assert attractor._lattice_distance(a, b, metric) == _kernels.directed_max_min(a, b, metric)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "max"])
+def test_a_box_past_int64_keys_is_refused(metric):
+    # 10**9 apart along three axes: 10**27 cells, which int64 cannot number
+    A = SetTuple(np.zeros(3), 1.0, {"v": np.zeros((1, 3), dtype=np.int64)})
+    B = SetTuple(np.zeros(3), 1.0, {"v": np.full((1, 3), 10**9)})
+    with pytest.raises(ValueError, match=r"joint box has more than 2\*\*62 cells"):
         A.vertex_distances(B, metric)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "max"])
+def test_full_lattice_against_one_cell_walks_one_row(transforms, metric):
+    # the full 513 x 513 lattice against one cell of it: each of the other
+    # 263,168 cells has one occupied row to visit, so the walk ends after one
+    # row per block of cells
+    lattice = np.indices((513, 513)).reshape(2, -1).T
+    one = np.array([[100, 400]])
+    A = SetTuple(np.zeros(2), 1.0, {"v": lattice})
+    B = SetTuple(np.zeros(2), 1.0, {"v": one})
+    corner = np.array([512, 0]) - one[0]
+    want = math.sqrt((corner**2).sum()) if metric == "euclidean" else float(abs(corner).max())
+    assert A.vertex_distances(B, metric) == {"v": want}
+    assert len(transforms) == -(-(513**2 - 1) // BLOCK_ROWS)
 
 
 def test_vertex_distances_reject_unknown_metric(transforms):
@@ -309,66 +367,84 @@ def test_vertex_distances_reject_unknown_metric(transforms):
     assert transforms == ["max"]
 
 
-def _window_cells(rng, shape, n):
+def _box_cells(rng, shape, n):
     """n distinct cells of a box at the origin, as sorted int64 rows."""
     flat = np.sort(rng.choice(math.prod(shape), size=n, replace=False))
     return np.stack(np.unravel_index(flat, shape), axis=1).astype(np.int64)
 
 
-@st.composite
-def _window_pairs(draw):
-    # two lattice clouds whose joint box holds at most 16 cells per point,
-    # so the distance window always runs; shapes up to 500, 40 x 40 and
-    # 12 x 12 x 12 cells, shifted to negative and positive coordinates
-    d = draw(st.integers(1, 3))
+def _dense_pair(draw, rng, d):
+    """Two lattice clouds of a box of up to 500, 40 x 40 or 12 x 12 x 12
+    cells at the origin, together holding at least one cell in 16."""
     shape = tuple(draw(st.lists(st.integers(1, {1: 500, 2: 40, 3: 12}[d]),
                                 min_size=d, max_size=d)))
     cells = math.prod(shape)
     need = -(-cells // 16)
     kind = draw(st.sampled_from(["random", "nested", "single", "edges", "apart"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "random":
-        a = _window_cells(rng, shape, draw(st.integers(-(-need // 2), cells)))
-        b = _window_cells(rng, shape, draw(st.integers(-(-need // 2), cells)))
-    elif kind == "nested":  # one direction has no cell outside the other cloud
-        a = _window_cells(rng, shape, draw(st.integers(need, cells)))
-        b = a[np.sort(rng.choice(len(a), size=draw(st.integers(1, len(a))), replace=False))]
-    elif kind == "single":  # one cell against a cloud, or against one cell
-        a = _window_cells(rng, shape, 1)
-        b = _window_cells(rng, shape, draw(st.integers(max(1, need - 1), cells)))
-    elif kind == "edges":  # every cell on the box's faces, corners included
-        grid = np.stack(np.unravel_index(np.arange(cells), shape), axis=1).astype(np.int64)
+        return (_box_cells(rng, shape, draw(st.integers(-(-need // 2), cells))),
+                _box_cells(rng, shape, draw(st.integers(-(-need // 2), cells))))
+    if kind == "nested":  # one direction has no cell outside the other cloud
+        a = _box_cells(rng, shape, draw(st.integers(need, cells)))
+        return a, a[np.sort(rng.choice(len(a), size=draw(st.integers(1, len(a))), replace=False))]
+    if kind == "single":  # one cell against a cloud, or against one cell
+        return (_box_cells(rng, shape, 1),
+                _box_cells(rng, shape, draw(st.integers(max(1, need - 1), cells))))
+    grid = np.stack(np.unravel_index(np.arange(cells), shape), axis=1).astype(np.int64)
+    if kind == "edges":  # every cell on the box's faces, corners included
         a = grid[((grid == 0) | (grid == np.array(shape) - 1)).any(axis=1)]
-        b = _window_cells(rng, shape, draw(st.integers(max(1, need - len(a)), cells)))
-    else:  # full slabs at both ends of the first axis, up to n0 - 2 cells apart
-        t = draw(st.integers(max(1, -(-shape[0] // 32)), max(1, shape[0] // 2)))
-        grid = np.stack(np.unravel_index(np.arange(cells), shape), axis=1).astype(np.int64)
-        a, b = grid[grid[:, 0] < t], grid[grid[:, 0] >= shape[0] - t]
+        return a, _box_cells(rng, shape, draw(st.integers(max(1, need - len(a)), cells)))
+    # full slabs at both ends of the first axis, up to n0 - 2 cells apart
+    t = draw(st.integers(max(1, -(-shape[0] // 32)), max(1, shape[0] // 2)))
+    return grid[grid[:, 0] < t], grid[grid[:, 0] >= shape[0] - t]
+
+
+@st.composite
+def _lattice_pairs(draw):
+    # two lattice clouds in a box of up to 500, 40 x 40 and 12 x 12 x 12
+    # cells holding at least one cell in 16 of it, each axis then stretched
+    # by up to 2**16, or a few cells anywhere in a box of up to 2**60 cells;
+    # so boxes reach past 2**24 cells, with squared distances that floats
+    # still sum exactly.  The clouds are shifted to negative and positive
+    # coordinates
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 5)) == 0:  # a few cells each, far apart
+        side = 2 ** min(26, 60 // d)
+        a = rng.integers(0, side, size=(draw(st.integers(1, 30)), d))
+        b = rng.integers(0, side, size=(draw(st.integers(1, 30)), d))
+    else:
+        a, b = _dense_pair(draw, rng, d)
+        stretch = np.array(draw(st.lists(st.sampled_from([1, 1, 3, 1 << 16]),
+                                         min_size=d, max_size=d)))
+        a, b = a * stretch, b * stretch
     if draw(st.booleans()):
         a, b = b, a
     shift = np.array(draw(st.lists(st.integers(-300, 300), min_size=d, max_size=d)))
     return a + shift, b + shift
 
 
-# the cell (0, 0) meets (1, 4) on the first ring, at 17, and (4, 0) only on
-# the fourth, at 16: it is settled only once no ring below its 17 is left
+# the cell (0, 0) meets (1, 4) in the nearest row, at 17, and (4, 0) only in
+# the row 4 away, at 16: it is settled only once no row whose bound is below
+# its 17 is left
 _LATE_RING = np.array([[0, 0], [1, 4], [4, 0]]), np.array([[1, 4], [4, 0]])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_window_pairs(), st.sampled_from(["euclidean", "max"]), st.integers(-8, 8))
+@given(_lattice_pairs(), st.sampled_from(["euclidean", "max"]), st.integers(-8, 8))
 @example(_LATE_RING, "euclidean", 0)
-def test_window_distance_equals_brute_force(pair, metric, k):
+@example((np.array([[0, 0], [4097, 1]]), np.array([[4096, 4096], [1, 4097]])), "euclidean", 0)
+def test_lattice_distance_equals_brute_force(pair, metric, k):
     a, b = pair
     pitch = 2.0**k
-    got = attractor._window_distance(a, b, metric)
+    got = attractor._lattice_distance(a, b, metric)
     assert got is not None
     pa, pb = pitch * a.astype(float), pitch * b.astype(float)
     want = max(
         _kernels.directed_max_min(pa, pb, metric), _kernels.directed_max_min(pb, pa, metric)
     )
     assert pitch * got == want
-    assert attractor._window_distance(b, a, metric) == got
+    assert attractor._lattice_distance(b, a, metric) == got
 
 
 def _default_pitch(sys_):
@@ -396,9 +472,9 @@ def test_max_iter_run_measures_its_last_step_exactly(monkeypatch):
 
 def test_collage_bound_above_the_float_range_is_inf():
     top = sys.float_info.max
-    assert attractor._round_up(Fraction(top)) == top
-    assert attractor._round_up(Fraction(top) + 1) == math.inf
-    assert attractor._round_up(Fraction(2) ** 1100) == math.inf
+    assert round_up(Fraction(top)) == top
+    assert round_up(Fraction(top) + 1) == math.inf
+    assert round_up(Fraction(2) ** 1100) == math.inf
     # s1 at pitch 1.7e308 has eps about 1.2e308, and eps/(1 - 1/2) is above
     # the float range
     assert collage_bound(0.5, 1.2e308) == math.inf

@@ -34,7 +34,6 @@ from kfractal.kgraph import (
     path_from_word,
 )
 from kfractal.systems import (
-    MAX_GRID_POINTS,
     AffineMap,
     Box,
     MetricFiber,
@@ -552,6 +551,22 @@ def test_sampled_coded_cloud_holds_one_block_of_temporaries():
     assert peak < 12 << 20, peak
 
 
+def test_sampled_coded_cloud_snaps_a_block_at_a_time():
+    # 500,000 coded points of s1 fall in at most 3**7 cells; snapping the
+    # whole cloud at once added its float quotients and int64 rows, three
+    # times the points, on top of them
+    sys_ = shipped("s1")
+    tracemalloc.start()
+    try:
+        T, _ = coded_cloud(sys_, (7,), pitch=1 / 512, count=500_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    points = 500_000 * 2 * 8
+    assert 0 < len(T.clouds["v"]) <= 3**7
+    assert peak < points + (2 << 20), (peak, points)
+
+
 def test_coded_cloud_sampled_subset_of_exhaustive():
     sys = shipped("p2c")
     h = 1 / 243
@@ -841,14 +856,20 @@ def test_subsystem_bound_is_not_below_the_float_distance(metric):
         assert sub == cover == 0.47729707730091964
 
 
-def test_subsystem_refuses_a_window_past_the_grid_bound():
-    # images of 2 * 10**4 cells along each axis: 4 * 10**8 cells, above the
-    # largest fiber grid, refused before the window is allocated
-    sys, sets = _images_into("max", 2, [([[1.0, 0.0], [0.0, 1.0]], (2e4, 2e4))],
-                             np.zeros(2), 1.0, np.zeros((1, 2), dtype=np.int64),
-                             np.zeros((1, 2), dtype=np.int64))
-    with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} cells"):
-        check_subsystem(sys, sets, tol=0.0)
+def test_subsystem_measures_far_images_and_refuses_a_box_past_int64_keys():
+    # images 2 * 10**4 cells away along each axis, a box of 4 * 10**8 cells,
+    # are measured from their rows; images 3 * 10**9 away, a box of about
+    # 9 * 10**18 cells, which int64 cannot number, are refused before
+    # anything is allocated
+    for shift, want in ((2e4, 2e4), (3e9, None)):
+        sys, sets = _images_into("max", 2, [([[1.0, 0.0], [0.0, 1.0]], (shift, shift))],
+                                 np.zeros(2), 1.0, np.zeros((1, 2), dtype=np.int64),
+                                 np.zeros((1, 2), dtype=np.int64))
+        if want is None:
+            with pytest.raises(ValueError, match=r"joint box has more than 2\*\*62 cells"):
+                check_subsystem(sys, sets, tol=0.0)
+        else:
+            assert check_subsystem(sys, sets, tol=0.0).edge_distances == {"g0": want}
 
 
 def test_prefix_consistency_across_depths():

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfractal.attractor import SetTuple, compute_attractor
-from kfractal import duality
+from kfractal import duality, exact
 from kfractal.cli import MAX_FIBER_SIZE, NO_CONVERGENCE, PASS, build_parser, main
 from kfractal.duality import SweepResult, validate_discrete_system
 from kfractal.io import (
@@ -196,6 +196,28 @@ def test_cli_malformed_instance_exits_2_in_one_line(tmp_path, capsys, edits):
 
 # ---------------------------------------------------------------------------
 # writers
+
+
+@pytest.mark.parametrize("command", ["attractor", "coding"])
+@pytest.mark.parametrize("name", ["s1", "f3"])
+def test_commands_run_without_lapack(monkeypatch, tmp_path, capsys, command, name):
+    # c is certified in exact rationals: a float SVD, or a matrix 2-norm,
+    # anywhere on the path fails the run
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd was called")
+
+    norm = np.linalg.norm
+
+    def vector_norm(x, ord=None, axis=None, keepdims=False):
+        if ord in (2, -2) and axis is None and np.ndim(x) == 2:
+            raise AssertionError("a matrix 2-norm was taken")
+        return norm(x, ord, axis, keepdims)
+
+    exact.spectral_norm.cache_clear()
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "norm", vector_norm)
+    assert main([command, "--instance", name, "--out", str(tmp_path)]) == PASS
+    assert "converged: iterations=" in capsys.readouterr().out
 
 
 def test_csv_deterministic(tmp_path):

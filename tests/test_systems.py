@@ -4,11 +4,12 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kfractal import systems
+from kfractal import exact, systems
 from kfractal.attractor import SetTuple
 from kfractal.kgraph import KGraph, Path, compose, enumerate_paths, factorize
 from kfractal.systems import (
@@ -249,6 +250,129 @@ def test_lipschitz_antidiagonal():
     m = AffineMap.of([[0.0, 0.5], [0.5, 0.0]], (0, 0), "v", "v")
     assert lipschitz_bound(m, EUCLIDEAN) == pytest.approx(0.5)
     assert lipschitz_bound(m, MAX) == pytest.approx(0.5)
+
+
+def _half_rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return 0.5 * np.array([[c, -s], [s, c]])
+
+
+def _covers(t, a):
+    """Whether t^2 I - A^T A is positive semidefinite, exactly, for a 2 x 2
+    float matrix A: both diagonal entries and the determinant are >= 0."""
+    (p, q), (r, s) = [[Fraction(x) for x in row] for row in a.tolist()]
+    t2 = Fraction(t) ** 2
+    d0, d1, off = t2 - p * p - r * r, t2 - q * q - s * s, -(p * q + r * s)
+    return d0 >= 0 and d1 >= 0 and d0 * d1 >= off * off
+
+
+def test_certified_norm_of_half_rotations_is_the_least_covering_float():
+    # A = 0.5 R(theta) built in floats: its norm is 0.5 give or take an ulp,
+    # and the float SVD value lies below it at some angles
+    above = svd_short = 0
+    for theta in np.linspace(0.0, 2 * math.pi, 400):
+        a = _half_rotation(theta)
+        c = lipschitz_bound(AffineMap.of(a, (0, 0), "v", "v"), EUCLIDEAN)
+        assert _covers(c, a)
+        assert not _covers(math.nextafter(c, 0.0), a)
+        svd = float(np.linalg.norm(a, 2))
+        if not _covers(svd, a):
+            svd_short += 1
+            assert c > svd
+        above += c > 0.5
+    assert above > 0 and svd_short > 0, (above, svd_short)
+
+
+def test_strict_validate_compares_the_ratio_with_the_certified_norm(monkeypatch):
+    compared = []
+    bound = systems.lipschitz_bound
+
+    def spy(m, metric=EUCLIDEAN):
+        compared.append(bound(m, metric))
+        return compared[-1]
+
+    monkeypatch.setattr(systems, "lipschitz_bound", spy)
+    g = KGraph(1, ["v"], {1: [("e", "v", "v")]})
+    for theta in np.linspace(0.0, 2 * math.pi, 40):
+        gen = AffineMap.of(_half_rotation(theta), (0, 0), "v", "v")
+        c = bound(gen, EUCLIDEAN)
+        for ratio in (0.5, 0.25):
+            compared.clear()
+            sys_ = MWSystem(g, {"v": MetricFiber("v", Box((-1, -1), (1, 1)))}, {"e": gen},
+                            ratio=ratio)
+            found = [f.detail for f in validate_system(sys_).findings if f.code == "lipschitz"]
+            assert compared == [c]
+            # c is 0.5 within an ulp, inside the 1e-12 slack of ratio 0.5
+            assert found == ([] if ratio == 0.5 else [f"generator Lipschitz {c:.6g} > 0.25"])
+
+
+def test_certified_norms_are_memoized_per_linear_part():
+    # s1's spot checks code 20 prefixes per generator twice: 120 code_point
+    # calls over two linear parts, 2**-9 I and 2**-10 I, certified once each
+    from kfractal.coding import check_intertwining, sample_prefixes
+
+    sys_ = shipped("s1")
+    ids = sorted(sys_.graph.edges)
+    exact.spectral_norm.cache_clear()
+    parts = set()
+    for ident in sorted(sys_.generators):
+        e = sys_.graph.edge(ident)
+        lam = Path(sys_.graph, e.range_vertex, (ident,))
+        rows = sample_prefixes(sys_.graph, e.source_vertex, (9,), count=20, seed=1)
+        prefixes = [Path(sys_.graph, e.source_vertex, tuple(ids[i] for i in row))
+                    for row in rows.tolist()]
+        assert check_intertwining(sys_, lam, prefixes, tol=1e-2).samples == 20
+        for p in prefixes:
+            parts |= {extend_map(sys_, q).matrix.tobytes() for q in (p, compose(lam, p))}
+    info = exact.spectral_norm.cache_info()
+    assert info.misses == len(parts) + 1  # and the prepended generator's own
+    assert info.hits + info.misses >= 120
+
+
+def _principal_minors_nonnegative(m):
+    n = len(m)
+    for size in range(1, n + 1):
+        for idx in itertools.combinations(range(n), size):
+            sub = [[m[i][j] for j in idx] for i in idx]
+            if _det(sub) < 0:
+                return False
+    return True
+
+
+def _det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def test_semidefinite_matches_the_principal_minors():
+    # every symmetric matrix of size 1 to 3 with entries in -1..1, zero
+    # pivots with nonzero rows included: PSD exactly when every principal
+    # minor is >= 0
+    seen = {True: 0, False: 0}
+    for n in (1, 2, 3):
+        cells = [(i, j) for i in range(n) for j in range(i, n)]
+        for values in itertools.product((-1, 0, 1), repeat=len(cells)):
+            m = [[Fraction(0)] * n for _ in range(n)]
+            for (i, j), v in zip(cells, values):
+                m[i][j] = m[j][i] = Fraction(v)
+            want = _principal_minors_nonnegative(m)
+            assert exact.semidefinite([row[:] for row in m]) == want, m
+            seen[want] += 1
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, MAX])
+def test_diagonal_norms_are_the_largest_entry(metric):
+    # including scales where a float SVD reads an ulp below max |a_jj|
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        d = int(rng.integers(1, 4))
+        a = np.diag(rng.uniform(-1, 1, d) * 10.0 ** rng.integers(-5, 5))
+        m = AffineMap.of(a, np.zeros(d), "v", "v")
+        assert lipschitz_bound(m, metric) == np.abs(np.diagonal(a)).max()
+    assert lipschitz_bound(AffineMap.of([[0.5, 0.0], [0.0, np.inf]], (0, 0), "v", "v")) == math.inf
 
 
 # ---------------------------------------------------------------------------
