@@ -1101,6 +1101,60 @@ def test_cli_attractor_default_pitch_is_pinned(tmp_path, capsys, label):
     assert hashlib.sha256((tmp_path / "certificate.txt").read_bytes()).hexdigest() == digest
 
 
+# sha256 of stdout and of every artifact of runs at the default pitch,
+# recorded before the lattice origin left the grid format: the first pins of
+# the generated product system (perfbench.generate's product_system(1)), of
+# attractor on t0 and f3, whose fixed points are one point, and of exhaustive
+# coding, which codes every path by the leaf-to-root sweep
+PINNED_RUN_DIGESTS = {
+    "attractor product": (["attractor", "--instance", "{product}"], {
+        "stdout": "e1f87d7d296bc3701eafcc76b597d206dd9edc04754a2183c3446463498a80c1",
+        "attractor.csv": "8ca9e8dd33828cb0a94fb88588676459701d3857ecc868bf880d55fdabefaef4",
+        "attractor_v.pgm": "edd12dfc446a5f44d3514d7d29c84fb893d56e672b66e9370a27bb0382e0a680",
+        "certificate.txt": "e1f87d7d296bc3701eafcc76b597d206dd9edc04754a2183c3446463498a80c1",
+    }),
+    "diagonal product": (["diagonal", "--instance", "{product}", "--render"], {
+        "stdout": "ff7249897dc0d7e2473a917dc0e4a8efe3f625fa0596943089b2354060d2a600",
+        "diagonal.txt": "ff7249897dc0d7e2473a917dc0e4a8efe3f625fa0596943089b2354060d2a600",
+        "diagonal_diff_v.pgm": "edd12dfc446a5f44d3514d7d29c84fb893d56e672b66e9370a27bb0382e0a680",
+    }),
+    "attractor t0": (["attractor", "--instance", "t0"], {
+        "stdout": "cbb372ba8a8c05954b16d0509950a22a667f334e75504c120952fc243bb15549",
+        "attractor.csv": "d38dc76f474bd70d5e60490384550714a982c6f5059c4c248fef755afdb436f4",
+        "certificate.txt": "cbb372ba8a8c05954b16d0509950a22a667f334e75504c120952fc243bb15549",
+    }),
+    "attractor f3": (["attractor", "--instance", "f3"], {
+        "stdout": "ffdb9a86b99b9d58b6b41be87d15bbaaeb8b595acfe07c78a26fb633ebc6a4ce",
+        "attractor.csv": "d38dc76f474bd70d5e60490384550714a982c6f5059c4c248fef755afdb436f4",
+        "certificate.txt": "ffdb9a86b99b9d58b6b41be87d15bbaaeb8b595acfe07c78a26fb633ebc6a4ce",
+    }),
+    "coding p2c": (["coding", "--instance", "p2c"], {
+        "stdout": "fd60d4a8e23d52d6e515b674a27765bdcb8f9f034e84413a740446083e873e75",
+        "coded.csv": "411792cfc20769590e870838ba69fa69e7f4f4b40f4277f92cab95e76ec18bef",
+        "coding.txt": "fd60d4a8e23d52d6e515b674a27765bdcb8f9f034e84413a740446083e873e75",
+    }),
+    "coding t0": (["coding", "--instance", "t0"], {
+        "stdout": "ca37383e5f6a9b26ffe9d8beda5050bd7c26b813f93c7493a7ef3882153cfaad",
+        "coded.csv": "065de3068fb06191178ca4ca3ae90f850a26130795712dbc371e272587327ee7",
+        "coding.txt": "ca37383e5f6a9b26ffe9d8beda5050bd7c26b813f93c7493a7ef3882153cfaad",
+    }),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_RUN_DIGESTS))
+def test_cli_runs_are_pinned(tmp_path, capsys, label):
+    from perfbench.generate import dumps, product_system
+
+    product = tmp_path / "product.json"
+    product.write_text(dumps(product_system(1)))
+    argv, digests = PINNED_RUN_DIGESTS[label]
+    out = tmp_path / "out"
+    assert main([*(arg.format(product=product) for arg in argv), "--out", str(out)]) == PASS
+    files = {"stdout": capsys.readouterr().out.encode()}
+    files.update((p.name, p.read_bytes()) for p in out.iterdir())
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == digests
+
+
 # sha256 of stdout and of the text artifacts of commands that compare
 # lattice clouds through distance windows, recorded before the windows moved
 # from scipy's distance transforms to integer numpy passes (the sampled
