@@ -113,30 +113,23 @@ def _joint_keys(a: np.ndarray, b: np.ndarray):
 
     The box's axes are ordered shortest first, so that its rows, the lines
     along the last and longest axis, are fewest.  Returns the box's shape
-    and each cloud's C-order flat cells in it, sorted; they are written a
-    block of ``BLOCK_ROWS`` rows at a time.  A box of more than 2^62 cells,
-    which int64 cannot number, counted in Python integers, raises
-    ValueError before anything is allocated.
+    in that order and each cloud's C-order flat cells in it, sorted: the
+    ``_sorted_keys`` of its ``_Rows``, with one stride per axis of the
+    clouds.  A box of more than 2^62 cells, which int64 cannot number,
+    counted in Python integers, raises ValueError before anything is
+    allocated.
     """
-    lo = [min(int(x.min()), int(y.min())) for x, y in zip(a.T, b.T)]
-    span = [max(int(x.max()), int(y.max())) - low + 1 for x, y, low in zip(a.T, b.T, lo)]
+    ra, rb = _Rows(a), _Rows(b)
+    lo = [min(x[0], y[0]) for x, y in zip(ra.ends, rb.ends)]
+    span = [max(x[1], y[1]) - low + 1 for x, y, low in zip(ra.ends, rb.ends, lo)]
     if math.prod(span) > _MAX_KEYED_CELLS:
         raise ValueError("the lattice clouds' joint box has more than 2**62 cells")
     axes = sorted(range(len(span)), key=span.__getitem__)
     shape = tuple(span[k] for k in axes)
-    strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
-
-    def keys(rows):
-        out = np.empty(len(rows), dtype=np.int64)
-        for s in _blocks(len(rows)):
-            block, flat = rows[s], out[s]
-            np.multiply(block[:, axes[0]] - lo[axes[0]], strides[0], out=flat)
-            for k, stride in zip(axes[1:], strides[1:]):
-                flat += (block[:, k] - lo[k]) * stride
-        out.sort()
-        return out
-
-    return shape, keys(a), keys(b)
+    strides = [0] * len(span)
+    for j, k in enumerate(axes):
+        strides[k] = math.prod(shape[j + 1:])
+    return shape, _sorted_keys([ra], lo, strides), _sorted_keys([rb], lo, strides)
 
 
 def _lead(rows: np.ndarray, lead) -> np.ndarray:
@@ -406,9 +399,8 @@ class _Snapped(_Image):
     real points, or with an affine map m, m's images of a lattice cloud's
     points.  The extremes take one pass over the blocks."""
 
-    def __init__(self, cloud: np.ndarray, origin: np.ndarray, pitch: float,
-                 m: AffineMap | None = None):
-        self.cloud, self.origin, self.pitch, self.m = cloud, origin, pitch, m
+    def __init__(self, cloud: np.ndarray, pitch: float, m: AffineMap | None = None):
+        self.cloud, self.pitch, self.m = cloud, pitch, m
         lows, highs = zip(*((b.min(axis=0), b.max(axis=0))
                             for b in map(self.block, _blocks(len(cloud)))))
         self.ends = list(zip(np.min(lows, axis=0).tolist(), np.max(highs, axis=0).tolist()))
@@ -416,8 +408,8 @@ class _Snapped(_Image):
     def block(self, s):
         points = self.cloud[s]
         if self.m is not None:
-            points = self.m.apply(self.origin + self.pitch * points.astype(float))
-        return _snap(points, self.origin, self.pitch)
+            points = self.m.apply(self.pitch * points.astype(float))
+        return _snap(points, self.pitch)
 
 
 def _decode(cells: np.ndarray, lo, strides, out: np.ndarray) -> None:
@@ -429,6 +421,20 @@ def _decode(cells: np.ndarray, lo, strides, out: np.ndarray) -> None:
         q *= stride
         cells -= q
     np.add(cells, lo[-1], out=out[:, -1])
+
+
+def _sorted_keys(images, lo, strides) -> np.ndarray:
+    """The C-order flat cells of the images' rows in a box at lo that
+    numbers its cells in int64, written a block at a time into one int64
+    array, sorted."""
+    keys = np.empty(sum(img.size for img in images), dtype=np.int64)
+    at = 0
+    for img in images:
+        for flat in img.keys(lo, strides):
+            keys[at:at + len(flat)] = flat
+            at += len(flat)
+    keys.sort()
+    return keys
 
 
 def _union(images, like: np.ndarray | None = None) -> np.ndarray:
@@ -462,13 +468,7 @@ def _union(images, like: np.ndarray | None = None) -> np.ndarray:
         return like if like is not None and np.array_equal(out, like) else out
     strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
     if cells > WINDOW_CELLS_PER_POINT * rows:
-        keys = np.empty(rows, dtype=np.int64)
-        at = 0
-        for img in images:
-            for flat in img.keys(lo, strides):
-                keys[at:at + len(flat)] = flat
-                at += len(flat)
-        keys.sort()
+        keys = _sorted_keys(images, lo, strides)
         new = np.empty(rows, dtype=bool)
         new[0] = True
         np.not_equal(keys[1:], keys[:-1], out=new[1:])
@@ -506,12 +506,12 @@ def _canonical(idx: np.ndarray, factor: int = 1) -> np.ndarray:
     return _union([_Rows(idx, factor)])
 
 
-def _snap(pts: np.ndarray, origin: np.ndarray, pitch: float) -> np.ndarray:
+def _snap(pts: np.ndarray, pitch: float) -> np.ndarray:
     """Lattice indices of the grid points nearest to real points."""
-    return np.rint((pts - origin) / pitch).astype(np.int64)
+    return np.rint(pts / pitch).astype(np.int64)
 
 
-def _snap_offset(pts: np.ndarray, origin: np.ndarray, pitch: float, metric):
+def _snap_offset(pts: np.ndarray, pitch: float, metric):
     """The lattice rows nearest to some real points, at least one, and eps,
     the largest offset |p - snap(p)| in the metric: at most h*sqrt(d)/2 for
     the Euclidean metric and h/2 for the max metric, and 0 when every point
@@ -520,8 +520,8 @@ def _snap_offset(pts: np.ndarray, origin: np.ndarray, pitch: float, metric):
     A one-sided distance measured on the rows is off from the real points'
     one by at most eps, either way, by the triangle inequality; adding eps
     gives an upper bound (``_directed_bound``)."""
-    rows = _snap(pts, origin, pitch)
-    offset = pts - (origin + pitch * rows.astype(float))
+    rows = _snap(pts, pitch)
+    offset = pts - pitch * rows.astype(float)
     norm = 2 if metric == EUCLIDEAN else np.inf
     return rows, float(np.linalg.norm(offset, norm, axis=1).max())
 
@@ -533,97 +533,92 @@ def _positive_pitch(pitch) -> float:
     return pitch
 
 
-def _check_width(v: str, rows: np.ndarray, dim: int) -> None:
-    """Refuse a cloud at v that is not 2-d, or whose nonempty rows are not
-    of the origin's dimension."""
-    if rows.ndim != 2:
-        raise ValueError("lattice cloud must be 2-d")
-    if len(rows) and rows.shape[1] != dim:
-        raise ValueError(f"lattice cloud at {v!r} has rows of width {rows.shape[1]}, "
-                         f"but the origin has dimension {dim}")
+def _one_width(clouds: dict[str, np.ndarray]) -> int:
+    """The width of the clouds' rows: that of the nonempty ones, which must
+    agree, or else of the first cloud (0 for none).  A cloud that is not
+    2-d, or nonempty clouds of different widths, raise ValueError."""
+    widths = {}
+    for v, rows in clouds.items():
+        if rows.ndim != 2:
+            raise ValueError(f"the cloud at {v!r} is not 2-d")
+        if rows.size:
+            widths.setdefault(rows.shape[1], v)
+    if len(widths) > 1:
+        (a, u), (b, w) = list(widths.items())[:2]
+        raise ValueError(f"the clouds at {u!r} and {w!r} have rows of widths {a} and {b}")
+    return next(iter(widths), next((rows.shape[1] for rows in clouds.values()), 0))
 
 
 class SetTuple:
-    """One finite grid cloud per vertex.
+    """One finite grid cloud per vertex, on the lattice of a pitch.
 
     Clouds are stored as lexicographically sorted, duplicate-free,
-    C-contiguous int64 lattice coordinates relative to (origin, pitch); real
-    coordinates are origin + pitch * index.  Construction canonicalizes
-    (``_canonical``), so equal sets have equal rows regardless of input
-    order; the rows are the one stored form.  ``hutchinson_step`` builds
-    its rows in that form and hands them over through ``_of_rows``.
+    C-contiguous int64 lattice rows, all of one width (``dim``), empty
+    clouds included; real coordinates are pitch * index.  Construction
+    canonicalizes (``_canonical``), so equal sets have equal rows regardless
+    of input order; the rows are the one stored form.  ``hutchinson_step``
+    builds its rows in that form and hands them over through ``_of_rows``.
     """
 
-    def __init__(self, origin, pitch: float, clouds: dict[str, np.ndarray]):
-        self.origin = np.asarray(origin, dtype=float)
+    def __init__(self, pitch: float, clouds: dict[str, np.ndarray]):
         self.pitch = _positive_pitch(pitch)
-        canon = {}
-        for v, idx in clouds.items():
-            idx = np.asarray(idx, dtype=np.int64)
-            _check_width(v, idx, self.origin.size)
-            canon[v] = _canonical(idx) if len(idx) else idx.reshape(0, self.origin.size)
-        self.clouds = canon
+        rows = {v: np.asarray(idx, dtype=np.int64) for v, idx in clouds.items()}
+        dim = _one_width(rows)
+        self.clouds = {v: _canonical(r) if r.size else r.reshape(0, dim)
+                       for v, r in rows.items()}
 
     @classmethod
-    def from_points(cls, origin, pitch, point_clouds):
+    def from_points(cls, pitch, point_clouds):
         """The lattice cells of real point clouds.  Each cloud is snapped
         and canonicalised ``BLOCK_ROWS`` points at a time, by one ``_union``
         of its ``_Snapped`` image, so the rows equal those of snapping it
         whole and no temporary grows with the cloud."""
-        origin = np.asarray(origin, dtype=float)
         pitch = _positive_pitch(pitch)
-        clouds = {}
-        for v, pts in point_clouds.items():
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            if pts.size == 0:
-                clouds[v] = np.empty((0, origin.size), dtype=np.int64)
-                continue
-            _check_width(v, pts, origin.size)
-            clouds[v] = _union([_Snapped(pts, origin, pitch)])
-        return cls._of_rows(origin, pitch, clouds)
+        pts = {v: np.atleast_2d(np.asarray(p, dtype=float)) for v, p in point_clouds.items()}
+        dim = _one_width(pts)
+        return cls._of_rows(pitch, {
+            v: _union([_Snapped(p, pitch)]) if p.size else np.empty((0, dim), dtype=np.int64)
+            for v, p in pts.items()})
 
     @classmethod
-    def _of_rows(cls, origin: np.ndarray, pitch: float, clouds: dict[str, np.ndarray]):
-        """A tuple over float origin and pitch whose clouds are already in
-        the stored form; they are kept as they are."""
+    def _of_rows(cls, pitch: float, clouds: dict[str, np.ndarray]):
+        """A tuple over a float pitch whose clouds are already in the stored
+        form; they are kept as they are."""
         self = cls.__new__(cls)
-        self.origin, self.pitch, self.clouds = origin, pitch, clouds
+        self.pitch, self.clouds = pitch, clouds
         return self
 
     @classmethod
-    def from_fibers(cls, sys: MWSystem, pitch: float, origin=None):
+    def from_fibers(cls, sys: MWSystem, pitch: float):
         """Full fiber regions sampled on the grid (one cloud per vertex).
 
         The rows are the lattice indices ``grid_indices`` keeps, already in
         the stored form, so they never pass through real points."""
-        origin = np.zeros(sys.dim) if origin is None else np.asarray(origin, dtype=float)
         pitch = _positive_pitch(pitch)
-        return cls._of_rows(
-            origin,
-            pitch,
-            {v: grid_indices(f.region, pitch, origin) for v, f in sys.fibers.items()},
-        )
+        return cls._of_rows(pitch, {v: grid_indices(f.region, pitch)
+                                    for v, f in sys.fibers.items()})
+
+    @property
+    def dim(self) -> int:
+        """The width of the rows (0 for a tuple of no clouds)."""
+        return next((rows.shape[1] for rows in self.clouds.values()), 0)
 
     def points(self, v: str) -> np.ndarray:
-        return self.origin + self.pitch * self.clouds[v].astype(float)
+        return self.pitch * self.clouds[v].astype(float)
 
     def vertices(self):
         return sorted(self.clouds)
 
     def same_grid(self, other: "SetTuple") -> bool:
-        return (
-            self.pitch == other.pitch
-            and self.origin.shape == other.origin.shape
-            and bool(np.all(self.origin == other.origin))
-        )
+        return self.pitch == other.pitch and self.dim == other.dim
 
     def coarsen(self, factor: int) -> "SetTuple":
-        """The occupied cells of the grid with pitch * factor (same origin),
-        for a positive integer factor; each cloud is divided and
+        """The occupied cells of the grid with pitch * factor, for a
+        positive integer factor; each cloud is divided and
         canonicalised in one ``_union``."""
         if factor < 1:
             raise ValueError(f"coarsening factor must be a positive integer, got {factor!r}")
-        return SetTuple._of_rows(self.origin, self.pitch * factor, {
+        return SetTuple._of_rows(self.pitch * factor, {
             v: _canonical(c, factor) if len(c) else c for v, c in self.clouds.items()})
 
     def vertex_distances(self, other: "SetTuple", metric=EUCLIDEAN) -> dict[str, float]:
@@ -687,13 +682,13 @@ def _image(m: AffineMap, C: SetTuple, src: str, span) -> _Image:
     (``_Tabled``).  Other maps are applied to the points, then snapped,
     block by block (``_Snapped``).
     """
-    a, origin, pitch = m.matrix, C.origin, C.pitch
+    a, pitch = m.matrix, C.pitch
     if not np.array_equal(a, np.diag(np.diagonal(a))):
-        return _Snapped(C.clouds[src], C.origin, C.pitch, m)
+        return _Snapped(C.clouds[src], pitch, m)
     tables = []
     for j, (low, high) in enumerate(span):
-        x = origin[j] + pitch * np.arange(low, high + 1).astype(float)
-        tables.append(np.rint((x * a[j, j] + m.shift[j] - origin[j]) / pitch).astype(np.int64))
+        x = pitch * np.arange(low, high + 1).astype(float)
+        tables.append(np.rint((x * a[j, j] + m.shift[j]) / pitch).astype(np.int64))
     return _Tabled(C.clouds[src], tables, [low for low, _ in span])
 
 
@@ -730,12 +725,15 @@ def hutchinson_step(sys: MWSystem, n, C: SetTuple, _maps=None) -> SetTuple:
         if not images:
             raise ValueError(f"no images at vertex {v!r} (empty input clouds)")
         out[v] = _union(images, like=C.clouds[v])
-    return SetTuple._of_rows(C.origin, C.pitch, out)
+    return SetTuple._of_rows(C.pitch, out)
 
 
 # float roundings from a lattice point to the lattice point its image snaps
 # to, past the d - 1 additions of a matrix row: the row's products, + shift,
-# - origin, / pitch, and back to a point, pitch * index, + origin
+# / pitch, and back to a point, pitch * index.  That is 4: the count of 6
+# over-counts by two, which is still sound and keeps the last digits of
+# every printed error_bound.  Measuring the snap offsets exactly would
+# replace it
 _ROUNDINGS = 6
 
 
@@ -745,39 +743,38 @@ def snap_slack(C: SetTuple, maps, metric) -> float:
     (``_span_slack`` of the clouds' least and greatest rows)."""
     spans = {v: [(int(col.min()), int(col.max())) for col in rows.T]
              for v, rows in C.clouds.items() if len(rows)}
-    return _span_slack(C.origin, C.pitch, spans, maps, metric)
+    return _span_slack(C.dim, C.pitch, spans, maps, metric)
 
 
-def grid_slack(sys: MWSystem, pitch: float, maps, origin=None) -> float:
+def grid_slack(sys: MWSystem, pitch: float, maps) -> float:
     """``_span_slack`` of the fiber grids of the pitch, from the ends of
     their bounding boxes (``grid_bounds``): at least ``snap_slack`` of any
     tuple of rows in those boxes, and computed without listing a grid."""
-    origin = np.zeros(sys.dim) if origin is None else np.asarray(origin, dtype=float)
-    spans = {v: grid_bounds(f.region, pitch, origin) for v, f in sys.fibers.items()}
-    return _span_slack(origin, float(pitch), spans, maps, sys.metric)
+    spans = {v: grid_bounds(f.region, pitch) for v, f in sys.fibers.items()}
+    return _span_slack(sys.dim, float(pitch), spans, maps, sys.metric)
 
 
-def _span_slack(origin: np.ndarray, pitch: float, spans, maps, metric) -> float:
+def _span_slack(dim: int, pitch: float, spans, maps, metric) -> float:
     """eps, how far a snapped image point can lie from the exact image under
     the path maps of ``degree_maps``, for source clouds whose rows lie, per
     vertex of ``spans`` and axis, between the least and greatest index
     given; rounded upward.
 
     Snapping alone moves each coordinate by at most h/2.  Float arithmetic
-    can move it by eta = gamma*(2M + h) more, where M bounds
-    |a_i|.|x| + |s_i| + |o_i| over the maps' rows i and the source clouds'
-    points x, and gamma = (d + 6)u, u = 2^-53, covers the d + 5 roundings
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1).
+    can move it by eta = gamma*(2M + h) more, where M bounds |a_i|.|x| + |s_i|
+    over the maps' rows i and the source clouds' points x, and
+    gamma = (d + 6)u, u = 2^-53, covers the d + 3 roundings with two to
+    spare (``_ROUNDINGS``; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, 3.1).
     eps is (h/2 + eta)*sqrt(d) for the Euclidean metric and h/2 + eta for
     the max metric.
     """
     reach = {}  # per source vertex and axis, the largest |x_j| of its cloud
     for v, span in spans.items():
-        ends = [origin + pitch * np.array(e, dtype=float) for e in zip(*span)]
+        ends = [pitch * np.array(e, dtype=float) for e in zip(*span)]
         reach[v] = np.maximum(*np.abs(ends))
-    worst = max((float((np.abs(m.matrix) @ reach[src] + np.abs(m.shift) + np.abs(origin)).max())
+    worst = max((float((np.abs(m.matrix) @ reach[src] + np.abs(m.shift)).max())
                  for rows in maps.values() for m, src in rows if src in reach), default=0.0)
-    dim = origin.size
     eta = Fraction(dim + _ROUNDINGS, 2**53) * (2 * Fraction(worst) + Fraction(pitch))
     coordinate = Fraction(pitch) / 2 + eta
     return round_up(coordinate * sqrt_up(dim) if metric == EUCLIDEAN else coordinate)
@@ -911,14 +908,14 @@ def _iterate(sys: MWSystem, n, C0: SetTuple, max_iter: int, maps):
 # the fixed point at a fine pitch, reached coarse to fine
 
 
-def _box_points(sys: MWSystem, pitch: float, origin: np.ndarray) -> int:
+def _box_points(sys: MWSystem, pitch: float) -> int:
     """The points of the fiber grids' bounding boxes at the pitch, in all,
     counted in Python integers (``grid_bounds``)."""
-    return sum(math.prod(high - low + 1 for low, high in grid_bounds(f.region, pitch, origin))
+    return sum(math.prod(high - low + 1 for low, high in grid_bounds(f.region, pitch))
                for f in sys.fibers.values())
 
 
-def start_grids(sys: MWSystem, pitch: float, origin=None) -> SetTuple:
+def start_grids(sys: MWSystem, pitch: float) -> SetTuple:
     """The fiber grids a run at the pitch starts from (``refine_attractor``):
     those of the pitch 2^L * pitch for the least L >= 0 at which the grids'
     bounding boxes hold at most ``BLOCK_ROWS`` points in all, or at which
@@ -930,20 +927,19 @@ def start_grids(sys: MWSystem, pitch: float, origin=None) -> SetTuple:
     ValueError naming the first such fiber.  So does a grid of the pitch
     too large for ``grid_bounds``.
     """
-    origin = np.zeros(sys.dim) if origin is None else np.asarray(origin, dtype=float)
     pitch = float(pitch)
-    level, points = 0, _box_points(sys, pitch, origin)
+    level, points = 0, _box_points(sys, pitch)
     while points > BLOCK_ROWS and math.isfinite(pitch * 2.0 ** (level + 1)):
-        coarser = _box_points(sys, pitch * 2.0 ** (level + 1), origin)
+        coarser = _box_points(sys, pitch * 2.0 ** (level + 1))
         if coarser >= points:
             break
         level, points = level + 1, coarser
     while True:
         level_pitch = pitch * 2.0 ** level
-        grids = {v: grid_indices(f.region, level_pitch, origin) for v, f in sys.fibers.items()}
+        grids = {v: grid_indices(f.region, level_pitch) for v, f in sys.fibers.items()}
         empty = [v for v, rows in grids.items() if not len(rows)]
         if not empty:
-            return SetTuple._of_rows(origin, level_pitch, grids)
+            return SetTuple._of_rows(level_pitch, grids)
         if not level:
             raise ValueError(f"fiber {empty[0]!r}: no grid point of pitch {pitch!r} lies in it")
         level -= 1
@@ -962,11 +958,11 @@ def _children(sys: MWSystem, K: SetTuple) -> SetTuple:
         kept = 0
         for s in _blocks(len(kids)):
             block = kids[s]
-            inside = block[in_region(f.region, block, pitch, K.origin)]
+            inside = block[in_region(f.region, block, pitch)]
             kids[kept:kept + len(inside)] = inside
             kept += len(inside)
-        clouds[v] = kids[:kept] if kept else grid_indices(f.region, pitch, K.origin)
-    return SetTuple._of_rows(K.origin, pitch, clouds)
+        clouds[v] = kids[:kept] if kept else grid_indices(f.region, pitch)
+    return SetTuple._of_rows(pitch, clouds)
 
 
 def refine_attractor(
@@ -1002,7 +998,7 @@ def refine_attractor(
     for _ in range(levels):
         C = _children(sys, _iterate(sys, n, C, max_iter, maps)[1])
     K, cert = compute_attractor(sys, n, C, max_iter=max_iter)
-    gate = grid_slack(sys, pitch, maps, start.origin)
+    gate = grid_slack(sys, pitch, maps)
     return K, replace(cert, eps=max(cert.eps, gate))
 
 

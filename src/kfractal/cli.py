@@ -167,7 +167,7 @@ def _pitch_and_tol(args, sys_) -> tuple[float, float]:
                 "every fiber has diameter 0, so there is no default pitch: give --pitch")
     for f in sys_.fibers.values():
         try:
-            grid_bounds(f.region, h, 0.0)
+            grid_bounds(f.region, h)
         except ValueError as exc:
             raise InstanceFormatError(f"fiber {f.vertex!r}: {exc}") from None
     tol = args.tol if args.tol is not None else 4.0 * h

@@ -300,7 +300,6 @@ def coded_cloud(
     sys: MWSystem,
     depth,
     pitch: float,
-    origin=None,
     count: int | None = None,
     seed: int = 0,
 ) -> tuple[SetTuple, float]:
@@ -323,7 +322,6 @@ def coded_cloud(
     depth = tuple(depth)
     _require_codable(sys, depth)
     g = sys.graph
-    origin = np.zeros(sys.dim) if origin is None else np.asarray(origin, dtype=float)
     max_diam = max(f.diameter() for f in sys.fibers.values())
     err = contraction_factor(sys, depth) * max_diam
 
@@ -340,14 +338,14 @@ def coded_cloud(
                     ]
                     nxt[v] = np.concatenate(pieces)
                 clouds = nxt
-        return SetTuple.from_points(origin, pitch, clouds), err
+        return SetTuple.from_points(pitch, clouds), err
 
     clouds = {
         v: sample_prefixes(g, v, depth, count, seed=seed,
                            code=functools.partial(_coded_points, sys, v))
         for v in g.vertices
     }
-    return SetTuple.from_points(origin, pitch, clouds), err
+    return SetTuple.from_points(pitch, clouds), err
 
 
 def _coded_points(sys: MWSystem, v: str, rows: np.ndarray) -> np.ndarray:
@@ -418,7 +416,7 @@ def check_subsystem(sys: MWSystem, sets: SetTuple, tol: float) -> SubsystemRepor
     points.  Since d(p, T) <= |p - q| + d(q, T) for the snapped point q, it
     is an upper bound on the real image's one-sided distance.
     """
-    origin, pitch = sets.origin, sets.pitch
+    pitch = sets.pitch
     dists = {}
     for ident in sorted(sys.generators):
         e = sys.graph.edge(ident)
@@ -426,7 +424,7 @@ def check_subsystem(sys: MWSystem, sets: SetTuple, tol: float) -> SubsystemRepor
             if len(sets.clouds[v]) == 0:
                 raise ValueError(f"empty cloud at {v!r}")
         image = sys.generators[ident].apply(sets.points(e.source_vertex))
-        rows, eps = _snap_offset(image, origin, pitch, sys.metric)
+        rows, eps = _snap_offset(image, pitch, sys.metric)
         dists[ident] = _directed_bound(rows, sets.clouds[e.range_vertex], pitch, eps,
                                        sys.metric)
     return SubsystemReport(tol, dists)

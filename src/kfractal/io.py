@@ -203,39 +203,27 @@ def packaged_instance(name: str) -> FsPath:
 CSV_BLOCK_ROWS = 1 << 12
 
 
-def _distinct(column):
-    """The ascending distinct values of an int64 column: those of each
-    block of rows, then those of their concatenation, so that only a
-    block's values are sorted at a time when the column repeats them."""
-    import numpy as np
-
-    from .attractor import _blocks
-
-    def sort_distinct(a):
-        a = np.sort(a)
-        return a[np.concatenate(([True], a[1:] != a[:-1]))] if len(a) else a
-
-    parts = [sort_distinct(column[s]) for s in _blocks(len(column))]
-    return sort_distinct(np.concatenate(parts)) if parts else column
-
-
 def write_clouds_csv(sets: SetTuple, path) -> None:
     """Rows of ``SetTuple.points`` in stored order, as repr floats.  Each
-    distinct lattice coordinate of an axis, origin[t] + pitch * float(i), is
-    formatted once, and the rows are gathered from those per-axis tables,
+    distinct lattice coordinate of an axis, pitch * float(i), is formatted
+    once, and the rows are gathered from those per-axis tables,
     ``CSV_BLOCK_ROWS`` at a time, by np.searchsorted of the block's
-    coordinates in the axis's distinct values."""
+    coordinates in the axis's distinct values, which ``_canonical`` of the
+    axis's column lists in one pass over its blocks."""
     import numpy as np
 
-    dim = sets.origin.size
+    from .attractor import _canonical
+
     with FsPath(path).open("w") as fh:
-        fh.write("vertex," + ",".join(f"x{i}" for i in range(dim)) + "\n")
+        fh.write("vertex," + ",".join(f"x{i}" for i in range(sets.dim)) + "\n")
         for v in sets.vertices():
             rows = sets.clouds[v]
+            if not len(rows):
+                continue
             tables = []
-            for t in range(dim):
-                values = _distinct(rows[:, t])
-                coords = sets.origin[t] + sets.pitch * values.astype(float)
+            for t in range(sets.dim):
+                values = _canonical(rows[:, t:t + 1])[:, 0]
+                coords = sets.pitch * values.astype(float)
                 text = np.array([repr(x) for x in coords.tolist()], dtype=object)
                 tables.append((values, text))
             for start in range(0, len(rows), CSV_BLOCK_ROWS):

@@ -248,7 +248,7 @@ class PointSet:
 MAX_GRID_POINTS = 2**24
 
 
-def grid_bounds(region, pitch, origin) -> list[tuple[int, int]]:
+def grid_bounds(region, pitch) -> list[tuple[int, int]]:
     """Per axis, the least and greatest lattice index spanning the region's
     bounding box, as Python integers.  A pitch that is not positive and
     finite, or more than ``MAX_GRID_POINTS`` points, counted in Python
@@ -257,7 +257,7 @@ def grid_bounds(region, pitch, origin) -> list[tuple[int, int]]:
         raise ValueError(f"grid pitch must be positive and finite, got {pitch!r}")
     lo, hi = region.bounding_box()
     with np.errstate(over="ignore"):
-        start, stop = np.floor((lo - origin) / pitch), np.ceil((hi - origin) / pitch)
+        start, stop = np.floor(lo / pitch), np.ceil(hi / pitch)
     if not np.isfinite(stop - start).all() or math.prod(
             int(n) + 1 for n in stop - start) > MAX_GRID_POINTS:
         raise ValueError(f"a grid of pitch {pitch!r} over the region has more than "
@@ -265,10 +265,10 @@ def grid_bounds(region, pitch, origin) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(start, stop)]
 
 
-def grid_axes(region, pitch, origin) -> list[np.ndarray]:
+def grid_axes(region, pitch) -> list[np.ndarray]:
     """Per axis, the lattice indices spanning the region's bounding box;
     ``grid_bounds`` refuses too large a grid before anything is allocated."""
-    return [np.arange(a, b + 1) for a, b in grid_bounds(region, pitch, origin)]
+    return [np.arange(a, b + 1) for a, b in grid_bounds(region, pitch)]
 
 
 # grid points built and tested at a time by ``grid_indices``, so that the
@@ -276,9 +276,9 @@ def grid_axes(region, pitch, origin) -> list[np.ndarray]:
 _GRID_SLAB_POINTS = 1 << 14
 
 
-def grid_indices(region, pitch, origin=None):
-    """Lattice indices, relative to origin, of the grid points of the given
-    pitch inside a region (with boundary slack): sorted, duplicate-free,
+def grid_indices(region, pitch):
+    """Lattice indices of the grid points of the given pitch inside a
+    region (with boundary slack): sorted, duplicate-free,
     C-contiguous int64 rows, because the mesh is built in ``ij`` order.  Too
     large a grid raises ValueError, counted by ``grid_axes`` first.
 
@@ -287,28 +287,26 @@ def grid_indices(region, pitch, origin=None):
     the rows each slab keeps are concatenated: the transient memory is about
     twice the kept rows, not the bounding box."""
     d = region.dim
-    origin = np.zeros(d) if origin is None else np.asarray(origin, dtype=float)
-    first, *rest = grid_axes(region, pitch, origin)
+    first, *rest = grid_axes(region, pitch)
     step = max(1, _GRID_SLAB_POINTS // math.prod(map(len, rest)))
     kept = []
     for start in range(0, len(first), step):
         axes = np.meshgrid(first[start:start + step], *rest, indexing="ij")
         mesh = np.stack(axes, axis=-1).reshape(-1, d)
-        kept.append(mesh[in_region(region, mesh, pitch, origin)])
+        kept.append(mesh[in_region(region, mesh, pitch)])
     return np.concatenate(kept)
 
 
-def in_region(region, rows, pitch, origin) -> np.ndarray:
+def in_region(region, rows, pitch) -> np.ndarray:
     """Which lattice rows of the given pitch lie in a region, with the
     boundary slack ``grid_indices`` keeps them by."""
-    return region.contains(origin + pitch * rows, tol=pitch * 1e-6)
+    return region.contains(pitch * rows, tol=pitch * 1e-6)
 
 
-def grid_points(region, pitch, origin=None):
+def grid_points(region, pitch):
     """Grid-aligned sample of a region: all lattice points of the given pitch
     inside it (with boundary slack); too large a grid raises ValueError."""
-    origin = np.zeros(region.dim) if origin is None else np.asarray(origin, dtype=float)
-    return origin + pitch * grid_indices(region, pitch, origin)
+    return pitch * grid_indices(region, pitch)
 
 
 @dataclass(frozen=True)
@@ -643,6 +641,6 @@ def check_k_surjective(sys: MWSystem, n, sets, tol: float) -> CoverageReport:
             empty.append(v)
             distances[v] = float("inf")
             continue
-        rows, eps = _snap_offset(np.concatenate(pieces), sets.origin, sets.pitch, sys.metric)
+        rows, eps = _snap_offset(np.concatenate(pieces), sets.pitch, sys.metric)
         distances[v] = _directed_bound(target, rows, sets.pitch, eps, sys.metric)
     return CoverageReport(tuple(n), tol, distances, empty)

@@ -58,7 +58,7 @@ def test_criterion_1_fixed_point_uniqueness():
     h = 1.0 / 512.0
     with Timer() as t:
         full = SetTuple.from_fibers(sys_, h)
-        corner = SetTuple.from_points(np.zeros(2), h, {"v": np.array([0.0, 0.0])})
+        corner = SetTuple.from_points(h, {"v": np.array([0.0, 0.0])})
         K1, c1 = compute_attractor(sys_, (1,), full)
         K2, c2 = compute_attractor(sys_, (1,), corner)
         assert c1.converged and c2.converged
@@ -76,7 +76,7 @@ def test_criterion_2_commutation():
         for name in ("p2", "p2c"):
             sys_ = shipped(name)
             pts = rng.random((400, 2))
-            C = SetTuple.from_points(np.zeros(2), h, {"v": pts})
+            C = SetTuple.from_points(h, {"v": pts})
             for n in degrees:
                 for m in degrees:
                     assert check_commutation(sys_, n, m, C, tol=2 * h), (name, n, m)

@@ -57,7 +57,7 @@ from shipped import LOPSIDED, shipped
 
 def test_settuple_canonical_order_and_dedup():
     pts = {"v": np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5]])}
-    s = SetTuple.from_points(np.zeros(2), 0.25, pts)
+    s = SetTuple.from_points(0.25, pts)
     assert s.clouds["v"].tolist() == [[0, 0], [2, 2]]
 
 
@@ -66,12 +66,12 @@ def test_from_points_snaps_blocks_to_the_rows_of_the_whole_cloud(monkeypatch, bl
     # three blocks and a bit of real points, negative coordinates and
     # repeated cells included, snapped a block at a time
     rng = np.random.default_rng(block)
-    origin, pitch = np.array([0.25, -1.0]), 0.1
+    pitch = 0.1
     pts = rng.normal(0, 2, size=(3 * BLOCK_ROWS + 5, 2))
     pts[::3] = pts[1::3]
     monkeypatch.setattr(attractor, "BLOCK_ROWS", block)
-    got = SetTuple.from_points(origin, pitch, {"v": pts, "w": pts[:1], "e": np.empty((0, 2))})
-    whole = np.rint((pts - origin) / pitch).astype(np.int64)
+    got = SetTuple.from_points(pitch, {"v": pts, "w": pts[:1], "e": np.empty((0, 2))})
+    whole = np.rint(pts / pitch).astype(np.int64)
     assert np.array_equal(got.clouds["v"], np.unique(whole, axis=0))
     assert np.array_equal(got.clouds["w"], whole[:1])
     assert got.clouds["e"].shape == (0, 2)
@@ -79,16 +79,22 @@ def test_from_points_snaps_blocks_to_the_rows_of_the_whole_cloud(monkeypatch, bl
 
 
 def test_settuple_equality_ignores_input_order():
-    a = SetTuple.from_points(np.zeros(1), 0.5, {"v": np.array([[0.0], [1.0]])})
-    b = SetTuple.from_points(np.zeros(1), 0.5, {"v": np.array([[1.0], [0.0]])})
+    a = SetTuple.from_points(0.5, {"v": np.array([[0.0], [1.0]])})
+    b = SetTuple.from_points(0.5, {"v": np.array([[1.0], [0.0]])})
     assert a == b
 
 
 def test_settuple_grid_mismatch_detected():
-    a = SetTuple.from_points(np.zeros(1), 0.5, {"v": np.array([[0.0]])})
-    b = SetTuple.from_points(np.zeros(1), 0.25, {"v": np.array([[0.0]])})
-    with pytest.raises(ValueError):
-        tuple_distance(a, b)
+    # the grid is the pitch and the width of the rows
+    a = SetTuple.from_points(0.5, {"v": np.array([[0.0]])})
+    b = SetTuple.from_points(0.25, {"v": np.array([[0.0]])})
+    c = SetTuple.from_points(0.5, {"v": np.array([[0.0, 0.0]])})
+    assert a.dim == b.dim == 1 and c.dim == 2
+    assert a.same_grid(SetTuple(0.5, {"w": np.empty((0, 1))}))
+    for other in (b, c):
+        assert not a.same_grid(other) and a != other
+        with pytest.raises(ValueError, match="grid mismatch"):
+            tuple_distance(a, other)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -193,9 +199,9 @@ def test_rows_and_points_are_c_contiguous():
 def test_coarsen_and_dimension_estimate():
     rng = np.random.default_rng(8)
     lattice = rng.integers(-50, 50, size=(2000, 2))
-    s = SetTuple([0.5, -1.0], 0.25, {"v": lattice, "w": lattice[:10]})
+    s = SetTuple(0.25, {"v": lattice, "w": lattice[:10]})
     c = s.coarsen(4)
-    assert c.same_grid(SetTuple([0.5, -1.0], 1.0, {}))
+    assert c.same_grid(SetTuple(1.0, {"v": np.empty((0, 2))}))
     assert np.array_equal(c.clouds["v"], np.unique(lattice // 4, axis=0))
     n_fine = len(np.unique(lattice, axis=0))
     n_coarse = len(np.unique(lattice // 2, axis=0))
@@ -211,22 +217,33 @@ def test_vertex_distances_match_per_vertex_hausdorff():
     assert got == {v: hausdorff_distance(K.points(v), C0.points(v), sys.metric) for v in K.clouds}
     assert max(got.values()) > 0
     assert K.vertex_distances(K, sys.metric) == {v: 0.0 for v in K.clouds}
-    with pytest.raises(ValueError):
-        K.vertex_distances(SetTuple(K.origin, K.pitch, {}))
+    with pytest.raises(ValueError, match="vertex sets differ"):
+        K.vertex_distances(SetTuple(K.pitch, {"elsewhere": np.zeros((1, K.dim))}))
 
 
-def test_set_tuple_refuses_rows_of_another_dimension():
-    # refused at construction: a window over mismatched columns would
-    # measure a wrong distance without an error
-    with pytest.raises(ValueError, match="rows of width 3, but the origin has dimension 2"):
-        SetTuple(np.zeros(2), 1.0, {"v": np.zeros((3, 3), int)})
-    # an empty cloud takes the origin's dimension
-    assert SetTuple(np.zeros(2), 1.0, {"v": np.zeros((0, 3), int)}).clouds["v"].shape == (0, 2)
+@pytest.mark.parametrize("build", ["rows", "points"])
+def test_set_tuple_refuses_clouds_of_different_widths(build):
+    # refused at construction: a distance over mismatched columns would be
+    # measured wrong without an error
+    make = SetTuple if build == "rows" else SetTuple.from_points
+    with pytest.raises(ValueError, match="at 'v' and 'w' have rows of widths 2 and 3"):
+        make(1.0, {"v": np.zeros((2, 2)), "e": np.zeros((0, 1)), "w": np.zeros((3, 3))})
+    with pytest.raises(ValueError, match="the cloud at 'w' is not 2-d"):
+        make(1.0, {"v": np.zeros((2, 2)), "w": np.zeros((1, 2, 2))})
+    # an empty cloud takes the others' width, wherever it is listed
+    for clouds in ({"e": np.zeros((0, 3)), "v": np.zeros((2, 2))},
+                   {"v": np.zeros((2, 2)), "e": np.zeros((0, 3))}):
+        sets = make(1.0, clouds)
+        assert sets.dim == 2 and sets.clouds["e"].shape == (0, 2)
+        assert sets.clouds["e"].dtype == np.int64
+    # with no nonempty cloud, the width is the first cloud's
+    assert make(1.0, {"e": np.zeros((0, 3)), "f": np.zeros((0, 1))}).dim == 3
+    assert SetTuple(1.0, {}).dim == 0
 
 
 def test_vertex_distances_name_an_empty_cloud():
-    A = SetTuple(np.zeros(2), 1.0, {"u": [[0, 0]], "w": np.zeros((0, 2))})
-    B = SetTuple(np.zeros(2), 1.0, {"u": [[0, 0]], "w": [[1, 1]]})
+    A = SetTuple(1.0, {"u": [[0, 0]], "w": np.zeros((0, 2))})
+    B = SetTuple(1.0, {"u": [[0, 0]], "w": [[1, 1]]})
     for x, y in ((A, B), (B, A)):
         with pytest.raises(ValueError, match="empty cloud at vertex 'w'"):
             x.vertex_distances(y)
@@ -279,9 +296,9 @@ def _lattice_pair(d, kind, seed):
 @pytest.mark.parametrize("dyadic", [True, False])
 def test_lattice_distances_match_brute_force(transforms, d, metric, kind, dyadic):
     a, b = _lattice_pair(d, kind, seed=10 * d + len(kind))
-    origin, pitch = (np.zeros(d), 2.0**-5) if dyadic else (np.array([0.5, -1.0, 0.25][:d]), 0.3)
-    A = SetTuple(origin, pitch, {"v": a})
-    B = SetTuple(origin, pitch, {"v": b})
+    pitch = 2.0**-5 if dyadic else 0.3
+    A = SetTuple(pitch, {"v": a})
+    B = SetTuple(pitch, {"v": b})
     assert A != B
     got = A.vertex_distances(B, metric)["v"]
     # measured on the rows, not on points()
@@ -302,8 +319,8 @@ def test_far_apart_points_are_measured_from_their_rows(d, metric):
     # one point each, 10**9 apart along up to two axes: their joint box holds
     # up to 10**18 cells, but only the two rows are read
     far = np.array([10**9, -(10**9), 0][:d])
-    A = SetTuple(np.zeros(d), 1.0, {"v": np.zeros((1, d), dtype=np.int64)})
-    B = SetTuple(np.zeros(d), 1.0, {"v": far[None]})
+    A = SetTuple(1.0, {"v": np.zeros((1, d), dtype=np.int64)})
+    B = SetTuple(1.0, {"v": far[None]})
     tracemalloc.start()
     try:
         got = A.vertex_distances(B, metric)["v"]
@@ -331,8 +348,8 @@ def test_squares_past_int64_are_exact(metric):
 @pytest.mark.parametrize("metric", ["euclidean", "max"])
 def test_a_box_past_int64_keys_is_refused(metric):
     # 10**9 apart along three axes: 10**27 cells, which int64 cannot number
-    A = SetTuple(np.zeros(3), 1.0, {"v": np.zeros((1, 3), dtype=np.int64)})
-    B = SetTuple(np.zeros(3), 1.0, {"v": np.full((1, 3), 10**9)})
+    A = SetTuple(1.0, {"v": np.zeros((1, 3), dtype=np.int64)})
+    B = SetTuple(1.0, {"v": np.full((1, 3), 10**9)})
     with pytest.raises(ValueError, match=r"joint box has more than 2\*\*62 cells"):
         A.vertex_distances(B, metric)
 
@@ -344,8 +361,8 @@ def test_full_lattice_against_one_cell_walks_one_row(transforms, metric):
     # row per block of cells
     lattice = np.indices((513, 513)).reshape(2, -1).T
     one = np.array([[100, 400]])
-    A = SetTuple(np.zeros(2), 1.0, {"v": lattice})
-    B = SetTuple(np.zeros(2), 1.0, {"v": one})
+    A = SetTuple(1.0, {"v": lattice})
+    B = SetTuple(1.0, {"v": one})
     corner = np.array([512, 0]) - one[0]
     want = math.sqrt((corner**2).sum()) if metric == "euclidean" else float(abs(corner).max())
     assert A.vertex_distances(B, metric) == {"v": want}
@@ -356,8 +373,8 @@ def test_vertex_distances_reject_unknown_metric(transforms):
     # equal clouds short-circuit and unequal ones take the window; neither
     # may read the name as a known metric
     a = np.array([[0, 0], [3, 4]])
-    A = SetTuple(np.zeros(2), 1.0, {"v": a})
-    B = SetTuple(np.zeros(2), 1.0, {"v": a[:1]})
+    A = SetTuple(1.0, {"v": a})
+    B = SetTuple(1.0, {"v": a[:1]})
     for other in (A, B):
         with pytest.raises(ValueError, match="unknown metric 'taxicab'"):
             A.vertex_distances(other, "taxicab")
@@ -491,14 +508,12 @@ def _fiber_systems():
 
 
 @pytest.mark.parametrize("pitch", [1 / 512, 1 / 81])
-@pytest.mark.parametrize("shifted", [False, True])
-def test_from_fibers_rows_equal_snapped_grid_points(pitch, shifted):
+def test_from_fibers_rows_equal_snapped_grid_points(pitch):
     # the integer mesh rows are kept; snapping the real grid points gives them back
     for name, sys_ in _fiber_systems().items():
-        origin = np.array([0.3, -0.7][: sys_.dim]) if shifted else np.zeros(sys_.dim)
-        got = SetTuple.from_fibers(sys_, pitch, origin)
-        want = SetTuple.from_points(origin, pitch, {
-            v: grid_points(f.region, pitch, origin) for v, f in sys_.fibers.items()
+        got = SetTuple.from_fibers(sys_, pitch)
+        want = SetTuple.from_points(pitch, {
+            v: grid_points(f.region, pitch) for v, f in sys_.fibers.items()
         })
         assert got == want, name
         for v, rows in got.clouds.items():
@@ -547,7 +562,7 @@ def test_step_s1_three_half_triangles():
 
 def _reference_step(C, maps):
     # the step as it was: snap the union of every point's float image
-    return SetTuple.from_points(C.origin, C.pitch, {
+    return SetTuple.from_points(C.pitch, {
         v: np.concatenate([m.apply(C.points(src)) for m, src in rows if len(C.clouds[src])])
         for v, rows in maps.items()
     })
@@ -572,14 +587,12 @@ _RATIOS = (0.5, -0.5, 1 / 3, -1 / 3, 0.25, -2 / 3, 0.7, 0.0)
 
 @st.composite
 def _step_inputs(draw):
-    # two vertices on a lattice of a dyadic or non-dyadic pitch and a zero
-    # or non-zero origin; per vertex, one to four maps from either vertex,
+    # two vertices on a lattice of a dyadic or non-dyadic pitch; per
+    # vertex, one to four maps from either vertex,
     # diagonal (reflections and ratios like 1/3 included) or not, shifted by
     # half cells, which put images on rounding ties, or by any amount; spans
     # of up to 60 cells over up to 40 rows make both dense and sparse unions
     d = draw(st.integers(1, 3))
-    origin = np.array(draw(st.lists(st.sampled_from([0.0, 0.3, -1.25, 1 / 3]),
-                                    min_size=d, max_size=d)))
     pitch = draw(st.sampled_from([1 / 64, 1 / 81, 0.1, 1 / 3]))
     clouds = {}
     for v in ("u", "w"):
@@ -602,7 +615,7 @@ def _step_inputs(draw):
             src = draw(st.sampled_from(("u", "w")))
             rows.append((AffineMap.of(matrix, shift, src, v), src))
         maps[v] = rows
-    return SetTuple(origin, pitch, clouds), maps
+    return SetTuple(pitch, clouds), maps
 
 
 @settings(max_examples=300, deadline=None)
@@ -619,7 +632,7 @@ def test_step_equals_snapped_union_of_affine_images(inputs):
 def test_step_sorts_sparse_unions(monkeypatch, d, diagonal, spread, sorts):
     # two reflected (and, off the diagonal, sheared) copies of a 3^d block,
     # overlapping or so far apart that their box has over 16 cells per row
-    C = SetTuple(np.full(d, 0.1), 1 / 3, {"v": np.indices((3,) * d).reshape(d, -1).T})
+    C = SetTuple(1 / 3, {"v": np.indices((3,) * d).reshape(d, -1).T})
     matrix = -np.eye(d)
     if not diagonal:
         matrix[0, -1] = 1 / 3
@@ -677,7 +690,7 @@ def test_step_monotone_in_the_input():
     h = 1 / 64
     big = SetTuple.from_fibers(sys, h)
     small_pts = big.points("v")[::7]
-    small = SetTuple.from_points(big.origin, h, {"v": small_pts})
+    small = SetTuple.from_points(h, {"v": small_pts})
     out_small = hutchinson_step(sys, (1,), small)
     out_big = hutchinson_step(sys, (1,), big)
     big_rows = {tuple(r) for r in out_big.clouds["v"].tolist()}
@@ -691,7 +704,7 @@ def test_step_monotone_in_the_input():
 def test_attractor_t0_collapses_to_origin():
     sys = shipped("t0")
     h = 1 / 256
-    C0 = SetTuple.from_points(np.zeros(1), h, {"v": np.array([1.0])})
+    C0 = SetTuple.from_points(h, {"v": np.array([1.0])})
     K, cert = compute_attractor(sys, (1, 1), C0)
     assert cert.converged
     assert np.abs(K.points("v")).max() <= 4 * h + cert.error_bound
@@ -702,7 +715,7 @@ def test_attractor_unique_limit_from_far_apart_starts():
     h = 1 / 128
     tol = 2 * h
     full = SetTuple.from_fibers(sys, h)
-    corner = SetTuple.from_points(np.zeros(2), h, {"v": np.array([0.0, 0.0])})
+    corner = SetTuple.from_points(h, {"v": np.array([0.0, 0.0])})
     K1, c1 = compute_attractor(sys, (1,), full)
     K2, c2 = compute_attractor(sys, (1,), corner)
     assert c1.converged and c2.converged
@@ -820,7 +833,7 @@ def test_max_iter_reported_not_raised():
 
 def test_empty_start_rejected():
     sys = shipped("s1")
-    C0 = SetTuple.from_points(np.zeros(2), 1 / 64, {"v": np.empty((0, 2))})
+    C0 = SetTuple.from_points(1 / 64, {"v": np.empty((0, 2))})
     with pytest.raises(ValueError):
         compute_attractor(sys, (1,), C0)
 
@@ -967,8 +980,8 @@ def test_measured_contraction_bound():
     for seed in range(5):
         idx = rng.choice(len(pool), size=40, replace=False)
         jdx = rng.choice(len(pool), size=25, replace=False)
-        A = SetTuple.from_points(tri.origin, h, {"v": pool[idx]})
-        B = SetTuple.from_points(tri.origin, h, {"v": pool[jdx]})
+        A = SetTuple.from_points(h, {"v": pool[idx]})
+        B = SetTuple.from_points(h, {"v": pool[jdx]})
         lhs = tuple_distance(
             hutchinson_step(sys, (1,), A), hutchinson_step(sys, (1,), B), sys.metric
         )
@@ -1070,15 +1083,14 @@ def test_start_grids_name_a_fiber_without_grid_points():
 
 def test_children_are_clipped_to_the_fiber_or_fall_back_to_its_grid():
     p2 = shipped("p2")
-    origin = np.zeros(2)
     # the 3 x 3 block around an inner row, the 2 x 2 one at a corner
-    inner = _children(p2, SetTuple._of_rows(origin, 1 / 64, {"v": np.array([[10, 20]])}))
+    inner = _children(p2, SetTuple._of_rows(1 / 64, {"v": np.array([[10, 20]])}))
     assert inner.pitch == 1 / 128
     assert inner.clouds["v"].tolist() == [[x, y] for x in (19, 20, 21) for y in (39, 40, 41)]
-    corner = _children(p2, SetTuple._of_rows(origin, 1 / 64, {"v": np.array([[0, 0]])}))
+    corner = _children(p2, SetTuple._of_rows(1 / 64, {"v": np.array([[0, 0]])}))
     assert corner.clouds["v"].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
     # a row whose children all lie outside: the whole fiber grid
-    outside = _children(p2, SetTuple._of_rows(origin, 1 / 64, {"v": np.array([[1000, 1000]])}))
+    outside = _children(p2, SetTuple._of_rows(1 / 64, {"v": np.array([[1000, 1000]])}))
     assert outside == SetTuple.from_fibers(p2, 1 / 128)
 
 

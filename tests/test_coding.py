@@ -605,9 +605,9 @@ def raw_clouds(monkeypatch):
     seen = {}
     snap = SetTuple.from_points.__func__
 
-    def spy(cls, origin, pitch, clouds):
+    def spy(cls, pitch, clouds):
         seen.update(clouds)
-        return snap(cls, origin, pitch, clouds)
+        return snap(cls, pitch, clouds)
 
     monkeypatch.setattr(SetTuple, "from_points", classmethod(spy))
     return seen
@@ -659,15 +659,15 @@ def _check_coded_points(raw_clouds, name, depth, count):
 
 
 def _reference_gaps(sys, attractor_sets, coded_sets):
-    """Per vertex, the Hausdorff distance by brute force.  With origin 0 and
-    a power-of-two pitch it is measured on the real points, and equals the
+    """Per vertex, the Hausdorff distance by brute force.  With a
+    power-of-two pitch it is measured on the real points, and equals the
     lattice distance bit for bit; with any other pitch it is the pitch times
     the brute force on the integer rows, whose squared distances are exact
     in floats."""
     if not attractor_sets.same_grid(coded_sets):
         raise ValueError("grid mismatch between the two clouds")
     h = attractor_sets.pitch
-    if not attractor_sets.origin.any() and math.frexp(h)[0] == 0.5:
+    if math.frexp(h)[0] == 0.5:
         return {v: hausdorff_distance(attractor_sets.points(v), coded_sets.points(v), sys.metric)
                 for v in sys.graph.vertices}
     return {v: h * hausdorff_distance(attractor_sets.clouds[v].astype(float),
@@ -699,8 +699,8 @@ def test_compare_attractor_coding_matches_reference(name, h, depth):
 
 def test_compare_requires_same_grid():
     sys = shipped("s1")
-    a = SetTuple.from_points(np.zeros(2), 1 / 64, {"v": np.zeros((1, 2))})
-    b = SetTuple.from_points(np.zeros(2), 1 / 128, {"v": np.zeros((1, 2))})
+    a = SetTuple.from_points(1 / 64, {"v": np.zeros((1, 2))})
+    b = SetTuple.from_points(1 / 128, {"v": np.zeros((1, 2))})
     with pytest.raises(ValueError):
         compare_attractor_coding(sys, a, b, tol=1.0)
 
@@ -724,13 +724,13 @@ def test_check_subsystem_gasket_invariant():
 
 def test_check_subsystem_corner_singleton_fails():
     sys = shipped("s1")
-    single = SetTuple.from_points(np.zeros(2), 1 / 128, {"v": np.array([0.0, 0.0])})
+    single = SetTuple.from_points(1 / 128, {"v": np.array([0.0, 0.0])})
     rep = check_subsystem(sys, single, tol=0.01)
     assert not rep.passed
     assert rep.edge_distances["a1"] > 0.2
 
 
-def _images_into(metric, dim, maps, origin, pitch, source, target):
+def _images_into(metric, dim, maps, pitch, source, target):
     """A system whose generators g0, g1, ... map fiber w into fiber u, and
     lattice clouds at u (the target) and w (the source)."""
     g = KGraph(1, ["u", "w"], {1: [(f"g{i}", "u", "w") for i in range(len(maps))]})
@@ -741,7 +741,7 @@ def _images_into(metric, dim, maps, origin, pitch, source, target):
         {f"g{i}": AffineMap.of(a, b, "u", "w") for i, (a, b) in enumerate(maps)},
         ratio=0.5,
     )
-    return sys, SetTuple(origin, pitch, {"u": target, "w": source})
+    return sys, SetTuple(pitch, {"u": target, "w": source})
 
 
 _coords = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
@@ -765,11 +765,10 @@ def _affine_maps(draw, dim):
 
 @st.composite
 def _subsystem_cases(draw):
-    # dyadic pitch and origin, so every lattice point is exact in floats
+    # dyadic pitch, so every lattice point is exact in floats
     dim = draw(st.integers(1, 2))
     k = draw(st.integers(1, 5))
-    pitch, side = 2.0**-k, 2 ** (k + 1)  # clouds within 2 of the origin
-    origin = np.array(draw(st.lists(st.integers(-8, 8), min_size=dim, max_size=dim))) / 8
+    pitch, side = 2.0**-k, 2 ** (k + 1)  # clouds within 2 of 0
 
     def cloud():
         rows = draw(st.lists(st.lists(st.integers(-side, side), min_size=dim, max_size=dim),
@@ -777,14 +776,14 @@ def _subsystem_cases(draw):
         return np.array(rows, dtype=np.int64)
 
     maps = draw(st.lists(_affine_maps(dim), min_size=1, max_size=3))
-    return dim, maps, origin, pitch, cloud(), cloud()
+    return dim, maps, pitch, cloud(), cloud()
 
 
 @settings(max_examples=300, deadline=None)
 @given(_subsystem_cases(), st.sampled_from(["euclidean", "max"]))
 @example(
-    (2, [([[0.1, 0.0], [0.0, 0.1]], [0.0, 0.0])], np.array([0.375, 0.375]), 0.25,
-     np.array([[0, 0]]), np.array([[0, 0]])),
+    (2, [([[0.1, 0.0], [0.0, 0.1]], [0.0, 0.0])], 0.25, np.array([[7, 7]]),
+     np.array([[7, 7]])),
     "euclidean",
 )
 def test_subsystem_bound_is_sound_and_within_a_cell(case, metric):
@@ -797,8 +796,8 @@ def test_subsystem_bound_is_sound_and_within_a_cell(case, metric):
     # an ulp, so each comparison allows a few ulps.  check_subsystem
     # measures each image against the target cloud, check_k_surjective the
     # target cloud against the union of the images.
-    dim, maps, origin, pitch, source, target = case
-    sys, sets = _images_into(metric, dim, maps, origin, pitch, source, target)
+    dim, maps, pitch, source, target = case
+    sys, sets = _images_into(metric, dim, maps, pitch, source, target)
     slack = pitch * (math.sqrt(dim) if metric == "euclidean" else 1.0)
 
     def within_a_cell(bound, real):
@@ -820,40 +819,40 @@ def test_subsystem_bound_is_zero_for_images_on_the_lattice(metric):
     # a quarter turn, a flip and a shear with integer entries, shifted by
     # whole cells: on a dyadic lattice every image is exactly a point of
     # the target cloud, so no offset and no lattice distance is added
-    pitch, origin = 0.125, np.zeros(2)
+    pitch = 0.125
     source = np.array([[0, 0], [1, 0], [2, 3], [-1, 4]])
     linear = [[[0, -1], [1, 0]], [[-1, 0], [0, 1]], [[1, 1], [0, 1]]]
     cells = [(0, 0), (2, -1), (-3, 5)]
     maps = [(a, pitch * np.array(c)) for a, c in zip(linear, cells)]
     target = np.concatenate([source @ np.array(a).T + c for a, c in zip(linear, cells)])
-    sys, sets = _images_into(metric, 2, maps, origin, pitch, source, target)
+    sys, sets = _images_into(metric, 2, maps, pitch, source, target)
     rep = check_subsystem(sys, sets, tol=0.0)
     assert rep.edge_distances == {"g0": 0.0, "g1": 0.0, "g2": 0.0}
     assert rep.passed
     # without the image (0, 1) of (1, 0) in the target, g0's bound is the
     # exact lattice distance from it to (0, 0), one cell, and nothing more
-    sets = SetTuple(origin, pitch, {"u": np.delete(target, 1, axis=0), "w": source})
+    sets = SetTuple(pitch, {"u": np.delete(target, 1, axis=0), "w": source})
     rep = check_subsystem(sys, sets, tol=0.0)
     assert rep.edge_distances == {"g0": pitch, "g1": 0.0, "g2": 0.0}
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "max"])
 def test_subsystem_bound_is_not_below_the_float_distance(metric):
-    # x -> x/10 on the diagonal with origin (0.375, 0.375) and pitch 0.25:
-    # the snapped image lies between the image and its target, so the
-    # triangle inequality is an equality; summed in round-to-nearest, the
-    # Euclidean bound read 0.4772970773009196, an ulp below the real
-    # image's float distance 0.47729707730091964
+    # x -> x/10 on the diagonal at pitch 0.25, from the row (7, 7) into
+    # itself: the image (0.175, 0.175) snaps to the row (1, 1), between the
+    # image and its target (1.75, 1.75), so the triangle inequality is an
+    # equality; summed in round-to-nearest, the Euclidean bound reads
+    # 2.2273863607376243, an ulp below the real image's float distance
+    # 2.2273863607376247
     sys, sets = _images_into(metric, 2, [([[0.1, 0.0], [0.0, 0.1]], [0.0, 0.0])],
-                             np.array([0.375, 0.375]), 0.25, np.array([[0, 0]]),
-                             np.array([[0, 0]]))
+                             0.25, np.array([[7, 7]]), np.array([[7, 7]]))
     image, target = sys.generators["g0"].apply(sets.points("w")), sets.points("u")
     sub = check_subsystem(sys, sets, tol=0.0).edge_distances["g0"]
     cover = check_k_surjective(sys, (1,), sets, tol=0.0).distances["u"]
     assert sub >= _kernels.directed_max_min(image, target, metric)
     assert cover >= _kernels.directed_max_min(target, image, metric)
     if metric == "euclidean":
-        assert sub == cover == 0.47729707730091964
+        assert sub == cover == 2.227386360737625
 
 
 def test_subsystem_measures_far_images_and_refuses_a_box_past_int64_keys():
@@ -863,7 +862,7 @@ def test_subsystem_measures_far_images_and_refuses_a_box_past_int64_keys():
     # anything is allocated
     for shift, want in ((2e4, 2e4), (3e9, None)):
         sys, sets = _images_into("max", 2, [([[1.0, 0.0], [0.0, 1.0]], (shift, shift))],
-                                 np.zeros(2), 1.0, np.zeros((1, 2), dtype=np.int64),
+                                 1.0, np.zeros((1, 2), dtype=np.int64),
                                  np.zeros((1, 2), dtype=np.int64))
         if want is None:
             with pytest.raises(ValueError, match=r"joint box has more than 2\*\*62 cells"):

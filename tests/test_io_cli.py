@@ -221,7 +221,7 @@ def test_commands_run_without_lapack(monkeypatch, tmp_path, capsys, command, nam
 
 
 def test_csv_deterministic(tmp_path):
-    s = SetTuple.from_points(np.zeros(2), 0.5, {"v": np.array([[1.0, 0.5], [0.0, 0.0]])})
+    s = SetTuple.from_points(0.5, {"v": np.array([[1.0, 0.5], [0.0, 0.0]])})
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_clouds_csv(s, a)
     write_clouds_csv(s, b)
@@ -233,8 +233,7 @@ def test_csv_deterministic(tmp_path):
 
 def _reference_clouds_csv(sets, path):
     # the writer before the per-axis tables: one repr per float, row by row
-    dim = sets.origin.size
-    lines = ["vertex," + ",".join(f"x{i}" for i in range(dim))]
+    lines = ["vertex," + ",".join(f"x{i}" for i in range(sets.dim))]
     for v in sets.vertices():
         for row in sets.points(v):
             lines.append(f"{v}," + ",".join(repr(float(x)) for x in row))
@@ -260,19 +259,19 @@ _rng_csv = np.random.default_rng(11)
 
 
 @pytest.mark.parametrize(
-    "origin, pitch, clouds",
+    "pitch, clouds",
     [
-        ((-0.3, 1 / 3), 0.1, {"v": _rng_csv.integers(-40, 40, size=(600, 2))}),
-        ((0.25,), 2.0**-7, {"v": _rng_csv.integers(-300, 300, size=(400, 1))}),
-        ((0.1, -1.5, 2.0), 0.05, {"v": _rng_csv.integers(-9, 9, size=(800, 3))}),
-        ((0.0, 0.0), 1e-3, {"v": _rng_csv.integers(-10**12, 10**12, size=(300, 2))}),
-        ((0.5, 0.5), 0.25, {"a": _rng_csv.integers(0, 20, size=(50, 2)),
-                            "b": np.empty((0, 2), dtype=np.int64)}),
+        (0.1, {"v": _rng_csv.integers(-40, 40, size=(600, 2))}),
+        (2.0**-7, {"v": _rng_csv.integers(-300, 300, size=(400, 1))}),
+        (0.05, {"v": _rng_csv.integers(-9, 9, size=(800, 3))}),
+        (1e-3, {"v": _rng_csv.integers(-10**12, 10**12, size=(300, 2))}),
+        (0.25, {"a": _rng_csv.integers(0, 20, size=(50, 2)),
+                "b": np.empty((0, 2), dtype=np.int64)}),
     ],
     ids=["non-dyadic", "1-d", "3-d", "sparse", "one-empty"],
 )
-def test_csv_matches_reference_writer(tmp_path, origin, pitch, clouds):
-    _assert_csv_matches_reference(SetTuple(origin, pitch, clouds), tmp_path)
+def test_csv_matches_reference_writer(tmp_path, pitch, clouds):
+    _assert_csv_matches_reference(SetTuple(pitch, clouds), tmp_path)
 
 
 @pytest.mark.parametrize("writer", ["csv", "pgm"])
@@ -297,7 +296,7 @@ def test_writers_peak_memory_is_fixed(tmp_path, writer):
 
 
 def test_pgm_layout(tmp_path):
-    s = SetTuple.from_points(np.zeros(2), 1.0, {"v": np.array([[0.0, 0.0], [2.0, 1.0]])})
+    s = SetTuple.from_points(1.0, {"v": np.array([[0.0, 0.0], [2.0, 1.0]])})
     path = tmp_path / "img.pgm"
     write_pgm(s, "v", path)
     data = path.read_bytes()
@@ -309,8 +308,8 @@ def test_pgm_layout(tmp_path):
 
 
 def test_diff_pgm_levels(tmp_path):
-    a = SetTuple.from_points(np.zeros(2), 1.0, {"v": np.array([[0.0, 0.0], [1.0, 0.0]])})
-    b = SetTuple.from_points(np.zeros(2), 1.0, {"v": np.array([[0.0, 0.0], [2.0, 0.0]])})
+    a = SetTuple.from_points(1.0, {"v": np.array([[0.0, 0.0], [1.0, 0.0]])})
+    b = SetTuple.from_points(1.0, {"v": np.array([[0.0, 0.0], [2.0, 0.0]])})
     path = tmp_path / "diff.pgm"
     write_diff_pgm(a, b, "v", path)
     data = path.read_bytes()
@@ -343,7 +342,7 @@ def _reference_diff_pgm(a, b, vertex, path):
 
 
 def _lattice_tuple(rows):
-    return SetTuple(np.zeros(2), 0.5, {"v": np.array(rows, dtype=np.int64).reshape(-1, 2)})
+    return SetTuple(0.5, {"v": np.array(rows, dtype=np.int64).reshape(-1, 2)})
 
 
 _rng = np.random.default_rng(5)
@@ -1254,7 +1253,7 @@ def test_sampled_coded_csv_is_code_point_at_the_drawn_ranks(tmp_path, capsys, la
         ranks = [r for at in range(0, count, BLOCK_ROWS)
                  for r in _draw_ranks(rng, len(paths), min(BLOCK_ROWS, count - at)).tolist()]
         clouds[v] = np.array([code_point(sys_, paths[r]).point for r in ranks])
-    write_clouds_csv(SetTuple.from_points(np.zeros(sys_.dim), h, clouds), tmp_path / "want.csv")
+    write_clouds_csv(SetTuple.from_points(h, clouds), tmp_path / "want.csv")
     assert (tmp_path / "coded.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 

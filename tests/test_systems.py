@@ -80,14 +80,13 @@ def test_grid_points_cover_box():
     assert pts.min() == 0.0 and pts.max() == 1.0
 
 
-def one_shot_grid_indices(region, pitch, origin=None):
+def one_shot_grid_indices(region, pitch):
     """The whole bounding-box mesh built at once and tested at once: the
     reference for the slabs of ``grid_indices``."""
     d = region.dim
-    origin = np.zeros(d) if origin is None else np.asarray(origin, dtype=float)
-    axes = grid_axes(region, pitch, origin)
+    axes = grid_axes(region, pitch)
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    return mesh[region.contains(origin + pitch * mesh, tol=pitch * 1e-6)]
+    return mesh[region.contains(pitch * mesh, tol=pitch * 1e-6)]
 
 
 # (region, pitch) per kind and dimension; a Polygon is planar.  Each first
@@ -120,20 +119,16 @@ SLAB_SIZES = {
 
 @pytest.mark.parametrize("name", SLAB_REGIONS)
 @pytest.mark.parametrize("slab", SLAB_SIZES)
-@pytest.mark.parametrize("origin", [None, (0.037, -0.011, 0.052)])
-def test_grid_indices_slabs_equal_the_one_shot_mesh(monkeypatch, name, slab, origin):
+def test_grid_indices_slabs_equal_the_one_shot_mesh(monkeypatch, name, slab):
     region, pitch = SLAB_REGIONS[name]
-    origin = None if origin is None else origin[:region.dim]
-    first, *rest = grid_axes(region, pitch, np.zeros(region.dim) if origin is None else origin)
+    first, *rest = grid_axes(region, pitch)
     n, w = len(first), math.prod(map(len, rest))
     monkeypatch.setattr(systems, "_GRID_SLAB_POINTS", SLAB_SIZES[slab](n, w))
-    got = grid_indices(region, pitch, origin)
-    want = one_shot_grid_indices(region, pitch, origin)
+    got = grid_indices(region, pitch)
+    want = one_shot_grid_indices(region, pitch)
     assert got.dtype == np.int64 and got.flags.c_contiguous
     assert got.shape == want.shape and np.array_equal(got, want)
-    # the shifted lattice misses every point of a point set
-    empty = name.startswith("empty") or (name.startswith("pointset") and origin is not None)
-    assert (len(got) == 0) == empty
+    assert (len(got) == 0) == name.startswith("empty")
 
 
 def test_start_grid_peak_memory_is_about_twice_its_rows():
@@ -558,7 +553,7 @@ def test_k_dense_matches_surjective_and_onto_generator():
 
 def test_k_surjective_flags_empty_cloud():
     sys = shipped("t0")
-    sets = SetTuple.from_points(np.zeros(1), 1 / 64, {"v": np.empty((0, 1))})
+    sets = SetTuple.from_points(1 / 64, {"v": np.empty((0, 1))})
     rep = check_k_surjective(sys, (1, 1), sets, tol=1.0)
     assert rep.empty_vertices == ["v"]
     assert not rep.passed
