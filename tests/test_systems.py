@@ -117,10 +117,25 @@ SLAB_SIZES = {
 }
 
 
+def _moved(region, offset):
+    """``region`` moved by the first ``region.dim`` entries of ``offset``."""
+    o = np.asarray(offset[:region.dim], dtype=float)
+    if isinstance(region, Box):
+        return Box(region.lo + o, region.hi + o)
+    if isinstance(region, Ball):
+        return Ball(region.center + o, region.radius)
+    if isinstance(region, Polygon):
+        return Polygon(region.corners + o)
+    return PointSet(region.points + o)
+
+
 @pytest.mark.parametrize("name", SLAB_REGIONS)
 @pytest.mark.parametrize("slab", SLAB_SIZES)
-def test_grid_indices_slabs_equal_the_one_shot_mesh(monkeypatch, name, slab):
+@pytest.mark.parametrize("offset", [None, (-0.037, 0.011, -0.052)])
+def test_grid_indices_slabs_equal_the_one_shot_mesh(monkeypatch, name, slab, offset):
+    # a moved region lies off the lattice: its edges fall between grid points
     region, pitch = SLAB_REGIONS[name]
+    region = region if offset is None else _moved(region, offset)
     first, *rest = grid_axes(region, pitch)
     n, w = len(first), math.prod(map(len, rest))
     monkeypatch.setattr(systems, "_GRID_SLAB_POINTS", SLAB_SIZES[slab](n, w))
@@ -128,7 +143,9 @@ def test_grid_indices_slabs_equal_the_one_shot_mesh(monkeypatch, name, slab):
     want = one_shot_grid_indices(region, pitch)
     assert got.dtype == np.int64 and got.flags.c_contiguous
     assert got.shape == want.shape and np.array_equal(got, want)
-    assert (len(got) == 0) == name.startswith("empty")
+    # the lattice misses every point of a moved point set
+    empty = name.startswith("empty") or (name.startswith("pointset") and offset is not None)
+    assert (len(got) == 0) == empty
 
 
 def test_start_grid_peak_memory_is_about_twice_its_rows():
