@@ -42,9 +42,8 @@ number, is refused.  An iterate need not lie in its fiber's grid: snapping
 can move an image row out of the fiber, and s1's fixed point at its
 default pitch has 752 of its 28,648 rows outside the triangle, though
 inside its bounding box.  ``_directed_bound`` measures one direction so:
-the coding invariance check and the k-surjectivity check measure snapped
-images with it, and add the largest snapping offset (``_snap_offset``),
-rounding the sum upward.
+the coding invariance check measures snapped images with it, and adds the
+largest snapping offset (``_snap_offset``), rounding the sum upward.
 ``directed_distance`` and ``hausdorff_distance`` measure real point clouds
 pair by pair, by brute force; they are the off-lattice reference.
 """
@@ -321,9 +320,6 @@ class _Image:
                 flat += (rows[:, j] - lo[j]) * strides[j]
             yield flat
 
-    def rows(self) -> np.ndarray:
-        return np.concatenate([self.block(s) for s in _blocks(len(self.cloud))])
-
 
 class _Rows(_Image):
     """A cloud's rows floor-divided by a positive integer factor (1 keeps
@@ -450,9 +446,11 @@ def _union(images, like: np.ndarray | None = None) -> np.ndarray:
     it; otherwise they are written into one int64 array, sorted, and kept
     where they differ from their predecessor.  Either way the distinct
     cells come out ascending, which is lexicographic row order, and are
-    decoded one block at a time by floor division per stride.  Only a box of
-    more than 2^62 cells, which int64 cannot number, is sorted row-wise by
-    np.unique.
+    decoded one block at a time by floor division per stride.  A box of
+    more than 2^62 cells, which int64 cannot number, counted in Python
+    integers, raises ValueError before anything is allocated, as in
+    ``_joint_keys``; no command reaches one, since ``grid_bounds`` bounds
+    every fiber grid first.
 
     ``like``, a cloud in the stored form (a step's input), is compared block
     by block with the decoded rows; the result is allocated only at the
@@ -464,8 +462,7 @@ def _union(images, like: np.ndarray | None = None) -> np.ndarray:
     shape = [max(img.ends[j][1] for img in images) - low + 1 for j, low in enumerate(lo)]
     cells = math.prod(shape)
     if cells > _MAX_KEYED_CELLS:
-        out = np.unique(np.concatenate([img.rows() for img in images]), axis=0)
-        return like if like is not None and np.array_equal(out, like) else out
+        raise ValueError("the images' box has more than 2**62 cells")
     strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
     if cells > WINDOW_CELLS_PER_POINT * rows:
         keys = _sorted_keys(images, lo, strides)
@@ -558,6 +555,7 @@ class SetTuple:
     canonicalizes (``_canonical``), so equal sets have equal rows regardless
     of input order; the rows are the one stored form.  ``hutchinson_step``
     builds its rows in that form and hands them over through ``_of_rows``.
+    A cloud whose bounding box has more than 2^62 cells raises ValueError.
     """
 
     def __init__(self, pitch: float, clouds: dict[str, np.ndarray]):
@@ -1000,15 +998,3 @@ def refine_attractor(
     K, cert = compute_attractor(sys, n, C, max_iter=max_iter)
     gate = grid_slack(sys, pitch, maps)
     return K, replace(cert, eps=max(cert.eps, gate))
-
-
-def check_commutation(sys: MWSystem, n, m, C: SetTuple, tol: float) -> bool:
-    """Whether applying degrees n and m in either order lands within tol.
-
-    The underlying composite maps commute exactly; only the intermediate
-    snapping differs, which stays within grid slack.
-    """
-    maps_n, maps_m = degree_maps(sys, n), degree_maps(sys, m)
-    nm = hutchinson_step(sys, m, hutchinson_step(sys, n, C, _maps=maps_n), _maps=maps_m)
-    mn = hutchinson_step(sys, n, hutchinson_step(sys, m, C, _maps=maps_m), _maps=maps_n)
-    return tuple_distance(nm, mn, sys.metric) <= tol

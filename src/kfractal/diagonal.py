@@ -10,12 +10,11 @@ sets a rank-1 system could not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .attractor import ConvergenceCertificate, SetTuple, refine_attractor, start_grids
-from .coding import _metric_dist, code_point
-from .kgraph import DiagonalGraph, diagonal_graph, path_from_word, word_to_path
-from .systems import STRICT, MWSystem, extend_map, lipschitz_bound
+from .kgraph import DiagonalGraph, diagonal_graph
+from .systems import STRICT, MWSystem, extend_map
 
 
 @dataclass
@@ -52,67 +51,6 @@ def diagonal_system(sys: MWSystem) -> DiagonalSystem:
         name=f"{sys.name or 'system'}-diagonal",
     )
     return DiagonalSystem(collapsed, dg, sys)
-
-
-# ---------------------------------------------------------------------------
-# intertwining transfer
-
-
-@dataclass
-class TransferReport:
-    tol: float
-    samples: int = 0
-    failures: list = field(default_factory=list)
-    max_distance: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.samples > 0 and not self.failures
-
-
-def check_intertwining_transfer(
-    dsys: DiagonalSystem, words, tol: float
-) -> TransferReport:
-    """Verify that coding commutes with the collapse, three ways per sample.
-
-    For each diagonal word w and composable diagonal edge e: the point coded
-    over the collapse for e·w, the collapsed generator applied to the coded
-    point of w, and the source-system coding of the expanded path of e·w
-    must all agree within the certified radii plus tol.
-    """
-    sys = dsys.system
-    src = dsys.source
-    rep = TransferReport(tol)
-    metric = sys.metric
-    for word in words:
-        head_vertex = (
-            sys.graph.edge(word[0]).range_vertex if word else None
-        )
-        for ident in sorted(sys.graph.edges):
-            e = sys.graph.edge(ident)
-            if head_vertex is not None and e.source_vertex != head_vertex:
-                continue
-            ew = (ident,) + tuple(word)
-            collapse_path = path_from_word(sys.graph, e.range_vertex, ew)
-            lhs = code_point(sys, collapse_path)
-
-            base_path = path_from_word(sys.graph, e.source_vertex, tuple(word))
-            base = code_point(sys, base_path)
-            gen = sys.generators[ident]
-            mid = gen.apply(base.point)
-
-            expanded = word_to_path(dsys.graph, ew, e.range_vertex)
-            via_source = code_point(src, expanded)
-
-            allowed = tol + lhs.error_radius + lipschitz_bound(gen, metric) * base.error_radius
-            d1 = _metric_dist(lhs.point, mid, metric)
-            d2 = _metric_dist(lhs.point, via_source.point, metric)
-            allowed2 = tol + lhs.error_radius + via_source.error_radius
-            rep.samples += 1
-            rep.max_distance = max(rep.max_distance, d1, d2)
-            if d1 > allowed or d2 > allowed2:
-                rep.failures.append((ew, d1, d2))
-    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,6 @@ class KGraphError(Exception):
 Degree = tuple[int, ...]
 
 
-def degree_add(n: Degree, m: Degree) -> Degree:
-    return tuple(a + b for a, b in zip(n, m))
-
-def degree_sub(n: Degree, m: Degree) -> Degree:
-    return tuple(a - b for a, b in zip(n, m))
-
 def degree_leq(n: Degree, m: Degree) -> bool:
     return all(a <= b for a, b in zip(n, m))
 
@@ -275,16 +269,6 @@ def factorize(p: Path, m: Degree) -> tuple[Path, Path]:
     return mu, nu
 
 
-def segment(p: Path, m: Degree, n: Degree) -> Path:
-    """The sub-path between degrees m and n, i.e. the middle of the unique
-    splitting p = a b c with d(a) = m, d(ab) = n."""
-    if not degree_leq(m, n):
-        raise KGraphError(f"segment bounds out of order: {m} > {n}")
-    _, tail = factorize(p, m)
-    mid, _ = factorize(tail, degree_sub(n, m))
-    return mid
-
-
 def enumerate_paths(g: KGraph, v: str, n: Degree) -> list[Path]:
     """All normal-form paths with range v and degree n, in lexicographic
     order of their edge-id tuples."""
@@ -453,27 +437,6 @@ def _swap_schedule(g: KGraph, word: tuple[str, ...], junctions) -> tuple[str, ..
     return tuple(w)
 
 
-def cylinder_partition_check(g: KGraph, u: str, n: Degree, m: Degree) -> bool:
-    """True iff truncation to degree n partitions the degree-(n+m) paths at u.
-
-    Every path must have exactly one degree-n head, the head must lie in
-    uΛ^n, and every element of uΛ^n must occur as a head (so the fibers are
-    nonempty and cover).
-    """
-    total = enumerate_paths(g, u, degree_add(n, m))
-    fibers: dict[Path, int] = {p: 0 for p in enumerate_paths(g, u, n)}
-    for a in total:
-        head, tail = factorize(a, n)
-        if compose(head, tail) != a:
-            return False
-        if head not in fibers:
-            return False
-        fibers[head] += 1
-    if sum(fibers.values()) != len(total):
-        return False
-    return all(c >= 1 for c in fibers.values())
-
-
 # ---------------------------------------------------------------------------
 # the rank-1 graph of diagonal-degree paths
 
@@ -485,11 +448,6 @@ class DiagonalGraph:
     graph: KGraph
     source: KGraph
     edge_to_path: dict[str, Path]
-    path_to_edge: dict[Path, str]
-
-    @property
-    def diagonal_degree(self) -> Degree:
-        return (1,) * self.source.k
 
 
 def diagonal_edge_id(p: Path) -> str:
@@ -501,43 +459,10 @@ def diagonal_graph(g: KGraph) -> DiagonalGraph:
     p_vec = (1,) * g.k
     edge_rows = []
     edge_to_path: dict[str, Path] = {}
-    path_to_edge: dict[Path, str] = {}
     for v in g.vertices:
         for lam in enumerate_paths(g, v, p_vec):
             ident = diagonal_edge_id(lam)
             edge_rows.append((ident, lam.range_vertex, lam.source_vertex))
             edge_to_path[ident] = lam
-            path_to_edge[lam] = ident
     dg = KGraph(1, g.vertices, {1: edge_rows})
-    return DiagonalGraph(dg, g, edge_to_path, path_to_edge)
-
-
-def word_to_path(dg: DiagonalGraph, word, range_vertex: str | None = None) -> Path:
-    """Expand a composable word of diagonal edges to the source-graph path it
-    spells (the empty word needs an explicit vertex)."""
-    if not word:
-        if range_vertex is None:
-            raise KGraphError("empty word needs a range vertex")
-        return Path(dg.source, range_vertex)
-    out = dg.edge_to_path[word[0]]
-    if range_vertex is not None and out.range_vertex != range_vertex:
-        raise KGraphError("word does not start at the stated vertex")
-    for ident in word[1:]:
-        out = compose(out, dg.edge_to_path[ident])
-    return out
-
-
-def path_to_word(dg: DiagonalGraph, p: Path) -> list[str]:
-    """Split a path of degree n·(1,..,1) into its unique chain of diagonal
-    edges.  Inverse of ``word_to_path``."""
-    if p.graph is not dg.source:
-        raise KGraphError("path does not live in the source graph")
-    d = p.degree
-    if any(c != d[0] for c in d):
-        raise KGraphError(f"degree {d} is not a multiple of the diagonal degree")
-    word: list[str] = []
-    rest = p
-    for _ in range(d[0]):
-        head, rest = factorize(rest, dg.diagonal_degree)
-        word.append(dg.path_to_edge[head])
-    return word
+    return DiagonalGraph(dg, g, edge_to_path)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -514,6 +514,11 @@ def validate_system(sys: MWSystem) -> ValidationReport:
     for v in g.vertices:
         if v not in sys.fibers:
             rep.add(STRUCTURAL, "missing-fiber", v, "vertex has no fiber")
+    for v in sys.fibers:
+        if v not in g.vertex_set:
+            rep.add(STRUCTURAL, "unknown-vertex", v, "fiber of a vertex the graph lacks")
+    if not sys.fibers:
+        rep.add(STRUCTURAL, "no-fiber", "fibers", "the system has no fiber")
     for ident in g.edges:
         if ident not in sys.generators:
             rep.add(STRUCTURAL, "missing-map", ident, "edge has no generator map")
@@ -592,55 +597,3 @@ def validate_system(sys: MWSystem) -> ValidationReport:
                             f"diagonal composite Lipschitz {lip:.6g} > {sys.ratio:.6g}")
     return rep
 
-
-# ---------------------------------------------------------------------------
-# coverage checks (resolution-level surjectivity / density)
-
-
-@dataclass
-class CoverageReport:
-    degree: tuple
-    tol: float
-    distances: dict[str, float]
-    empty_vertices: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.empty_vertices and all(
-            d <= self.tol for d in self.distances.values()
-        )
-
-
-def check_k_surjective(sys: MWSystem, n, sets, tol: float) -> CoverageReport:
-    """One-sided distance from each fiber cloud of the set tuple ``sets``
-    to the union of its degree-n images; a vertex passes when that distance
-    is <= tol.
-
-    As in ``coding.check_subsystem``, the real images are snapped to the
-    lattice of ``sets``, and the fiber cloud is measured against them
-    exactly, in integers, from their sorted flat cells, walking the images'
-    occupied rows (``attractor._directed_bound``); nothing is allocated over
-    their joint box.  The reported distance is pitch * cells + eps, rounded
-    upward, where eps is the largest offset |q - snap(q)| of an image point.
-    Since d(p, T) <= d(p, snap T) + eps, it is an upper bound on the
-    distance to the real images.
-    """
-    # local import to avoid a cycle
-    from .attractor import _directed_bound, _snap_offset
-
-    maps = degree_maps(sys, n)
-    distances = {}
-    empty = []
-    for v in sys.graph.vertices:
-        target = sets.clouds[v]
-        if len(target) == 0:
-            empty.append(v)
-            continue
-        pieces = [m.apply(sets.points(src)) for m, src in maps[v] if len(sets.clouds[src])]
-        if not pieces:
-            empty.append(v)
-            distances[v] = float("inf")
-            continue
-        rows, eps = _snap_offset(np.concatenate(pieces), sets.pitch, sys.metric)
-        distances[v] = _directed_bound(target, rows, sets.pitch, eps, sys.metric)
-    return CoverageReport(tuple(n), tol, distances, empty)

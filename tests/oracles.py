@@ -1,4 +1,4 @@
-"""Bounded enumerations of the exact module's theorems, as test oracles.
+"""Checks of the paper's statements that no command runs, as test oracles.
 
 ``kfractal.duality`` decides its claims from finite presentations: square
 consistency of the tables, and the skeleton and squares of the twisted
@@ -6,12 +6,31 @@ product.  The statements those presentations imply are checked here by
 enumeration up to a degree bound: the composition law of path tables, the
 contravariance of pullback matrices, and the twisted product as a category
 of (path, fiber element) pairs.
+
+The k-graph statements are checked on enumerated paths: truncation to a
+degree partitions the longer paths into cylinders, and words of diagonal
+edges translate to and from paths of the source graph.  The metric ones
+are checked on lattice clouds: degrees applied in either order agree
+within grid slack, coded clouds are k-surjective, and coding commutes with
+the diagonal collapse.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from kfractal import kgraph
+from kfractal.attractor import (
+    SetTuple,
+    _directed_bound,
+    _snap_offset,
+    hutchinson_step,
+    tuple_distance,
+)
+from kfractal.coding import _metric_dist, code_point
+from kfractal.diagonal import DiagonalSystem
 from kfractal.duality import (
     DiscreteSystem,
     _matmul,
@@ -22,20 +41,29 @@ from kfractal.duality import (
 )
 from kfractal.kgraph import (
     Degree,
+    DiagonalGraph,
     KGraph,
     KGraphError,
     Path,
-    degree_add,
     degree_leq,
-    degree_sub,
     enumerate_paths,
     factorize,
+    path_from_word,
     validate_kgraph,
 )
 from kfractal.report import AXIOM, ValidationReport
+from kfractal.systems import MWSystem, degree_maps, lipschitz_bound
 
 # the composition of the twisted model; a test may replace it with a faulty one
 compose = kgraph.compose
+
+
+def degree_add(n: Degree, m: Degree) -> Degree:
+    return tuple(a + b for a, b in zip(n, m))
+
+
+def degree_sub(n: Degree, m: Degree) -> Degree:
+    return tuple(a - b for a, b in zip(n, m))
 
 
 def degrees_upto(bound) -> list[Degree]:
@@ -236,3 +264,157 @@ def twisted_findings(tm: TwistedModel) -> ValidationReport:
                             rep.add("internal", "twisted-associativity",
                                     f"{a}/{b}/{c}", "composition orders disagree")
     return rep
+
+
+# ---------------------------------------------------------------------------
+# cylinders and diagonal words
+
+
+def segment(p: Path, m: Degree, n: Degree) -> Path:
+    """The sub-path between degrees m and n, i.e. the middle of the unique
+    splitting p = a b c with d(a) = m, d(ab) = n."""
+    if not degree_leq(m, n):
+        raise KGraphError(f"segment bounds out of order: {m} > {n}")
+    _, tail = factorize(p, m)
+    mid, _ = factorize(tail, degree_sub(n, m))
+    return mid
+
+
+def cylinder_partition_check(g: KGraph, u: str, n: Degree, m: Degree) -> bool:
+    """True iff truncation to degree n partitions the degree-(n+m) paths at u.
+
+    Every path must have exactly one degree-n head, the head must lie in
+    uΛ^n, and every element of uΛ^n must occur as a head (so the fibers are
+    nonempty and cover).
+    """
+    total = enumerate_paths(g, u, degree_add(n, m))
+    fibers: dict[Path, int] = {p: 0 for p in enumerate_paths(g, u, n)}
+    for a in total:
+        head, tail = factorize(a, n)
+        if kgraph.compose(head, tail) != a:
+            return False
+        if head not in fibers:
+            return False
+        fibers[head] += 1
+    if sum(fibers.values()) != len(total):
+        return False
+    return all(c >= 1 for c in fibers.values())
+
+
+def word_to_path(dg: DiagonalGraph, word, range_vertex: str | None = None) -> Path:
+    """Expand a composable word of diagonal edges to the source-graph path it
+    spells (the empty word needs an explicit vertex)."""
+    if not word:
+        if range_vertex is None:
+            raise KGraphError("empty word needs a range vertex")
+        return Path(dg.source, range_vertex)
+    out = dg.edge_to_path[word[0]]
+    if range_vertex is not None and out.range_vertex != range_vertex:
+        raise KGraphError("word does not start at the stated vertex")
+    for ident in word[1:]:
+        out = kgraph.compose(out, dg.edge_to_path[ident])
+    return out
+
+
+def path_to_word(dg: DiagonalGraph, p: Path) -> list[str]:
+    """Split a path of degree n·(1,..,1) into its unique chain of diagonal
+    edges, read back through the inverse of ``dg.edge_to_path``.  Inverse
+    of ``word_to_path``."""
+    if p.graph is not dg.source:
+        raise KGraphError("path does not live in the source graph")
+    d = p.degree
+    if any(c != d[0] for c in d):
+        raise KGraphError(f"degree {d} is not a multiple of the diagonal degree")
+    edge_of = {lam: ident for ident, lam in dg.edge_to_path.items()}
+    word: list[str] = []
+    rest = p
+    for _ in range(d[0]):
+        head, rest = factorize(rest, (1,) * len(d))
+        word.append(edge_of[head])
+    return word
+
+
+# ---------------------------------------------------------------------------
+# metric checks on lattice clouds
+
+
+def check_commutation(sys: MWSystem, n, m, C: SetTuple, tol: float) -> bool:
+    """Whether applying degrees n and m in either order lands within tol.
+
+    The underlying composite maps commute exactly; only the intermediate
+    snapping differs, which stays within grid slack.
+    """
+    maps_n, maps_m = degree_maps(sys, n), degree_maps(sys, m)
+    nm = hutchinson_step(sys, m, hutchinson_step(sys, n, C, _maps=maps_n), _maps=maps_m)
+    mn = hutchinson_step(sys, n, hutchinson_step(sys, m, C, _maps=maps_m), _maps=maps_n)
+    return tuple_distance(nm, mn, sys.metric) <= tol
+
+
+def coverage_distances(sys: MWSystem, n, sets: SetTuple) -> dict[str, float]:
+    """Per vertex, an upper bound on the one-sided distance from its cloud
+    in ``sets`` to the union of the cloud's degree-n images; the tuple is
+    k-surjective at degree n within tol when every distance is <= tol.  A
+    vertex whose cloud or images are empty reads inf, so it fails every tol.
+
+    As in ``coding.check_subsystem``, the real images are snapped to the
+    lattice of ``sets``, and the cloud is measured against them exactly, in
+    integers, by ``attractor._directed_bound``.  The distance is pitch *
+    cells + eps, rounded upward, where eps is the largest offset
+    |q - snap(q)| of an image point.  Since d(p, T) <= d(p, snap T) + eps,
+    it is an upper bound on the distance to the real images.
+    """
+    maps = degree_maps(sys, n)
+    distances = {}
+    for v in sys.graph.vertices:
+        target = sets.clouds[v]
+        pieces = [m.apply(sets.points(src)) for m, src in maps[v] if len(sets.clouds[src])]
+        if not (len(target) and pieces):
+            distances[v] = math.inf
+            continue
+        rows, eps = _snap_offset(np.concatenate(pieces), sets.pitch, sys.metric)
+        distances[v] = _directed_bound(target, rows, sets.pitch, eps, sys.metric)
+    return distances
+
+
+def transfer_failures(dsys: DiagonalSystem, words, tol: float) -> tuple[int, list]:
+    """Check that coding commutes with the collapse, three ways per sample,
+    and return the number of samples and the failing ones.
+
+    For each diagonal word w and composable diagonal edge e: the point coded
+    over the collapse for e·w, the collapsed generator applied to the coded
+    point of w, and the source-system coding of the expanded path of e·w
+    must all agree within the certified radii plus tol.  A failure is
+    (e·w, d1, d2), its two distances.
+    """
+    sys = dsys.system
+    src = dsys.source
+    metric = sys.metric
+    samples, failures = 0, []
+    for word in words:
+        head_vertex = (
+            sys.graph.edge(word[0]).range_vertex if word else None
+        )
+        for ident in sorted(sys.graph.edges):
+            e = sys.graph.edge(ident)
+            if head_vertex is not None and e.source_vertex != head_vertex:
+                continue
+            ew = (ident,) + tuple(word)
+            collapse_path = path_from_word(sys.graph, e.range_vertex, ew)
+            lhs = code_point(sys, collapse_path)
+
+            base_path = path_from_word(sys.graph, e.source_vertex, tuple(word))
+            base = code_point(sys, base_path)
+            gen = sys.generators[ident]
+            mid = gen.apply(base.point)
+
+            expanded = word_to_path(dsys.graph, ew, e.range_vertex)
+            via_source = code_point(src, expanded)
+
+            allowed = tol + lhs.error_radius + lipschitz_bound(gen, metric) * base.error_radius
+            d1 = _metric_dist(lhs.point, mid, metric)
+            d2 = _metric_dist(lhs.point, via_source.point, metric)
+            allowed2 = tol + lhs.error_radius + via_source.error_radius
+            samples += 1
+            if d1 > allowed or d2 > allowed2:
+                failures.append((ew, d1, d2))
+    return samples, failures

@@ -19,7 +19,6 @@ from kfractal.attractor import (
     _children,
     _Rows,
     _union,
-    check_commutation,
     collage_bound,
     compute_attractor,
     contraction_factor,
@@ -48,6 +47,7 @@ from kfractal.systems import (
 )
 from perfbench.generate import product_system
 
+from oracles import check_commutation
 from shipped import LOPSIDED, shipped
 
 
@@ -114,16 +114,21 @@ def test_canonical_wide_spans_match_unique_rows():
 
     rng = np.random.default_rng(3)
     base = rng.integers(-3, 3, size=(500, 3))
-    # boxes far too large for an occupancy window, with spans just below
-    # 2**62, past it, and past the int64 range of one span: rows are sorted
+    # a box far too large for an occupancy window, with a span just below
+    # 2**62, is sorted by its flat cells; boxes past it, and past the int64
+    # range of one span, which int64 cannot number, are refused
     near = base[:, :2] * np.array([2**29, 2**28])
     assert 2**61 < span_product(near) < 2**62
+    assert np.array_equal(_canonical(near), np.unique(near, axis=0))
+    assert occupied_cells(near, 4) == len(np.unique(near // 4, axis=0))
     past = base * np.array([2**60, 1, 1])
     wider = base * np.array([2**61, 1, 1])
     assert 2**62 < span_product(past) < span_product(wider)
-    for lattice in (near, past, wider):
-        assert np.array_equal(_canonical(lattice), np.unique(lattice, axis=0))
-        assert occupied_cells(lattice, 4) == len(np.unique(lattice // 4, axis=0))
+    for lattice in (past, wider):
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            _canonical(lattice)
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            SetTuple(1.0, {"v": lattice})
     assert occupied_cells(np.empty((0, 2), dtype=np.int64)) == 0
 
 

@@ -38,10 +38,10 @@ from kfractal.systems import (
     Box,
     MetricFiber,
     MWSystem,
-    check_k_surjective,
     extend_map,
 )
 
+from oracles import coverage_distances
 from shipped import shipped
 
 
@@ -794,7 +794,7 @@ def test_subsystem_bound_is_sound_and_within_a_cell(case, metric):
     # snapped point between its image and its nearest target, as for
     # x -> x / 10 on the diagonal) they round the same real number apart by
     # an ulp, so each comparison allows a few ulps.  check_subsystem
-    # measures each image against the target cloud, check_k_surjective the
+    # measures each image against the target cloud, coverage_distances the
     # target cloud against the union of the images.
     dim, maps, pitch, source, target = case
     sys, sets = _images_into(metric, dim, maps, pitch, source, target)
@@ -809,8 +809,8 @@ def test_subsystem_bound_is_sound_and_within_a_cell(case, metric):
     for ident, image in images.items():
         within_a_cell(rep.edge_distances[ident],
                       _kernels.directed_max_min(image, sets.points("u"), metric))
-    cover = check_k_surjective(sys, (1,), sets, tol=0.0)
-    within_a_cell(cover.distances["u"], _kernels.directed_max_min(
+    cover = coverage_distances(sys, (1,), sets)
+    within_a_cell(cover["u"], _kernels.directed_max_min(
         sets.points("u"), np.concatenate(list(images.values())), metric))
 
 
@@ -848,7 +848,7 @@ def test_subsystem_bound_is_not_below_the_float_distance(metric):
                              0.25, np.array([[7, 7]]), np.array([[7, 7]]))
     image, target = sys.generators["g0"].apply(sets.points("w")), sets.points("u")
     sub = check_subsystem(sys, sets, tol=0.0).edge_distances["g0"]
-    cover = check_k_surjective(sys, (1,), sets, tol=0.0).distances["u"]
+    cover = coverage_distances(sys, (1,), sets)["u"]
     assert sub >= _kernels.directed_max_min(image, target, metric)
     assert cover >= _kernels.directed_max_min(target, image, metric)
     if metric == "euclidean":

@@ -11,13 +11,10 @@ from kfractal.attractor import (
     tuple_distance,
 )
 from kfractal.coding import sample_prefixes
-from kfractal.diagonal import (
-    check_diagonal_agreement,
-    check_intertwining_transfer,
-    diagonal_system,
-)
+from kfractal.diagonal import check_diagonal_agreement, diagonal_system
 from kfractal.systems import extend_map, lipschitz_bound, validate_system
 
+from oracles import transfer_failures, word_to_path
 from shipped import shipped
 
 
@@ -100,17 +97,17 @@ def test_transfer_rank1_reduces_to_intertwining():
     sys = shipped("s1")
     dsys = diagonal_system(sys)
     words = diagonal_words(dsys, length=10, count=6, seed=3)
-    rep = check_intertwining_transfer(dsys, words, tol=1e-3)
-    assert rep.passed, rep.failures
+    samples, failures = transfer_failures(dsys, words, tol=1e-3)
+    assert samples and not failures, failures
 
 
 def test_transfer_p2_depth8():
     sys = shipped("p2")
     dsys = diagonal_system(sys)
     words = diagonal_words(dsys, length=8, count=10, seed=4)
-    rep = check_intertwining_transfer(dsys, words, tol=1e-3)
-    assert rep.passed, rep.failures
-    assert rep.samples == 40  # 4 edges x 10 words
+    samples, failures = transfer_failures(dsys, words, tol=1e-3)
+    assert samples and not failures, failures
+    assert samples == 40  # 4 edges x 10 words
 
 
 def test_transfer_detects_corrupted_back_reference():
@@ -121,15 +118,13 @@ def test_transfer_detects_corrupted_back_reference():
     dsys.graph.edge_to_path[i1] = p2
     dsys.graph.edge_to_path[i2] = p1
     words = diagonal_words(dsys, length=6, count=8, seed=5)
-    rep = check_intertwining_transfer(dsys, words, tol=1e-4)
-    assert not rep.passed
-    assert rep.failures
+    samples, failures = transfer_failures(dsys, words, tol=1e-4)
+    assert samples and failures
 
 
 def test_word_translation_composes_with_coding_exactly():
     # expanding a diagonal word and mapping it in one go must equal folding
     # the per-edge composites, exactly in the rational lift
-    from kfractal.kgraph import word_to_path
     from kfractal.systems import exact_after, exact_path_map
 
     sys_ = shipped("p2c")

@@ -1,5 +1,5 @@
-"""What a command imports, checked in a fresh process, and what the package
-declares that it needs.
+"""What a command imports, checked in a fresh process, what the package
+declares that it needs, and that the package defines nothing it does not use.
 
 The exact commands (``validate`` on a discrete system, and ``duality`` at
 every fiber size, enumerated or sampled) and the package itself leave numpy
@@ -23,6 +23,7 @@ from shipped import LOPSIDED
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+TESTS = ROOT / "tests"
 
 # p2c with its ratios 1/3 made 0.1 and its translations 2/3 made 0.9: a 2-d
 # dust of dimension 0.602, whose iterates are sparse in their fiber grid
@@ -53,14 +54,15 @@ LARGE_DISTANCE = (
 )
 
 # s1's depth-9 coded cloud, 13,618 points, against its 3 x 13,618 degree-1
-# images: far above the 2,000,000 pairs where a KD-tree once took over
+# images, measured by the test oracle with attractor._directed_bound: far
+# above the 2,000,000 pairs where a KD-tree once took over
 K_SURJECTIVE = (
     "from kfractal.coding import coded_cloud\n"
     "from kfractal.io import load_instance, packaged_instance\n"
-    "from kfractal.systems import check_k_surjective\n"
+    "from oracles import coverage_distances\n"
     "sys_ = load_instance(packaged_instance('s1'))[1]\n"
     "T, err = coded_cloud(sys_, (9,), pitch=1 / 512)\n"
-    "assert check_k_surjective(sys_, (1,), T, 2 / 512 + 2 * err).passed\n"
+    "assert max(coverage_distances(sys_, (1,), T).values()) <= 2 / 512 + 2 * err\n"
 )
 
 # (what runs: Python source, or the argv of a CLI command; the module it
@@ -113,8 +115,8 @@ GUARDS = {
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
     """Run Python source in a fresh interpreter that imports the package
-    from the source tree."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    from the source tree, and the test oracles from tests/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (SRC, TESTS))))
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -156,3 +158,41 @@ def test_dependencies_are_exactly_the_third_party_imports():
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
                 for req in project["dependencies"]}
     assert declared == third_party_imports()
+
+
+# the public names that no code of the package uses, and why each stays
+UNUSED_KEPT = {
+    "hausdorff_distance": "with directed_distance and _kernels.py, the brute-force reference "
+                          "the lattice distances are tested against; perfbench/trace_child.py "
+                          "imports kfractal._kernels by name",
+    "exact_path_map": "the rational composite of a path's maps, for certifying composites",
+    "occupied_cells": "the box count that test_criterion_9_box_dimension checks",
+    "factorize": "the k-graph API: the factorization that test_criterion_8 checks",
+    "path_from_word": "the k-graph API: the normal form of a word, read by the tests",
+}
+
+
+def unused_public_names() -> set[str]:
+    """The public module-level functions and classes of src/kfractal that
+    no code of the package reads outside their own definition."""
+    defined, used = set(), set()
+    for path in (SRC / "kfractal").rglob("*.py"):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                own = node.name
+                defined.add(own)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return defined - used
+
+
+def test_every_public_name_is_used_or_kept():
+    assert unused_public_names() == set(UNUSED_KEPT)

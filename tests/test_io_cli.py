@@ -142,6 +142,36 @@ def test_cli_non_finite_and_unknown_metric_are_findings(tmp_path, capsys, name, 
     assert f"[structural] {finding}" in capsys.readouterr().out
 
 
+_UNIT_BOX = {"metric": "euclidean", "region": {"type": "box", "min": [0.0], "max": [1.0]}}
+_NO_VERTEX = {"k": 1, "vertices": [], "edges": [[]], "fibers": {}, "maps": {}, "c": 0.5}
+
+
+@pytest.mark.parametrize("command", ["validate", "attractor", "coding", "diagonal"])
+@pytest.mark.parametrize(
+    "doc, finding",
+    [
+        # no fiber at all: nothing may read the dimension or metric of one
+        (_NO_VERTEX, "no-fiber: fibers: the system has no fiber"),
+        # a fiber over a graph with no vertex, and one next to the graph's
+        # only vertex
+        (dict(_NO_VERTEX, fibers={"v": _UNIT_BOX}),
+         "unknown-vertex: v: fiber of a vertex the graph lacks"),
+        ({"k": 1, "vertices": ["u"], "edges": [[{"id": "a", "r": "u", "s": "u"}]],
+          "fibers": {"u": _UNIT_BOX, "zz": _UNIT_BOX},
+          "maps": {"a": {"matrix": [[0.5]], "translation": [0.0]}}, "c": 0.5},
+         "unknown-vertex: zz: fiber of a vertex the graph lacks"),
+    ],
+    ids=["no-fiber", "no-vertex", "stray-fiber"],
+)
+def test_cli_fibers_off_the_graph_are_findings(tmp_path, capsys, command, doc, finding):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, "--instance", str(bad), "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert f"  [structural] {finding}\n" in out
+    assert err == ""
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_corner_loads_without_warnings(tmp_path, capsys, value):
     doc = json.loads(packaged_instance("s1").read_text())
@@ -264,7 +294,9 @@ _rng_csv = np.random.default_rng(11)
         (0.1, {"v": _rng_csv.integers(-40, 40, size=(600, 2))}),
         (2.0**-7, {"v": _rng_csv.integers(-300, 300, size=(400, 1))}),
         (0.05, {"v": _rng_csv.integers(-9, 9, size=(800, 3))}),
-        (1e-3, {"v": _rng_csv.integers(-10**12, 10**12, size=(300, 2))}),
+        # 300 rows in a box of 4 * 10**18 cells, just inside the 2**62 that
+        # int64 numbers
+        (1e-3, {"v": _rng_csv.integers(-10**9, 10**9, size=(300, 2))}),
         (0.25, {"a": _rng_csv.integers(0, 20, size=(50, 2)),
                 "b": np.empty((0, 2), dtype=np.int64)}),
     ],
@@ -272,6 +304,16 @@ _rng_csv = np.random.default_rng(11)
 )
 def test_csv_matches_reference_writer(tmp_path, pitch, clouds):
     _assert_csv_matches_reference(SetTuple(pitch, clouds), tmp_path)
+
+
+def test_cloud_past_int64_cells_is_refused():
+    # 300 rows spread over +-10**12 per axis span a box of 4 * 10**24
+    # cells, which int64 cannot number: the tuple is refused before its
+    # rows are sorted, and no writer sees it
+    rows = np.random.default_rng(11).integers(-10**12, 10**12, size=(300, 2))
+    assert math.prod(int(c.max()) - int(c.min()) + 1 for c in rows.T) > 2**62
+    with pytest.raises(ValueError, match=r"2\*\*62"):
+        SetTuple(1e-3, {"v": rows})
 
 
 @pytest.mark.parametrize("writer", ["csv", "pgm"])

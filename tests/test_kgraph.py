@@ -17,17 +17,13 @@ from kfractal.kgraph import (
     Path,
     compose,
     count_paths,
-    cylinder_partition_check,
-    degree_add,
     diagonal_graph,
     enumerate_paths,
     factorize,
     path_from_word,
-    path_to_word,
-    segment,
     validate_kgraph,
-    word_to_path,
 )
+from oracles import cylinder_partition_check, degree_add, path_to_word, segment, word_to_path
 
 ALL_GRAPHS = ["g_s1", "g_p2", "g_t0", "g_f3", "g_two_vertex"]
 

@@ -24,7 +24,6 @@ from kfractal.systems import (
     MWSystem,
     PointSet,
     Polygon,
-    check_k_surjective,
     exact_after,
     extend_map,
     grid_axes,
@@ -34,6 +33,7 @@ from kfractal.systems import (
     validate_system,
 )
 
+from oracles import coverage_distances
 from shipped import shipped
 
 
@@ -531,8 +531,8 @@ def test_k_surjective_square_tiling():
     sys = shipped("p2")
     h = 1 / 64
     sets = _fiber_tuple(sys, h)
-    rep = check_k_surjective(sys, (1, 1), sets, tol=2 * h)
-    assert rep.passed, rep.distances
+    dist = coverage_distances(sys, (1, 1), sets)
+    assert max(dist.values()) <= 2 * h, dist
 
 
 def test_k_surjective_gasket_attractor():
@@ -543,18 +543,18 @@ def test_k_surjective_gasket_attractor():
     start = _fiber_tuple(sys, h)
     gasket, cert = compute_attractor(sys, (1,), start)
     assert cert.converged
-    rep = check_k_surjective(sys, (1,), gasket, tol=2 * h)
-    assert rep.passed, rep.distances
+    dist = coverage_distances(sys, (1,), gasket)
+    assert max(dist.values()) <= 2 * h, dist
 
 
 def test_k_surjective_fails_on_full_triangle_depth5():
     sys = shipped("s1")
     h = 1 / 128
     sets = _fiber_tuple(sys, h)
-    rep = check_k_surjective(sys, (5,), sets, tol=2 * h)
-    assert not rep.passed
+    dist = coverage_distances(sys, (5,), sets)
+    assert max(dist.values()) > 2 * h
     # the central hole of the gasket is macroscopic
-    assert max(rep.distances.values()) > 0.05
+    assert max(dist.values()) > 0.05
 
 
 def test_k_dense_matches_surjective_and_onto_generator():
@@ -562,15 +562,15 @@ def test_k_dense_matches_surjective_and_onto_generator():
     h = 1 / 64
     sets = _fiber_tuple(sys, h)
     # at a fixed grid resolution image density and image equality cannot be
-    # told apart, so k-density is checked by check_k_surjective itself
-    dens = check_k_surjective(sys, (1, 0), sets, tol=2 * h)
+    # told apart, so k-density is checked by coverage_distances itself
+    dens = coverage_distances(sys, (1, 0), sets)
     # the two half-width strips tile the square, so degree (1,0) passes
-    assert dens.passed
+    assert max(dens.values()) <= 2 * h, dens
 
 
 def test_k_surjective_flags_empty_cloud():
     sys = shipped("t0")
     sets = SetTuple.from_points(1 / 64, {"v": np.empty((0, 1))})
-    rep = check_k_surjective(sys, (1, 1), sets, tol=1.0)
-    assert rep.empty_vertices == ["v"]
-    assert not rep.passed
+    dist = coverage_distances(sys, (1, 1), sets)
+    assert dist == {"v": math.inf}
+    assert max(dist.values()) > 1.0
