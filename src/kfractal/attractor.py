@@ -283,7 +283,7 @@ def _directed_bound(a: np.ndarray, b: np.ndarray, pitch: float, eps: float, metr
 WINDOW_CELLS_PER_POINT = 16
 
 # rows read, keyed and decoded at a time by every pass over a lattice cloud
-# (the images and read-back of ``_union``, and the grid writers), so that no
+# (the images and read-back of ``_union``, and the rasters), so that no
 # temporary grows with the cloud: a block's int64 column is 64 KiB, under
 # glibc's initial 128 KiB mmap threshold
 BLOCK_ROWS = 1 << 13
@@ -349,10 +349,6 @@ class _Children(_Image):
     def size(self) -> int:
         return len(self.offsets) * len(self.cloud)
 
-    def block(self, s):
-        doubled = 2 * self.cloud[s]
-        return (doubled[None] + self.offsets[:, None]).reshape(-1, self.cloud.shape[1])
-
     def keys(self, lo, strides):
         # a row's children differ from its doubled row's flat cell by one
         # constant per offset
@@ -373,10 +369,6 @@ class _Tabled(_Image):
     def __init__(self, cloud: np.ndarray, tables, lows):
         self.cloud, self.tables, self.lows = cloud, tables, lows
         self.ends = [(int(t.min()), int(t.max())) for t in tables]
-
-    def block(self, s):
-        return np.stack([t[col - low] for t, col, low
-                         in zip(self.tables, self.cloud[s].T, self.lows)], axis=1)
 
     def keys(self, lo, strides):
         # the tables are shifted and scaled once, so a block's flat cell is
@@ -791,7 +783,7 @@ def contraction_factor(sys: MWSystem, n) -> float:
     n = tuple(n)
     if len(n) != g.k or any(c < 0 for c in n):
         raise KGraphError(f"bad degree vector {n!r}")
-    layer = {v: [AffineMap.identity(v, sys.dim)] for v in g.vertices}
+    layer = {v: [AffineMap.identity(sys.dim)] for v in g.vertices}
     first = True
     for color in range(1, g.k + 1):
         for _ in range(n[color - 1]):

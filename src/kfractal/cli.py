@@ -165,11 +165,11 @@ def _pitch_and_tol(args, sys_) -> tuple[float, float]:
         if h <= 0:
             raise InstanceFormatError(
                 "every fiber has diameter 0, so there is no default pitch: give --pitch")
-    for f in sys_.fibers.values():
+    for v, f in sys_.fibers.items():
         try:
             grid_bounds(f.region, h)
         except ValueError as exc:
-            raise InstanceFormatError(f"fiber {f.vertex!r}: {exc}") from None
+            raise InstanceFormatError(f"fiber {v!r}: {exc}") from None
     tol = args.tol if args.tol is not None else 4.0 * h
     if tol == math.inf:
         raise InstanceFormatError(f"the default --tol, 4·pitch, overflows at pitch {h!r}: give --tol")

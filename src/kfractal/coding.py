@@ -238,7 +238,6 @@ def sample_prefixes(g: KGraph, v: str, depth, count: int, seed: int = 0,
 
 @dataclass
 class IntertwiningReport:
-    path: Path
     tol: float
     samples: int = 0
     failures: list = field(default_factory=list)
@@ -270,7 +269,7 @@ def check_intertwining(
     radii.  The prefixes are ``Path``s; insufficient prefix depth (coded
     error > tol/4) is reported together with the depth that would suffice.
     """
-    rep = IntertwiningReport(lam, tol)
+    rep = IntertwiningReport(tol)
     sig = extend_map(sys, lam)
     sig_lip = lipschitz_bound(sig, sys.metric)
     for prefix in prefixes:

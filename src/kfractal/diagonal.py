@@ -13,22 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .attractor import ConvergenceCertificate, SetTuple, refine_attractor, start_grids
-from .kgraph import DiagonalGraph, diagonal_graph
+from .kgraph import diagonal_graph
 from .systems import STRICT, MWSystem, extend_map
 
 
-@dataclass
-class DiagonalSystem:
-    """Rank-1 system whose generators are the diagonal-degree composites of a
-    source system (same fibers, strict mode)."""
-
-    system: MWSystem
-    graph: DiagonalGraph
-    source: MWSystem
-
-
-def diagonal_system(sys: MWSystem) -> DiagonalSystem:
-    """Build the rank-1 collapse.
+def diagonal_system(sys: MWSystem) -> MWSystem:
+    """The rank-1 collapse: a strict system over the same fibers on the
+    graph of ``diagonal_graph(sys.graph)``, whose ``edge_to_path`` expands
+    each of its edges.
 
     Generators are the exact ``extend_map`` composites, so iterating the
     collapse at degree 1 performs bitwise the same arithmetic as iterating
@@ -37,12 +29,9 @@ def diagonal_system(sys: MWSystem) -> DiagonalSystem:
     declared ratio directly.
     """
     dg = diagonal_graph(sys.graph)
-    gens = {}
-    for ident, lam in dg.edge_to_path.items():
-        m = extend_map(sys, lam)
-        gens[ident] = m
+    gens = {ident: extend_map(sys, lam) for ident, lam in dg.edge_to_path.items()}
     ratio = sys.ratio ** sys.graph.k if sys.mode == STRICT else sys.ratio
-    collapsed = MWSystem(
+    return MWSystem(
         dg.graph,
         dict(sys.fibers),
         gens,
@@ -50,7 +39,6 @@ def diagonal_system(sys: MWSystem) -> DiagonalSystem:
         mode=STRICT,
         name=f"{sys.name or 'system'}-diagonal",
     )
-    return DiagonalSystem(collapsed, dg, sys)
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +89,9 @@ def check_diagonal_agreement(
     quantify only what the bookkeeping (degree handling, diagonal edge
     table) could have broken.
     """
-    dsys = diagonal_system(sys)
+    collapse = diagonal_system(sys)
     start = start_grids(sys, pitch)
     K_src, cert_src = refine_attractor(sys, sys.diagonal_degree, start, pitch, max_iter=max_iter)
-    K_col, cert_col = refine_attractor(dsys.system, (1,), start, pitch, max_iter=max_iter)
+    K_col, cert_col = refine_attractor(collapse, (1,), start, pitch, max_iter=max_iter)
     distances = K_src.vertex_distances(K_col, sys.metric)
     return DiagonalAgreement(tol, distances, cert_src, cert_col, K_src, K_col)

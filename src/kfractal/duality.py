@@ -51,7 +51,7 @@ def map_along(dsys: DiscreteSystem, p: Path) -> dict[str, str]:
 
 def validate_discrete_system(dsys: DiscreteSystem) -> ValidationReport:
     """Fibers that list each element once, one per vertex of the graph,
-    table totality, and exact square consistency.
+    one total table per edge of the graph, and exact square consistency.
 
     Square consistency implies the composition law ``map_along(p·q) ==
     map_along(p) ∘ map_along(q)`` for every composable pair: normalisation
@@ -71,6 +71,9 @@ def validate_discrete_system(dsys: DiscreteSystem) -> ValidationReport:
     for ident in g.edges:
         if ident not in dsys.tables:
             rep.add(STRUCTURAL, "missing-table", ident, "edge has no function table")
+    for ident in dsys.tables:
+        if ident not in g.edges:
+            rep.add(STRUCTURAL, "unknown-edge", ident, "table for an edge the graph lacks")
     if rep.findings:
         return rep
     for ident, tab in dsys.tables.items():

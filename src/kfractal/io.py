@@ -99,7 +99,6 @@ def system_from_dict(doc: dict) -> MWSystem:
     fibers = {}
     for v, spec in _need(doc, "fibers", "system").items():
         fibers[v] = MetricFiber(
-            v,
             region_from_dict(_need(spec, "region", f"fiber {v}")),
             str(spec.get("metric", "euclidean")),
         )
@@ -107,12 +106,9 @@ def system_from_dict(doc: dict) -> MWSystem:
     for ident, spec in _need(doc, "maps", "system").items():
         if ident not in g.edges:
             raise InstanceFormatError(f"maps: unknown edge {ident!r}")
-        e = g.edges[ident]
         gens[ident] = AffineMap.of(
             _need(spec, "matrix", f"map {ident}"),
             _need(spec, "translation", f"map {ident}"),
-            e.source_vertex,
-            e.range_vertex,
         )
     return MWSystem(
         g,
@@ -199,7 +195,9 @@ def packaged_instance(name: str) -> FsPath:
 
 
 # rows formatted and written at a time by ``write_clouds_csv``, so that the
-# text of a large cloud is never held whole
+# text of a large cloud is never held whole; half of ``attractor.BLOCK_ROWS``,
+# because a block of formatted text outweighs a block of int64 rows (blocks
+# of 2^13 raise the peak RSS of ``attractor --instance p2`` by about 0.35 MB)
 CSV_BLOCK_ROWS = 1 << 12
 
 

@@ -35,9 +35,6 @@ class ValidationReport:
     def add(self, kind: str, code: str, subject: str, detail: str) -> None:
         self.findings.append(Finding(kind, code, subject, detail))
 
-    def structural(self) -> list[Finding]:
-        return [f for f in self.findings if f.kind == STRUCTURAL]
-
     def codes(self) -> set[str]:
         return {f.code for f in self.findings}
 

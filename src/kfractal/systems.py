@@ -311,7 +311,6 @@ def grid_points(region, pitch):
 
 @dataclass(frozen=True)
 class MetricFiber:
-    vertex: str
     region: object
     metric: str = EUCLIDEAN
 
@@ -332,23 +331,18 @@ class MetricFiber:
 
 @dataclass(frozen=True)
 class AffineMap:
+    """x -> matrix @ x + shift; the graph's edge gives its endpoints."""
+
     matrix: np.ndarray
     shift: np.ndarray
-    domain: str    # source vertex
-    codomain: str  # range vertex
 
     @classmethod
-    def identity(cls, vertex, dim):
-        return cls(np.eye(dim), np.zeros(dim), vertex, vertex)
+    def identity(cls, dim):
+        return cls(np.eye(dim), np.zeros(dim))
 
     @classmethod
-    def of(cls, matrix, shift, domain, codomain):
-        return cls(
-            np.asarray(matrix, dtype=float),
-            np.asarray(shift, dtype=float),
-            domain,
-            codomain,
-        )
+    def of(cls, matrix, shift):
+        return cls(np.asarray(matrix, dtype=float), np.asarray(shift, dtype=float))
 
     def apply(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -358,14 +352,7 @@ class AffineMap:
 
     def after(self, other: "AffineMap") -> "AffineMap":
         """self o other (apply other first)."""
-        if other.codomain != self.domain:
-            raise ValueError("maps not composable")
-        return AffineMap(
-            self.matrix @ other.matrix,
-            self.matrix @ other.shift + self.shift,
-            other.domain,
-            self.codomain,
-        )
+        return AffineMap(self.matrix @ other.matrix, self.matrix @ other.shift + self.shift)
 
     def exact(self):
         """Entries lifted to exact rationals (floats are rationals)."""
@@ -440,7 +427,7 @@ def extend_map(sys: MWSystem, p: Path) -> AffineMap:
     same map when the system validates; the normal form fixes the float
     evaluation order so equal paths always produce bitwise equal maps."""
     if p.is_vertex:
-        return AffineMap.identity(p.range_vertex, sys.dim)
+        return AffineMap.identity(sys.dim)
     out = sys.generators[p.edges[0]]
     for ident in p.edges[1:]:
         out = out.after(sys.generators[ident])
@@ -550,10 +537,6 @@ def validate_system(sys: MWSystem) -> ValidationReport:
         return rep
 
     for ident, m in sys.generators.items():
-        e = g.edge(ident)
-        if m.domain != e.source_vertex or m.codomain != e.range_vertex:
-            rep.add(STRUCTURAL, "endpoint-mismatch", ident,
-                    "map endpoints disagree with the edge")
         if m.matrix.shape != (sys.dim, sys.dim) or m.shift.shape != (sys.dim,):
             rep.add(STRUCTURAL, "bad-shape", ident, "matrix/translation shape")
     if rep.findings:

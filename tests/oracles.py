@@ -30,7 +30,6 @@ from kfractal.attractor import (
     tuple_distance,
 )
 from kfractal.coding import _metric_dist, code_point
-from kfractal.diagonal import DiagonalSystem
 from kfractal.duality import (
     DiscreteSystem,
     _matmul,
@@ -376,9 +375,11 @@ def coverage_distances(sys: MWSystem, n, sets: SetTuple) -> dict[str, float]:
     return distances
 
 
-def transfer_failures(dsys: DiagonalSystem, words, tol: float) -> tuple[int, list]:
-    """Check that coding commutes with the collapse, three ways per sample,
-    and return the number of samples and the failing ones.
+def transfer_failures(src: MWSystem, collapse: MWSystem, dg: DiagonalGraph, words,
+                      tol: float) -> tuple[int, list]:
+    """Check that coding commutes with the rank-1 collapse of src, whose
+    edges ``dg.edge_to_path`` expands, three ways per sample, and return
+    the number of samples and the failing ones.
 
     For each diagonal word w and composable diagonal edge e: the point coded
     over the collapse for e·w, the collapsed generator applied to the coded
@@ -386,28 +387,25 @@ def transfer_failures(dsys: DiagonalSystem, words, tol: float) -> tuple[int, lis
     must all agree within the certified radii plus tol.  A failure is
     (e·w, d1, d2), its two distances.
     """
-    sys = dsys.system
-    src = dsys.source
-    metric = sys.metric
+    g = collapse.graph
+    metric = collapse.metric
     samples, failures = 0, []
     for word in words:
-        head_vertex = (
-            sys.graph.edge(word[0]).range_vertex if word else None
-        )
-        for ident in sorted(sys.graph.edges):
-            e = sys.graph.edge(ident)
+        head_vertex = g.edge(word[0]).range_vertex if word else None
+        for ident in sorted(g.edges):
+            e = g.edge(ident)
             if head_vertex is not None and e.source_vertex != head_vertex:
                 continue
             ew = (ident,) + tuple(word)
-            collapse_path = path_from_word(sys.graph, e.range_vertex, ew)
-            lhs = code_point(sys, collapse_path)
+            collapse_path = path_from_word(g, e.range_vertex, ew)
+            lhs = code_point(collapse, collapse_path)
 
-            base_path = path_from_word(sys.graph, e.source_vertex, tuple(word))
-            base = code_point(sys, base_path)
-            gen = sys.generators[ident]
+            base_path = path_from_word(g, e.source_vertex, tuple(word))
+            base = code_point(collapse, base_path)
+            gen = collapse.generators[ident]
             mid = gen.apply(base.point)
 
-            expanded = word_to_path(dsys.graph, ew, e.range_vertex)
+            expanded = word_to_path(dg, ew, e.range_vertex)
             via_source = code_point(src, expanded)
 
             allowed = tol + lhs.error_radius + lipschitz_bound(gen, metric) * base.error_radius

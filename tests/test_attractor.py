@@ -618,7 +618,7 @@ def _step_inputs(draw):
             half_cells = st.integers(-12, 12).map(lambda i: i * pitch / 2)
             shift = draw(st.lists(st.one_of(entry, half_cells), min_size=d, max_size=d))
             src = draw(st.sampled_from(("u", "w")))
-            rows.append((AffineMap.of(matrix, shift, src, v), src))
+            rows.append((AffineMap.of(matrix, shift), src))
         maps[v] = rows
     return SetTuple(pitch, clouds), maps
 
@@ -641,8 +641,8 @@ def test_step_sorts_sparse_unions(monkeypatch, d, diagonal, spread, sorts):
     matrix = -np.eye(d)
     if not diagonal:
         matrix[0, -1] = 1 / 3
-    maps = {"v": [(AffineMap.of(matrix, np.zeros(d), "v", "v"), "v"),
-                  (AffineMap.of(matrix, np.full(d, spread / 3), "v", "v"), "v")]}
+    maps = {"v": [(AffineMap.of(matrix, np.zeros(d)), "v"),
+                  (AffineMap.of(matrix, np.full(d, spread / 3)), "v")]}
     windows = _spy_windows(monkeypatch)
     out = hutchinson_step(_bare_system("v"), (1,), C, _maps=maps)
     monkeypatch.undo()
@@ -748,10 +748,10 @@ def test_attractor_cantor_product_projection_oracle():
     g1 = KGraph(1, ["w"], {1: [("c0", "w", "w"), ("c1", "w", "w")]})
     line = MWSystem(
         g1,
-        {"w": MetricFiber("w", Box((0.0,), (1.0,)), "euclidean")},
+        {"w": MetricFiber(Box((0.0,), (1.0,)), "euclidean")},
         {
-            "c0": AffineMap.of([[1 / 3]], (0.0,), "w", "w"),
-            "c1": AffineMap.of([[1 / 3]], (2 / 3,), "w", "w"),
+            "c0": AffineMap.of([[1 / 3]], (0.0,)),
+            "c1": AffineMap.of([[1 / 3]], (2 / 3,)),
         },
         ratio=1 / 3,
         mode="strict",
@@ -805,11 +805,11 @@ def _rotating_two_vertex_system(g, metric, seed):
     # a distinct scaled rotation on every edge, so few path products coincide
     rng = np.random.default_rng(seed)
     gens = {}
-    for ident, e in g.edges.items():
+    for ident in g.edges:
         t, r = rng.uniform(0, 2 * np.pi), rng.uniform(0.3, 0.7)
         rot = r * np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-        gens[ident] = AffineMap.of(rot, rng.uniform(-1, 1, 2), e.source_vertex, e.range_vertex)
-    fibers = {v: MetricFiber(v, Box((0.0, 0.0), (1.0, 1.0)), metric) for v in g.vertices}
+        gens[ident] = AffineMap.of(rot, rng.uniform(-1, 1, 2))
+    fibers = {v: MetricFiber(Box((0.0, 0.0), (1.0, 1.0)), metric) for v in g.vertices}
     return MWSystem(g, fibers, gens, ratio=0.7)
 
 
@@ -880,10 +880,10 @@ def test_error_bound_covers_the_distance_to_an_interval_attractor(dim, metric, d
     h = 2.0 ** -data.draw(st.integers(3, finest), label="pitch exponent")
     maps = list(itertools.product(*axes))
     g = KGraph(1, ["v"], {1: [(f"e{i}", "v", "v") for i in range(len(maps))]})
-    gens = {f"e{i}": AffineMap.of(np.diag([float(r) for r, _ in m]), [float(t) for _, t in m],
-                                  "v", "v") for i, m in enumerate(maps)}
+    gens = {f"e{i}": AffineMap.of(np.diag([float(r) for r, _ in m]), [float(t) for _, t in m])
+            for i, m in enumerate(maps)}
     ratio = float(max(r for axis in axes for r, _ in axis))
-    fiber = MetricFiber("v", Box((0.0,) * dim, (1.0,) * dim), metric)
+    fiber = MetricFiber(Box((0.0,) * dim, (1.0,) * dim), metric)
     sys_ = MWSystem(g, {"v": fiber}, gens, ratio=ratio)
     K, cert = compute_attractor(sys_, (1,), SetTuple.from_fibers(sys_, h))
     pts = K.points("v")
@@ -948,11 +948,11 @@ def test_multi_vertex_system_end_to_end():
     )
     sys_ = MWSystem(
         g,
-        {v: MetricFiber(v, Box((0.0,), (1.0,)), "euclidean") for v in ("u", "w")},
+        {v: MetricFiber(Box((0.0,), (1.0,)), "euclidean") for v in ("u", "w")},
         {
-            "uu": AffineMap.of([[0.5]], (0.0,), "u", "u"),
-            "uw": AffineMap.of([[0.5]], (0.5,), "w", "u"),
-            "wu": AffineMap.of([[0.5]], (0.25,), "u", "w"),
+            "uu": AffineMap.of([[0.5]], (0.0,)),
+            "uw": AffineMap.of([[0.5]], (0.5,)),
+            "wu": AffineMap.of([[0.5]], (0.25,)),
         },
         ratio=0.5,
         mode="strict",
@@ -1058,11 +1058,11 @@ def _thin_strip_system():
     g = KGraph(1, ["u", "w"], {1: [("a", "u", "u"), ("b", "u", "w"), ("c", "w", "u")]})
     return MWSystem(
         g,
-        {"u": MetricFiber("u", Box((0.0, 0.0), (1.0, 1.0))),
-         "w": MetricFiber("w", Box((0.0, 0.26), (1.0, 0.2625)))},
-        {"a": AffineMap.of(np.eye(2) / 2, (0.0, 0.0), "u", "u"),
-         "b": AffineMap.of(np.eye(2) / 2, (0.5, 0.5), "w", "u"),
-         "c": AffineMap.of([[0.5, 0.0], [0.0, 0.0025]], (0.25, 0.26), "u", "w")},
+        {"u": MetricFiber(Box((0.0, 0.0), (1.0, 1.0))),
+         "w": MetricFiber(Box((0.0, 0.26), (1.0, 0.2625)))},
+        {"a": AffineMap.of(np.eye(2) / 2, (0.0, 0.0)),
+         "b": AffineMap.of(np.eye(2) / 2, (0.5, 0.5)),
+         "c": AffineMap.of([[0.5, 0.0], [0.0, 0.0025]], (0.25, 0.26))},
         ratio=0.5,
     )
 

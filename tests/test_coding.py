@@ -180,11 +180,11 @@ def _lopsided_system():
     g = KGraph(1, ["u", "w"], {1: [("a", "u", "u"), ("b", "u", "w"), ("c", "w", "u")]})
     return MWSystem(
         g,
-        {v: MetricFiber(v, Box((0.0,), (1.0,)), "euclidean") for v in ("u", "w")},
+        {v: MetricFiber(Box((0.0,), (1.0,)), "euclidean") for v in ("u", "w")},
         {
-            "a": AffineMap.of([[0.3]], (0.1,), "u", "u"),
-            "b": AffineMap.of([[0.35]], (0.55,), "w", "u"),
-            "c": AffineMap.of([[0.4]], (0.2,), "u", "w"),
+            "a": AffineMap.of([[0.3]], (0.1,)),
+            "b": AffineMap.of([[0.35]], (0.55,)),
+            "c": AffineMap.of([[0.4]], (0.2,)),
         },
         ratio=0.4,
     )
@@ -208,8 +208,8 @@ def _product_system(seed):
             scale, shift = np.ones(2), np.zeros(2)
             scale[axis] = rng.uniform(0.2, 0.45)
             shift[axis] = rng.uniform(0.0, 1.0 - scale[axis])
-            gens[e] = AffineMap.of(np.diag(scale), shift, "v", "v")
-    fiber = MetricFiber("v", Box((0.0, 0.0), (1.0, 1.0)), "max")
+            gens[e] = AffineMap.of(np.diag(scale), shift)
+    fiber = MetricFiber(Box((0.0, 0.0), (1.0, 1.0)), "max")
     return MWSystem(g, {"v": fiber}, gens, ratio=0.45, mode="relaxed")
 
 
@@ -469,7 +469,7 @@ def test_intertwining_detects_square_corruption():
     # apply the same composite
     sys = shipped("p2c")
     bad = dict(sys.generators)
-    bad["r0"] = AffineMap.of(bad["r0"].matrix, (0.05, 0.0), "v", "v")
+    bad["r0"] = AffineMap.of(bad["r0"].matrix, (0.05, 0.0))
     sys.generators = bad
     lam = path_from_word(sys.graph, "v", ("b0", "r0"))
     prefixes = sampled_paths(sys.graph, (8, 8), 20, 5)
@@ -485,10 +485,10 @@ def test_intertwining_rejects_misrooted_prefixes():
     g = KGraph(1, ["u", "w"], {1: [("a", "u", "w"), ("b", "w", "u")]})
     sys = MWSystem(
         g,
-        {v: MetricFiber(v, Box((0.0,), (1.0,)), "euclidean") for v in ("u", "w")},
+        {v: MetricFiber(Box((0.0,), (1.0,)), "euclidean") for v in ("u", "w")},
         {
-            "a": AffineMap.of([[0.5]], (0.0,), "w", "u"),
-            "b": AffineMap.of([[0.5]], (0.0,), "u", "w"),
+            "a": AffineMap.of([[0.5]], (0.0,)),
+            "b": AffineMap.of([[0.5]], (0.0,)),
         },
         ratio=0.5,
         mode="strict",
@@ -737,8 +737,8 @@ def _images_into(metric, dim, maps, pitch, source, target):
     box = Box((-4.0,) * dim, (4.0,) * dim)
     sys = MWSystem(
         g,
-        {v: MetricFiber(v, box, metric) for v in ("u", "w")},
-        {f"g{i}": AffineMap.of(a, b, "u", "w") for i, (a, b) in enumerate(maps)},
+        {v: MetricFiber(box, metric) for v in ("u", "w")},
+        {f"g{i}": AffineMap.of(a, b) for i, (a, b) in enumerate(maps)},
         ratio=0.5,
     )
     return sys, SetTuple(pitch, {"u": target, "w": source})

@@ -12,16 +12,17 @@ from kfractal.attractor import (
 )
 from kfractal.coding import sample_prefixes
 from kfractal.diagonal import check_diagonal_agreement, diagonal_system
+from kfractal.kgraph import diagonal_graph
 from kfractal.systems import extend_map, lipschitz_bound, validate_system
 
 from oracles import transfer_failures, word_to_path
 from shipped import shipped
 
 
-def diagonal_words(dsys, length, count, seed):
+def diagonal_words(collapse, length, count, seed):
     """Seeded composable words over the collapse's edge ids: ``count``
     uniform prefixes of degree (length,) at each vertex."""
-    g = dsys.system.graph
+    g = collapse.graph
     ids = sorted(g.edges)
     return [
         tuple(ids[i] for i in row)
@@ -32,19 +33,18 @@ def diagonal_words(dsys, length, count, seed):
 
 def test_rank1_collapse_keeps_generators():
     sys = shipped("s1")
-    dsys = diagonal_system(sys)
-    assert len(dsys.system.generators) == 3
-    for ident, lam in dsys.graph.edge_to_path.items():
+    collapse = diagonal_system(sys)
+    assert len(collapse.generators) == 3
+    for ident, lam in diagonal_graph(sys.graph).edge_to_path.items():
         src_map = sys.generators[lam.edges[0]]
-        col_map = dsys.system.generators[ident]
+        col_map = collapse.generators[ident]
         assert np.array_equal(src_map.matrix, col_map.matrix)
         assert np.array_equal(src_map.shift, col_map.shift)
 
 
 def test_p2_collapse_four_quarter_maps():
     sys = shipped("p2")
-    dsys = diagonal_system(sys)
-    gens = dsys.system.generators
+    gens = diagonal_system(sys).generators
     assert len(gens) == 4
     shifts = sorted(tuple(m.shift.tolist()) for m in gens.values())
     assert shifts == [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
@@ -55,27 +55,25 @@ def test_p2_collapse_four_quarter_maps():
 
 def test_f3_collapse_single_generator():
     sys = shipped("f3")
-    dsys = diagonal_system(sys)
-    gens = list(dsys.system.generators.values())
+    gens = list(diagonal_system(sys).generators.values())
     assert len(gens) == 1
     assert gens[0].matrix[0, 0] == pytest.approx(0.125)
 
 
 @pytest.mark.parametrize("name", ["s1", "p2", "p2c", "t0", "f3"])
 def test_collapse_validates_strict(name):
-    sys = shipped(name)
-    dsys = diagonal_system(sys)
-    rep = validate_system(dsys.system)
+    collapse = diagonal_system(shipped(name))
+    rep = validate_system(collapse)
     assert rep.ok, str(rep)
-    assert dsys.system.mode == "strict"
+    assert collapse.mode == "strict"
 
 
 def test_collapse_generator_data_equals_source_composites():
     sys = shipped("p2c")
-    dsys = diagonal_system(sys)
-    for ident, lam in dsys.graph.edge_to_path.items():
+    collapse = diagonal_system(sys)
+    for ident, lam in diagonal_graph(sys.graph).edge_to_path.items():
         composite = extend_map(sys, lam)
-        gen = dsys.system.generators[ident]
+        gen = collapse.generators[ident]
         assert np.array_equal(composite.matrix, gen.matrix)
         assert np.array_equal(composite.shift, gen.shift)
 
@@ -85,40 +83,42 @@ def test_step_equivalence_bitwise():
     # produce identical snapped clouds from identical inputs
     for name in ("p2", "p2c", "t0"):
         sys = shipped(name)
-        dsys = diagonal_system(sys)
         h = 1 / 64
         C = SetTuple.from_fibers(sys, h)
         a = hutchinson_step(sys, sys.diagonal_degree, C)
-        b = hutchinson_step(dsys.system, (1,), C)
+        b = hutchinson_step(diagonal_system(sys), (1,), C)
         assert a == b
 
 
 def test_transfer_rank1_reduces_to_intertwining():
     sys = shipped("s1")
-    dsys = diagonal_system(sys)
-    words = diagonal_words(dsys, length=10, count=6, seed=3)
-    samples, failures = transfer_failures(dsys, words, tol=1e-3)
+    collapse = diagonal_system(sys)
+    words = diagonal_words(collapse, length=10, count=6, seed=3)
+    samples, failures = transfer_failures(sys, collapse, diagonal_graph(sys.graph), words,
+                                          tol=1e-3)
     assert samples and not failures, failures
 
 
 def test_transfer_p2_depth8():
     sys = shipped("p2")
-    dsys = diagonal_system(sys)
-    words = diagonal_words(dsys, length=8, count=10, seed=4)
-    samples, failures = transfer_failures(dsys, words, tol=1e-3)
+    collapse = diagonal_system(sys)
+    words = diagonal_words(collapse, length=8, count=10, seed=4)
+    samples, failures = transfer_failures(sys, collapse, diagonal_graph(sys.graph), words,
+                                          tol=1e-3)
     assert samples and not failures, failures
     assert samples == 40  # 4 edges x 10 words
 
 
 def test_transfer_detects_corrupted_back_reference():
     sys = shipped("p2c")
-    dsys = diagonal_system(sys)
+    collapse = diagonal_system(sys)
+    dg = diagonal_graph(sys.graph)
     # swap two entries of the edge -> path table
-    (i1, p1), (i2, p2) = list(dsys.graph.edge_to_path.items())[:2]
-    dsys.graph.edge_to_path[i1] = p2
-    dsys.graph.edge_to_path[i2] = p1
-    words = diagonal_words(dsys, length=6, count=8, seed=5)
-    samples, failures = transfer_failures(dsys, words, tol=1e-4)
+    (i1, p1), (i2, p2) = list(dg.edge_to_path.items())[:2]
+    dg.edge_to_path[i1] = p2
+    dg.edge_to_path[i2] = p1
+    words = diagonal_words(collapse, length=6, count=8, seed=5)
+    samples, failures = transfer_failures(sys, collapse, dg, words, tol=1e-4)
     assert samples and failures
 
 
@@ -128,9 +128,8 @@ def test_word_translation_composes_with_coding_exactly():
     from kfractal.systems import exact_after, exact_path_map
 
     sys_ = shipped("p2c")
-    dsys = diagonal_system(sys_)
-    dg = dsys.graph
-    for word in diagonal_words(dsys, length=2, count=6, seed=8):
+    dg = diagonal_graph(sys_.graph)
+    for word in diagonal_words(diagonal_system(sys_), length=2, count=6, seed=8):
         expanded = word_to_path(dg, list(word))
         whole = exact_path_map(sys_, expanded)
         folded = exact_path_map(sys_, dg.edge_to_path[word[0]])
@@ -169,10 +168,9 @@ def _reference_agreement(sys, tol, pitch):
     # check_diagonal_agreement's per-vertex loop before it went through
     # SetTuple.vertex_distances, on fixed points iterated from the whole
     # fiber grids at the pitch
-    dsys = diagonal_system(sys)
     C0 = SetTuple.from_fibers(sys, pitch)
     K_src, cert_src = compute_attractor(sys, sys.diagonal_degree, C0)
-    K_col, cert_col = compute_attractor(dsys.system, (1,), C0)
+    K_col, cert_col = compute_attractor(diagonal_system(sys), (1,), C0)
     distances = {}
     for v in sys.graph.vertices:
         if np.array_equal(K_src.clouds[v], K_col.clouds[v]):

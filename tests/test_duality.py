@@ -117,6 +117,17 @@ def test_fiber_of_unknown_vertex_structural():
     ]
 
 
+def test_table_of_unknown_edge_structural():
+    # a system built in Python reaches the validator without the loader's
+    # refusal of a table for an edge the graph lacks
+    dsys = shipped("d1")
+    dsys.tables["zz"] = {t: t for t in dsys.fibers["v"]}
+    rep = validate_discrete_system(dsys)
+    assert [(f.kind, f.code, f.subject) for f in rep.findings] == [
+        ("structural", "unknown-edge", "zz")
+    ]
+
+
 def test_pullback_identity_matrix():
     g = single_loop_graph()
     dsys = DiscreteSystem(g, {"v": ("a", "b")}, {"e": {"a": "a", "b": "b"}})

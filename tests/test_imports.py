@@ -196,3 +196,45 @@ def unused_public_names() -> set[str]:
 
 def test_every_public_name_is_used_or_kept():
     assert unused_public_names() == set(UNUSED_KEPT)
+
+
+# the public members of public classes that no code of the package reads as
+# an attribute, and why each stays
+MEMBERS_KEPT = {
+    "SetTuple.from_fibers": "perfbench/trace_child.py wraps it by name (METHODS) to time "
+                            "the fiber grids a run builds",
+    "ValidationReport.codes": "the set of finding codes, which the tests compare",
+    "IntertwiningReport.required_total_depth": "the depth that would suffice when the "
+                                               "prefixes are too short, which the tests "
+                                               "compare with required_depth",
+    "DiagonalGraph.source": "the graph whose paths the edges stand for, which the "
+                            "oracles' word translation reads",
+}
+
+
+def unread_public_members() -> set[str]:
+    """The public methods, properties and annotated fields of the public
+    classes of src/kfractal, as "Class.member", whose name no code of the
+    package reads as an attribute."""
+    members, read = set(), set()
+    for path in (SRC / "kfractal").rglob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    members.add((node.name, name))
+        read.update(sub.attr for sub in ast.walk(tree)
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+    return {f"{cls}.{name}" for cls, name in members if name not in read}
+
+
+def test_every_public_member_is_read_or_kept():
+    assert unread_public_members() == set(MEMBERS_KEPT)

@@ -126,7 +126,7 @@ def test_normal_form_ends_on_a_wrong_colored_square():
 def test_dangling_ids_are_structural():
     g = KGraph(1, ["v"], {1: [("a", "v", "nowhere")]})
     rep = validate_kgraph(g)
-    assert rep.structural()
+    assert [f for f in rep.findings if f.kind == "structural"]
     assert "dangling-vertex" in rep.codes()
 
 

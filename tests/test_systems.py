@@ -235,8 +235,8 @@ def test_validate_five_dimensional_box_past_the_grid_budget(shift, contained):
     # the backup grid sample at diameter / 64 would hold 30^5 points, past
     # MAX_GRID_POINTS; the exact corner check decides alone
     g = KGraph(1, ["w"], {1: [("e", "w", "w")]})
-    fiber = MetricFiber("w", Box((0.0,) * 5, (1.0,) * 5), "euclidean")
-    gen = AffineMap.of(np.eye(5) / 2, (shift,) * 5, "w", "w")
+    fiber = MetricFiber(Box((0.0,) * 5, (1.0,) * 5), "euclidean")
+    gen = AffineMap.of(np.eye(5) / 2, (shift,) * 5)
     rep = validate_system(MWSystem(g, {"w": fiber}, {"e": gen}, ratio=0.6))
     assert rep.ok == contained
     assert ("domain-containment" in rep.codes()) != contained
@@ -247,19 +247,19 @@ def test_validate_five_dimensional_box_past_the_grid_budget(shift, contained):
 
 
 def test_lipschitz_scaled_identity():
-    m = AffineMap.of(np.eye(2) / 2, (0, 0), "v", "v")
+    m = AffineMap.of(np.eye(2) / 2, (0, 0))
     assert lipschitz_bound(m, EUCLIDEAN) == pytest.approx(0.5)
     assert lipschitz_bound(m, MAX) == pytest.approx(0.5)
 
 
 def test_lipschitz_unit_direction():
-    m = AffineMap.of([[0.5, 0.0], [0.0, 1.0]], (0, 0), "v", "v")
+    m = AffineMap.of([[0.5, 0.0], [0.0, 1.0]], (0, 0))
     assert lipschitz_bound(m, EUCLIDEAN) == pytest.approx(1.0)
     assert lipschitz_bound(m, MAX) == pytest.approx(1.0)
 
 
 def test_lipschitz_antidiagonal():
-    m = AffineMap.of([[0.0, 0.5], [0.5, 0.0]], (0, 0), "v", "v")
+    m = AffineMap.of([[0.0, 0.5], [0.5, 0.0]], (0, 0))
     assert lipschitz_bound(m, EUCLIDEAN) == pytest.approx(0.5)
     assert lipschitz_bound(m, MAX) == pytest.approx(0.5)
 
@@ -284,7 +284,7 @@ def test_certified_norm_of_half_rotations_is_the_least_covering_float():
     above = svd_short = 0
     for theta in np.linspace(0.0, 2 * math.pi, 400):
         a = _half_rotation(theta)
-        c = lipschitz_bound(AffineMap.of(a, (0, 0), "v", "v"), EUCLIDEAN)
+        c = lipschitz_bound(AffineMap.of(a, (0, 0)), EUCLIDEAN)
         assert _covers(c, a)
         assert not _covers(math.nextafter(c, 0.0), a)
         svd = float(np.linalg.norm(a, 2))
@@ -306,11 +306,11 @@ def test_strict_validate_compares_the_ratio_with_the_certified_norm(monkeypatch)
     monkeypatch.setattr(systems, "lipschitz_bound", spy)
     g = KGraph(1, ["v"], {1: [("e", "v", "v")]})
     for theta in np.linspace(0.0, 2 * math.pi, 40):
-        gen = AffineMap.of(_half_rotation(theta), (0, 0), "v", "v")
+        gen = AffineMap.of(_half_rotation(theta), (0, 0))
         c = bound(gen, EUCLIDEAN)
         for ratio in (0.5, 0.25):
             compared.clear()
-            sys_ = MWSystem(g, {"v": MetricFiber("v", Box((-1, -1), (1, 1)))}, {"e": gen},
+            sys_ = MWSystem(g, {"v": MetricFiber(Box((-1, -1), (1, 1)))}, {"e": gen},
                             ratio=ratio)
             found = [f.detail for f in validate_system(sys_).findings if f.code == "lipschitz"]
             assert compared == [c]
@@ -382,9 +382,9 @@ def test_diagonal_norms_are_the_largest_entry(metric):
     for _ in range(500):
         d = int(rng.integers(1, 4))
         a = np.diag(rng.uniform(-1, 1, d) * 10.0 ** rng.integers(-5, 5))
-        m = AffineMap.of(a, np.zeros(d), "v", "v")
+        m = AffineMap.of(a, np.zeros(d))
         assert lipschitz_bound(m, metric) == np.abs(np.diagonal(a)).max()
-    assert lipschitz_bound(AffineMap.of([[0.5, 0.0], [0.0, np.inf]], (0, 0), "v", "v")) == math.inf
+    assert lipschitz_bound(AffineMap.of([[0.5, 0.0], [0.0, np.inf]], (0, 0))) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +495,7 @@ def test_strict_mode_rejects_p2():
 def test_square_consistency_violation_reported():
     sys = shipped("p2")
     bad = dict(sys.generators)
-    bad["b0"] = AffineMap.of([[0.5, 0.0], [0.0, 1.0 / 3.0]], (0.0, 0.0), "v", "v")
+    bad["b0"] = AffineMap.of([[0.5, 0.0], [0.0, 1.0 / 3.0]], (0.0, 0.0))
     sys.generators = bad
     rep = validate_system(sys)
     assert "square-consistency" in rep.codes()
@@ -504,7 +504,7 @@ def test_square_consistency_violation_reported():
 def test_containment_violation_reported():
     sys = shipped("s1")
     bad = dict(sys.generators)
-    bad["a1"] = AffineMap.of([[0.5, 0.0], [0.0, 0.5]], (0.9, 0.0), "v", "v")
+    bad["a1"] = AffineMap.of([[0.5, 0.0], [0.0, 0.5]], (0.9, 0.0))
     sys.generators = bad
     rep = validate_system(sys)
     assert "domain-containment" in rep.codes()
@@ -516,7 +516,8 @@ def test_missing_generator_is_structural():
     del gens["r"]
     sys.generators = gens
     rep = validate_system(sys)
-    assert rep.structural() and "missing-map" in rep.codes()
+    assert [f for f in rep.findings if f.kind == "structural"]
+    assert "missing-map" in rep.codes()
 
 
 # ---------------------------------------------------------------------------
