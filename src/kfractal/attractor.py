@@ -59,7 +59,7 @@ import numpy as np
 
 from . import _kernels
 from .exact import round_up, sqrt_up
-from .kgraph import KGraphError
+from .kgraph import _check_degree
 from .systems import (
     EUCLIDEAN,
     MAX,
@@ -323,7 +323,8 @@ class _Image:
 
 class _Rows(_Image):
     """A cloud's rows floor-divided by a positive integer factor (1 keeps
-    them): the image of canonicalisation and of coarsening."""
+    them): the image of canonicalisation and of the box counts' larger
+    cells (``boxcount.occupied_cells``)."""
 
     def __init__(self, cloud: np.ndarray, factor: int = 1):
         self.cloud, self.factor = cloud, factor
@@ -602,15 +603,6 @@ class SetTuple:
     def same_grid(self, other: "SetTuple") -> bool:
         return self.pitch == other.pitch and self.dim == other.dim
 
-    def coarsen(self, factor: int) -> "SetTuple":
-        """The occupied cells of the grid with pitch * factor, for a
-        positive integer factor; each cloud is divided and
-        canonicalised in one ``_union``."""
-        if factor < 1:
-            raise ValueError(f"coarsening factor must be a positive integer, got {factor!r}")
-        return SetTuple._of_rows(self.pitch * factor, {
-            v: _canonical(c, factor) if len(c) else c for v, c in self.clouds.items()})
-
     def vertex_distances(self, other: "SetTuple", metric=EUCLIDEAN) -> dict[str, float]:
         """Per-vertex Hausdorff distance to another tuple on the same grid.
 
@@ -781,8 +773,7 @@ def contraction_factor(sys: MWSystem, n) -> float:
     """
     g = sys.graph
     n = tuple(n)
-    if len(n) != g.k or any(c < 0 for c in n):
-        raise KGraphError(f"bad degree vector {n!r}")
+    _check_degree(g, n)
     layer = {v: [AffineMap.identity(sys.dim)] for v in g.vertices}
     first = True
     for color in range(1, g.k + 1):
@@ -958,12 +949,17 @@ def _children(sys: MWSystem, K: SetTuple) -> SetTuple:
 def refine_attractor(
     sys: MWSystem,
     n,
-    start: SetTuple,
     pitch: float,
+    tol: float,
     max_iter: int = 64,
 ) -> tuple[SetTuple, ConvergenceCertificate]:
     """The degree-n lattice fixed point at the pitch, reached level by level
-    from ``start``, the fiber grids of ``start_grids`` at a pitch 2^L * pitch.
+    from the fiber grids of ``start_grids`` at a pitch 2^L * pitch.
+
+    Every refusal of a run is raised here, as ValueError, before the first
+    step: a fiber that holds no grid point of the pitch, an operator that is
+    not a contraction, and a tol below ``collage_bound(c, grid_slack)``, the
+    least error bound any run at the pitch claims, in that order.
 
     Each level iterates to its lattice fixed point, or for max_iter steps,
     and the next level, at half the pitch, starts from the ``_children`` of
@@ -974,19 +970,19 @@ def refine_attractor(
     Only the last level runs ``compute_attractor``; the coarser ones
     ``_iterate`` and measure nothing.  The certificate is the last level's
     (its iterations count the steps at the pitch, and only it can be NOT
-    converged), with eps raised to
-    ``grid_slack`` of the fiber grids at the pitch: no run claims less than
-    ``collage_bound(c, grid_slack)``, the least bound the commands check
-    ``--tol`` against.
+    converged), with eps raised to the ``grid_slack`` tol was checked
+    against.
     """
-    levels = round(math.log2(start.pitch / pitch))
-    if levels < 0 or start.pitch != pitch * 2.0 ** levels:
-        raise ValueError(f"the start's pitch {start.pitch!r} is not {pitch!r} times a power of two")
-    _require_contraction(sys, n)
+    C = start_grids(sys, pitch)
+    c_n = _require_contraction(sys, n)
     maps = degree_maps(sys, n)
-    C = start
-    for _ in range(levels):
+    gate = grid_slack(sys, pitch, maps)
+    bound = collage_bound(c_n, gate)
+    if bound > tol:
+        raise ValueError(
+            f"--tol {tol!r} is below {bound!r}, the least error bound the degree "
+            f"{tuple(n)} operator (contraction {c_n:.6g}) can claim at pitch {pitch!r}")
+    for _ in range(round(math.log2(C.pitch / pitch))):
         C = _children(sys, _iterate(sys, n, C, max_iter, maps)[1])
     K, cert = compute_attractor(sys, n, C, max_iter=max_iter)
-    gate = grid_slack(sys, pitch, maps)
     return K, replace(cert, eps=max(cert.eps, gate))

@@ -1,8 +1,8 @@
 """Grid-occupancy dimension estimate (diagnostic utility).
 
-Counts occupied cells of a snapped cloud at the native pitch and at dyadic
-coarsenings; the log ratio of consecutive counts estimates the box-counting
-dimension.  This is a sanity gauge for rendered attractors, nothing more.
+Counts occupied cells of a snapped cloud at the native pitch and at twice
+it; the log ratio of the two counts estimates the box-counting dimension.
+This is a sanity gauge for rendered attractors, nothing more.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .attractor import SetTuple, _canonical
 
 
 def occupied_cells(lattice: np.ndarray, factor: int = 1) -> int:
-    """Occupied cell count after coarsening integer lattice coords by a
+    """Occupied cell count of integer lattice coords floor-divided by a
     positive integer factor; the division runs inside ``_canonical``, a
     block of rows at a time."""
     if len(lattice) == 0:
@@ -27,7 +27,7 @@ def dimension_estimate(sets: SetTuple, vertex: str) -> float:
     """log2(N_fine / N_coarse) between the native grid and the one of twice
     its pitch."""
     n_fine = len(sets.clouds[vertex])
-    n_coarse = len(sets.coarsen(2).clouds[vertex])
+    n_coarse = occupied_cells(sets.clouds[vertex], 2)
     if n_fine == 0 or n_coarse == 0:
         return 0.0
     return math.log(n_fine / n_coarse) / math.log(2)

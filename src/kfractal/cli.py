@@ -3,8 +3,11 @@
 Subcommands: validate, attractor, coding, diagonal, duality.  Exit codes:
 0 = all checks passed, 1 = checks failed, 2 = input/parse error,
 3 = iteration did not converge.  Each subcommand accepts only the flags it
-reads, and checks all of them before it creates ``--out`` or starts work;
-outputs are byte-identical across runs with the same flags.
+reads, and checks all of them before it creates ``--out`` or starts work:
+attractor, coding and diagonal leave the checks of a run (its start grids,
+contraction and ``--tol``) to ``attractor.refine_attractor``, which refuses
+before its first step, and create ``--out`` once it returns.  Outputs are
+byte-identical across runs with the same flags.
 
 The numpy modules are imported when a command needs them: attractor,
 coding, diagonal and validate on a metric system always do; validate on a
@@ -176,37 +179,6 @@ def _pitch_and_tol(args, sys_) -> tuple[float, float]:
     return h, tol
 
 
-def _start_grid(sys_, h):
-    """The fiber grids a run at pitch h starts from, at the coarse pitch
-    ``start_grids`` picks; a fiber that holds no grid point of pitch h is
-    an input error."""
-    from .attractor import start_grids
-
-    try:
-        return start_grids(sys_, h)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from None
-
-
-def _require_tol(sys_, degree, h, tol: float) -> None:
-    """An input error unless the degree's operator contracts and a run at
-    pitch h can claim an error bound within tol: the least bound any such
-    run claims is eps/(1-c) with eps the fiber grids' ``grid_slack``,
-    checked before iterating."""
-    from .attractor import _require_contraction, collage_bound, grid_slack
-    from .systems import degree_maps
-
-    try:
-        c = _require_contraction(sys_, degree)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from None
-    bound = collage_bound(c, grid_slack(sys_, h, degree_maps(sys_, degree)))
-    if bound > tol:
-        raise InstanceFormatError(
-            f"--tol {tol!r} is below {bound!r}, the least error bound the degree "
-            f"{degree} operator (contraction {c:.6g}) can claim at pitch {h!r}")
-
-
 def _prepare_mw(args):
     kind, obj = _load_system(args)
     if kind != "mw":
@@ -229,10 +201,11 @@ def cmd_attractor(args) -> int:
         return FAIL
     h, tol = _pitch_and_tol(args, sys_)
     degree = _parse_degree(args.degree, sys_.graph.k) or sys_.diagonal_degree
-    start = _start_grid(sys_, h)
-    _require_tol(sys_, degree, h, tol)
+    try:
+        K, cert = refine_attractor(sys_, degree, h, tol, max_iter=args.max_iter)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
     out = _outdir(args)
-    K, cert = refine_attractor(sys_, degree, start, h, max_iter=args.max_iter)
 
     write_clouds_csv(K, out / "attractor.csv")
     lines = [f"instance: {sys_.name or args.instance}",
@@ -250,12 +223,12 @@ def cmd_attractor(args) -> int:
 def cmd_coding(args) -> int:
     from .attractor import refine_attractor
     from .coding import (
-        _require_codable,
         check_intertwining,
         check_subsystem,
         coded_cloud,
         compare_attractor_coding,
         path_budget,
+        require_codable,
         required_depth,
         sample_prefixes,
     )
@@ -281,17 +254,15 @@ def cmd_coding(args) -> int:
             depth = (base,) * k
     deep = tuple(max(c, depth[0]) for c in depth)
     try:
-        _require_codable(sys_, depth)
+        require_codable(sys_, depth)
         path_budget(sys_.graph, depth, args.count)
         if deep != depth:
             # the spot checks below draw 20 prefixes at `deep`
             path_budget(sys_.graph, deep, 20)
+        K, cert = refine_attractor(sys_, sys_.diagonal_degree, h, tol, max_iter=args.max_iter)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
-    start = _start_grid(sys_, h)
-    _require_tol(sys_, sys_.diagonal_degree, h, tol)
     out = _outdir(args)
-    K, cert = refine_attractor(sys_, sys_.diagonal_degree, start, h, max_iter=args.max_iter)
     if not cert.converged:
         write_certificate(cert.summary(), out / "certificate.txt")
         print(cert.summary())
@@ -344,10 +315,11 @@ def cmd_diagonal(args) -> int:
     if sys_ is None:
         return FAIL
     h, tol = _pitch_and_tol(args, sys_)
-    _start_grid(sys_, h)  # a fiber without grid points exits 2 before --out exists
-    _require_tol(sys_, sys_.diagonal_degree, h, tol)
+    try:
+        rep = check_diagonal_agreement(sys_, tol, h, max_iter=args.max_iter)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
     out = _outdir(args)
-    rep = check_diagonal_agreement(sys_, tol, h, max_iter=args.max_iter)
     converged = rep.source_certificate.converged and rep.collapse_certificate.converged
     write_certificate(rep.summary(), out / "diagonal.txt")
     if converged and sys_.dim == 2 and args.render:

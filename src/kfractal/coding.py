@@ -27,6 +27,7 @@ from .kgraph import (
     KGraph,
     KGraphError,
     Path,
+    _check_degree,
     compose,
     count_paths,
 )
@@ -46,7 +47,9 @@ def _metric_dist(a, b, metric):
     return float(np.abs(diff).max())
 
 
-def _require_codable(sys: MWSystem, depth) -> None:
+def require_codable(sys: MWSystem, depth) -> None:
+    """ValueError unless the system certifies a contraction at the coding
+    depth: a relaxed system codes only diagonal depths."""
     if sys.mode == RELAXED and any(c != depth[0] for c in depth):
         raise ValueError(
             f"relaxed mode codes only diagonal depths, got {tuple(depth)} "
@@ -63,7 +66,7 @@ def code_point(sys: MWSystem, path: Path) -> CodedPoint:
     diameter) covers the whole image, so the image of any other point of
     the source fiber lies within twice that radius of the coded point.
     """
-    _require_codable(sys, path.degree)
+    require_codable(sys, path.degree)
     m = extend_map(sys, path)
     fiber = sys.fibers[path.source_vertex]
     err = lipschitz_bound(m, sys.metric) * fiber.diameter()
@@ -125,6 +128,7 @@ def _completion_table(g: KGraph, depth):
     so each intermediate state is the completion count of a suffix.  The
     counts are Python ints: a vertex no sample reaches may have more
     completions than int64 holds."""
+    _check_degree(g, depth)
     colors = [c for c in range(1, g.k + 1) for _ in range(depth[c - 1])]
     number = {e: i for i, e in enumerate(sorted(g.edges))}
     index = {u: i for i, u in enumerate(g.vertices)}
@@ -319,7 +323,7 @@ def coded_cloud(
     per-point bound is computed.
     """
     depth = tuple(depth)
-    _require_codable(sys, depth)
+    require_codable(sys, depth)
     g = sys.graph
     max_diam = max(f.diameter() for f in sys.fibers.values())
     err = contraction_factor(sys, depth) * max_diam

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attractor import ConvergenceCertificate, SetTuple, refine_attractor, start_grids
+from .attractor import ConvergenceCertificate, SetTuple, refine_attractor
 from .kgraph import diagonal_graph
 from .systems import STRICT, MWSystem, extend_map
 
@@ -82,7 +82,8 @@ def check_diagonal_agreement(
     """Compute the source attractor at the diagonal degree and the collapsed
     system's attractor at degree 1 at the pitch, both refined from the same
     ``start_grids`` through the same levels to their lattice fixed points,
-    then compare per vertex against tol.
+    then compare per vertex against tol.  A tol below the least error bound
+    a run can claim raises ValueError before any step (``refine_attractor``).
 
     Because the collapsed generators are the same composites, the
     per-iteration clouds coincide exactly and the measured distances
@@ -90,8 +91,7 @@ def check_diagonal_agreement(
     table) could have broken.
     """
     collapse = diagonal_system(sys)
-    start = start_grids(sys, pitch)
-    K_src, cert_src = refine_attractor(sys, sys.diagonal_degree, start, pitch, max_iter=max_iter)
-    K_col, cert_col = refine_attractor(collapse, (1,), start, pitch, max_iter=max_iter)
+    K_src, cert_src = refine_attractor(sys, sys.diagonal_degree, pitch, tol, max_iter=max_iter)
+    K_col, cert_col = refine_attractor(collapse, (1,), pitch, tol, max_iter=max_iter)
     distances = K_src.vertex_distances(K_col, sys.metric)
     return DiagonalAgreement(tol, distances, cert_src, cert_col, K_src, K_col)

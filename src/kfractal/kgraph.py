@@ -243,6 +243,12 @@ def compose(p: Path, q: Path) -> Path:
     return Path(p.graph, p.range_vertex, _normalize(p.graph, p.edges + q.edges))
 
 
+def _check_degree(g: KGraph, n) -> None:
+    """KGraphError unless n is a degree vector of g: k non-negative entries."""
+    if len(n) != g.k or any(c < 0 for c in n):
+        raise KGraphError(f"bad degree vector {n!r}")
+
+
 def factorize(p: Path, m: Degree) -> tuple[Path, Path]:
     """Split p as (head, tail) with d(head) = m.
 
@@ -253,8 +259,7 @@ def factorize(p: Path, m: Degree) -> tuple[Path, Path]:
     exhaustively by the test suite rather than assumed here.
     """
     d = p.degree
-    if len(m) != p.graph.k or any(c < 0 for c in m):
-        raise KGraphError(f"bad degree vector {m!r}")
+    _check_degree(p.graph, m)
     if not degree_leq(m, d):
         raise KGraphError(f"degree {m} not dominated by d(p)={d}")
     g = p.graph
@@ -272,8 +277,7 @@ def factorize(p: Path, m: Degree) -> tuple[Path, Path]:
 def enumerate_paths(g: KGraph, v: str, n: Degree) -> list[Path]:
     """All normal-form paths with range v and degree n, in lexicographic
     order of their edge-id tuples."""
-    if len(n) != g.k or any(c < 0 for c in n):
-        raise KGraphError(f"bad degree vector {n!r}")
+    _check_degree(g, n)
     if v not in g.vertex_set:
         raise KGraphError(f"unknown vertex {v!r}")
     frontier: list[tuple[str, tuple[str, ...]]] = [(v, ())]
@@ -291,6 +295,7 @@ def enumerate_paths(g: KGraph, v: str, n: Degree) -> list[Path]:
 
 def count_paths(g: KGraph, v: str, n: Degree) -> int:
     """|vΛ^n| without materializing the paths (dynamic programming)."""
+    _check_degree(g, n)
     counts = {u: 1 for u in g.vertices}
     for color in range(g.k, 0, -1):
         for _ in range(n[color - 1]):
@@ -446,7 +451,6 @@ class DiagonalGraph:
     """Rank-1 graph with one edge per degree-(1,..,1) path of a source graph."""
 
     graph: KGraph
-    source: KGraph
     edge_to_path: dict[str, Path]
 
 
@@ -465,4 +469,4 @@ def diagonal_graph(g: KGraph) -> DiagonalGraph:
             edge_rows.append((ident, lam.range_vertex, lam.source_vertex))
             edge_to_path[ident] = lam
     dg = KGraph(1, g.vertices, {1: edge_rows})
-    return DiagonalGraph(dg, g, edge_to_path)
+    return DiagonalGraph(dg, edge_to_path)

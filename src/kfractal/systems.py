@@ -568,14 +568,14 @@ def validate_system(sys: MWSystem) -> ValidationReport:
     if sys.mode == STRICT:
         for ident, m in sys.generators.items():
             lip = lipschitz_bound(m, metric)
-            if lip > sys.ratio + 1e-12:
+            if lip > sys.ratio:
                 rep.add(AXIOM, "lipschitz", ident,
                         f"generator Lipschitz {lip:.6g} > {sys.ratio:.6g}")
     else:
         for v in g.vertices:
             for lam in enumerate_paths(g, v, sys.diagonal_degree):
                 lip = lipschitz_bound(extend_map(sys, lam), metric)
-                if lip > sys.ratio + 1e-12:
+                if lip > sys.ratio:
                     rep.add(AXIOM, "lipschitz", ".".join(lam.edges),
                             f"diagonal composite Lipschitz {lip:.6g} > {sys.ratio:.6g}")
     return rep

@@ -300,13 +300,18 @@ def cylinder_partition_check(g: KGraph, u: str, n: Degree, m: Degree) -> bool:
     return all(c >= 1 for c in fibers.values())
 
 
+def _source_graph(dg: DiagonalGraph) -> KGraph:
+    """The graph whose degree-(1,..,1) paths the diagonal edges stand for."""
+    return next(iter(dg.edge_to_path.values())).graph
+
+
 def word_to_path(dg: DiagonalGraph, word, range_vertex: str | None = None) -> Path:
     """Expand a composable word of diagonal edges to the source-graph path it
     spells (the empty word needs an explicit vertex)."""
     if not word:
         if range_vertex is None:
             raise KGraphError("empty word needs a range vertex")
-        return Path(dg.source, range_vertex)
+        return Path(_source_graph(dg), range_vertex)
     out = dg.edge_to_path[word[0]]
     if range_vertex is not None and out.range_vertex != range_vertex:
         raise KGraphError("word does not start at the stated vertex")
@@ -319,7 +324,7 @@ def path_to_word(dg: DiagonalGraph, p: Path) -> list[str]:
     """Split a path of degree n·(1,..,1) into its unique chain of diagonal
     edges, read back through the inverse of ``dg.edge_to_path``.  Inverse
     of ``word_to_path``."""
-    if p.graph is not dg.source:
+    if p.graph is not _source_graph(dg):
         raise KGraphError("path does not live in the source graph")
     d = p.degree
     if any(c != d[0] for c in d):

@@ -125,7 +125,8 @@ def test_criterion_5_diagonal_collapse_agreement():
             rep = check_diagonal_agreement(sys_, tol=4 * h, pitch=h)
             assert rep.passed, rep.summary()
         s1 = shipped("s1")
-        rep1 = check_diagonal_agreement(s1, tol=0.0, pitch=1.0 / 512.0)
+        # the least tol a run at 1/512 accepts, its eps/(1-c)
+        rep1 = check_diagonal_agreement(s1, tol=0.002762135864014981, pitch=1.0 / 512.0)
         assert max(rep1.distances.values()) == 0.0
         assert rep1.passed
     report(5, "collapse attractors agree (p2, p2c within 4h; s1 exactly)", t.seconds)

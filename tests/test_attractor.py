@@ -201,13 +201,11 @@ def test_rows_and_points_are_c_contiguous():
             assert sets.points(v).flags.c_contiguous
 
 
-def test_coarsen_and_dimension_estimate():
+def test_occupied_cells_and_dimension_estimate():
     rng = np.random.default_rng(8)
     lattice = rng.integers(-50, 50, size=(2000, 2))
     s = SetTuple(0.25, {"v": lattice, "w": lattice[:10]})
-    c = s.coarsen(4)
-    assert c.same_grid(SetTuple(1.0, {"v": np.empty((0, 2))}))
-    assert np.array_equal(c.clouds["v"], np.unique(lattice // 4, axis=0))
+    assert occupied_cells(s.clouds["v"], 4) == len(np.unique(lattice // 4, axis=0))
     n_fine = len(np.unique(lattice, axis=0))
     n_coarse = len(np.unique(lattice // 2, axis=0))
     assert dimension_estimate(s, "v") == math.log(n_fine / n_coarse) / math.log(2)
@@ -1007,7 +1005,7 @@ def _instance(name):
 
 
 def _refined(sys_, h, max_iter=64):
-    return refine_attractor(sys_, sys_.diagonal_degree, start_grids(sys_, h), h, max_iter=max_iter)
+    return refine_attractor(sys_, sys_.diagonal_degree, h, math.inf, max_iter=max_iter)
 
 
 # every shipped metric instance and the lopsided one at diameter / 128 and
@@ -1044,9 +1042,6 @@ def test_start_grids_fit_one_block():
     start = start_grids(p2c, h)
     assert h == 1 / 512 and start.pitch == 8 * h and 129**2 > BLOCK_ROWS >= 65**2
     assert start == SetTuple.from_fibers(p2c, 8 * h)
-    for pitch in (3 * h, 16 * h):  # not 8h over a power of two
-        with pytest.raises(ValueError, match="is not .* times a power of two"):
-            refine_attractor(p2c, p2c.diagonal_degree, start, pitch)
     # t0's 513 points fit at the pitch itself: the run is the unrefined one
     t0 = shipped("t0")
     assert start_grids(t0, _default_pitch(t0)) == SetTuple.from_fibers(t0, _default_pitch(t0))
@@ -1084,6 +1079,32 @@ def test_start_grids_name_a_fiber_without_grid_points():
     sys_ = _thin_strip_system()
     with pytest.raises(ValueError, match=r"^fiber 'w': no grid point of pitch 0.125 lies in it$"):
         start_grids(sys_, 0.125)
+
+
+# each refusal, with every later one also due: a fiber without grid points
+# comes before a degree that does not contract, which comes before the tol
+REFUSALS = [
+    ("strip", (0,), 0.125, 1e-300, r"^fiber 'w': no grid point of pitch 0\.125 lies in it$"),
+    ("p2", (1, 0), 2.0**-9, 1e-300,
+     r"^degree \(1, 0\) operator is not a contraction \(factor 1\)$"),
+    ("s1", (1,), 2.0**-9, 2.0**-9,
+     r"^--tol 0\.001953125 is below 0\.002762135864014981, the least error bound the degree "
+     r"\(1,\) operator \(contraction 0\.5\) can claim at pitch 0\.001953125$"),
+]
+
+
+@pytest.mark.parametrize("name, n, pitch, tol, message", REFUSALS)
+def test_refine_attractor_refuses_before_any_step(monkeypatch, name, n, pitch, tol, message):
+    def step(*args, **kw):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(attractor, "hutchinson_step", step)
+    sys_ = _thin_strip_system() if name == "strip" else shipped(name)
+    with pytest.raises(ValueError, match=message):
+        refine_attractor(sys_, n, pitch, tol)
+    # at the least bound the run is allowed, and steps
+    with pytest.raises(AssertionError, match="a step was taken"):
+        refine_attractor(shipped("s1"), (1,), 2.0**-9, 0.002762135864014981)
 
 
 def test_children_are_clipped_to_the_fiber_or_fall_back_to_its_grid():

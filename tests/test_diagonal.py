@@ -1,11 +1,16 @@
 """Rank-1 collapse: generators, intertwining transfer, attractor agreement."""
 
+import math
+
 import numpy as np
 import pytest
 
 from kfractal.attractor import (
     SetTuple,
+    collage_bound,
     compute_attractor,
+    contraction_factor,
+    grid_slack,
     hausdorff_distance,
     hutchinson_step,
     tuple_distance,
@@ -13,7 +18,7 @@ from kfractal.attractor import (
 from kfractal.coding import sample_prefixes
 from kfractal.diagonal import check_diagonal_agreement, diagonal_system
 from kfractal.kgraph import diagonal_graph
-from kfractal.systems import extend_map, lipschitz_bound, validate_system
+from kfractal.systems import degree_maps, extend_map, lipschitz_bound, validate_system
 
 from oracles import transfer_failures, word_to_path
 from shipped import shipped
@@ -183,16 +188,33 @@ def _reference_agreement(sys, tol, pitch):
     return distances, passed, K_src, K_col
 
 
+def _least_tol(sys, h):
+    """The least error bound a run at the pitch claims, eps/(1-c), and so
+    the least tol either run accepts."""
+    n = sys.diagonal_degree
+    return collage_bound(contraction_factor(sys, n), grid_slack(sys, h, degree_maps(sys, n)))
+
+
 # at 1/64 and 1/81 the fiber grids fit in one block, so no run is refined;
 # at 1/256 and 1/729 both runs start two and four levels coarser
 @pytest.mark.parametrize("name, h", [("s1", 1 / 64), ("p2c", 1 / 81), ("s1", 1 / 256),
                                      ("p2c", 1 / 729)])
-@pytest.mark.parametrize("tol_pitches", [4, 0])
-def test_agreement_matches_reference(name, h, tol_pitches):
+@pytest.mark.parametrize("tol_of", ["4h", "least"])
+def test_agreement_matches_reference(name, h, tol_of):
     sys = shipped(name)
-    rep = check_diagonal_agreement(sys, tol=tol_pitches * h, pitch=h)
-    distances, passed, K_src, K_col = _reference_agreement(sys, tol_pitches * h, h)
+    tol = 4 * h if tol_of == "4h" else _least_tol(sys, h)
+    rep = check_diagonal_agreement(sys, tol=tol, pitch=h)
+    distances, passed, K_src, K_col = _reference_agreement(sys, tol, h)
     assert rep.distances == distances
     assert rep.passed == passed
     # both runs are refined through the same levels to the same fixed points
     assert rep.sets_source == K_src and rep.sets_collapse == K_col
+
+
+@pytest.mark.parametrize("name, h", [("s1", 1 / 64), ("p2c", 1 / 81)])
+def test_agreement_below_the_least_tol_is_refused(name, h):
+    # both runs are held to tol, so below eps/(1-c) neither one starts
+    sys = shipped(name)
+    for tol in (0.0, math.nextafter(_least_tol(sys, h), 0.0)):
+        with pytest.raises(ValueError, match=r"^--tol .* is below .*, the least error bound"):
+            check_diagonal_agreement(sys, tol=tol, pitch=h)

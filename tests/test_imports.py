@@ -1,5 +1,6 @@
 """What a command imports, checked in a fresh process, what the package
-declares that it needs, and that the package defines nothing it does not use.
+declares that it needs, that the package defines nothing it does not use,
+and that the command-line driver imports only public library names.
 
 The exact commands (``validate`` on a discrete system, and ``duality`` at
 every fiber size, enumerated or sampled) and the package itself leave numpy
@@ -166,7 +167,6 @@ UNUSED_KEPT = {
                           "the lattice distances are tested against; perfbench/trace_child.py "
                           "imports kfractal._kernels by name",
     "exact_path_map": "the rational composite of a path's maps, for certifying composites",
-    "occupied_cells": "the box count that test_criterion_9_box_dimension checks",
     "factorize": "the k-graph API: the factorization that test_criterion_8 checks",
     "path_from_word": "the k-graph API: the normal form of a word, read by the tests",
 }
@@ -207,8 +207,6 @@ MEMBERS_KEPT = {
     "IntertwiningReport.required_total_depth": "the depth that would suffice when the "
                                                "prefixes are too short, which the tests "
                                                "compare with required_depth",
-    "DiagonalGraph.source": "the graph whose paths the edges stand for, which the "
-                            "oracles' word translation reads",
 }
 
 
@@ -238,3 +236,16 @@ def unread_public_members() -> set[str]:
 
 def test_every_public_member_is_read_or_kept():
     assert unread_public_members() == set(MEMBERS_KEPT)
+
+
+def private_names_the_cli_imports() -> set[str]:
+    """The names starting with an underscore that src/kfractal/cli.py
+    imports from a module of the package, as "module._name"."""
+    tree = ast.parse((SRC / "kfractal" / "cli.py").read_text())
+    return {f"{node.module}.{alias.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def test_the_cli_imports_only_public_library_names():
+    assert private_names_the_cli_imports() == set()

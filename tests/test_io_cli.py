@@ -434,6 +434,20 @@ def test_cli_validate_strict_override_fails(tmp_path, capsys):
     assert "1" in out  # the offending bound
 
 
+def test_cli_validate_holds_each_generator_to_the_ratio_exactly(tmp_path, capsys):
+    # s1 with every generator diag(0.5 + 2^-45): its certified bound,
+    # 0.5000000000000284, is above c = 0.5 by less than 1e-12
+    doc = json.loads(packaged_instance("s1").read_text())
+    for m in doc["maps"].values():
+        m["matrix"] = [[0.5 + 2.0**-45, 0.0], [0.0, 0.5 + 2.0**-45]]
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(doc))
+    assert main(["validate", "--instance", str(wide), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("graph: valid\nsystem (strict mode, c=0.5): INVALID\n")
+    assert out.count("[axiom] lipschitz") == 3, out
+
+
 def test_cli_validate_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

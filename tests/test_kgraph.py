@@ -11,6 +11,8 @@ import re
 
 import pytest
 
+from kfractal.attractor import contraction_factor
+from kfractal.coding import _completion_table
 from kfractal.kgraph import (
     KGraph,
     KGraphError,
@@ -24,8 +26,26 @@ from kfractal.kgraph import (
     validate_kgraph,
 )
 from oracles import cylinder_partition_check, degree_add, path_to_word, segment, word_to_path
+from shipped import shipped
 
 ALL_GRAPHS = ["g_s1", "g_p2", "g_t0", "g_f3", "g_two_vertex"]
+
+
+# every reader of a degree vector, called on p2 (rank 2)
+DEGREE_READERS = {
+    "enumerate_paths": lambda sys_, n: enumerate_paths(sys_.graph, "v", n),
+    "factorize": lambda sys_, n: factorize(enumerate_paths(sys_.graph, "v", (2, 2))[0], n),
+    "contraction_factor": contraction_factor,
+    "count_paths": lambda sys_, n: count_paths(sys_.graph, "v", n),
+    "_completion_table": lambda sys_, n: _completion_table(sys_.graph, n),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(DEGREE_READERS))
+@pytest.mark.parametrize("n", [(1, 1, 1), (1, -1), (2,)], ids=["long", "negative", "short"])
+def test_bad_degree_vectors_are_refused_by_every_reader(reader, n):
+    with pytest.raises(KGraphError, match=re.escape(f"bad degree vector {n!r}")):
+        DEGREE_READERS[reader](shipped("p2"), n)
 
 
 def all_degrees(k, total):

@@ -305,17 +305,20 @@ def test_strict_validate_compares_the_ratio_with_the_certified_norm(monkeypatch)
 
     monkeypatch.setattr(systems, "lipschitz_bound", spy)
     g = KGraph(1, ["v"], {1: [("e", "v", "v")]})
+    above = 0
     for theta in np.linspace(0.0, 2 * math.pi, 40):
         gen = AffineMap.of(_half_rotation(theta), (0, 0))
         c = bound(gen, EUCLIDEAN)
+        above += c > 0.5
         for ratio in (0.5, 0.25):
             compared.clear()
             sys_ = MWSystem(g, {"v": MetricFiber(Box((-1, -1), (1, 1)))}, {"e": gen},
                             ratio=ratio)
             found = [f.detail for f in validate_system(sys_).findings if f.code == "lipschitz"]
             assert compared == [c]
-            # c is 0.5 within an ulp, inside the 1e-12 slack of ratio 0.5
-            assert found == ([] if ratio == 0.5 else [f"generator Lipschitz {c:.6g} > 0.25"])
+            # c is 0.5 within an ulp, and the ratio is compared exactly
+            assert found == ([] if c <= ratio else [f"generator Lipschitz {c:.6g} > {ratio:g}"])
+    assert 0 < above < 40, above
 
 
 def test_certified_norms_are_memoized_per_linear_part():
