@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -815,8 +815,7 @@ def collage_bound(c: float, eps: float, displacement: float = 0.0) -> float:
     return round_up((c * Fraction(displacement) + Fraction(eps)) / (1 - c))
 
 
-@dataclass(frozen=True)
-class ConvergenceCertificate:
+class ConvergenceCertificate(NamedTuple):
     iterations: int
     displacement: float        # Hausdorff gap between the last two iterates
     contraction: float         # Lipschitz bound of the iterated operator
@@ -985,4 +984,4 @@ def refine_attractor(
     for _ in range(round(math.log2(C.pitch / pitch))):
         C = _children(sys, _iterate(sys, n, C, max_iter, maps)[1])
     K, cert = compute_attractor(sys, n, C, max_iter=max_iter)
-    return K, replace(cert, eps=max(cert.eps, gate))
+    return K, cert._replace(eps=max(cert.eps, gate))

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from .kgraph import (
 from .systems import EUCLIDEAN, RELAXED, MWSystem, extend_map, lipschitz_bound
 
 
-@dataclass(frozen=True)
-class CodedPoint:
+class CodedPoint(NamedTuple):
     point: np.ndarray
     error_radius: float
 
@@ -240,14 +239,21 @@ def sample_prefixes(g: KGraph, v: str, depth, count: int, seed: int = 0,
 # intertwining
 
 
-@dataclass
 class IntertwiningReport:
     tol: float
-    samples: int = 0
-    failures: list = field(default_factory=list)
-    max_distance: float = 0.0
-    insufficient_depth: bool = False
-    required_total_depth: int | None = None
+    samples: int
+    failures: list
+    max_distance: float
+    insufficient_depth: bool
+    required_total_depth: int | None
+
+    def __init__(self, tol: float, samples: int = 0, failures: list | None = None,
+                 max_distance: float = 0.0, insufficient_depth: bool = False,
+                 required_total_depth: int | None = None):
+        self.tol, self.samples = tol, samples
+        self.failures = [] if failures is None else failures
+        self.max_distance, self.insufficient_depth = max_distance, insufficient_depth
+        self.required_total_depth = required_total_depth
 
     @property
     def passed(self) -> bool:
@@ -394,8 +400,7 @@ def compare_attractor_coding(
     return all(d <= tol for d in distances.values())
 
 
-@dataclass
-class SubsystemReport:
+class SubsystemReport(NamedTuple):
     tol: float
     edge_distances: dict[str, float]
 

@@ -10,7 +10,7 @@ sets a rank-1 system could not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .attractor import ConvergenceCertificate, SetTuple, refine_attractor
 from .kgraph import diagonal_graph
@@ -45,8 +45,7 @@ def diagonal_system(sys: MWSystem) -> MWSystem:
 # attractor agreement
 
 
-@dataclass
-class DiagonalAgreement:
+class DiagonalAgreement(NamedTuple):
     tol: float
     distances: dict[str, float]
     source_certificate: ConvergenceCertificate

@@ -6,6 +6,10 @@ every statement becomes decidable by enumeration or by a finite
 presentation: density of images against triviality of common kernels, and
 the twisted product graph, presented by its 1-skeleton of (edge, fiber
 element) pairs and its lifted squares.  Nothing here imports numpy.
+
+The records are named tuples, except the two that code or tests assign to,
+``DiscreteSystem`` (which keeps its path tables in ``_memo``) and
+``SweepResult``, which are plain classes.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .kgraph import KGraph, Path, enumerate_paths
 from .report import AXIOM, STRUCTURAL, ValidationReport
@@ -23,13 +27,17 @@ from .report import AXIOM, STRUCTURAL, ValidationReport
 # discrete systems
 
 
-@dataclass
 class DiscreteSystem:
     graph: KGraph
     fibers: dict[str, tuple[str, ...]]
     tables: dict[str, dict[str, str]]  # edge -> (source element -> range element)
-    name: str = ""
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    name: str
+    _memo: dict  # path -> its function table (``map_along``)
+
+    def __init__(self, graph: KGraph, fibers: dict[str, tuple[str, ...]],
+                 tables: dict[str, dict[str, str]], name: str = ""):
+        self.graph, self.fibers, self.tables, self.name = graph, fibers, tables, name
+        self._memo = {}
 
 
 def map_along(dsys: DiscreteSystem, p: Path) -> dict[str, str]:
@@ -106,8 +114,7 @@ def validate_discrete_system(dsys: DiscreteSystem) -> ValidationReport:
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass
-class PullbackSystem:
+class PullbackSystem(NamedTuple):
     graph: KGraph
     fibers: dict[str, tuple[str, ...]]
     matrices: dict[str, Matrix]  # edge -> |T_r| rows of |T_s| ints, one 1 per column
@@ -155,8 +162,7 @@ def matrix_along(psys: PullbackSystem, p: Path) -> Matrix:
 # density vs fidelity
 
 
-@dataclass(frozen=True)
-class DensityFidelity:
+class DensityFidelity(NamedTuple):
     k_dense: bool
     k_faithful: bool
 
@@ -197,14 +203,21 @@ def check_density_fidelity(dsys: DiscreteSystem, n) -> DensityFidelity:
     return DensityFidelity(dense, faithful)
 
 
-@dataclass
 class SweepResult:
     degrees: list
     instances: int
     consistent: int
-    disagreements: list = field(default_factory=list)
-    sampled: bool = False
-    consistent_by_size: dict[int, int] = field(default_factory=dict)
+    disagreements: list
+    sampled: bool
+    consistent_by_size: dict[int, int]
+
+    def __init__(self, degrees: list, instances: int, consistent: int,
+                 disagreements: list | None = None, sampled: bool = False,
+                 consistent_by_size: dict[int, int] | None = None):
+        self.degrees, self.instances, self.consistent = degrees, instances, consistent
+        self.disagreements = [] if disagreements is None else disagreements
+        self.sampled = sampled
+        self.consistent_by_size = {} if consistent_by_size is None else consistent_by_size
 
     @property
     def all_agree(self) -> bool:
@@ -236,9 +249,11 @@ def density_fidelity_sweep(
     every mixed pair commutes (that is what the flip squares demand).  The
     full assignment space is enumerated when it has at most ``limit``
     elements, otherwise ``limit`` seeded uniform draws are taken from one
-    ``random.Random(seed)`` (``_sampled_assignments``).  Each consistent
-    assignment gets its density and fidelity verdicts along the paths of
-    each degree (``_row_verdicts``), memoized per path within a fiber size.
+    ``random.Random(seed)`` (``_sampled_assignments``).  Both read one
+    memo per fiber size (``_Commutes``), so each pair of maps is tested for
+    commutation once.  Each consistent assignment gets its density and
+    fidelity verdicts along the paths of each degree (``_row_verdicts``),
+    memoized per path within a fiber size.
     """
     g = _template_2graph()
     rng = random.Random(seed)
@@ -248,14 +263,15 @@ def density_fidelity_sweep(
     for size in range(1, max_fiber_size + 1):
         # the i-th map of itertools.product order: j -> maps[i][j]
         maps = list(itertools.product(range(size), repeat=size))
+        commutes = _Commutes(maps)
         total = len(maps) ** 4
         if total > limit:
             result.sampled = True
             result.instances += limit
-            rows = _sampled_assignments(maps, limit, rng)
+            rows = _sampled_assignments(commutes, limit, rng)
         else:
             result.instances += total
-            rows = _consistent_assignments(maps)
+            rows = _consistent_assignments(commutes)
         result.consistent_by_size[size] = 0
         memo = ({}, {})
         for row in rows:
@@ -269,45 +285,56 @@ def density_fidelity_sweep(
 
 
 def _commute(f, h) -> bool:
-    """Whether the maps f and h, tuples of images, commute; most pairs that
-    do not are rejected at the first element."""
-    return f[h[0]] == h[f[0]] and [f[t] for t in h] == [h[t] for t in f]
+    """Whether the maps f and h, tuples of images, commute."""
+    return [f[t] for t in h] == [h[t] for t in f]
 
 
-def _consistent_assignments(maps):
-    """All assignments (b0, b1, r0, r1) of indices into ``maps`` whose blue
-    and red maps commute pairwise, in lexicographic order."""
-    n = len(maps)
-    commute = [[_commute(f, h) for h in maps] for f in maps]
-    for b0, b1 in itertools.product(range(n), repeat=2):
-        reds = [r for r in range(n) if commute[b0][r] and commute[b1][r]]
+class _Commutes(dict):
+    """Whether maps[b] and maps[r] commute, keyed by the pair index
+    b * len(maps) + r and tested on the first read of that pair."""
+
+    def __init__(self, maps):
+        super().__init__()
+        self.maps = maps
+
+    def __missing__(self, pair: int) -> bool:
+        b, r = divmod(pair, len(self.maps))
+        out = self[pair] = _commute(self.maps[b], self.maps[r])
+        return out
+
+
+def _consistent_assignments(commutes: _Commutes):
+    """All assignments (b0, b1, r0, r1) of indices into ``commutes.maps``
+    whose blue and red maps commute pairwise, in lexicographic order."""
+    m = len(commutes.maps)
+    for b0, b1 in itertools.product(range(m), repeat=2):
+        reds = [r for r in range(m) if commutes[b0 * m + r] and commutes[b1 * m + r]]
         for r0, r1 in itertools.product(reds, repeat=2):
             yield b0, b1, r0, r1
 
 
-def _sampled_assignments(maps, limit: int, rng):
+def _sampled_assignments(commutes: _Commutes, limit: int, rng):
     """The consistent rows, in draw order, of ``limit`` uniform draws of
-    (b0, b1, r0, r1) indices into ``maps``.  A draw takes b0, r0 =
-    divmod(rng.randrange(m * m), m), spelled out as the rejection loop that
-    ``randrange`` runs, and is rejected at once unless they commute; only
-    then are b1, r1 drawn the same way.  The consistent rows are
-    distributed as those of ``limit`` draws of all four indices."""
-    m, pairs = len(maps), len(maps) ** 2
+    (b0, b1, r0, r1) indices into ``commutes.maps``.  A draw takes the pair
+    index x = b0 * m + r0 as rng.randrange(m * m), spelled out as the
+    rejection loop that ``randrange`` runs, and is rejected at once unless
+    b0 and r0 commute; only then is b1 * m + r1 drawn the same way.  The
+    consistent rows are distributed as those of ``limit`` draws of all
+    four indices."""
+    m = len(commutes.maps)
+    pairs = m * m
     bits, draw = pairs.bit_length(), rng.getrandbits
     for _ in range(limit):
         x = draw(bits)
         while x >= pairs:
             x = draw(bits)
-        b0, r0 = divmod(x, m)
-        f, h = maps[b0], maps[r0]
-        if f[h[0]] != h[f[0]] or not _commute(f, h):  # most draws end at f(h(0))
+        if not commutes[x]:
             continue
-        x = draw(bits)
-        while x >= pairs:
-            x = draw(bits)
-        b1, r1 = divmod(x, m)
-        if (_commute(maps[b1], maps[r1]) and _commute(maps[b0], maps[r1])
-                and _commute(maps[b1], maps[r0])):
+        y = draw(bits)
+        while y >= pairs:
+            y = draw(bits)
+        (b0, r0), (b1, r1) = divmod(x, m), divmod(y, m)
+        if commutes[y] and commutes[b0 * m + r1] and commutes[b1 * m + r0]:
             yield b0, b1, r0, r1
 
 

@@ -11,7 +11,7 @@ stored in color-sorted normal form, so path equality is plain tuple equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .report import AXIOM, STRUCTURAL, ValidationReport
 
@@ -27,8 +27,7 @@ def degree_leq(n: Degree, m: Degree) -> bool:
     return all(a <= b for a, b in zip(n, m))
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     ident: str
     color: int  # 1-based color index
     range_vertex: str
@@ -446,8 +445,7 @@ def _swap_schedule(g: KGraph, word: tuple[str, ...], junctions) -> tuple[str, ..
 # the rank-1 graph of diagonal-degree paths
 
 
-@dataclass
-class DiagonalGraph:
+class DiagonalGraph(NamedTuple):
     """Rank-1 graph with one edge per degree-(1,..,1) path of a source graph."""
 
     graph: KGraph

@@ -1,9 +1,14 @@
 """Validation findings shared by the graph and system checkers, and the
-modes a metric system is validated in."""
+modes a metric system is validated in.
+
+A finding is a named tuple; a report is a plain class that the checkers
+append findings to.  Like every record of the package, neither is a
+dataclass, so no command imports ``dataclasses`` (and, through it,
+``inspect``)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 STRUCTURAL = "structural"
 AXIOM = "axiom"
@@ -13,8 +18,7 @@ STRICT = "strict"
 RELAXED = "relaxed"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     kind: str  # STRUCTURAL (malformed tables) or AXIOM (well-formed but invalid)
     code: str
     subject: str
@@ -24,9 +28,11 @@ class Finding:
         return f"[{self.kind}] {self.code}: {self.subject}: {self.detail}"
 
 
-@dataclass
 class ValidationReport:
-    findings: list[Finding] = field(default_factory=list)
+    findings: list[Finding]
+
+    def __init__(self, findings: list[Finding] | None = None):
+        self.findings = [] if findings is None else findings
 
     @property
     def ok(self) -> bool:

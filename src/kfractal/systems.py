@@ -6,14 +6,17 @@ composition.  Because the maps are affine, the consistency demanded by the
 factorization squares is a matrix identity, checked here in exact rational
 arithmetic over the stored float entries (every float is a rational, so the
 check has no tolerance).
+
+A fiber and a map are named tuples; a system is a plain class, since its
+mode can be overridden after loading.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -309,8 +312,7 @@ def grid_points(region, pitch):
     return pitch * grid_indices(region, pitch)
 
 
-@dataclass(frozen=True)
-class MetricFiber:
+class MetricFiber(NamedTuple):
     region: object
     metric: str = EUCLIDEAN
 
@@ -329,8 +331,7 @@ class MetricFiber:
 # affine maps
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """x -> matrix @ x + shift; the graph's edge gives its endpoints."""
 
     matrix: np.ndarray
@@ -391,7 +392,6 @@ def lipschitz_bound(m: AffineMap, metric: str = EUCLIDEAN) -> float:
 # systems
 
 
-@dataclass
 class MWSystem:
     """Graph + fibers + one affine contraction per edge.
 
@@ -405,8 +405,14 @@ class MWSystem:
     fibers: dict[str, MetricFiber]
     generators: dict[str, AffineMap]
     ratio: float
-    mode: str = STRICT
-    name: str = ""
+    mode: str
+    name: str
+
+    def __init__(self, graph: KGraph, fibers: dict[str, MetricFiber],
+                 generators: dict[str, AffineMap], ratio: float, mode: str = STRICT,
+                 name: str = ""):
+        self.graph, self.fibers, self.generators = graph, fibers, generators
+        self.ratio, self.mode, self.name = ratio, mode, name
 
     @property
     def dim(self):
@@ -492,6 +498,13 @@ def _image_inside(m: AffineMap, src: MetricFiber, dst: MetricFiber) -> bool:
     return True
 
 
+def _exceeds(lip: float, ratio: float) -> str:
+    """``lip > ratio`` in six significant digits, or in full where those
+    read the same."""
+    short = f"{lip:.6g}", f"{ratio:.6g}"
+    return " > ".join(short) if short[0] != short[1] else f"{lip!r} > {ratio!r}"
+
+
 def validate_system(sys: MWSystem) -> ValidationReport:
     """Check fiber/generator tables, exact square consistency, domain
     containment, and the mode's Lipschitz requirement."""
@@ -570,13 +583,13 @@ def validate_system(sys: MWSystem) -> ValidationReport:
             lip = lipschitz_bound(m, metric)
             if lip > sys.ratio:
                 rep.add(AXIOM, "lipschitz", ident,
-                        f"generator Lipschitz {lip:.6g} > {sys.ratio:.6g}")
+                        f"generator Lipschitz {_exceeds(lip, sys.ratio)}")
     else:
         for v in g.vertices:
             for lam in enumerate_paths(g, v, sys.diagonal_degree):
                 lip = lipschitz_bound(extend_map(sys, lam), metric)
                 if lip > sys.ratio:
                     rep.add(AXIOM, "lipschitz", ".".join(lam.edges),
-                            f"diagonal composite Lipschitz {lip:.6g} > {sys.ratio:.6g}")
+                            f"diagonal composite Lipschitz {_exceeds(lip, sys.ratio)}")
     return rep
 

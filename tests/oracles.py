@@ -5,7 +5,9 @@ consistency of the tables, and the skeleton and squares of the twisted
 product.  The statements those presentations imply are checked here by
 enumeration up to a degree bound: the composition law of path tables, the
 contravariance of pullback matrices, and the twisted product as a category
-of (path, fiber element) pairs.
+of (path, fiber element) pairs.  The sweep's sampler is checked against one
+that tests every pair of maps it reads, as the sampler did before its
+commutation memo.
 
 The k-graph statements are checked on enumerated paths: truncation to a
 degree partitions the longer paths into cylinders, and words of diagonal
@@ -263,6 +265,42 @@ def twisted_findings(tm: TwistedModel) -> ValidationReport:
                             rep.add("internal", "twisted-associativity",
                                     f"{a}/{b}/{c}", "composition orders disagree")
     return rep
+
+
+# ---------------------------------------------------------------------------
+# the density/fidelity sweep's sampler, testing every pair it reads
+
+
+def commute_at_first_element(f, h) -> bool:
+    """Whether the maps f and h, tuples of images, commute; most pairs that
+    do not are rejected at the first element."""
+    return f[h[0]] == h[f[0]] and [f[t] for t in h] == [h[t] for t in f]
+
+
+def sampled_assignments(maps, limit: int, rng):
+    """``duality._sampled_assignments`` without a commutation memo: the
+    consistent rows, in draw order, of ``limit`` draws of b0, r0 =
+    divmod(rng.randrange(m * m), m), spelled out as the rejection loop that
+    ``randrange`` runs, each followed by b1, r1 drawn the same way only
+    when b0 and r0 commute, which is tested at the first element inline."""
+    m, pairs = len(maps), len(maps) ** 2
+    bits, draw = pairs.bit_length(), rng.getrandbits
+    for _ in range(limit):
+        x = draw(bits)
+        while x >= pairs:
+            x = draw(bits)
+        b0, r0 = divmod(x, m)
+        f, h = maps[b0], maps[r0]
+        if f[h[0]] != h[f[0]] or not commute_at_first_element(f, h):
+            continue
+        x = draw(bits)
+        while x >= pairs:
+            x = draw(bits)
+        b1, r1 = divmod(x, m)
+        if (commute_at_first_element(maps[b1], maps[r1])
+                and commute_at_first_element(maps[b0], maps[r1])
+                and commute_at_first_element(maps[b1], maps[r0])):
+            yield b0, b1, r0, r1
 
 
 # ---------------------------------------------------------------------------

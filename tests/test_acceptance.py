@@ -6,6 +6,7 @@ runtime; timings are informative.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -259,6 +260,11 @@ def test_criterion_10_cli_determinism(tmp_path):
         ["attractor", "--instance", "p2c", "--pitch", str(1.0 / 243.0)],
         ["coding", "--instance", "s1", "--pitch", str(1.0 / 128.0), "--seed", "3"],
     ]
+    # a bare environment, but one that writes no bytecode into the source
+    # tree when the test run writes none
+    env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": "random"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     with Timer() as t:
         for base in env_cmds:
             outs = []
@@ -273,11 +279,7 @@ def test_criterion_10_cli_determinism(tmp_path):
                     cmd,
                     cwd=REPO,
                     capture_output=True,
-                    env={
-                        "PYTHONPATH": str(REPO / "src"),
-                        "PATH": "/usr/bin:/bin",
-                        "PYTHONHASHSEED": "random",
-                    },
+                    env=env,
                 )
                 assert proc.returncode == 0, proc.stderr.decode()
                 outs.append(out)

@@ -4,7 +4,9 @@ and that the command-line driver imports only public library names.
 
 The exact commands (``validate`` on a discrete system, and ``duality`` at
 every fiber size, enumerated or sampled) and the package itself leave numpy
-out; nothing imports scipy, whatever the sizes of the clouds compared.  No
+out, and the exact commands leave out ``inspect`` too; no command loads
+``dataclasses``; nothing imports scipy, whatever the sizes of the clouds
+compared.  No
 command loads ``numpy.random``, sampled coding included.  The grid commands
 leave ``kfractal.duality`` out.
 """
@@ -80,6 +82,19 @@ GUARDS = {
     "duality-sweep-3": (["duality", "--max-fiber-size", "3", "--seed", "1"], "numpy"),
     "duality-sweep-4": (["duality", "--max-fiber-size", "4", "--seed", "1"], "numpy"),
     "validate-d1": (["validate", "--instance", "d1"], "numpy"),
+    # the records are named tuples and plain classes: no command loads
+    # dataclasses, and the exact ones leave out inspect, which it imports
+    "duality-d1-no-dataclasses": (["duality", "--instance", "d1"], "dataclasses"),
+    "duality-d1-no-inspect": (["duality", "--instance", "d1"], "inspect"),
+    "duality-sweep-3-no-dataclasses": (["duality", "--max-fiber-size", "3", "--seed", "1"],
+                                       "dataclasses"),
+    "duality-sweep-3-no-inspect": (["duality", "--max-fiber-size", "3", "--seed", "1"],
+                                   "inspect"),
+    "validate-d1-no-dataclasses": (["validate", "--instance", "d1"], "dataclasses"),
+    "validate-d1-no-inspect": (["validate", "--instance", "d1"], "inspect"),
+    "attractor-p2c-no-dataclasses": (["attractor", "--instance", "p2c"], "dataclasses"),
+    "coding-s1-no-dataclasses": (["coding", "--instance", "s1", "--count", "20000",
+                                  "--seed", "1"], "dataclasses"),
     # p2c compares its iterates through distance windows on every step
     "attractor-p2c": (["attractor", "--instance", "p2c"], "scipy"),
     "diagonal-p2c": (["diagonal", "--instance", "p2c"], "scipy"),

@@ -446,6 +446,11 @@ def test_cli_validate_holds_each_generator_to_the_ratio_exactly(tmp_path, capsys
     out = capsys.readouterr().out
     assert out.startswith("graph: valid\nsystem (strict mode, c=0.5): INVALID\n")
     assert out.count("[axiom] lipschitz") == 3, out
+    # the two numbers differ in print, though they agree in six digits
+    for line in out.splitlines():
+        if "[axiom] lipschitz" in line:
+            bound, ratio = line.split("generator Lipschitz ")[1].split(" > ")
+            assert bound != ratio, line
 
 
 def test_cli_validate_parse_error(tmp_path):

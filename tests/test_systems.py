@@ -316,9 +316,25 @@ def test_strict_validate_compares_the_ratio_with_the_certified_norm(monkeypatch)
                             ratio=ratio)
             found = [f.detail for f in validate_system(sys_).findings if f.code == "lipschitz"]
             assert compared == [c]
-            # c is 0.5 within an ulp, and the ratio is compared exactly
-            assert found == ([] if c <= ratio else [f"generator Lipschitz {c:.6g} > {ratio:g}"])
+            # c is 0.5 within an ulp, and the ratio is compared exactly; a
+            # bound one ulp above 0.5 is printed in full against it
+            text = f"{c:.6g} > {ratio:g}"
+            if c == math.nextafter(0.5, 1) and ratio == 0.5:
+                text = f"{c!r} > {ratio!r}"
+            assert found == ([] if c <= ratio else [f"generator Lipschitz {text}"])
     assert 0 < above < 40, above
+
+
+def test_relaxed_validate_prints_a_composite_bound_apart_from_the_ratio():
+    # p2 held to one ulp below its largest diagonal composite bound, 0.5:
+    # both numbers read 0.5 in six digits, so they are printed in full
+    sys_ = shipped("p2")
+    g = sys_.graph
+    c = max(lipschitz_bound(extend_map(sys_, lam), sys_.metric)
+            for v in g.vertices for lam in enumerate_paths(g, v, sys_.diagonal_degree))
+    sys_.ratio = math.nextafter(c, 0)
+    found = [f.detail for f in validate_system(sys_).findings if f.code == "lipschitz"]
+    assert found and set(found) == {f"diagonal composite Lipschitz {c!r} > {sys_.ratio!r}"}
 
 
 def test_certified_norms_are_memoized_per_linear_part():
