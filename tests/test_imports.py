@@ -4,11 +4,10 @@ and that the command-line driver imports only public library names.
 
 The exact commands (``validate`` on a discrete system, and ``duality`` at
 every fiber size, enumerated or sampled) and the package itself leave numpy
-out, and the exact commands leave out ``inspect`` too; no command loads
-``dataclasses``; nothing imports scipy, whatever the sizes of the clouds
-compared.  No
-command loads ``numpy.random``, sampled coding included.  The grid commands
-leave ``kfractal.duality`` out.
+out, and the exact commands leave out ``inspect`` too.  No command loads
+``dataclasses``, and none loads ``numpy.random``, sampled coding included.
+Nothing imports scipy, whatever the sizes of the clouds compared.  The grid
+commands leave ``kfractal.duality`` out.
 """
 
 import ast
