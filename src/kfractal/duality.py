@@ -249,11 +249,11 @@ def density_fidelity_sweep(
     every mixed pair commutes (that is what the flip squares demand).  The
     full assignment space is enumerated when it has at most ``limit``
     elements, otherwise ``limit`` seeded uniform draws are taken from one
-    ``random.Random(seed)`` (``_sampled_assignments``).  Both read one
-    memo per fiber size (``_Commutes``), so each pair of maps is tested for
-    commutation once.  Each consistent assignment gets its density and
-    fidelity verdicts along the paths of each degree (``_row_verdicts``),
-    memoized per path within a fiber size.
+    ``random.Random(seed)`` (``_sampled_assignments``).  Either way each
+    pair of maps is tested for commutation at most once.  Each consistent
+    assignment gets its density and fidelity verdicts along the paths of
+    each degree (``_row_verdicts``), memoized per path within a fiber
+    size.
     """
     g = _template_2graph()
     rng = random.Random(seed)
@@ -263,15 +263,14 @@ def density_fidelity_sweep(
     for size in range(1, max_fiber_size + 1):
         # the i-th map of itertools.product order: j -> maps[i][j]
         maps = list(itertools.product(range(size), repeat=size))
-        commutes = _Commutes(maps)
         total = len(maps) ** 4
         if total > limit:
             result.sampled = True
             result.instances += limit
-            rows = _sampled_assignments(commutes, limit, rng)
+            rows = _sampled_assignments(maps, limit, rng)
         else:
             result.instances += total
-            rows = _consistent_assignments(commutes)
+            rows = _consistent_assignments(maps)
         result.consistent_by_size[size] = 0
         memo = ({}, {})
         for row in rows:
@@ -285,56 +284,53 @@ def density_fidelity_sweep(
 
 
 def _commute(f, h) -> bool:
-    """Whether the maps f and h, tuples of images, commute."""
-    return [f[t] for t in h] == [h[t] for t in f]
+    """Whether the maps f and h, tuples of images, commute; most pairs that
+    do not are rejected at the first element."""
+    return f[h[0]] == h[f[0]] and [f[t] for t in h] == [h[t] for t in f]
 
 
-class _Commutes(dict):
-    """Whether maps[b] and maps[r] commute, keyed by the pair index
-    b * len(maps) + r and tested on the first read of that pair."""
-
-    def __init__(self, maps):
-        super().__init__()
-        self.maps = maps
-
-    def __missing__(self, pair: int) -> bool:
-        b, r = divmod(pair, len(self.maps))
-        out = self[pair] = _commute(self.maps[b], self.maps[r])
-        return out
-
-
-def _consistent_assignments(commutes: _Commutes):
-    """All assignments (b0, b1, r0, r1) of indices into ``commutes.maps``
-    whose blue and red maps commute pairwise, in lexicographic order."""
-    m = len(commutes.maps)
-    for b0, b1 in itertools.product(range(m), repeat=2):
-        reds = [r for r in range(m) if commutes[b0 * m + r] and commutes[b1 * m + r]]
+def _consistent_assignments(maps):
+    """All assignments (b0, b1, r0, r1) of indices into ``maps`` whose blue
+    and red maps commute pairwise, in lexicographic order."""
+    n = len(maps)
+    commute = [[_commute(f, h) for h in maps] for f in maps]
+    for b0, b1 in itertools.product(range(n), repeat=2):
+        reds = [r for r in range(n) if commute[b0][r] and commute[b1][r]]
         for r0, r1 in itertools.product(reds, repeat=2):
             yield b0, b1, r0, r1
 
 
-def _sampled_assignments(commutes: _Commutes, limit: int, rng):
+def _sampled_assignments(maps, limit: int, rng):
     """The consistent rows, in draw order, of ``limit`` uniform draws of
-    (b0, b1, r0, r1) indices into ``commutes.maps``.  A draw takes the pair
-    index x = b0 * m + r0 as rng.randrange(m * m), spelled out as the
-    rejection loop that ``randrange`` runs, and is rejected at once unless
-    b0 and r0 commute; only then is b1 * m + r1 drawn the same way.  The
-    consistent rows are distributed as those of ``limit`` draws of all
-    four indices."""
-    m = len(commutes.maps)
-    pairs = m * m
+    (b0, b1, r0, r1) indices into ``maps``.  A draw takes the pair index
+    x = b0 * m + r0 as rng.randrange(m * m), spelled out as the rejection
+    loop that ``randrange`` runs, and is rejected at once unless b0 and r0
+    commute; only then is b1 * m + r1 drawn the same way.  The consistent
+    rows are distributed as those of ``limit`` draws of all four indices.
+    Each pair index read is tested for commutation once, on its first read
+    (``known``)."""
+    m, pairs = len(maps), len(maps) ** 2
     bits, draw = pairs.bit_length(), rng.getrandbits
+    known: dict[int, bool] = {}
+
+    def commute(x: int) -> bool:
+        c = known.get(x)
+        if c is None:
+            b, r = divmod(x, m)
+            c = known[x] = _commute(maps[b], maps[r])
+        return c
+
     for _ in range(limit):
         x = draw(bits)
         while x >= pairs:
             x = draw(bits)
-        if not commutes[x]:
+        if not commute(x):
             continue
         y = draw(bits)
         while y >= pairs:
             y = draw(bits)
         (b0, r0), (b1, r1) = divmod(x, m), divmod(y, m)
-        if commutes[y] and commutes[b0 * m + r1] and commutes[b1 * m + r0]:
+        if commute(y) and commute(b0 * m + r1) and commute(b1 * m + r0):
             yield b0, b1, r0, r1
 
 

@@ -333,7 +333,7 @@ def test_sampled_rows_match_the_sampler_without_a_memo(size):
     found = 0
     for seed in range(10):
         ours, ref = random.Random(seed), random.Random(seed)
-        rows = list(duality._sampled_assignments(duality._Commutes(maps), 20_000, ours))
+        rows = list(duality._sampled_assignments(maps, 20_000, ours))
         assert rows == list(oracles.sampled_assignments(maps, 20_000, ref)), seed
         assert ours.getstate() == ref.getstate(), seed
         found += len(rows)
@@ -370,7 +370,7 @@ def test_block_verdicts_match_reference_on_every_consistent_assignment():
     for size in (1, 2, 3):
         elems = tuple(str(i) for i in range(size))
         maps = list(itertools.product(range(size), repeat=size))
-        for row in duality._consistent_assignments(duality._Commutes(maps)):
+        for row in duality._consistent_assignments(maps):
             quad = [maps[i] for i in row]
             verdicts = duality._row_verdicts(quad, paths, memo)
             tables = {
