@@ -7,7 +7,8 @@ reads, and checks all of them before it creates ``--out`` or starts work:
 attractor, coding and diagonal leave the checks of a run (its start grids,
 contraction and ``--tol``) to ``attractor.refine_attractor``, which refuses
 before its first step, and create ``--out`` once it returns.  Outputs are
-byte-identical across runs with the same flags.
+byte-identical across runs with the same flags.  ``run`` is the process
+entry point of ``python -m kfractal`` and of the ``kfractal`` script.
 
 The numpy modules are imported when a command needs them: attractor,
 coding, diagonal and validate on a metric system always do; validate on a
@@ -18,9 +19,11 @@ imported only by the duality command and by validate on a discrete system.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path as FsPath
+from typing import NoReturn
 
 from .io import (
     InstanceFormatError,
@@ -469,5 +472,21 @@ def main(argv=None) -> int:
         return PARSE_ERROR
 
 
+def run() -> NoReturn:
+    """The process entry point: ``main()`` on ``sys.argv``, then exit with
+    its code.
+
+    Before exiting it moves every object into the permanent generation
+    (``gc.freeze``), so the interpreter's last collection does not walk the
+    tens of thousands that numpy and the package leave behind; the
+    operating system reclaims them with the process.  A bad flag exits from
+    inside ``main``, through argparse, before any command runs, and does not
+    freeze.  In-process callers use ``main`` and keep normal collection.
+    """
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    run()

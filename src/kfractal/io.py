@@ -184,10 +184,7 @@ def load_instance(source) -> tuple[str, object]:
 
 def packaged_instance(name: str) -> FsPath:
     """Path of a shipped instance by name (s1, p2, p2c, t0, f3, d1, d2, d3)."""
-    from importlib.resources import files
-
-    path = files("kfractal").joinpath("data").joinpath(f"{name}.json")
-    return FsPath(str(path))
+    return FsPath(__file__).with_name("data") / f"{name}.json"
 
 
 # ---------------------------------------------------------------------------

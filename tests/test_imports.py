@@ -11,6 +11,7 @@ commands leave ``kfractal.duality`` out.
 """
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -173,6 +174,14 @@ def test_dependencies_are_exactly_the_third_party_imports():
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
                 for req in project["dependencies"]}
     assert declared == third_party_imports()
+
+
+def test_console_script_is_the_process_entry_point():
+    from kfractal.cli import run
+
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["kfractal"].partition(":")
+    assert getattr(importlib.import_module(module), name) is run
 
 
 # the public names that no code of the package uses, and why each stays

@@ -2,6 +2,7 @@
 
 import argparse
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfractal.attractor import SetTuple, compute_attractor
-from kfractal import duality, exact
+from kfractal import cli, duality, exact
 from kfractal.cli import MAX_FIBER_SIZE, NO_CONVERGENCE, PASS, build_parser, main
 from kfractal.duality import SweepResult, validate_discrete_system
 from kfractal.io import (
@@ -68,6 +69,24 @@ def test_unknown_instance_name(tmp_path):
 
 
 SHIPPED = ("s1", "p2", "p2c", "t0", "f3", "d1", "d2", "d3")
+
+
+def test_shipped_instances_are_found_without_importlib_resources(monkeypatch, tmp_path,
+                                                                 capsys):
+    import importlib.resources
+
+    expected = {name: Path(str(importlib.resources.files("kfractal") / "data" / f"{name}.json"))
+                for name in SHIPPED}
+
+    def refuse(*args):
+        raise AssertionError("importlib.resources.files called")
+
+    monkeypatch.setattr(importlib.resources, "files", refuse)
+    for name in SHIPPED:
+        path = packaged_instance(name)
+        assert path.is_file() and path == expected[name], name
+    assert main(["validate", "--instance", "nope", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: no such instance file or builtin: nope\n"
 VALIDATORS = {"mw": validate_system, "discrete": validate_discrete_system}
 DROP = object()
 RETYPED = ("x", 1, [], {}, None)
@@ -434,14 +453,18 @@ def test_cli_validate_strict_override_fails(tmp_path, capsys):
     assert "1" in out  # the offending bound
 
 
-def test_cli_validate_holds_each_generator_to_the_ratio_exactly(tmp_path, capsys):
-    # s1 with every generator diag(0.5 + 2^-45): its certified bound,
-    # 0.5000000000000284, is above c = 0.5 by less than 1e-12
+def write_wide_s1(path: Path) -> None:
+    """s1 with every generator diag(0.5 + 2^-45): its certified bound,
+    0.5000000000000284, is above c = 0.5 by less than 1e-12."""
     doc = json.loads(packaged_instance("s1").read_text())
     for m in doc["maps"].values():
         m["matrix"] = [[0.5 + 2.0**-45, 0.0], [0.0, 0.5 + 2.0**-45]]
+    path.write_text(json.dumps(doc))
+
+
+def test_cli_validate_holds_each_generator_to_the_ratio_exactly(tmp_path, capsys):
     wide = tmp_path / "wide.json"
-    wide.write_text(json.dumps(doc))
+    write_wide_s1(wide)
     assert main(["validate", "--instance", str(wide), "--out", str(tmp_path / "out")]) == 1
     out = capsys.readouterr().out
     assert out.startswith("graph: valid\nsystem (strict mode, c=0.5): INVALID\n")
@@ -749,6 +772,75 @@ def test_cli_coding_count_above_the_budget_exits_2_before_allocating(tmp_path):
     assert proc.stderr == ("error: 1000001 samples per vertex are too many to code "
                            "(at most 1000000)\n")
     assert not out.exists()
+
+
+def _artifacts(out: Path) -> dict:
+    """The name and bytes of every file written under out."""
+    if not out.exists():
+        return {}
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["validate", "--instance", "s1"], 0),
+        (["validate", "--instance", "wide.json"], 1),
+        (["validate", "--instance", "s1", "--bogus"], 2),
+        (["attractor", "--instance", "s1", "--max-iter", "3"], 3),
+    ],
+)
+def test_process_exits_like_main_with_the_same_output(tmp_path, capsys, argv, code):
+    # python -m kfractal goes through cli.run; main runs in this process
+    if "wide.json" in argv:
+        write_wide_s1(tmp_path / "wide.json")
+        argv = [str(tmp_path / "wide.json") if arg == "wide.json" else arg for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "kfractal", *argv, "--out",
+                           str(tmp_path / "process")], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    try:
+        returned = main([*argv, "--out", str(tmp_path / "main")])
+    except SystemExit as exc:  # argparse's exit on a bad flag
+        returned = exc.code
+    captured = capsys.readouterr()
+    assert returned == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert _artifacts(tmp_path / "process") == _artifacts(tmp_path / "main")
+    assert (tmp_path / "main").exists() == (code != 2)
+
+
+@pytest.mark.parametrize(
+    "argv, returned",
+    [
+        (["validate", "--instance", "s1"], 0),
+        (["attractor", "--instance", "s1", "--max-iter", "3"], 3),
+        # argparse exits from inside main, before any command runs
+        (["validate", "--instance", "s1", "--bogus"], None),
+    ],
+)
+def test_run_freezes_once_after_main_returns(monkeypatch, tmp_path, argv, returned):
+    out = tmp_path / "out"
+    events = []
+    real_main = cli.main
+
+    def main_spy(argv=None):
+        events.append(("main", real_main(argv)))
+        return events[-1][1]
+
+    # the spy stands in for gc.freeze, so this process is never frozen
+    monkeypatch.setattr(gc, "freeze", lambda: events.append(("freeze", _artifacts(out))))
+    monkeypatch.setattr(cli, "main", main_spy)
+    monkeypatch.setattr(sys, "argv", ["kfractal", *argv, "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    if returned is None:
+        assert exc.value.code == 2
+        assert events == []
+    else:
+        assert exc.value.code == returned
+        assert events == [("main", returned), ("freeze", _artifacts(out))]
+        assert events[1][1]
 
 
 @pytest.mark.parametrize("command", ["attractor", "coding", "diagonal"])
