@@ -68,9 +68,6 @@ def test_unknown_instance_name(tmp_path):
     assert main(["validate", "--instance", "nope", "--out", str(tmp_path)]) == 2
 
 
-SHIPPED = ("s1", "p2", "p2c", "t0", "f3", "d1", "d2", "d3")
-
-
 def test_shipped_instances_are_found_without_importlib_resources(monkeypatch, tmp_path,
                                                                  capsys):
     import importlib.resources
@@ -87,6 +84,9 @@ def test_shipped_instances_are_found_without_importlib_resources(monkeypatch, tm
         assert path.is_file() and path == expected[name], name
     assert main(["validate", "--instance", "nope", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: no such instance file or builtin: nope\n"
+
+
+SHIPPED = ("s1", "p2", "p2c", "t0", "f3", "d1", "d2", "d3")
 VALIDATORS = {"mw": validate_system, "discrete": validate_discrete_system}
 DROP = object()
 RETYPED = ("x", 1, [], {}, None)
