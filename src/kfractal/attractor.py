@@ -795,12 +795,26 @@ def contraction_factor(sys: MWSystem, n) -> float:
     return worst
 
 
-def _require_contraction(sys: MWSystem, n) -> float:
-    """The degree-n operator's contraction factor; ValueError unless below 1."""
-    c_n = contraction_factor(sys, n)
-    if c_n >= 1.0:
-        raise ValueError(f"degree {tuple(n)} operator is not a contraction (factor {c_n:.6g})")
-    return c_n
+class Operator(NamedTuple):
+    """The degree-n Hutchinson operator F_n of a system, derived once per
+    run: its degree, per vertex the (map, source) pairs of ``degree_maps``,
+    and its certified ``contraction_factor``, which is below 1.  Its fixed
+    point is the attractor (Hutchinson, Indiana Univ. Math. J. 30, 1981),
+    and its maps and contraction give every certificate of a run.  Build
+    one with ``Operator.of``."""
+
+    degree: tuple
+    maps: dict
+    contraction: float
+
+    @classmethod
+    def of(cls, sys: MWSystem, n) -> "Operator":
+        """The degree-n operator of sys; ValueError unless it contracts."""
+        n = tuple(n)
+        c_n = contraction_factor(sys, n)
+        if c_n >= 1.0:
+            raise ValueError(f"degree {n} operator is not a contraction (factor {c_n:.6g})")
+        return cls(n, degree_maps(sys, n), c_n)
 
 
 def collage_bound(c: float, eps: float, displacement: float = 0.0) -> float:
@@ -846,11 +860,13 @@ def compute_attractor(
 ) -> tuple[SetTuple, ConvergenceCertificate]:
     """Iterate the degree-n operator from C0 to a lattice fixed point.
 
-    The contraction factor of the operator is measured from the composite
-    maps; a factor >= 1 is rejected (in relaxed mode only diagonal degrees
-    contract, so pass a multiple of (1,..,1) there).  Returns the final
-    tuple and its certificate; non-convergence within max_iter is reported
-    on the certificate, not raised.
+    n is a degree, whose ``Operator.of`` is derived here, or an ``Operator``
+    of sys, whose maps and contraction are used as they are
+    (``refine_attractor`` passes the one it built).  A degree whose
+    operator does not contract is rejected (in relaxed mode only diagonal
+    degrees contract, so pass a multiple of (1,..,1) there).  Returns the
+    final tuple and its certificate; non-convergence within max_iter is
+    reported on the certificate, not raised.
 
     The run stops when a step returns its input (tuple equality, which
     measures no distance and finds the input's own arrays): that tuple is a
@@ -864,21 +880,20 @@ def compute_attractor(
     for v in sys.graph.vertices:
         if len(C0.clouds.get(v, ())) == 0:
             raise ValueError(f"empty initial cloud at vertex {v!r}")
-    c_n = _require_contraction(sys, n)
-    maps = degree_maps(sys, n)
-    prev, current, it, converged = _iterate(sys, n, C0, max_iter, maps)
+    op = n if isinstance(n, Operator) else Operator.of(sys, n)
+    prev, current, it, converged = _iterate(sys, op, C0, max_iter)
     delta = 0.0 if converged else tuple_distance(prev, current, sys.metric)
-    eps = max(snap_slack(C, maps, sys.metric) for C in (C0, prev))
-    return current, ConvergenceCertificate(it, delta, c_n, C0.pitch, eps, converged)
+    eps = max(snap_slack(C, op.maps, sys.metric) for C in (C0, prev))
+    return current, ConvergenceCertificate(it, delta, op.contraction, C0.pitch, eps, converged)
 
 
-def _iterate(sys: MWSystem, n, C0: SetTuple, max_iter: int, maps):
+def _iterate(sys: MWSystem, op: Operator, C0: SetTuple, max_iter: int):
     """The steps of ``compute_attractor`` without its certificate: the
     last step's input and result, the steps taken, and whether the last
     step returned its input, which ends the run before max_iter."""
     current = C0
     for it in range(1, max_iter + 1):
-        prev, current = current, hutchinson_step(sys, n, current, _maps=maps)
+        prev, current = current, hutchinson_step(sys, op.degree, current, _maps=op.maps)
         if current == prev:
             return prev, current, it, True
     return prev, current, max_iter, False
@@ -966,22 +981,24 @@ def refine_attractor(
     the fibers'.  The start set does not enter the certificate: eps/(1-c)
     holds for any lattice fixed point.
 
-    Only the last level runs ``compute_attractor``; the coarser ones
-    ``_iterate`` and measure nothing.  The certificate is the last level's
-    (its iterations count the steps at the pitch, and only it can be NOT
-    converged), with eps raised to the ``grid_slack`` tol was checked
-    against.
+    The run builds its ``Operator`` once, after the start grids, and the
+    tol gate, the coarse levels and the last level all read it.  Only the
+    last level runs ``compute_attractor``, on that operator; the coarser
+    ones ``_iterate`` and measure nothing.  The certificate is the last
+    level's (its iterations count the steps at the pitch, and only it can
+    be NOT converged), with eps raised to the ``grid_slack`` tol was
+    checked against.
     """
     C = start_grids(sys, pitch)
-    c_n = _require_contraction(sys, n)
-    maps = degree_maps(sys, n)
-    gate = grid_slack(sys, pitch, maps)
-    bound = collage_bound(c_n, gate)
+    op = Operator.of(sys, n)
+    gate = grid_slack(sys, pitch, op.maps)
+    bound = collage_bound(op.contraction, gate)
     if bound > tol:
         raise ValueError(
             f"--tol {tol!r} is below {bound!r}, the least error bound the degree "
-            f"{tuple(n)} operator (contraction {c_n:.6g}) can claim at pitch {pitch!r}")
+            f"{op.degree} operator (contraction {op.contraction:.6g}) can claim at pitch "
+            f"{pitch!r}")
     for _ in range(round(math.log2(C.pitch / pitch))):
-        C = _children(sys, _iterate(sys, n, C, max_iter, maps)[1])
-    K, cert = compute_attractor(sys, n, C, max_iter=max_iter)
+        C = _children(sys, _iterate(sys, op, C, max_iter)[1])
+    K, cert = compute_attractor(sys, op, C, max_iter=max_iter)
     return K, cert._replace(eps=max(cert.eps, gate))

@@ -1,10 +1,16 @@
 """Grid clouds, set-valued iteration, certificates."""
 
+import collections
 import itertools
+import json
 import math
+import os
+import re
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ from hypothesis import strategies as st
 from kfractal import _kernels, attractor
 from kfractal.attractor import (
     BLOCK_ROWS,
+    Operator,
     SetTuple,
     _canonical,
     _children,
@@ -768,8 +775,12 @@ def test_non_contraction_rejected():
     sys = shipped("p2")
     h = 1 / 64
     C0 = SetTuple.from_fibers(sys, h)
-    # single colors do not contract in relaxed product systems
-    with pytest.raises(ValueError):
+    # single colors do not contract in relaxed product systems; the text is
+    # what `attractor --instance p2 --degree 1,0` prints
+    message = r"^degree \(1, 0\) operator is not a contraction \(factor 1\)$"
+    with pytest.raises(ValueError, match=message):
+        Operator.of(sys, (1, 0))
+    with pytest.raises(ValueError, match=message):
         compute_attractor(sys, (1, 0), C0)
     assert contraction_factor(sys, (1, 0)) == pytest.approx(1.0)
 
@@ -781,6 +792,22 @@ def _enumerated_contraction(sys, n):
         for lam in enumerate_paths(sys.graph, v, n):
             worst = max(worst, lipschitz_bound(extend_map(sys, lam), sys.metric))
     return worst
+
+
+def _assert_operator_of(sys, n, c):
+    # the record holds the listing and the factor bit for bit, and exists
+    # only for a contraction
+    if c >= 1.0:
+        with pytest.raises(ValueError, match=r"operator is not a contraction"):
+            Operator.of(sys, n)
+        return
+    op = Operator.of(sys, n)
+    assert op.degree == n and op.contraction == c
+    listed = degree_maps(sys, n)
+    assert list(op.maps) == list(listed)
+    for v, rows in listed.items():
+        assert [(m.matrix.tobytes(), m.shift.tobytes(), src) for m, src in op.maps[v]] == \
+            [(m.matrix.tobytes(), m.shift.tobytes(), src) for m, src in rows]
 
 
 @pytest.mark.parametrize(
@@ -796,7 +823,9 @@ def _enumerated_contraction(sys, n):
 def test_contraction_factor_matches_enumeration(name, degrees):
     sys = shipped(name)
     for n in degrees:
-        assert contraction_factor(sys, n) == _enumerated_contraction(sys, n)
+        c = contraction_factor(sys, n)
+        assert c == _enumerated_contraction(sys, n)
+        _assert_operator_of(sys, n, c)
 
 
 def _rotating_two_vertex_system(g, metric, seed):
@@ -815,7 +844,9 @@ def _rotating_two_vertex_system(g, metric, seed):
 def test_contraction_factor_two_vertex_matches_enumeration(g_two_vertex, metric):
     sys = _rotating_two_vertex_system(g_two_vertex, metric, seed=3)
     for n in [(0, 0), (1, 0), (0, 2), (2, 1), (3, 3)]:
-        assert contraction_factor(sys, n) == _enumerated_contraction(sys, n)
+        c = contraction_factor(sys, n)
+        assert c == _enumerated_contraction(sys, n)
+        _assert_operator_of(sys, n, c)
 
 
 def test_contraction_factor_does_not_list_paths():
@@ -1105,6 +1136,63 @@ def test_refine_attractor_refuses_before_any_step(monkeypatch, name, n, pitch, t
     # at the least bound the run is allowed, and steps
     with pytest.raises(AssertionError, match="a step was taken"):
         refine_attractor(shipped("s1"), (1,), 2.0**-9, 0.002762135864014981)
+
+
+# per command: its flags, the contraction factors and degree listings it
+# derives, and its refined runs; coding also certifies its coding depth,
+# an operator whose paths it does not list
+DERIVATIONS = [
+    ("attractor", [], 1, 1, 1),
+    ("coding", ["--count", "20000", "--seed", "1"], 2, 1, 1),
+    ("diagonal", [], 2, 2, 2),
+]
+
+
+@pytest.mark.parametrize("name", ["s1", "p2c"])
+@pytest.mark.parametrize("command, flags, contractions, listings, runs", DERIVATIONS)
+def test_each_run_derives_its_operator_once(monkeypatch, tmp_path, name, command, flags,
+                                            contractions, listings, runs):
+    from kfractal import coding
+    from kfractal.cli import PARSE_ERROR, main
+
+    calls = collections.Counter()
+
+    def spy(module, fn_name, key):
+        fn = getattr(module, fn_name)
+
+        def counted(*args, **kw):
+            calls[key] += 1
+            return fn(*args, **kw)
+
+        monkeypatch.setattr(module, fn_name, counted)
+
+    spy(attractor, "contraction_factor", "contraction_factor")
+    spy(coding, "contraction_factor", "contraction_factor")
+    spy(attractor, "degree_maps", "degree_maps")
+    for fn_name in ("start_grids", "grid_slack", "compute_attractor"):
+        spy(attractor, fn_name, fn_name)
+    assert main([command, "--instance", name, *flags, "--out", str(tmp_path)]) != PARSE_ERROR
+    assert calls == {"contraction_factor": contractions, "degree_maps": listings,
+                     "start_grids": runs, "grid_slack": runs, "compute_attractor": runs}
+
+
+def test_traced_diagonal_counts_the_printed_iterations(tmp_path):
+    # perfbench/trace_child.py counts iterations at attractor.compute_attractor
+    # and step inputs from the maps hutchinson_step is passed; both runs of
+    # diagonal must reach them
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (root / "src", root))))
+    record_path = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "perfbench.trace_child", str(record_path),
+         "diagonal", "--instance", "p2c", "--out", str(tmp_path / "out")],
+        env=env, cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    printed = [int(x) for x in re.findall(r"iterations=(\d+)", proc.stdout)]
+    assert len(printed) == 2
+    counts = json.loads(record_path.read_text())["counts"]
+    assert counts["attractor.iterations"] == sum(printed)
+    assert counts["attractor.hutchinson_step.points_in"] > 0
 
 
 def test_children_are_clipped_to_the_fiber_or_fall_back_to_its_grid():
