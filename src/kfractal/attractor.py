@@ -981,16 +981,16 @@ def refine_attractor(
     the fibers'.  The start set does not enter the certificate: eps/(1-c)
     holds for any lattice fixed point.
 
-    The run builds its ``Operator`` once, after the start grids, and the
-    tol gate, the coarse levels and the last level all read it.  Only the
-    last level runs ``compute_attractor``, on that operator; the coarser
-    ones ``_iterate`` and measure nothing.  The certificate is the last
-    level's (its iterations count the steps at the pitch, and only it can
-    be NOT converged), with eps raised to the ``grid_slack`` tol was
-    checked against.
+    n is a degree, whose ``Operator`` the run builds once, after the start
+    grids, or an ``Operator`` of sys; the tol gate and every level read it.
+    Only the last level runs ``compute_attractor``; the coarser ones
+    ``_iterate`` and measure nothing.  The certificate is the last level's
+    (its iterations count the steps at the pitch, and only it can be NOT
+    converged), with eps raised to the ``grid_slack`` tol was checked
+    against.
     """
     C = start_grids(sys, pitch)
-    op = Operator.of(sys, n)
+    op = n if isinstance(n, Operator) else Operator.of(sys, n)
     gate = grid_slack(sys, pitch, op.maps)
     bound = collage_bound(op.contraction, gate)
     if bound > tol:

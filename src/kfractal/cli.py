@@ -5,9 +5,9 @@ Subcommands: validate, attractor, coding, diagonal, duality.  Exit codes:
 3 = iteration did not converge.  Each subcommand accepts only the flags it
 reads, and checks all of them before it creates ``--out`` or starts work:
 attractor, coding and diagonal leave the checks of a run (its start grids,
-contraction and ``--tol``) to ``attractor.refine_attractor``, which refuses
-before its first step, and create ``--out`` once it returns.  Outputs are
-byte-identical across runs with the same flags.  ``run`` is the process
+contraction and ``--tol``) to the library, which refuses before the first
+step (diagonal builds its operator first), and create ``--out`` once it
+returns.  Outputs are byte-identical across runs with the same flags.  ``run`` is the process
 entry point of ``python -m kfractal`` and of the ``kfractal`` script.
 
 The numpy modules are imported when a command needs them: attractor,
@@ -31,7 +31,6 @@ from .io import (
     packaged_instance,
     write_certificate,
     write_clouds_csv,
-    write_diff_pgm,
     write_pgm,
 )
 from .kgraph import Path, validate_kgraph
@@ -323,16 +322,11 @@ def cmd_diagonal(args) -> int:
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
     out = _outdir(args)
-    converged = rep.source_certificate.converged and rep.collapse_certificate.converged
     write_certificate(rep.summary(), out / "diagonal.txt")
-    if converged and sys_.dim == 2 and args.render:
-        for v in sys_.graph.vertices:
-            write_diff_pgm(rep.sets_source, rep.sets_collapse, v,
-                           out / f"diagonal_diff_{v}.pgm")
     print(rep.summary())
-    if not converged:
-        return NO_CONVERGENCE
-    return PASS if rep.passed else FAIL
+    if rep.passed:
+        return PASS
+    return FAIL if rep.mismatches else NO_CONVERGENCE
 
 
 def cmd_duality(args) -> int:
@@ -440,9 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed of the sampled prefixes (default 0)")
     p_cod.add_argument("--count", type=_int_between(1),
                        help="sample size >= 1 (default exhaustive)")
-    command("diagonal", "compare against the rank-1 collapse").add_argument(
-        "--render", action="store_true",
-        help="write a difference raster per vertex (planar systems)")
+    command("diagonal", "check the rank-1 collapse's operator, then iterate it once")
     p_dual = sub.add_parser("duality", help="exact density/fidelity sweep")
     p_dual.add_argument("--instance", help="a discrete instance to check as well")
     p_dual.add_argument("--max-fiber-size", default=2,

@@ -201,10 +201,10 @@ CSV_BLOCK_ROWS = 1 << 12
 def write_clouds_csv(sets: SetTuple, path) -> None:
     """Rows of ``SetTuple.points`` in stored order, as repr floats.  Each
     distinct lattice coordinate of an axis, pitch * float(i), is formatted
-    once, and the rows are gathered from those per-axis tables,
-    ``CSV_BLOCK_ROWS`` at a time, by np.searchsorted of the block's
-    coordinates in the axis's distinct values, which ``_canonical`` of the
-    axis's column lists in one pass over its blocks."""
+    once, by ``_canonical`` of the axis's column, and read from that table
+    by np.searchsorted, ``CSV_BLOCK_ROWS`` rows at a time.  Rows are sorted,
+    so each run of a block's rows that agree but in the last coordinate is
+    one join of its last coordinates under one "vertex,x0,...," prefix."""
     import numpy as np
 
     from .attractor import _canonical
@@ -221,61 +221,50 @@ def write_clouds_csv(sets: SetTuple, path) -> None:
                 coords = sets.pitch * values.astype(float)
                 text = np.array([repr(x) for x in coords.tolist()], dtype=object)
                 tables.append((values, text))
+            *lead, (values, text) = tables
             for start in range(0, len(rows), CSV_BLOCK_ROWS):
                 block = rows[start:start + CSV_BLOCK_ROWS]
-                columns = [text[np.searchsorted(values, col)].tolist()
-                           for (values, text), col in zip(tables, block.T)]
-                columns.insert(0, [v] * len(block))
-                fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+                runs = np.flatnonzero(np.r_[True, (block[1:, :-1] != block[:-1, :-1]).any(axis=1)])
+                heads = [[v] * len(runs)] + [
+                    head_text[np.searchsorted(head_values, block[runs, j])].tolist()
+                    for j, (head_values, head_text) in enumerate(lead)]
+                prefixes = [",".join(head) + "," for head in zip(*heads)]
+                last = text[np.searchsorted(values, block[:, -1])].tolist()
+                ends = [*runs[1:].tolist(), len(block)]
+                fh.write("".join(p + ("\n" + p).join(last[a:b]) + "\n"
+                                 for p, a, b in zip(prefixes, runs.tolist(), ends)))
 
 
 def write_certificate(text: str, path) -> None:
     FsPath(path).write_text(text if text.endswith("\n") else text + "\n")
 
 
-def _write_raster(path, lattices, shades) -> None:
-    """Binary 8-bit raster of planar lattice clouds over their joint bounding
-    box at grid resolution.  Bit i of a cell's code is set when lattices[i]
-    holds it, and the pixel gets shades[code].  The box is the clouds' own
-    extremes joined, and each cloud is painted ``BLOCK_ROWS`` rows at a
-    time and shaded as many pixels at a time, so the only full-size array is
-    the code raster."""
+def write_pgm(sets: SetTuple, vertex: str, path) -> None:
+    """Binary 8-bit raster of a planar cloud over its bounding box at grid
+    resolution (0 = point, 255 = none).  The cloud is painted into a zeroed
+    raster ``BLOCK_ROWS`` rows at a time, so the pages that no point reaches
+    stay untouched, and shaded as many pixels at a time: the only full-size
+    array is the painted raster."""
     import numpy as np
 
     from .attractor import _blocks
 
-    if any(lattice.shape[1] != 2 for lattice in lattices):
+    lattice = sets.clouds[vertex]
+    if lattice.shape[1] != 2:
         raise ValueError("rasters are only defined for planar clouds")
-    # per column: numpy reduces an (N, 2) array along axis 0 far more slowly
-    ends = [[(int(col.min()), int(col.max())) for col in lattice.T]
-            for lattice in lattices if len(lattice)]
-    if not ends:
+    if not len(lattice):
         raise ValueError("empty cloud")
-    lo = [min(e[j][0] for e in ends) for j in range(2)]
-    hi = [max(e[j][1] for e in ends) for j in range(2)]
-    width = hi[0] - lo[0] + 1
-    height = hi[1] - lo[1] + 1
-    code = np.zeros((height, width), dtype=np.uint8)
-    for bit, lattice in enumerate(lattices):
-        for s in _blocks(len(lattice)):
-            x, y = lattice[s].T
-            # y axis points up in the plane, down in the file
-            code[hi[1] - y, x - lo[0]] |= 1 << bit
-    shades = np.asarray(shades, dtype=np.uint8)
+    # per column: numpy reduces an (N, 2) array along axis 0 far more slowly
+    (x_lo, x_hi), (y_lo, y_hi) = [(int(col.min()), int(col.max())) for col in lattice.T]
+    width, height = x_hi - x_lo + 1, y_hi - y_lo + 1
+    painted = np.zeros((height, width), dtype=np.uint8)
+    for s in _blocks(len(lattice)):
+        x, y = lattice[s].T
+        # y axis points up in the plane, down in the file
+        painted[y_hi - y, x - x_lo] = 1
+    shades = np.array([255, 0], dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        pixels = code.reshape(-1)
+        pixels = painted.reshape(-1)
         for s in _blocks(len(pixels)):
             fh.write(shades[pixels[s]].tobytes())
-
-
-def write_pgm(sets: SetTuple, vertex: str, path) -> None:
-    """Binary 8-bit raster of a planar cloud at grid resolution (0 = point)."""
-    _write_raster(path, [sets.clouds[vertex]], [255, 0])
-
-
-def write_diff_pgm(a: SetTuple, b: SetTuple, vertex: str, path) -> None:
-    """Raster comparing two clouds: black = both, 90 = a only, 170 = b only."""
-    if not a.same_grid(b):
-        raise ValueError("grid mismatch")
-    _write_raster(path, [a.clouds[vertex], b.clouds[vertex]], [255, 90, 170, 0])

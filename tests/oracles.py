@@ -14,24 +14,30 @@ degree partitions the longer paths into cylinders, and words of diagonal
 edges translate to and from paths of the source graph.  The metric ones
 are checked on lattice clouds: degrees applied in either order agree
 within grid slack, coded clouds are k-surjective, and coding commutes with
-the diagonal collapse.
+the diagonal collapse.  The collapse's attractor is also computed by a run
+of its own and compared with the source's, as ``diagonal`` did before it
+checked that the two operators are one.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from kfractal import kgraph
 from kfractal.attractor import (
+    ConvergenceCertificate,
     SetTuple,
     _directed_bound,
     _snap_offset,
     hutchinson_step,
+    refine_attractor,
     tuple_distance,
 )
 from kfractal.coding import _metric_dist, code_point
+from kfractal.diagonal import diagonal_system
 from kfractal.duality import (
     DiscreteSystem,
     _matmul,
@@ -459,3 +465,47 @@ def transfer_failures(src: MWSystem, collapse: MWSystem, dg: DiagonalGraph, word
             if d1 > allowed or d2 > allowed2:
                 failures.append((ew, d1, d2))
     return samples, failures
+
+
+class TwoRunAgreement(NamedTuple):
+    """The source's and the collapse's attractors, each from a run of its
+    own, and their distance per vertex."""
+
+    tol: float
+    distances: dict[str, float]
+    source_certificate: ConvergenceCertificate
+    collapse_certificate: ConvergenceCertificate
+    sets_source: SetTuple
+    sets_collapse: SetTuple
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.source_certificate.converged
+            and self.collapse_certificate.converged
+            and all(d <= self.tol for d in self.distances.values())
+        )
+
+    def summary(self) -> str:
+        lines = [
+            f"source:   {self.source_certificate.summary()}",
+            f"collapse: {self.collapse_certificate.summary()}",
+        ]
+        for v, d in sorted(self.distances.items()):
+            verdict = "ok" if d <= self.tol else "FAIL"
+            lines.append(f"vertex {v}: distance {d:.6g} (tol {self.tol:.6g}) {verdict}")
+        return "\n".join(lines)
+
+
+def two_run_agreement(sys: MWSystem, tol: float, pitch: float,
+                      max_iter: int = 64) -> TwoRunAgreement:
+    """Refine the source attractor at the diagonal degree and the collapse's
+    at degree 1, both from the same ``start_grids`` through the same levels
+    to their lattice fixed points at the pitch, and measure them per vertex:
+    ``check_diagonal_agreement``'s two runs before it proved the two
+    operators one and kept one run."""
+    K_src, cert_src = refine_attractor(sys, sys.diagonal_degree, pitch, tol, max_iter=max_iter)
+    K_col, cert_col = refine_attractor(diagonal_system(sys), (1,), pitch, tol,
+                                       max_iter=max_iter)
+    distances = K_src.vertex_distances(K_col, sys.metric)
+    return TwoRunAgreement(tol, distances, cert_src, cert_col, K_src, K_col)

@@ -28,6 +28,7 @@ from oracles import (
     skeleton_findings,
     twisted_findings,
     twisted_model,
+    two_run_agreement,
     word_to_path,
 )
 
@@ -118,16 +119,26 @@ def test_criterion_4_coded_cloud_k_surjective():
     report(4, "coded clouds are k-surjective at every |n| <= 2", t.seconds)
 
 
+def _agreement(sys_, tol, pitch):
+    """The two-run oracle's report, once ``check_diagonal_agreement``, which
+    proves the two operators one and runs once, has printed its lines."""
+    rep = check_diagonal_agreement(sys_, tol=tol, pitch=pitch)
+    two = two_run_agreement(sys_, tol=tol, pitch=pitch)
+    assert rep.summary() == two.summary()
+    assert rep.sets_source == two.sets_source == two.sets_collapse
+    return two
+
+
 def test_criterion_5_diagonal_collapse_agreement():
     """Rank-k attractor vs rank-1 collapse attractor, per vertex."""
     with Timer() as t:
         for name, h in (("p2", 1.0 / 512.0), ("p2c", 1.0 / 729.0)):
             sys_ = shipped(name)
-            rep = check_diagonal_agreement(sys_, tol=4 * h, pitch=h)
+            rep = _agreement(sys_, tol=4 * h, pitch=h)
             assert rep.passed, rep.summary()
         s1 = shipped("s1")
         # the least tol a run at 1/512 accepts, its eps/(1-c)
-        rep1 = check_diagonal_agreement(s1, tol=0.002762135864014981, pitch=1.0 / 512.0)
+        rep1 = _agreement(s1, tol=0.002762135864014981, pitch=1.0 / 512.0)
         assert max(rep1.distances.values()) == 0.0
         assert rep1.passed
     report(5, "collapse attractors agree (p2, p2c within 4h; s1 exactly)", t.seconds)

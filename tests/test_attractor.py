@@ -1140,11 +1140,12 @@ def test_refine_attractor_refuses_before_any_step(monkeypatch, name, n, pitch, t
 
 # per command: its flags, the contraction factors and degree listings it
 # derives, and its refined runs; coding also certifies its coding depth,
-# an operator whose paths it does not list
+# an operator whose paths it does not list, and diagonal reads the
+# collapse's pairs edge by edge from its generators, not from a listing
 DERIVATIONS = [
     ("attractor", [], 1, 1, 1),
     ("coding", ["--count", "20000", "--seed", "1"], 2, 1, 1),
-    ("diagonal", [], 2, 2, 2),
+    ("diagonal", [], 1, 1, 1),
 ]
 
 
@@ -1178,8 +1179,9 @@ def test_each_run_derives_its_operator_once(monkeypatch, tmp_path, name, command
 
 def test_traced_diagonal_counts_the_printed_iterations(tmp_path):
     # perfbench/trace_child.py counts iterations at attractor.compute_attractor
-    # and step inputs from the maps hutchinson_step is passed; both runs of
-    # diagonal must reach them
+    # and step inputs from the maps hutchinson_step is passed; diagonal's one
+    # run must reach them, and prints its certificate as the source's and the
+    # collapse's
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (root / "src", root))))
     record_path = tmp_path / "trace.json"
@@ -1189,9 +1191,9 @@ def test_traced_diagonal_counts_the_printed_iterations(tmp_path):
         env=env, cwd=root, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     printed = [int(x) for x in re.findall(r"iterations=(\d+)", proc.stdout)]
-    assert len(printed) == 2
+    assert printed == [4, 4]
     counts = json.loads(record_path.read_text())["counts"]
-    assert counts["attractor.iterations"] == sum(printed)
+    assert counts["attractor.iterations"] == printed[0]
     assert counts["attractor.hutchinson_step.points_in"] > 0
 
 

@@ -1,11 +1,14 @@
-"""Rank-1 collapse: generators, intertwining transfer, attractor agreement."""
+"""Rank-1 collapse: generators, intertwining transfer, the one operator it
+iterates, attractor agreement."""
 
 import math
 
 import numpy as np
 import pytest
 
+from kfractal import attractor, diagonal
 from kfractal.attractor import (
+    Operator,
     SetTuple,
     collage_bound,
     compute_attractor,
@@ -16,11 +19,20 @@ from kfractal.attractor import (
     tuple_distance,
 )
 from kfractal.coding import sample_prefixes
-from kfractal.diagonal import check_diagonal_agreement, diagonal_system
+from kfractal.diagonal import check_diagonal_agreement, diagonal_system, operator_mismatches
 from kfractal.kgraph import diagonal_graph
-from kfractal.systems import degree_maps, extend_map, lipschitz_bound, validate_system
+from kfractal.systems import (
+    AffineMap,
+    Box,
+    MetricFiber,
+    MWSystem,
+    degree_maps,
+    extend_map,
+    lipschitz_bound,
+    validate_system,
+)
 
-from oracles import transfer_failures, word_to_path
+from oracles import transfer_failures, two_run_agreement, word_to_path
 from shipped import shipped
 
 
@@ -143,10 +155,21 @@ def test_word_translation_composes_with_coding_exactly():
         assert folded == whole
 
 
+def _agreement(sys, tol, pitch):
+    """The two-run oracle's report, once the one run of
+    ``check_diagonal_agreement`` has printed its lines and found its sets."""
+    rep = check_diagonal_agreement(sys, tol=tol, pitch=pitch)
+    two = two_run_agreement(sys, tol=tol, pitch=pitch)
+    assert rep.summary() == two.summary()
+    assert rep.passed == two.passed
+    assert rep.sets_source == two.sets_source == two.sets_collapse
+    return two
+
+
 def test_agreement_s1_exact_zero():
     sys = shipped("s1")
     h = 1 / 128
-    rep = check_diagonal_agreement(sys, tol=4 * h, pitch=h)
+    rep = _agreement(sys, tol=4 * h, pitch=h)
     assert rep.passed
     assert max(rep.distances.values()) == 0.0
 
@@ -154,7 +177,7 @@ def test_agreement_s1_exact_zero():
 def test_agreement_p2_full_square():
     sys = shipped("p2")
     h = 1 / 128
-    rep = check_diagonal_agreement(sys, tol=4 * h, pitch=h)
+    rep = _agreement(sys, tol=4 * h, pitch=h)
     assert rep.passed
     # the quarter maps tile the square, so the attractor is the whole fiber
     full = SetTuple.from_fibers(sys, h)
@@ -164,7 +187,7 @@ def test_agreement_p2_full_square():
 def test_agreement_p2c_cantor_square():
     sys = shipped("p2c")
     h = 1 / 243
-    rep = check_diagonal_agreement(sys, tol=4 * h, pitch=h)
+    rep = _agreement(sys, tol=4 * h, pitch=h)
     assert rep.passed
     assert "distance" in rep.summary()
 
@@ -204,17 +227,129 @@ def test_agreement_matches_reference(name, h, tol_of):
     sys = shipped(name)
     tol = 4 * h if tol_of == "4h" else _least_tol(sys, h)
     rep = check_diagonal_agreement(sys, tol=tol, pitch=h)
+    two = two_run_agreement(sys, tol=tol, pitch=h)
     distances, passed, K_src, K_col = _reference_agreement(sys, tol, h)
-    assert rep.distances == distances
-    assert rep.passed == passed
-    # both runs are refined through the same levels to the same fixed points
-    assert rep.sets_source == K_src and rep.sets_collapse == K_col
+    assert two.distances == distances
+    assert rep.passed == two.passed == passed
+    # the oracle's two runs are refined through the same levels to the same
+    # fixed points, and the one run finds both
+    assert two.sets_source == K_src and two.sets_collapse == K_col
+    assert rep.sets_source == K_src and rep.sets_source == K_col
 
 
 @pytest.mark.parametrize("name, h", [("s1", 1 / 64), ("p2c", 1 / 81)])
 def test_agreement_below_the_least_tol_is_refused(name, h):
-    # both runs are held to tol, so below eps/(1-c) neither one starts
+    # the run is held to tol, so below eps/(1-c) it does not start
     sys = shipped(name)
     for tol in (0.0, math.nextafter(_least_tol(sys, h), 0.0)):
         with pytest.raises(ValueError, match=r"^--tol .* is below .*, the least error bound"):
             check_diagonal_agreement(sys, tol=tol, pitch=h)
+
+
+# ---------------------------------------------------------------------------
+# the collapse iterates the source's diagonal-degree operator
+
+
+def _two_vertex_system(graph):
+    """Halving maps between two unit intervals on the two-vertex 2-graph,
+    each edge with its own shift, so that no two diagonal composites agree."""
+    shifts = {ident: (i + 1) / 17 for i, ident in enumerate(sorted(graph.edges))}
+    fiber = MetricFiber(Box([0.0], [1.0]))
+    gens = {ident: AffineMap.of([[0.5]], [shift]) for ident, shift in shifts.items()}
+    return MWSystem(graph, {"u": fiber, "w": fiber}, gens, ratio=0.5, name="two-vertex")
+
+
+def _mismatches(sys, table=None):
+    op = Operator.of(sys, sys.diagonal_degree)
+    if table is None:
+        table = diagonal_graph(sys.graph).edge_to_path
+    return operator_mismatches(op, diagonal_system(sys), table)
+
+
+@pytest.mark.parametrize("name", ["s1", "p2", "p2c", "t0", "f3", "two-vertex",
+                                  *(f"product-{seed}" for seed in range(1, 11))])
+def test_the_collapse_iterates_the_source_operator(g_two_vertex, name):
+    if name == "two-vertex":
+        sys = _two_vertex_system(g_two_vertex)
+    elif name.startswith("product-"):
+        from kfractal.io import load_instance
+        from perfbench.generate import product_system
+
+        sys = load_instance(product_system(int(name.split("-")[1])))[1]
+    else:
+        sys = shipped(name)
+    assert _mismatches(sys) == {}
+    # the identity's content: per vertex, the same pairs bit for bit
+    op = Operator.of(sys, sys.diagonal_degree)
+    pairs = degree_maps(diagonal_system(sys), (1,))
+    for v in sys.graph.vertices:
+        bits = sorted((m.matrix.tobytes(), m.shift.tobytes(), src) for m, src in op.maps[v])
+        assert bits == sorted((m.matrix.tobytes(), m.shift.tobytes(), src)
+                              for m, src in pairs[v])
+
+
+def _swapped(dg):
+    """dg with its first two edge -> path entries swapped, as
+    test_transfer_detects_corrupted_back_reference builds it."""
+    (i1, p1), (i2, p2) = list(dg.edge_to_path.items())[:2]
+    dg.edge_to_path[i1] = p2
+    dg.edge_to_path[i2] = p1
+    return dg
+
+
+def test_a_mismatch_names_the_first_edge_that_differs(g_two_vertex):
+    sys = shipped("p2c")
+    table = diagonal_graph(sys.graph).edge_to_path
+    first = next(iter(table))
+    # a table swapped against the collapse's edges
+    found = _mismatches(sys, _swapped(diagonal_graph(sys.graph)).edge_to_path)
+    second = list(table.values())[1]
+    assert found == {"v": f"edge {first} from v is tabled as {second!r}"}
+    # a table that lacks an edge
+    assert _mismatches(sys, {e: p for e, p in table.items() if e != first}) == {
+        "v": f"edge {first} from v is tabled as None"}
+    # across vertices, edges tabled as paths with another range or source
+    two = _two_vertex_system(g_two_vertex)
+    found = _mismatches(two, _swapped(diagonal_graph(two.graph)).edge_to_path)
+    assert found and all(" is tabled as Path(" in line for line in found.values())
+
+
+def test_a_map_one_ulp_off_is_a_mismatch():
+    sys = shipped("p2c")
+    collapse = diagonal_system(sys)
+    first = next(iter(collapse.generators))
+    m = collapse.generators[first]
+    collapse.generators[first] = AffineMap.of(m.matrix, np.nextafter(m.shift, 2.0))
+    op = Operator.of(sys, sys.diagonal_degree)
+    found = operator_mismatches(op, collapse, diagonal_graph(sys.graph).edge_to_path)
+    assert found == {"v": f"edge {first}'s map from v is no degree (1, 1) path map left"}
+
+
+def test_a_collapse_without_an_edge_is_a_mismatch():
+    sys = shipped("p2c")
+    collapse = diagonal_system(sys)
+    dg = diagonal_graph(sys.graph)
+    last = list(dg.edge_to_path)[-1]
+    rows = [(e, "v", "v") for e in dg.edge_to_path if e != last]
+    short = MWSystem(type(dg.graph)(1, ["v"], {1: rows}), collapse.fibers,
+                     {e: collapse.generators[e] for e, _, _ in rows}, ratio=collapse.ratio)
+    op = Operator.of(sys, sys.diagonal_degree)
+    assert operator_mismatches(op, short, dg.edge_to_path) == {"v": "3 edges for 4 paths"}
+
+
+def test_cli_diagonal_with_a_swapped_table_exits_1_before_any_step(monkeypatch, tmp_path,
+                                                                   capsys):
+    from kfractal.cli import FAIL, main
+
+    real = diagonal.diagonal_graph
+    monkeypatch.setattr(diagonal, "diagonal_graph", lambda g: _swapped(real(g)))
+    runs = []
+    compute = attractor.compute_attractor
+    monkeypatch.setattr(attractor, "compute_attractor",
+                        lambda *args, **kw: runs.append(args) or compute(*args, **kw))
+    assert main(["diagonal", "--instance", "p2c", "--out", str(tmp_path)]) == FAIL
+    out = capsys.readouterr().out
+    (first, _), (_, second) = list(real(shipped("p2c").graph).edge_to_path.items())[:2]
+    assert out == f"vertex v: edge {first} from v is tabled as {second!r} FAIL\n"
+    assert (tmp_path / "diagonal.txt").read_text() == out
+    assert runs == []

@@ -114,7 +114,7 @@ GUARDS = {
     "coding-s1-no-ma": (["coding", "--instance", "s1", "--count", "20000", "--seed", "1"],
                         "numpy.ma"),
     "attractor-p2-no-ma": (["attractor", "--instance", "p2"], "numpy.ma"),
-    # both diagonal runs unite the children of each level's fixed point
+    # the diagonal run unites the children of each level's fixed point
     "diagonal-p2c-no-ma": (["diagonal", "--instance", "p2c"], "numpy.ma"),
     "attractor-dust-no-ma": (["attractor", "--instance", DUST], "numpy.ma"),
     # coding draws its ranks from random.Random; no command loads numpy.random

@@ -31,7 +31,6 @@ from kfractal.io import (
     load_instance,
     packaged_instance,
     write_clouds_csv,
-    write_diff_pgm,
     write_pgm,
 )
 from kfractal.kgraph import enumerate_paths, validate_kgraph
@@ -325,6 +324,20 @@ def test_csv_matches_reference_writer(tmp_path, pitch, clouds):
     _assert_csv_matches_reference(SetTuple(pitch, clouds), tmp_path)
 
 
+def test_csv_of_random_tuples_matches_reference_writer(tmp_path):
+    # the writer joins each run of rows that share all coordinates but the
+    # last under one prefix: 60 tuples of 1, 2 and 3 axes on three vertices,
+    # a fifth of the clouds empty, against the per-row repr writer
+    rng = np.random.default_rng(23)
+    for i in range(60):
+        dim = 1 + i % 3
+        clouds = {v: rng.integers(-8, 8, size=(0 if rng.random() < 0.2 else
+                                              int(rng.integers(1, 400)), dim))
+                  for v in ("u", "v", "w")}
+        pitch = float(rng.choice([0.1, 2.0**-5, 0.3]))
+        _assert_csv_matches_reference(SetTuple(pitch, clouds), tmp_path)
+
+
 def test_cloud_past_int64_cells_is_refused():
     # 300 rows spread over +-10**12 per axis span a box of 4 * 10**24
     # cells, which int64 cannot number: the tuple is refused before its
@@ -368,35 +381,16 @@ def test_pgm_layout(tmp_path):
     assert pixels[0, 0] == 255
 
 
-def test_diff_pgm_levels(tmp_path):
-    a = SetTuple.from_points(1.0, {"v": np.array([[0.0, 0.0], [1.0, 0.0]])})
-    b = SetTuple.from_points(1.0, {"v": np.array([[0.0, 0.0], [2.0, 0.0]])})
-    path = tmp_path / "diff.pgm"
-    write_diff_pgm(a, b, "v", path)
-    data = path.read_bytes()
-    pixels = np.frombuffer(data[len(b"P5\n3 1\n255\n"):], dtype=np.uint8)
-    assert pixels.tolist() == [0, 90, 170]
-
-
-def _reference_diff_pgm(a, b, vertex, path):
-    # the writer before it painted with arrays: Python sets of cells, one
+def _reference_pgm(sets, vertex, path):
+    # the writer before it painted with arrays: a Python set of cells, one
     # pixel per loop step
-    one = {tuple(r) for r in a.clouds[vertex].tolist()}
-    two = {tuple(r) for r in b.clouds[vertex].tolist()}
-    both = one | two
-    arr = np.array(sorted(both), dtype=np.int64)
+    cells = {tuple(r) for r in sets.clouds[vertex].tolist()}
+    arr = np.array(sorted(cells), dtype=np.int64)
     lo = arr.min(axis=0)
     hi = arr.max(axis=0)
     img = np.full((int(hi[1] - lo[1]) + 1, int(hi[0] - lo[0]) + 1), 255, dtype=np.uint8)
-    for cell in both:
-        col = cell[0] - lo[0]
-        row = hi[1] - cell[1]
-        if cell in one and cell in two:
-            img[row, col] = 0
-        elif cell in one:
-            img[row, col] = 90
-        else:
-            img[row, col] = 170
+    for cell in cells:
+        img[hi[1] - cell[1], cell[0] - lo[0]] = 0
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))
         fh.write(img.tobytes())
@@ -408,31 +402,23 @@ def _lattice_tuple(rows):
 
 _rng = np.random.default_rng(5)
 _cloud_a = _rng.integers(-30, 30, size=(400, 2))
-_cloud_b = _rng.integers(-10, 45, size=(300, 2))
 
 
 @pytest.mark.parametrize(
-    "rows_a, rows_b",
-    [
-        (_cloud_a, _cloud_b),                      # overlapping
-        (_cloud_a, _cloud_a + [100, 3]),           # disjoint
-        (_cloud_a, _cloud_a),                      # equal
-        (_cloud_a, []),                            # b empty
-        ([], _cloud_b),                            # a empty
-        ([[-7, 4]], [[-7, 4]]),                    # one shared cell
-    ],
-    ids=["overlap", "disjoint", "equal", "b-empty", "a-empty", "single"],
+    "rows",
+    [_cloud_a, _cloud_a[:40] * 3 + [100, 3], [[-7, 4]]],
+    ids=["dense", "sparse", "single"],
 )
-def test_diff_pgm_matches_reference_writer(tmp_path, rows_a, rows_b):
-    a, b = _lattice_tuple(rows_a), _lattice_tuple(rows_b)
-    write_diff_pgm(a, b, "v", tmp_path / "new.pgm")
-    _reference_diff_pgm(a, b, "v", tmp_path / "old.pgm")
+def test_pgm_matches_reference_writer(tmp_path, rows):
+    sets = _lattice_tuple(rows)
+    write_pgm(sets, "v", tmp_path / "new.pgm")
+    _reference_pgm(sets, "v", tmp_path / "old.pgm")
     assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "old.pgm").read_bytes()
 
 
-def test_diff_pgm_refuses_two_empty_clouds(tmp_path):
-    with pytest.raises(ValueError):
-        write_diff_pgm(_lattice_tuple([]), _lattice_tuple([]), "v", tmp_path / "x.pgm")
+def test_pgm_refuses_an_empty_cloud(tmp_path):
+    with pytest.raises(ValueError, match="^empty cloud$"):
+        write_pgm(_lattice_tuple([]), "v", tmp_path / "x.pgm")
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +526,10 @@ def test_cli_coding_corrupted_instance_names_offender(tmp_path, capsys):
 
 def test_cli_diagonal_pass(tmp_path):
     code = main(["diagonal", "--instance", "p2c", "--pitch", str(1 / 243),
-                 "--render", "--out", str(tmp_path)])
+                 "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "diagonal.txt").read_text().count("ok") >= 1
-    assert (tmp_path / "diagonal_diff_v.pgm").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["diagonal.txt"]
 
 
 @pytest.mark.parametrize("command", ["attractor", "coding", "diagonal"])
@@ -1265,10 +1251,9 @@ PINNED_RUN_DIGESTS = {
         "attractor_v.pgm": "edd12dfc446a5f44d3514d7d29c84fb893d56e672b66e9370a27bb0382e0a680",
         "certificate.txt": "e1f87d7d296bc3701eafcc76b597d206dd9edc04754a2183c3446463498a80c1",
     }),
-    "diagonal product": (["diagonal", "--instance", "{product}", "--render"], {
+    "diagonal product": (["diagonal", "--instance", "{product}"], {
         "stdout": "ff7249897dc0d7e2473a917dc0e4a8efe3f625fa0596943089b2354060d2a600",
         "diagonal.txt": "ff7249897dc0d7e2473a917dc0e4a8efe3f625fa0596943089b2354060d2a600",
-        "diagonal_diff_v.pgm": "edd12dfc446a5f44d3514d7d29c84fb893d56e672b66e9370a27bb0382e0a680",
     }),
     "attractor t0": (["attractor", "--instance", "t0"], {
         "stdout": "cbb372ba8a8c05954b16d0509950a22a667f334e75504c120952fc243bb15549",
@@ -1455,8 +1440,7 @@ FLAGS = {
                   "--degree"},
     "coding": {"--instance", "--mode", "--out", "--pitch", "--tol", "--max-iter",
                "--degree", "--seed", "--count"},
-    "diagonal": {"--instance", "--mode", "--out", "--pitch", "--tol", "--max-iter",
-                 "--render"},
+    "diagonal": {"--instance", "--mode", "--out", "--pitch", "--tol", "--max-iter"},
     "duality": {"--instance", "--max-fiber-size", "--seed", "--out"},
 }
 
@@ -1474,7 +1458,7 @@ def _parser_flags():
 def test_cli_flag_sets_are_pinned():
     flags = _parser_flags()
     assert flags == FLAGS
-    assert sum(len(f) for f in flags.values()) == 30
+    assert sum(len(f) for f in flags.values()) == 29
 
 
 def _readme_flag_table():
@@ -1506,6 +1490,7 @@ def test_readme_flag_table_matches_parser():
         ("coding", ["--render"]),
         ("diagonal", ["--degree", "2,2"]),
         ("diagonal", ["--seed", "1"]),
+        ("diagonal", ["--render"]),
     ],
 )
 def test_cli_flag_a_command_does_not_read_exits_2(tmp_path, capsys, command, flags):
