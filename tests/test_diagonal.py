@@ -20,7 +20,7 @@ from kfractal.attractor import (
 )
 from kfractal.coding import sample_prefixes
 from kfractal.diagonal import check_diagonal_agreement, diagonal_system, operator_mismatches
-from kfractal.kgraph import diagonal_graph
+from kfractal.kgraph import KGraph, diagonal_graph
 from kfractal.systems import (
     AffineMap,
     Box,
@@ -288,10 +288,11 @@ def test_the_collapse_iterates_the_source_operator(g_two_vertex, name):
                               for m, src in pairs[v])
 
 
-def _swapped(dg):
-    """dg with its first two edge -> path entries swapped, as
-    test_transfer_detects_corrupted_back_reference builds it."""
-    (i1, p1), (i2, p2) = list(dg.edge_to_path.items())[:2]
+def _swapped(dg, first=0, second=1):
+    """dg with two edge -> path entries swapped, by default the first two,
+    as test_transfer_detects_corrupted_back_reference builds it."""
+    items = list(dg.edge_to_path.items())
+    (i1, p1), (i2, p2) = items[first], items[second]
     dg.edge_to_path[i1] = p2
     dg.edge_to_path[i2] = p1
     return dg
@@ -308,10 +309,15 @@ def test_a_mismatch_names_the_first_edge_that_differs(g_two_vertex):
     # a table that lacks an edge
     assert _mismatches(sys, {e: p for e, p in table.items() if e != first}) == {
         "v": f"edge {first} from v is tabled as None"}
-    # across vertices, edges tabled as paths with another range or source
+    # across vertices: the first edge into u and the last one into w swap
+    # paths, so each is tabled as a path with another range
     two = _two_vertex_system(g_two_vertex)
-    found = _mismatches(two, _swapped(diagonal_graph(two.graph)).edge_to_path)
-    assert found and all(" is tabled as Path(" in line for line in found.values())
+    table = diagonal_graph(two.graph).edge_to_path
+    (e_u, p_u), (e_w, p_w) = list(table.items())[0], list(table.items())[-1]
+    assert (p_u.range_vertex, p_w.range_vertex) == ("u", "w")
+    found = _mismatches(two, _swapped(diagonal_graph(two.graph), 0, -1).edge_to_path)
+    assert found == {"u": f"edge {e_u} from {p_u.source_vertex} is tabled as {p_w!r}",
+                     "w": f"edge {e_w} from {p_w.source_vertex} is tabled as {p_u!r}"}
 
 
 def test_a_map_one_ulp_off_is_a_mismatch():
@@ -331,7 +337,7 @@ def test_a_collapse_without_an_edge_is_a_mismatch():
     dg = diagonal_graph(sys.graph)
     last = list(dg.edge_to_path)[-1]
     rows = [(e, "v", "v") for e in dg.edge_to_path if e != last]
-    short = MWSystem(type(dg.graph)(1, ["v"], {1: rows}), collapse.fibers,
+    short = MWSystem(KGraph(1, ["v"], {1: rows}), collapse.fibers,
                      {e: collapse.generators[e] for e, _, _ in rows}, ratio=collapse.ratio)
     op = Operator.of(sys, sys.diagonal_degree)
     assert operator_mismatches(op, short, dg.edge_to_path) == {"v": "3 edges for 4 paths"}
