@@ -13,14 +13,14 @@ from collections import Counter
 from typing import NamedTuple
 
 from .attractor import ConvergenceCertificate, Operator, SetTuple, refine_attractor
-from .kgraph import Path, diagonal_edge_id, diagonal_graph
+from .kgraph import DiagonalGraph, Path, diagonal_edge_id, diagonal_graph
 from .systems import STRICT, MWSystem, extend_map
 
 
-def diagonal_system(sys: MWSystem) -> MWSystem:
+def diagonal_system(sys: MWSystem, dg: DiagonalGraph) -> MWSystem:
     """The rank-1 collapse: a strict system over the same fibers on the
-    graph of ``diagonal_graph(sys.graph)``, whose ``edge_to_path`` expands
-    each of its edges.
+    graph of ``dg = diagonal_graph(sys.graph)``, whose ``edge_to_path``
+    expands each of its edges.
 
     Generators are the exact ``extend_map`` composites, so iterating the
     collapse at degree 1 performs bitwise the same arithmetic as iterating
@@ -28,7 +28,6 @@ def diagonal_system(sys: MWSystem) -> MWSystem:
     strict source; a relaxed source certifies its diagonal composites at the
     declared ratio directly.
     """
-    dg = diagonal_graph(sys.graph)
     gens = {ident: extend_map(sys, lam) for ident, lam in dg.edge_to_path.items()}
     ratio = sys.ratio ** sys.graph.k if sys.mode == STRICT else sys.ratio
     return MWSystem(
@@ -105,8 +104,8 @@ def check_diagonal_agreement(sys: MWSystem, tol: float, pitch: float,
     operator (``operator_mismatches``), which must contract, and then refine
     its fixed point at the pitch once (``refine_attractor``)."""
     op = Operator.of(sys, sys.diagonal_degree)
-    table = diagonal_graph(sys.graph).edge_to_path
-    mismatches = operator_mismatches(op, diagonal_system(sys), table)
+    dg = diagonal_graph(sys.graph)
+    mismatches = operator_mismatches(op, diagonal_system(sys, dg), dg.edge_to_path)
     if mismatches:
         return DiagonalAgreement(tol, mismatches, None, None)
     K, cert = refine_attractor(sys, op, pitch, tol, max_iter=max_iter)

@@ -5,7 +5,8 @@ to every edge of the underlying graph; maps extend to all paths by
 composition.  Because the maps are affine, the consistency demanded by the
 factorization squares is a matrix identity, checked here in exact rational
 arithmetic over the stored float entries (every float is a rational, so the
-check has no tolerance).
+check has no tolerance); so is each map's containment of its source fiber's
+image in its target fiber, through the regions' ``encloses``.
 
 A fiber and a map are named tuples; a system is a plain class, since its
 mode can be overridden after loading.
@@ -13,6 +14,7 @@ mode can be overridden after loading.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -26,9 +28,6 @@ from .report import AXIOM, RELAXED, STRICT, STRUCTURAL, ValidationReport
 
 EUCLIDEAN = "euclidean"
 MAX = "max"
-
-# slack for geometric containment tests; boundary-touching images are legal
-CONTAINMENT_EPS = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +56,11 @@ def _pair_lengths(diff: np.ndarray) -> np.ndarray:
     return np.sqrt((diff ** 2).sum(-1))
 
 
+def _rational(rows) -> list[tuple[Fraction, ...]]:
+    """Float rows as exact rationals (every float is one)."""
+    return [tuple(map(Fraction, row)) for row in np.atleast_2d(rows).tolist()]
+
+
 class Box:
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
@@ -75,7 +79,7 @@ class Box:
     def centroid(self):
         return (self.lo + self.hi) / 2.0
 
-    def contains(self, pts, tol=CONTAINMENT_EPS):
+    def contains(self, pts, tol):
         pts = np.atleast_2d(pts)
         # column by column: numpy reduces a narrow (N, d) array along its
         # rows several times slower
@@ -85,16 +89,14 @@ class Box:
             inside &= col <= high
         return inside
 
-    def contains_ball(self, center, radius, tol=CONTAINMENT_EPS):
-        center = np.asarray(center, dtype=float)
-        return bool(
-            np.all(center - self.lo >= radius - tol)
-            and np.all(self.hi - center >= radius - tol)
-        )
+    def encloses(self, point, radius) -> bool:
+        """Whether the closed ball of the rational radius about the rational
+        point lies in the box: lo + r <= x <= hi - r, exactly."""
+        lo, hi = _rational([self.lo, self.hi])
+        return all(a + radius <= x <= b - radius for x, a, b in zip(point, lo, hi))
 
-    def corner_points(self):
-        axes = [(float(a), float(b)) for a, b in zip(self.lo, self.hi)]
-        return np.array(list(itertools.product(*axes)))
+    def exact_corners(self):
+        return list(itertools.product(*zip(*_rational([self.lo, self.hi]))))
 
     def bounding_box(self):
         return self.lo.copy(), self.hi.copy()
@@ -117,18 +119,16 @@ class Ball:
     def centroid(self):
         return self.center.copy()
 
-    def contains(self, pts, tol=CONTAINMENT_EPS):
+    def contains(self, pts, tol):
         pts = np.atleast_2d(pts)
         return np.linalg.norm(pts - self.center, axis=1) <= self.radius + tol
 
-    def contains_ball(self, center, radius, tol=CONTAINMENT_EPS):
-        center = np.asarray(center, dtype=float)
-        return bool(
-            np.linalg.norm(center - self.center) + radius <= self.radius + tol
-        )
-
-    def corner_points(self):
-        return None  # handled through contains_ball
+    def encloses(self, point, radius) -> bool:
+        """Whether the closed ball of the rational radius about the rational
+        point lies in this one: r <= R and |x - c|^2 <= (R - r)^2, exactly."""
+        (center,), big = _rational(self.center), Fraction(self.radius)
+        return radius <= big and sum(
+            (x - c) ** 2 for x, c in zip(point, center)) <= (big - radius) ** 2
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -138,7 +138,8 @@ class Polygon:
     """Convex polygon in the plane; corners are normalized to CCW order.
 
     Non-finite corners are kept as given, for ``validate_system`` to report
-    as ``non-finite``; repeated or collinear corners are refused."""
+    as ``non-finite``; repeated or collinear corners are refused.  The
+    orientation and every turn are signs of exact cross products."""
 
     def __init__(self, corners):
         pts = np.asarray(corners, dtype=float)
@@ -147,24 +148,15 @@ class Polygon:
         if not np.isfinite(pts).all():
             self.corners = pts
             return
-        # the orientation and convexity products are taken of the corners
-        # scaled by an exact power of two, so they cannot overflow
-        unit = np.ldexp(pts, -_exponent(pts))
-        area2 = 0.0
-        for i in range(len(unit)):
-            x0, y0 = unit[i]
-            x1, y1 = unit[(i + 1) % len(unit)]
-            area2 += x0 * y1 - x1 * y0
-        if area2 < 0:
-            pts, unit = pts[::-1].copy(), unit[::-1]
+        xy = _rational(pts)
+        if sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(xy, xy[1:] + xy[:1])) < 0:
+            pts, xy = pts[::-1].copy(), xy[::-1]
         self.corners = pts
-        edges = np.roll(unit, -1, axis=0) - unit
-        nxt = np.roll(edges, -1, axis=0)
-        cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-        slack = 1e-12 * np.abs(cross).max()
-        if np.any(cross < -slack):
+        turns = [(bx - ax) * (cy - by) - (by - ay) * (cx - bx) for (ax, ay), (bx, by), (cx, cy)
+                 in zip(xy, xy[1:] + xy[:1], xy[2:] + xy[:2])]
+        if min(turns) < 0:
             raise ValueError("polygon is not convex")
-        if np.any(cross <= slack):
+        if min(turns) == 0:
             raise ValueError("bad-region: polygon has repeated or collinear corners")
 
     @property
@@ -187,28 +179,33 @@ class Polygon:
         lengths = _scaled(lambda n: np.linalg.norm(n, axis=1), normals)
         return normals / lengths[:, None]
 
-    def contains(self, pts, tol=CONTAINMENT_EPS):
+    def contains(self, pts, tol):
         pts = np.atleast_2d(pts)
         normals = self._edge_normals()
         diff = pts[:, None, :] - self.corners[None, :, :]
         signed = np.einsum("ijd,jd->ij", diff, normals)
         return np.all(signed >= -tol, axis=1)
 
-    def contains_ball(self, center, radius, tol=CONTAINMENT_EPS):
-        center = np.asarray(center, dtype=float)
-        normals = self._edge_normals()
-        signed = ((center[None, :] - self.corners) * normals).sum(axis=1)
-        return bool(np.all(signed >= radius - tol))
+    def encloses(self, point, radius) -> bool:
+        """Whether the closed disc of the rational radius about the rational
+        point lies in the polygon: on every CCW edge a -> b the cross product
+        (b - a) x (x - a) is >= 0 and its square >= r^2 |b - a|^2, exactly."""
+        (x, y), xy = point, self.exact_corners()
+        for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1]):
+            cross = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
+            if cross < 0 or cross ** 2 < radius ** 2 * ((bx - ax) ** 2 + (by - ay) ** 2):
+                return False
+        return True
 
-    def corner_points(self):
-        return self.corners.copy()
+    def exact_corners(self):
+        return _rational(self.corners)
 
     def bounding_box(self):
         return self.corners.min(axis=0), self.corners.max(axis=0)
 
 
 class PointSet:
-    """Explicit finite region; containment is membership up to tol."""
+    """Explicit finite region; ``encloses`` is exact membership."""
 
     def __init__(self, points):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -230,17 +227,24 @@ class PointSet:
     def centroid(self):
         return self.points.mean(axis=0)
 
-    def contains(self, pts, tol=CONTAINMENT_EPS):
+    def contains(self, pts, tol):
         pts = np.atleast_2d(pts)
         diff = pts[:, None, :] - self.points[None, :, :]
         dmin = np.sqrt((diff ** 2).sum(-1)).min(axis=1)
         return dmin <= tol
 
-    def contains_ball(self, center, radius, tol=CONTAINMENT_EPS):
-        return bool(self.contains(center, tol=tol + radius)[0]) and radius <= tol
+    def encloses(self, point, radius) -> bool:
+        """Whether the closed ball of the rational radius about the rational
+        point lies in the set: r = 0 and the point is listed."""
+        return radius == 0 and tuple(point) in self._members
 
-    def corner_points(self):
-        return self.points.copy()
+    @functools.cached_property
+    def _members(self) -> set:
+        # floats equal and hash as the rationals they are
+        return set(map(tuple, self.points.tolist()))
+
+    def exact_corners(self):
+        return _rational(self.points)
 
     def bounding_box(self):
         return self.points.min(axis=0), self.points.max(axis=0)
@@ -304,12 +308,6 @@ def in_region(region, rows, pitch) -> np.ndarray:
     """Which lattice rows of the given pitch lie in a region, with the
     boundary slack ``grid_indices`` keeps them by."""
     return region.contains(pitch * rows, tol=pitch * 1e-6)
-
-
-def grid_points(region, pitch):
-    """Grid-aligned sample of a region: all lattice points of the given pitch
-    inside it (with boundary slack); too large a grid raises ValueError."""
-    return pitch * grid_indices(region, pitch)
 
 
 class MetricFiber(NamedTuple):
@@ -472,30 +470,31 @@ def degree_maps(sys: MWSystem, n) -> dict[str, list[tuple[AffineMap, str]]]:
 
 
 def _image_inside(m: AffineMap, src: MetricFiber, dst: MetricFiber) -> bool:
-    """Whether m maps src's region into dst's region.
+    """Whether m provably maps src's region into dst's region, decided in
+    exact rationals by the target's ``encloses``.
 
-    Exact for box/polygon/point sources into convex targets (corner images);
-    balls use the center image plus the radius times ``lipschitz_bound``; a
-    coarse grid sample backs all cases up.
+    A box, polygon or point-set source is decided by its corners' exact
+    images at radius 0: a box, ball or polygon target is convex, and a
+    point-set target holds a box or polygon image only when it is one
+    point.  A ball source is proved through its centre's image at its radius
+    times the certified ``lipschitz_bound``, which suffices but is not
+    necessary; a point-set target then needs that radius 0.
     """
+    mat, shift = m.exact()
+
+    def image(p):
+        return tuple(sum(a * x for a, x in zip(row, p)) + t for row, t in zip(mat, shift))
+
     region = src.region
-    corners = region.corner_points()
-    if corners is not None:
-        if not np.all(dst.region.contains(m.apply(corners))):
-            return False
+    if isinstance(region, Ball):
+        images = [image(*_rational(region.center))]
+        radius = Fraction(region.radius) * Fraction(lipschitz_bound(m, EUCLIDEAN))
     else:
-        center = m.apply(region.centroid())
-        radius = region.radius * lipschitz_bound(m, EUCLIDEAN)
-        if not dst.region.contains_ball(center, radius):
+        images, radius = [image(p) for p in region.exact_corners()], 0
+        if isinstance(dst.region, PointSet) and not isinstance(region, PointSet) \
+                and len(set(images)) > 1:
             return False
-    try:
-        sample = grid_points(region, max(region.diameter(EUCLIDEAN) / 64.0, 1e-9))
-    except ValueError:  # too fine to allocate (d >= 5); the checks above stand
-        return True
-    if len(sample):
-        if not np.all(dst.region.contains(m.apply(sample))):
-            return False
-    return True
+    return all(dst.region.encloses(x, radius) for x in images)
 
 
 def _exceeds(lip: float, ratio: float) -> str:
@@ -575,7 +574,7 @@ def validate_system(sys: MWSystem) -> ValidationReport:
         e = g.edge(ident)
         if not _image_inside(m, sys.fibers[e.source_vertex], sys.fibers[e.range_vertex]):
             rep.add(AXIOM, "domain-containment", ident,
-                    "image of the source fiber leaves the target fiber")
+                    "image of the source fiber is not proved inside the target fiber")
 
     metric = sys.metric
     if sys.mode == STRICT:

@@ -53,6 +53,7 @@ from kfractal.kgraph import (
     KGraphError,
     Path,
     degree_leq,
+    diagonal_graph,
     enumerate_paths,
     factorize,
     path_from_word,
@@ -505,7 +506,7 @@ def two_run_agreement(sys: MWSystem, tol: float, pitch: float,
     ``check_diagonal_agreement``'s two runs before it proved the two
     operators one and kept one run."""
     K_src, cert_src = refine_attractor(sys, sys.diagonal_degree, pitch, tol, max_iter=max_iter)
-    K_col, cert_col = refine_attractor(diagonal_system(sys), (1,), pitch, tol,
-                                       max_iter=max_iter)
+    collapse = diagonal_system(sys, diagonal_graph(sys.graph))
+    K_col, cert_col = refine_attractor(collapse, (1,), pitch, tol, max_iter=max_iter)
     distances = K_src.vertex_distances(K_col, sys.metric)
     return TwoRunAgreement(tol, distances, cert_src, cert_col, K_src, K_col)

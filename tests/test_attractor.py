@@ -48,7 +48,7 @@ from kfractal.systems import (
     MWSystem,
     degree_maps,
     extend_map,
-    grid_points,
+    grid_indices,
     lipschitz_bound,
     validate_system,
 )
@@ -523,7 +523,7 @@ def test_from_fibers_rows_equal_snapped_grid_points(pitch):
     for name, sys_ in _fiber_systems().items():
         got = SetTuple.from_fibers(sys_, pitch)
         want = SetTuple.from_points(pitch, {
-            v: grid_points(f.region, pitch) for v, f in sys_.fibers.items()
+            v: pitch * grid_indices(f.region, pitch) for v, f in sys_.fibers.items()
         })
         assert got == want, name
         for v, rows in got.clouds.items():
@@ -1139,21 +1139,22 @@ def test_refine_attractor_refuses_before_any_step(monkeypatch, name, n, pitch, t
 
 
 # per command: its flags, the contraction factors and degree listings it
-# derives, and its refined runs; coding also certifies its coding depth,
-# an operator whose paths it does not list, and diagonal reads the
-# collapse's pairs edge by edge from its generators, not from a listing
+# derives, its refined runs and the diagonal graphs it builds; coding also
+# certifies its coding depth, an operator whose paths it does not list, and
+# diagonal reads the collapse's pairs edge by edge from its generators, not
+# from a listing, and builds the collapse and its table from one graph
 DERIVATIONS = [
-    ("attractor", [], 1, 1, 1),
-    ("coding", ["--count", "20000", "--seed", "1"], 2, 1, 1),
-    ("diagonal", [], 1, 1, 1),
+    ("attractor", [], 1, 1, 1, 0),
+    ("coding", ["--count", "20000", "--seed", "1"], 2, 1, 1, 0),
+    ("diagonal", [], 1, 1, 1, 1),
 ]
 
 
 @pytest.mark.parametrize("name", ["s1", "p2c"])
-@pytest.mark.parametrize("command, flags, contractions, listings, runs", DERIVATIONS)
+@pytest.mark.parametrize("command, flags, contractions, listings, runs, collapses", DERIVATIONS)
 def test_each_run_derives_its_operator_once(monkeypatch, tmp_path, name, command, flags,
-                                            contractions, listings, runs):
-    from kfractal import coding
+                                            contractions, listings, runs, collapses):
+    from kfractal import coding, diagonal
     from kfractal.cli import PARSE_ERROR, main
 
     calls = collections.Counter()
@@ -1172,9 +1173,11 @@ def test_each_run_derives_its_operator_once(monkeypatch, tmp_path, name, command
     spy(attractor, "degree_maps", "degree_maps")
     for fn_name in ("start_grids", "grid_slack", "compute_attractor"):
         spy(attractor, fn_name, fn_name)
+    spy(diagonal, "diagonal_graph", "diagonal_graph")
     assert main([command, "--instance", name, *flags, "--out", str(tmp_path)]) != PARSE_ERROR
-    assert calls == {"contraction_factor": contractions, "degree_maps": listings,
-                     "start_grids": runs, "grid_slack": runs, "compute_attractor": runs}
+    assert calls == collections.Counter(
+        contraction_factor=contractions, degree_maps=listings, start_grids=runs,
+        grid_slack=runs, compute_attractor=runs, diagonal_graph=collapses)
 
 
 def test_traced_diagonal_counts_the_printed_iterations(tmp_path):

@@ -36,6 +36,10 @@ from oracles import transfer_failures, two_run_agreement, word_to_path
 from shipped import shipped
 
 
+def _collapse(sys):
+    return diagonal_system(sys, diagonal_graph(sys.graph))
+
+
 def diagonal_words(collapse, length, count, seed):
     """Seeded composable words over the collapse's edge ids: ``count``
     uniform prefixes of degree (length,) at each vertex."""
@@ -50,7 +54,7 @@ def diagonal_words(collapse, length, count, seed):
 
 def test_rank1_collapse_keeps_generators():
     sys = shipped("s1")
-    collapse = diagonal_system(sys)
+    collapse = _collapse(sys)
     assert len(collapse.generators) == 3
     for ident, lam in diagonal_graph(sys.graph).edge_to_path.items():
         src_map = sys.generators[lam.edges[0]]
@@ -61,7 +65,7 @@ def test_rank1_collapse_keeps_generators():
 
 def test_p2_collapse_four_quarter_maps():
     sys = shipped("p2")
-    gens = diagonal_system(sys).generators
+    gens = _collapse(sys).generators
     assert len(gens) == 4
     shifts = sorted(tuple(m.shift.tolist()) for m in gens.values())
     assert shifts == [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
@@ -72,14 +76,14 @@ def test_p2_collapse_four_quarter_maps():
 
 def test_f3_collapse_single_generator():
     sys = shipped("f3")
-    gens = list(diagonal_system(sys).generators.values())
+    gens = list(_collapse(sys).generators.values())
     assert len(gens) == 1
     assert gens[0].matrix[0, 0] == pytest.approx(0.125)
 
 
 @pytest.mark.parametrize("name", ["s1", "p2", "p2c", "t0", "f3"])
 def test_collapse_validates_strict(name):
-    collapse = diagonal_system(shipped(name))
+    collapse = _collapse(shipped(name))
     rep = validate_system(collapse)
     assert rep.ok, str(rep)
     assert collapse.mode == "strict"
@@ -87,7 +91,7 @@ def test_collapse_validates_strict(name):
 
 def test_collapse_generator_data_equals_source_composites():
     sys = shipped("p2c")
-    collapse = diagonal_system(sys)
+    collapse = _collapse(sys)
     for ident, lam in diagonal_graph(sys.graph).edge_to_path.items():
         composite = extend_map(sys, lam)
         gen = collapse.generators[ident]
@@ -103,13 +107,13 @@ def test_step_equivalence_bitwise():
         h = 1 / 64
         C = SetTuple.from_fibers(sys, h)
         a = hutchinson_step(sys, sys.diagonal_degree, C)
-        b = hutchinson_step(diagonal_system(sys), (1,), C)
+        b = hutchinson_step(_collapse(sys), (1,), C)
         assert a == b
 
 
 def test_transfer_rank1_reduces_to_intertwining():
     sys = shipped("s1")
-    collapse = diagonal_system(sys)
+    collapse = _collapse(sys)
     words = diagonal_words(collapse, length=10, count=6, seed=3)
     samples, failures = transfer_failures(sys, collapse, diagonal_graph(sys.graph), words,
                                           tol=1e-3)
@@ -118,7 +122,7 @@ def test_transfer_rank1_reduces_to_intertwining():
 
 def test_transfer_p2_depth8():
     sys = shipped("p2")
-    collapse = diagonal_system(sys)
+    collapse = _collapse(sys)
     words = diagonal_words(collapse, length=8, count=10, seed=4)
     samples, failures = transfer_failures(sys, collapse, diagonal_graph(sys.graph), words,
                                           tol=1e-3)
@@ -128,7 +132,7 @@ def test_transfer_p2_depth8():
 
 def test_transfer_detects_corrupted_back_reference():
     sys = shipped("p2c")
-    collapse = diagonal_system(sys)
+    collapse = _collapse(sys)
     dg = diagonal_graph(sys.graph)
     # swap two entries of the edge -> path table
     (i1, p1), (i2, p2) = list(dg.edge_to_path.items())[:2]
@@ -146,7 +150,7 @@ def test_word_translation_composes_with_coding_exactly():
 
     sys_ = shipped("p2c")
     dg = diagonal_graph(sys_.graph)
-    for word in diagonal_words(diagonal_system(sys_), length=2, count=6, seed=8):
+    for word in diagonal_words(diagonal_system(sys_, dg), length=2, count=6, seed=8):
         expanded = word_to_path(dg, list(word))
         whole = exact_path_map(sys_, expanded)
         folded = exact_path_map(sys_, dg.edge_to_path[word[0]])
@@ -198,7 +202,7 @@ def _reference_agreement(sys, tol, pitch):
     # fiber grids at the pitch
     C0 = SetTuple.from_fibers(sys, pitch)
     K_src, cert_src = compute_attractor(sys, sys.diagonal_degree, C0)
-    K_col, cert_col = compute_attractor(diagonal_system(sys), (1,), C0)
+    K_col, cert_col = compute_attractor(_collapse(sys), (1,), C0)
     distances = {}
     for v in sys.graph.vertices:
         if np.array_equal(K_src.clouds[v], K_col.clouds[v]):
@@ -263,7 +267,7 @@ def _mismatches(sys, table=None):
     op = Operator.of(sys, sys.diagonal_degree)
     if table is None:
         table = diagonal_graph(sys.graph).edge_to_path
-    return operator_mismatches(op, diagonal_system(sys), table)
+    return operator_mismatches(op, _collapse(sys), table)
 
 
 @pytest.mark.parametrize("name", ["s1", "p2", "p2c", "t0", "f3", "two-vertex",
@@ -281,7 +285,7 @@ def test_the_collapse_iterates_the_source_operator(g_two_vertex, name):
     assert _mismatches(sys) == {}
     # the identity's content: per vertex, the same pairs bit for bit
     op = Operator.of(sys, sys.diagonal_degree)
-    pairs = degree_maps(diagonal_system(sys), (1,))
+    pairs = degree_maps(_collapse(sys), (1,))
     for v in sys.graph.vertices:
         bits = sorted((m.matrix.tobytes(), m.shift.tobytes(), src) for m, src in op.maps[v])
         assert bits == sorted((m.matrix.tobytes(), m.shift.tobytes(), src)
@@ -322,7 +326,7 @@ def test_a_mismatch_names_the_first_edge_that_differs(g_two_vertex):
 
 def test_a_map_one_ulp_off_is_a_mismatch():
     sys = shipped("p2c")
-    collapse = diagonal_system(sys)
+    collapse = _collapse(sys)
     first = next(iter(collapse.generators))
     m = collapse.generators[first]
     collapse.generators[first] = AffineMap.of(m.matrix, np.nextafter(m.shift, 2.0))
@@ -333,7 +337,7 @@ def test_a_map_one_ulp_off_is_a_mismatch():
 
 def test_a_collapse_without_an_edge_is_a_mismatch():
     sys = shipped("p2c")
-    collapse = diagonal_system(sys)
+    collapse = _collapse(sys)
     dg = diagonal_graph(sys.graph)
     last = list(dg.edge_to_path)[-1]
     rows = [(e, "v", "v") for e in dg.edge_to_path if e != last]

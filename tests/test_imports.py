@@ -41,9 +41,10 @@ LOPSIDED_FILE = "lopsided.json"
 def write_dust(path: Path) -> None:
     doc = json.loads((SRC / "kfractal" / "data" / "p2c.json").read_text())
     doc["name"], doc["c"] = "dust", 0.1
+    # 0.1 + 0.875 stays inside [0, 1]; the floats 0.1 + 0.9 lie past 1
     for m in doc["maps"].values():
         m["matrix"] = [[0.1 if x == 1 / 3 else x for x in row] for row in m["matrix"]]
-        m["translation"] = [0.9 if x == 2 / 3 else x for x in m["translation"]]
+        m["translation"] = [0.875 if x == 2 / 3 else x for x in m["translation"]]
     path.write_text(json.dumps(doc))
 
 

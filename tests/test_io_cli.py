@@ -441,7 +441,8 @@ def test_cli_validate_strict_override_fails(tmp_path, capsys):
 
 def write_wide_s1(path: Path) -> None:
     """s1 with every generator diag(0.5 + 2^-45): its certified bound,
-    0.5000000000000284, is above c = 0.5 by less than 1e-12."""
+    0.5000000000000284, is above c = 0.5 by less than 1e-12, and a1 and a2
+    send the corners (1, 0) and the apex past the triangle by as little."""
     doc = json.loads(packaged_instance("s1").read_text())
     for m in doc["maps"].values():
         m["matrix"] = [[0.5 + 2.0**-45, 0.0], [0.0, 0.5 + 2.0**-45]]
@@ -455,6 +456,7 @@ def test_cli_validate_holds_each_generator_to_the_ratio_exactly(tmp_path, capsys
     out = capsys.readouterr().out
     assert out.startswith("graph: valid\nsystem (strict mode, c=0.5): INVALID\n")
     assert out.count("[axiom] lipschitz") == 3, out
+    assert out.count("[axiom] domain-containment") == 2, out
     # the two numbers differ in print, though they agree in six digits
     for line in out.splitlines():
         if "[axiom] lipschitz" in line:

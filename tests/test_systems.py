@@ -1,6 +1,7 @@
 """Fibers, affine maps, extension to paths, and system validation."""
 
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -8,9 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kfractal import exact, systems
 from kfractal.attractor import SetTuple
+from kfractal.cli import main
+from kfractal.io import packaged_instance, system_from_dict
 from kfractal.kgraph import KGraph, Path, compose, enumerate_paths, factorize
 from kfractal.systems import (
     exact_path_map,
@@ -28,7 +33,6 @@ from kfractal.systems import (
     extend_map,
     grid_axes,
     grid_indices,
-    grid_points,
     lipschitz_bound,
     validate_system,
 )
@@ -46,27 +50,29 @@ def test_box_basics():
     assert b.diameter(EUCLIDEAN) == pytest.approx(math.sqrt(5))
     assert b.diameter(MAX) == 2.0
     assert np.allclose(b.centroid(), [1.0, 0.5])
-    assert b.contains([[0.5, 0.5], [2.5, 0.5]]).tolist() == [True, False]
-    assert b.contains_ball([1.0, 0.5], 0.5)
-    assert not b.contains_ball([1.0, 0.5], 0.6)
+    assert b.contains([[0.5, 0.5], [2.5, 0.5]], tol=0.0).tolist() == [True, False]
+    assert b.encloses((1, Fraction(1, 2)), Fraction(1, 2))
+    assert not b.encloses((1, Fraction(1, 2)), Fraction(3, 5))
 
 
 def test_ball_basics():
     s = Ball((0.0, 0.0), 1.0)
     assert s.diameter() == 2.0
-    assert s.contains([[0.0, 0.999], [0.0, 1.001]]).tolist() == [True, False]
-    assert s.contains_ball([0.25, 0.0], 0.75)
-    assert not s.contains_ball([0.25, 0.0], 0.8)
+    assert s.contains([[0.0, 0.999], [0.0, 1.001]], tol=0.0).tolist() == [True, False]
+    assert s.encloses((Fraction(1, 4), 0), Fraction(3, 4))
+    assert not s.encloses((Fraction(1, 4), 0), Fraction(4, 5))
 
 
 def test_polygon_orientation_and_containment():
     tri = Polygon(((0, 0), (1, 0), (0, 1)))
     rev = Polygon(((0, 1), (1, 0), (0, 0)))  # clockwise input, normalized
     pts = [[0.25, 0.25], [0.75, 0.75], [0.0, 0.0]]
-    assert tri.contains(pts).tolist() == [True, False, True]
-    assert rev.contains(pts).tolist() == [True, False, True]
-    assert tri.contains_ball([0.25, 0.25], 0.2)
-    assert not tri.contains_ball([0.25, 0.25], 0.3)
+    assert tri.contains(pts, tol=0.0).tolist() == [True, False, True]
+    assert rev.contains(pts, tol=0.0).tolist() == [True, False, True]
+    quarter = (Fraction(1, 4), Fraction(1, 4))
+    for poly in (tri, rev):
+        assert poly.encloses(quarter, Fraction(1, 5))
+        assert not poly.encloses(quarter, Fraction(3, 10))
 
 
 def test_polygon_rejects_nonconvex():
@@ -74,8 +80,8 @@ def test_polygon_rejects_nonconvex():
         Polygon(((0, 0), (2, 0), (1, 0.2), (0, 2)))
 
 
-def test_grid_points_cover_box():
-    pts = grid_points(Box((0.0, 0.0), (1.0, 1.0)), 0.25)
+def test_grid_indices_cover_box():
+    pts = 0.25 * grid_indices(Box((0.0, 0.0), (1.0, 1.0)), 0.25)
     assert len(pts) == 25
     assert pts.min() == 0.0 and pts.max() == 1.0
 
@@ -165,29 +171,29 @@ def test_start_grid_peak_memory_is_about_twice_its_rows():
 
 
 @pytest.mark.parametrize("pitch", [1 / 4096, 1e-9, 5e-324])
-def test_grid_points_refuse_more_than_max_grid_points(pitch):
+def test_grid_indices_refuse_more_than_max_grid_points(pitch):
     # 4097^2 is the first square grid of the unit box past 2**24 points; the
     # count is refused before anything is allocated
     assert 4097**2 > MAX_GRID_POINTS == 2**24
     with pytest.raises(ValueError, match="more than 16777216 points"):
-        grid_points(Box((0.0, 0.0), (1.0, 1.0)), pitch)
+        grid_indices(Box((0.0, 0.0), (1.0, 1.0)), pitch)
 
 
 @pytest.mark.parametrize("pitch", [0.0, -0.25, math.nan])
-def test_grid_points_refuse_a_pitch_that_is_not_positive(pitch):
+def test_grid_indices_refuse_a_pitch_that_is_not_positive(pitch):
     # refused before the bounding box is divided by it, so numpy warns of nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="grid pitch must be positive"):
-            grid_points(Box((0.0, 0.0), (0.0, 0.0)), pitch)
+            grid_indices(Box((0.0, 0.0), (0.0, 0.0)), pitch)
 
 
-def test_grid_points_refuse_an_infinite_pitch():
+def test_grid_indices_refuse_an_infinite_pitch():
     # inf * 0 would make NaN points out of the mesh
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="grid pitch must be positive and finite, got inf"):
-            grid_points(Box((0.0, 0.0), (1.0, 1.0)), math.inf)
+            grid_indices(Box((0.0, 0.0), (1.0, 1.0)), math.inf)
 
 
 @pytest.mark.parametrize("x, y", [(1.2e308, 1.2e308), (1e155, 1e150)])
@@ -211,7 +217,8 @@ def test_polygon_near_the_float_range_is_a_square():
         # counter-clockwise either way
         assert square.corners.tolist() == clockwise.corners.tolist() == [list(c) for c in corners]
         assert square.centroid().tolist() == [6e307, 6e307]
-        inside = square.contains(np.array([[6e307, 6e307], [1.2e308, 0.0], [-1e300, 6e307]]))
+        inside = square.contains(np.array([[6e307, 6e307], [1.2e308, 0.0], [-1e300, 6e307]]),
+                                 tol=0.0)
         assert inside.tolist() == [True, True, False]
     with pytest.raises(ValueError, match="repeated or collinear"):
         Polygon([(0.0, 0.0), (6e307, 6e307), (1.2e308, 1.2e308)])
@@ -232,8 +239,8 @@ def test_diameters_keep_their_floats():
 
 @pytest.mark.parametrize("shift, contained", [(0.25, True), (0.75, False)])
 def test_validate_five_dimensional_box_past_the_grid_budget(shift, contained):
-    # the backup grid sample at diameter / 64 would hold 30^5 points, past
-    # MAX_GRID_POINTS; the exact corner check decides alone
+    # a grid sample at diameter / 64 would hold 30^5 points, past
+    # MAX_GRID_POINTS; the 32 exact corner images decide it
     g = KGraph(1, ["w"], {1: [("e", "w", "w")]})
     fiber = MetricFiber(Box((0.0,) * 5, (1.0,) * 5), "euclidean")
     gen = AffineMap.of(np.eye(5) / 2, (shift,) * 5)
@@ -527,6 +534,165 @@ def test_containment_violation_reported():
     sys.generators = bad
     rep = validate_system(sys)
     assert "domain-containment" in rep.codes()
+
+
+# ---------------------------------------------------------------------------
+# exact containment
+
+
+def _s1_doc(scale, a1_x):
+    """s1 with its corners and translations scaled in floats, and a1's
+    translation moved to a1_x along the x axis."""
+    doc = json.loads(packaged_instance("s1").read_text())
+    region = doc["fibers"]["v"]["region"]
+    region["corners"] = [[x * scale for x in c] for c in region["corners"]]
+    for m in doc["maps"].values():
+        m["translation"] = [x * scale for x in m["translation"]]
+    doc["maps"]["a1"]["translation"][0] = a1_x
+    return doc
+
+
+# a1 sends the corner (scale, 0) to scale/2 + a1_x, past the corner
+MOVED_S1 = {
+    "scale-1e-9-moved-0.9e-9": (1e-9, 0.5e-9 + 0.9e-9),
+    "scale-1e-8-moved-0.9e-9": (1e-8, 0.5e-8 + 0.9e-9),
+    "one-ulp-past-0.5": (1.0, math.nextafter(0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", MOVED_S1)
+def test_s1_with_a1_moved_out_is_invalid(name):
+    rep = validate_system(system_from_dict(_s1_doc(*MOVED_S1[name])))
+    assert [(f.code, f.subject, f.detail) for f in rep.findings] == [
+        ("domain-containment", "a1", "image of the source fiber is not proved inside the "
+                                     "target fiber")]
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-8, 1.0])
+def test_s1_scaled_without_the_move_is_valid(scale):
+    # the scaled images touch the scaled corners exactly, which is legal
+    assert validate_system(system_from_dict(_s1_doc(scale, 0.5 * scale))).ok
+
+
+def test_coding_refuses_the_moved_s1_at_scale_1e9(tmp_path, capsys):
+    # its attractor leaves the fiber, so the coded error Lip * diam X_s
+    # would be 2.3 times below the true one
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(_s1_doc(*MOVED_S1["scale-1e-9-moved-0.9e-9"])))
+    assert main(["coding", "--instance", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert "domain-containment" in out and "coded-error" not in out
+
+
+def test_shipped_and_generated_systems_validate():
+    from perfbench.generate import product_system
+
+    for name in ("s1", "p2", "p2c", "t0", "f3"):
+        assert validate_system(shipped(name)).ok, name
+    for seed in range(300):
+        assert validate_system(system_from_dict(product_system(seed))).ok, seed
+
+
+def _one_map(src, dst, matrix, shift):
+    """Whether validate proves that the map sends a fiber on src into a
+    fiber on dst."""
+    g = KGraph(1, ["u", "w"], {1: [("e", "u", "w")]})
+    sys_ = MWSystem(g, {"w": MetricFiber(src), "u": MetricFiber(dst)},
+                    {"e": AffineMap.of(matrix, shift)}, ratio=0.99)
+    return "domain-containment" not in validate_system(sys_).codes()
+
+
+@st.composite
+def _boxes_and_diagonal_maps(draw):
+    # dyadic entries, so many images touch the target's faces exactly
+    d = draw(st.integers(1, 3))
+
+    def ints(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=d, max_size=d))
+
+    lo, size = ints(-32, 32), ints(0, 32)
+    src = [x / 16 for x in lo], [(x + n) / 16 for x, n in zip(lo, size)]
+    diag, shift = [a / 16 for a in ints(-15, 15)], [t / 32 for t in ints(-64, 64)]
+    ends = [sorted((a * x + t, a * y + t)) for a, t, x, y in zip(diag, shift, *src)]
+    if draw(st.booleans()):  # a target about the image, give or take 1/64
+        dst = ([e[0] + n / 64 for e, n in zip(ends, ints(-2, 2))],
+               [e[1] + n / 64 for e, n in zip(ends, ints(-2, 2))])
+    else:
+        lo = ints(-64, 64)
+        dst = [x / 32 for x in lo], [(x + n) / 32 for x, n in zip(lo, ints(0, 64))]
+    return src, dst, diag, shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(_boxes_and_diagonal_maps())
+def test_box_verdicts_equal_the_interval_endpoint_reference(case):
+    (slo, shi), (tlo, thi), diag, shift = case
+    if any(a > b for a, b in zip(tlo, thi)):
+        return  # no box
+    want = True
+    for a, t, x, y, low, high in zip(diag, shift, slo, shi, tlo, thi):
+        a, t = Fraction(a), Fraction(t)
+        ends = a * Fraction(x) + t, a * Fraction(y) + t
+        want &= Fraction(low) <= min(ends) and max(ends) <= Fraction(high)
+    assert _one_map(Box(slo, shi), Box(tlo, thi), np.diag(diag), shift) == want
+
+
+# a ball source whose image under x -> x/2 + shift touches the target's
+# boundary: Lip = 1/2 halves its radius
+TOUCHING = {
+    # the image is B((1/2, 1/2), 1/2), which touches all four sides
+    "box": (Ball((0.5, 0.5), 1.0), Box((0.0, 0.0), (1.0, 1.0)), (0.25, 0.25)),
+    # B((1/2, 0), 1/2) touches the unit circle at (1, 0) from inside
+    "ball": (Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0), 1.0), (0.5, 0.0)),
+    # B((1/2, 1/2), 1/2) is the incircle of the 3-4-5 triangle halved
+    "polygon": (Ball((1.0, 1.0), 1.0), Polygon(((0.0, 0.0), (2.0, 0.0), (0.0, 1.5))),
+                (0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("target", TOUCHING)
+def test_a_ball_source_touching_the_boundary_is_inside(target):
+    src, dst, shift = TOUCHING[target]
+    half = np.eye(2) / 2
+    assert _one_map(src, dst, half, shift)
+    moved = {}
+    for axis, way in itertools.product((0, 1), (-math.inf, math.inf)):
+        nudged = list(shift)
+        nudged[axis] = math.nextafter(nudged[axis], way)
+        moved[axis, way > 0] = _one_map(src, dst, half, nudged)
+    # one ulp in any direction leaves the box and the triangle; inside the
+    # unit disc only a move towards its centre stays in
+    assert moved == {key: target == "ball" and key == (0, False) for key in moved}
+
+
+def test_a_point_set_target_holds_only_one_point_images():
+    corners = PointSet([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    square = Box((0.0, 0.0), (1.0, 1.0))
+    assert _one_map(corners, corners, -np.eye(2), (1.0, 1.0))  # a permutation
+    assert not _one_map(corners, corners, np.eye(2) / 2, (0.5, 0.5))
+    # the square's corners land on listed points, but not the square
+    assert not _one_map(square, corners, np.eye(2) / 2, (0.5, 0.5))
+    assert _one_map(square, corners, np.zeros((2, 2)), (0.0, 1.0))
+    assert not _one_map(Ball((0.5, 0.5), 0.5), corners, np.eye(2) / 2, (0.0, 0.0))
+    assert _one_map(Ball((0.5, 0.5), 0.5), corners, np.zeros((2, 2)), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("y, order", [(math.nextafter(2.0, 3.0), [0, 1, 2]),
+                                      (math.nextafter(2.0, 1.0), [2, 1, 0])])
+def test_a_triangle_one_ulp_from_collinear_is_kept_in_ccw_order(y, order):
+    corners = [(0.0, 0.0), (1.0, 1.0), (2.0, y)]
+    assert Polygon(corners).corners.tolist() == [list(corners[i]) for i in order]
+    with pytest.raises(ValueError, match="repeated or collinear"):
+        Polygon([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+
+
+def test_a_turn_that_rounds_to_zero_in_floats_is_decided_exactly():
+    # the turn at (1, 3) is 1 - 3 * fl(1/3) = 2^-54 > 0 exactly, while
+    # 3 * fl(1/3) rounds to 1.0
+    third = 1 / 3
+    assert 3 * third == 1.0 and 1 - 3 * Fraction(third) == Fraction(1, 2**54)
+    corners = [(0.0, 0.0), (1.0, 3.0), (third, 1.0)]
+    assert Polygon(corners).corners.tolist() == [list(c) for c in corners]
 
 
 def test_missing_generator_is_structural():
