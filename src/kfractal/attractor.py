@@ -59,7 +59,7 @@ import numpy as np
 
 from . import _kernels
 from .exact import round_up, sqrt_up
-from .kgraph import _check_degree
+from .kgraph import normal_steps
 from .systems import (
     EUCLIDEAN,
     MAX,
@@ -765,34 +765,24 @@ def _span_slack(dim: int, pitch: float, spans, maps, metric) -> float:
 def contraction_factor(sys: MWSystem, n) -> float:
     """Largest Lipschitz bound among the degree-n path maps.
 
-    The paths are not listed.  The normal-form steps are walked keeping, per
-    source vertex reached so far, only the distinct linear parts of the
-    prefix maps, composed in ``extend_map``'s order.  Every path's linear
-    part is then one of the survivors bit for bit, so the maximum is the
-    same as over all paths, at the cost of the distinct parts only.
+    The paths are not listed.  The ``normal_steps`` are walked forward
+    keeping, per source vertex reached, only the distinct linear parts of
+    the prefix maps, composed in ``extend_map``'s order.  Every path's
+    linear part is then one of the survivors bit for bit, so the maximum is
+    the same as over all paths, at the cost of the distinct parts only.
     """
     g = sys.graph
-    n = tuple(n)
-    _check_degree(g, n)
-    layer = {v: [AffineMap.identity(sys.dim)] for v in g.vertices}
-    first = True
-    for color in range(1, g.k + 1):
-        for _ in range(n[color - 1]):
-            nxt: dict[str, dict[bytes, AffineMap]] = {}
-            for u, maps in layer.items():
-                for ident in g.edges_with_range(color, u):
-                    gen = sys.generators[ident]
-                    seen = nxt.setdefault(g.edge(ident).source_vertex, {})
-                    for m in maps:
-                        f = gen if first else m.after(gen)
-                        seen.setdefault(f.matrix.tobytes(), f)
-            layer = {u: list(seen.values()) for u, seen in nxt.items()}
-            first = False
-    worst = 0.0
-    for maps in layer.values():
-        for m in maps:
-            worst = max(worst, lipschitz_bound(m, sys.metric))
-    return worst
+    layer = [[AffineMap.identity(sys.dim)] for _ in g.vertices]
+    for j, row in enumerate(normal_steps(g, tuple(n))):
+        nxt: list[dict[bytes, AffineMap]] = [{} for _ in g.vertices]
+        for maps, (ids, sources) in zip(layer, row):
+            for ident, s in zip(ids, sources):
+                gen = sys.generators[ident]
+                for m in maps:
+                    f = gen if j == 0 else m.after(gen)
+                    nxt[s].setdefault(f.matrix.tobytes(), f)
+        layer = [list(seen.values()) for seen in nxt]
+    return max((lipschitz_bound(m, sys.metric) for maps in layer for m in maps), default=0.0)
 
 
 class Operator(NamedTuple):

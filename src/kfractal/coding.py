@@ -27,9 +27,9 @@ from .kgraph import (
     KGraph,
     KGraphError,
     Path,
-    _check_degree,
     compose,
     count_paths,
+    normal_steps,
 )
 from .systems import EUCLIDEAN, RELAXED, MWSystem, extend_map, lipschitz_bound
 
@@ -116,30 +116,21 @@ def path_budget(g: KGraph, depth, count: int | None) -> dict[str, int]:
 
 
 def _completion_table(g: KGraph, depth):
-    """Per normal-form step of ``depth``, per vertex index u (the position
-    in ``g.vertices``): the edge numbers (positions in ``sorted(g.edges)``)
-    of the candidate edges with range u, in order, their cumulative
-    completion counts from 0 to u's total, so that candidate i's block of
-    completions is [starts[i], starts[i + 1]), and the indices of their
-    sources; plus the path count of the whole depth at every vertex index.
-
-    One dynamic program over the steps, run from the last step to the first,
-    so each intermediate state is the completion count of a suffix.  The
-    counts are Python ints: a vertex no sample reaches may have more
-    completions than int64 holds."""
-    _check_degree(g, depth)
-    colors = [c for c in range(1, g.k + 1) for _ in range(depth[c - 1])]
+    """Per step of ``normal_steps(g, depth)``, per vertex index u: the edge
+    numbers (positions in ``sorted(g.edges)``) of the candidates with range
+    u, their cumulative completion counts from 0 to u's total, so that
+    candidate i's block of completions is [starts[i], starts[i + 1]), and
+    the indices of their sources; plus the path count of the whole depth at
+    every vertex index.  One dynamic program over the reversed steps: each
+    state is the completion count of a suffix, in Python ints, since a
+    vertex no sample reaches may have more completions than int64 holds."""
     number = {e: i for i, e in enumerate(sorted(g.edges))}
-    index = {u: i for i, u in enumerate(g.vertices)}
     counts = [1] * len(g.vertices)
     steps = []
-    for color in reversed(colors):
-        row = []
-        for u in g.vertices:
-            cands = g.edges_with_range(color, u)
-            sources = [index[g.edge(e).source_vertex] for e in cands]
-            starts = list(itertools.accumulate((counts[s] for s in sources), initial=0))
-            row.append(([number[e] for e in cands], starts, sources))
+    for row in reversed(normal_steps(g, depth)):
+        row = [([number[e] for e in ids],
+                list(itertools.accumulate((counts[s] for s in sources), initial=0)), sources)
+               for ids, sources in row]
         counts = [starts[-1] for _, starts, _ in row]
         steps.append(row)
     steps.reverse()
@@ -204,10 +195,11 @@ def sample_prefixes(g: KGraph, v: str, depth, count: int, seed: int = 0,
     and handed on one block of ``BLOCK_ROWS`` at a time, so no temporary
     grows with ``count``.  Each block's ranks, one per sample, are drawn
     from one ``random.Random(seed)`` by ``_draw_ranks`` and unranked through
-    the table by ``_unrank``.  The candidates of a step are sorted, so rank r
-    unranks to the r-th path of ``enumerate_paths(g, v, depth)``, in
-    lexicographic order.  That is a bijection from [0, size) onto vΛ^depth,
-    where size = |vΛ^depth|, so a uniform rank gives a uniform prefix.
+    the table by ``_unrank``.  The table and ``enumerate_paths`` read the
+    same ``normal_steps`` rows, so rank r unranks to the r-th path of
+    ``enumerate_paths(g, v, depth)``, in lexicographic order.  That is a
+    bijection from [0, size) onto vΛ^depth, where size = |vΛ^depth|, so a
+    uniform rank gives a uniform prefix.
 
     With ``code``, each block's rows are passed to it instead of being kept,
     and its outputs, one row per sample, are returned stacked in their place.
@@ -317,9 +309,10 @@ def coded_cloud(
 
     With no ``count`` every path is coded, within the limits of
     ``path_budget``; the paths are evaluated as a leaf-to-root sweep
-    applying one edge color at a time, which touches each composite exactly
-    once.  With a ``count`` the ``count`` prefixes per vertex are drawn
-    seeded, uniformly and with replacement by ``sample_prefixes``, one block
+    applying the generators over the reversed ``normal_steps``, which
+    touches each composite exactly once.  With a ``count`` the ``count``
+    prefixes per vertex are drawn seeded, uniformly and with replacement by
+    ``sample_prefixes``, one block
     of ``BLOCK_ROWS`` rows of edge numbers at a time; ``_coded_points``
     evaluates each block as stacked matrices, giving the same points bit
     for bit as ``code_point`` of their paths, and no ``Path`` is built.  A
@@ -336,18 +329,11 @@ def coded_cloud(
 
     path_budget(g, depth, count)
     if count is None:
-        clouds = {v: np.atleast_2d(sys.fibers[v].basepoint()) for v in g.vertices}
-        for color in range(g.k, 0, -1):
-            for _ in range(depth[color - 1]):
-                nxt = {}
-                for v in g.vertices:
-                    pieces = [
-                        sys.generators[e].apply(clouds[g.edge(e).source_vertex])
-                        for e in g.edges_with_range(color, v)
-                    ]
-                    nxt[v] = np.concatenate(pieces)
-                clouds = nxt
-        return SetTuple.from_points(pitch, clouds), err
+        clouds = [np.atleast_2d(sys.fibers[v].basepoint()) for v in g.vertices]
+        for row in reversed(normal_steps(g, depth)):
+            clouds = [np.concatenate([sys.generators[e].apply(clouds[s]) for e, s in zip(*step)])
+                      for step in row]
+        return SetTuple.from_points(pitch, dict(zip(g.vertices, clouds))), err
 
     clouds = {
         v: sample_prefixes(g, v, depth, count, seed=seed,

@@ -8,8 +8,7 @@ the twisted product graph, presented by its 1-skeleton of (edge, fiber
 element) pairs and its lifted squares.  Nothing here imports numpy.
 
 The records are named tuples, except the two that code or tests assign to,
-``DiscreteSystem`` (which keeps its path tables in ``_memo``) and
-``SweepResult``, which are plain classes.
+``DiscreteSystem`` and ``SweepResult``, which are plain classes.
 """
 
 from __future__ import annotations
@@ -32,28 +31,21 @@ class DiscreteSystem:
     fibers: dict[str, tuple[str, ...]]
     tables: dict[str, dict[str, str]]  # edge -> (source element -> range element)
     name: str
-    _memo: dict  # path -> its function table (``map_along``)
 
     def __init__(self, graph: KGraph, fibers: dict[str, tuple[str, ...]],
                  tables: dict[str, dict[str, str]], name: str = ""):
         self.graph, self.fibers, self.tables, self.name = graph, fibers, tables, name
-        self._memo = {}
 
 
 def map_along(dsys: DiscreteSystem, p: Path) -> dict[str, str]:
     """Function table of a path: composite of the edge tables along its
-    normal form (identity for a vertex).  Memoized on the system."""
-    hit = dsys._memo.get(p)
-    if hit is not None:
-        return hit
+    normal form (identity for a vertex), read from the current tables."""
     if p.is_vertex:
-        out = {t: t for t in dsys.fibers[p.range_vertex]}
-    else:
-        out = dict(dsys.tables[p.edges[-1]])
-        for ident in reversed(p.edges[:-1]):
-            tab = dsys.tables[ident]
-            out = {t: tab[u] for t, u in out.items()}
-    dsys._memo[p] = out
+        return {t: t for t in dsys.fibers[p.range_vertex]}
+    out = dict(dsys.tables[p.edges[-1]])
+    for ident in reversed(p.edges[:-1]):
+        tab = dsys.tables[ident]
+        out = {t: tab[u] for t, u in out.items()}
     return out
 
 

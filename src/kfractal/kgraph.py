@@ -273,39 +273,48 @@ def factorize(p: Path, m: Degree) -> tuple[Path, Path]:
     return mu, nu
 
 
-def enumerate_paths(g: KGraph, v: str, n: Degree) -> list[Path]:
-    """All normal-form paths with range v and degree n, in lexicographic
-    order of their edge-id tuples."""
+def normal_steps(g: KGraph, n: Degree) -> list[tuple]:
+    """The steps of a degree-n path in normal form, first to last: n_1 of
+    color 1, then n_2 of color 2, and so on.  A step holds, per vertex u in
+    ``g.vertices`` order, the sorted ids of the edges of its color with
+    range u and the ``g.vertices`` indices of their sources; a color's row
+    is built once and repeated.  Every walk over the paths of a degree reads
+    these rows: forward they list paths in lexicographic order of their
+    edge ids, and in reverse they count the completions of a prefix."""
     _check_degree(g, n)
+    index = {u: i for i, u in enumerate(g.vertices)}
+    steps = []
+    for color in range(1, g.k + 1):
+        row = tuple((ids, tuple(index[g.edge(e).source_vertex] for e in ids))
+                    for ids in (g.edges_with_range(color, u) for u in g.vertices))
+        steps += [row] * n[color - 1]
+    return steps
+
+
+def _vertex_index(g: KGraph, v: str) -> int:
     if v not in g.vertex_set:
         raise KGraphError(f"unknown vertex {v!r}")
-    frontier: list[tuple[str, tuple[str, ...]]] = [(v, ())]
-    for color in range(1, g.k + 1):
-        for _ in range(n[color - 1]):
-            nxt = []
-            for src, word in frontier:
-                for ident in g.edges_with_range(color, src):
-                    nxt.append((g.edge(ident).source_vertex, word + (ident,)))
-            frontier = nxt
-    paths = [Path(g, v, word) for _, word in frontier]
-    paths.sort(key=lambda p: p.edges)
-    return paths
+    return g.vertices.index(v)
+
+
+def enumerate_paths(g: KGraph, v: str, n: Degree) -> list[Path]:
+    """All normal-form paths with range v and degree n, in lexicographic
+    order of their edge-id tuples: the words are extended step by step
+    through the sorted candidates of ``normal_steps``."""
+    steps = normal_steps(g, n)
+    frontier = [(_vertex_index(g, v), ())]
+    for row in steps:
+        frontier = [(s, word + (e,)) for u, word in frontier for e, s in zip(*row[u])]
+    return [Path(g, v, word) for _, word in frontier]
 
 
 def count_paths(g: KGraph, v: str, n: Degree) -> int:
-    """|vΛ^n| without materializing the paths (dynamic programming)."""
-    _check_degree(g, n)
-    counts = {u: 1 for u in g.vertices}
-    for color in range(g.k, 0, -1):
-        for _ in range(n[color - 1]):
-            nxt = {}
-            for u in g.vertices:
-                nxt[u] = sum(
-                    counts[g.edge(e).source_vertex]
-                    for e in g.edges_with_range(color, u)
-                )
-            counts = nxt
-    return counts[v]
+    """|vΛ^n| without materializing the paths: a sum over the reversed
+    ``normal_steps``, each state the completion count of a suffix."""
+    counts = [1] * len(g.vertices)
+    for row in reversed(normal_steps(g, n)):
+        counts = [sum(counts[s] for s in sources) for _, sources in row]
+    return counts[_vertex_index(g, v)]
 
 
 # ---------------------------------------------------------------------------

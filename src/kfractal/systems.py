@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact import row_sum_norm, spectral_norm
-from .kgraph import KGraph, Path, enumerate_paths
+from .kgraph import KGraph, Path, enumerate_paths, normal_steps
 from .report import AXIOM, RELAXED, STRICT, STRUCTURAL, ValidationReport
 
 EUCLIDEAN = "euclidean"
@@ -138,8 +138,9 @@ class Polygon:
     """Convex polygon in the plane; corners are normalized to CCW order.
 
     Non-finite corners are kept as given, for ``validate_system`` to report
-    as ``non-finite``; repeated or collinear corners are refused.  The
-    orientation and every turn are signs of exact cross products."""
+    as ``non-finite``; repeated or collinear corners are refused, and so is
+    a star, whose sides wind more than once.  The orientation, every turn
+    and the winding are signs of exact rationals."""
 
     def __init__(self, corners):
         pts = np.asarray(corners, dtype=float)
@@ -152,12 +153,16 @@ class Polygon:
         if sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(xy, xy[1:] + xy[:1])) < 0:
             pts, xy = pts[::-1].copy(), xy[::-1]
         self.corners = pts
-        turns = [(bx - ax) * (cy - by) - (by - ay) * (cx - bx) for (ax, ay), (bx, by), (cx, cy)
-                 in zip(xy, xy[1:] + xy[:1], xy[2:] + xy[:2])]
+        sides = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1])]
+        pairs = list(zip(sides, sides[1:] + sides[:1]))
+        turns = [dx * ey - dy * ex for (dx, dy), (ex, ey) in pairs]
         if min(turns) < 0:
             raise ValueError("polygon is not convex")
         if min(turns) == 0:
             raise ValueError("bad-region: polygon has repeated or collinear corners")
+        # the sides turn upward once per winding, and a star winds twice
+        if sum(dy < 0 <= ey for (_, dy), (_, ey) in pairs) != 1:
+            raise ValueError("polygon is not convex")
 
     @property
     def dim(self):
@@ -216,22 +221,34 @@ class PointSet:
 
     def diameter(self, metric=EUCLIDEAN):
         pts = self.points
+        lo, hi = self.bounding_box()
         if len(pts) > 4096:  # upper bound via the bounding box
-            lo, hi = self.bounding_box()
             return Box(lo, hi).diameter(metric)
-        diff = pts[:, None, :] - pts[None, :, :]
-        if metric == EUCLIDEAN:
-            return float(_scaled(_pair_lengths, diff).max())
-        return float(np.abs(diff).max())
+        # each block scaled as _scaled scales all P^2 pairs: by the largest side
+        e = _exponent(hi - lo)
+        worst = []
+        for rows in self._blocks(len(pts)):
+            diff = pts[rows, None, :] - pts[None, :, :]
+            worst.append(np.ldexp(_pair_lengths(np.ldexp(diff, -e, out=diff)), e).max()
+                         if metric == EUCLIDEAN else np.abs(diff).max())
+        return float(np.max(worst))
+
+    def _blocks(self, n: int) -> list[slice]:
+        """Slices of n rows that pair with the listed points in at most 2^20
+        pairs each (one row when a row makes more)."""
+        step = max(1, 2**20 // len(self.points))
+        return [slice(start, start + step) for start in range(0, n, step)]
 
     def centroid(self):
         return self.points.mean(axis=0)
 
     def contains(self, pts, tol):
         pts = np.atleast_2d(pts)
-        diff = pts[:, None, :] - self.points[None, :, :]
-        dmin = np.sqrt((diff ** 2).sum(-1)).min(axis=1)
-        return dmin <= tol
+        inside = np.empty(len(pts), dtype=bool)
+        for rows in self._blocks(len(pts)):
+            diff = pts[rows, None, :] - self.points[None, :, :]
+            inside[rows] = np.sqrt((diff ** 2).sum(-1)).min(axis=1) <= tol
+        return inside
 
     def encloses(self, point, radius) -> bool:
         """Whether the closed ball of the rational radius about the rational
@@ -459,13 +476,19 @@ def exact_path_map(sys: MWSystem, p: Path):
 
 def degree_maps(sys: MWSystem, n) -> dict[str, list[tuple[AffineMap, str]]]:
     """Per vertex, the composite map and source vertex of every path of
-    degree n with that range."""
+    degree n with that range, in ``enumerate_paths`` order.  The
+    ``normal_steps`` are walked forward, composing each prefix map once in
+    ``extend_map``'s order, so every map is ``extend_map`` of its path bit
+    for bit; no ``Path`` is built."""
+    g = sys.graph
+    steps = normal_steps(g, n)
     out = {}
-    for v in sys.graph.vertices:
-        rows = []
-        for lam in enumerate_paths(sys.graph, v, n):
-            rows.append((extend_map(sys, lam), lam.source_vertex))
-        out[v] = rows
+    for i, v in enumerate(g.vertices):
+        layer = [(AffineMap.identity(sys.dim), i)]
+        for j, row in enumerate(steps):
+            layer = [(m.after(sys.generators[e]) if j else sys.generators[e], s)
+                     for m, u in layer for e, s in zip(*row[u])]
+        out[v] = [(m, g.vertices[s]) for m, s in layer]
     return out
 
 

@@ -804,10 +804,14 @@ def _assert_operator_of(sys, n, c):
     op = Operator.of(sys, n)
     assert op.degree == n and op.contraction == c
     listed = degree_maps(sys, n)
-    assert list(op.maps) == list(listed)
+    assert list(op.maps) == list(listed) == list(sys.graph.vertices)
     for v, rows in listed.items():
-        assert [(m.matrix.tobytes(), m.shift.tobytes(), src) for m, src in op.maps[v]] == \
-            [(m.matrix.tobytes(), m.shift.tobytes(), src) for m, src in rows]
+        # the walked prefix maps are extend_map of the listed paths, in order
+        paths = [(extend_map(sys, lam), lam.source_vertex)
+                 for lam in enumerate_paths(sys.graph, v, n)]
+        for got in (op.maps[v], rows):
+            assert [(m.matrix.tobytes(), m.shift.tobytes(), src) for m, src in got] == \
+                [(m.matrix.tobytes(), m.shift.tobytes(), src) for m, src in paths]
 
 
 @pytest.mark.parametrize(

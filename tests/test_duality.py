@@ -179,6 +179,15 @@ def test_inconsistent_tables_break_both_laws():
     assert contravariance_findings(dsys, 2).codes() == {"contravariance"}
 
 
+def test_path_tables_follow_edited_edge_tables():
+    # nothing is cached per path: a table edited after a call is read anew
+    dsys = shipped("d2")
+    lam = Path(dsys.graph, "v", ("b1",))
+    assert map_along(dsys, lam) == dsys.tables["b1"]
+    dsys.tables["b1"] = {"0": "0", "1": "0"}
+    assert map_along(dsys, lam) == {"0": "0", "1": "0"}
+
+
 def test_pullback_round_trip():
     for name in ("d1", "d2", "d3"):
         dsys = shipped(name)

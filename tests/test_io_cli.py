@@ -221,6 +221,17 @@ def test_cli_degenerate_polygon_is_bad_region(tmp_path, capsys, corners):
     assert "bad-region" in err
 
 
+def test_cli_star_polygon_exits_2_in_one_line(tmp_path, capsys):
+    # a pentagram turns left at every corner; its sides wind twice
+    doc = json.loads(packaged_instance("s1").read_text())
+    doc["fibers"]["v"]["region"]["corners"] = [
+        [0.0, 1.0], [-0.588, -0.809], [0.951, 0.309], [-0.951, 0.309], [0.588, -0.809]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--instance", str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: malformed instance: polygon is not convex\n"
+
+
 @pytest.mark.parametrize(
     "edits",
     [

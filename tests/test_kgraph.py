@@ -22,9 +22,11 @@ from kfractal.kgraph import (
     diagonal_graph,
     enumerate_paths,
     factorize,
+    normal_steps,
     path_from_word,
     validate_kgraph,
 )
+from kfractal.systems import degree_maps
 from oracles import cylinder_partition_check, degree_add, path_to_word, segment, word_to_path
 from shipped import shipped
 
@@ -38,6 +40,8 @@ DEGREE_READERS = {
     "contraction_factor": contraction_factor,
     "count_paths": lambda sys_, n: count_paths(sys_.graph, "v", n),
     "_completion_table": lambda sys_, n: _completion_table(sys_.graph, n),
+    "normal_steps": lambda sys_, n: normal_steps(sys_.graph, n),
+    "degree_maps": degree_maps,
 }
 
 
@@ -231,9 +235,39 @@ def test_count_matches_enumeration(name, request):
             assert count_paths(g, v, n) == len(enumerate_paths(g, v, n))
 
 
-def test_enumeration_is_lexicographic(g_two_vertex):
-    paths = enumerate_paths(g_two_vertex, "u", (1, 1))
-    assert [p.edges for p in paths] == sorted(p.edges for p in paths)
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_enumeration_is_lexicographic(name, request):
+    # nothing sorts the paths: the walk over the sorted candidates lists
+    # them in order
+    g = request.getfixturevalue(name)
+    for v in g.vertices:
+        for n in all_degrees(g.k, 3):
+            paths = enumerate_paths(g, v, n)
+            assert [p.edges for p in paths] == sorted(p.edges for p in paths)
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_normal_steps_are_the_color_sorted_candidates(name, request):
+    g = request.getfixturevalue(name)
+    for n in all_degrees(g.k, 3):
+        steps = normal_steps(g, n)
+        colors = [c for c in range(1, g.k + 1) for _ in range(n[c - 1])]
+        assert len(steps) == len(colors)
+        for row, color in zip(steps, colors):
+            assert [ids for ids, _ in row] == [
+                tuple(sorted(e.ident for e in g.edges_of_color(color) if e.range_vertex == u))
+                for u in g.vertices]
+            assert [sources for _, sources in row] == [
+                tuple(g.vertices.index(g.edge(e).source_vertex) for e in ids) for ids, _ in row]
+        # a color's row is built once
+        for j in range(1, len(steps)):
+            assert (steps[j] is steps[j - 1]) == (colors[j] == colors[j - 1])
+
+
+@pytest.mark.parametrize("reader", [enumerate_paths, count_paths])
+def test_an_unknown_vertex_is_refused(g_two_vertex, reader):
+    with pytest.raises(KGraphError, match="unknown vertex 'x'"):
+        reader(g_two_vertex, "x", (1, 1))
 
 
 # ---------------------------------------------------------------------------

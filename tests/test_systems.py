@@ -237,6 +237,42 @@ def test_diameters_keep_their_floats():
             assert PointSet(pts).diameter() == float(np.sqrt((diff ** 2).sum(-1)).max())
 
 
+def test_point_set_blocks_keep_rows_and_diameters():
+    # pairs are measured 2^20 at a time; the verdicts and diameters are the
+    # whole-array ones bit for bit, also where the squares overflow
+    rng = np.random.default_rng(29)
+    for d, scale in ((1, 1e-300), (2, 1.0), (3, 1e300)):
+        pts = rng.random((1100, d)) * scale
+        region = PointSet(pts)
+        diff = pts[:, None, :] - pts[None, :, :]
+        assert len(pts) ** 2 > 1 << 20
+        assert region.diameter() == float(systems._scaled(systems._pair_lengths, diff).max())
+        assert region.diameter(MAX) == float(np.abs(diff).max())
+        if scale > 1:
+            continue  # containment does not scale its squares
+        rows = np.concatenate([pts[:1000] + rng.normal(0, 1e-4 * scale, (1000, d)),
+                               rng.random((1000, d)) * scale])
+        dmin = np.sqrt(((rows[:, None, :] - pts[None, :, :]) ** 2).sum(-1)).min(axis=1)
+        tol = float(np.median(dmin))
+        assert np.array_equal(region.contains(rows, tol), dmin <= tol)
+
+
+@pytest.mark.parametrize("points, rows", [(1000, 4096), (2000, 0)])
+def test_point_set_pairs_peak_memory_is_a_few_blocks(points, rows):
+    # containment of 4,096 rows in 1,000 points once held all 4M pairs
+    # (a slab of grid_indices, 16,384 rows, peaked at 625 MiB), and the
+    # diameter of 2,000 points all 4M pairs; a block is 2^20 pairs
+    rng = np.random.default_rng(31)
+    region = PointSet(rng.random((points, 2)))
+    tracemalloc.start()
+    try:
+        region.contains(rng.random((rows, 2)), 1e-6) if rows else region.diameter()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (1 << 20) * 2 * 8, peak
+
+
 @pytest.mark.parametrize("shift, contained", [(0.25, True), (0.75, False)])
 def test_validate_five_dimensional_box_past_the_grid_budget(shift, contained):
     # a grid sample at diameter / 64 would hold 30^5 points, past
@@ -684,6 +720,21 @@ def test_a_triangle_one_ulp_from_collinear_is_kept_in_ccw_order(y, order):
     assert Polygon(corners).corners.tolist() == [list(corners[i]) for i in order]
     with pytest.raises(ValueError, match="repeated or collinear"):
         Polygon([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+
+
+# a pentagram: the corners of a regular pentagon in the order 0, 2, 4, 1, 3
+# turn left at every corner, but the sides wind twice
+_PENTAGON = [(math.cos(math.pi / 2 + 2 * math.pi * i / 5),
+              math.sin(math.pi / 2 + 2 * math.pi * i / 5)) for i in range(5)]
+_STAR = [_PENTAGON[i] for i in (0, 2, 4, 1, 3)]
+
+
+@pytest.mark.parametrize("corners", [_STAR, _STAR[::-1]], ids=["ccw", "cw"])
+def test_a_star_polygon_is_not_convex(corners):
+    with pytest.raises(ValueError, match="^polygon is not convex$"):
+        Polygon(corners)
+    for order in (_PENTAGON, _PENTAGON[::-1]):
+        assert len(Polygon(order).corners) == 5
 
 
 def test_a_turn_that_rounds_to_zero_in_floats_is_decided_exactly():
