@@ -11,15 +11,16 @@ and a window, and no temporary that grows with the cloud; the step that
 returns its input returns the same arrays, so it holds no output rows.
 The operator maps lattice rows to lattice rows: a path map with a diagonal
 linear part sends each axis through a small table of snapped image indices,
-equal bit for bit to snapping its float image, and other maps are applied
-to the real points.  The iteration stops at a lattice fixed point, a tuple
-A that the snapped step returns unchanged.  Every point of F(A) then lies
-within eps of A and every point of A within eps of F(A), where eps is the
-largest snapping offset, float slack included (``snap_slack``), so the
-collage theorem puts the true attractor within eps/(1-c) of A.  A run that
-reaches its step limit without stopping measures its last step's
-displacement delta once and is certified by (c*delta + eps)/(1-c).  Both
-bounds are rounded upward.
+equal bit for bit to snapping its float image, and other maps are applied to
+the real points, summed in index order by ``AffineMap.apply``, so no image
+depends on its block or on the host's BLAS.  The iteration stops at a lattice
+fixed point, a tuple A that the snapped step returns unchanged.  Every point of
+F(A) then lies within eps of A and every point of A within eps of F(A), where
+eps is the largest snapping offset, float slack included (``snap_slack``), so
+the collage theorem puts the true attractor within eps/(1-c) of A.  A run that
+reaches its step limit without stopping measures its last step's displacement
+delta once and is certified by (c*delta + eps)/(1-c).  Both bounds are rounded
+upward.
 
 Since the bound holds for any lattice fixed point, the commands need not
 start from the whole fiber grids at the pitch h.  ``refine_attractor``
@@ -659,9 +660,9 @@ def _image(m: AffineMap, C: SetTuple, src: str, span) -> _Image:
     ``span`` holds, per axis, the cloud's least and greatest index.  A
     diagonal linear part maps each axis on its own: every index of the
     cloud's span goes through the float expression of ``m.apply`` on
-    ``C.points`` and then ``_snap``, whose off-diagonal terms would only add
-    exact zeros, into a small table that the cloud's column reads
-    (``_Tabled``).  Other maps are applied to the points, then snapped,
+    ``C.points``, x_j a_jj + s_j, whose off-diagonal products would only
+    add exact zeros to the index-order sum, and then ``_snap``, into a small
+    table that the cloud's column reads (``_Tabled``).  Other maps are applied to the points, then snapped,
     block by block (``_Snapped``).
     """
     a, pitch = m.matrix, C.pitch
@@ -711,8 +712,9 @@ def hutchinson_step(sys: MWSystem, n, C: SetTuple, _maps=None) -> SetTuple:
 
 
 # float roundings from a lattice point to the lattice point its image snaps
-# to, past the d - 1 additions of a matrix row: the row's products, + shift,
-# / pitch, and back to a point, pitch * index.  That is 4: the count of 6
+# to, past the d - 1 additions of a matrix row, which ``AffineMap.apply``
+# sums in index order: the row's products, + shift, / pitch, and back to a
+# point, pitch * index.  That is 4: the count of 6
 # over-counts by two, which is still sound and keeps the last digits of
 # every printed error_bound.  Measuring the snap offsets exactly would
 # replace it
@@ -745,8 +747,10 @@ def _span_slack(dim: int, pitch: float, spans, maps, metric) -> float:
     Snapping alone moves each coordinate by at most h/2.  Float arithmetic
     can move it by eta = gamma*(2M + h) more, where M bounds |a_i|.|x| + |s_i|
     over the maps' rows i and the source clouds' points x, and
-    gamma = (d + 6)u, u = 2^-53, covers the d + 3 roundings with two to
-    spare (``_ROUNDINGS``; Higham, Accuracy and Stability of Numerical
+    gamma = (d + 6)u, u = 2^-53, covers the d + 3 roundings of
+    ((x_0 a_i0 + x_1 a_i1) + ...) + s_i, summed in index order by
+    ``AffineMap.apply`` and the diagonal tables, with two to spare
+    (``_ROUNDINGS``; Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, 3.1).
     eps is (h/2 + eta)*sqrt(d) for the Euclidean metric and h/2 + eta for
     the max metric.

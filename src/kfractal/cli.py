@@ -228,6 +228,7 @@ def cmd_coding(args) -> int:
         check_intertwining,
         check_subsystem,
         coded_cloud,
+        coded_error,
         compare_attractor_coding,
         path_budget,
         require_codable,
@@ -261,6 +262,12 @@ def cmd_coding(args) -> int:
         if deep != depth:
             # the spot checks below draw 20 prefixes at `deep`
             path_budget(sys_.graph, deep, 20)
+        err = coded_error(sys_, depth)
+        agree_tol = tol + 2.0 * h + 2.0 * err
+        if agree_tol == math.inf:
+            raise InstanceFormatError(
+                f"the agreement threshold, --tol {tol!r} + 2·pitch + 2·coded error {err!r}, "
+                "overflows")
         K, cert = refine_attractor(sys_, sys_.diagonal_degree, h, tol, max_iter=args.max_iter)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
@@ -269,12 +276,7 @@ def cmd_coding(args) -> int:
         write_certificate(cert.summary(), out / "certificate.txt")
         print(cert.summary())
         return NO_CONVERGENCE
-    T2, err = coded_cloud(sys_, depth, pitch=h, seed=args.seed, count=args.count)
-    agree_tol = tol + 2.0 * h + 2.0 * err
-    if agree_tol == math.inf:
-        raise InstanceFormatError(
-            f"the agreement threshold, --tol {tol!r} + 2·pitch + 2·coded error {err!r}, "
-            "overflows")
+    T2 = coded_cloud(sys_, depth, pitch=h, seed=args.seed, count=args.count)
     agree = compare_attractor_coding(sys_, K, T2, agree_tol)
     sub = check_subsystem(sys_, T2, tol=2.0 * h + 2.0 * err)
     lines = [
@@ -289,14 +291,11 @@ def cmd_coding(args) -> int:
         lines.append(f"  edge {e}: one-sided distance {d:.6g}")
     if sys_.mode != RELAXED:
         # spot-check prepending one generator against mapping the coded point
-        ids = sorted(sys_.graph.edges)
         for ident in sorted(sys_.generators):
             e = sys_.graph.edge(ident)
             lam = Path(sys_.graph, e.range_vertex, (ident,))
             rows = sample_prefixes(sys_.graph, e.source_vertex, deep, count=20, seed=args.seed)
-            prefixes = [Path(sys_.graph, e.source_vertex, tuple(ids[i] for i in row))
-                        for row in rows.tolist()]
-            rep = check_intertwining(sys_, lam, prefixes, tol=max(tol, 8 * err))
+            rep = check_intertwining(sys_, lam, rows, tol=max(tol, 8 * err))
             verdict = "pass" if rep.passed else "FAIL"
             lines.append(f"  prepend-vs-map for {ident}: {verdict} "
                          f"(max distance {rep.max_distance:.3g})")

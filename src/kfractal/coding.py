@@ -23,20 +23,8 @@ from .attractor import (
     _snap_offset,
     contraction_factor,
 )
-from .kgraph import (
-    KGraph,
-    KGraphError,
-    Path,
-    compose,
-    count_paths,
-    normal_steps,
-)
-from .systems import EUCLIDEAN, RELAXED, MWSystem, extend_map, lipschitz_bound
-
-
-class CodedPoint(NamedTuple):
-    point: np.ndarray
-    error_radius: float
+from .kgraph import KGraph, Path, compose, count_paths, normal_steps
+from .systems import EUCLIDEAN, RELAXED, AffineMap, MWSystem, extend_map, lipschitz_bound
 
 
 def _metric_dist(a, b, metric):
@@ -56,20 +44,13 @@ def require_codable(sys: MWSystem, depth) -> None:
         )
 
 
-def code_point(sys: MWSystem, path: Path) -> CodedPoint:
-    """Image of the source fiber's basepoint (its centroid) under the map of
-    the finite prefix ``path``, which codes the attractor points of its
-    infinite extensions.
-
-    The returned error radius (prefix Lipschitz bound times source fiber
-    diameter) covers the whole image, so the image of any other point of
-    the source fiber lies within twice that radius of the coded point.
-    """
-    require_codable(sys, path.degree)
-    m = extend_map(sys, path)
-    fiber = sys.fibers[path.source_vertex]
-    err = lipschitz_bound(m, sys.metric) * fiber.diameter()
-    return CodedPoint(m.apply(fiber.basepoint()), err)
+def coded_error(sys: MWSystem, depth) -> float:
+    """The coded error at the depth, one radius for every point of
+    ``coded_cloud``: the largest Lipschitz bound among the path maps of the
+    depth (``contraction_factor``, which lists no path) times the largest
+    fiber diameter.  A prefix map sends its whole source fiber within it of
+    the coded point, so no per-point bound is computed."""
+    return contraction_factor(sys, tuple(depth)) * max(f.diameter() for f in sys.fibers.values())
 
 
 # ---------------------------------------------------------------------------
@@ -261,31 +242,46 @@ def required_depth(sys: MWSystem, target_error: float) -> int:
     return max(0, math.ceil(math.log(target_error / diam) / math.log(sys.ratio)))
 
 
-def check_intertwining(
-    sys: MWSystem, lam: Path, prefixes, tol: float
-) -> IntertwiningReport:
+def _prefix_error(sys: MWSystem, path: Path) -> float:
+    """The coded error of one prefix: its map's Lipschitz bound times its
+    source fiber's diameter."""
+    require_codable(sys, path.degree)
+    lip = lipschitz_bound(extend_map(sys, path), sys.metric)
+    return lip * sys.fibers[path.source_vertex].diameter()
+
+
+def check_intertwining(sys: MWSystem, lam: Path, rows, tol: float) -> IntertwiningReport:
     """Compare coding-then-mapping against prepend-then-coding.
 
-    For each prefix x rooted at s(lam), code_point(lam x) and
-    sigma_lam(code_point(x)) must land within tol plus the certified error
-    radii.  The prefixes are ``Path``s; insufficient prefix depth (coded
-    error > tol/4) is reported together with the depth that would suffice.
+    ``rows`` are prefixes x rooted at s(lam), rows of edge numbers as
+    ``sample_prefixes`` returns them; a row not rooted there raises
+    KGraphError.  The points coded for the normal forms of lam x and
+    sigma_lam of the points coded for x, each batch through
+    ``_coded_points``, must land within tol plus the per-prefix coded
+    errors.  Insufficient prefix depth (coded error > tol/4) is reported
+    together with the depth that would suffice.  A failure names its prefix
+    as a ``Path``.
     """
-    rep = IntertwiningReport(tol)
+    g = sys.graph
+    ids = sorted(g.edges)
+    number = {e: i for i, e in enumerate(ids)}
+    prefixes = [Path(g, lam.source_vertex, tuple(ids[i] for i in row)) for row in rows.tolist()]
+    joined = [compose(lam, x) for x in prefixes]
+    joined_rows = np.array([[number[e] for e in p.edges] for p in joined], dtype=np.intp)
     sig = extend_map(sys, lam)
     sig_lip = lipschitz_bound(sig, sys.metric)
-    for prefix in prefixes:
-        if prefix.range_vertex != lam.source_vertex:
-            raise KGraphError("prefix not rooted at the path's source")
-        base = code_point(sys, prefix)
-        if base.error_radius > tol / 4.0:
+    lhs = _coded_points(sys, lam.range_vertex,
+                        joined_rows.reshape(len(joined), len(lam.edges) + rows.shape[1]))
+    rhs = sig.apply(_coded_points(sys, lam.source_vertex, rows))
+    rep = IntertwiningReport(tol)
+    for prefix, path, a, b in zip(prefixes, joined, lhs, rhs):
+        base_error = _prefix_error(sys, prefix)
+        if base_error > tol / 4.0:
             rep.insufficient_depth = True
             rep.required_total_depth = required_depth(sys, tol / 4.0)
             return rep
-        lhs = code_point(sys, compose(lam, prefix))
-        rhs = sig.apply(base.point)
-        dist = _metric_dist(lhs.point, rhs, sys.metric)
-        allowed = tol + lhs.error_radius + sig_lip * base.error_radius
+        dist = _metric_dist(a, b, sys.metric)
+        allowed = tol + _prefix_error(sys, path) + sig_lip * base_error
         rep.samples += 1
         rep.max_distance = max(rep.max_distance, dist)
         if dist > allowed:
@@ -303,9 +299,9 @@ def coded_cloud(
     pitch: float,
     count: int | None = None,
     seed: int = 0,
-) -> tuple[SetTuple, float]:
-    """Per vertex, the snapped cloud of coded points over vΛ^depth, plus the
-    uniform error radius valid for every point.
+) -> SetTuple:
+    """Per vertex, the snapped cloud of coded points over vΛ^depth; each
+    prefix map sends its whole source fiber within ``coded_error`` of them.
 
     With no ``count`` every path is coded, within the limits of
     ``path_budget``; the paths are evaluated as a leaf-to-root sweep
@@ -313,69 +309,52 @@ def coded_cloud(
     touches each composite exactly once.  With a ``count`` the ``count``
     prefixes per vertex are drawn seeded, uniformly and with replacement by
     ``sample_prefixes``, one block
-    of ``BLOCK_ROWS`` rows of edge numbers at a time; ``_coded_points``
-    evaluates each block as stacked matrices, giving the same points bit
-    for bit as ``code_point`` of their paths, and no ``Path`` is built.  A
-    vertex then holds its ``(count, dim)`` points and one block's
-    temporaries.
-    The radius comes from ``contraction_factor`` in both cases, so no
-    per-point bound is computed.
+    of ``BLOCK_ROWS`` rows of edge numbers at a time, and ``_coded_points``
+    evaluates each block, last edge first, as the sweep does, building no
+    ``Path``: either way a point is its basepoint under one
+    ``AffineMap.apply`` per edge.  A sampled vertex holds its ``(count,
+    dim)`` points and one block's temporaries.
     """
     depth = tuple(depth)
     require_codable(sys, depth)
     g = sys.graph
-    max_diam = max(f.diameter() for f in sys.fibers.values())
-    err = contraction_factor(sys, depth) * max_diam
-
     path_budget(g, depth, count)
     if count is None:
         clouds = [np.atleast_2d(sys.fibers[v].basepoint()) for v in g.vertices]
         for row in reversed(normal_steps(g, depth)):
             clouds = [np.concatenate([sys.generators[e].apply(clouds[s]) for e, s in zip(*step)])
                       for step in row]
-        return SetTuple.from_points(pitch, dict(zip(g.vertices, clouds))), err
+        return SetTuple.from_points(pitch, dict(zip(g.vertices, clouds)))
 
     clouds = {
         v: sample_prefixes(g, v, depth, count, seed=seed,
                            code=functools.partial(_coded_points, sys, v))
         for v in g.vertices
     }
-    return SetTuple.from_points(pitch, clouds), err
+    return SetTuple.from_points(pitch, clouds)
 
 
 def _coded_points(sys: MWSystem, v: str, rows: np.ndarray) -> np.ndarray:
-    """``code_point(sys, path).point`` for the path with range v
-    of every row of edge numbers (positions in ``sorted(sys.graph.edges)``),
-    as rows, bit for bit.
+    """The coded point of the path with range v of every row of edge
+    numbers (positions in ``sorted(sys.graph.edges)``), as rows: its source
+    fiber's basepoint with the row's generators applied, last edge first,
+    one stacked ``AffineMap.apply`` per step.  No map is composed.
 
     The generator tables are stacked in edge-number order, so an edge that
-    ``sys.generators`` lacks raises KeyError.  The rows' maps are composed
-    together as stacked matrices, in ``extend_map``'s left-fold order along
-    the normal form (the first edge's map, then each later one applied
-    first); then each source vertex's basepoint is pushed through its rows'
-    maps."""
-    g, dim = sys.graph, sys.dim
-    n, length = rows.shape
+    ``sys.generators`` lacks raises KeyError."""
+    g = sys.graph
     ids = sorted(g.edges)
     mats = np.stack([sys.generators[e].matrix for e in ids])
     shifts = np.stack([sys.generators[e].shift for e in ids])
-    if length == 0:
-        # vertex paths: code_point applies the identity map
-        m, s = np.broadcast_to(np.eye(dim), (n, dim, dim)), np.zeros((n, dim))
-        sources = np.full(n, g.vertices.index(v))
-    else:
-        m, s = mats[rows[:, 0]], shifts[rows[:, 0]]
-        for j in range(1, length):
-            s = (m @ shifts[rows[:, j], :, None])[:, :, 0] + s
-            m = m @ mats[rows[:, j]]
+    if rows.shape[1]:
         edge_source = np.array([g.vertices.index(g.edge(e).source_vertex) for e in ids])
         sources = edge_source[rows[:, -1]]
-    out = np.empty((n, dim))
-    # the source vertices present, ascending (a 1-d np.unique imports numpy.ma)
-    for i in np.flatnonzero(np.bincount(sources)):
-        at = sources == i
-        out[at] = m[at] @ sys.fibers[g.vertices[i]].basepoint() + s[at]
-    return out
+    else:
+        sources = np.full(len(rows), g.vertices.index(v))
+    points = np.stack([sys.fibers[u].basepoint() for u in g.vertices])[sources]
+    for col in rows.T[::-1]:
+        points = AffineMap(mats[col], shifts[col]).apply(points)
+    return points
 
 
 def compare_attractor_coding(

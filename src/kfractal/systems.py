@@ -247,7 +247,11 @@ class PointSet:
         inside = np.empty(len(pts), dtype=bool)
         for rows in self._blocks(len(pts)):
             diff = pts[rows, None, :] - self.points[None, :, :]
-            inside[rows] = np.sqrt((diff ** 2).sum(-1)).min(axis=1) <= tol
+            # both sides scaled by 2^-e, exactly: e = 0 changes no bit, and
+            # past 2^500 e keeps the squares and their sums finite
+            e = max(0, _exponent(diff) - 500)
+            lengths = _pair_lengths(np.ldexp(diff, -e, out=diff))
+            inside[rows] = lengths.min(axis=1) <= np.ldexp(tol, -e)
         return inside
 
     def encloses(self, point, radius) -> bool:
@@ -361,10 +365,22 @@ class AffineMap(NamedTuple):
         return cls(np.asarray(matrix, dtype=float), np.asarray(shift, dtype=float))
 
     def apply(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            return self.matrix @ pts + self.shift
-        return pts @ self.matrix.T + self.shift
+        """The image of a point (d,), of each row of a cloud (n, d), or, when
+        the map is a stack (matrix (n, d, d), shift (n, d)), of each row
+        under its own map.  Coordinate i is ((x_0 a_i0 + x_1 a_i1) + ...) +
+        s_i in elementwise float64 operations, column by column: no BLAS and
+        no fused multiply-add, so a point's image is the same bits alone, in
+        any cloud and on any host."""
+        # cols[j] is x_j and rows[i][j] is a_ij: scalars, or one per row
+        cols, rows = np.asarray(pts, dtype=float).T, self.matrix.T.swapaxes(0, 1)
+        out = []
+        for row, s in zip(rows, self.shift.T):
+            acc = cols[0] * row[0]
+            for x, a in zip(cols[1:], row[1:]):
+                acc += x * a
+            acc += s
+            out.append(acc)
+        return np.stack(out, axis=-1)
 
     def after(self, other: "AffineMap") -> "AffineMap":
         """self o other (apply other first)."""

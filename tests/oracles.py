@@ -9,6 +9,9 @@ of (path, fiber element) pairs.  The sweep's sampler is checked against one
 that tests every pair of maps it reads, as the sampler did before its
 commutation memo.
 
+A coded point is computed one path at a time by ``code_point``, the
+reference for the batched evaluators of ``kfractal.coding``.
+
 The k-graph statements are checked on enumerated paths: truncation to a
 degree partitions the longer paths into cylinders, and words of diagonal
 edges translate to and from paths of the source graph.  The metric ones
@@ -36,7 +39,7 @@ from kfractal.attractor import (
     refine_attractor,
     tuple_distance,
 )
-from kfractal.coding import _metric_dist, code_point
+from kfractal.coding import _metric_dist, _prefix_error
 from kfractal.diagonal import diagonal_system
 from kfractal.duality import (
     DiscreteSystem,
@@ -423,6 +426,25 @@ def coverage_distances(sys: MWSystem, n, sets: SetTuple) -> dict[str, float]:
         rows, eps = _snap_offset(np.concatenate(pieces), sets.pitch, sys.metric)
         distances[v] = _directed_bound(target, rows, sets.pitch, eps, sys.metric)
     return distances
+
+
+class CodedPoint(NamedTuple):
+    point: np.ndarray
+    error_radius: float
+
+
+def code_point(sys: MWSystem, path: Path) -> CodedPoint:
+    """The point a finite prefix codes, one path at a time: its source
+    fiber's basepoint (the centroid) with the generators along the path
+    applied, last edge first, one ``AffineMap.apply`` each.  It is the
+    reference for the coded clouds.  The error radius, the path map's
+    Lipschitz bound times the source fiber's diameter, covers the image of
+    the whole source fiber, so the image of any other point of that fiber
+    lies within twice the radius of the coded point."""
+    point = sys.fibers[path.source_vertex].basepoint()
+    for ident in reversed(path.edges):
+        point = sys.generators[ident].apply(point)
+    return CodedPoint(point, _prefix_error(sys, path))
 
 
 def transfer_failures(src: MWSystem, collapse: MWSystem, dg: DiagonalGraph, words,

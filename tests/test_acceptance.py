@@ -16,7 +16,7 @@ import numpy as np
 
 from kfractal.attractor import SetTuple, compute_attractor, tuple_distance
 from kfractal.boxcount import occupied_cells
-from kfractal.coding import coded_cloud
+from kfractal.coding import coded_cloud, coded_error
 from kfractal.duality import density_fidelity_sweep
 from kfractal.diagonal import check_diagonal_agreement
 from kfractal.kgraph import compose, diagonal_graph, enumerate_paths, factorize
@@ -88,7 +88,7 @@ def test_criterion_3_coding_agreement():
     with Timer() as t:
         K, cert = compute_attractor(sys_, (1,), SetTuple.from_fibers(sys_, h))
         assert cert.converged
-        T2, err = coded_cloud(sys_, (9,), pitch=h)
+        T2 = coded_cloud(sys_, (9,), pitch=h)
         assert len(T2.clouds["v"]) > 0
         tol = 4 * h + 0.5 ** 9 * 1.0
         dist = K.vertex_distances(T2, sys_.metric)["v"]
@@ -101,7 +101,7 @@ def test_criterion_4_coded_cloud_k_surjective():
     with Timer() as t:
         sys_ = shipped("s1")
         h = 1.0 / 512.0
-        T2, err = coded_cloud(sys_, (9,), pitch=h)
+        T2, err = coded_cloud(sys_, (9,), pitch=h), coded_error(sys_, (9,))
         tol = 2 * h + 2 * err
         for n in [(0,), (1,), (2,)]:
             dist = coverage_distances(sys_, n, T2)
@@ -109,7 +109,7 @@ def test_criterion_4_coded_cloud_k_surjective():
 
         sys_ = shipped("p2c")
         h = 1.0 / 729.0
-        T2, err = coded_cloud(sys_, (6, 6), pitch=h)
+        T2, err = coded_cloud(sys_, (6, 6), pitch=h), coded_error(sys_, (6, 6))
         tol = 2 * h + 2 * err
         for n in degrees_upto((2, 2)):
             if sum(n) > 2:

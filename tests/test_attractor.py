@@ -998,9 +998,9 @@ def test_multi_vertex_system_end_to_end():
     # per-vertex fixed point equations hold on the lattice
     assert hutchinson_step(sys_, (1,), K) == K
     # the coded cloud reproduces the same pair of sets
-    from kfractal.coding import coded_cloud, compare_attractor_coding
+    from kfractal.coding import coded_cloud, coded_error, compare_attractor_coding
 
-    T2, err = coded_cloud(sys_, (10,), pitch=h)
+    T2, err = coded_cloud(sys_, (10,), pitch=h), coded_error(sys_, (10,))
     assert compare_attractor_coding(sys_, K, T2, tol=4 * h + err)
     # vertex w's fiber piece is the quarter-shifted copy of u's
     shifted = (K.points("u") * 0.5 + 0.25)

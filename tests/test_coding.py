@@ -17,8 +17,8 @@ from kfractal.coding import (
     _draw_ranks,
     check_intertwining,
     check_subsystem,
-    code_point,
     coded_cloud,
+    coded_error,
     compare_attractor_coding,
     path_budget,
     required_depth,
@@ -35,13 +35,14 @@ from kfractal.kgraph import (
 )
 from kfractal.systems import (
     AffineMap,
+    Ball,
     Box,
     MetricFiber,
     MWSystem,
     extend_map,
 )
 
-from oracles import coverage_distances
+from oracles import code_point, coverage_distances
 from shipped import shipped
 
 
@@ -437,8 +438,8 @@ def test_path_budget_lists_up_to_the_limit_and_samples_up_to_int64():
 def test_intertwining_vertex_is_exact():
     sys = shipped("s1")
     v = Path(sys.graph, "v")
-    prefixes = sampled_paths(sys.graph, (12,), 5, 3)
-    rep = check_intertwining(sys, v, prefixes, tol=0.01)
+    rows = sample_prefixes(sys.graph, "v", (12,), 5, seed=3)
+    rep = check_intertwining(sys, v, rows, tol=0.01)
     assert rep.passed
     assert rep.max_distance == 0.0
 
@@ -446,8 +447,8 @@ def test_intertwining_vertex_is_exact():
 def test_intertwining_s1_generator():
     sys = shipped("s1")
     lam = Path(sys.graph, "v", ("a2",))
-    prefixes = sampled_paths(sys.graph, (12,), 50, 11)
-    rep = check_intertwining(sys, lam, prefixes, tol=1e-3)
+    rows = sample_prefixes(sys.graph, "v", (12,), 50, seed=11)
+    rep = check_intertwining(sys, lam, rows, tol=1e-3)
     assert rep.passed
     assert rep.samples == 50
 
@@ -455,12 +456,27 @@ def test_intertwining_s1_generator():
 def test_intertwining_insufficient_depth_reported():
     sys = shipped("s1")
     lam = Path(sys.graph, "v", ("a0",))
-    shallow = sampled_paths(sys.graph, (2,), 4, 2)
+    shallow = sample_prefixes(sys.graph, "v", (2,), 4, seed=2)
     rep = check_intertwining(sys, lam, shallow, tol=1e-6)
     assert not rep.passed
     assert rep.insufficient_depth
     assert rep.required_total_depth == required_depth(sys, 1e-6 / 4)
     assert rep.required_total_depth > 2
+
+
+@pytest.mark.parametrize("name", ["s1", "lopsided", "disc"])
+def test_intertwining_is_exact_in_rank_1(name):
+    # the normal form of e x is e followed by x, so both routes apply the
+    # same generators to the same basepoint in the same float operations
+    sys = _system(name)
+    g = sys.graph
+    for ident in sorted(g.edges):
+        e = g.edge(ident)
+        lam = Path(g, e.range_vertex, (ident,))
+        rows = sample_prefixes(g, e.source_vertex, (9,), 50, seed=1)
+        rep = check_intertwining(sys, lam, rows, tol=0.1)
+        assert rep.passed and rep.samples == 50
+        assert rep.max_distance == 0.0
 
 
 def test_intertwining_detects_square_corruption():
@@ -472,8 +488,8 @@ def test_intertwining_detects_square_corruption():
     bad["r0"] = AffineMap.of(bad["r0"].matrix, (0.05, 0.0))
     sys.generators = bad
     lam = path_from_word(sys.graph, "v", ("b0", "r0"))
-    prefixes = sampled_paths(sys.graph, (8, 8), 20, 5)
-    rep = check_intertwining(sys, lam, prefixes, tol=1e-3)
+    rows = sample_prefixes(sys.graph, "v", (8, 8), 20, seed=5)
+    rep = check_intertwining(sys, lam, rows, tol=1e-3)
     assert not rep.passed
     assert rep.failures
 
@@ -494,7 +510,7 @@ def test_intertwining_rejects_misrooted_prefixes():
         mode="strict",
     )
     lam = Path(g, "u", ("a",))  # source is w
-    rooted_at_u = [Path(g, "u", ("a", "b"))]
+    rooted_at_u = np.array([[0, 1]])  # the path a.b from u
     with pytest.raises(KGraphError):
         check_intertwining(sys, lam, rooted_at_u, tol=1.0)
 
@@ -505,7 +521,7 @@ def test_intertwining_rejects_misrooted_prefixes():
 
 def test_coded_cloud_t0_single_point():
     sys = shipped("t0")
-    sets, err = coded_cloud(sys, (6, 6), pitch=1 / 256)
+    sets, err = coded_cloud(sys, (6, 6), pitch=1 / 256), coded_error(sys, (6, 6))
     pts = sets.points("v")
     assert len(pts) == 1
     assert abs(float(pts[0, 0])) <= err + 1 / 256
@@ -516,7 +532,7 @@ def test_coded_cloud_matches_attractor_s1():
     h = 1 / 128
     depth = 7
     K, cert = compute_attractor(sys, (1,), SetTuple.from_fibers(sys, h))
-    T2, err = coded_cloud(sys, (depth,), pitch=h)
+    T2, err = coded_cloud(sys, (depth,), pitch=h), coded_error(sys, (depth,))
     assert cert.converged
     assert err == pytest.approx(0.5 ** depth, rel=1e-12)
     tol = 4 * h + err
@@ -543,7 +559,7 @@ def test_sampled_coded_cloud_holds_one_block_of_temporaries():
     sys_ = shipped("s1")
     tracemalloc.start()
     try:
-        T, _ = coded_cloud(sys_, (7,), pitch=1 / 64, count=200_000, seed=1)
+        T = coded_cloud(sys_, (7,), pitch=1 / 64, count=200_000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -558,7 +574,7 @@ def test_sampled_coded_cloud_snaps_a_block_at_a_time():
     sys_ = shipped("s1")
     tracemalloc.start()
     try:
-        T, _ = coded_cloud(sys_, (7,), pitch=1 / 512, count=500_000, seed=1)
+        T = coded_cloud(sys_, (7,), pitch=1 / 512, count=500_000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -570,8 +586,8 @@ def test_sampled_coded_cloud_snaps_a_block_at_a_time():
 def test_coded_cloud_sampled_subset_of_exhaustive():
     sys = shipped("p2c")
     h = 1 / 243
-    full, _ = coded_cloud(sys, (5, 5), pitch=h)
-    sampled, _ = coded_cloud(sys, (5, 5), pitch=h, count=500, seed=9)
+    full = coded_cloud(sys, (5, 5), pitch=h)
+    sampled = coded_cloud(sys, (5, 5), pitch=h, count=500, seed=9)
     full_rows = {tuple(r) for r in full.clouds["v"].tolist()}
     assert all(tuple(r) in full_rows for r in sampled.clouds["v"].tolist())
 
@@ -581,7 +597,7 @@ def test_coded_cloud_p2c_product_oracle():
     sys = shipped("p2c")
     h = 1 / 243
     K, cert = compute_attractor(sys, (1, 1), SetTuple.from_fibers(sys, h))
-    T2, err = coded_cloud(sys, (5, 5), pitch=h)
+    T2, err = coded_cloud(sys, (5, 5), pitch=h), coded_error(sys, (5, 5))
     assert cert.converged
     assert compare_attractor_coding(sys, K, T2, tol=4 * h + err)
 
@@ -594,8 +610,30 @@ def test_coded_cloud_sampled_20k_covers_product():
     h = 1 / 729
     K, cert = compute_attractor(sys_, (1, 1), SetTuple.from_fibers(sys_, h))
     assert cert.converged
-    T2, err = coded_cloud(sys_, (6, 6), pitch=h, count=20000, seed=17)
+    T2 = coded_cloud(sys_, (6, 6), pitch=h, count=20000, seed=17)
+    err = coded_error(sys_, (6, 6))
     assert compare_attractor_coding(sys_, K, T2, tol=4 * h + 2 * err)
+
+
+def _disc_system():
+    """Three maps x -> 0.5 R45 x + 0.45 (cos t, sin t), t = 0, 2pi/3, 4pi/3,
+    on the unit disc: linear parts that are not diagonal."""
+    g = KGraph(1, ["v"], {1: [(e, "v", "v") for e in ("g0", "g1", "g2")]})
+    c, s = 0.5 * math.cos(math.pi / 4), 0.5 * math.sin(math.pi / 4)
+    gens = {f"g{i}": AffineMap.of([[c, -s], [s, c]], (0.45 * math.cos(2 * math.pi * i / 3),
+                                                      0.45 * math.sin(2 * math.pi * i / 3)))
+            for i in range(3)}
+    return MWSystem(g, {"v": MetricFiber(Ball((0.0, 0.0), 1.0), "euclidean")}, gens, ratio=0.51)
+
+
+def _system(name):
+    if name == "product":
+        return _product_system(seed=2)
+    if name == "lopsided":
+        return _lopsided_system()
+    if name == "disc":
+        return _disc_system()
+    return shipped(name)
 
 
 @pytest.fixture
@@ -620,6 +658,7 @@ _SAMPLED_CASES = [
     ("p2c", (6, 6), 800),
     ("product", (5, 5), 800),
     ("lopsided", (9,), 300),
+    ("disc", (7,), 500),
 ]
 
 
@@ -640,22 +679,26 @@ def test_sampled_coded_cloud_equals_code_point_in_blocks_of_7(monkeypatch, raw_c
 
 
 def _check_coded_points(raw_clouds, name, depth, count):
-    if name == "product":
-        sys = _product_system(seed=2)
-    elif name == "lopsided":
-        sys = _lopsided_system()
-    else:
-        sys = shipped(name)
+    sys = _system(name)
     g = sys.graph
     coded_cloud(sys, depth, pitch=1 / 64, count=count, seed=8)
     assert set(raw_clouds) == set(g.vertices)
     for v in g.vertices:
-        paths = sampled_paths(g, depth, count, 8, v=v)
+        paths = (enumerate_paths(g, v, depth) if count is None
+                 else sampled_paths(g, depth, count, 8, v=v))
         want = np.array([code_point(sys, p).point for p in paths])
         got = raw_clouds[v]
         assert got.shape == want.shape
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+# the listed sweep applies each generator to a whole cloud, the oracle to one
+# point at a time: the same float operations
+@pytest.mark.parametrize("name, depth", [("p2c", (6, 6)), ("product", (5, 5)),
+                                         ("lopsided", (9,)), ("disc", (6,))])
+def test_listed_coded_cloud_equals_code_point(raw_clouds, name, depth):
+    _check_coded_points(raw_clouds, name, depth, None)
 
 
 def _reference_gaps(sys, attractor_sets, coded_sets):
@@ -684,7 +727,7 @@ def _reference_compare(sys, attractor_sets, coded_sets, tol):
 def test_compare_attractor_coding_matches_reference(name, h, depth):
     sys_ = shipped(name)
     K, _ = compute_attractor(sys_, sys_.diagonal_degree, SetTuple.from_fibers(sys_, h))
-    T2, err = coded_cloud(sys_, depth, pitch=h)
+    T2, err = coded_cloud(sys_, depth, pitch=h), coded_error(sys_, depth)
     gaps = _reference_gaps(sys_, K, T2)
     assert K.vertex_distances(T2, sys_.metric) == gaps
     worst = max(gaps.values())
@@ -710,7 +753,7 @@ def test_compare_negative_control_different_fractals():
     p2c = shipped("p2c")
     h = 1 / 128
     K, _ = compute_attractor(s1, (1,), SetTuple.from_fibers(s1, h))
-    T2, err = coded_cloud(p2c, (4, 4), pitch=h)
+    T2, err = coded_cloud(p2c, (4, 4), pitch=h), coded_error(p2c, (4, 4))
     assert not compare_attractor_coding(s1, K, T2, tol=4 * h + err)
 
 

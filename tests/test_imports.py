@@ -61,11 +61,11 @@ LARGE_DISTANCE = (
 # images, measured by the test oracle with attractor._directed_bound: far
 # above the 2,000,000 pairs where a KD-tree once took over
 K_SURJECTIVE = (
-    "from kfractal.coding import coded_cloud\n"
+    "from kfractal.coding import coded_cloud, coded_error\n"
     "from kfractal.io import load_instance, packaged_instance\n"
     "from oracles import coverage_distances\n"
     "sys_ = load_instance(packaged_instance('s1'))[1]\n"
-    "T, err = coded_cloud(sys_, (9,), pitch=1 / 512)\n"
+    "T, err = coded_cloud(sys_, (9,), pitch=1 / 512), coded_error(sys_, (9,))\n"
     "assert max(coverage_distances(sys_, (1,), T).values()) <= 2 / 512 + 2 * err\n"
 )
 

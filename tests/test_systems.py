@@ -249,12 +249,32 @@ def test_point_set_blocks_keep_rows_and_diameters():
         assert region.diameter() == float(systems._scaled(systems._pair_lengths, diff).max())
         assert region.diameter(MAX) == float(np.abs(diff).max())
         if scale > 1:
-            continue  # containment does not scale its squares
+            continue  # test_point_set_contains_far_apart_points_without_overflow
         rows = np.concatenate([pts[:1000] + rng.normal(0, 1e-4 * scale, (1000, d)),
                                rng.random((1000, d)) * scale])
         dmin = np.sqrt(((rows[:, None, :] - pts[None, :, :]) ** 2).sum(-1)).min(axis=1)
         tol = float(np.median(dmin))
         assert np.array_equal(region.contains(rows, tol), dmin <= tol)
+
+
+def test_point_set_contains_far_apart_points_without_overflow():
+    # differences of about 1e300 once squared to inf, so a row 9.1e287 from
+    # a listed point was judged outside at tol 1e290, with a RuntimeWarning
+    region = PointSet([[0, 0], [1e300, 1e300]])
+    row = [[1e300 * (1 + 2**-40), 1e300]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert region.contains(row, tol=1e290).tolist() == [True]
+        assert region.contains(row, tol=9e287).tolist() == [False]
+        # in blocks of 2^20 pairs, the verdicts of the exactly scaled pairs
+        rng = np.random.default_rng(29)
+        pts = rng.random((1100, 2)) * 1e300
+        rows = np.concatenate([pts[:1000] + rng.normal(0, 1e296, (1000, 2)),
+                               rng.random((1000, 2)) * 1e300])
+        diff = rows[:, None, :] - pts[None, :, :]
+        dmin = systems._scaled(systems._pair_lengths, diff).min(axis=1)
+        tol = float(np.median(dmin))
+        assert np.array_equal(PointSet(pts).contains(rows, tol), dmin <= tol)
 
 
 @pytest.mark.parametrize("points, rows", [(1000, 4096), (2000, 0)])
@@ -381,8 +401,8 @@ def test_relaxed_validate_prints_a_composite_bound_apart_from_the_ratio():
 
 
 def test_certified_norms_are_memoized_per_linear_part():
-    # s1's spot checks code 20 prefixes per generator twice: 120 code_point
-    # calls over two linear parts, 2**-9 I and 2**-10 I, certified once each
+    # s1's spot checks bound 20 prefixes per generator twice: 120 prefix
+    # errors over two linear parts, 2**-9 I and 2**-10 I, certified once each
     from kfractal.coding import check_intertwining, sample_prefixes
 
     sys_ = shipped("s1")
@@ -395,7 +415,7 @@ def test_certified_norms_are_memoized_per_linear_part():
         rows = sample_prefixes(sys_.graph, e.source_vertex, (9,), count=20, seed=1)
         prefixes = [Path(sys_.graph, e.source_vertex, tuple(ids[i] for i in row))
                     for row in rows.tolist()]
-        assert check_intertwining(sys_, lam, prefixes, tol=1e-2).samples == 20
+        assert check_intertwining(sys_, lam, rows, tol=1e-2).samples == 20
         for p in prefixes:
             parts |= {extend_map(sys_, q).matrix.tobytes() for q in (p, compose(lam, p))}
     info = exact.spectral_norm.cache_info()
@@ -447,6 +467,39 @@ def test_diagonal_norms_are_the_largest_entry(metric):
         m = AffineMap.of(a, np.zeros(d))
         assert lipschitz_bound(m, metric) == np.abs(np.diagonal(a)).max()
     assert lipschitz_bound(AffineMap.of([[0.5, 0.0], [0.0, np.inf]], (0, 0))) == math.inf
+
+
+@st.composite
+def _maps_and_points(draw):
+    """n random maps of R^d, d from 1 to 3, and one point for each."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    real = st.floats(-4.0, 4.0)
+    cube = draw(st.lists(real, min_size=n * d * (d + 2), max_size=n * d * (d + 2)))
+    return (np.reshape(cube[:n * d * d], (n, d, d)),
+            np.reshape(cube[n * d * d:n * d * (d + 1)], (n, d)),
+            np.reshape(cube[n * d * (d + 1):], (n, d)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_maps_and_points())
+def test_apply_sums_in_index_order_alone_in_a_cloud_and_in_a_stack(case):
+    # one expression for a point, a cloud and a stack of maps: each
+    # coordinate is Python's ((x_0 a_i0 + x_1 a_i1) + ...) + s_i, so no
+    # fused multiply-add or blocked sum of a BLAS kernel rounds it
+    mats, shifts, points = case
+    stacked = AffineMap(mats, shifts).apply(points)
+    for i, (a, s, x) in enumerate(zip(mats.tolist(), shifts.tolist(), points.tolist())):
+        want = []
+        for row, t in zip(a, s):
+            acc = x[0] * row[0]
+            for xj, aij in zip(x[1:], row[1:]):
+                acc += xj * aij
+            want.append(acc + t)
+        want = np.array(want).tobytes()
+        m = AffineMap.of(a, s)
+        assert m.apply(points[i]).tobytes() == want
+        assert m.apply(points)[i].tobytes() == want
+        assert stacked[i].tobytes() == want
 
 
 # ---------------------------------------------------------------------------
