@@ -2,7 +2,7 @@
 
 Compact sets are represented by finite point clouds snapped to a regular
 grid.  Snapping keeps unions idempotent and memory bounded; storing lattice
-coordinates as integers makes equality and canonical ordering exact.
+coordinates as int32 indices makes equality and canonical ordering exact.
 Clouds and unions are canonicalised by numbering their cells in the
 bounding box: dense ones by a scatter into an occupancy window, sparse ones
 by a sort of the flat cell numbers.  Every pass over a cloud runs
@@ -292,6 +292,9 @@ BLOCK_ROWS = 1 << 13
 # a box of at most this many cells numbers its cells in int64
 _MAX_KEYED_CELLS = 1 << 62
 
+# the indices the stored rows hold
+_ROW_RANGE = np.iinfo(np.int32)
+
 
 def _blocks(n: int):
     """Slices of at most ``BLOCK_ROWS`` consecutive indices covering n."""
@@ -313,12 +316,14 @@ class _Image:
 
     def keys(self, lo, strides):
         """Per block, the C-order flat cells sum_j (x_j - lo_j)*stride_j of
-        the image rows in a box at lo that numbers its cells in int64."""
+        the image rows in a box at lo that numbers its cells in int64; each
+        column is widened to int64 before it is shifted and scaled."""
         for s in _blocks(len(self.cloud)):
             rows = self.block(s)
-            flat = (rows[:, 0] - lo[0]) * strides[0]
+            flat = np.subtract(rows[:, 0], lo[0], dtype=np.int64)
+            flat *= strides[0]
             for j in range(1, len(lo)):
-                flat += (rows[:, j] - lo[j]) * strides[j]
+                flat += np.subtract(rows[:, j], lo[j], dtype=np.int64) * strides[j]
             yield flat
 
 
@@ -357,9 +362,11 @@ class _Children(_Image):
         shifts = (self.offsets * np.array(strides, dtype=np.int64)).sum(axis=1).tolist()
         for s in _blocks(len(self.cloud)):
             rows = self.cloud[s]
-            flat = (2 * rows[:, 0] - lo[0]) * strides[0]
+            flat = np.multiply(rows[:, 0], 2, dtype=np.int64)
+            flat -= lo[0]
+            flat *= strides[0]
             for j in range(1, len(lo)):
-                flat += (2 * rows[:, j] - lo[j]) * strides[j]
+                flat += (np.multiply(rows[:, j], 2, dtype=np.int64) - lo[j]) * strides[j]
             for shift in shifts:
                 yield flat + shift
 
@@ -374,13 +381,14 @@ class _Tabled(_Image):
 
     def keys(self, lo, strides):
         # the tables are shifted and scaled once, so a block's flat cell is
-        # one gather and add per axis
+        # one gather and add per axis; the positions are computed as intp,
+        # since numpy would cast each block of int32 positions to intp
         scaled = [(t - low) * stride for t, low, stride in zip(self.tables, lo, strides)]
         for s in _blocks(len(self.cloud)):
             cols = self.cloud[s].T
-            flat = scaled[0][cols[0] - self.lows[0]]
+            flat = scaled[0][np.subtract(cols[0], self.lows[0], dtype=np.intp)]
             for table, col, low in zip(scaled[1:], cols[1:], self.lows[1:]):
-                flat += table[col - low]
+                flat += table[np.subtract(col, low, dtype=np.intp)]
             yield flat
 
 
@@ -428,7 +436,7 @@ def _sorted_keys(images, lo, strides) -> np.ndarray:
 
 
 def _union(images, like: np.ndarray | None = None) -> np.ndarray:
-    """np.unique of the rows of one or more images, as C-contiguous int64
+    """np.unique of the rows of one or more images, as C-contiguous int32
     rows; ``like`` itself when the rows equal it.
 
     Every pass runs ``BLOCK_ROWS`` source rows, or window cells, at a time.
@@ -440,11 +448,12 @@ def _union(images, like: np.ndarray | None = None) -> np.ndarray:
     it; otherwise they are written into one int64 array, sorted, and kept
     where they differ from their predecessor.  Either way the distinct
     cells come out ascending, which is lexicographic row order, and are
-    decoded one block at a time by floor division per stride.  A box of
-    more than 2^62 cells, which int64 cannot number, counted in Python
-    integers, raises ValueError before anything is allocated, as in
-    ``_joint_keys``; no command reaches one, since ``grid_bounds`` bounds
-    every fiber grid first.
+    decoded one block at a time by floor division per stride, into int32
+    rows.  A box of more than 2^62 cells, which int64 cannot number, counted
+    in Python integers, raises ValueError before anything is allocated, as
+    in ``_joint_keys``; so, after that check, does a box that reaches
+    outside the int32 range.  No command reaches either, since
+    ``grid_bounds`` bounds every fiber grid first.
 
     ``like``, a cloud in the stored form (a step's input), is compared block
     by block with the decoded rows; the result is allocated only at the
@@ -457,6 +466,8 @@ def _union(images, like: np.ndarray | None = None) -> np.ndarray:
     cells = math.prod(shape)
     if cells > _MAX_KEYED_CELLS:
         raise ValueError("the images' box has more than 2**62 cells")
+    if min(lo) < _ROW_RANGE.min or max(low + n - 1 for low, n in zip(lo, shape)) > _ROW_RANGE.max:
+        raise ValueError("the images' box reaches outside the int32 range of the rows")
     strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
     if cells > WINDOW_CELLS_PER_POINT * rows:
         keys = _sorted_keys(images, lo, strides)
@@ -473,9 +484,9 @@ def _union(images, like: np.ndarray | None = None) -> np.ndarray:
         count = int(np.count_nonzero(window))
         found = (np.flatnonzero(window[s]) + s.start for s in _blocks(cells))
     if like is None or len(like) != count:
-        out = np.empty((count, len(lo)), dtype=np.int64)
+        out = np.empty((count, len(lo)), dtype=np.int32)
     else:
-        out, buf = like, np.empty((min(count, BLOCK_ROWS), len(lo)), dtype=np.int64)
+        out, buf = like, np.empty((min(count, BLOCK_ROWS), len(lo)), dtype=np.int32)
     at = 0
     for block in found:
         n = len(block)
@@ -484,7 +495,7 @@ def _union(images, like: np.ndarray | None = None) -> np.ndarray:
         else:
             _decode(block, lo, strides, buf[:n])
             if not np.array_equal(buf[:n], like[at:at + n]):
-                out = np.empty((count, len(lo)), dtype=np.int64)
+                out = np.empty((count, len(lo)), dtype=np.int32)
                 out[:at] = like[:at]
                 out[at:at + n] = buf[:n]
         at += n
@@ -492,8 +503,8 @@ def _union(images, like: np.ndarray | None = None) -> np.ndarray:
 
 
 def _canonical(idx: np.ndarray, factor: int = 1) -> np.ndarray:
-    """np.unique(idx // factor, axis=0) of a nonempty int64 array, for a
-    positive integer factor, C-contiguous."""
+    """np.unique(idx // factor, axis=0) of a nonempty integer array, for a
+    positive integer factor, as C-contiguous int32 rows (``_union``)."""
     return _union([_Rows(idx, factor)])
 
 
@@ -544,19 +555,20 @@ class SetTuple:
     """One finite grid cloud per vertex, on the lattice of a pitch.
 
     Clouds are stored as lexicographically sorted, duplicate-free,
-    C-contiguous int64 lattice rows, all of one width (``dim``), empty
+    C-contiguous int32 lattice rows, all of one width (``dim``), empty
     clouds included; real coordinates are pitch * index.  Construction
     canonicalizes (``_canonical``), so equal sets have equal rows regardless
     of input order; the rows are the one stored form.  ``hutchinson_step``
     builds its rows in that form and hands them over through ``_of_rows``.
-    A cloud whose bounding box has more than 2^62 cells raises ValueError.
+    A cloud whose bounding box has more than 2^62 cells, or reaches outside
+    the int32 range, raises ValueError.
     """
 
     def __init__(self, pitch: float, clouds: dict[str, np.ndarray]):
         self.pitch = _positive_pitch(pitch)
         rows = {v: np.asarray(idx, dtype=np.int64) for v, idx in clouds.items()}
         dim = _one_width(rows)
-        self.clouds = {v: _canonical(r) if r.size else r.reshape(0, dim)
+        self.clouds = {v: _canonical(r) if r.size else np.empty((0, dim), dtype=np.int32)
                        for v, r in rows.items()}
 
     @classmethod
@@ -569,7 +581,7 @@ class SetTuple:
         pts = {v: np.atleast_2d(np.asarray(p, dtype=float)) for v, p in point_clouds.items()}
         dim = _one_width(pts)
         return cls._of_rows(pitch, {
-            v: _union([_Snapped(p, pitch)]) if p.size else np.empty((0, dim), dtype=np.int64)
+            v: _union([_Snapped(p, pitch)]) if p.size else np.empty((0, dim), dtype=np.int32)
             for v, p in pts.items()})
 
     @classmethod
@@ -687,7 +699,8 @@ def hutchinson_step(sys: MWSystem, n, C: SetTuple, _maps=None) -> SetTuple:
     cells, so the result does not depend on evaluation order (degree 0
     returns C unchanged).  Every pass runs a block of ``BLOCK_ROWS`` rows at
     a time, so the step holds little beyond its input and output rows, the
-    window and, for a sparse union, one int64 key per image row.  Each union
+    window and, for a sparse union, one int64 key per image row; the rows
+    are int32.  Each union
     is decoded against the vertex's input cloud, so a vertex whose cloud the
     step returns unchanged keeps its input array and allocates no output.
     """

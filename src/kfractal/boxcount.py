@@ -17,10 +17,10 @@ from .attractor import SetTuple, _canonical
 def occupied_cells(lattice: np.ndarray, factor: int = 1) -> int:
     """Occupied cell count of integer lattice coords floor-divided by a
     positive integer factor; the division runs inside ``_canonical``, a
-    block of rows at a time."""
+    block of rows at a time, on the rows as they are stored."""
     if len(lattice) == 0:
         return 0
-    return len(_canonical(np.asarray(lattice, dtype=np.int64), factor))
+    return len(_canonical(np.asarray(lattice), factor))
 
 
 def dimension_estimate(sets: SetTuple, vertex: str) -> float:

@@ -193,8 +193,9 @@ def packaged_instance(name: str) -> FsPath:
 
 # rows formatted and written at a time by ``write_clouds_csv``, so that the
 # text of a large cloud is never held whole; half of ``attractor.BLOCK_ROWS``,
-# because a block of formatted text outweighs a block of int64 rows (blocks
-# of 2^13 raise the peak RSS of ``attractor --instance p2`` by about 0.35 MB)
+# because a block of formatted text outweighs a block of int32 rows (blocks
+# of 2^13 raised the peak RSS of ``attractor --instance p2`` by about 0.35 MB
+# when the rows were int64)
 CSV_BLOCK_ROWS = 1 << 12
 
 

@@ -121,7 +121,11 @@ class Ball:
 
     def contains(self, pts, tol):
         pts = np.atleast_2d(pts)
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius + tol
+        diff = pts - self.center
+        # both sides scaled by 2^-e, exactly, as in PointSet.contains
+        e = max(0, _exponent(diff) - 500)
+        lengths = np.linalg.norm(np.ldexp(diff, -e, out=diff), axis=1)
+        return lengths <= np.ldexp(self.radius + tol, -e)
 
     def encloses(self, point, radius) -> bool:
         """Whether the closed ball of the rational radius about the rational
@@ -275,12 +279,18 @@ class PointSet:
 # fiber down to a quarter of its default pitch)
 MAX_GRID_POINTS = 2**24
 
+# a fiber grid's indices lie below this in magnitude, half the int32 range of
+# the stored rows, so that snapped images and the children of a coarser level
+# stay inside that range
+MAX_GRID_INDEX = 2**30
+
 
 def grid_bounds(region, pitch) -> list[tuple[int, int]]:
     """Per axis, the least and greatest lattice index spanning the region's
     bounding box, as Python integers.  A pitch that is not positive and
-    finite, or more than ``MAX_GRID_POINTS`` points, counted in Python
-    integers, raise ValueError."""
+    finite, more than ``MAX_GRID_POINTS`` points, counted in Python
+    integers, or an index of magnitude ``MAX_GRID_INDEX`` or more, which
+    the int32 rows could not hold with room to spare, raise ValueError."""
     if not 0 < pitch < math.inf:
         raise ValueError(f"grid pitch must be positive and finite, got {pitch!r}")
     lo, hi = region.bounding_box()
@@ -290,13 +300,18 @@ def grid_bounds(region, pitch) -> list[tuple[int, int]]:
             int(n) + 1 for n in stop - start) > MAX_GRID_POINTS:
         raise ValueError(f"a grid of pitch {pitch!r} over the region has more than "
                          f"{MAX_GRID_POINTS} points")
-    return [(int(a), int(b)) for a, b in zip(start, stop)]
+    bounds = [(int(a), int(b)) for a, b in zip(start, stop)]
+    if max(max(-a, b) for a, b in bounds) >= MAX_GRID_INDEX:
+        raise ValueError(f"a grid of pitch {pitch!r} over the region has indices of "
+                         "magnitude 2**30 or more")
+    return bounds
 
 
 def grid_axes(region, pitch) -> list[np.ndarray]:
-    """Per axis, the lattice indices spanning the region's bounding box;
-    ``grid_bounds`` refuses too large a grid before anything is allocated."""
-    return [np.arange(a, b + 1) for a, b in grid_bounds(region, pitch)]
+    """Per axis, the lattice indices spanning the region's bounding box, as
+    int32; ``grid_bounds`` refuses too large a grid before anything is
+    allocated."""
+    return [np.arange(a, b + 1, dtype=np.int32) for a, b in grid_bounds(region, pitch)]
 
 
 # grid points built and tested at a time by ``grid_indices``, so that the
@@ -307,8 +322,9 @@ _GRID_SLAB_POINTS = 1 << 14
 def grid_indices(region, pitch):
     """Lattice indices of the grid points of the given pitch inside a
     region (with boundary slack): sorted, duplicate-free,
-    C-contiguous int64 rows, because the mesh is built in ``ij`` order.  Too
-    large a grid raises ValueError, counted by ``grid_axes`` first.
+    C-contiguous int32 rows, because the mesh is built in ``ij`` order.  Too
+    large a grid, or one whose indices could leave int32, raises ValueError,
+    checked by ``grid_bounds`` first.
 
     The mesh is built in slabs of whole rows of the first axis, at most
     ``_GRID_SLAB_POINTS`` points each (one row when a row holds more), and

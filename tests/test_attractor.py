@@ -122,15 +122,16 @@ def test_canonical_wide_spans_match_unique_rows():
     rng = np.random.default_rng(3)
     base = rng.integers(-3, 3, size=(500, 3))
     # a box far too large for an occupancy window, with a span just below
-    # 2**62, is sorted by its flat cells; boxes past it, and past the int64
-    # range of one span, which int64 cannot number, are refused
+    # 2**62, is sorted by its flat cells; boxes past it, which int64 cannot
+    # number, are refused; every row lies inside the int32 range
     near = base[:, :2] * np.array([2**29, 2**28])
     assert 2**61 < span_product(near) < 2**62
     assert np.array_equal(_canonical(near), np.unique(near, axis=0))
     assert occupied_cells(near, 4) == len(np.unique(near // 4, axis=0))
-    past = base * np.array([2**60, 1, 1])
-    wider = base * np.array([2**61, 1, 1])
+    past = base * np.array([2**29, 2**29, 2**4])
+    wider = base * np.array([2**29, 2**29, 2**29])
     assert 2**62 < span_product(past) < span_product(wider)
+    assert np.abs(wider).max() < 2**31
     for lattice in (past, wider):
         with pytest.raises(ValueError, match=r"2\*\*62"):
             _canonical(lattice)
@@ -143,10 +144,11 @@ def test_canonical_wide_spans_match_unique_rows():
 def _lattice_rows(draw):
     # per-axis spans of 1 to 13 cells over up to 40 rows: boxes from under
     # one cell per row (d = 1) to 2197 cells for a few rows (d = 3), so both
-    # the occupancy window and the row sort run; offsets reach +-2**62
+    # the occupancy window and the row sort run; offsets reach both ends of
+    # the int32 range
     d = draw(st.integers(1, 3))
     spans = draw(st.lists(st.integers(0, 12), min_size=d, max_size=d))
-    lo = draw(st.lists(st.integers(-(2**62), 2**62), min_size=d, max_size=d))
+    lo = draw(st.lists(st.integers(-(2**31), 2**31 - 13), min_size=d, max_size=d))
     axes = [st.integers(a, a + s) for a, s in zip(lo, spans)]
     rows = draw(st.lists(st.tuples(*axes), min_size=1, max_size=40))
     return np.array(rows, dtype=np.int64)
@@ -156,9 +158,67 @@ def _lattice_rows(draw):
 @given(_lattice_rows())
 def test_canonical_equals_unique_rows(rows):
     out = _canonical(rows)
-    assert out.dtype == np.int64
+    assert out.dtype == np.int32
     assert out.flags.c_contiguous
     assert np.array_equal(out, np.unique(rows, axis=0))
+
+
+@st.composite
+def _rows_near_the_int32_ends(draw):
+    # per axis, indices within 4 of -(2**31 - 1) or of 2**31 - 1, the int32
+    # limits included; at most one axis takes both ends, so its box spans
+    # the whole int32 range and is sorted, not windowed
+    d = draw(st.integers(1, 3))
+    both = draw(st.integers(0, d))  # d: no axis takes both ends
+    top = 2**31 - 1
+    low, high = st.integers(-top - 1, -top + 4), st.integers(top - 4, top)
+    axes = [st.one_of(low, high) if j == both else draw(st.sampled_from([low, high]))
+            for j in range(d)]
+    rows = draw(st.lists(st.tuples(*axes), min_size=1, max_size=40))
+    return np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_near_the_int32_ends())
+def test_canonical_near_the_int32_ends_equals_unique_rows(rows):
+    out = _canonical(rows)
+    assert out.dtype == np.int32 and out.flags.c_contiguous
+    assert np.array_equal(out, np.unique(rows, axis=0))
+
+
+def _spy_allocations(monkeypatch):
+    # the shapes of the arrays np.empty and np.zeros allocate
+    made = []
+    for name in ("empty", "zeros"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda shape, *a, _real=real, **k:
+                            made.append(shape) or _real(shape, *a, **k))
+    return made
+
+
+@pytest.mark.parametrize("rows", [
+    [[2**31 - 2], [2**31]],
+    [[-(2**31) - 1], [-(2**31) + 3]],
+    [[5, 2**31 - 1], [6, 2**31]],
+    [[-(2**31) - 1, 0, 0], [-(2**31), 0, 1]],
+])
+def test_union_refuses_a_box_outside_int32_before_allocating(monkeypatch, rows):
+    # a few cells, one of them a step past an end of the int32 range that
+    # the stored rows hold: refused before a key, a window or a row exists
+    lattice = np.array(rows, dtype=np.int64)
+    made = _spy_allocations(monkeypatch)
+    with pytest.raises(ValueError, match="outside the int32 range"):
+        _union([_Rows(lattice)])
+    with pytest.raises(ValueError, match="outside the int32 range"):
+        SetTuple(1.0, {"v": lattice})
+    monkeypatch.undo()
+    assert made == []
+    # the 2**62 check comes first
+    with pytest.raises(ValueError, match=r"2\*\*62"):
+        _canonical(np.array([[-(2**40), 0], [2**40, 2**30]]))
+    # the whole int32 range is held
+    ends = np.array([[2**31 - 1, 0], [-(2**31), 7], [2**31 - 1, 0]])
+    assert _canonical(ends).tolist() == [[-(2**31), 7], [2**31 - 1, 0]]
 
 
 def _spy_windows(monkeypatch):
@@ -245,7 +305,7 @@ def test_set_tuple_refuses_clouds_of_different_widths(build):
                    {"v": np.zeros((2, 2)), "e": np.zeros((0, 3))}):
         sets = make(1.0, clouds)
         assert sets.dim == 2 and sets.clouds["e"].shape == (0, 2)
-        assert sets.clouds["e"].dtype == np.int64
+        assert sets.clouds["e"].dtype == np.int32
     # with no nonempty cloud, the width is the first cloud's
     assert make(1.0, {"e": np.zeros((0, 3)), "f": np.zeros((0, 1))}).dim == 3
     assert SetTuple(1.0, {}).dim == 0
@@ -527,7 +587,7 @@ def test_from_fibers_rows_equal_snapped_grid_points(pitch):
         })
         assert got == want, name
         for v, rows in got.clouds.items():
-            assert rows.dtype == np.int64 and rows.flags.c_contiguous and len(rows), name
+            assert rows.dtype == np.int32 and rows.flags.c_contiguous and len(rows), name
 
 
 def test_from_fibers_fills_regions():
@@ -580,7 +640,7 @@ def _reference_step(C, maps):
 
 def _assert_stored_form(sets):
     for rows in sets.clouds.values():
-        assert rows.dtype == np.int64 and rows.ndim == 2
+        assert rows.dtype == np.int32 and rows.ndim == 2
         assert rows.flags.c_contiguous
         pairs = zip(rows.tolist(), rows[1:].tolist())
         assert all(a < b for a, b in pairs)  # sorted and duplicate-free
@@ -659,7 +719,8 @@ def test_step_sorts_sparse_unions(monkeypatch, d, diagonal, spread, sorts):
 def test_step_peak_memory_is_its_rows():
     # one step of p2's start grid at its default pitch, 263,169 rows: whole
     # cloud key columns, gathers and read-backs once peaked at 14.1 MiB over
-    # 4.0 MiB of output; the blocked passes hold the output and a window
+    # 4.0 MiB of int64 output; the blocked passes hold the output and a
+    # window, and the rows are int32
     sys_ = shipped("p2")
     h = max(f.diameter() for f in sys_.fibers.values()) / 512.0
     start = SetTuple.from_fibers(sys_, h)
@@ -671,8 +732,8 @@ def test_step_peak_memory_is_its_rows():
         tracemalloc.stop()
     rows_in = sum(rows.nbytes for rows in start.clouds.values())
     rows_out = sum(rows.nbytes for rows in step.clouds.values())
-    assert rows_in > 4 << 20 and rows_out > 1 << 20
-    assert peak <= rows_in + rows_out + (2 << 20), (peak, rows_in, rows_out)
+    assert rows_in == rows_out == 513**2 * 2 * 4
+    assert peak <= rows_in + rows_out + (1 << 20), (peak, rows_in, rows_out)
 
 
 def test_step_result_independent_of_evaluation_order():
@@ -1274,7 +1335,7 @@ def test_only_the_last_level_measures_its_displacement(monkeypatch, tmp_path, ca
 
 
 def test_refined_p2c_peaks_below_its_fiber_grid():
-    # the fiber grid at the default pitch is 513^2 rows of two int64, 4 MiB;
+    # the fiber grid at the default pitch is 513^2 rows of two int32, 2 MiB;
     # the refined run starts from 65^2 and holds the carpet's cells
     p2c = shipped("p2c")
     h = _default_pitch(p2c)
@@ -1285,7 +1346,23 @@ def test_refined_p2c_peaks_below_its_fiber_grid():
     finally:
         tracemalloc.stop()
     assert cert.converged and len(K.clouds["v"]) == 9604
-    assert peak < 513**2 * 2 * 8, peak
+    assert peak < 513**2 * 2 * 4, peak
+
+
+def test_refined_p2_peaks_below_3_5_mib():
+    # p2's attractor is its whole square: 513^2 rows of two int32, 2 MiB, as
+    # the result, with the step's window and blocks on top; int64 rows
+    # peaked at 5.5 MiB
+    p2 = shipped("p2")
+    h = _default_pitch(p2)
+    tracemalloc.start()
+    try:
+        K, cert = _refined(p2, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.converged and K.clouds["v"].nbytes == 513**2 * 2 * 4
+    assert peak < 7 << 19, peak
 
 
 def test_proving_step_returns_its_input():
@@ -1301,7 +1378,7 @@ def test_proving_step_returns_its_input():
     finally:
         tracemalloc.stop()
     assert step.clouds["v"] is K.clouds["v"]
-    assert K.clouds["v"].nbytes > 4 << 20 and peak < 1 << 20, peak
+    assert K.clouds["v"].nbytes == 513**2 * 2 * 4 and peak < 3 << 18, peak
 
 
 @pytest.mark.parametrize("spread", [300, 10**6])  # a window, a sort
@@ -1317,4 +1394,4 @@ def test_union_returns_like_exactly_when_equal(spread, where):
     got = _union([_Rows(rows)], like=like)
     assert (got is like) == (where is None)
     assert np.array_equal(got, np.unique(rows, axis=0))
-    assert got.flags.c_contiguous and got.dtype == np.int64
+    assert got.flags.c_contiguous and got.dtype == np.int32

@@ -351,10 +351,10 @@ def test_csv_of_random_tuples_matches_reference_writer(tmp_path):
 
 
 def test_cloud_past_int64_cells_is_refused():
-    # 300 rows spread over +-10**12 per axis span a box of 4 * 10**24
-    # cells, which int64 cannot number: the tuple is refused before its
-    # rows are sorted, and no writer sees it
-    rows = np.random.default_rng(11).integers(-10**12, 10**12, size=(300, 2))
+    # 300 rows spread over the int32 range per axis span a box of about
+    # 1.8 * 10**19 cells, which int64 cannot number: the tuple is refused
+    # before its rows are sorted, and no writer sees it
+    rows = np.random.default_rng(11).integers(-(2**31), 2**31, size=(300, 2))
     assert math.prod(int(c.max()) - int(c.min()) + 1 for c in rows.T) > 2**62
     with pytest.raises(ValueError, match=r"2\*\*62"):
         SetTuple(1e-3, {"v": rows})
@@ -873,6 +873,37 @@ def test_cli_fiber_without_grid_points_exits_2_in_one_line(tmp_path, capsys, com
     assert captured.out == ""
     assert captured.err == "error: fiber 'v': no grid point of pitch 0.25 lies in it\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("corner, code", [(2**30, 2), (-(2**30), 2), (2**30 - 5, 0)])
+def test_cli_fiber_2_30_pitches_away_exits_2_in_one_line(tmp_path, capsys, corner, code):
+    # a unit box, mapped into itself, whose grid indices reach 2**30 in
+    # magnitude, which int32 rows could not hold with room to spare, is
+    # refused before --out is created; 5 pitches nearer the origin it runs
+    pitch, side = 0.25, 1.0
+    lo = pitch * corner
+    doc = json.loads(packaged_instance("s1").read_text())
+    doc["edges"] = [[{"id": "a", "r": "v", "s": "v"}]]
+    doc["fibers"]["v"]["region"] = {"type": "box", "min": [lo, lo], "max": [lo + side, lo + side]}
+    doc["maps"] = {"a": {"matrix": [[0.5, 0.0], [0.0, 0.5]], "translation": [lo / 2, lo / 2]}}
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["attractor", "--instance", str(far), "--pitch", str(pitch), "--out", str(out)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == ("error: fiber 'v': a grid of pitch 0.25 over the region has "
+                                "indices of magnitude 2**30 or more\n")
+        assert not out.exists()
+    else:
+        # the fixed point of x -> x/2 + lo/2 is the corner; the snapped step
+        # keeps the 2 x 2 cells at it, indices 2**30 - 5 and 2**30 - 4
+        assert captured.err == "" and "vertex v: points=4 " in captured.out
+        ends = [repr(lo), repr(lo + pitch)]
+        assert (out / "attractor.csv").read_text() == "vertex,x0,x1\n" + "".join(
+            f"v,{x},{y}\n" for x in ends for y in ends)
 
 
 @pytest.mark.parametrize("command, instance, pitch", [("attractor", "s1", "1.7e308"),

@@ -32,6 +32,7 @@ from kfractal.systems import (
     exact_after,
     extend_map,
     grid_axes,
+    grid_bounds,
     grid_indices,
     lipschitz_bound,
     validate_system,
@@ -147,7 +148,7 @@ def test_grid_indices_slabs_equal_the_one_shot_mesh(monkeypatch, name, slab, off
     monkeypatch.setattr(systems, "_GRID_SLAB_POINTS", SLAB_SIZES[slab](n, w))
     got = grid_indices(region, pitch)
     want = one_shot_grid_indices(region, pitch)
-    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert got.dtype == np.int32 and got.flags.c_contiguous
     assert got.shape == want.shape and np.array_equal(got, want)
     # the lattice misses every point of a moved point set
     empty = name.startswith("empty") or (name.startswith("pointset") and offset is not None)
@@ -156,7 +157,8 @@ def test_grid_indices_slabs_equal_the_one_shot_mesh(monkeypatch, name, slab, off
 
 def test_start_grid_peak_memory_is_about_twice_its_rows():
     # s1's triangle at its default pitch: the bounding-box mesh and its
-    # containment temporaries once peaked at 23.5 MiB for 1.7 MiB of rows
+    # containment temporaries once peaked at 23.5 MiB for 1.7 MiB of int64
+    # rows; the int32 rows are 0.9 MiB
     s1 = shipped("s1")
     h = max(f.diameter() for f in s1.fibers.values()) / 512.0
     tracemalloc.start()
@@ -166,8 +168,8 @@ def test_start_grid_peak_memory_is_about_twice_its_rows():
     finally:
         tracemalloc.stop()
     kept = sum(rows.nbytes for rows in C0.clouds.values())
-    assert kept > 1 << 20
-    assert peak <= 2 * kept + (4 << 20), (peak, kept)
+    assert kept > 3 << 18
+    assert peak <= 2 * kept + (2 << 20), (peak, kept)
 
 
 @pytest.mark.parametrize("pitch", [1 / 4096, 1e-9, 5e-324])
@@ -177,6 +179,22 @@ def test_grid_indices_refuse_more_than_max_grid_points(pitch):
     assert 4097**2 > MAX_GRID_POINTS == 2**24
     with pytest.raises(ValueError, match="more than 16777216 points"):
         grid_indices(Box((0.0, 0.0), (1.0, 1.0)), pitch)
+
+
+@pytest.mark.parametrize("corner", [2**30, -(2**30) - 1, 2**29])
+def test_grid_indices_refuse_indices_of_magnitude_2_30(corner):
+    # a unit box 2**30 pitches from the origin, or past -2**30, is refused
+    # before anything is allocated; its rows would come within a factor of
+    # two of the int32 range the stored rows hold
+    pitch = 0.25
+    box = Box((pitch * corner, 0.0), (pitch * (corner + 1), 1.0))
+    if abs(corner) < 2**30:
+        assert grid_indices(box, pitch)[:, 0].tolist() == [corner] * 5 + [corner + 1] * 5
+        return
+    with pytest.raises(ValueError, match=r"indices of magnitude 2\*\*30 or more"):
+        grid_indices(box, pitch)
+    with pytest.raises(ValueError, match=r"indices of magnitude 2\*\*30 or more"):
+        grid_bounds(box, pitch)
 
 
 @pytest.mark.parametrize("pitch", [0.0, -0.25, math.nan])
@@ -275,6 +293,29 @@ def test_point_set_contains_far_apart_points_without_overflow():
         dmin = systems._scaled(systems._pair_lengths, diff).min(axis=1)
         tol = float(np.median(dmin))
         assert np.array_equal(PointSet(pts).contains(rows, tol), dmin <= tol)
+
+
+def test_ball_contains_far_points_without_overflow():
+    # |p - c| once squared to inf past about 1e154, so a point well inside a
+    # ball of radius 1e300 was judged outside, with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = Ball((0.0, 0.0), 1e300)
+        assert big.contains([[5e299, 0.0]], tol=0.0).tolist() == [True]
+        assert big.contains([[1e300, 0.0], [1e300 * (1 + 2**-40), 0.0]], 0.0).tolist() == [
+            True, False]
+        assert big.contains([[1e300 * (1 + 2**-40), 0.0]], tol=1e290).tolist() == [True]
+        # the verdicts of the exactly scaled lengths, at the scale of 1e300
+        rng = np.random.default_rng(37)
+        ball = Ball((3e299, -2e299), 6e299)
+        rows = (rng.random((2000, 2)) * 2 - 1) * 1e300
+        lengths = systems._scaled(lambda v: np.linalg.norm(v, axis=1), rows - ball.center)
+        assert np.array_equal(ball.contains(rows, 1e290), lengths <= 6e299 + 1e290)
+    # where nothing overflows, the verdicts are those of the unscaled norm
+    unit = Ball((0.25, -0.5), 0.75)
+    rows = rng.normal(0, 1, size=(5000, 2))
+    want = np.linalg.norm(rows - unit.center, axis=1) <= 0.75 + 1e-6
+    assert np.array_equal(unit.contains(rows, 1e-6), want)
 
 
 @pytest.mark.parametrize("points, rows", [(1000, 4096), (2000, 0)])
