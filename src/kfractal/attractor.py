@@ -67,6 +67,7 @@ from .systems import (
     AffineMap,
     MWSystem,
     degree_maps,
+    float_bits,
     grid_bounds,
     grid_indices,
     in_region,
@@ -677,7 +678,7 @@ def _image(m: AffineMap, C: SetTuple, src: str, span) -> _Image:
     table that the cloud's column reads (``_Tabled``).  Other maps are applied to the points, then snapped,
     block by block (``_Snapped``).
     """
-    a, pitch = m.matrix, C.pitch
+    a, pitch = np.array(m.matrix), C.pitch
     if not np.array_equal(a, np.diag(np.diagonal(a))):
         return _Snapped(C.clouds[src], pitch, m)
     tables = []
@@ -797,7 +798,7 @@ def contraction_factor(sys: MWSystem, n) -> float:
                 gen = sys.generators[ident]
                 for m in maps:
                     f = gen if j == 0 else m.after(gen)
-                    nxt[s].setdefault(f.matrix.tobytes(), f)
+                    nxt[s].setdefault(float_bits(f.matrix), f)
         layer = [list(seen.values()) for seen in nxt]
     return max((lipschitz_bound(m, sys.metric) for maps in layer for m in maps), default=0.0)
 

@@ -11,8 +11,11 @@ returns.  Outputs are byte-identical across runs with the same flags.  ``run`` i
 entry point of ``python -m kfractal`` and of the ``kfractal`` script.
 
 The numpy modules are imported when a command needs them: attractor,
-coding, diagonal and validate on a metric system always do; validate on a
-graph or a discrete system and duality never do.  ``duality`` itself is
+coding and diagonal always do, and so does validate on a relaxed metric
+system, whose diagonal composites are float products, or on one whose
+squares fail, for the residual it prints; validate on any other metric
+system, a graph or a discrete system and duality never do, since loading
+an instance reads its numbers into tuples of floats.  ``duality`` itself is
 imported only by the duality command and by validate on a discrete system.
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 from pathlib import Path as FsPath
 from typing import NoReturn
@@ -467,13 +471,19 @@ def run() -> NoReturn:
     """The process entry point: ``main()`` on ``sys.argv``, then exit with
     its code.
 
-    Before exiting it moves every object into the permanent generation
-    (``gc.freeze``), so the interpreter's last collection does not walk the
-    tens of thousands that numpy and the package leave behind; the
-    operating system reclaims them with the process.  A bad flag exits from
+    Before ``main()``, and so before numpy is imported, it sets
+    ``OPENBLAS_NUM_THREADS`` to 1 unless the environment gives a value: no
+    command forms a product larger than 2x2, and the thread pool OpenBLAS
+    otherwise starts at ``import numpy`` costs CPU time and, on a small
+    host, wall time.  Before exiting it moves every object into the
+    permanent generation (``gc.freeze``), so the interpreter's last
+    collection does not walk the tens of thousands that numpy and the
+    package leave behind; the operating system reclaims them with the
+    process.  A bad flag exits from
     inside ``main``, through argparse, before any command runs, and does not
     freeze.  In-process callers use ``main`` and keep normal collection.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     gc.freeze()
     raise SystemExit(code)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .attractor import ConvergenceCertificate, Operator, SetTuple, refine_attractor
 from .kgraph import DiagonalGraph, Path, diagonal_edge_id, diagonal_graph
-from .systems import STRICT, MWSystem, extend_map
+from .systems import STRICT, MWSystem, extend_map, float_bits
 
 
 def diagonal_system(sys: MWSystem, dg: DiagonalGraph) -> MWSystem:
@@ -53,7 +53,7 @@ def operator_mismatches(op: Operator, collapse: MWSystem,
     multisets: all that a union of images depends on."""
     g, found = collapse.graph, {}
     for v, pairs in op.maps.items():
-        left = Counter((m.matrix.tobytes(), m.shift.tobytes(), src) for m, src in pairs)
+        left = Counter((float_bits(m.matrix, m.shift), src) for m, src in pairs)
         for e in g.edges_with_range(1, v):
             src, p = g.edge(e).source_vertex, edge_to_path.get(e)
             if p is None or (diagonal_edge_id(p), p.degree, p.range_vertex,
@@ -61,7 +61,7 @@ def operator_mismatches(op: Operator, collapse: MWSystem,
                 found[v] = f"edge {e} from {src} is tabled as {p!r}"
                 break
             gen = collapse.generators[e]
-            pair = (gen.matrix.tobytes(), gen.shift.tobytes(), src)
+            pair = (float_bits(gen.matrix, gen.shift), src)
             if not left[pair]:
                 found[v] = f"edge {e}'s map from {src} is no degree {op.degree} path map left"
                 break

@@ -4,9 +4,11 @@ One JSON document describes a graph, a metric system (graph + fibers +
 affine maps), or a discrete system (graph + element lists + tables); the
 `kind` field disambiguates, the schema is documented in
 docs/instance_format.md.  Artifact writers are deterministic byte for byte:
-repr floats, fixed row order.  numpy and the metric modules are imported
-only by the metric readers and the grid writers, so reading a graph or a
-discrete system imports neither; ``duality`` only by the discrete reader.
+repr floats, fixed row order.  The metric modules are imported only by the
+metric readers and the grid writers, and numpy only by the grid writers:
+a loaded system holds its numbers as Python floats, so no reader imports
+numpy, and reading a graph or a discrete system imports no metric module;
+``duality`` is imported only by the discrete reader.
 """
 
 from __future__ import annotations

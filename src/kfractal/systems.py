@@ -10,6 +10,16 @@ image in its target fiber, through the regions' ``encloses``.
 
 A fiber and a map are named tuples; a system is a plain class, since its
 mode can be overridden after loading.
+
+Regions and maps hold the instance's numbers as Python floats in tuples, so
+loading a system and validating a strict one import no numpy: the exact
+side (``encloses``, ``exact_corners``, ``AffineMap.exact``,
+``lipschitz_bound`` and the checks of ``validate_system``) reads the tuples
+as they are.  numpy is the lattice engine only.  The float side
+(``contains``, ``diameter``, ``centroid``, ``AffineMap.apply`` and
+``after``, the ``grid_*`` functions and ``in_region``) imports it when
+called and builds its arrays once per call, in the numpy expressions it
+has always used, so every float it computes keeps its bits.
 """
 
 from __future__ import annotations
@@ -17,74 +27,151 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
 from fractions import Fraction
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import row_sum_norm, spectral_norm
 from .kgraph import KGraph, Path, enumerate_paths, normal_steps
 from .report import AXIOM, RELAXED, STRICT, STRUCTURAL, ValidationReport
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EUCLIDEAN = "euclidean"
 MAX = "max"
 
 
 # ---------------------------------------------------------------------------
+# floats
+
+
+def _floats(value):
+    """A number, or lists of numbers nested to one regular shape, as floats
+    in tuples nested alike: each entry as ``float`` reads it, and None as
+    NaN, so the value is read as ``np.asarray(value, dtype=float)`` reads
+    it.  A ragged nesting raises ValueError."""
+    if hasattr(value, "tolist"):  # a numpy array or scalar
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
+        return math.nan if value is None else float(value)
+    items = tuple(map(_floats, value))
+    if len(set(map(_shape, items))) > 1:
+        raise ValueError("entries of one list differ in shape")
+    return items
+
+
+def _shape(value) -> tuple[int, ...]:
+    """The shape of a value of ``_floats``, as numpy would give it."""
+    shape = []
+    while isinstance(value, tuple):
+        shape.append(len(value))
+        if not value:
+            break
+        value = value[0]
+    return tuple(shape)
+
+
+def _flat(value) -> list[float]:
+    """The floats of nested tuples, in row order."""
+    if not isinstance(value, tuple):
+        return [value]
+    return [x for item in value for x in _flat(item)]
+
+
+def _finite(*values) -> bool:
+    return all(map(math.isfinite, _flat(values)))
+
+
+def float_bits(*values) -> bytes:
+    """The float64 bits of numbers and nested tuples of them, in row order:
+    a key that tells -0.0 from 0.0, and a NaN by its bits, as ``==`` does
+    not."""
+    flat = _flat(values)
+    return struct.pack(f"{len(flat)}d", *flat)
+
+
+def _vector(value, what: str) -> tuple[float, ...]:
+    out = _floats(value)
+    if len(_shape(out)) != 1:
+        raise ValueError(f"{what} must be a list of numbers")
+    return out
+
+
+def _rational(rows) -> list[tuple[Fraction, ...]]:
+    """Float rows as exact rationals (every float is one)."""
+    return [tuple(map(Fraction, row)) for row in rows]
+
+
+def _column_ends(rows):
+    """Per axis, the least and the greatest entry of the rows; NaN where an
+    entry is NaN, as numpy's min and max give."""
+    cols = [col if all(x == x for x in col) else (math.nan,) for col in zip(*rows)]
+    return tuple(map(min, cols)), tuple(map(max, cols))
+
+
+# ---------------------------------------------------------------------------
 # regions
 
 
-def _exponent(v: np.ndarray) -> int:
+def _exponent(v) -> int:
     """The binary exponent e with v's largest entry in [2^(e-1), 2^e), or 0
     when v is zero or not finite: scaling v by 2^-e is exact and brings its
     entries into (-1, 1)."""
+    import numpy as np
+
     top = float(np.abs(v).max(initial=0.0))
     return math.frexp(top)[1] if 0.0 < top < math.inf else 0
 
 
-def _scaled(length, v: np.ndarray):
+def _scaled(length, v):
     """length(v), for a function of degree one in v such as a Euclidean
     length of v's last axis or a mean, taken of v scaled by a power of two
     near its largest entry and scaled back.  The scaling is exact, so where
     v's squares are finite normal floats the value is length(v) bit for
     bit; where they would overflow it stays finite up to the float range."""
+    import numpy as np
+
     e = _exponent(v)
     return np.ldexp(length(np.ldexp(v, -e)), e)
 
 
-def _pair_lengths(diff: np.ndarray) -> np.ndarray:
+def _pair_lengths(diff):
+    import numpy as np
+
     return np.sqrt((diff ** 2).sum(-1))
-
-
-def _rational(rows) -> list[tuple[Fraction, ...]]:
-    """Float rows as exact rationals (every float is one)."""
-    return [tuple(map(Fraction, row)) for row in np.atleast_2d(rows).tolist()]
 
 
 class Box:
     def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        if self.lo.shape != self.hi.shape or np.any(self.hi < self.lo):
+        self.lo = _vector(lo, "a box corner")
+        self.hi = _vector(hi, "a box corner")
+        if len(self.lo) != len(self.hi) or any(b < a for a, b in zip(self.lo, self.hi)):
             raise ValueError("degenerate box")
 
     @property
     def dim(self):
-        return self.lo.size
+        return len(self.lo)
 
     def diameter(self, metric=EUCLIDEAN):
-        side = self.hi - self.lo
+        import numpy as np
+
+        side = np.subtract(self.hi, self.lo)
         return float(_scaled(np.linalg.norm, side)) if metric == EUCLIDEAN else float(side.max())
 
     def centroid(self):
-        return (self.lo + self.hi) / 2.0
+        import numpy as np
+
+        return np.add(self.lo, self.hi) / 2.0
 
     def contains(self, pts, tol):
+        import numpy as np
+
         pts = np.atleast_2d(pts)
         # column by column: numpy reduces a narrow (N, d) array along its
         # rows several times slower
         inside = np.ones(len(pts), dtype=bool)
-        for col, low, high in zip(pts.T, self.lo - tol, self.hi + tol):
+        for col, low, high in zip(pts.T, np.subtract(self.lo, tol), np.add(self.hi, tol)):
             inside &= col >= low
             inside &= col <= high
         return inside
@@ -99,27 +186,31 @@ class Box:
         return list(itertools.product(*zip(*_rational([self.lo, self.hi]))))
 
     def bounding_box(self):
-        return self.lo.copy(), self.hi.copy()
+        return self.lo, self.hi
 
 
 class Ball:
     def __init__(self, center, radius):
-        self.center = np.asarray(center, dtype=float)
+        self.center = _vector(center, "a ball's center")
         self.radius = float(radius)
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
 
     @property
     def dim(self):
-        return self.center.size
+        return len(self.center)
 
     def diameter(self, metric=EUCLIDEAN):
         return 2.0 * self.radius
 
     def centroid(self):
-        return self.center.copy()
+        import numpy as np
+
+        return np.array(self.center)
 
     def contains(self, pts, tol):
+        import numpy as np
+
         pts = np.atleast_2d(pts)
         diff = pts - self.center
         # both sides scaled by 2^-e, exactly, as in PointSet.contains
@@ -130,12 +221,13 @@ class Ball:
     def encloses(self, point, radius) -> bool:
         """Whether the closed ball of the rational radius about the rational
         point lies in this one: r <= R and |x - c|^2 <= (R - r)^2, exactly."""
-        (center,), big = _rational(self.center), Fraction(self.radius)
+        (center,), big = _rational([self.center]), Fraction(self.radius)
         return radius <= big and sum(
             (x - c) ** 2 for x, c in zip(point, center)) <= (big - radius) ** 2
 
     def bounding_box(self):
-        return self.center - self.radius, self.center + self.radius
+        return (tuple(c - self.radius for c in self.center),
+                tuple(c + self.radius for c in self.center))
 
 
 class Polygon:
@@ -147,15 +239,15 @@ class Polygon:
     and the winding are signs of exact rationals."""
 
     def __init__(self, corners):
-        pts = np.asarray(corners, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
+        pts = _floats(corners)
+        if _shape(pts)[1:] != (2,) or len(pts) < 3:
             raise ValueError("polygon needs >= 3 planar corners")
-        if not np.isfinite(pts).all():
+        if not _finite(pts):
             self.corners = pts
             return
         xy = _rational(pts)
         if sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(xy, xy[1:] + xy[:1])) < 0:
-            pts, xy = pts[::-1].copy(), xy[::-1]
+            pts, xy = pts[::-1], xy[::-1]
         self.corners = pts
         sides = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1])]
         pairs = list(zip(sides, sides[1:] + sides[:1]))
@@ -173,25 +265,28 @@ class Polygon:
         return 2
 
     def diameter(self, metric=EUCLIDEAN):
-        diff = self.corners[:, None, :] - self.corners[None, :, :]
+        import numpy as np
+
+        corners = np.array(self.corners)
+        diff = corners[:, None, :] - corners[None, :, :]
         if metric == EUCLIDEAN:
             return float(_scaled(_pair_lengths, diff).max())
         return float(np.abs(diff).max())
 
     def centroid(self):
-        return _scaled(lambda v: v.mean(axis=0), self.corners)
+        import numpy as np
 
-    def _edge_normals(self):
-        edges = np.roll(self.corners, -1, axis=0) - self.corners
-        # inward normals for CCW orientation
-        normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1)
-        lengths = _scaled(lambda n: np.linalg.norm(n, axis=1), normals)
-        return normals / lengths[:, None]
+        return _scaled(lambda v: v.mean(axis=0), np.array(self.corners))
 
     def contains(self, pts, tol):
-        pts = np.atleast_2d(pts)
-        normals = self._edge_normals()
-        diff = pts[:, None, :] - self.corners[None, :, :]
+        import numpy as np
+
+        pts, corners = np.atleast_2d(pts), np.array(self.corners)
+        edges = np.roll(corners, -1, axis=0) - corners
+        # inward normals for CCW orientation
+        normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1)
+        normals /= _scaled(lambda n: np.linalg.norm(n, axis=1), normals)[:, None]
+        diff = pts[:, None, :] - corners[None, :, :]
         signed = np.einsum("ijd,jd->ij", diff, normals)
         return np.all(signed >= -tol, axis=1)
 
@@ -210,26 +305,33 @@ class Polygon:
         return _rational(self.corners)
 
     def bounding_box(self):
-        return self.corners.min(axis=0), self.corners.max(axis=0)
+        return _column_ends(self.corners)
 
 
 class PointSet:
-    """Explicit finite region; ``encloses`` is exact membership."""
+    """Explicit finite region; ``encloses`` is exact membership.  A number
+    or a list of numbers is one point, as ``np.atleast_2d`` reads it."""
 
     def __init__(self, points):
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _floats(points)
+        depth = len(_shape(pts))
+        if depth > 2:
+            raise ValueError("a point set must list points of numbers")
+        self.points = pts if depth == 2 else (pts,) if depth == 1 else ((pts,),)
 
     @property
     def dim(self):
-        return self.points.shape[1]
+        return len(self.points[0])
 
     def diameter(self, metric=EUCLIDEAN):
-        pts = self.points
+        import numpy as np
+
+        pts = np.array(self.points)
         lo, hi = self.bounding_box()
         if len(pts) > 4096:  # upper bound via the bounding box
             return Box(lo, hi).diameter(metric)
         # each block scaled as _scaled scales all P^2 pairs: by the largest side
-        e = _exponent(hi - lo)
+        e = _exponent(np.subtract(hi, lo))
         worst = []
         for rows in self._blocks(len(pts)):
             diff = pts[rows, None, :] - pts[None, :, :]
@@ -244,13 +346,17 @@ class PointSet:
         return [slice(start, start + step) for start in range(0, n, step)]
 
     def centroid(self):
-        return self.points.mean(axis=0)
+        import numpy as np
+
+        return np.array(self.points).mean(axis=0)
 
     def contains(self, pts, tol):
-        pts = np.atleast_2d(pts)
+        import numpy as np
+
+        pts, points = np.atleast_2d(pts), np.array(self.points)
         inside = np.empty(len(pts), dtype=bool)
         for rows in self._blocks(len(pts)):
-            diff = pts[rows, None, :] - self.points[None, :, :]
+            diff = pts[rows, None, :] - points[None, :, :]
             # both sides scaled by 2^-e, exactly: e = 0 changes no bit, and
             # past 2^500 e keeps the squares and their sums finite
             e = max(0, _exponent(diff) - 500)
@@ -266,13 +372,13 @@ class PointSet:
     @functools.cached_property
     def _members(self) -> set:
         # floats equal and hash as the rationals they are
-        return set(map(tuple, self.points.tolist()))
+        return set(self.points)
 
     def exact_corners(self):
         return _rational(self.points)
 
     def bounding_box(self):
-        return self.points.min(axis=0), self.points.max(axis=0)
+        return _column_ends(self.points)
 
 
 # largest grid a region's bounding box may hold (16.8M points: every shipped
@@ -291,9 +397,11 @@ def grid_bounds(region, pitch) -> list[tuple[int, int]]:
     finite, more than ``MAX_GRID_POINTS`` points, counted in Python
     integers, or an index of magnitude ``MAX_GRID_INDEX`` or more, which
     the int32 rows could not hold with room to spare, raise ValueError."""
+    import numpy as np
+
     if not 0 < pitch < math.inf:
         raise ValueError(f"grid pitch must be positive and finite, got {pitch!r}")
-    lo, hi = region.bounding_box()
+    lo, hi = map(np.array, region.bounding_box())
     with np.errstate(over="ignore"):
         start, stop = np.floor(lo / pitch), np.ceil(hi / pitch)
     if not np.isfinite(stop - start).all() or math.prod(
@@ -311,6 +419,8 @@ def grid_axes(region, pitch) -> list[np.ndarray]:
     """Per axis, the lattice indices spanning the region's bounding box, as
     int32; ``grid_bounds`` refuses too large a grid before anything is
     allocated."""
+    import numpy as np
+
     return [np.arange(a, b + 1, dtype=np.int32) for a, b in grid_bounds(region, pitch)]
 
 
@@ -330,6 +440,8 @@ def grid_indices(region, pitch):
     ``_GRID_SLAB_POINTS`` points each (one row when a row holds more), and
     the rows each slab keeps are concatenated: the transient memory is about
     twice the kept rows, not the bounding box."""
+    import numpy as np
+
     d = region.dim
     first, *rest = grid_axes(region, pitch)
     step = max(1, _GRID_SLAB_POINTS // math.prod(map(len, rest)))
@@ -367,18 +479,21 @@ class MetricFiber(NamedTuple):
 
 
 class AffineMap(NamedTuple):
-    """x -> matrix @ x + shift; the graph's edge gives its endpoints."""
+    """x -> matrix @ x + shift; the graph's edge gives its endpoints.  The
+    matrix is a tuple of rows and the shift a tuple, of floats (``of``
+    reads any nesting, for ``validate_system`` to check the shapes)."""
 
-    matrix: np.ndarray
-    shift: np.ndarray
+    matrix: tuple
+    shift: tuple
 
     @classmethod
     def identity(cls, dim):
-        return cls(np.eye(dim), np.zeros(dim))
+        return cls(tuple(tuple(float(i == j) for j in range(dim)) for i in range(dim)),
+                   (0.0,) * dim)
 
     @classmethod
     def of(cls, matrix, shift):
-        return cls(np.asarray(matrix, dtype=float), np.asarray(shift, dtype=float))
+        return cls(_floats(matrix), _floats(shift))
 
     def apply(self, pts):
         """The image of a point (d,), of each row of a cloud (n, d), or, when
@@ -387,10 +502,13 @@ class AffineMap(NamedTuple):
         s_i in elementwise float64 operations, column by column: no BLAS and
         no fused multiply-add, so a point's image is the same bits alone, in
         any cloud and on any host."""
+        import numpy as np
+
         # cols[j] is x_j and rows[i][j] is a_ij: scalars, or one per row
-        cols, rows = np.asarray(pts, dtype=float).T, self.matrix.T.swapaxes(0, 1)
+        matrix, shift = np.asarray(self.matrix, dtype=float), np.asarray(self.shift, dtype=float)
+        cols, rows = np.asarray(pts, dtype=float).T, matrix.T.swapaxes(0, 1)
         out = []
-        for row, s in zip(rows, self.shift.T):
+        for row, s in zip(rows, shift.T):
             acc = cols[0] * row[0]
             for x, a in zip(cols[1:], row[1:]):
                 acc += x * a
@@ -399,14 +517,17 @@ class AffineMap(NamedTuple):
         return np.stack(out, axis=-1)
 
     def after(self, other: "AffineMap") -> "AffineMap":
-        """self o other (apply other first)."""
-        return AffineMap(self.matrix @ other.matrix, self.matrix @ other.shift + self.shift)
+        """self o other (apply other first), in numpy's products."""
+        import numpy as np
+
+        a = np.array(self.matrix)
+        matrix, shift = a @ np.array(other.matrix), a @ np.array(other.shift) + self.shift
+        return AffineMap(tuple(map(tuple, matrix.tolist())), tuple(shift.tolist()))
 
     def exact(self):
         """Entries lifted to exact rationals (floats are rationals)."""
-        mat = tuple(tuple(Fraction(x) for x in row) for row in self.matrix.tolist())
-        sh = tuple(Fraction(x) for x in self.shift.tolist())
-        return mat, sh
+        return tuple(tuple(map(Fraction, row)) for row in self.matrix), \
+            tuple(map(Fraction, self.shift))
 
 
 def exact_after(a, b):
@@ -429,10 +550,9 @@ def lipschitz_bound(m: AffineMap, metric: str = EUCLIDEAN) -> float:
     linear part.  A matrix with an entry that is not finite has bound inf."""
     if metric not in (EUCLIDEAN, MAX):
         raise ValueError(f"unknown metric {metric!r}")
-    if not np.isfinite(m.matrix).all():
+    if not _finite(m.matrix):
         return math.inf
-    rows = tuple(map(tuple, np.asarray(m.matrix, dtype=float).tolist()))
-    return spectral_norm(rows) if metric == EUCLIDEAN else row_sum_norm(rows)
+    return spectral_norm(m.matrix) if metric == EUCLIDEAN else row_sum_norm(m.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +662,7 @@ def _image_inside(m: AffineMap, src: MetricFiber, dst: MetricFiber) -> bool:
 
     region = src.region
     if isinstance(region, Ball):
-        images = [image(*_rational(region.center))]
+        images = [image(*_rational([region.center]))]
         radius = Fraction(region.radius) * Fraction(lipschitz_bound(m, EUCLIDEAN))
     else:
         images, radius = [image(p) for p in region.exact_corners()], 0
@@ -595,16 +715,16 @@ def validate_system(sys: MWSystem) -> ValidationReport:
     for v, f in sys.fibers.items():
         if f.metric not in (EUCLIDEAN, MAX):
             rep.add(STRUCTURAL, "bad-metric", v, f"metric {f.metric!r} must be euclidean or max")
-        if not all(np.isfinite(b).all() for b in f.region.bounding_box()):
+        if not _finite(f.region.bounding_box()):
             rep.add(STRUCTURAL, "non-finite", v, "region bounding box is not finite")
     for ident, m in sys.generators.items():
-        if not (np.isfinite(m.matrix).all() and np.isfinite(m.shift).all()):
+        if not _finite(m.matrix, m.shift):
             rep.add(STRUCTURAL, "non-finite", ident, "matrix or translation entry is not finite")
     if rep.findings:
         return rep
 
     for ident, m in sys.generators.items():
-        if m.matrix.shape != (sys.dim, sys.dim) or m.shift.shape != (sys.dim,):
+        if _shape(m.matrix) != (sys.dim, sys.dim) or _shape(m.shift) != (sys.dim,):
             rep.add(STRUCTURAL, "bad-shape", ident, "matrix/translation shape")
     if rep.findings:
         return rep
@@ -616,11 +736,13 @@ def validate_system(sys: MWSystem) -> ValidationReport:
             left = exact_after(sys.generators[e].exact(), sys.generators[f].exact())
             right = exact_after(sys.generators[f2].exact(), sys.generators[e2].exact())
             if left != right:
+                import numpy as np
+
                 lm = sys.generators[e].after(sys.generators[f])
                 rm = sys.generators[f2].after(sys.generators[e2])
                 res = float(
-                    np.linalg.norm(lm.matrix - rm.matrix)
-                    + np.linalg.norm(lm.shift - rm.shift)
+                    np.linalg.norm(np.subtract(lm.matrix, rm.matrix))
+                    + np.linalg.norm(np.subtract(lm.shift, rm.shift))
                 )
                 rep.add(AXIOM, "square-consistency", f"({e},{f})=({f2},{e2})",
                         f"composite maps differ, residual {res:.3e}")

@@ -1,6 +1,7 @@
 """Rank-1 collapse: generators, intertwining transfer, the one operator it
 iterates, attractor agreement."""
 
+import json
 import math
 
 import numpy as np
@@ -18,8 +19,10 @@ from kfractal.attractor import (
     hutchinson_step,
     tuple_distance,
 )
+from kfractal.cli import main
 from kfractal.coding import sample_prefixes
 from kfractal.diagonal import check_diagonal_agreement, diagonal_system, operator_mismatches
+from kfractal.io import load_instance, packaged_instance
 from kfractal.kgraph import KGraph, diagonal_graph
 from kfractal.systems import (
     AffineMap,
@@ -28,6 +31,7 @@ from kfractal.systems import (
     MWSystem,
     degree_maps,
     extend_map,
+    float_bits,
     lipschitz_bound,
     validate_system,
 )
@@ -67,7 +71,7 @@ def test_p2_collapse_four_quarter_maps():
     sys = shipped("p2")
     gens = _collapse(sys).generators
     assert len(gens) == 4
-    shifts = sorted(tuple(m.shift.tolist()) for m in gens.values())
+    shifts = sorted(m.shift for m in gens.values())
     assert shifts == [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
     for m in gens.values():
         assert np.array_equal(m.matrix, np.eye(2) / 2)
@@ -78,7 +82,7 @@ def test_f3_collapse_single_generator():
     sys = shipped("f3")
     gens = list(_collapse(sys).generators.values())
     assert len(gens) == 1
-    assert gens[0].matrix[0, 0] == pytest.approx(0.125)
+    assert gens[0].matrix[0][0] == pytest.approx(0.125)
 
 
 @pytest.mark.parametrize("name", ["s1", "p2", "p2c", "t0", "f3"])
@@ -276,7 +280,6 @@ def test_the_collapse_iterates_the_source_operator(g_two_vertex, name):
     if name == "two-vertex":
         sys = _two_vertex_system(g_two_vertex)
     elif name.startswith("product-"):
-        from kfractal.io import load_instance
         from perfbench.generate import product_system
 
         sys = load_instance(product_system(int(name.split("-")[1])))[1]
@@ -287,9 +290,8 @@ def test_the_collapse_iterates_the_source_operator(g_two_vertex, name):
     op = Operator.of(sys, sys.diagonal_degree)
     pairs = degree_maps(_collapse(sys), (1,))
     for v in sys.graph.vertices:
-        bits = sorted((m.matrix.tobytes(), m.shift.tobytes(), src) for m, src in op.maps[v])
-        assert bits == sorted((m.matrix.tobytes(), m.shift.tobytes(), src)
-                              for m, src in pairs[v])
+        bits = sorted((float_bits(m.matrix, m.shift), src) for m, src in op.maps[v])
+        assert bits == sorted((float_bits(m.matrix, m.shift), src) for m, src in pairs[v])
 
 
 def _swapped(dg, first=0, second=1):
@@ -333,6 +335,38 @@ def test_a_map_one_ulp_off_is_a_mismatch():
     op = Operator.of(sys, sys.diagonal_degree)
     found = operator_mismatches(op, collapse, diagonal_graph(sys.graph).edge_to_path)
     assert found == {"v": f"edge {first}'s map from v is no degree (1, 1) path map left"}
+
+
+def test_a_signed_zero_off_the_composite_fails_the_cli(tmp_path, capsys, monkeypatch):
+    # the collapse's first generator with its off-diagonal 0.0 made -0.0:
+    # equal as numbers, and still another map bit for bit
+    sys = shipped("p2c")
+    first = next(iter(diagonal_graph(sys.graph).edge_to_path))
+    zero = _collapse(sys).generators[first].matrix[0][1]
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
+    def flipped(sys_, dg):
+        collapse = diagonal_system(sys_, dg)
+        m = collapse.generators[first]
+        collapse.generators[first] = AffineMap.of(
+            [[m.matrix[0][0], -0.0], list(m.matrix[1])], m.shift)
+        return collapse
+
+    monkeypatch.setattr(diagonal, "diagonal_system", flipped)
+    assert main(["diagonal", "--instance", "p2c", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == (
+        f"vertex v: edge {first}'s map from v is no degree (1, 1) path map left FAIL\n")
+
+
+def test_a_loaded_nan_matches_its_own_bits():
+    # NaN != NaN, but a composite with a NaN shift is the same map bit for
+    # bit in the operator and in the collapse
+    doc = json.loads(packaged_instance("p2c").read_text())
+    doc["maps"]["b1"]["translation"][0] = math.nan
+    sys = load_instance(doc)[1]
+    op = Operator.of(sys, sys.diagonal_degree)
+    assert any(math.isnan(x) for rows in op.maps.values() for m, _ in rows for x in m.shift)
+    assert operator_mismatches(op, _collapse(sys), diagonal_graph(sys.graph).edge_to_path) == {}
 
 
 def test_a_collapse_without_an_edge_is_a_mismatch():

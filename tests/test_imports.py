@@ -2,10 +2,12 @@
 declares that it needs, that the package defines nothing it does not use,
 and that the command-line driver imports only public library names.
 
-The exact commands (``validate`` on a discrete system, and ``duality`` at
-every fiber size, enumerated or sampled) and the package itself leave numpy
-out, and the exact commands leave out ``inspect`` too.  No command loads
-``dataclasses``, and none loads ``numpy.random``, sampled coding included.
+The exact commands (``validate`` on a discrete system or a strict metric
+system, and ``duality`` at every fiber size, enumerated or sampled), the
+package itself and loading any instance leave numpy out, and the exact
+commands leave out ``inspect`` too.  ``run`` sets one OpenBLAS thread
+before numpy is imported.  No command loads ``dataclasses``, and none loads
+``numpy.random``, sampled coding included.
 Nothing imports scipy, whatever the sizes of the clouds compared.  The grid
 commands leave ``kfractal.duality`` out.
 """
@@ -69,6 +71,18 @@ K_SURJECTIVE = (
     "assert max(coverage_distances(sys_, (1,), T).values()) <= 2 / 512 + 2 * err\n"
 )
 
+# every shipped metric instance and a generated product, loaded after the
+# CLI module as the benchmark's set-up probe loads them: regions and maps
+# hold Python floats, and numpy is the lattice engine only
+LOAD_METRIC = (
+    "import kfractal.cli\n"
+    "from kfractal.io import load_instance, packaged_instance\n"
+    "from perfbench.generate import product_system\n"
+    "for name in ('s1', 'p2', 'p2c', 't0', 'f3'):\n"
+    "    load_instance(packaged_instance(name))\n"
+    "load_instance(product_system(1))\n"
+)
+
 # (what runs: Python source, or the argv of a CLI command; the module it
 # must leave out of sys.modules)
 GUARDS = {
@@ -83,6 +97,12 @@ GUARDS = {
     "duality-sweep-3": (["duality", "--max-fiber-size", "3", "--seed", "1"], "numpy"),
     "duality-sweep-4": (["duality", "--max-fiber-size", "4", "--seed", "1"], "numpy"),
     "validate-d1": (["validate", "--instance", "d1"], "numpy"),
+    "load-metric-instances": (LOAD_METRIC, "numpy"),
+    # strict mode decides every check in exact rationals; relaxed mode
+    # (p2, p2c) composes its diagonal maps in floats
+    "validate-s1": (["validate", "--instance", "s1"], "numpy"),
+    "validate-t0": (["validate", "--instance", "t0"], "numpy"),
+    "validate-f3": (["validate", "--instance", "f3"], "numpy"),
     # the records are named tuples and plain classes: no command loads
     # dataclasses, and the exact ones leave out inspect, which it imports
     "duality-d1-no-dataclasses": (["duality", "--instance", "d1"], "dataclasses"),
@@ -130,10 +150,11 @@ GUARDS = {
 }
 
 
-def run_fresh(code: str) -> subprocess.CompletedProcess:
-    """Run Python source in a fresh interpreter that imports the package
-    from the source tree, and the test oracles from tests/."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (SRC, TESTS))))
+def run_fresh(code: str, environ=os.environ) -> subprocess.CompletedProcess:
+    """Run Python source in a fresh interpreter, in the given environment,
+    that imports the package from the source tree, the test oracles from
+    tests/ and the benchmark's generators from perfbench/."""
+    env = dict(environ, PYTHONPATH=os.pathsep.join(map(str, (SRC, TESTS, ROOT))))
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -155,6 +176,26 @@ def test_fresh_process_leaves_module_out(tmp_path, name):
               f"sorted(m for m in sys.modules if m.startswith({module!r}))\n")
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
+
+
+# what run() hands main(): the OpenBLAS thread count, and whether numpy
+# was imported yet
+OPENBLAS_SEEN = (
+    "import os, sys\n"
+    "from kfractal import cli\n"
+    "cli.main = lambda: print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules) or 0\n"
+    "cli.run()\n"
+)
+
+
+@pytest.mark.parametrize("given, seen", [(None, "1 False"), ("3", "3 False")],
+                         ids=["unset", "given"])
+def test_run_sets_one_openblas_thread_before_numpy(given, seen):
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        environ["OPENBLAS_NUM_THREADS"] = given
+    proc = run_fresh(OPENBLAS_SEEN, environ)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, seen + "\n", "")
 
 
 def third_party_imports() -> set[str]:

@@ -222,6 +222,54 @@ def test_cli_degenerate_polygon_is_bad_region(tmp_path, capsys, corners):
     assert "bad-region" in err
 
 
+def _s1_file(tmp_path, path, value) -> str:
+    """s1 with the field at a key path set to value, written to a file."""
+    doc = json.loads(packaged_instance("s1").read_text())
+    _parent(doc, path)[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return str(bad)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("maps", "a0", "matrix"), [[0.5, 0.0], [0.0]]),
+        (("fibers", "v", "region", "corners"), [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.8, 0.0]]),
+        (("fibers", "v", "region", "corners"), [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8, 0.0]]),
+    ],
+    ids=["ragged-matrix", "spatial-corners", "one-spatial-corner"],
+)
+def test_cli_malformed_arrays_exit_2_in_one_line(tmp_path, capsys, path, value):
+    bad = _s1_file(tmp_path, path, value)
+    assert main(["validate", "--instance", bad, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: malformed instance: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("matrix", [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]),
+     ("translation", [[0.0], [0.0]])],
+    ids=["spatial-matrix", "nested-translation"],
+)
+def test_cli_map_of_another_shape_is_bad_shape(tmp_path, capsys, field, value):
+    bad = _s1_file(tmp_path, ("maps", "a0", field), value)
+    assert main(["validate", "--instance", bad, "--out", str(tmp_path)]) == 1
+    assert "  [structural] bad-shape: a0: matrix/translation shape\n" in capsys.readouterr().out
+
+
+def test_a_string_entry_loads_as_its_number():
+    doc = json.loads(packaged_instance("s1").read_text())
+    doc["maps"]["a0"]["matrix"][0][0] = "0.5"
+    doc["fibers"]["v"]["region"]["corners"][1] = ["1.0", "0"]
+    sys_, s1 = load_instance(doc)[1], load_instance(packaged_instance("s1"))[1]
+    assert sys_.generators["a0"].exact() == s1.generators["a0"].exact()
+    assert sys_.fibers["v"].region.exact_corners() == s1.fibers["v"].region.exact_corners()
+    assert validate_system(sys_).ok
+
+
 def test_cli_star_polygon_exits_2_in_one_line(tmp_path, capsys):
     # a pentagram turns left at every corner; its sides wind twice
     doc = json.loads(packaged_instance("s1").read_text())
@@ -1219,7 +1267,7 @@ def test_cli_attractor_csv_is_a_fixed_point_of_snapped_images(tmp_path, capsys, 
         images = []
         for lam in enumerate_paths(sys_.graph, v, sys_.diagonal_degree):
             m = extend_map(sys_, lam)
-            images.append(clouds[lam.source_vertex] @ m.matrix.T + m.shift)
+            images.append(clouds[lam.source_vertex] @ np.transpose(m.matrix) + m.shift)
         snapped = _distinct_rows(np.rint(np.concatenate(images) / h).astype(np.int64))
         rows = np.rint(pts / h).astype(np.int64)
         assert np.array_equal(pts, h * rows.astype(float))  # A lies on the lattice
